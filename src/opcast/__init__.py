@@ -1,8 +1,6 @@
 """Online probabilistic forecasting of operational times in production processes."""
 
-from .benchmarks import (VarxModel, fit_varx, no_lags_variant,
-                         persistence_forecast, predict_varx, univariate_configs,
-                         univariate_suite)
+from .benchmarks import VarxModel, fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel, OeeBand, Standardizer, bss_tss_ratio, \
     fit_auto_k, oee_band
 from .dirichlet import DirichletTable
@@ -13,7 +11,7 @@ from .errors import (ConditioningWarning, ConfigurationError, DataError,
                      OrderingError, RestoreError, SchemaError, StateIndexError,
                      ThresholdWarning, TimeConsistencyError)
 from .estimator import AdaptiveState, BatchOracleResult, batch_oracle
-from .features import (CovariateSpec, FeatureConfig, FeatureVectors,
+from .features import (CovariateSpec, FeatureConfig, FeatureTable,
                        assemble_next_features, build_features,
                        classification_vector, default_feature_config,
                        pattern_key, response_vector)
@@ -22,7 +20,7 @@ from .harness import (DEFAULT_MODELS, MetricsReport, PredictionRow, ReportRow,
                       response_summary, week_key)
 from .metrics import coverage, interval_width, mae, rmse
 from .model import (CombinedForecast, ForecastResult, IoHmmModel, ModelConfig,
-                    StepResult, combination_weights, combine)
+                    StepResult, combination_weights, combine, fit_states)
 from .records import (BoundaryFlags, DerivedTimes, EffectivenessIndices,
                       ParseResult, ProductionRecord, RowError, ShiftSequence,
                       boundary_flags, check_chronological, compute_indices,

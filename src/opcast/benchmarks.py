@@ -3,21 +3,20 @@
 * persistence: tomorrow equals today.
 * VARX(q): vector autoregression with exogenous regressors, fitted once by
   per-equation least squares and then frozen.
-* a no-lags variant of the main model (drop the autoregressive block).
-* a univariate suite: one single-response copy of the main model per
-  response, using only that response's own lags.
+
+The no-lags and univariate variants of the main model are configurations
+of it (``FeatureConfig.with_lags``, ``FeatureConfig.for_response``), built
+by the evaluation harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FittingError, NumericError
-from .model import IoHmmModel, ModelConfig
-from .records import ProductionRecord
 
 
 def persistence_forecast(y_prev) -> np.ndarray:
@@ -131,31 +130,3 @@ def predict_varx(model: VarxModel, lags: Sequence, g) -> tuple[np.ndarray, np.nd
         y_hat = y_hat + model.phi[j] @ lag
     y_hat = y_hat + model.beta @ g
     return y_hat, model.sigma_eta.copy()
-
-
-def no_lags_variant(config: ModelConfig) -> ModelConfig:
-    """The same model without the autoregressive block."""
-    return replace(config, features=config.features.with_lags(0))
-
-
-def univariate_configs(config: ModelConfig) -> list[tuple[str, ModelConfig]]:
-    """One single-response configuration per response.
-
-    Each keeps the full covariate set but sees lags of its own response
-    only. For a model that is already single-response this returns an
-    identical configuration.
-    """
-    return [(name, replace(config, features=config.features.for_response(name)))
-            for name in config.features.response_names]
-
-
-def univariate_suite(records: Sequence[ProductionRecord], config: ModelConfig,
-                     seed: int = 0, threshold: float = 0.8,
-                     k_max: int = 12) -> list[tuple[str, IoHmmModel]]:
-    """Fit one independent single-response model per response."""
-    suite = []
-    for name, cfg in univariate_configs(config):
-        model = IoHmmModel(cfg).fit(records, seed=seed, threshold=threshold,
-                                    k_max=k_max)
-        suite.append((name, model))
-    return suite

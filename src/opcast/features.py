@@ -3,7 +3,10 @@
 Three vectors are built per record: a binary conditioning pattern ``z``
 (drives the discrete state machinery), a continuous regressor vector ``w``
 (drives the adaptive linear models, includes lagged responses) and a
-classification vector ``t`` (drives state assignment).
+classification vector ``t`` (drives state assignment). ``build_features``
+evaluates them once for a whole record list into one ``FeatureTable`` of
+arrays indexed by record position; the specs are parsed once, when the
+``FeatureConfig`` is built.
 
 Covariates are declared as small spec strings:
 
@@ -83,11 +86,6 @@ class CovariateSpec:
         return float(value)
 
 
-def _as_specs(exprs: Sequence[str]) -> tuple[CovariateSpec, ...]:
-    return tuple(spec if isinstance(spec, CovariateSpec) else CovariateSpec(spec)
-                 for spec in exprs)
-
-
 @dataclass(frozen=True)
 class FeatureConfig:
     """Declarative description of the model inputs.
@@ -102,12 +100,17 @@ class FeatureConfig:
     t_spec: tuple[str, ...]
     q: int = 1
     max_lags: int = 5
+    parsed_z: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
+    parsed_w: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
+    parsed_t: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "response_names", tuple(self.response_names))
-        object.__setattr__(self, "z_spec", tuple(s.strip() for s in self.z_spec))
-        object.__setattr__(self, "w_spec", tuple(s.strip() for s in self.w_spec))
-        object.__setattr__(self, "t_spec", tuple(s.strip() for s in self.t_spec))
+        for name in ("z", "w", "t"):
+            exprs = tuple(s.strip() for s in getattr(self, f"{name}_spec"))
+            object.__setattr__(self, f"{name}_spec", exprs)
+            object.__setattr__(self, f"parsed_{name}",
+                               tuple(CovariateSpec(s) for s in exprs))
         if not self.response_names:
             raise ConfigurationError("at least one response is required")
         if not isinstance(self.q, int) or self.q < 0:
@@ -126,18 +129,6 @@ class FeatureConfig:
             if spec.kind != "numeric":
                 raise ConfigurationError(
                     f"classification entries must be numeric columns, got {spec.expr!r}")
-
-    @property
-    def parsed_z(self) -> tuple[CovariateSpec, ...]:
-        return _as_specs(self.z_spec)
-
-    @property
-    def parsed_w(self) -> tuple[CovariateSpec, ...]:
-        return _as_specs(self.w_spec)
-
-    @property
-    def parsed_t(self) -> tuple[CovariateSpec, ...]:
-        return _as_specs(self.t_spec)
 
     @property
     def n_responses(self) -> int:
@@ -180,16 +171,18 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class FeatureVectors:
-    """Model inputs for one record position."""
+class FeatureTable:
+    """Model inputs of one record list; row ``i`` belongs to record ``i``.
 
-    record_index: int
-    z: np.ndarray
-    w: np.ndarray
-    t: np.ndarray
-    y: np.ndarray
-    begins_shift: bool
-    begins_order: bool
+    The lag cells of ``w`` in rows before ``q`` are NaN: those records only
+    supply lags and are never learned from or forecast.
+    """
+
+    z: np.ndarray             # (n, pattern_length)
+    w: np.ndarray             # (n, w_dim)
+    t: np.ndarray             # (n, len(t_spec))
+    y: np.ndarray             # (n, n_responses)
+    begins_shift: np.ndarray  # (n,) bool
 
 
 def pattern_key(z) -> str:
@@ -278,13 +271,19 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     return z, w, begins_shift
 
 
-def build_features(records: Sequence[ProductionRecord],
-                   config: FeatureConfig) -> list[FeatureVectors]:
-    """Featurize every record that has a full lag history.
+def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
+              flags: Sequence[BoundaryFlags]) -> np.ndarray:
+    return np.array([[spec.evaluate(rec, fl) for spec in specs]
+                     for rec, fl in zip(records, flags)], dtype=float)
 
-    The first ``q`` records only supply lags; features start at position
-    ``q``. Lags run across sequence boundaries: the previous ``q`` records
-    are used regardless of shift or order changes.
+
+def build_features(records: Sequence[ProductionRecord],
+                   config: FeatureConfig) -> FeatureTable:
+    """Featurize a whole record list into one table.
+
+    The first ``q`` records only supply lags; learning and forecasting
+    start at position ``q``. Lags run across sequence boundaries: the
+    previous ``q`` records are used regardless of shift or order changes.
     """
     if len(records) <= config.q:
         raise InsufficientHistoryError(
@@ -294,20 +293,14 @@ def build_features(records: Sequence[ProductionRecord],
             raise ConfigurationError(f"unknown response column {name!r}")
 
     flags = boundary_flags(records)
-    y_all = np.array([response_vector(rec, config) for rec in records])
-    z_specs, w_specs = config.parsed_z, config.parsed_w
-
-    out: list[FeatureVectors] = []
-    for i in range(config.q, len(records)):
-        rec, fl = records[i], flags[i]
-        z = np.array([spec.evaluate(rec, fl) for spec in z_specs])
-        base = [spec.evaluate(rec, fl) for spec in w_specs]
-        lag_blocks = [y_all[i - j] for j in range(1, config.q + 1)]
-        w = np.concatenate([np.asarray(base, dtype=float)] + lag_blocks) \
-            if lag_blocks else np.asarray(base, dtype=float)
-        out.append(FeatureVectors(record_index=i, z=z, w=w,
-                                  t=classification_vector(rec, config),
-                                  y=y_all[i],
-                                  begins_shift=fl.begins_shift,
-                                  begins_order=fl.begins_order))
-    return out
+    n, q, m = len(records), config.q, config.n_responses
+    y = np.array([response_vector(rec, config) for rec in records])
+    n_base = len(config.w_spec)
+    w = np.full((n, config.w_dim), np.nan)
+    w[:, :n_base] = _evaluate(config.parsed_w, records, flags)
+    for j in range(1, q + 1):
+        w[q:, n_base + (j - 1) * m:n_base + j * m] = y[q - j:n - j]
+    no_flags = [BoundaryFlags(False, False)] * n  # classification never uses flags
+    return FeatureTable(z=_evaluate(config.parsed_z, records, flags), w=w,
+                        t=_evaluate(config.parsed_t, records, no_flags), y=y,
+                        begins_shift=np.array([fl.begins_shift for fl in flags]))

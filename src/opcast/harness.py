@@ -2,15 +2,20 @@
 
 Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
-as sequence starts) and evaluated on the held-out week. The online model
-keeps learning as it walks through the test week, mirroring production
-use; the regression benchmark stays frozen after fitting.
+as sequence starts) and evaluated on the held-out week. The hidden states
+are discovered once per fold and shared by the IO-HMM variants (their
+classification spec is the same); each variant learns its own
+coefficients and counts. The online model keeps learning as it walks
+through the test week, mirroring production use; the regression benchmark
+stays frozen after fitting. The VARX inputs are featurized once for the
+whole dataset and once per fold for the training weeks.
 
 Aggregation is per model, fold, shift type and response.
 """
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import warnings
@@ -21,9 +26,10 @@ import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .errors import ConfigurationError, DegenerateDataError
-from .features import build_features, default_feature_config, response_vector
+from .clustering import ClusterModel
+from .features import FeatureTable, build_features, default_feature_config
 from .metrics import coverage, interval_width, mae, rmse
-from .model import IoHmmModel, ModelConfig
+from .model import IoHmmModel, ModelConfig, fit_states
 from .records import ProductionRecord, check_chronological
 
 DEFAULT_MODELS = (
@@ -104,10 +110,11 @@ def response_summary(records: Sequence[ProductionRecord],
     return out
 
 
-def _iohmm_predictions(records, train_idx, test_idx, name, fold, cfg: ModelConfig,
-                       seed, threshold, k_max) -> list[PredictionRow]:
-    model = IoHmmModel(cfg).fit([records[i] for i in train_idx], seed=seed,
-                                threshold=threshold, k_max=k_max)
+def _iohmm_predictions(records, train, states: ClusterModel, test_idx, name, fold,
+                       cfg: ModelConfig) -> list[PredictionRow]:
+    # forecast_step moves centroids, so every model gets its own copy
+    model = IoHmmModel(cfg, clusters=copy.deepcopy(states))
+    model.learn_records(train)
     steps = model.run_online(records, indices=test_idx, forecast_from=test_idx[0])
     rows = []
     for st in steps:
@@ -121,24 +128,22 @@ def _iohmm_predictions(records, train_idx, test_idx, name, fold, cfg: ModelConfi
     return rows
 
 
-def _varx_predictions(records, train_idx, test_idx, name, fold, cfg: ModelConfig,
-                      q: int) -> list[PredictionRow]:
-    fc0 = cfg.features.with_lags(0)
-    train_stream = [records[i] for i in train_idx]
-    train_feats = build_features(train_stream, fc0)
-    pairs = [(fv.y, fv.w) for fv in train_feats]
-    varx = fit_varx(pairs, q)
-    global_feats = build_features(records, fc0)
+def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx,
+                      name, fold, responses, q: int) -> list[PredictionRow]:
+    """VARX(q) fitted on the training table, forecasting from the full one.
+
+    Both tables are built without lags; the VARX takes its lags from ``y``.
+    """
+    varx = fit_varx(list(zip(train.y, train.w)), q)
     rows = []
     for i in test_idx:
         if i < q:
             continue
-        lags = [response_vector(records[i - j], fc0) for j in range(1, q + 1)]
-        y_hat, sigma = predict_varx(varx, lags, global_feats[i].w)
+        lags = [full.y[i - j] for j in range(1, q + 1)]
+        y_hat, sigma = predict_varx(varx, lags, full.w[i])
         sd = np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
-        actual = response_vector(records[i], fc0)
-        for j, resp in enumerate(fc0.response_names):
-            rows.append(PredictionRow(name, fold, i, resp, float(actual[j]),
+        for j, resp in enumerate(responses):
+            rows.append(PredictionRow(name, fold, i, resp, float(full.y[i, j]),
                                       float(y_hat[j]), float(sd[j]),
                                       records[i].shift_code))
     return rows
@@ -168,12 +173,12 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
-    over between folds. Per-fold cells that produce no forecasts are
+    over between folds. The states of a fold are fitted once and copied
+    into each IO-HMM variant. Per-fold cells that produce no forecasts are
     omitted with a warning.
     """
     check_chronological(records)
-    for name in model_names:
-        parse_model_name(name)
+    kinds = {parse_model_name(name)[0] for name in model_names}
     if base is None:
         base = ModelConfig(features=default_feature_config(records),
                            allow_cold_start=True)
@@ -184,29 +189,37 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         raise DegenerateDataError(
             f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
 
+    varx_features = base.features.with_lags(0)
+    use_varx = "varx" in kinds
+    use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
+    varx_full = build_features(records, varx_features) if use_varx else None
+
     predictions: list[PredictionRow] = []
     for fold in weeks:
         test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
-        train_idx = [i for i, rec in enumerate(records) if week_key(rec.date) != fold]
+        train = [rec for rec in records if week_key(rec.date) != fold]
+        states = fit_states(train, base.features, seed=seed, threshold=threshold,
+                            k_max=k_max) if use_iohmm else None
+        varx_train = build_features(train, varx_features) if use_varx else None
         for name in model_names:
             kind, q = parse_model_name(name)
             if kind == "persistence":
                 rows = _persistence_predictions(records, test_idx, name, fold,
                                                 responses)
             elif kind == "varx":
-                rows = _varx_predictions(records, train_idx, test_idx, name, fold,
-                                         base, q)
+                rows = _varx_predictions(records, varx_train, varx_full, test_idx,
+                                         name, fold, responses, q)
             elif kind == "iohmm":
                 cfg = replace(base, features=base.features.with_lags(q))
-                rows = _iohmm_predictions(records, train_idx, test_idx, name, fold,
-                                          cfg, seed, threshold, k_max)
+                rows = _iohmm_predictions(records, train, states, test_idx, name,
+                                          fold, cfg)
             else:  # iohmm-uni
                 rows = []
                 for resp in responses:
                     cfg = replace(base, features=base.features
                                   .with_lags(q).for_response(resp))
-                    rows += _iohmm_predictions(records, train_idx, test_idx, name,
-                                               fold, cfg, seed, threshold, k_max)
+                    rows += _iohmm_predictions(records, train, states, test_idx,
+                                               name, fold, cfg)
             if not rows:
                 warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
                               stacklevel=2)

@@ -24,8 +24,8 @@ from .dirichlet import DirichletTable
 from .errors import (ConfigurationError, DimensionError, ForecastUnavailableError,
                      NumericError, OpcastError, RestoreError)
 from .estimator import AdaptiveState
-from .features import (FeatureConfig, FeatureVectors, build_features,
-                       classification_vector, pattern_key, response_vector)
+from .features import (FeatureConfig, build_features, classification_vector,
+                       pattern_key)
 from .records import ProductionRecord
 
 Z95 = 1.96
@@ -175,6 +175,20 @@ def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
                             intervals=intervals, cold_start=cold)
 
 
+def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
+               seed: int = 0, threshold: float = 0.8, k_min: int = 2,
+               k_max: int = 12) -> ClusterModel:
+    """Discover the hidden states from the records' classification vectors.
+
+    The result depends on the classification spec only, so models that
+    differ in lags or responses can share one fit (each needs its own
+    copy: forecasting moves the centroids).
+    """
+    points = np.array([classification_vector(rec, features) for rec in records])
+    return fit_auto_k(points, threshold=threshold, k_min=k_min, k_max=k_max,
+                      seed=seed)
+
+
 class IoHmmModel:
     """Forecasting model with per-pattern adaptive states.
 
@@ -226,10 +240,9 @@ class IoHmmModel:
     def fit(self, records: Sequence[ProductionRecord], seed: int = 0,
             threshold: float = 0.8, k_min: int = 2, k_max: int = 12) -> "IoHmmModel":
         """Discover states on the records, then learn them in one pass."""
-        points = np.array([classification_vector(rec, self.config.features)
-                           for rec in records])
-        self.attach_clusters(fit_auto_k(points, threshold=threshold, k_min=k_min,
-                                        k_max=k_max, seed=seed))
+        self.attach_clusters(fit_states(records, self.config.features, seed=seed,
+                                        threshold=threshold, k_min=k_min,
+                                        k_max=k_max))
         self.learn_records(records)
         return self
 
@@ -251,22 +264,20 @@ class IoHmmModel:
 
     # -- online operations ---------------------------------------------------
 
-    def learn_step(self, features: FeatureVectors, prev_state: int | None,
-                   cur_state: int, y=None) -> None:
-        """Fold one observed period into the model.
+    def learn_step(self, z, w, y, prev_state: int | None, cur_state: int) -> None:
+        """Fold one observed period (pattern, regressors, responses) into the model.
 
         Continuous updates happen first with the pre-observation counts;
         the pseudo-count for the realized state is incremented afterwards.
         """
         self._require_fitted()
-        if features.w.shape != (self.config.features.w_dim,):
+        if np.shape(w) != (self.config.features.w_dim,):
             raise DimensionError(
                 f"regressor vector must have length {self.config.features.w_dim}")
-        key = pattern_key(features.z)
-        y = features.y if y is None else np.asarray(y, dtype=float).reshape(-1)
+        key = pattern_key(z)
         states = self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, prev_state)
-        u = np.concatenate([[1.0], features.w])
+        u = np.concatenate([[1.0], w])
         states.u.update(u, y)
         states.v.update(v, y)
         if prev_state is None:
@@ -309,13 +320,11 @@ class IoHmmModel:
     def learn_records(self, records: Sequence[ProductionRecord]) -> None:
         """Single learning pass over chronologically sorted records."""
         self._require_fitted()
-        fc = self.config.features
-        fvs = build_features(records, fc)
-        labels = [self.clusters.assign(classification_vector(rec, fc))
-                  for rec in records]
-        for fv in fvs:
-            prev = None if fv.begins_shift else labels[fv.record_index - 1]
-            self.learn_step(fv, prev, labels[fv.record_index])
+        table = build_features(records, self.config.features)
+        labels = [self.clusters.assign(t) for t in table.t]
+        for i in range(self.config.features.q, len(records)):
+            prev = None if table.begins_shift[i] else labels[i - 1]
+            self.learn_step(table.z[i], table.w[i], table.y[i], prev, labels[i])
 
     def run_online(self, records: Sequence[ProductionRecord],
                    forecast_from: int | None = None,
@@ -334,8 +343,7 @@ class IoHmmModel:
         """
         self._require_fitted()
         fc = self.config.features
-        fvs = build_features(records, fc)
-        by_index = {fv.record_index: fv for fv in fvs}
+        table = build_features(records, fc)
         first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
         if indices is None:
             positions: Sequence[int] = range(len(records))
@@ -348,25 +356,22 @@ class IoHmmModel:
         labels: dict[int, int] = {}
         results: list[StepResult] = []
         for i in positions:
-            rec = records[i]
-            fv = by_index.get(i)
+            begins = bool(table.begins_shift[i])
             forecast = None
-            if fv is not None and i >= first:
-                t_prev = classification_vector(records[i - 1], fc)
-                forecast = self.forecast_step(t_prev, fv.z, fv.w, fv.begins_shift)
-            cur = self.clusters.assign(classification_vector(rec, fc))
-            if fv is not None:
-                if fv.begins_shift:
+            if i >= first:
+                forecast = self.forecast_step(table.t[i - 1], table.z[i],
+                                              table.w[i], begins)
+            cur = self.clusters.assign(table.t[i])
+            if i >= fc.q:
+                if begins:
                     prev = None
                 else:
                     prev = labels.get(i - 1)
                     if prev is None:
-                        prev = self.clusters.assign(
-                            classification_vector(records[i - 1], fc))
-                self.learn_step(fv, prev, cur)
+                        prev = self.clusters.assign(table.t[i - 1])
+                self.learn_step(table.z[i], table.w[i], table.y[i], prev, cur)
             labels[i] = cur
-            results.append(StepResult(index=i, state=cur,
-                                      y=response_vector(rec, fc),
+            results.append(StepResult(index=i, state=cur, y=table.y[i],
                                       forecast=forecast))
         return results
 

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from opcast import (ConfigurationError, DimensionError, FeatureConfig,
-                    FittingError, ModelConfig, NumericError, fit_varx,
-                    no_lags_variant, persistence_forecast, predict_varx,
-                    univariate_configs, univariate_suite)
-
-from conftest import build_stream
+from opcast import (ConfigurationError, DimensionError, FittingError,
+                    NumericError, fit_varx, persistence_forecast, predict_varx)
 
 
 def _simulate_varx(rng, n, intercept, phi, beta, noise=0.1):
@@ -159,35 +155,3 @@ class TestVarxPredict:
             predict_varx(model, [np.zeros(2)], [0.0])
         with pytest.raises(DimensionError):
             predict_varx(model, [np.zeros(1)], [0.0, 1.0])
-
-
-class TestModelVariants:
-    def _config(self):
-        features = FeatureConfig(response_names=("OpT", "NOpT"),
-                                 z_spec=("shift_code==M",),
-                                 w_spec=("ics",), t_spec=("OpT",), q=2)
-        return ModelConfig(features=features)
-
-    def test_no_lags_variant_drops_the_autoregressive_block(self):
-        cfg = no_lags_variant(self._config())
-        assert cfg.features.q == 0
-        assert cfg.features.w_dim == 1
-        assert cfg.lambda_u == self._config().lambda_u
-
-    def test_univariate_configs_split_responses(self):
-        out = univariate_configs(self._config())
-        assert [name for name, _ in out] == ["OpT", "NOpT"]
-        for name, cfg in out:
-            assert cfg.features.response_names == (name,)
-            assert cfg.features.q == 2
-            assert cfg.features.w_dim == 1 + 2
-
-    def test_univariate_suite_fits_independent_models(self):
-        steps = [{"OpT": (2.0 if i % 2 else 9.0) + 0.01 * i} for i in
-                 range(30)]
-        records = build_stream(steps)
-        suite = univariate_suite(records, self._config(), seed=0, k_max=3)
-        assert [name for name, _ in suite] == ["OpT", "NOpT"]
-        for name, model in suite:
-            assert model.n_responses == 1
-            assert model.clusters is not None

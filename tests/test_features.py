@@ -128,25 +128,27 @@ class TestDefaults:
 class TestBuildFeatures:
     def test_features_start_after_lag_window(self):
         records = build_stream([{"OpT": 6.0 + i} for i in range(6)])
-        feats = build_features(records, _config(q=2))
-        assert [f.record_index for f in feats] == [2, 3, 4, 5]
+        table = build_features(records, _config(q=2))
+        lags = table.w[:, 5:]
+        assert table.w.shape == (6, 5 + 2 * 2)
+        assert np.isnan(lags[:2]).all()
+        assert np.isfinite(table.w[2:]).all()
 
     def test_lag_order_is_lag_major(self):
         records = build_stream([{"OpT": 6.0, "NOpT": 5.5},
                                 {"OpT": 7.0, "NOpT": 6.5},
                                 {"OpT": 8.0, "NOpT": 7.5}])
-        feats = build_features(records, _config(q=2))
-        f = feats[0]
-        np.testing.assert_allclose(f.w[-4:], [7.0, 6.5, 6.0, 5.5])
-        np.testing.assert_allclose(f.y, [8.0, 7.5])
+        table = build_features(records, _config(q=2))
+        np.testing.assert_allclose(table.w[2, -4:], [7.0, 6.5, 6.0, 5.5])
+        np.testing.assert_allclose(table.y[2], [8.0, 7.5])
 
     def test_lags_cross_shift_boundaries(self):
         records = build_stream([{"shift": "Mo M", "OpT": 6.0},
                                 {"shift": "Mo A", "OpT": 9.0,
                                  "start": dt.time(14, 0)}])
-        f = build_features(records, _config(q=1))[0]
-        assert f.begins_shift
-        np.testing.assert_allclose(f.w[-2:], [6.0, records[0].NOpT])
+        table = build_features(records, _config(q=1))
+        assert table.begins_shift[1]
+        np.testing.assert_allclose(table.w[1, -2:], [6.0, records[0].NOpT])
 
     def test_pattern_and_flags(self):
         records = build_stream([
@@ -154,14 +156,15 @@ class TestBuildFeatures:
             {"shift": "Mo M", "pr_ord": 301},
             {"shift": "Mo A", "pr_ord": 301, "start": dt.time(14, 0)},
         ])
-        feats = build_features(records, _config(q=1))
-        assert pattern_key(feats[0].z) == "100"
-        assert not feats[0].begins_shift and feats[0].begins_order
-        assert pattern_key(feats[1].z) == "010"
-        assert feats[1].begins_shift and not feats[1].begins_order
-        # the w indicators see the same flags
-        assert feats[0].w[4] == 1.0 and feats[0].w[3] == 0.0
-        assert feats[1].w[3] == 1.0 and feats[1].w[4] == 0.0
+        table = build_features(records, _config(q=1))
+        assert pattern_key(table.z[1]) == "100"
+        assert not table.begins_shift[1]
+        assert pattern_key(table.z[2]) == "010"
+        assert table.begins_shift[2]
+        # the w indicators carry both flags: w[3] is @begins_shift and
+        # w[4] is @begins_order
+        assert table.w[1, 4] == 1.0 and table.w[1, 3] == 0.0
+        assert table.w[2, 3] == 1.0 and table.w[2, 4] == 0.0
 
     def test_too_short_history_raises(self):
         records = build_stream([{}, {}])
@@ -175,9 +178,15 @@ class TestBuildFeatures:
 
     def test_q_zero_has_no_lags(self):
         records = build_stream([{}, {}])
-        feats = build_features(records, _config(q=0))
-        assert [f.record_index for f in feats] == [0, 1]
-        assert feats[0].w.shape == (5,)
+        table = build_features(records, _config(q=0))
+        assert np.isfinite(table.w).all()
+        assert table.w.shape == (2, 5)
+
+    def test_classification_rows_match_the_vector(self):
+        records = build_stream([{"OpT": 6.0 + i} for i in range(4)])
+        table = build_features(records, _config(q=2))
+        for rec, t in zip(records, table.t):
+            np.testing.assert_array_equal(t, classification_vector(rec, _config()))
 
 
 class TestVectors:

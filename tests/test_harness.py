@@ -1,11 +1,16 @@
 import datetime as dt
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import opcast.harness
+import opcast.model
 from opcast import (ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
-                    OrderingError, SyntheticSpec, emit_report,
+                    IoHmmModel, ModelConfig, OrderingError, SyntheticSpec,
+                    ThresholdWarning, default_feature_config, emit_report,
                     generate_synthetic, leave_one_week_out, mae,
                     parse_model_name, response_summary, week_key)
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL
@@ -24,13 +29,13 @@ def two_week_records():
     return generate_synthetic(spec)
 
 
+SMALL_MODELS = ("persistence", "no-lags", "iohmm-q1", "varx-q1", "iohmm-uni-q1")
+
+
 @pytest.fixture(scope="module")
 def small_report(two_week_records):
-    return leave_one_week_out(
-        two_week_records,
-        model_names=("persistence", "no-lags", "iohmm-q1", "varx-q1",
-                     "iohmm-uni-q1"),
-        seed=0, k_max=6)
+    return leave_one_week_out(two_week_records, model_names=SMALL_MODELS,
+                              seed=0, k_max=6)
 
 
 class TestModelNames:
@@ -143,12 +148,64 @@ class TestLeaveOneWeekOut:
         assert len(sds) > 1
 
     def test_deterministic_repeat(self, two_week_records, small_report):
-        again = leave_one_week_out(
-            two_week_records,
-            model_names=("persistence", "no-lags", "iohmm-q1", "varx-q1",
-                         "iohmm-uni-q1"),
-            seed=0, k_max=6)
+        again = leave_one_week_out(two_week_records, model_names=SMALL_MODELS,
+                                   seed=0, k_max=6)
         assert emit_report(again) == emit_report(small_report)
+
+    def test_states_are_fitted_once_per_fold(self, two_week_records):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = leave_one_week_out(two_week_records,
+                                        model_names=SMALL_MODELS,
+                                        seed=0, k_max=6)
+        threshold = [w for w in caught if w.category is ThresholdWarning]
+        assert len(threshold) == len(report.folds) == 2
+
+    def test_unrequested_kinds_do_no_work(self, two_week_records, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called for a model kind nobody asked for")
+
+        monkeypatch.setattr(opcast.model, "fit_auto_k", forbidden)
+        report = leave_one_week_out(two_week_records,
+                                    model_names=("persistence", "varx-q1"))
+        assert report.models == ["persistence", "varx-q1"]
+        monkeypatch.setattr(opcast.harness, "build_features", forbidden)
+        leave_one_week_out(two_week_records, model_names=("persistence",))
+
+    def test_shared_states_match_independent_fits(self, two_week_records,
+                                                  small_report):
+        records = two_week_records
+        fold = small_report.folds[0]
+        test_idx = [i for i, r in enumerate(records) if week_key(r.date) == fold]
+        train = [r for r in records if week_key(r.date) != fold]
+        base = ModelConfig(features=default_feature_config(records),
+                           allow_cold_start=True)
+        variants = {
+            "no-lags": [base.features.with_lags(0)],
+            "iohmm-q1": [base.features.with_lags(1)],
+            "iohmm-uni-q1": [base.features.with_lags(1).for_response(r)
+                             for r in base.features.response_names],
+        }
+        for name, feature_configs in variants.items():
+            expected = []
+            for features in feature_configs:
+                model = IoHmmModel(replace(base, features=features))
+                model.fit(train, seed=0, k_max=6)
+                steps = model.run_online(records, indices=test_idx,
+                                         forecast_from=test_idx[0])
+                for st in steps:
+                    if st.forecast is None:
+                        continue
+                    sd = np.sqrt(np.clip(np.diagonal(st.forecast.sigma), 0.0,
+                                         None))
+                    for j, resp in enumerate(features.response_names):
+                        expected.append((st.index, resp, float(st.y[j]),
+                                         float(st.forecast.y_hat[j]),
+                                         float(sd[j])))
+            got = [(p.index, p.response, p.actual, p.predicted, p.sd)
+                   for p in small_report.predictions
+                   if p.model == name and p.fold == fold]
+            assert expected and got == expected, name
 
     def test_single_week_rejected(self):
         records = build_stream([{} for _ in range(10)])

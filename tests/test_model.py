@@ -38,6 +38,11 @@ def _model(q=1, t_spec=("OpT",), centroids=((0.0,), (10.0,)), **cfg):
     return IoHmmModel(config, clusters=_manual_clusters(centroids))
 
 
+def _row(table, i):
+    """(z, w, y) of one record position, the learn_step inputs."""
+    return table.z[i], table.w[i], table.y[i]
+
+
 class TestCombinationWeights:
     def test_share_of_competing_variance(self):
         d = combination_weights(np.array([1.0, 4.0]), np.array([3.0, 4.0]))
@@ -138,11 +143,11 @@ class TestLearnStep:
     def test_counts_increment_after_continuous_updates(self):
         model = _model(q=1, lambda_u=1.0, lambda_v=1.0)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
-        fv = build_features(records, model.config.features)[0]
-        model.learn_step(fv, prev_state=None, cur_state=1)
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), prev_state=None, cur_state=1)
         # the state-driven update must see the pre-observation uniform
         # probabilities [0.5, 0.5]: H row 0 = 0.5 * y / (1 + 0.5)
-        y = fv.y
+        y = table.y[1]
         np.testing.assert_allclose(model.params["100"].v.H[0], y / 3.0)
         # and only afterwards the count moves to [1.5, 0.5]
         np.testing.assert_array_equal(
@@ -151,9 +156,9 @@ class TestLearnStep:
     def test_transition_vs_initial_dispatch(self):
         model = _model()
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}])
-        fvs = build_features(records, model.config.features)
-        model.learn_step(fvs[0], None, 2)
-        model.learn_step(fvs[1], 2, 1)
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), None, 2)
+        model.learn_step(*_row(table, 2), 2, 1)
         np.testing.assert_array_equal(
             model.dirichlet.initial_counts("100"), [0.5, 1.5])
         expected = np.full((2, 2), 0.5)
@@ -164,16 +169,16 @@ class TestLearnStep:
     def test_regressor_dimension_checked(self):
         model = _model(q=1)
         records = build_stream([{}, {}])
-        fv = build_features(records, _feature_config(q=0))[0]
+        table = build_features(records, _feature_config(q=0))
         with pytest.raises(DimensionError):
-            model.learn_step(fv, None, 1)
+            model.learn_step(*_row(table, 0), None, 1)
 
     def test_requires_clusters(self):
         model = IoHmmModel(ModelConfig(features=_feature_config()))
         records = build_stream([{}, {}])
-        fv = build_features(records, _feature_config())[0]
+        table = build_features(records, _feature_config())
         with pytest.raises(ConfigurationError):
-            model.learn_step(fv, None, 1)
+            model.learn_step(*_row(table, 1), None, 1)
 
 
 class TestForecastStep:
@@ -181,8 +186,9 @@ class TestForecastStep:
         model = _model(centroids=((0.0,), (10.0,)), lambda_u=1.0,
                        lambda_v=1.0, allow_cold_start=True)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
-        fv = build_features(records, model.config.features)[0]
-        out = model.forecast_step([6.0], fv.z, fv.w, fv.begins_shift)
+        table = build_features(records, model.config.features)
+        out = model.forecast_step([6.0], table.z[1], table.w[1],
+                                  bool(table.begins_shift[1]))
         # nearest centroid to 6.0 is 10.0 (distance 4 vs 6)
         assert out.state == 2
         # and the centroid absorbed the point afterwards: (10+6)/2
@@ -194,12 +200,13 @@ class TestForecastStep:
 
     def test_cold_start_policy(self):
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
-        fv = build_features(records, _feature_config())[0]
+        table = build_features(records, _feature_config())
+        z, w, begins = table.z[1], table.w[1], bool(table.begins_shift[1])
         model = _model()
         with pytest.raises(ForecastUnavailableError):
-            model.forecast_step([6.0], fv.z, fv.w, fv.begins_shift)
+            model.forecast_step([6.0], z, w, begins)
         model = _model(allow_cold_start=True)
-        out = model.forecast_step([6.0], fv.z, fv.w, fv.begins_shift)
+        out = model.forecast_step([6.0], z, w, begins)
         assert out.cold_start
         np.testing.assert_allclose(out.y_hat, [0.0, 0.0])
         np.testing.assert_allclose(out.intervals, 0.0)
@@ -207,31 +214,33 @@ class TestForecastStep:
     def test_begins_switches_to_initial_counts(self):
         model = _model(allow_cold_start=True, lambda_u=1.0, lambda_v=1.0)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}])
-        fvs = build_features(records, model.config.features)
-        model.learn_step(fvs[0], None, 1)
-        model.learn_step(fvs[1], 1, 2)
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        model.learn_step(*_row(table, 2), 1, 2)
+        z, w = table.z[2], table.w[2]
 
         v_cont = model.dirichlet.expected_state_vector("100", 1)
         v_init = model.dirichlet.expected_state_vector("100", None)
         assert not np.allclose(v_cont, v_init)
 
-        out = model.forecast_step([0.1], fvs[1].z, fvs[1].w, begins=False)
+        out = model.forecast_step([0.1], z, w, begins=False)
         v_state = model.params["100"].v
         np.testing.assert_allclose(
-            out.y_hat, out.weights * ([1.0, *fvs[1].w] @ model.params["100"].u.H)
+            out.y_hat, out.weights * ([1.0, *w] @ model.params["100"].u.H)
             + (1 - out.weights) * (v_cont @ v_state.H))
 
-        out2 = model.forecast_step([0.1], fvs[1].z, fvs[1].w, begins=True)
+        out2 = model.forecast_step([0.1], z, w, begins=True)
         np.testing.assert_allclose(
-            out2.y_hat, out2.weights * ([1.0, *fvs[1].w] @ model.params["100"].u.H)
+            out2.y_hat, out2.weights * ([1.0, *w] @ model.params["100"].u.H)
             + (1 - out2.weights) * (v_init @ v_state.H))
 
     def test_last_forecast_is_cached(self):
         model = _model(allow_cold_start=True)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
-        fv = build_features(records, model.config.features)[0]
+        table = build_features(records, model.config.features)
         assert model.last_forecast is None
-        out = model.forecast_step([6.0], fv.z, fv.w, fv.begins_shift)
+        out = model.forecast_step([6.0], table.z[1], table.w[1],
+                                  bool(table.begins_shift[1]))
         assert model.last_forecast is out
         assert model.last_state == out.state
 
@@ -272,19 +281,19 @@ class TestRunOnline:
                         lambda_v=0.95)
         results = auto.run_online(records)
 
-        fvs = {fv.record_index: fv for fv in build_features(records, fc)}
+        table = build_features(records, fc)
         label = {}
         got = []
         for i, rec in enumerate(records):
-            fv = fvs.get(i)
-            if fv is not None and i >= 2:
+            begins = bool(table.begins_shift[i])
+            if i >= 2:
                 t_prev = classification_vector(records[i - 1], fc)
-                got.append(manual.forecast_step(t_prev, fv.z, fv.w,
-                                                fv.begins_shift))
+                got.append(manual.forecast_step(t_prev, table.z[i], table.w[i],
+                                                begins))
             cur = manual.clusters.assign(classification_vector(rec, fc))
-            if fv is not None:
-                prev = None if fv.begins_shift else label[i - 1]
-                manual.learn_step(fv, prev, cur)
+            if i >= fc.q:
+                prev = None if begins else label[i - 1]
+                manual.learn_step(*_row(table, i), prev, cur)
             label[i] = cur
 
         auto_fc = [r.forecast for r in results if r.forecast is not None]
@@ -344,6 +353,24 @@ class TestFit:
         assert model.clusters.reached_threshold
         # learning happened: the single pattern has effective history
         assert model.params["100"].u.gamma == pytest.approx(39.0)
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_no_base_regressors(self, q):
+        records = build_stream([{"shift": f"Mo {'MAN'[(i // 4) % 3]}",
+                                 "OpT": 6.0 + 0.25 * (i % 5)} for i in range(30)])
+        features = FeatureConfig(response_names=("OpT", "NOpT"),
+                                 z_spec=("shift_code==M", "shift_code==A",
+                                         "shift_code==N"),
+                                 w_spec=(), t_spec=("OpT",), q=q)
+        table = build_features(records, features)
+        assert table.w.shape == (30, 2 * q)
+        model = IoHmmModel(ModelConfig(features=features, allow_cold_start=True))
+        model.fit(records, seed=0, k_max=3)
+        assert model.u_dim == 1 + 2 * q
+        results = model.run_online(records, forecast_from=20)
+        forecasts = [r.forecast for r in results if r.forecast is not None]
+        assert len(forecasts) == 10
+        assert all(np.isfinite(f.y_hat).all() for f in forecasts)
 
     def test_attach_rejects_wrong_dimension(self):
         config = ModelConfig(features=_feature_config(t_spec=("OpT", "av")))
