@@ -19,13 +19,12 @@ from .harness import (DEFAULT_MODELS, MetricsReport, PredictionRow, ReportRow,
                       emit_report, leave_one_week_out, parse_model_name,
                       response_summary, week_key)
 from .metrics import coverage, interval_width, mae, rmse
-from .model import (CombinedForecast, ForecastResult, IoHmmModel, ModelConfig,
-                    StepResult, combination_weights, combine, fit_states)
+from .model import (ForecastResult, IoHmmModel, ModelConfig, StepResult,
+                    combination_weights, combine, fit_states)
 from .records import (BoundaryFlags, DerivedTimes, EffectivenessIndices,
-                      ParseResult, ProductionRecord, RowError, ShiftSequence,
-                      boundary_flags, check_chronological, compute_indices,
-                      consistency_issues, derive_time_variables,
-                      parse_dataset, segment_into_sequences, write_dataset)
+                      ParseResult, ProductionRecord, RowError, boundary_flags,
+                      check_chronological, compute_indices, consistency_issues,
+                      derive_time_variables, parse_dataset, write_dataset)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"

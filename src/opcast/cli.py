@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,19 +86,11 @@ def _load_records(path):
 
 
 def _feature_config(records, cfg) -> FeatureConfig:
-    if cfg["z_spec"] or cfg["w_spec"] or cfg["t_spec"]:
-        base = default_feature_config(records, q=cfg["lags"],
-                                      responses=tuple(cfg["responses"]),
-                                      max_lags=cfg["max_lags"])
-        return FeatureConfig(
-            response_names=tuple(cfg["responses"]),
-            z_spec=tuple(cfg["z_spec"] or base.z_spec),
-            w_spec=tuple(cfg["w_spec"] or base.w_spec),
-            t_spec=tuple(cfg["t_spec"] or base.t_spec),
-            q=cfg["lags"], max_lags=cfg["max_lags"])
-    return default_feature_config(records, q=cfg["lags"],
+    base = default_feature_config(records, q=cfg["lags"],
                                   responses=tuple(cfg["responses"]),
                                   max_lags=cfg["max_lags"])
+    return replace(base, **{key: tuple(cfg[key])
+                            for key in ("z_spec", "w_spec", "t_spec") if cfg[key]})
 
 
 def _model_config(records, cfg) -> ModelConfig:

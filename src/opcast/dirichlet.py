@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, StateIndexError
-from .features import pattern_key
 
 JEFFREYS = 0.5
 
@@ -38,12 +37,11 @@ class DirichletTable:
 
     # -- helpers ---------------------------------------------------------
 
-    def _key(self, pattern) -> str:
-        key = pattern if isinstance(pattern, str) else pattern_key(pattern)
-        if len(key) != self.pattern_length or set(key) - {"0", "1"}:
+    def _key(self, pattern: str) -> str:
+        if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
             raise ConfigurationError(
-                f"pattern {key!r} does not match pattern length {self.pattern_length}")
-        return key
+                f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
+        return pattern
 
     def _check_state(self, state: int) -> int:
         if not isinstance(state, (int, np.integer)) or not 1 <= state <= self.n_states:

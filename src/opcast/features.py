@@ -4,9 +4,11 @@ Three vectors are built per record: a binary conditioning pattern ``z``
 (drives the discrete state machinery), a continuous regressor vector ``w``
 (drives the adaptive linear models, includes lagged responses) and a
 classification vector ``t`` (drives state assignment). ``build_features``
-evaluates them once for a whole record list into one ``FeatureTable`` of
-arrays indexed by record position; the specs are parsed once, when the
-``FeatureConfig`` is built.
+is the one featurizer: it evaluates them for a whole record list into one
+``FeatureTable`` of arrays indexed by record position. The announced,
+not yet observed period is featurized the same way, as a pseudo-record
+appended to the tail of the history. Specs are parsed and checked against
+the record columns once, when the ``FeatureConfig`` is built.
 
 Covariates are declared as small spec strings:
 
@@ -18,7 +20,7 @@ Covariates are declared as small spec strings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +30,10 @@ from .records import BoundaryFlags, ProductionRecord, boundary_flags
 
 _FLAGS = ("@begins_shift", "@begins_order")
 
-# Columns derived from the shift label rather than stored on the record.
-_TEXT_COLUMNS = ("shift_code", "weekday", "shift")
-
-
-def _column_value(record: ProductionRecord, name: str):
-    if not hasattr(record, name):
-        raise ConfigurationError(f"unknown record column {name!r} in covariate spec")
-    return getattr(record, name)
+# Record columns that hold text, dates or times rather than numbers.
+_TEXT_COLUMNS = frozenset({"shift", "shift_code", "weekday", "date", "start"})
+_COLUMNS = frozenset(f.name for f in fields(ProductionRecord)) | _TEXT_COLUMNS
+_NUMERIC_COLUMNS = _COLUMNS - _TEXT_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,11 @@ class CovariateSpec:
                 raise ConfigurationError("empty covariate spec")
             object.__setattr__(self, "kind", "numeric")
             object.__setattr__(self, "column", expr)
+        if self.kind != "flag" and self.column not in _COLUMNS:
+            raise ConfigurationError(
+                f"unknown record column {self.column!r} in covariate spec")
+        if self.kind == "numeric" and self.column not in _NUMERIC_COLUMNS:
+            raise ConfigurationError(f"covariate {expr!r} does not evaluate to a number")
 
     @property
     def is_binary(self) -> bool:
@@ -77,10 +80,10 @@ class CovariateSpec:
     def evaluate(self, record: ProductionRecord, flags: BoundaryFlags) -> float:
         if self.kind == "flag":
             return 1.0 if getattr(flags, self.column) else 0.0
+        value = getattr(record, self.column)
         if self.kind == "indicator":
-            return 1.0 if str(_column_value(record, self.column)) == self.value else 0.0
-        value = _column_value(record, self.column)
-        if self.column in _TEXT_COLUMNS or value is None:
+            return 1.0 if str(value) == self.value else 0.0
+        if value is None:  # the optional environment columns
             raise ConfigurationError(
                 f"covariate {self.expr!r} does not evaluate to a number")
         return float(value)
@@ -113,6 +116,9 @@ class FeatureConfig:
                                tuple(CovariateSpec(s) for s in exprs))
         if not self.response_names:
             raise ConfigurationError("at least one response is required")
+        for name in self.response_names:
+            if name not in _NUMERIC_COLUMNS:
+                raise ConfigurationError(f"unknown response column {name!r}")
         if not isinstance(self.q, int) or self.q < 0:
             raise ConfigurationError(f"lag order must be a non-negative integer, got {self.q!r}")
         if self.q > self.max_lags:
@@ -238,37 +244,32 @@ def assemble_next_features(records: Sequence[ProductionRecord],
                            ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Covariates for the upcoming, not yet observed period.
 
-    Indicator covariates are evaluated against the announced shift label,
-    lags come from the tail of the history. Numeric covariates other than
-    the speed must be supplied through ``overrides`` because they are not
-    known before the period runs.
+    The period is featurized by ``build_features`` as a copy of the last
+    record carrying the announced shift label, speed and order change,
+    appended to the tail of the history that supplies its lags. Numeric
+    covariates other than the speed must be supplied through ``overrides``
+    because they are not known before the period runs.
 
     Returns ``(z, w, begins_shift)``.
     """
     if len(records) < max(config.q, 1):
         raise InsufficientHistoryError(
             f"need at least {max(config.q, 1)} records of history")
-    last = records[-1]
-    begins_shift = shift_label != last.shift
-    flags = BoundaryFlags(begins_shift=begins_shift, begins_order=new_order)
-    ics_value = float(ics) if ics is not None else last.ics
-    pseudo = replace(last, shift=shift_label, ics=ics_value)
     overrides = overrides or {}
-
-    def eval_spec(spec: CovariateSpec) -> float:
+    future = {}
+    for spec in config.parsed_w:
         if spec.kind == "numeric" and spec.column != "ics":
-            if spec.column in overrides:
-                return float(overrides[spec.column])
-            raise ConfigurationError(
-                f"covariate {spec.expr!r} is unknown for a future period; "
-                "supply it explicitly")
-        return spec.evaluate(pseudo, flags)
-
-    z = np.array([eval_spec(spec) for spec in config.parsed_z])
-    base = np.array([eval_spec(spec) for spec in config.parsed_w], dtype=float)
-    lag_blocks = [response_vector(records[-j], config) for j in range(1, config.q + 1)]
-    w = np.concatenate([base] + lag_blocks) if lag_blocks else base
-    return z, w, begins_shift
+            if spec.column not in overrides:
+                raise ConfigurationError(
+                    f"covariate {spec.expr!r} is unknown for a future period; "
+                    "supply it explicitly")
+            future[spec.column] = float(overrides[spec.column])
+    last = records[-1]
+    announced = replace(last, shift=shift_label,
+                        ics=float(ics) if ics is not None else last.ics,
+                        pr_ord=last.pr_ord + bool(new_order), **future)
+    table = build_features(list(records[-(config.q + 1):]) + [announced], config)
+    return table.z[-1], table.w[-1], bool(table.begins_shift[-1])
 
 
 def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
@@ -288,10 +289,6 @@ def build_features(records: Sequence[ProductionRecord],
     if len(records) <= config.q:
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
-    for name in config.response_names:
-        if not hasattr(records[0], name):
-            raise ConfigurationError(f"unknown response column {name!r}")
-
     flags = boundary_flags(records)
     n, q, m = len(records), config.q, config.n_responses
     y = np.array([response_vector(rec, config) for rec in records])

@@ -7,14 +7,18 @@ the pseudo-count tables. Their forecasts are blended per response with
 inverse-variance weights. Hidden states come from clustering; their
 dynamics are tracked by the pseudo-counts.
 
-Everything updates online: one pass over the records both forecasts and
-learns, and the full state can be snapshotted to a plain JSON document.
+Everything updates online: ``run_online`` is the one learning loop. It
+featurizes the records it needs through ``build_features``, classifies
+each processed record once and interleaves forecasting with learning;
+``learn_records`` is the same pass with forecasting switched off. Every
+forecast is a ``ForecastResult``, and the full state can be snapshotted
+to a plain JSON document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +26,8 @@ import numpy as np
 from .clustering import ClusterModel, fit_auto_k
 from .dirichlet import DirichletTable
 from .errors import (ConfigurationError, DimensionError, ForecastUnavailableError,
-                     NumericError, OpcastError, RestoreError)
+                     InsufficientHistoryError, NumericError, OpcastError,
+                     RestoreError)
 from .estimator import AdaptiveState
 from .features import (FeatureConfig, build_features, classification_vector,
                        pattern_key)
@@ -70,24 +75,17 @@ class PatternStates:
 
 
 @dataclass(frozen=True)
-class CombinedForecast:
-    y_hat: np.ndarray
-    sigma: np.ndarray
-    weights: np.ndarray
-    intervals: np.ndarray
-    cold_start: bool
-
-
-@dataclass(frozen=True)
 class ForecastResult:
+    """A blended forecast; ``forecast_step`` fills in where it came from."""
+
     y_hat: np.ndarray
     sigma: np.ndarray
     weights: np.ndarray
     intervals: np.ndarray
     cold_start: bool
-    state: int
-    pattern: str
-    begins: bool
+    state: int | None = None
+    pattern: str | None = None
+    begins: bool = False
 
     def to_dict(self, response_names: Sequence[str] | None = None) -> dict:
         names = list(response_names) if response_names is not None \
@@ -154,7 +152,7 @@ def combination_weights(sigma_u: np.ndarray, sigma_v: np.ndarray) -> np.ndarray:
 
 
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
-            allow_cold_start: bool = False) -> CombinedForecast:
+            allow_cold_start: bool = False) -> ForecastResult:
     """Blend the two per-pattern predictors for one upcoming period."""
     cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
     if cold and not allow_cold_start:
@@ -171,8 +169,8 @@ def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
              + np.outer(1.0 - delta, 1.0 - delta) * sigma_v)
     sd = np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
     intervals = np.column_stack([y_hat - Z95 * sd, y_hat + Z95 * sd])
-    return CombinedForecast(y_hat=y_hat, sigma=sigma, weights=delta,
-                            intervals=intervals, cold_start=cold)
+    return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta,
+                          intervals=intervals, cold_start=cold)
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -306,25 +304,16 @@ class IoHmmModel:
         states = self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
         u = np.concatenate([[1.0], w_next])
-        combined = combine(u, v, states.u, states.v,
-                           allow_cold_start=self.config.allow_cold_start)
-        result = ForecastResult(y_hat=combined.y_hat, sigma=combined.sigma,
-                                weights=combined.weights,
-                                intervals=combined.intervals,
-                                cold_start=combined.cold_start,
-                                state=state, pattern=key, begins=begins)
+        result = replace(combine(u, v, states.u, states.v,
+                                 allow_cold_start=self.config.allow_cold_start),
+                         state=state, pattern=key, begins=begins)
         self.last_state = state
         self.last_forecast = result
         return result
 
     def learn_records(self, records: Sequence[ProductionRecord]) -> None:
         """Single learning pass over chronologically sorted records."""
-        self._require_fitted()
-        table = build_features(records, self.config.features)
-        labels = [self.clusters.assign(t) for t in table.t]
-        for i in range(self.config.features.q, len(records)):
-            prev = None if table.begins_shift[i] else labels[i - 1]
-            self.learn_step(table.z[i], table.w[i], table.y[i], prev, labels[i])
+        self.run_online(records, forecast_from=len(records))
 
     def run_online(self, records: Sequence[ProductionRecord],
                    forecast_from: int | None = None,
@@ -338,13 +327,15 @@ class IoHmmModel:
 
         ``indices`` restricts processing to a sub-range (it must be
         increasing); earlier records still provide lags and previous-state
-        labels. Returns one entry per processed record; ``forecast`` is
-        None for warm-up records.
+        labels. Only the processed records and the ``max(q, 1)`` before
+        them are featurized. Returns one entry per processed record;
+        ``forecast`` is None for warm-up records.
         """
         self._require_fitted()
         fc = self.config.features
-        table = build_features(records, fc)
-        first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
+        if len(records) <= fc.q:
+            raise InsufficientHistoryError(
+                f"need more than q={fc.q} records, got {len(records)}")
         if indices is None:
             positions: Sequence[int] = range(len(records))
         else:
@@ -353,25 +344,34 @@ class IoHmmModel:
                 raise DimensionError("indices outside the record range")
             if any(b <= a for a, b in zip(positions, positions[1:])):
                 raise DimensionError("indices must be strictly increasing")
-        labels: dict[int, int] = {}
+            if not positions:
+                return []
+        first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
+        # rows from `start` on: the lags and boundary flag of every position
+        start = max(0, positions[0] - max(fc.q, 1))
+        table = build_features(records[start:max(positions[-1], fc.q) + 1], fc)
         results: list[StepResult] = []
+        last_index, last_label = None, None
         for i in positions:
-            begins = bool(table.begins_shift[i])
+            r = i - start
+            begins = bool(table.begins_shift[r])
             forecast = None
             if i >= first:
-                forecast = self.forecast_step(table.t[i - 1], table.z[i],
-                                              table.w[i], begins)
-            cur = self.clusters.assign(table.t[i])
+                forecast = self.forecast_step(table.t[r - 1], table.z[r],
+                                              table.w[r], begins)
+            cur = self.clusters.assign(table.t[r])
             if i >= fc.q:
                 if begins:
                     prev = None
+                elif forecast is not None:
+                    prev = forecast.state
+                elif last_index == i - 1:
+                    prev = last_label
                 else:
-                    prev = labels.get(i - 1)
-                    if prev is None:
-                        prev = self.clusters.assign(table.t[i - 1])
-                self.learn_step(table.z[i], table.w[i], table.y[i], prev, cur)
-            labels[i] = cur
-            results.append(StepResult(index=i, state=cur, y=table.y[i],
+                    prev = self.clusters.assign(table.t[r - 1])
+                self.learn_step(table.z[r], table.w[r], table.y[r], prev, cur)
+            last_index, last_label = i, cur
+            results.append(StepResult(index=i, state=cur, y=table.y[r],
                                       forecast=forecast))
         return results
 

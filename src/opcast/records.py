@@ -1,4 +1,4 @@
-"""Production records: parsing, time-loss accounting and shift segmentation.
+"""Production records: parsing, time-loss accounting and shift boundary flags.
 
 A record describes one observation period of a production process. Base
 durations (operating time, scheduled breaks, downtime, performance and
@@ -14,7 +14,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import OrderingError, SchemaError, TimeConsistencyError
 
@@ -142,18 +142,6 @@ class ParseResult:
 class BoundaryFlags:
     begins_shift: bool
     begins_order: bool
-
-
-@dataclass(frozen=True)
-class ShiftSequence:
-    """Maximal run of consecutive records sharing one shift label."""
-
-    label: str
-    start: int
-    stop: int  # half-open index range into the record list
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 def derive_time_variables(OT: float, SBT: float, DT: float, PLT: float,
@@ -383,23 +371,6 @@ def boundary_flags(records: Sequence[ProductionRecord]) -> list[BoundaryFlags]:
     return flags
 
 
-def segment_into_sequences(records: Sequence[ProductionRecord]) -> list[ShiftSequence]:
-    """Split chronologically sorted records into maximal same-shift runs."""
-    check_chronological(records)
-    sequences: list[ShiftSequence] = []
-    start = 0
-    for i in range(1, len(records) + 1):
-        if i == len(records) or records[i].shift != records[start].shift:
-            sequences.append(ShiftSequence(records[start].shift, start, i))
-            start = i
-    return sequences
-
-
-def recompute_target_units(record: ProductionRecord) -> float:
-    """Target units implied by the speed and the productive-time columns."""
-    return record.OpT * record.ics
-
-
 def consistency_issues(record: ProductionRecord, tol: float = 0.01,
                        rate_tol: float = 0.005,
                        check_target_units: bool = False) -> list[str]:
@@ -439,7 +410,7 @@ def consistency_issues(record: ProductionRecord, tol: float = 0.01,
     if min(record.TU, record.DU, record.nstops) < 0:
         issues.append("negative count column")
     if check_target_units:
-        expected = recompute_target_units(record)
+        expected = record.OpT * record.ics  # target units implied by the speed
         if abs(record.TgU - expected) > max(0.1, 0.01 * expected):
             issues.append(f"TgU stored {record.TgU:.3f} != OpT*ics {expected:.3f}")
     return issues

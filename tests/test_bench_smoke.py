@@ -1,0 +1,48 @@
+"""The benchmark's own output checks pass on shortened workloads."""
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.modules.pop(spec.name, None)
+
+
+def _check(workload, tmp_path, units):
+    state = workload.setup(1, tmp_path)
+    outcome = workload.run(state, time.perf_counter, units=units)
+    problems, findings = workload.check(state, outcome)
+    assert problems == []
+    assert outcome.failed == 0 and outcome.attempted > 0, outcome.first_error
+    return findings
+
+
+def test_stream_year_check_passes(workloads, tmp_path):
+    class ShortStream(workloads.StreamYear):
+        days = 20
+
+    findings = _check(ShortStream(), tmp_path, units=1)
+    assert findings["forecasts"] > 0
+
+
+def test_cli_forecast_check_passes(workloads, tmp_path):
+    class ShortForecast(workloads.CliForecast):
+        fit_days = 3
+        score_days = 1
+
+    findings = _check(ShortForecast(), tmp_path, units=2)
+    assert findings["forecasts"] == workloads.PER_DAY

@@ -36,11 +36,6 @@ class TestCounts:
         np.testing.assert_array_equal(table.initial_counts("01"), [0.5, 0.5])
         assert table.patterns == ["01", "10"]
 
-    def test_accepts_binary_vectors(self):
-        table = DirichletTable(n_states=2, pattern_length=3)
-        table.observe_initial(np.array([1.0, 0.0, 1.0]), 2)
-        np.testing.assert_array_equal(table.initial_counts("101"), [0.5, 1.5])
-
     def test_returned_arrays_are_copies(self):
         table = DirichletTable(n_states=2, pattern_length=1)
         table.initial_counts("1")[0] = 99.0

@@ -1,12 +1,14 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from opcast import (ConfigurationError, CovariateSpec, FeatureConfig,
-                    InsufficientHistoryError, assemble_next_features,
-                    build_features, classification_vector,
-                    default_feature_config, pattern_key, response_vector)
+                    InsufficientHistoryError, SyntheticSpec,
+                    assemble_next_features, boundary_flags, build_features,
+                    classification_vector, default_feature_config,
+                    generate_synthetic, pattern_key, response_vector)
 from opcast.records import BoundaryFlags
 
 from conftest import build_stream, make_record
@@ -62,6 +64,17 @@ class TestCovariateSpec:
         with pytest.raises(ConfigurationError):
             CovariateSpec("@nope")
 
+    @pytest.mark.parametrize("expr", ["nope", "nope==1", "shift", "shift_code",
+                                      "weekday", "date", "start"])
+    def test_bad_column_raises_when_parsed(self, expr):
+        with pytest.raises(ConfigurationError):
+            CovariateSpec(expr)
+
+    def test_text_columns_serve_as_indicators(self):
+        for expr in ("shift==Mo M", "weekday==Mo", "date==2022-10-10"):
+            assert CovariateSpec(expr).evaluate(
+                make_record(), BoundaryFlags(False, False)) == 1.0
+
 
 class TestFeatureConfig:
     def test_w_dim_counts_base_and_lags(self):
@@ -83,6 +96,16 @@ class TestFeatureConfig:
     def test_classification_entries_must_be_numeric(self):
         with pytest.raises(ConfigurationError):
             _config(t_spec=("shift_code==M",))
+
+    @pytest.mark.parametrize("bad", [dict(w_spec=("ics", "nope")),
+                                     dict(w_spec=("date",)),
+                                     dict(z_spec=("nope==1",)),
+                                     dict(t_spec=("av", "shift")),
+                                     dict(response_names=("OpT", "XYZ")),
+                                     dict(response_names=("shift_code",))])
+    def test_bad_column_or_response_raises_when_built(self, bad):
+        with pytest.raises(ConfigurationError):
+            _config(**bad)
 
     def test_for_response_narrows(self):
         cfg = _config().for_response("NOpT")
@@ -234,3 +257,25 @@ class TestNextFeatures:
         records = build_stream([{}])
         with pytest.raises(InsufficientHistoryError):
             assemble_next_features(records, _config(q=2), "Mo M")
+
+    @pytest.mark.parametrize("q", range(6))
+    def test_matches_the_table_row_of_the_observed_period(self, q):
+        records = generate_synthetic(SyntheticSpec(
+            states=2, transition=((0.8, 0.2), (0.3, 0.7)),
+            state_means=((3.0, 2.8), (2.0, 1.8)), days=2, periods_per_shift=4,
+            order_every=5, dt_max=0.3, qu_frac_max=0.05, seed=3))
+        flags = boundary_flags(records)[q + 1:]
+        assert any(f.begins_shift and not f.begins_order for f in flags)
+        assert any(f.begins_order and not f.begins_shift for f in flags)
+        base = default_feature_config(records, q=q)
+        cfg = replace(base, w_spec=base.w_spec + ("rcs",))
+        table = build_features(records, cfg)
+        for t in range(max(q, 1), len(records)):
+            target, last = records[t], records[t - 1]
+            z, w, begins = assemble_next_features(
+                records[:t], cfg, target.shift, ics=target.ics,
+                new_order=target.pr_ord != last.pr_ord,
+                overrides={"rcs": target.rcs})
+            np.testing.assert_array_equal(z, table.z[t])
+            np.testing.assert_array_equal(w, table.w[t])
+            assert begins is bool(table.begins_shift[t])

@@ -3,11 +3,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import opcast.model
 from opcast import (AdaptiveState, ClusterModel, ConfigurationError,
                     DimensionError, FeatureConfig, ForecastUnavailableError,
-                    IoHmmModel, ModelConfig, NumericError, RestoreError,
-                    Standardizer, build_features, classification_vector,
-                    combination_weights, combine)
+                    InsufficientHistoryError, IoHmmModel, ModelConfig,
+                    NumericError, RestoreError, Standardizer, build_features,
+                    classification_vector, combination_weights, combine)
 from opcast.model import ForecastResult
 
 from conftest import build_stream
@@ -328,6 +329,48 @@ class TestRunOnline:
             model.run_online(records, indices=[3, 2])
         with pytest.raises(DimensionError):
             model.run_online(records, indices=[5, 50])
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_featurizes_only_the_processed_records(self, q, monkeypatch):
+        records = self._records(30, seed=2)
+        lengths = []
+
+        def recording(recs, config):
+            lengths.append(len(recs))
+            return build_features(recs, config)
+
+        monkeypatch.setattr(opcast.model, "build_features", recording)
+        model = _model(q=q, allow_cold_start=True)
+        model.learn_records(records[:20])
+        steps = model.run_online(records, indices=range(20, 26), forecast_from=20)
+        assert lengths == [20, 6 + max(q, 1)]
+        assert [st.index for st in steps] == list(range(20, 26))
+        assert all(st.forecast is not None for st in steps)
+
+    def test_short_lists_raise(self):
+        records = self._records(10)
+        model = _model(q=2, allow_cold_start=True)
+        for short in ([], records[:1], records[:2]):
+            with pytest.raises(InsufficientHistoryError):
+                model.run_online(short)
+            with pytest.raises(InsufficientHistoryError):
+                model.learn_records(short)
+        with pytest.raises(InsufficientHistoryError):
+            model.run_online(records[:2], indices=[])
+        assert model.run_online(records, indices=[]) == []
+        assert model.params == {}
+
+    def test_warm_up_indices_classify_without_learning(self):
+        records = self._records(10, seed=4)
+        model = _model(q=3, allow_cold_start=True)
+        table = build_features(records, model.config.features)
+        steps = model.run_online(records, indices=[0, 2])
+        assert [st.index for st in steps] == [0, 2]
+        assert all(st.forecast is None for st in steps)
+        assert [st.state for st in steps] == \
+            [model.clusters.assign(table.t[i]) for i in (0, 2)]
+        np.testing.assert_array_equal(steps[1].y, table.y[2])
+        assert model.params == {} and model.dirichlet.patterns == []
 
     def test_states_are_nearest_centroids(self):
         records = self._records(15, seed=7)

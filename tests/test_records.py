@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from opcast import (OrderingError, SchemaError, TimeConsistencyError,
-                    boundary_flags, compute_indices, consistency_issues,
-                    derive_time_variables, parse_dataset,
-                    segment_into_sequences, write_dataset)
-from opcast.records import dataset_to_string, recompute_target_units
+                    boundary_flags, check_chronological, compute_indices,
+                    consistency_issues, derive_time_variables, parse_dataset,
+                    write_dataset)
+from opcast.records import dataset_to_string
 
 from conftest import make_record
 
@@ -192,8 +192,6 @@ class TestSegmentation:
                           OT=9.6, DT=2.62, PLT=0.05, QLT=0.53)
         r67 = make_record(n=67, shift="Mo A", start=dt.time(14, 0, 0),
                           OT=9.69, DT=2.52, PLT=0.37, QLT=0.0)
-        seqs = segment_into_sequences([r66, r67])
-        assert [(s.label, len(s)) for s in seqs] == [("Mo M", 1), ("Mo A", 1)]
         flags = boundary_flags([r66, r67])
         assert flags[0].begins_shift and flags[1].begins_shift
         assert flags[0].begins_order and not flags[1].begins_order
@@ -210,19 +208,12 @@ class TestSegmentation:
                                        start=cursor.time(), shift=label,
                                        pr_ord=300 + i // 5))
             cursor += dt.timedelta(minutes=15)
-        seqs = segment_into_sequences(records)
-        covered = []
-        for s in seqs:
-            covered.extend(range(s.start, s.stop))
-            assert len({records[i].shift for i in range(s.start, s.stop)}) == 1
-        assert covered == list(range(len(records)))
-        for a, b in zip(seqs, seqs[1:]):
-            assert records[a.stop - 1].shift != records[b.start].shift
-
         flags = boundary_flags(records)
-        starts = {s.start for s in seqs}
+        assert len(flags) == len(records)
         for i, fl in enumerate(flags):
-            assert fl.begins_shift == (i in starts)
+            # a shift begins exactly where the label changes
+            assert fl.begins_shift == (i == 0 or records[i].shift
+                                       != records[i - 1].shift)
             assert fl.begins_order == (i == 0 or records[i].pr_ord
                                        != records[i - 1].pr_ord)
 
@@ -230,14 +221,13 @@ class TestSegmentation:
         r1 = make_record(n=1, start=dt.time(8, 0))
         r2 = make_record(n=2, start=dt.time(7, 0))
         with pytest.raises(OrderingError):
-            segment_into_sequences([r1, r2])
+            check_chronological([r1, r2])
 
     def test_same_label_non_adjacent_is_two_sequences(self):
         recs = [make_record(n=1, shift="Mo M", start=dt.time(6, 0)),
                 make_record(n=2, shift="Mo A", start=dt.time(14, 0)),
                 make_record(n=3, shift="Mo M", start=dt.time(22, 0))]
-        seqs = segment_into_sequences(recs)
-        assert [s.label for s in seqs] == ["Mo M", "Mo A", "Mo M"]
+        assert [fl.begins_shift for fl in boundary_flags(recs)] == [True, True, True]
 
 
 class TestConsistency:
@@ -258,7 +248,7 @@ class TestConsistency:
         assert consistency_issues(wrong) == []
         assert any("TgU" in m for m in
                    consistency_issues(wrong, check_target_units=True))
-        assert recompute_target_units(rec) == pytest.approx(rec.OpT * rec.ics)
+        assert consistency_issues(rec, check_target_units=True) == []
 
     def test_shift_code_and_weekday(self):
         rec = make_record(shift="Tu N")

@@ -3,9 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from opcast import (ConfigurationError, SyntheticSpec, check_chronological,
-                    consistency_issues, generate_synthetic,
-                    segment_into_sequences)
+from opcast import (ConfigurationError, SyntheticSpec, boundary_flags,
+                    check_chronological, consistency_issues, generate_synthetic)
 
 TWO_STATE = dict(
     states=2,
@@ -42,11 +41,11 @@ class TestGeneratedRecords:
 
     def test_calendar_layout(self):
         records = generate_synthetic(_spec(days=2))
-        starts = {rec.start for rec in records if records.index(rec) % 20 == 0}
-        seqs = segment_into_sequences(records)
-        assert len(seqs) == 2 * 3
-        for s in seqs:
-            first = records[s.start]
+        starts = [i for i, fl in enumerate(boundary_flags(records)) if fl.begins_shift]
+        assert starts == list(range(0, len(records), 20))
+        assert len(starts) == 2 * 3
+        for i in starts:
+            first = records[i]
             assert first.start in (dt.time(6, 0), dt.time(14, 0),
                                    dt.time(22, 0))
             weekday, code = first.shift.split()
