@@ -14,7 +14,7 @@ from .estimator import AdaptiveState, BatchOracleResult, batch_oracle
 from .features import (CovariateSpec, FeatureConfig, FeatureTable,
                        assemble_next_features, build_features,
                        classification_vector, default_feature_config,
-                       pattern_key, response_vector)
+                       pattern_key)
 from .harness import (DEFAULT_MODELS, MetricsReport, PredictionRow, ReportRow,
                       emit_report, leave_one_week_out, parse_model_name,
                       response_summary, week_key)

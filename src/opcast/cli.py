@@ -127,6 +127,8 @@ def cmd_forecast(args) -> int:
             overrides = json.loads(args.next_values)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"--next-values is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigurationError("--next-values must be a JSON object")
     else:
         overrides = {}
     fc = model.config.features

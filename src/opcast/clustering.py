@@ -13,6 +13,7 @@ reproducible bit for bit across runs.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -113,7 +114,8 @@ def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
     centroids = _plus_plus_seed(X, K, rng)
     prev = None
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        diff = X[:, None, :] - centroids[None, :, :]
+        d2 = np.square(diff, out=diff).sum(axis=2)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=K)
         for k in np.flatnonzero(counts == 0):
@@ -129,7 +131,9 @@ def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
         if prev is not None and np.array_equal(assign, prev):
             break
         prev = assign
-        centroids = np.array([X[assign == k].mean(axis=0) for k in range(K)])
+        # per-cluster sums in row order, the order of the masked means
+        centroids = np.column_stack([np.bincount(assign, weights=col, minlength=K)
+                                     for col in X.T]) / counts[:, None]
     wss = float(((X - centroids[assign]) ** 2).sum())
     return centroids, assign, wss
 
@@ -148,13 +152,7 @@ class ClusterModel:
 
     def assign(self, t) -> int:
         """1-based index of the nearest centroid; ties go to the lowest index."""
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if t.shape != (self.centroids.shape[1],):
-            raise DimensionError(
-                f"classification vector must have length {self.centroids.shape[1]}")
-        if not np.all(np.isfinite(t)):
-            raise InputError("classification vector contains non-finite values")
-        z = self.standardizer.transform(t)
+        z = self._standardized(t)
         d2 = ((self.centroids - z) ** 2).sum(axis=1)
         return int(d2.argmin()) + 1
 
@@ -162,16 +160,20 @@ class ClusterModel:
         """Fold one observation into a centroid as a running mean."""
         if not 1 <= int(state) <= self.K:
             raise StateIndexError(f"state {state!r} outside 1..{self.K}")
+        z = self._standardized(t)
+        k = int(state) - 1
+        self.counts[k] += 1.0
+        self.centroids[k] += (z - self.centroids[k]) / self.counts[k]
+
+    def _standardized(self, t) -> np.ndarray:
+        """Checked classification vector in centroid coordinates."""
         t = np.asarray(t, dtype=float).reshape(-1)
         if t.shape != (self.centroids.shape[1],):
             raise DimensionError(
                 f"classification vector must have length {self.centroids.shape[1]}")
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise InputError("classification vector contains non-finite values")
-        k = int(state) - 1
-        z = self.standardizer.transform(t)
-        self.counts[k] += 1.0
-        self.centroids[k] += (z - self.centroids[k]) / self.counts[k]
+        return self.standardizer.transform(t)
 
     def centroids_original(self) -> np.ndarray:
         return np.array([self.standardizer.inverse(c) for c in self.centroids])

@@ -38,20 +38,20 @@ class DirichletTable:
     # -- helpers ---------------------------------------------------------
 
     def _key(self, pattern: str) -> str:
+        """Checked table key of ``pattern``; its counts exist afterwards."""
+        if isinstance(pattern, str) and pattern in self._initial:
+            return pattern  # only checked keys enter the table
         if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
             raise ConfigurationError(
                 f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
+        self._initial.setdefault(pattern, np.full(self.n_states, JEFFREYS))
+        self._transition.setdefault(pattern, np.full((self.n_states, self.n_states), JEFFREYS))
         return pattern
 
     def _check_state(self, state: int) -> int:
         if not isinstance(state, (int, np.integer)) or not 1 <= state <= self.n_states:
             raise StateIndexError(f"state {state!r} outside 1..{self.n_states}")
         return int(state)
-
-    def _ensure(self, key: str) -> None:
-        if key not in self._initial:
-            self._initial[key] = np.full(self.n_states, JEFFREYS)
-            self._transition[key] = np.full((self.n_states, self.n_states), JEFFREYS)
 
     # -- counts ----------------------------------------------------------
 
@@ -61,22 +61,18 @@ class DirichletTable:
 
     def initial_counts(self, pattern) -> np.ndarray:
         key = self._key(pattern)
-        self._ensure(key)
         return self._initial[key].copy()
 
     def transition_counts(self, pattern) -> np.ndarray:
         key = self._key(pattern)
-        self._ensure(key)
         return self._transition[key].copy()
 
     def observe_initial(self, pattern, state: int) -> None:
         key = self._key(pattern)
-        self._ensure(key)
         self._initial[key][self._check_state(state) - 1] += 1.0
 
     def observe_transition(self, pattern, prev_state: int, state: int) -> None:
         key = self._key(pattern)
-        self._ensure(key)
         i = self._check_state(prev_state) - 1
         j = self._check_state(state) - 1
         self._transition[key][i, j] += 1.0
@@ -97,12 +93,10 @@ class DirichletTable:
         With ``prev_state=None`` (a sequence begins) the initial counts are
         used, otherwise the transition-count row of the previous state.
         """
-        if prev_state is None:
-            return self.initial_probabilities(pattern)
         key = self._key(pattern)
-        self._ensure(key)
-        row = self._transition[key][self._check_state(prev_state) - 1]
-        return row / row.sum()
+        counts = (self._initial[key] if prev_state is None
+                  else self._transition[key][self._check_state(prev_state) - 1])
+        return counts / counts.sum()
 
     # -- serialization -----------------------------------------------------
 

@@ -12,6 +12,7 @@ direct solves, which is useful to validate the recursion.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +38,7 @@ def _as_vector(x, length: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.shape != (length,):
         raise DimensionError(f"{name} must have length {length}, got shape {np.shape(x)}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):  # cheaper than numpy on short vectors
         raise NumericError(f"{name} contains non-finite values")
     return arr
 
@@ -85,9 +86,9 @@ class AdaptiveState:
         Pu = self.P @ u
         denom = lam + u @ Pu
         e = y - u @ self.H
-        self.H = self.H + np.outer(Pu, e) / denom
-        self.Sigma = self.Sigma - (self.Sigma - lam * np.outer(e, e) / denom) / self.gamma
-        P = (self.P - np.outer(Pu, Pu) / denom) / lam
+        self.H = self.H + Pu[:, None] * e / denom
+        self.Sigma = self.Sigma - (self.Sigma - lam * (e[:, None] * e) / denom) / self.gamma
+        P = (self.P - Pu[:, None] * Pu / denom) / lam
         self.P = (P + P.T) / 2.0
 
         self.n_updates += 1
@@ -114,7 +115,7 @@ class AdaptiveState:
         if vals.min(initial=0.0) < -EIG_FLOOR:
             raise NumericError(
                 f"noise covariance has negative eigenvalue {vals.min():.3e}")
-        return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
     # -- serialization -----------------------------------------------------
 

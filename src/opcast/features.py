@@ -20,6 +20,8 @@ Covariates are declared as small spec strings:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -77,16 +79,18 @@ class CovariateSpec:
     def is_binary(self) -> bool:
         return self.kind in ("flag", "indicator")
 
-    def evaluate(self, record: ProductionRecord, flags: BoundaryFlags) -> float:
+    def evaluate(self, records: Sequence[ProductionRecord],
+                 flags: Sequence[BoundaryFlags]) -> list[float]:
+        """The covariate of each record, given the records' boundary flags."""
         if self.kind == "flag":
-            return 1.0 if getattr(flags, self.column) else 0.0
-        value = getattr(record, self.column)
+            return [1.0 if getattr(fl, self.column) else 0.0 for fl in flags]
+        raw = [getattr(rec, self.column) for rec in records]
         if self.kind == "indicator":
-            return 1.0 if str(value) == self.value else 0.0
-        if value is None:  # the optional environment columns
+            return [1.0 if str(v) == self.value else 0.0 for v in raw]
+        if None in raw:  # the optional environment columns
             raise ConfigurationError(
                 f"covariate {self.expr!r} does not evaluate to a number")
-        return float(value)
+        return list(map(float, raw))
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class FeatureTable:
 def pattern_key(z) -> str:
     """Canonical string form of a binary conditioning pattern."""
     bits = []
-    for v in z:
+    for v in z.tolist() if isinstance(z, np.ndarray) and z.ndim == 1 else z:
         iv = int(v)
         if iv not in (0, 1) or float(v) != iv:
             raise ConfigurationError(f"pattern entries must be 0 or 1, got {v!r}")
@@ -228,13 +232,15 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
                          w_spec=w_spec, t_spec=t_spec, q=q, max_lags=max_lags)
 
 
+def classification_points(records: Sequence[ProductionRecord],
+                          config: FeatureConfig) -> np.ndarray:
+    """Classification vectors of the records, one row each."""
+    no_flags = [BoundaryFlags(False, False)] * len(records)  # numeric specs ignore flags
+    return _evaluate(config.parsed_t, records, no_flags)
+
+
 def classification_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
-    flags = BoundaryFlags(False, False)  # classification columns never use flags
-    return np.array([spec.evaluate(record, flags) for spec in config.parsed_t])
-
-
-def response_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
-    return np.array([float(getattr(record, name)) for name in config.response_names])
+    return classification_points([record], config)[0]
 
 
 def assemble_next_features(records: Sequence[ProductionRecord],
@@ -263,7 +269,11 @@ def assemble_next_features(records: Sequence[ProductionRecord],
                 raise ConfigurationError(
                     f"covariate {spec.expr!r} is unknown for a future period; "
                     "supply it explicitly")
-            future[spec.column] = float(overrides[spec.column])
+            value = overrides[spec.column]
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"override {spec.column!r} is not a finite number: {value!r}")
+            future[spec.column] = float(value)
     last = records[-1]
     announced = replace(last, shift=shift_label,
                         ics=float(ics) if ics is not None else last.ics,
@@ -274,8 +284,10 @@ def assemble_next_features(records: Sequence[ProductionRecord],
 
 def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
               flags: Sequence[BoundaryFlags]) -> np.ndarray:
-    return np.array([[spec.evaluate(rec, fl) for spec in specs]
-                     for rec, fl in zip(records, flags)], dtype=float)
+    out = np.empty((len(records), len(specs)))
+    for j, spec in enumerate(specs):
+        out[:, j] = spec.evaluate(records, flags)
+    return out
 
 
 def build_features(records: Sequence[ProductionRecord],
@@ -291,13 +303,13 @@ def build_features(records: Sequence[ProductionRecord],
             f"need more than q={config.q} records, got {len(records)}")
     flags = boundary_flags(records)
     n, q, m = len(records), config.q, config.n_responses
-    y = np.array([response_vector(rec, config) for rec in records])
+    y = np.array([[float(getattr(rec, name)) for name in config.response_names]
+                  for rec in records])
     n_base = len(config.w_spec)
     w = np.full((n, config.w_dim), np.nan)
     w[:, :n_base] = _evaluate(config.parsed_w, records, flags)
     for j in range(1, q + 1):
         w[q:, n_base + (j - 1) * m:n_base + j * m] = y[q - j:n - j]
-    no_flags = [BoundaryFlags(False, False)] * n  # classification never uses flags
     return FeatureTable(z=_evaluate(config.parsed_z, records, flags), w=w,
-                        t=_evaluate(config.parsed_t, records, no_flags), y=y,
+                        t=classification_points(records, config), y=y,
                         begins_shift=np.array([fl.begins_shift for fl in flags]))

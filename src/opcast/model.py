@@ -29,11 +29,12 @@ from .errors import (ConfigurationError, DimensionError, ForecastUnavailableErro
                      InsufficientHistoryError, NumericError, OpcastError,
                      RestoreError)
 from .estimator import AdaptiveState
-from .features import (FeatureConfig, build_features, classification_vector,
+from .features import (FeatureConfig, build_features, classification_points,
                        pattern_key)
 from .records import ProductionRecord
 
 Z95 = 1.96
+_INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
 SNAPSHOT_VERSION = 1
@@ -134,21 +135,17 @@ def combination_weights(sigma_u: np.ndarray, sigma_v: np.ndarray) -> np.ndarray:
     """
     su = np.asarray(sigma_u, dtype=float)
     sv = np.asarray(sigma_v, dtype=float)
-    su = (su.diagonal() if su.ndim == 2 else su.reshape(-1)).copy()
-    sv = (sv.diagonal() if sv.ndim == 2 else sv.reshape(-1)).copy()
+    su = su.diagonal() if su.ndim == 2 else su.reshape(-1)
+    sv = sv.diagonal() if sv.ndim == 2 else sv.reshape(-1)
     if su.shape != sv.shape:
         raise DimensionError("variance inputs have mismatched sizes")
     for arr in (su, sv):
         bad = arr < -1e-10
         if bad.any():
             raise NumericError(f"negative variance {arr[bad].min():.3e} in combination")
-    su = np.clip(su, 0.0, None)
-    sv = np.clip(sv, 0.0, None)
-    total = su + sv
-    out = np.full(su.shape, 0.5)
-    nonzero = total > 0.0
-    out[nonzero] = sv[nonzero] / total[nonzero]
-    return out
+    sv = np.maximum(sv, 0.0)
+    total = np.maximum(su, 0.0) + sv
+    return np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
 
 
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
@@ -164,11 +161,11 @@ def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
     delta = combination_weights(sigma_u, sigma_v)
     mean_u = state_u.predict_mean(u)
     mean_v = state_v.predict_mean(v)
-    y_hat = delta * mean_u + (1.0 - delta) * mean_v
-    sigma = (np.outer(delta, delta) * sigma_u
-             + np.outer(1.0 - delta, 1.0 - delta) * sigma_v)
-    sd = np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
-    intervals = np.column_stack([y_hat - Z95 * sd, y_hat + Z95 * sd])
+    rest = 1.0 - delta
+    y_hat = delta * mean_u + rest * mean_v
+    sigma = delta[:, None] * delta * sigma_u + rest[:, None] * rest * sigma_v
+    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))
+    intervals = np.stack((y_hat - half, y_hat + half), axis=1)
     return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta,
                           intervals=intervals, cold_start=cold)
 
@@ -182,9 +179,8 @@ def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
     differ in lags or responses can share one fit (each needs its own
     copy: forecasting moves the centroids).
     """
-    points = np.array([classification_vector(rec, features) for rec in records])
-    return fit_auto_k(points, threshold=threshold, k_min=k_min, k_max=k_max,
-                      seed=seed)
+    return fit_auto_k(classification_points(records, features), threshold=threshold,
+                      k_min=k_min, k_max=k_max, seed=seed)
 
 
 class IoHmmModel:
@@ -275,7 +271,7 @@ class IoHmmModel:
         key = pattern_key(z)
         states = self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, prev_state)
-        u = np.concatenate([[1.0], w])
+        u = np.concatenate((_INTERCEPT, w))
         states.u.update(u, y)
         states.v.update(v, y)
         if prev_state is None:
@@ -303,7 +299,7 @@ class IoHmmModel:
         key = pattern_key(z_next)
         states = self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
-        u = np.concatenate([[1.0], w_next])
+        u = np.concatenate((_INTERCEPT, w_next))
         result = replace(combine(u, v, states.u, states.v,
                                  allow_cold_start=self.config.allow_cold_start),
                          state=state, pattern=key, begins=begins)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -99,7 +98,7 @@ class ProductionRecord:
     @property
     def shift_code(self) -> str:
         """Shift type: the last whitespace-separated token of the label."""
-        return self.shift.split()[-1] if self.shift.split() else self.shift
+        return (self.shift.split() or [self.shift])[-1]
 
     @property
     def weekday(self) -> str:
@@ -336,12 +335,6 @@ def write_dataset(records: Sequence[ProductionRecord], target) -> None:
     finally:
         if close:
             stream.close()
-
-
-def dataset_to_string(records: Sequence[ProductionRecord]) -> str:
-    buf = io.StringIO()
-    write_dataset(records, buf)
-    return buf.getvalue()
 
 
 def check_chronological(records: Sequence[ProductionRecord]) -> None:

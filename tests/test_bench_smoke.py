@@ -46,3 +46,17 @@ def test_cli_forecast_check_passes(workloads, tmp_path):
 
     findings = _check(ShortForecast(), tmp_path, units=2)
     assert findings["forecasts"] == workloads.PER_DAY
+
+
+# Report of the 14-day LOWO below. Any change to it moves an output byte of
+# `opcast evaluate` and must be declared as a behaviour change.
+SHORT_LOWO_SHA256 = "fec6cb5522a80f23654691488364a7d934344e189f7c97683e968a374c367d40"
+
+
+def test_lowo_default_check_passes(workloads, tmp_path):
+    class ShortLowo(workloads.LowoDefault):
+        days = 14
+
+    findings = _check(ShortLowo(), tmp_path, units=1)
+    assert findings["folds"] == 2
+    assert findings["report_sha256"] == SHORT_LOWO_SHA256

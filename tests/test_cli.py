@@ -155,6 +155,35 @@ class TestForecast:
                      "--data", str(workdir / "data.csv"),
                      "--shift", "Tu M", "--next-values", "{oops"]) == 1
 
+    @pytest.fixture(scope="class")
+    def hum_snapshot(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hum")
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps({"w_spec": ["ics", "hum"], "kmax": 4}))
+        snapshot = root / "model.json"
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                     "--out", str(snapshot)]) == 0
+        return snapshot
+
+    def test_next_values_fill_the_announced_covariate(self, workdir, hum_snapshot,
+                                                      capsys):
+        assert main(["forecast", "--snapshot", str(hum_snapshot),
+                     "--data", str(workdir / "data.csv"), "--shift", "Tu M",
+                     "--next-values", '{"hum": 61.5}']) == 0
+        assert "y_hat" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("given, named", [
+        ('{"hum": "abc"}', "'hum'"), ('{"hum": null}', "'hum'"),
+        ('{"hum": NaN}', "'hum'"), ('{"hum": -Infinity}', "'hum'"),
+        ('["hum"]', "JSON object"), ('"hum"', "JSON object")])
+    def test_next_values_must_be_finite_numbers(self, workdir, hum_snapshot,
+                                                 capsys, given, named):
+        assert main(["forecast", "--snapshot", str(hum_snapshot),
+                     "--data", str(workdir / "data.csv"), "--shift", "Tu M",
+                     "--next-values", given]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and named in err
+
     def test_missing_snapshot(self, workdir, tmp_path):
         assert main(["forecast", "--snapshot", str(tmp_path / "none.json"),
                      "--data", str(workdir / "data.csv"),

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from opcast import clustering
 from opcast import (ClusterModel, ConfigurationError, DegenerateDataError,
                     DimensionError, InputError, OeeBand, StateIndexError,
                     Standardizer, ThresholdWarning, bss_tss_ratio, fit_auto_k,
@@ -184,6 +187,17 @@ class TestClusterModel:
         with pytest.raises(InputError):
             model.assign([np.nan, 0.0])
 
+    @pytest.mark.parametrize("t, error", [([np.nan, 0.0], InputError),
+                                          ([0.0, -np.inf], InputError),
+                                          ([0.0], DimensionError),
+                                          ([0.0, 1.0, 2.0], DimensionError)])
+    def test_rejected_centroid_update_leaves_model_untouched(self, t, error):
+        model = self._manual([[0.0, 0.0], [1.0, 1.0]], [3.0, 2.0])
+        with pytest.raises(error):
+            model.update_centroid(2, t)
+        np.testing.assert_array_equal(model.centroids, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(model.counts, [3.0, 2.0])
+
     def test_dict_roundtrip(self):
         rng = np.random.default_rng(13)
         pts, _ = _blobs(rng, [[0.0, 0.0], [7.0, 7.0]], spread=1.0)
@@ -213,3 +227,64 @@ class TestEmptyClusterRepair:
         assert model.K == 3
         assert (model.counts > 0).all()
         assert model.counts.sum() == 5.0
+
+
+def _masked_mean_lloyd(repairs):
+    """Lloyd's loop with the centroid step as K masked means (the reference).
+
+    Counts every empty-cluster repair into ``repairs``.
+    """
+    def lloyd(X, K, rng, max_iter=300):
+        n = X.shape[0]
+        centroids = clustering._plus_plus_seed(X, K, rng)
+        prev = None
+        for _ in range(max_iter):
+            d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            assign = d2.argmin(axis=1)
+            counts = np.bincount(assign, minlength=K)
+            for k in np.flatnonzero(counts == 0):
+                repairs.append(k)
+                own = d2[np.arange(n), assign]
+                movable = counts[assign] > 1
+                far = int(np.where(movable, own, -np.inf).argmax())
+                counts[assign[far]] -= 1
+                assign[far] = k
+                counts[k] = 1
+                centroids[k] = X[far]
+            if prev is not None and np.array_equal(assign, prev):
+                break
+            prev = assign
+            centroids = np.array([X[assign == k].mean(axis=0) for k in range(K)])
+        wss = float(((X - centroids[assign]) ** 2).sum())
+        return centroids, assign, wss
+    return lloyd
+
+
+class TestLloydOracle:
+    """The bincount centroid step reproduces the masked means bit for bit."""
+
+    @staticmethod
+    def _point_sets():
+        rng = np.random.default_rng(2024)
+        # heavy tails: one restart of K=8 empties a cluster
+        yield "repair", np.random.default_rng(354).standard_cauchy(size=(24, 2)), 2, 8
+        yield "blobs", _blobs(rng, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]],
+                              n_per=40, spread=0.4)[0], 2, 6
+        yield "wide", rng.normal(size=(500, 6)) * [1.0, 3.0, 0.1, 10.0, 1.0, 50.0], 2, 8
+        yield "ties", np.round(rng.normal(size=(300, 3)), 1), 2, 8
+
+    def test_fit_auto_k_matches_masked_means(self, monkeypatch):
+        for name, pts, k_min, k_max in self._point_sets():
+            repairs = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ThresholdWarning)
+                fast = fit_auto_k(pts, threshold=0.999, k_min=k_min, k_max=k_max)
+                with monkeypatch.context() as patch:
+                    patch.setattr(clustering, "_lloyd", _masked_mean_lloyd(repairs))
+                    ref = fit_auto_k(pts, threshold=0.999, k_min=k_min, k_max=k_max)
+            assert fast.K == ref.K, name
+            assert fast.gof == ref.gof, name
+            assert fast.centroids.tobytes() == ref.centroids.tobytes(), name
+            assert fast.counts.tobytes() == ref.counts.tobytes(), name
+            if name == "repair":
+                assert repairs, "the repair set no longer empties a cluster"

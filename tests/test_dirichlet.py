@@ -99,6 +99,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             table.initial_counts("2x")
 
+    def test_known_patterns_are_still_checked(self):
+        # once "01" has counts, lookups take the fast path for it
+        table = DirichletTable(n_states=2, pattern_length=2)
+        table.observe_transition("01", 1, 2)
+        before = table.to_dict()
+        for bad in ("011", "0", "02", "ab", ""):
+            with pytest.raises(ConfigurationError):
+                table.expected_state_vector(bad, 1)
+        with pytest.raises(StateIndexError):
+            table.expected_state_vector("01", 3)
+        with pytest.raises(StateIndexError):
+            table.observe_transition("01", 1, 0)
+        with pytest.raises(StateIndexError):
+            table.observe_initial("01", np.int64(5))
+        assert table.to_dict() == before
+        table.observe_transition(np.str_("01"), 1, 2)  # a str subclass keeps the counts
+        assert table.transition_counts("01")[0, 1] == JEFFREYS + 2.0
+
     def test_constructor_bounds(self):
         with pytest.raises(ConfigurationError):
             DirichletTable(n_states=1, pattern_length=1)

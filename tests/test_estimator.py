@@ -181,6 +181,27 @@ class TestValidation:
         with pytest.raises(NumericError):
             state.update([1.0], [np.inf])
 
+    @pytest.mark.parametrize("u, y, error", [
+        ([1.0, np.nan, 0.5], [1.0, 2.0], NumericError),
+        ([1.0, 0.0, np.inf], [1.0, 2.0], NumericError),
+        ([1.0, 0.0, 0.5], [-np.inf, 2.0], NumericError),
+        ([1.0, 0.0, 0.5], [1.0, np.nan], NumericError),
+        ([1.0, 0.0], [1.0, 2.0], DimensionError),
+        ([1.0, 0.0, 0.5], [1.0], DimensionError),
+        ([[1.0, 0.0], [0.5, 1.0]], [1.0, 2.0], DimensionError),
+    ])
+    def test_rejected_update_leaves_state_untouched(self, u, y, error):
+        rng = np.random.default_rng(3)
+        state = _run(AdaptiveState(3, 2, forgetting=0.97),
+                     _random_history(rng, 20, 3, 2))
+        before = (state.H.copy(), state.P.copy(), state.Sigma.copy(),
+                  state.gamma, state.n_updates)
+        with pytest.raises(error):
+            state.update(u, y)
+        after = (state.H, state.P, state.Sigma, state.gamma, state.n_updates)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+
     def test_conditioning_warning_fires_on_schedule(self):
         # a one-directional predictor makes P blow up along the unseen axis
         state = AdaptiveState(2, 1, forgetting=0.6, cond_check_every=10,

@@ -8,7 +8,7 @@ from opcast import (ConfigurationError, CovariateSpec, FeatureConfig,
                     InsufficientHistoryError, SyntheticSpec,
                     assemble_next_features, boundary_flags, build_features,
                     classification_vector, default_feature_config,
-                    generate_synthetic, pattern_key, response_vector)
+                    generate_synthetic, pattern_key)
 from opcast.records import BoundaryFlags
 
 from conftest import build_stream, make_record
@@ -29,38 +29,38 @@ class TestCovariateSpec:
     def test_indicator_matches_string_value(self):
         spec = CovariateSpec("shift_code==A")
         flags = BoundaryFlags(False, False)
-        assert spec.evaluate(make_record(shift="Mo A"), flags) == 1.0
-        assert spec.evaluate(make_record(shift="Mo M"), flags) == 0.0
+        assert spec.evaluate([make_record(shift="Mo A")], [flags]) == [1.0]
+        assert spec.evaluate([make_record(shift="Mo M")], [flags]) == [0.0]
         assert spec.is_binary
 
     def test_flags(self):
         rec = make_record()
         assert CovariateSpec("@begins_shift").evaluate(
-            rec, BoundaryFlags(True, False)) == 1.0
+            [rec], [BoundaryFlags(True, False)]) == [1.0]
         assert CovariateSpec("@begins_order").evaluate(
-            rec, BoundaryFlags(True, False)) == 0.0
+            [rec], [BoundaryFlags(True, False)]) == [0.0]
 
     def test_numeric_column(self):
         spec = CovariateSpec("ics")
         assert spec.kind == "numeric"
         assert not spec.is_binary
-        assert spec.evaluate(make_record(ics=1.61),
-                             BoundaryFlags(False, False)) == 1.61
+        assert spec.evaluate([make_record(ics=1.61)],
+                             [BoundaryFlags(False, False)]) == [1.61]
 
     def test_numeric_on_text_column_raises(self):
         with pytest.raises(ConfigurationError):
-            CovariateSpec("shift").evaluate(make_record(),
-                                            BoundaryFlags(False, False))
+            CovariateSpec("shift").evaluate([make_record()],
+                                            [BoundaryFlags(False, False)])
 
     def test_numeric_on_missing_value_raises(self):
         with pytest.raises(ConfigurationError):
-            CovariateSpec("hum").evaluate(make_record(hum=None),
-                                          BoundaryFlags(False, False))
+            CovariateSpec("hum").evaluate([make_record(hum=61.0), make_record()],
+                                          [BoundaryFlags(False, False)] * 2)
 
     def test_unknown_column_raises(self):
         with pytest.raises(ConfigurationError):
-            CovariateSpec("nope").evaluate(make_record(),
-                                           BoundaryFlags(False, False))
+            CovariateSpec("nope").evaluate([make_record()],
+                                           [BoundaryFlags(False, False)])
         with pytest.raises(ConfigurationError):
             CovariateSpec("@nope")
 
@@ -73,7 +73,7 @@ class TestCovariateSpec:
     def test_text_columns_serve_as_indicators(self):
         for expr in ("shift==Mo M", "weekday==Mo", "date==2022-10-10"):
             assert CovariateSpec(expr).evaluate(
-                make_record(), BoundaryFlags(False, False)) == 1.0
+                [make_record()], [BoundaryFlags(False, False)]) == [1.0]
 
 
 class TestFeatureConfig:
@@ -221,7 +221,7 @@ class TestVectors:
 
     def test_response_vector_order(self):
         rec = make_record(OpT=7.0, NOpT=6.4)
-        np.testing.assert_allclose(response_vector(rec, _config()),
+        np.testing.assert_allclose(build_features([rec], _config(q=0)).y[0],
                                    [7.0, 6.4])
 
 

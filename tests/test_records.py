@@ -8,8 +8,6 @@ from opcast import (OrderingError, SchemaError, TimeConsistencyError,
                     boundary_flags, check_chronological, compute_indices,
                     consistency_issues, derive_time_variables, parse_dataset,
                     write_dataset)
-from opcast.records import dataset_to_string
-
 from conftest import make_record
 
 
@@ -95,15 +93,21 @@ def _rows_to_csv(rows, header=None):
     return io.StringIO(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
 
 
+def _csv_text(records):
+    buf = io.StringIO()
+    write_dataset(records, buf)
+    return buf.getvalue()
+
+
 def _record_row(rec):
-    return dataset_to_string([rec]).splitlines()[1]
+    return _csv_text([rec]).splitlines()[1]
 
 
 class TestParsing:
     def test_roundtrip_exact(self):
         records = [make_record(n=i + 1, OpT=7.0 + 0.3 * i, hum=64.0 + i)
                    for i in range(5)]
-        text = dataset_to_string(records)
+        text = _csv_text(records)
         result = parse_dataset(io.StringIO(text))
         assert result.errors == []
         assert result.records == records
@@ -124,7 +128,7 @@ class TestParsing:
             parse_dataset(io.StringIO("n,date,start\n"))
 
     def test_empty_file_with_header_gives_no_records(self):
-        text = dataset_to_string([])
+        text = _csv_text([])
         result = parse_dataset(io.StringIO(text))
         assert result.records == [] and result.errors == []
 
@@ -134,7 +138,7 @@ class TestParsing:
 
     def test_derived_columns_recomputed_when_absent(self):
         rec = make_record(n=1, OpT=7.2)
-        full = dataset_to_string([rec]).splitlines()
+        full = _csv_text([rec]).splitlines()
         names = full[0].split(",")
         keep = [i for i, name in enumerate(names)
                 if name not in ("LT", "OpT", "NOpT", "VT", "lo", "av", "pf",
@@ -149,7 +153,7 @@ class TestParsing:
 
     def test_header_aliases_via_schema(self):
         rec = make_record(n=1)
-        text = dataset_to_string([rec]).replace("OT,SBT", "opening,SBT", 1)
+        text = _csv_text([rec]).replace("OT,SBT", "opening,SBT", 1)
         result = parse_dataset(io.StringIO(text), schema={"OT": "opening"})
         assert result.errors == []
         assert result.records[0].OT == rec.OT
@@ -160,7 +164,7 @@ class TestParsing:
 
     def test_environment_columns_optional(self):
         rec = make_record(n=1, hum=None, temp=None)
-        result = parse_dataset(io.StringIO(dataset_to_string([rec])))
+        result = parse_dataset(io.StringIO(_csv_text([rec])))
         assert result.records[0].hum is None
         assert result.records[0].temp is None
 
@@ -168,7 +172,7 @@ class TestParsing:
         rec = make_record(n=1)
         row = _record_row(rec).replace(repr(rec.SBT), repr(rec.OT + 5.0), 1)
         # strip derived columns so the parser has to run the cascade
-        full = dataset_to_string([rec]).splitlines()
+        full = _csv_text([rec]).splitlines()
         names = full[0].split(",")
         keep = [i for i, name in enumerate(names)
                 if name not in ("LT", "OpT", "NOpT", "VT")]
