@@ -131,6 +131,8 @@ def cmd_forecast(args) -> int:
             raise ConfigurationError("--next-values must be a JSON object")
     else:
         overrides = {}
+    if args.ics is not None and not np.isfinite(args.ics):
+        raise ConfigurationError(f"--ics must be a finite number, got {args.ics!r}")
     fc = model.config.features
     z, w, begins = assemble_next_features(records, fc, args.shift,
                                           ics=args.ics, new_order=args.new_order,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import OrderingError, SchemaError, TimeConsistencyError
@@ -59,7 +61,8 @@ MANDATORY = (
     "TgU", "nstops", "OT", "SBT", "DT", "PLT", "QLT",
 )
 
-_DERIVABLE = ("LT", "OpT", "NOpT", "VT", "lo", "av", "pf", "qu", "oee")
+_DURATIONS = ("LT", "OpT", "NOpT", "VT")
+_INDICES = ("lo", "av", "pf", "qu", "oee")
 _OPTIONAL = ("hum", "temp")
 
 
@@ -191,74 +194,62 @@ def compute_indices(OT: float, LT: float, OpT: float, NOpT: float, VT: float,
     return EffectivenessIndices(lo, av, pf, qu, oee, tuple(flagged))
 
 
-def _parse_float(cell: str, name: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise ValueError(f"column {name!r}: cannot parse {cell!r} as a number") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"column {name!r}: non-finite value {cell!r}")
-    return value
+_CONVERTERS = {**{alias: int if attr in _INT_FIELDS else float for alias, attr in COLUMNS},
+               "date": dt.date.fromisoformat, "start": dt.time.fromisoformat, "shift": str}
+_SLOT = {alias: i for i, (alias, _) in enumerate(COLUMNS)}
+# Cell groups in parse order: a row with several faults reports the first in it.
+_GROUPS = tuple(tuple((alias, _SLOT[alias], _CONVERTERS[alias]) for alias in group)
+                for group in (MANDATORY, _DURATIONS, _INDICES, _OPTIONAL))
+_REQUIRED = object()
 
 
-def _parse_int(cell: str, name: str) -> int:
-    try:
-        return int(cell)
-    except ValueError as exc:
-        raise ValueError(f"column {name!r}: cannot parse {cell!r} as an integer") from exc
+def _convert_cells(values: list, group, cells, fallback) -> None:
+    """Convert a group's stripped cells into their ``values`` slots.
+
+    An empty cell takes its attribute of ``fallback`` (``None`` without
+    one), or is reported missing if ``fallback`` is ``_REQUIRED``.
+    """
+    for (alias, slot, convert), raw in zip(group, cells):
+        if not raw:
+            if fallback is _REQUIRED:
+                raise ValueError(f"column {alias!r}: missing value")
+            values[slot] = getattr(fallback, alias, None)
+            continue
+        try:
+            value = convert(raw)
+        except ValueError as exc:
+            kind = {float: " as a number", int: " as an integer"}.get(convert, "")
+            raise ValueError(f"column {alias!r}: cannot parse {raw!r}{kind}") from exc
+        if convert is float and not math.isfinite(value):
+            raise ValueError(f"column {alias!r}: non-finite value {raw!r}")
+        values[slot] = value
 
 
-def _parse_row(row: dict[str, str], tol: float) -> ProductionRecord:
-    values: dict[str, object] = {}
+def _parse_row(row: list[str], plan: tuple, tol: float) -> ProductionRecord:
+    """One record from a csv row.
 
-    def cell(alias: str) -> str | None:
-        raw = row.get(alias)
-        if raw is None:
-            return None
-        raw = raw.strip()
-        return raw if raw != "" else None
-
-    for alias in MANDATORY:
-        raw = cell(alias)
-        if raw is None:
-            raise ValueError(f"column {alias!r}: missing value")
-        attr = ALIAS_TO_ATTR[alias]
-        if alias == "date":
-            try:
-                values[attr] = dt.date.fromisoformat(raw)
-            except ValueError as exc:
-                raise ValueError(f"column 'date': cannot parse {raw!r}") from exc
-        elif alias == "start":
-            try:
-                values[attr] = dt.time.fromisoformat(raw)
-            except ValueError as exc:
-                raise ValueError(f"column 'start': cannot parse {raw!r}") from exc
-        elif alias == "shift":
-            values[attr] = raw
-        elif attr in _INT_FIELDS:
-            values[attr] = _parse_int(raw, alias)
-        else:
-            values[attr] = _parse_float(raw, alias)
-
-    derived = None
-    if any(cell(alias) is None for alias in ("LT", "OpT", "NOpT", "VT")):
-        derived = derive_time_variables(values["OT"], values["SBT"], values["DT"],
-                                        values["PLT"], values["QLT"], tol=tol)
-    for alias in ("LT", "OpT", "NOpT", "VT"):
-        raw = cell(alias)
-        values[alias] = _parse_float(raw, alias) if raw is not None else getattr(derived, alias)
-
-    indices = compute_indices(values["OT"], values["LT"], values["OpT"],
-                              values["NOpT"], values["VT"])
-    for alias in ("lo", "av", "pf", "qu", "oee"):
-        raw = cell(alias)
-        values[alias] = _parse_float(raw, alias) if raw is not None else getattr(indices, alias)
-
-    for alias in _OPTIONAL:
-        raw = cell(alias)
-        values[alias] = _parse_float(raw, alias) if raw is not None else None
-
-    return ProductionRecord(**values)
+    ``plan`` holds the header width and one cell picker per group. A short
+    row's missing cells and the columns absent from the header read as
+    empty; extra cells are ignored.
+    """
+    width, (mandatory, durations, indices, optional) = plan
+    row = list(map(str.strip, row))
+    if len(row) < width:
+        row += [""] * (width - len(row))
+    row.append("")
+    values = [None] * len(COLUMNS)
+    _convert_cells(values, _GROUPS[0], mandatory(row), _REQUIRED)
+    cells, derived = durations(row), None
+    if not all(cells):
+        derived = derive_time_variables(
+            *(values[_SLOT[a]] for a in ("OT", "SBT", "DT", "PLT", "QLT")), tol=tol)
+    _convert_cells(values, _GROUPS[1], cells, derived)
+    cells, computed = indices(row), None
+    if not all(cells):
+        computed = compute_indices(*(values[_SLOT[a]] for a in ("OT",) + _DURATIONS))
+    _convert_cells(values, _GROUPS[2], cells, computed)
+    _convert_cells(values, _GROUPS[3], optional(row), None)
+    return ProductionRecord(*values)
 
 
 def parse_dataset(source, schema: dict[str, str] | None = None,
@@ -267,44 +258,48 @@ def parse_dataset(source, schema: dict[str, str] | None = None,
 
     ``source`` is a path or a text stream. ``schema`` optionally maps
     canonical column names to the names actually used in the file header.
-    Rows that fail to parse are collected as ``RowError`` entries with
-    their line numbers; parsing continues with the remaining rows.
+    Row rules:
+
+    * the first line is the header (``SchemaError`` if it is blank or lacks
+      a mandatory column); blank rows are skipped;
+    * a row that fails to parse becomes a ``RowError`` with its line number
+      and is skipped; parsing continues with the remaining rows;
+    * cells are stripped; a short row's missing cells read as empty, extra
+      cells are ignored, and a duplicated header name reads its last cell;
+    * derived durations (``LT``, ``OpT``, ``NOpT``, ``VT``) and indices
+      (``lo``, ``av``, ``pf``, ``qu``, ``oee``) are recomputed only when
+      their cell is empty or absent; ``hum``/``temp`` are optional.
     """
-    if hasattr(source, "read"):
-        stream = source
-        close = False
-    else:
-        stream = open(source, "r", newline="")
-        close = True
-    try:
-        reader = csv.DictReader(stream)
-        fieldnames = reader.fieldnames
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, "r", newline="")
+    with opened as stream:
+        reader = csv.reader(stream)
+        fieldnames = next(reader, None)
         if not fieldnames:
             raise SchemaError("dataset has no header row")
         rename = {}
-        if schema:
-            for canonical, actual in schema.items():
-                if canonical not in ALIAS_TO_ATTR:
-                    raise SchemaError(f"unknown canonical column {canonical!r} in schema")
-                rename[actual] = canonical
-        header = {rename.get(name, name) for name in fieldnames}
-        missing = [alias for alias in MANDATORY if alias not in header]
+        for canonical, actual in (schema or {}).items():
+            if canonical not in ALIAS_TO_ATTR:
+                raise SchemaError(f"unknown canonical column {canonical!r} in schema")
+            rename[actual] = canonical
+        # as with csv.DictReader, a duplicated name reads its last cell, and
+        # of names renamed onto one column the one first seen last wins
+        last = {name: i for i, name in enumerate(fieldnames)}
+        position = {rename.get(name, name): i for name, i in last.items()}
+        missing = [alias for alias in MANDATORY if alias not in position]
         if missing:
             raise SchemaError(f"dataset header is missing mandatory columns: {missing}")
-
+        # an absent column reads the empty cell that _parse_row appends
+        plan = (len(fieldnames), tuple(
+            itemgetter(*(position.get(alias, -1) for alias, _, _ in group)) for group in _GROUPS))
         records: list[ProductionRecord] = []
         errors: list[RowError] = []
         for row in reader:
-            if rename:
-                row = {rename.get(k, k): v for k, v in row.items() if k is not None}
-            try:
-                records.append(_parse_row(row, tol))
-            except (ValueError, TimeConsistencyError) as exc:
-                errors.append(RowError(reader.line_num, str(exc)))
+            if row:
+                try:
+                    records.append(_parse_row(row, plan, tol))
+                except (ValueError, TimeConsistencyError) as exc:
+                    errors.append(RowError(reader.line_num, str(exc)))
         return ParseResult(records, errors)
-    finally:
-        if close:
-            stream.close()
 
 
 def _fmt(value) -> str:
@@ -321,20 +316,12 @@ def _fmt(value) -> str:
 
 def write_dataset(records: Sequence[ProductionRecord], target) -> None:
     """Write records with the canonical header. Floats keep full precision."""
-    if hasattr(target, "write"):
-        stream = target
-        close = False
-    else:
-        stream = open(target, "w", newline="")
-        close = True
-    try:
+    opened = nullcontext(target) if hasattr(target, "write") else open(target, "w", newline="")
+    with opened as stream:
         writer = csv.writer(stream)
         writer.writerow([alias for alias, _ in COLUMNS])
         for rec in records:
             writer.writerow([_fmt(getattr(rec, attr)) for _, attr in COLUMNS])
-    finally:
-        if close:
-            stream.close()
 
 
 def check_chronological(records: Sequence[ProductionRecord]) -> None:

@@ -184,6 +184,14 @@ class TestForecast:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and named in err
 
+    @pytest.mark.parametrize("ics", ["nan", "inf", "-inf"])
+    def test_ics_must_be_finite(self, workdir, capsys, ics):
+        assert main(["forecast", "--snapshot", str(workdir / "model.json"),
+                     "--data", str(workdir / "data.csv"), "--shift", "Tu M",
+                     f"--ics={ics}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--ics" in err
+
     def test_missing_snapshot(self, workdir, tmp_path):
         assert main(["forecast", "--snapshot", str(tmp_path / "none.json"),
                      "--data", str(workdir / "data.csv"),

@@ -218,15 +218,32 @@ class TestClusterModel:
 
 
 class TestEmptyClusterRepair:
-    def test_forced_empty_cluster_is_repaired(self):
-        # two tight pairs and one extreme outlier: K=3 restarts often seed
-        # two centroids inside one pair, leaving an empty cluster at the
-        # first Lloyd pass. The repair must produce three non-empty states.
-        pts = np.array([[0.0], [0.01], [5.0], [5.01], [100.0]])
-        model = fit_auto_k(pts, threshold=0.999, k_min=3, k_max=3, seed=0)
-        assert model.K == 3
+    def test_forced_empty_cluster_is_repaired(self, monkeypatch):
+        # heavy tails: at K=8 one restart leaves a cluster empty after an
+        # assignment step. The repair must produce eight non-empty states in
+        # every restart, not only in the one that is kept.
+        pts = np.random.default_rng(354).standard_cauchy(size=(24, 2))
+        repairs, restarts = [], []
+        lloyd = clustering._lloyd
+
+        def recorded(X, K, rng, max_iter=300):
+            restarts.append(lloyd(X, K, rng, max_iter))
+            return restarts[-1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            monkeypatch.setattr(clustering, "_lloyd", recorded)
+            model = fit_auto_k(pts, threshold=0.999, k_min=8, k_max=8, seed=0)
+            monkeypatch.setattr(clustering, "_lloyd", _masked_mean_lloyd(repairs))
+            ref = fit_auto_k(pts, threshold=0.999, k_min=8, k_max=8, seed=0)
+        assert repairs, "the point set no longer empties a cluster"
+        for centroids, assign, _ in restarts:
+            assert np.isfinite(centroids).all()
+            assert np.bincount(assign, minlength=8).min() > 0
+        assert model.K == 8
         assert (model.counts > 0).all()
-        assert model.counts.sum() == 5.0
+        assert model.counts.sum() == 24.0
+        assert model.counts.tobytes() == ref.counts.tobytes()
 
 
 def _masked_mean_lloyd(repairs):

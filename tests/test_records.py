@@ -1,13 +1,18 @@
+import csv
+import dataclasses
 import datetime as dt
 import io
+import math
 
 import numpy as np
 import pytest
 
-from opcast import (OrderingError, SchemaError, TimeConsistencyError,
+from opcast import (OrderingError, ParseResult, ProductionRecord, RowError,
+                    SchemaError, SyntheticSpec, TimeConsistencyError,
                     boundary_flags, check_chronological, compute_indices,
-                    consistency_issues, derive_time_variables, parse_dataset,
-                    write_dataset)
+                    consistency_issues, derive_time_variables,
+                    generate_synthetic, parse_dataset, write_dataset)
+from opcast.records import ALIAS_TO_ATTR, MANDATORY
 from conftest import make_record
 
 
@@ -188,6 +193,218 @@ class TestParsing:
         write_dataset(records, path)
         result = parse_dataset(path)
         assert result.records == records
+
+
+def _reference_parse(source, schema=None, tol=0.01):
+    """The csv.DictReader parser with a per-row cell closure (the reference)."""
+    def parse_float(cell, name):
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise ValueError(f"column {name!r}: cannot parse {cell!r} as a number") from exc
+        if not math.isfinite(value):
+            raise ValueError(f"column {name!r}: non-finite value {cell!r}")
+        return value
+
+    def parse_int(cell, name):
+        try:
+            return int(cell)
+        except ValueError as exc:
+            raise ValueError(f"column {name!r}: cannot parse {cell!r} as an integer") from exc
+
+    def parse_row(row):
+        values = {}
+
+        def cell(alias):
+            raw = row.get(alias)
+            if raw is None:
+                return None
+            raw = raw.strip()
+            return raw if raw != "" else None
+
+        for alias in MANDATORY:
+            raw = cell(alias)
+            if raw is None:
+                raise ValueError(f"column {alias!r}: missing value")
+            attr = ALIAS_TO_ATTR[alias]
+            if alias == "date":
+                try:
+                    values[attr] = dt.date.fromisoformat(raw)
+                except ValueError as exc:
+                    raise ValueError(f"column 'date': cannot parse {raw!r}") from exc
+            elif alias == "start":
+                try:
+                    values[attr] = dt.time.fromisoformat(raw)
+                except ValueError as exc:
+                    raise ValueError(f"column 'start': cannot parse {raw!r}") from exc
+            elif alias == "shift":
+                values[attr] = raw
+            elif attr in ("n", "pr_ord", "TU", "DU", "nstops"):
+                values[attr] = parse_int(raw, alias)
+            else:
+                values[attr] = parse_float(raw, alias)
+
+        derived = None
+        if any(cell(alias) is None for alias in ("LT", "OpT", "NOpT", "VT")):
+            derived = derive_time_variables(values["OT"], values["SBT"], values["DT"],
+                                            values["PLT"], values["QLT"], tol=tol)
+        for alias in ("LT", "OpT", "NOpT", "VT"):
+            raw = cell(alias)
+            values[alias] = parse_float(raw, alias) if raw is not None else getattr(derived, alias)
+        indices = compute_indices(values["OT"], values["LT"], values["OpT"],
+                                  values["NOpT"], values["VT"])
+        for alias in ("lo", "av", "pf", "qu", "oee"):
+            raw = cell(alias)
+            values[alias] = parse_float(raw, alias) if raw is not None else getattr(indices, alias)
+        for alias in ("hum", "temp"):
+            raw = cell(alias)
+            values[alias] = parse_float(raw, alias) if raw is not None else None
+        return ProductionRecord(**values)
+
+    reader = csv.DictReader(source)
+    fieldnames = reader.fieldnames
+    if not fieldnames:
+        raise SchemaError("dataset has no header row")
+    rename = {}
+    for canonical, actual in (schema or {}).items():
+        if canonical not in ALIAS_TO_ATTR:
+            raise SchemaError(f"unknown canonical column {canonical!r} in schema")
+        rename[actual] = canonical
+    header = {rename.get(name, name) for name in fieldnames}
+    missing = [alias for alias in MANDATORY if alias not in header]
+    if missing:
+        raise SchemaError(f"dataset header is missing mandatory columns: {missing}")
+    records, errors = [], []
+    for row in reader:
+        if rename:
+            row = {rename.get(k, k): v for k, v in row.items() if k is not None}
+        try:
+            records.append(parse_row(row))
+        except (ValueError, TimeConsistencyError) as exc:
+            errors.append(RowError(reader.line_num, str(exc)))
+    return ParseResult(records, errors)
+
+
+def _join(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    return buf.getvalue()
+
+
+def _oracle_cases():
+    """(name, file text, schema) covering every row rule of ``parse_dataset``."""
+    records = generate_synthetic(SyntheticSpec(
+        states=2, transition=((0.8, 0.2), (0.3, 0.7)),
+        state_means=((3.0, 2.8), (2.0, 1.8)), days=2, periods_per_shift=4,
+        order_every=5, dt_max=0.3, qu_frac_max=0.05, seed=3))
+    records[1] = dataclasses.replace(records[1], hum=61.25, temp=20.5)
+    yield "synthetic", _csv_text(records), None
+    header, *rows = list(csv.reader(io.StringIO(_csv_text(records[:8]))))
+    col = header.index
+
+    def edit(i, **cells):
+        row = list(rows[i])
+        for name, value in cells.items():
+            row[col(name.replace("_", "."))] = value
+        return row
+
+    def drop(names):
+        keep = [j for j, name in enumerate(header) if name not in names]
+        return [header[j] for j in keep], [[row[j] for j in keep] for row in rows]
+
+    yield "padded and empty cells", _join(header, [
+        [f"  {c}\t" for c in rows[0]], edit(1, LT=" "), edit(2, oee=""),
+        edit(3, hum="", temp="  "), edit(4, OT=""), edit(5, shift="  "),
+        edit(6, date=" 2022-10-04 ", start="\t06:30:00 ", n=" 7 "),
+        edit(7, NOpT="", qu=" ")]), None
+    yield "short and long rows", _join(header, [
+        rows[0][:10], rows[1][:-2], rows[2][:col("VT")], rows[3] + ["x", ""],
+        rows[4] + [""], rows[5][:col("hum") + 1], [rows[6][0]], rows[7]]), None
+    lines = _join(header, rows).splitlines()
+    bad = _join(header, [edit(3, TU="abc")]).splitlines()[1]
+    yield "blank lines", "\n".join(
+        lines[:2] + ["", lines[2], "", "", bad, lines[4], "   ", ",,,", "",
+                     lines[5], "", ""]) + "\n", None
+    yield "quoted newlines", _join(header, [
+        rows[0], edit(1, shift="Mo\nM"), edit(2, OT="9.5\n1"), rows[3],
+        edit(4, hum="6\n1"), edit(5, DT="x")]), None
+    yield "non-finite", _join(header, [
+        edit(0, ics="nan"), edit(1, OT="inf"), edit(2, LT="-inf"), edit(3, oee="1e400"),
+        edit(4, hum="NaN"), edit(5, TgU="1e400"), edit(6, temp="-1e400"), rows[7]]), None
+    yield "bad date, start and int", _join(header, [
+        edit(0, date="2022-13-40"), edit(1, start="25:61"), edit(2, n="1.5"),
+        edit(3, pr_ord="3e2"), edit(4, nstops=""), edit(5, TU="abc"),
+        edit(6, date="03/10/2022"), rows[7]]), None
+    for names in (("LT", "OpT", "NOpT", "VT"), ("lo", "av", "pf", "qu", "oee"),
+                  ("hum", "temp"), ("LT", "OpT", "NOpT", "VT", "lo", "av", "pf",
+                                    "qu", "oee", "hum", "temp")):
+        yield f"absent {' '.join(names)}", _join(*drop(names)), None
+    renamed = ["opening" if name == "OT" else name for name in header]
+    yield "schema rename", _join(renamed, rows), {"OT": "opening"}
+    both = header + ["opening"]
+    body = [row + [str(9.0 + i)] for i, row in enumerate(rows)]
+    body[2] = body[2][:-1]
+    yield "rename onto an existing name", _join(both, body), {"OT": "opening"}
+    yield "rename onto an earlier name", _join(["opening"] + header, [
+        [str(9.0 + i)] + row for i, row in enumerate(rows)]), {"OT": "opening"}
+    yield "swapped names", _join(header, rows), {"OT": "SBT", "SBT": "OT"}
+    yield "rename hides a mandatory name", _join(header, rows), {"SBT": "OT"}
+    dup = header + ["OT", "hum"]
+    body = [row + [str(11.0 + i), "55"] for i, row in enumerate(rows)]
+    body[3], body[4] = body[3][:-1], body[4][:-2]
+    yield "duplicated header columns", _join(dup, body), None
+    dropped, body = drop(("LT", "OpT", "NOpT", "VT"))
+    body[1][dropped.index("SBT")] = "99.0"
+    body[2][dropped.index("QLT")] = "50"
+    yield "inconsistent times", _join(dropped, body), None
+    yield "two faults in a row", _join(header, [
+        edit(0, ics="nan", TU="abc"), edit(1, date="x", OT="y"),
+        edit(2, LT="", SBT="99.0", OpT="abc"), edit(3, oee="abc", hum="x"),
+        edit(4, hum="x", temp="nan"), edit(5, VT="", lo="z", QLT="50")]), None
+    yield "blank first line", "\n" + _csv_text(records[:3]), None
+    yield "empty file", "", None
+    yield "header only", ",".join(header) + "\n", None
+    yield "missing mandatory column", _join(*drop(("QLT",))), None
+    yield "unknown schema name", _join(header, rows), {"bogus": "OT"}
+
+
+def _outcome(parse, text, schema):
+    try:
+        return parse(io.StringIO(text), schema=schema)
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+class TestParserOracle:
+    """``parse_dataset`` returns what the DictReader parser returned."""
+
+    @pytest.mark.parametrize("text, schema", [
+        pytest.param(text, schema, id=name) for name, text, schema in _oracle_cases()])
+    def test_matches_reference(self, text, schema):
+        got = _outcome(parse_dataset, text, schema)
+        assert got == _outcome(_reference_parse, text, schema)
+
+    def test_corpus_reaches_every_outcome(self):
+        outcomes = {name: _outcome(parse_dataset, text, schema)
+                    for name, text, schema in _oracle_cases()}
+        assert isinstance(outcomes["empty file"], str)
+        assert isinstance(outcomes["rename hides a mandatory name"], str)
+        messages = [e.message for result in outcomes.values()
+                    if isinstance(result, ParseResult) for e in result.errors]
+        for expected in ("missing value", "as a number", "as an integer",
+                         "non-finite value", "column 'date': cannot parse",
+                         "column 'start': cannot parse", "derived"):
+            assert any(expected in m for m in messages), expected
+        blank = outcomes["blank lines"]
+        assert [e.line for e in blank.errors] == [7, 9, 10]
+        assert outcomes["quoted newlines"].errors[0].line == 6
+        assert outcomes["duplicated header columns"].records[0].OT == 11.0
+        assert outcomes["rename onto an existing name"].records[0].OT == 9.0
+
+    def test_parsed_record_is_frozen(self):
+        record = parse_dataset(io.StringIO(_csv_text([make_record()]))).records[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.OT = 1.0
 
 
 class TestSegmentation:
