@@ -1,8 +1,7 @@
 """Online probabilistic forecasting of operational times in production processes."""
 
 from .benchmarks import VarxModel, fit_varx, persistence_forecast, predict_varx
-from .clustering import ClusterModel, OeeBand, Standardizer, bss_tss_ratio, \
-    fit_auto_k, oee_band
+from .clustering import ClusterModel, OeeBand, Standardizer, fit_auto_k, oee_band
 from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DataError,
                      DegenerateDataError, DimensionError, FittingError,

@@ -146,8 +146,6 @@ def cmd_forecast(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.update_snapshot:
-        model.save(args.snapshot)
     return 0
 
 
@@ -260,9 +258,6 @@ def _build_parser() -> _Parser:
     p_fc.add_argument("--next-values", dest="next_values",
                       help="JSON object with extra future covariates")
     p_fc.add_argument("--out", help="write the forecast document here")
-    p_fc.add_argument("--update-snapshot", dest="update_snapshot",
-                      action="store_true",
-                      help="persist the centroid update done by the forecast")
     p_fc.set_defaults(func=cmd_forecast)
 
     p_ev = sub.add_parser("evaluate", help="leave-one-week-out benchmark run")

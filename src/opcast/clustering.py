@@ -74,27 +74,6 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
-def bss_tss_ratio(points, assignments, centroids) -> float:
-    """Between-cluster share of the total spread around the grand mean.
-
-    ``assignments`` are 1-based state labels into ``centroids``. With
-    centroids equal to exact cluster means this is 1 - WSS/TSS.
-    """
-    pts = _check_points(points)
-    labels = np.asarray(assignments, dtype=int)
-    cents = np.asarray(centroids, dtype=float)
-    grand = pts.mean(axis=0)
-    tss = float(((pts - grand) ** 2).sum())
-    if tss == 0.0:
-        raise DegenerateDataError("total spread is zero; ratio undefined")
-    bss = 0.0
-    for k in range(cents.shape[0]):
-        n_k = int((labels == k + 1).sum())
-        if n_k:
-            bss += n_k * float(((cents[k] - grand) ** 2).sum())
-    return bss / tss
-
-
 def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((K, X.shape[1]))

@@ -6,6 +6,13 @@ factor. One update is a rank-one correction (no matrix inversion); the
 precision proxy ``P`` plays the role of ``(sum of weighted outer products
 of u)^-1`` and is kept symmetric explicitly.
 
+The update refuses a step whose gain denominator ``lam + u'Pu`` is not
+positive, before touching any state. Past that guard the noise covariance
+step is a convex combination of the previous covariance and the outer
+product of the innovation, so ``Sigma`` stays exactly symmetric and
+positive semidefinite by construction. It is checked once, where a
+covariance enters from outside: ``from_dict``.
+
 ``batch_oracle`` recomputes the same quantities non-recursively with
 direct solves, which is useful to validate the recursion.
 """
@@ -22,9 +29,13 @@ import numpy as np
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      NumericError)
 
-# Eigenvalues of the noise covariance in [-EIG_FLOOR, 0) are treated as
-# rounding noise and floored at zero; anything lower is a real violation.
+# Eigenvalues of a restored noise covariance in [-EIG_FLOOR, 0) are
+# rounding noise; anything lower is a real violation.
 EIG_FLOOR = 1e-10
+# Every COND_CHECK_EVERY updates the condition number of P is compared
+# with COND_THRESHOLD; above it a ConditioningWarning is issued.
+COND_CHECK_EVERY = 50
+COND_THRESHOLD = 1e8
 
 
 def _check_forgetting(forgetting: float) -> float:
@@ -56,15 +67,12 @@ class AdaptiveState:
         Discount factor in (0, 1]; 1 means no forgetting.
     """
 
-    def __init__(self, n_predictors: int, n_responses: int, forgetting: float,
-                 cond_check_every: int = 50, cond_threshold: float = 1e8):
+    def __init__(self, n_predictors: int, n_responses: int, forgetting: float):
         if n_predictors < 1 or n_responses < 1:
             raise ConfigurationError("predictor and response dimensions must be >= 1")
         self.n_predictors = int(n_predictors)
         self.n_responses = int(n_responses)
         self.forgetting = _check_forgetting(forgetting)
-        self.cond_check_every = int(cond_check_every)
-        self.cond_threshold = float(cond_threshold)
         self.H = np.zeros((self.n_predictors, self.n_responses))
         self.Sigma = np.zeros((self.n_responses, self.n_responses))
         self.P = np.eye(self.n_predictors)
@@ -75,29 +83,33 @@ class AdaptiveState:
         """Fold one observation pair into the state.
 
         The innovation used for the covariance update is measured against
-        the coefficients from before this observation.
+        the coefficients from before this observation. A rejected pair
+        leaves the state untouched.
         """
         u = _as_vector(u, self.n_predictors, "u")
         y = _as_vector(y, self.n_responses, "y")
         lam = self.forgetting
-
-        self.gamma = 1.0 + lam * self.gamma
-
         Pu = self.P @ u
         denom = lam + u @ Pu
+        if not denom > 0.0:
+            raise NumericError(f"gain denominator lam + u'Pu is {denom:.3e}, not positive")
+
+        self.gamma = gamma = 1.0 + lam * self.gamma
         e = y - u @ self.H
         self.H = self.H + Pu[:, None] * e / denom
-        self.Sigma = self.Sigma - (self.Sigma - lam * (e[:, None] * e) / denom) / self.gamma
+        # both weights are >= 0 (gamma >= 1), so Sigma stays PSD and the
+        # outer product scaled as a whole keeps it exactly symmetric
+        self.Sigma = (1.0 - 1.0 / gamma) * self.Sigma + (e[:, None] * e) * (lam / (gamma * denom))
         P = (self.P - Pu[:, None] * Pu / denom) / lam
         self.P = (P + P.T) / 2.0
 
         self.n_updates += 1
-        if self.cond_check_every > 0 and self.n_updates % self.cond_check_every == 0:
+        if self.n_updates % COND_CHECK_EVERY == 0:
             cond = np.linalg.cond(self.P)
-            if not np.isfinite(cond) or cond > self.cond_threshold:
+            if not np.isfinite(cond) or cond > COND_THRESHOLD:
                 warnings.warn(
                     f"precision proxy condition number {cond:.3e} exceeds "
-                    f"{self.cond_threshold:.1e} after {self.n_updates} updates",
+                    f"{COND_THRESHOLD:.1e} after {self.n_updates} updates",
                     ConditioningWarning, stacklevel=2)
 
     def predict_mean(self, u) -> np.ndarray:
@@ -105,17 +117,8 @@ class AdaptiveState:
         return u @ self.H
 
     def covariance(self) -> np.ndarray:
-        """Noise covariance, floored to be positive semidefinite.
-
-        Eigenvalues within rounding noise below zero are clipped; a clearly
-        negative eigenvalue means the update sequence was corrupted.
-        """
-        sym = (self.Sigma + self.Sigma.T) / 2.0
-        vals, vecs = np.linalg.eigh(sym)
-        if vals.min(initial=0.0) < -EIG_FLOOR:
-            raise NumericError(
-                f"noise covariance has negative eigenvalue {vals.min():.3e}")
-        return (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        """Noise covariance (symmetric and PSD by construction)."""
+        return self.Sigma.copy()
 
     # -- serialization -----------------------------------------------------
 
@@ -124,8 +127,6 @@ class AdaptiveState:
             "n_predictors": self.n_predictors,
             "n_responses": self.n_responses,
             "forgetting": self.forgetting,
-            "cond_check_every": self.cond_check_every,
-            "cond_threshold": self.cond_threshold,
             "gamma": self.gamma,
             "n_updates": self.n_updates,
             "H": self.H.tolist(),
@@ -135,18 +136,32 @@ class AdaptiveState:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AdaptiveState":
+        """Rebuild a state, checking what ``update`` keeps true by construction.
+
+        Keys of older documents that are no longer settable
+        (``cond_check_every``, ``cond_threshold``) are ignored.
+        """
         state = cls(int(doc["n_predictors"]), int(doc["n_responses"]),
-                    float(doc["forgetting"]),
-                    cond_check_every=int(doc.get("cond_check_every", 50)),
-                    cond_threshold=float(doc.get("cond_threshold", 1e8)))
+                    float(doc["forgetting"]))
         H = np.asarray(doc["H"], dtype=float)
         Sigma = np.asarray(doc["Sigma"], dtype=float)
         P = np.asarray(doc["P"], dtype=float)
+        gamma = float(doc["gamma"])
         p, m = state.n_predictors, state.n_responses
         if H.shape != (p, m) or Sigma.shape != (m, m) or P.shape != (p, p):
             raise DimensionError("serialized state matrices do not match dimensions")
+        for name, arr in (("H", H), ("Sigma", Sigma), ("P", P)):
+            if not np.isfinite(arr).all():
+                raise NumericError(f"serialized {name} contains non-finite values")
+        if not 0.0 <= gamma < math.inf:
+            raise NumericError(f"serialized gamma must be finite and >= 0, got {gamma!r}")
+        if not np.array_equal(Sigma, Sigma.T):
+            raise NumericError("serialized noise covariance is not symmetric")
+        low = np.linalg.eigvalsh(Sigma).min()
+        if low < -EIG_FLOOR:
+            raise NumericError(f"serialized noise covariance has negative eigenvalue {low:.3e}")
         state.H, state.Sigma, state.P = H, Sigma, P
-        state.gamma = float(doc["gamma"])
+        state.gamma = gamma
         state.n_updates = int(doc["n_updates"])
         return state
 

@@ -133,6 +133,14 @@ class FeatureConfig:
             if not spec.is_binary:
                 raise ConfigurationError(
                     f"conditioning pattern entries must be binary, got {spec.expr!r}")
+        # an adaptive state is kept per pattern, so a regressor that repeats
+        # a pattern entry never varies in its state and winds up P there
+        pattern = {(s.kind, s.column, s.value) for s in self.parsed_z}
+        for spec in self.parsed_w:
+            if (spec.kind, spec.column, spec.value) in pattern:
+                raise ConfigurationError(
+                    f"regressor {spec.expr!r} repeats a conditioning pattern entry: "
+                    "it is constant within every pattern")
         if not self.t_spec:
             raise ConfigurationError("classification spec is empty")
         for spec in self.parsed_t:
@@ -215,18 +223,18 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
                            max_lags: int = 5) -> FeatureConfig:
     """Case-study defaults built from the shift codes present in the data.
 
-    The conditioning pattern one-hot encodes the shift type. The regressor
-    vector uses shift-type dummies with the first level dropped, the speed
-    column and the two boundary indicators. Classification uses
-    availability, performance, the overall index, operating time, the
-    realized speed and produced units.
+    The conditioning pattern one-hot encodes the shift type, and that is
+    the only place it is encoded: each pattern has its own adaptive
+    states, so the regressor vector holds only what varies within a
+    pattern, the speed column and the two boundary indicators.
+    Classification uses availability, performance, the overall index,
+    operating time, the realized speed and produced units.
     """
     codes = shift_codes(records)
     if not codes:
         raise ConfigurationError("cannot infer shift codes from an empty record list")
     z_spec = tuple(f"shift_code=={c}" for c in codes)
-    w_spec = tuple(f"shift_code=={c}" for c in codes[1:]) + (
-        "ics", "@begins_shift", "@begins_order")
+    w_spec = ("ics", "@begins_shift", "@begins_order")
     t_spec = ("av", "pf", "oee", "OT", "rcs", "TU")
     return FeatureConfig(response_names=tuple(responses), z_spec=z_spec,
                          w_spec=w_spec, t_spec=t_spec, q=q, max_lags=max_lags)

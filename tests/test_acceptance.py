@@ -101,7 +101,7 @@ def test_a02_recursion_matches_batch_solves():
         U = rng.standard_normal((n, p))
         H_true = rng.standard_normal((p, m))
         Y = U @ H_true + 0.1 * rng.standard_normal((n, m))
-        state = AdaptiveState(p, m, lam, cond_check_every=0)
+        state = AdaptiveState(p, m, lam)
         for u, y in zip(U, Y):
             state.update(u, y)
         oracle = batch_oracle(list(zip(U, Y)), lam)
@@ -123,7 +123,7 @@ def test_a02_recursion_matches_batch_solves():
 # -- 3. effective sample size without forgetting -----------------------------
 
 def test_a03_effective_sample_size_counts_n():
-    state = AdaptiveState(1, 1, forgetting=1.0, cond_check_every=0)
+    state = AdaptiveState(1, 1, forgetting=1.0)
     for n in range(1, 10_001):
         state.update([1.0], [0.0])
         if state.gamma != float(n):

@@ -104,6 +104,16 @@ class TestFit:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "m.json")]) == 1
 
+    def test_regressor_repeating_the_pattern_is_rejected(self, workdir, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"w_spec": ["shift_code==M", "ics"]}))
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(workdir / "data.csv"),
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'shift_code==M'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_value(self, workdir, tmp_path):
         assert main(["fit", "--data", str(workdir / "data.csv"),
                      "--out", str(tmp_path / "m.json"),
@@ -129,8 +139,7 @@ class TestForecast:
         doc = json.loads(out.read_text())
         assert "y_hat" in doc
 
-    def test_update_snapshot_persists_the_centroid_move(self, workdir,
-                                                        tmp_path):
+    def test_forecast_leaves_the_snapshot_unchanged(self, workdir, tmp_path):
         snap = tmp_path / "m.json"
         snap.write_text((workdir / "model.json").read_text())
         before = snap.read_text()
@@ -138,10 +147,22 @@ class TestForecast:
                      "--data", str(workdir / "data.csv"),
                      "--shift", "Tu M"]) == 0
         assert snap.read_text() == before
+
+    @pytest.mark.parametrize("part", ["u.H", "u.P", "v.Sigma"])
+    def test_non_finite_snapshot_is_a_data_error(self, workdir, tmp_path,
+                                                 capsys, part):
+        doc = json.loads((workdir / "model.json").read_text())
+        side, name = part.split(".")
+        for entry in doc["params"].values():
+            entry[side][name][0][0] = float("nan")
+        snap = tmp_path / "nan.json"
+        snap.write_text(json.dumps(doc))
+        out = tmp_path / "fc.json"
         assert main(["forecast", "--snapshot", str(snap),
                      "--data", str(workdir / "data.csv"),
-                     "--shift", "Tu M", "--update-snapshot"]) == 0
-        assert snap.read_text() != before
+                     "--shift", "Tu M", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
     def test_unseen_pattern_is_a_numeric_failure(self, workdir):
         # an announced label outside the learned shift codes maps to the

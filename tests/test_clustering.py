@@ -6,8 +6,7 @@ import pytest
 from opcast import clustering
 from opcast import (ClusterModel, ConfigurationError, DegenerateDataError,
                     DimensionError, InputError, OeeBand, StateIndexError,
-                    Standardizer, ThresholdWarning, bss_tss_ratio, fit_auto_k,
-                    oee_band)
+                    Standardizer, ThresholdWarning, fit_auto_k, oee_band)
 
 
 def _blobs(rng, centers, n_per=50, spread=0.05):
@@ -49,25 +48,6 @@ class TestStandardizer:
         std = Standardizer.fit(pts)
         assert std.scale[1] == 1.0
         np.testing.assert_allclose(std.transform([2.0, 5.0]), [0.0, 0.0])
-
-
-class TestSpreadRatio:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(6)
-        pts, labels = _blobs(rng, [[0.0, 0.0], [4.0, 4.0]], spread=0.3)
-        cents = np.array([pts[labels == k + 1].mean(axis=0) for k in range(2)])
-        ratio = bss_tss_ratio(pts, labels, cents)
-        grand = pts.mean(axis=0)
-        tss = ((pts - grand) ** 2).sum()
-        wss = sum(((pts[labels == k + 1] - cents[k]) ** 2).sum()
-                  for k in range(2))
-        assert ratio == pytest.approx(1.0 - wss / tss, abs=1e-12)
-        assert 0.9 < ratio < 1.0
-
-    def test_zero_spread_rejected(self):
-        pts = np.ones((5, 2))
-        with pytest.raises(DegenerateDataError):
-            bss_tss_ratio(pts, np.ones(5, dtype=int), np.ones((1, 2)))
 
 
 class TestAutoK:

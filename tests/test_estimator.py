@@ -1,10 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, NumericError, batch_oracle)
+from opcast.estimator import COND_CHECK_EVERY
 
 
 def _run(state, history):
@@ -135,17 +134,27 @@ class TestPredictionAndCovariance:
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= 0.0
 
-    def test_tiny_negative_eigenvalue_clipped(self):
-        state = AdaptiveState(1, 2, forgetting=1.0)
-        state.Sigma = np.array([[1.0, 0.0], [0.0, -1e-12]])
-        vals = np.linalg.eigvalsh(state.covariance())
-        assert vals.min() == 0.0
+    def test_covariance_is_a_copy_of_sigma(self):
+        rng = np.random.default_rng(33)
+        state = _run(AdaptiveState(3, 2, forgetting=0.97),
+                     _random_history(rng, 40, 3, 2))
+        cov = state.covariance()
+        np.testing.assert_array_equal(cov, state.Sigma)
+        cov[0, 0] = -1.0
+        assert state.Sigma[0, 0] > 0.0
+
+    def test_tiny_negative_eigenvalue_kept_on_restore(self):
+        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
+        doc["Sigma"] = [[1.0, 0.0], [0.0, -1e-12]]
+        state = AdaptiveState.from_dict(doc)
+        np.testing.assert_array_equal(state.covariance(), doc["Sigma"])
+        assert state.to_dict() == doc
 
     def test_clearly_negative_eigenvalue_raises(self):
-        state = AdaptiveState(1, 2, forgetting=1.0)
-        state.Sigma = np.array([[1.0, 0.0], [0.0, -1e-6]])
-        with pytest.raises(NumericError):
-            state.covariance()
+        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
+        doc["Sigma"] = [[1.0, 0.0], [0.0, -1e-6]]
+        with pytest.raises(NumericError, match="negative eigenvalue"):
+            AdaptiveState.from_dict(doc)
 
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(32)
@@ -204,19 +213,26 @@ class TestValidation:
 
     def test_conditioning_warning_fires_on_schedule(self):
         # a one-directional predictor makes P blow up along the unseen axis
-        state = AdaptiveState(2, 1, forgetting=0.6, cond_check_every=10,
-                              cond_threshold=1e3)
-        with pytest.warns(ConditioningWarning):
-            for _ in range(30):
-                state.update([1.0, 0.0], [1.0])
+        # (0.6**-50 ~ 1e11); the check runs every COND_CHECK_EVERY updates
+        assert COND_CHECK_EVERY == 50
+        state = AdaptiveState(2, 1, forgetting=0.6)
+        for _ in range(COND_CHECK_EVERY - 1):
+            state.update([1.0, 0.0], [1.0])
+        with pytest.warns(ConditioningWarning, match="after 50 updates"):
+            state.update([1.0, 0.0], [1.0])
 
-    def test_conditioning_check_can_be_disabled(self):
-        state = AdaptiveState(2, 1, forgetting=0.6, cond_check_every=0,
-                              cond_threshold=1e3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for _ in range(60):
-                state.update([1.0, 0.0], [1.0])
+    def test_non_positive_denominator_leaves_state_untouched(self):
+        rng = np.random.default_rng(5)
+        state = _run(AdaptiveState(2, 2, forgetting=0.97),
+                     _random_history(rng, 10, 2, 2))
+        state.P = -np.eye(2)
+        before = (state.H.copy(), state.P.copy(), state.Sigma.copy(),
+                  state.gamma, state.n_updates)
+        with pytest.raises(NumericError, match="not positive"):
+            state.update([1.0, 2.0], [0.5, 0.5])
+        after = (state.H, state.P, state.Sigma, state.gamma, state.n_updates)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
 
 
 class TestSerialization:
@@ -239,4 +255,39 @@ class TestSerialization:
         doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
         doc["H"] = [[1.0], [2.0], [3.0]]
         with pytest.raises(DimensionError):
+            AdaptiveState.from_dict(doc)
+
+    def test_conditioning_knobs_are_not_serialized(self):
+        rng = np.random.default_rng(42)
+        state = _run(AdaptiveState(3, 2, forgetting=0.98),
+                     _random_history(rng, 40, 3, 2))
+        doc = state.to_dict()
+        assert "cond_check_every" not in doc and "cond_threshold" not in doc
+        assert AdaptiveState.from_dict(doc).to_dict() == doc
+        # older documents carry them; they are ignored
+        old = dict(doc, cond_check_every=0, cond_threshold=1e3)
+        assert AdaptiveState.from_dict(old).to_dict() == doc
+
+    @pytest.mark.parametrize("name, cell", [
+        ("H", (1, 0)), ("Sigma", (0, 0)), ("P", (0, 1))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, name, cell, bad):
+        rng = np.random.default_rng(43)
+        doc = _run(AdaptiveState(2, 1, forgetting=0.98),
+                   _random_history(rng, 10, 2, 1)).to_dict()
+        doc[name][cell[0]][cell[1]] = bad
+        with pytest.raises(NumericError, match=name):
+            AdaptiveState.from_dict(doc)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc["gamma"] = gamma
+        with pytest.raises(NumericError, match="gamma"):
+            AdaptiveState.from_dict(doc)
+
+    def test_asymmetric_sigma_rejected(self):
+        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
+        doc["Sigma"] = [[1.0, 0.2], [0.1, 1.0]]
+        with pytest.raises(NumericError, match="symmetric"):
             AdaptiveState.from_dict(doc)

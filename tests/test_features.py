@@ -17,8 +17,7 @@ from conftest import build_stream, make_record
 def _config(q=1, **kwargs):
     base = dict(response_names=("OpT", "NOpT"),
                 z_spec=("shift_code==M", "shift_code==A", "shift_code==N"),
-                w_spec=("shift_code==A", "shift_code==N", "ics",
-                        "@begins_shift", "@begins_order"),
+                w_spec=("ics", "@begins_shift", "@begins_order"),
                 t_spec=("av", "pf", "oee", "OT", "rcs", "TU"),
                 q=q)
     base.update(kwargs)
@@ -78,9 +77,9 @@ class TestCovariateSpec:
 
 class TestFeatureConfig:
     def test_w_dim_counts_base_and_lags(self):
-        assert _config(q=0).w_dim == 5
-        assert _config(q=1).w_dim == 7
-        assert _config(q=3).w_dim == 11
+        assert _config(q=0).w_dim == 3
+        assert _config(q=1).w_dim == 5
+        assert _config(q=3).w_dim == 9
 
     def test_lag_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -92,6 +91,18 @@ class TestFeatureConfig:
     def test_pattern_entries_must_be_binary(self):
         with pytest.raises(ConfigurationError):
             _config(z_spec=("ics",))
+
+    @pytest.mark.parametrize("z_extra, w_spec, named", [
+        ((), ("shift_code==M", "ics"), "'shift_code==M'"),
+        ((), ("shift_code == A", "ics"), "'shift_code == A'"),
+        (("@begins_order",), ("ics", "@begins_order"), "'@begins_order'")])
+    def test_regressor_repeating_a_pattern_entry_rejected(self, z_extra, w_spec, named):
+        z_spec = ("shift_code==M", "shift_code==A", "shift_code==N") + z_extra
+        with pytest.raises(ConfigurationError, match="constant within every pattern") as err:
+            _config(z_spec=z_spec, w_spec=w_spec)
+        assert named in str(err.value)
+        # an indicator on a value the pattern does not encode varies within it
+        _config(z_spec=("shift_code==M",), w_spec=("shift_code==A", "ics"))
 
     def test_classification_entries_must_be_numeric(self):
         with pytest.raises(ConfigurationError):
@@ -110,7 +121,7 @@ class TestFeatureConfig:
     def test_for_response_narrows(self):
         cfg = _config().for_response("NOpT")
         assert cfg.response_names == ("NOpT",)
-        assert cfg.w_dim == 5 + 1
+        assert cfg.w_dim == 3 + 1
         with pytest.raises(ConfigurationError):
             _config().for_response("VT")
 
@@ -139,8 +150,7 @@ class TestDefaults:
         cfg = default_feature_config(records)
         assert cfg.z_spec == ("shift_code==A", "shift_code==M",
                               "shift_code==N")
-        assert cfg.w_spec[:2] == ("shift_code==M", "shift_code==N")
-        assert "ics" in cfg.w_spec
+        assert cfg.w_spec == ("ics", "@begins_shift", "@begins_order")
         assert cfg.response_names == ("OpT", "NOpT")
 
     def test_empty_records_raise(self):
@@ -152,8 +162,8 @@ class TestBuildFeatures:
     def test_features_start_after_lag_window(self):
         records = build_stream([{"OpT": 6.0 + i} for i in range(6)])
         table = build_features(records, _config(q=2))
-        lags = table.w[:, 5:]
-        assert table.w.shape == (6, 5 + 2 * 2)
+        lags = table.w[:, 3:]
+        assert table.w.shape == (6, 3 + 2 * 2)
         assert np.isnan(lags[:2]).all()
         assert np.isfinite(table.w[2:]).all()
 
@@ -184,10 +194,10 @@ class TestBuildFeatures:
         assert not table.begins_shift[1]
         assert pattern_key(table.z[2]) == "010"
         assert table.begins_shift[2]
-        # the w indicators carry both flags: w[3] is @begins_shift and
-        # w[4] is @begins_order
-        assert table.w[1, 4] == 1.0 and table.w[1, 3] == 0.0
-        assert table.w[2, 3] == 1.0 and table.w[2, 4] == 0.0
+        # the w indicators carry both flags: w[1] is @begins_shift and
+        # w[2] is @begins_order
+        assert table.w[1, 2] == 1.0 and table.w[1, 1] == 0.0
+        assert table.w[2, 1] == 1.0 and table.w[2, 2] == 0.0
 
     def test_too_short_history_raises(self):
         records = build_stream([{}, {}])
@@ -203,7 +213,7 @@ class TestBuildFeatures:
         records = build_stream([{}, {}])
         table = build_features(records, _config(q=0))
         assert np.isfinite(table.w).all()
-        assert table.w.shape == (2, 5)
+        assert table.w.shape == (2, 3)
 
     def test_classification_rows_match_the_vector(self):
         records = build_stream([{"OpT": 6.0 + i} for i in range(4)])
@@ -232,8 +242,8 @@ class TestNextFeatures:
         z, w, begins = assemble_next_features(records, _config(q=1), "Mo M")
         assert not begins
         assert pattern_key(z) == "100"
-        np.testing.assert_allclose(w[:3], [0.0, 0.0, records[-1].ics])
-        assert w[3] == 0.0  # begins_shift indicator
+        assert w[0] == records[-1].ics
+        assert w[1] == 0.0  # begins_shift indicator
         np.testing.assert_allclose(w[-2:], [7.0, records[-1].NOpT])
 
     def test_announced_shift_change_sets_flag(self):
@@ -242,7 +252,7 @@ class TestNextFeatures:
                                               ics=1.35, new_order=True)
         assert begins
         assert pattern_key(z) == "010"
-        np.testing.assert_allclose(w[:5], [1.0, 0.0, 1.35, 1.0, 1.0])
+        np.testing.assert_allclose(w[:3], [1.35, 1.0, 1.0])
 
     def test_unknown_future_numeric_needs_override(self):
         cfg = _config(w_spec=("ics", "hum"))

@@ -1,14 +1,17 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
 
 import opcast.model
-from opcast import (AdaptiveState, ClusterModel, ConfigurationError,
-                    DimensionError, FeatureConfig, ForecastUnavailableError,
-                    InsufficientHistoryError, IoHmmModel, ModelConfig,
-                    NumericError, RestoreError, Standardizer, build_features,
-                    classification_vector, combination_weights, combine)
+from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
+                    ConfigurationError, DimensionError, FeatureConfig,
+                    ForecastUnavailableError, InsufficientHistoryError,
+                    IoHmmModel, ModelConfig, NumericError, RestoreError,
+                    Standardizer, SyntheticSpec, build_features,
+                    classification_vector, combination_weights, combine,
+                    default_feature_config, generate_synthetic)
 from opcast.model import ForecastResult
 
 from conftest import build_stream
@@ -483,6 +486,50 @@ class TestSnapshot:
         path.write_text("{not json")
         with pytest.raises(RestoreError):
             IoHmmModel.load(path)
+
+    def test_restore_rejects_a_negative_noise_covariance(self):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        key = next(iter(doc["params"]))
+        doc["params"][key]["v"]["Sigma"] = [[1.0, 0.0], [0.0, -1e-6]]
+        with pytest.raises(RestoreError, match="negative eigenvalue"):
+            IoHmmModel.restore(doc)
+
+    def test_restore_rejects_a_regressor_repeating_the_pattern(self):
+        # what earlier default configurations wrote: shift dummies in w
+        model, _ = self._trained()
+        doc = model.snapshot()
+        doc["config"]["features"]["w_spec"] = ["shift_code==A", "shift_code==N", "ics"]
+        with pytest.raises(RestoreError, match="'shift_code==A'"):
+            IoHmmModel.restore(doc)
+
+
+class TestLongStream:
+    def test_two_years_stream_without_windup(self):
+        # the default configuration, fitted on 14 days and then fed two
+        # years: the regressor-side precision proxy must stay bounded
+        records = generate_synthetic(SyntheticSpec(
+            states=3,
+            transition=((0.80, 0.15, 0.05), (0.10, 0.80, 0.10), (0.05, 0.15, 0.80)),
+            state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
+            noise_cov=((0.04, 0.01), (0.01, 0.04)),
+            ar=(((0.3, 0.0), (0.0, 0.3)),),
+            shift_effects={"N": (-0.2, -0.2)},
+            days=730, periods_per_shift=6, dt_max=0.4, qu_frac_max=0.05, seed=1))
+        n_fit = 14 * 18
+        model = IoHmmModel(ModelConfig(features=default_feature_config(records)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K selection on the 14-day fit
+            model.fit(records[:n_fit])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            steps = model.run_online(records, indices=range(n_fit, len(records)))
+        assert len(steps) == len(records) - n_fit
+        assert all(step.forecast is not None for step in steps)
+        for states in model.params.values():
+            assert states.u.n_updates > 3000
+            assert np.linalg.cond(states.u.P) < 1e4
+            np.testing.assert_array_equal(states.u.Sigma, states.u.Sigma.T)
 
 
 class TestForecastResultDict:
