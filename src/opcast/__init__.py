@@ -1,5 +1,7 @@
 """Online probabilistic forecasting of operational times in production processes."""
 
+import types as _types
+
 from .benchmarks import VarxModel, fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel, OeeBand, Standardizer, fit_auto_k, oee_band
 from .dirichlet import DirichletTable
@@ -28,4 +30,6 @@ from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules bound by importing them stay out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

@@ -44,11 +44,8 @@ class VarxModel:
 
 
 def _design_columns(q: int, m: int, g: int) -> list[str]:
-    names = ["const"]
-    for j in range(1, q + 1):
-        names += [f"y[t-{j}][{r}]" for r in range(m)]
-    names += [f"g[{c}]" for c in range(g)]
-    return names
+    return (["const"] + [f"y[t-{j}][{r}]" for j in range(1, q + 1) for r in range(m)]
+            + [f"g[{c}]" for c in range(g)])
 
 
 def fit_varx(train: Sequence[tuple], q: int) -> VarxModel:
@@ -64,8 +61,7 @@ def fit_varx(train: Sequence[tuple], q: int) -> VarxModel:
               np.asarray(g, dtype=float).reshape(-1)) for y, g in train]
     if not pairs:
         raise ConfigurationError("training data is empty")
-    m = pairs[0][0].size
-    g_dim = pairs[0][1].size
+    m, g_dim = pairs[0][0].size, pairs[0][1].size
     for y, g in pairs:
         if y.size != m or g.size != g_dim:
             raise DimensionError("training pairs have inconsistent dimensions")
@@ -79,14 +75,10 @@ def fit_varx(train: Sequence[tuple], q: int) -> VarxModel:
             f"need more than {q + p_cols} observations to fit {p_cols} "
             f"parameters per equation, got {len(pairs)}")
 
-    X = np.empty((n_rows, p_cols))
-    Y = np.empty((n_rows, m))
-    for r, n in enumerate(range(q, len(pairs))):
-        row = [np.ones(1)]
-        row += [pairs[n - j][0] for j in range(1, q + 1)]
-        row.append(pairs[n][1])
-        X[r] = np.concatenate(row)
-        Y[r] = pairs[n][0]
+    ys = np.array([y for y, _ in pairs])
+    X = np.hstack([np.ones((n_rows, 1))] + [ys[q - j:len(pairs) - j] for j in range(1, q + 1)]
+                  + [np.array([g for _, g in pairs[q:]])])
+    Y = ys[q:]
 
     names = _design_columns(q, m, g_dim)
     rank = np.linalg.matrix_rank(X)

@@ -46,14 +46,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _load_config_file(path) -> dict:
+def _read_json(path, what: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+        raise ConfigurationError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _load_config_file(path) -> dict:
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigurationError("config file must hold a JSON object")
     unknown = set(doc) - set(_CONFIG_KEYS)
@@ -122,6 +126,7 @@ def cmd_fit(args) -> int:
 def cmd_forecast(args) -> int:
     model = IoHmmModel.load(args.snapshot)
     records = _load_records(args.data)
+    overrides = {}
     if args.next_values:
         try:
             overrides = json.loads(args.next_values)
@@ -129,8 +134,6 @@ def cmd_forecast(args) -> int:
             raise ConfigurationError(f"--next-values is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigurationError("--next-values must be a JSON object")
-    else:
-        overrides = {}
     if args.ics is not None and not np.isfinite(args.ics):
         raise ConfigurationError(f"--ics must be a finite number, got {args.ics!r}")
     fc = model.config.features
@@ -167,27 +170,17 @@ def cmd_evaluate(args) -> int:
     for name in models:
         rows = [r for r in report.rows if r.model == name]
         line = f"{name:<16}"
-        for metric in ("mae", "rmse", "covg"):
+        for metric, width, digits in (("mae", 8, 4), ("rmse", 8, 4), ("covg", 6, 3)):
             vals = [(r.value, r.count) for r in rows if r.metric == metric]
-            if vals:
-                total = sum(c for _, c in vals)
-                mean = sum(v * c for v, c in vals) / total
-                line += f" {mean:8.4f}" if metric != "covg" else f" {mean:6.3f}"
-            else:
-                line += "        -" if metric != "covg" else "      -"
+            mean = sum(v * c for v, c in vals) / sum(c for _, c in vals) if vals else 0.0
+            line += f" {mean:{width}.{digits}f}" if vals else " " + "-".rjust(width)
         print(line)
     print(f"report written to {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"spec file is not valid JSON: {exc}") from exc
+    doc = _read_json(args.spec, "spec file")
     if args.seed is not None:
         doc["seed"] = args.seed
     spec = SyntheticSpec.from_dict(doc)

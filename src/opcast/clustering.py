@@ -111,8 +111,10 @@ def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
             break
         prev = assign
         # per-cluster sums in row order, the order of the masked means
-        centroids = np.column_stack([np.bincount(assign, weights=col, minlength=K)
-                                     for col in X.T]) / counts[:, None]
+        D = X.shape[1]
+        sums = np.bincount((assign[:, None] * D + np.arange(D)).ravel(),
+                           weights=X.ravel(), minlength=K * D)
+        centroids = sums.reshape(K, D) / counts[:, None]
     wss = float(((X - centroids[assign]) ** 2).sum())
     return centroids, assign, wss
 
@@ -131,20 +133,15 @@ class ClusterModel:
 
     def assign(self, t) -> int:
         """1-based index of the nearest centroid; ties go to the lowest index."""
-        z = self._standardized(t)
-        d2 = ((self.centroids - z) ** 2).sum(axis=1)
-        return int(d2.argmin()) + 1
+        return int(self.nearest(self.standardized(t)[None])[0])
 
     def update_centroid(self, state: int, t) -> None:
         """Fold one observation into a centroid as a running mean."""
         if not 1 <= int(state) <= self.K:
             raise StateIndexError(f"state {state!r} outside 1..{self.K}")
-        z = self._standardized(t)
-        k = int(state) - 1
-        self.counts[k] += 1.0
-        self.centroids[k] += (z - self.centroids[k]) / self.counts[k]
+        self.absorb(int(state), self.standardized(t))
 
-    def _standardized(self, t) -> np.ndarray:
+    def standardized(self, t) -> np.ndarray:
         """Checked classification vector in centroid coordinates."""
         t = np.asarray(t, dtype=float).reshape(-1)
         if t.shape != (self.centroids.shape[1],):
@@ -153,6 +150,19 @@ class ClusterModel:
         if not all(map(math.isfinite, t.tolist())):
             raise InputError("classification vector contains non-finite values")
         return self.standardizer.transform(t)
+
+    def nearest(self, X: np.ndarray) -> np.ndarray:
+        """1-based nearest centroid of each row of ``X``, standardized and
+        finite: the trusted core of ``assign``, for callers that checked."""
+        d2 = ((X[:, None, :] - self.centroids) ** 2).sum(axis=2)
+        return d2.argmin(axis=1) + 1
+
+    def absorb(self, state: int, x: np.ndarray) -> None:
+        """Running-mean step of centroid ``state`` towards a standardized,
+        finite ``x``: the trusted core of ``update_centroid``."""
+        k = state - 1
+        self.counts[k] += 1.0
+        self.centroids[k] += (x - self.centroids[k]) / self.counts[k]
 
     def centroids_original(self) -> np.ndarray:
         return np.array([self.standardizer.inverse(c) for c in self.centroids])

@@ -60,16 +60,13 @@ class DirichletTable:
         return sorted(self._initial)
 
     def initial_counts(self, pattern) -> np.ndarray:
-        key = self._key(pattern)
-        return self._initial[key].copy()
+        return self._initial[self._key(pattern)].copy()
 
     def transition_counts(self, pattern) -> np.ndarray:
-        key = self._key(pattern)
-        return self._transition[key].copy()
+        return self._transition[self._key(pattern)].copy()
 
     def observe_initial(self, pattern, state: int) -> None:
-        key = self._key(pattern)
-        self._initial[key][self._check_state(state) - 1] += 1.0
+        self._initial[self._key(pattern)][self._check_state(state) - 1] += 1.0
 
     def observe_transition(self, pattern, prev_state: int, state: int) -> None:
         key = self._key(pattern)
@@ -80,8 +77,7 @@ class DirichletTable:
     # -- posterior-mean probabilities -------------------------------------
 
     def initial_probabilities(self, pattern) -> np.ndarray:
-        counts = self.initial_counts(pattern)
-        return counts / counts.sum()
+        return self.expected_state_vector(pattern)
 
     def transition_probabilities(self, pattern) -> np.ndarray:
         counts = self.transition_counts(pattern)

@@ -45,7 +45,7 @@ def _check_forgetting(forgetting: float) -> float:
     return forgetting
 
 
-def _as_vector(x, length: int, name: str) -> np.ndarray:
+def checked_vector(x, length: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.shape != (length,):
         raise DimensionError(f"{name} must have length {length}, got shape {np.shape(x)}")
@@ -86,8 +86,11 @@ class AdaptiveState:
         the coefficients from before this observation. A rejected pair
         leaves the state untouched.
         """
-        u = _as_vector(u, self.n_predictors, "u")
-        y = _as_vector(y, self.n_responses, "y")
+        self._update(checked_vector(u, self.n_predictors, "u"),
+                     checked_vector(y, self.n_responses, "y"))
+
+    def _update(self, u: np.ndarray, y: np.ndarray) -> None:
+        """``update`` of vectors the caller has checked (right length, finite)."""
         lam = self.forgetting
         Pu = self.P @ u
         denom = lam + u @ Pu
@@ -110,10 +113,10 @@ class AdaptiveState:
                 warnings.warn(
                     f"precision proxy condition number {cond:.3e} exceeds "
                     f"{COND_THRESHOLD:.1e} after {self.n_updates} updates",
-                    ConditioningWarning, stacklevel=2)
+                    ConditioningWarning, stacklevel=3)
 
     def predict_mean(self, u) -> np.ndarray:
-        u = _as_vector(u, self.n_predictors, "u")
+        u = checked_vector(u, self.n_predictors, "u")
         return u @ self.H
 
     def covariance(self) -> np.ndarray:
@@ -204,8 +207,8 @@ def batch_oracle(history: Sequence[tuple], forgetting: float,
     gamma = 0.0
 
     for u, y in history:
-        u = _as_vector(u, p, "u")
-        y = _as_vector(y, m, "y")
+        u = checked_vector(u, p, "u")
+        y = checked_vector(y, m, "y")
         gamma = 1.0 + lam * gamma
         e = y - u @ H_prev
         weighted_sq = lam * weighted_sq + lam * np.outer(e, e) / (lam + u @ (P_prev @ u))

@@ -49,30 +49,24 @@ class CovariateSpec:
 
     def __post_init__(self):
         expr = self.expr.strip()
-        if expr != self.expr:
-            object.__setattr__(self, "expr", expr)
+        column, indicator, value = (part.strip() for part in expr.partition("=="))
         if expr in _FLAGS:
-            object.__setattr__(self, "kind", "flag")
-            object.__setattr__(self, "column", expr[1:])
+            kind, column = "flag", expr[1:]
         elif expr.startswith("@"):
             raise ConfigurationError(f"unknown flag covariate {expr!r}")
-        elif "==" in expr:
-            column, _, value = expr.partition("==")
-            column, value = column.strip(), value.strip()
+        elif indicator:
             if not column or not value:
                 raise ConfigurationError(f"malformed indicator spec {expr!r}")
-            object.__setattr__(self, "kind", "indicator")
-            object.__setattr__(self, "column", column)
-            object.__setattr__(self, "value", value)
+            kind = "indicator"
+        elif not expr:
+            raise ConfigurationError("empty covariate spec")
         else:
-            if not expr:
-                raise ConfigurationError("empty covariate spec")
-            object.__setattr__(self, "kind", "numeric")
-            object.__setattr__(self, "column", expr)
-        if self.kind != "flag" and self.column not in _COLUMNS:
-            raise ConfigurationError(
-                f"unknown record column {self.column!r} in covariate spec")
-        if self.kind == "numeric" and self.column not in _NUMERIC_COLUMNS:
+            kind = "numeric"
+        for name, v in (("expr", expr), ("kind", kind), ("column", column), ("value", value)):
+            object.__setattr__(self, name, v)
+        if kind != "flag" and column not in _COLUMNS:
+            raise ConfigurationError(f"unknown record column {column!r} in covariate spec")
+        if kind == "numeric" and column not in _NUMERIC_COLUMNS:
             raise ConfigurationError(f"covariate {expr!r} does not evaluate to a number")
 
     @property
@@ -202,6 +196,22 @@ class FeatureTable:
     y: np.ndarray             # (n, n_responses)
     begins_shift: np.ndarray  # (n,) bool
 
+    def lagged(self, q: int, responses: Sequence[int]) -> "FeatureTable":
+        """This lag-free table with ``q`` lags of its ``responses`` columns:
+        the table ``build_features`` makes for that lag order and response subset."""
+        y = self.y[:, list(responses)]
+        return replace(self, w=_with_lags(self.w, y, q), y=y)
+
+
+def _with_lags(w_base: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """``w_base`` with ``q`` lags of ``y`` appended; rows before ``q`` get NaN there."""
+    (n, m), n_base = y.shape, w_base.shape[1]
+    w = np.full((n, n_base + q * m), np.nan)
+    w[:, :n_base] = w_base
+    for j in range(1, q + 1):
+        w[q:, n_base + (j - 1) * m:n_base + j * m] = y[q - j:n - j]
+    return w
+
 
 def pattern_key(z) -> str:
     """Canonical string form of a binary conditioning pattern."""
@@ -212,10 +222,6 @@ def pattern_key(z) -> str:
             raise ConfigurationError(f"pattern entries must be 0 or 1, got {v!r}")
         bits.append(str(iv))
     return "".join(bits)
-
-
-def shift_codes(records: Sequence[ProductionRecord]) -> list[str]:
-    return sorted({rec.shift_code for rec in records})
 
 
 def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
@@ -230,7 +236,7 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
     Classification uses availability, performance, the overall index,
     operating time, the realized speed and produced units.
     """
-    codes = shift_codes(records)
+    codes = sorted({rec.shift_code for rec in records})
     if not codes:
         raise ConfigurationError("cannot infer shift codes from an empty record list")
     z_spec = tuple(f"shift_code=={c}" for c in codes)
@@ -310,14 +316,10 @@ def build_features(records: Sequence[ProductionRecord],
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
     flags = boundary_flags(records)
-    n, q, m = len(records), config.q, config.n_responses
     y = np.array([[float(getattr(rec, name)) for name in config.response_names]
                   for rec in records])
-    n_base = len(config.w_spec)
-    w = np.full((n, config.w_dim), np.nan)
-    w[:, :n_base] = _evaluate(config.parsed_w, records, flags)
-    for j in range(1, q + 1):
-        w[q:, n_base + (j - 1) * m:n_base + j * m] = y[q - j:n - j]
-    return FeatureTable(z=_evaluate(config.parsed_z, records, flags), w=w,
+    return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
+                        w=_with_lags(_evaluate(config.parsed_w, records, flags),
+                                     y, config.q),
                         t=classification_points(records, config), y=y,
                         begins_shift=np.array([fl.begins_shift for fl in flags]))

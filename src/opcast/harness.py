@@ -2,13 +2,13 @@
 
 Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
-as sequence starts) and evaluated on the held-out week. The hidden states
-are discovered once per fold and shared by the IO-HMM variants (their
-classification spec is the same); each variant learns its own
-coefficients and counts. The online model keeps learning as it walks
-through the test week, mirroring production use; the regression benchmark
-stays frozen after fitting. The VARX inputs are featurized once for the
-whole dataset and once per fold for the training weeks.
+as sequence starts) and evaluated on the held-out week. Per fold, the
+hidden states are discovered once and the training weeks are featurized
+once, as a lag-free table of all responses (also the VARX input). Each
+IO-HMM variant learns its own coefficients and counts from a copy of that
+table with its response columns and lags. The online model keeps learning
+as it walks through the test week, mirroring production use; the
+regression benchmark stays frozen after fitting.
 
 Aggregation is per model, fold, shift type and response.
 """
@@ -110,22 +110,26 @@ def response_summary(records: Sequence[ProductionRecord],
     return out
 
 
-def _iohmm_predictions(records, train, states: ClusterModel, test_idx, name, fold,
-                       cfg: ModelConfig) -> list[PredictionRow]:
+def _rows(records, name, fold, i, responses, actual, predicted,
+          sigma=None) -> list[PredictionRow]:
+    """One row per response of record ``i``; ``sigma`` gives the spreads, if any."""
+    sd = None if sigma is None else np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
+    return [PredictionRow(name, fold, i, resp, float(actual[j]), float(predicted[j]),
+                          None if sd is None else float(sd[j]), records[i].shift_code)
+            for j, resp in enumerate(responses)]
+
+
+def _iohmm_predictions(records, train: FeatureTable, states: ClusterModel,
+                       test_idx, name, fold, cfg: ModelConfig,
+                       columns) -> list[PredictionRow]:
+    """Learn the fold's lag-free table, as derived for ``cfg``, then the test week."""
     # forecast_step moves centroids, so every model gets its own copy
     model = IoHmmModel(cfg, clusters=copy.deepcopy(states))
-    model.learn_records(train)
+    model.learn_table(train.lagged(cfg.features.q, columns))
     steps = model.run_online(records, indices=test_idx, forecast_from=test_idx[0])
-    rows = []
-    for st in steps:
-        if st.forecast is None:
-            continue
-        sd = np.sqrt(np.clip(np.diagonal(st.forecast.sigma), 0.0, None))
-        for j, resp in enumerate(cfg.features.response_names):
-            rows.append(PredictionRow(name, fold, st.index, resp,
-                                      float(st.y[j]), float(st.forecast.y_hat[j]),
-                                      float(sd[j]), records[st.index].shift_code))
-    return rows
+    return [row for st in steps if st.forecast is not None
+            for row in _rows(records, name, fold, st.index, cfg.features.response_names,
+                             st.y, st.forecast.y_hat, st.forecast.sigma)]
 
 
 def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx,
@@ -137,15 +141,10 @@ def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx
     varx = fit_varx(list(zip(train.y, train.w)), q)
     rows = []
     for i in test_idx:
-        if i < q:
-            continue
-        lags = [full.y[i - j] for j in range(1, q + 1)]
-        y_hat, sigma = predict_varx(varx, lags, full.w[i])
-        sd = np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
-        for j, resp in enumerate(responses):
-            rows.append(PredictionRow(name, fold, i, resp, float(full.y[i, j]),
-                                      float(y_hat[j]), float(sd[j]),
-                                      records[i].shift_code))
+        if i >= q:
+            lags = [full.y[i - j] for j in range(1, q + 1)]
+            rows += _rows(records, name, fold, i, responses, full.y[i],
+                          *predict_varx(varx, lags, full.w[i]))
     return rows
 
 
@@ -153,15 +152,11 @@ def _persistence_predictions(records, test_idx, name, fold,
                              responses) -> list[PredictionRow]:
     rows = []
     for i in test_idx:
-        if i < 1:
-            continue
-        prev = persistence_forecast([float(getattr(records[i - 1], r))
-                                     for r in responses])
-        for j, resp in enumerate(responses):
-            rows.append(PredictionRow(name, fold, i, resp,
-                                      float(getattr(records[i], resp)),
-                                      float(prev[j]), None,
-                                      records[i].shift_code))
+        if i >= 1:
+            prev = persistence_forecast([float(getattr(records[i - 1], r))
+                                         for r in responses])
+            rows += _rows(records, name, fold, i, responses,
+                          [getattr(records[i], r) for r in responses], prev)
     return rows
 
 
@@ -189,10 +184,10 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         raise DegenerateDataError(
             f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
 
-    varx_features = base.features.with_lags(0)
+    lag_free = base.features.with_lags(0)
     use_varx = "varx" in kinds
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
-    varx_full = build_features(records, varx_features) if use_varx else None
+    varx_full = build_features(records, lag_free) if use_varx else None
 
     predictions: list[PredictionRow] = []
     for fold in weeks:
@@ -200,26 +195,26 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         train = [rec for rec in records if week_key(rec.date) != fold]
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
                             k_max=k_max) if use_iohmm else None
-        varx_train = build_features(train, varx_features) if use_varx else None
+        train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
         for name in model_names:
             kind, q = parse_model_name(name)
             if kind == "persistence":
                 rows = _persistence_predictions(records, test_idx, name, fold,
                                                 responses)
             elif kind == "varx":
-                rows = _varx_predictions(records, varx_train, varx_full, test_idx,
+                rows = _varx_predictions(records, train_table, varx_full, test_idx,
                                          name, fold, responses, q)
             elif kind == "iohmm":
                 cfg = replace(base, features=base.features.with_lags(q))
-                rows = _iohmm_predictions(records, train, states, test_idx, name,
-                                          fold, cfg)
+                rows = _iohmm_predictions(records, train_table, states, test_idx,
+                                          name, fold, cfg, range(len(responses)))
             else:  # iohmm-uni
                 rows = []
-                for resp in responses:
+                for j, resp in enumerate(responses):
                     cfg = replace(base, features=base.features
                                   .with_lags(q).for_response(resp))
-                    rows += _iohmm_predictions(records, train, states, test_idx,
-                                               name, fold, cfg)
+                    rows += _iohmm_predictions(records, train_table, states,
+                                               test_idx, name, fold, cfg, [j])
             if not rows:
                 warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
                               stacklevel=2)
@@ -244,21 +239,15 @@ def _aggregate(predictions: Sequence[PredictionRow]) -> list[ReportRow]:
                          []).append(row)
     out: list[ReportRow] = []
     for key in sorted(cells):
-        model, fold, shift_type, response = key
         group = cells[key]
         actual = [r.actual for r in group]
         predicted = [r.predicted for r in group]
-        count = len(group)
-        out.append(ReportRow(model, fold, shift_type, response, "mae",
-                             mae(actual, predicted), count))
-        out.append(ReportRow(model, fold, shift_type, response, "rmse",
-                             rmse(actual, predicted), count))
+        metrics = [("mae", mae(actual, predicted)), ("rmse", rmse(actual, predicted))]
         if all(r.sd is not None for r in group):
             sds = [r.sd for r in group]
-            out.append(ReportRow(model, fold, shift_type, response, "covg",
-                                 coverage(actual, predicted, sds), count))
-            out.append(ReportRow(model, fold, shift_type, response, "piw",
-                                 interval_width(sds), count))
+            metrics += [("covg", coverage(actual, predicted, sds)),
+                        ("piw", interval_width(sds))]
+        out += [ReportRow(*key, metric, value, len(group)) for metric, value in metrics]
     return out
 
 

@@ -7,18 +7,19 @@ the pseudo-count tables. Their forecasts are blended per response with
 inverse-variance weights. Hidden states come from clustering; their
 dynamics are tracked by the pseudo-counts.
 
-Everything updates online: ``run_online`` is the one learning loop. It
-featurizes the records it needs through ``build_features``, classifies
-each processed record once and interleaves forecasting with learning;
-``learn_records`` is the same pass with forecasting switched off. Every
-forecast is a ``ForecastResult``, and the full state can be snapshotted
-to a plain JSON document.
+Everything updates online through one learning loop: ``run_online``
+interleaves forecasting with learning, ``learn_records`` and
+``learn_table`` learn without forecasts. The loop checks the table cells it
+reads before any state moves, then runs the trusted cores of
+``learn_step``, ``forecast_step`` and ``combine``, which are checked entry
+points to them. Every forecast is a ``ForecastResult``, and the full state
+can be snapshotted to a plain JSON document.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,11 +27,11 @@ import numpy as np
 from .clustering import ClusterModel, fit_auto_k
 from .dirichlet import DirichletTable
 from .errors import (ConfigurationError, DimensionError, ForecastUnavailableError,
-                     InsufficientHistoryError, NumericError, OpcastError,
-                     RestoreError)
-from .estimator import AdaptiveState
-from .features import (FeatureConfig, build_features, classification_points,
-                       pattern_key)
+                     InputError, InsufficientHistoryError, NumericError,
+                     OpcastError, RestoreError)
+from .estimator import AdaptiveState, checked_vector
+from .features import (FeatureConfig, FeatureTable, build_features,
+                       classification_points, pattern_key)
 from .records import ProductionRecord
 
 Z95 = 1.96
@@ -133,16 +134,18 @@ def combination_weights(sigma_u: np.ndarray, sigma_v: np.ndarray) -> np.ndarray:
     less certain model is down-weighted. When both variances vanish the
     weight is 1/2.
     """
-    su = np.asarray(sigma_u, dtype=float)
-    sv = np.asarray(sigma_v, dtype=float)
-    su = su.diagonal() if su.ndim == 2 else su.reshape(-1)
-    sv = sv.diagonal() if sv.ndim == 2 else sv.reshape(-1)
+    su, sv = (a.diagonal() if a.ndim == 2 else a.reshape(-1)
+              for a in (np.asarray(sigma_u, dtype=float), np.asarray(sigma_v, dtype=float)))
     if su.shape != sv.shape:
         raise DimensionError("variance inputs have mismatched sizes")
     for arr in (su, sv):
         bad = arr < -1e-10
         if bad.any():
             raise NumericError(f"negative variance {arr[bad].min():.3e} in combination")
+    return _weights(su, sv)
+
+
+def _weights(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
     sv = np.maximum(sv, 0.0)
     total = np.maximum(su, 0.0) + sv
     return np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
@@ -151,23 +154,59 @@ def combination_weights(sigma_u: np.ndarray, sigma_v: np.ndarray) -> np.ndarray:
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
             allow_cold_start: bool = False) -> ForecastResult:
     """Blend the two per-pattern predictors for one upcoming period."""
+    return _combine(u, v, state_u, state_v, allow_cold_start, checked=False)
+
+
+def _combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
+             allow_cold_start: bool, checked: bool = True, **origin) -> ForecastResult:
+    """``combine``; ``checked`` trusts u, v and the variances, ``origin`` fills the result."""
     cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
     if cold and not allow_cold_start:
         raise ForecastUnavailableError(
             "no observations for this pattern yet; enable cold starts to "
             "forecast from the zero-knowledge prior")
-    sigma_u = state_u.covariance()
-    sigma_v = state_v.covariance()
-    delta = combination_weights(sigma_u, sigma_v)
-    mean_u = state_u.predict_mean(u)
-    mean_v = state_v.predict_mean(v)
+    sigma_u, sigma_v = state_u.Sigma, state_v.Sigma
+    if checked:
+        delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
+    else:
+        delta = combination_weights(sigma_u, sigma_v)
+        u = checked_vector(u, state_u.n_predictors, "u")
+        v = checked_vector(v, state_v.n_predictors, "v")
     rest = 1.0 - delta
-    y_hat = delta * mean_u + rest * mean_v
+    y_hat = delta * (u @ state_u.H) + rest * (v @ state_v.H)
     sigma = delta[:, None] * delta * sigma_u + rest[:, None] * rest * sigma_v
     half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))
     intervals = np.stack((y_hat - half, y_hat + half), axis=1)
     return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta,
-                          intervals=intervals, cold_start=cold)
+                          intervals=intervals, cold_start=cold, **origin)
+
+
+def _check_reads(table: FeatureTable, offset: int, positions: Sequence[int],
+                 first: int, q: int) -> None:
+    """Raise for the first non-finite cell the loop over ``positions`` reads:
+    ``InputError`` in a classification vector, ``NumericError`` in a learned row's w or y."""
+    # the common case: all finite from the first row read on (no lag NaN there)
+    lo, fit = positions[0] - offset, max(positions[0], q) - offset
+    if (np.isfinite(table.t[max(lo - 1, 0):]).all()
+            and np.isfinite(table.w[fit:]).all() and np.isfinite(table.y[fit:]).all()):
+        return
+    idx = np.asarray(positions)
+    r = idx - offset
+    learned, forecast = idx >= q, idx >= first
+    bad_t = ~np.isfinite(table.t).all(axis=1)
+    bad_w = ~np.isfinite(table.w).all(axis=1)[r]
+    reads_prev = forecast | learned & ~table.begins_shift[r]
+    bad_input = bad_t[r] | reads_prev & bad_t[r - 1]
+    bad_numeric = learned & (bad_w | ~np.isfinite(table.y).all(axis=1)[r])
+    bad = np.flatnonzero(bad_input | bad_numeric)
+    if bad.size:
+        p = bad[0]
+        # a forecast reads the row before, then the regressors, then classifies
+        if bad_input[p] and not (forecast[p] and bad_w[p] and not bad_t[r[p] - 1]):
+            raise InputError(f"classification vector read at record {idx[p]} "
+                             "contains non-finite values")
+        raise NumericError(f"regressors or responses of record {idx[p]} "
+                           "contain non-finite values")
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -269,15 +308,8 @@ class IoHmmModel:
             raise DimensionError(
                 f"regressor vector must have length {self.config.features.w_dim}")
         key = pattern_key(z)
-        states = self._states_for(key)
-        v = self.dirichlet.expected_state_vector(key, prev_state)
-        u = np.concatenate((_INTERCEPT, w))
-        states.u.update(u, y)
-        states.v.update(v, y)
-        if prev_state is None:
-            self.dirichlet.observe_initial(key, cur_state)
-        else:
-            self.dirichlet.observe_transition(key, prev_state, cur_state)
+        u = checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
+        self._learn(key, u, checked_vector(y, self.n_responses, "y"), prev_state, cur_state)
 
     def forecast_step(self, t_prev, z_next, w_next, begins: bool) -> ForecastResult:
         """Forecast the next period from the last classified one.
@@ -286,30 +318,53 @@ class IoHmmModel:
         centroid absorbs the observation afterwards, in that order.
         """
         self._require_fitted()
-        state = self.clusters.assign(t_prev)
-        self.clusters.update_centroid(state, t_prev)
+        x_prev = self.clusters.standardized(t_prev)
         z_next = np.asarray(z_next, dtype=float).reshape(-1)
-        w_next = np.asarray(w_next, dtype=float).reshape(-1)
         if z_next.shape != (self.config.features.pattern_length,):
             raise DimensionError(
                 f"pattern must have length {self.config.features.pattern_length}")
-        if w_next.shape != (self.config.features.w_dim,):
-            raise DimensionError(
-                f"regressor vector must have length {self.config.features.w_dim}")
-        key = pattern_key(z_next)
+        u = checked_vector(np.concatenate((_INTERCEPT, np.ravel(w_next))), self.u_dim, "u")
+        return self._forecast(x_prev, pattern_key(z_next), u, begins)
+
+    def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
+               prev_state: int | None, cur_state: int) -> None:
+        states = self._states_for(key)
+        v = self.dirichlet.expected_state_vector(key, prev_state)
+        states.u._update(u, y)
+        states.v._update(v, y)
+        if prev_state is None:
+            self.dirichlet.observe_initial(key, cur_state)
+        else:
+            self.dirichlet.observe_transition(key, prev_state, cur_state)
+
+    def _forecast(self, x_prev: np.ndarray, key: str, u: np.ndarray,
+                  begins: bool) -> ForecastResult:
+        state = int(self.clusters.nearest(x_prev[None])[0])
+        self.clusters.absorb(state, x_prev)
         states = self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
-        u = np.concatenate((_INTERCEPT, w_next))
-        result = replace(combine(u, v, states.u, states.v,
-                                 allow_cold_start=self.config.allow_cold_start),
-                         state=state, pattern=key, begins=begins)
+        result = _combine(u, v, states.u, states.v, self.config.allow_cold_start,
+                          state=state, pattern=key, begins=begins)
         self.last_state = state
         self.last_forecast = result
         return result
 
     def learn_records(self, records: Sequence[ProductionRecord]) -> None:
         """Single learning pass over chronologically sorted records."""
-        self.run_online(records, forecast_from=len(records))
+        self._require_fitted()
+        self.learn_table(build_features(records, self.config.features))
+
+    def learn_table(self, table: FeatureTable) -> None:
+        """``learn_records`` of a table built for this model's feature config."""
+        self._require_fitted()
+        fc, n = self.config.features, len(table.y)
+        if n <= fc.q:
+            raise InsufficientHistoryError(f"need more than q={fc.q} records, got {n}")
+        widths = (fc.pattern_length, fc.w_dim, len(fc.t_spec), fc.n_responses)
+        if ([a.shape for a in (table.z, table.w, table.t, table.y)]
+                != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
+            raise DimensionError("table shape does not match the model's feature config")
+        self._pass(table, 0, range(n), n)
 
     def run_online(self, records: Sequence[ProductionRecord],
                    forecast_from: int | None = None,
@@ -346,27 +401,36 @@ class IoHmmModel:
         # rows from `start` on: the lags and boundary flag of every position
         start = max(0, positions[0] - max(fc.q, 1))
         table = build_features(records[start:max(positions[-1], fc.q) + 1], fc)
+        return self._pass(table, start, positions, first)
+
+    def _pass(self, table: FeatureTable, offset: int, positions: Sequence[int],
+              first: int) -> list[StepResult]:
+        """The one learning loop; row ``r`` of ``table`` is record ``offset + r``.
+
+        Per position: forecast the record from the row before it (from
+        ``first`` on), classify it, learn from it (from ``q`` on).
+        """
+        q, clusters = self.config.features.q, self.clusters
+        _check_reads(table, offset, positions, first, q)
+        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in positions]
+        X = clusters.standardizer.transform(table.t)  # one standardization per row
+        # before the first forecast no centroid moves: one labelling holds
+        labels = clusters.nearest(X).tolist() if positions[0] < first else None
+        U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
         results: list[StepResult] = []
-        last_index, last_label = None, None
-        for i in positions:
-            r = i - start
+        for i, key in zip(positions, keys):
+            r = i - offset
             begins = bool(table.begins_shift[r])
             forecast = None
             if i >= first:
-                forecast = self.forecast_step(table.t[r - 1], table.z[r],
-                                              table.w[r], begins)
-            cur = self.clusters.assign(table.t[r])
-            if i >= fc.q:
-                if begins:
-                    prev = None
-                elif forecast is not None:
-                    prev = forecast.state
-                elif last_index == i - 1:
-                    prev = last_label
-                else:
-                    prev = self.clusters.assign(table.t[r - 1])
-                self.learn_step(table.z[r], table.w[r], table.y[r], prev, cur)
-            last_index, last_label = i, cur
+                forecast = self._forecast(X[r - 1], key, U[r], begins)
+                cur = int(clusters.nearest(X[r:r + 1])[0])
+            else:
+                cur = labels[r]
+            if i >= q:
+                prev = None if begins else labels[r - 1] if forecast is None \
+                    else forecast.state
+                self._learn(key, U[r], table.y[r], prev, cur)
             results.append(StepResult(index=i, state=cur, y=table.y[r],
                                       forecast=forecast))
         return results
@@ -374,7 +438,7 @@ class IoHmmModel:
     # -- serialization -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        doc = {
+        return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "config": self.config.to_dict(),
@@ -386,7 +450,6 @@ class IoHmmModel:
             "last_forecast": (self.last_forecast.to_dict(self.config.features.response_names)
                               if self.last_forecast else None),
         }
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"

@@ -20,35 +20,10 @@ from typing import Sequence
 from .errors import OrderingError, SchemaError, TimeConsistencyError
 
 # Canonical column order for datasets, mapped to record attribute names.
-COLUMNS = (
-    ("n", "n"),
-    ("date", "date"),
-    ("start", "start"),
-    ("shift", "shift"),
-    ("pr.ord", "pr_ord"),
-    ("ics", "ics"),
-    ("rcs", "rcs"),
-    ("TU", "TU"),
-    ("DU", "DU"),
-    ("TgU", "TgU"),
-    ("nstops", "nstops"),
-    ("OT", "OT"),
-    ("SBT", "SBT"),
-    ("LT", "LT"),
-    ("DT", "DT"),
-    ("OpT", "OpT"),
-    ("PLT", "PLT"),
-    ("NOpT", "NOpT"),
-    ("QLT", "QLT"),
-    ("VT", "VT"),
-    ("lo", "lo"),
-    ("av", "av"),
-    ("pf", "pf"),
-    ("qu", "qu"),
-    ("oee", "oee"),
-    ("hum", "hum"),
-    ("temp", "temp"),
-)
+COLUMNS = tuple((alias, alias.replace(".", "_")) for alias in (
+    "n", "date", "start", "shift", "pr.ord", "ics", "rcs", "TU", "DU", "TgU", "nstops",
+    "OT", "SBT", "LT", "DT", "OpT", "PLT", "NOpT", "QLT", "VT", "lo", "av", "pf", "qu",
+    "oee", "hum", "temp"))
 
 ALIAS_TO_ATTR = dict(COLUMNS)
 
@@ -307,9 +282,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    if isinstance(value, dt.time):
+    if isinstance(value, (dt.date, dt.time)):
         return value.isoformat()
     return str(value)
 
@@ -340,15 +313,10 @@ def boundary_flags(records: Sequence[ProductionRecord]) -> list[BoundaryFlags]:
     label changes from the previous record, an order begins whenever the
     production-order number changes.
     """
-    flags: list[BoundaryFlags] = []
-    for i, rec in enumerate(records):
-        if i == 0:
-            flags.append(BoundaryFlags(True, True))
-        else:
-            prev = records[i - 1]
-            flags.append(BoundaryFlags(rec.shift != prev.shift,
-                                       rec.pr_ord != prev.pr_ord))
-    return flags
+    return [BoundaryFlags(True, True) if i == 0 else
+            BoundaryFlags(rec.shift != records[i - 1].shift,
+                          rec.pr_ord != records[i - 1].pr_ord)
+            for i, rec in enumerate(records)]
 
 
 def consistency_issues(record: ProductionRecord, tol: float = 0.01,

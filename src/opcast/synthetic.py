@@ -120,12 +120,9 @@ class SyntheticSpec:
         if "shift_effects" in doc:
             known["shift_effects"] = {code: tuple(eff)
                                       for code, eff in doc["shift_effects"].items()}
-        for name in ("days", "periods_per_shift", "order_every", "seed"):
-            if name in doc:
-                known[name] = int(doc[name])
-        for name in ("dt_max", "qu_frac_max"):
-            if name in doc:
-                known[name] = float(doc[name])
+        known.update({name: cast(doc[name]) for name, cast in (
+            ("days", int), ("periods_per_shift", int), ("order_every", int), ("seed", int),
+            ("dt_max", float), ("qu_frac_max", float)) if name in doc})
         if "ics_levels" in doc:
             known["ics_levels"] = tuple(float(v) for v in doc["ics_levels"])
         elif "ics" in doc:

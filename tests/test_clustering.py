@@ -285,3 +285,51 @@ class TestLloydOracle:
             assert fast.counts.tobytes() == ref.counts.tobytes(), name
             if name == "repair":
                 assert repairs, "the repair set no longer empties a cluster"
+
+
+class TestNearest:
+    """The vectorized labelling ``nearest`` equals ``assign`` row by row."""
+
+    @staticmethod
+    def _per_row_oracle(model, pts):
+        # the nearest-centroid rule written out, one row at a time
+        out = []
+        for p in pts:
+            z = (p - model.standardizer.mean) / model.standardizer.scale
+            out.append(int(((model.centroids - z) ** 2).sum(axis=1).argmin()) + 1)
+        return out
+
+    @staticmethod
+    def _labels(model, pts):
+        return model.nearest(model.standardizer.transform(pts)).tolist()
+
+    @pytest.mark.parametrize("seed, K, D", [(0, 2, 1), (1, 5, 3), (2, 12, 6),
+                                            (3, 7, 9), (4, 3, 17)])
+    def test_matches_per_row_assign_on_random_tables(self, seed, K, D):
+        rng = np.random.default_rng(seed)
+        model = ClusterModel(
+            K=K, centroids=rng.normal(size=(K, D)), counts=np.ones(K),
+            standardizer=Standardizer(mean=rng.normal(size=D),
+                                      scale=rng.uniform(0.5, 3.0, size=D)),
+            gof=1.0, reached_threshold=True)
+        pts = rng.normal(scale=2.0, size=(300, D))
+        labels = self._labels(model, pts)
+        assert labels == [model.assign(p) for p in pts]
+        assert labels == self._per_row_oracle(model, pts)
+
+    def test_matches_a_fitted_model(self):
+        rng = np.random.default_rng(21)
+        pts, _ = _blobs(rng, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]], n_per=30, spread=0.6)
+        model = fit_auto_k(pts, seed=1, k_max=5)
+        assert self._labels(model, pts) == [model.assign(p) for p in pts]
+
+    def test_equidistant_row_goes_to_the_lowest_index(self):
+        model = ClusterModel(K=3, centroids=np.array([[4.0, 0.0], [0.0, 0.0], [0.0, 4.0]]),
+                             counts=np.ones(3),
+                             standardizer=Standardizer(mean=np.zeros(2),
+                                                       scale=np.ones(2)),
+                             gof=1.0, reached_threshold=True)
+        # (2, 2) is at distance sqrt(8) from all three centroids
+        pts = np.array([[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
+        assert self._labels(model, pts) == [1, 1, 2]
+        assert [model.assign(p) for p in pts] == [1, 1, 2]

@@ -221,6 +221,20 @@ class TestBuildFeatures:
         for rec, t in zip(records, table.t):
             np.testing.assert_array_equal(t, classification_vector(rec, _config()))
 
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("columns", [(0, 1), (0,), (1,)])
+    def test_lagged_equals_the_table_built_for_it(self, q, columns):
+        records = build_stream([{"OpT": 6.0 + 0.5 * i, "NOpT": 5.0 + 0.25 * i,
+                                 "shift": f"Mo {'MAN'[i // 3 % 3]}"} for i in range(9)])
+        lag_free = build_features(records, _config(q=0))
+        names = tuple(_config().response_names[j] for j in columns)
+        built = build_features(records, _config(q=q, response_names=names))
+        derived = lag_free.lagged(q, columns)
+        for name in ("z", "w", "t", "y", "begins_shift"):
+            got, want = getattr(derived, name), getattr(built, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert lag_free.w.shape == (9, 3) and lag_free.y.shape == (9, 2)
+
 
 class TestVectors:
     def test_classification_vector_ignores_flags(self):

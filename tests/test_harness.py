@@ -172,21 +172,24 @@ class TestLeaveOneWeekOut:
         monkeypatch.setattr(opcast.harness, "build_features", forbidden)
         leave_one_week_out(two_week_records, model_names=("persistence",))
 
-    def test_shared_states_match_independent_fits(self, two_week_records,
-                                                  small_report):
+    def test_shared_states_match_independent_fits(self, two_week_records):
+        # every default IO-HMM variant learns its table derived from the
+        # fold's shared one, with the shared labels
         records = two_week_records
-        fold = small_report.folds[0]
+        names = [name for name in DEFAULT_MODELS
+                 if parse_model_name(name)[0] in ("iohmm", "iohmm-uni")]
+        assert len(names) == 11
+        report = leave_one_week_out(records, model_names=names, seed=0, k_max=6)
+        fold = report.folds[0]
         test_idx = [i for i, r in enumerate(records) if week_key(r.date) == fold]
         train = [r for r in records if week_key(r.date) != fold]
         base = ModelConfig(features=default_feature_config(records),
                            allow_cold_start=True)
-        variants = {
-            "no-lags": [base.features.with_lags(0)],
-            "iohmm-q1": [base.features.with_lags(1)],
-            "iohmm-uni-q1": [base.features.with_lags(1).for_response(r)
-                             for r in base.features.response_names],
-        }
-        for name, feature_configs in variants.items():
+        for name in names:
+            kind, q = parse_model_name(name)
+            features = base.features.with_lags(q)
+            feature_configs = [features] if kind == "iohmm" else \
+                [features.for_response(r) for r in features.response_names]
             expected = []
             for features in feature_configs:
                 model = IoHmmModel(replace(base, features=features))
@@ -203,7 +206,7 @@ class TestLeaveOneWeekOut:
                                          float(st.forecast.y_hat[j]),
                                          float(sd[j])))
             got = [(p.index, p.response, p.actual, p.predicted, p.sd)
-                   for p in small_report.predictions
+                   for p in report.predictions
                    if p.model == name and p.fold == fold]
             assert expected and got == expected, name
 

@@ -1,5 +1,6 @@
 import datetime as dt
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 import opcast.model
 from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ConfigurationError, DimensionError, FeatureConfig,
-                    ForecastUnavailableError, InsufficientHistoryError,
-                    IoHmmModel, ModelConfig, NumericError, RestoreError,
+                    ForecastUnavailableError, InputError, InsufficientHistoryError,
+                    IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
                     Standardizer, SyntheticSpec, build_features,
                     classification_vector, combination_weights, combine,
                     default_feature_config, generate_synthetic)
@@ -238,6 +239,36 @@ class TestForecastStep:
             out2.y_hat, out2.weights * ([1.0, *w] @ model.params["100"].u.H)
             + (1 - out2.weights) * (v_init @ v_state.H))
 
+    def test_standardizes_t_prev_once(self, monkeypatch):
+        calls = []
+        standardized = ClusterModel.standardized
+
+        def counting(clusters, t):
+            calls.append(t)
+            return standardized(clusters, t)
+
+        monkeypatch.setattr(ClusterModel, "standardized", counting)
+        model = _model(allow_cold_start=True)
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
+        table = build_features(records, model.config.features)
+        for n in range(1, 4):
+            model.forecast_step([6.0], table.z[1], table.w[1], False)
+            assert len(calls) == n
+        # the lookup and the absorb read the same vector: 6 joins the
+        # nearer centroid 10 three times, 10 -> 8 -> 7.333 -> 7
+        np.testing.assert_allclose(model.clusters.centroids[1], [7.0])
+
+    def test_rejected_input_moves_nothing(self):
+        model = _model(allow_cold_start=True)
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
+        table = build_features(records, model.config.features)
+        before = model.to_json()
+        for t_prev, w in (([np.nan], table.w[1]), ([6.0], [np.nan, 0.0, 1.0, 1.0]),
+                          ([6.0], table.w[1][:2])):
+            with pytest.raises(OpcastError):
+                model.forecast_step(t_prev, table.z[1], w, False)
+        assert model.to_json() == before
+
     def test_last_forecast_is_cached(self):
         model = _model(allow_cold_start=True)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
@@ -382,6 +413,191 @@ class TestRunOnline:
         results = model.run_online(records)
         for r in results:
             assert r.state in (1, 2)
+
+
+def _with_cells(records, faults):
+    """A copy of ``records`` with ``{index: {column: value}}`` written in."""
+    out = list(records)
+    for i, cells in faults.items():
+        out[i] = replace(out[i], **cells)
+    return out
+
+
+def _stepwise_error(model, records, start=0, forecast_from=None):
+    """The error of a replay through the public steps, each checking its input.
+
+    It replays ``run_online(records, indices=range(start, len(records)),
+    forecast_from=forecast_from)`` in the order of the per-record loop.
+    """
+    fc = model.config.features
+    table = build_features(records, fc)
+    first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
+    labels = {}
+    try:
+        for i in range(start, len(records)):
+            begins = bool(table.begins_shift[i])
+            forecast = None
+            if i >= first:
+                forecast = model.forecast_step(table.t[i - 1], table.z[i], table.w[i],
+                                               begins)
+            cur = model.clusters.assign(table.t[i])
+            if i >= fc.q:
+                prev = None if begins else forecast.state if forecast else \
+                    labels[i - 1] if i > start else model.clusters.assign(table.t[i - 1])
+                model.learn_step(table.z[i], table.w[i], table.y[i], prev, cur)
+            labels[i] = cur
+    except OpcastError as exc:
+        return type(exc)
+    return None
+
+
+class TestChecksAtTheTable:
+    """run_online checks the cells its loop reads before any state moves."""
+
+    NAN = float("nan")
+
+    def _model(self, q=1):
+        return _model(q=q, t_spec=("av",), centroids=((0.92,), (0.94,)),
+                      allow_cold_start=True)
+
+    def _records(self, n=20):
+        return TestRunOnline()._records(n, seed=11)
+
+    @pytest.mark.parametrize("cells, error", [
+        ({"ics": float("nan")}, NumericError),
+        ({"ics": float("inf")}, NumericError),
+        ({"OpT": float("nan")}, NumericError),
+        ({"NOpT": -float("inf")}, NumericError),
+        ({"av": float("nan")}, InputError),
+        ({"av": float("inf")}, InputError),
+    ])
+    def test_a_bad_cell_is_rejected_before_any_state_moves(self, cells, error):
+        records = self._records()
+        model = self._model()
+        model.run_online(records[:8])
+        before = model.to_json()
+        bad = _with_cells(records, {14: cells})
+        with pytest.raises(error):
+            model.run_online(bad, indices=range(8, 20))
+        assert model.to_json() == before
+        with pytest.raises(error):
+            model.learn_records(bad)
+        assert model.to_json() == before
+
+    @pytest.mark.parametrize("faults", [
+        {3: {"av": NAN}, 8: {"OpT": NAN}},
+        {3: {"OpT": NAN}, 8: {"av": NAN}},
+        {5: {"av": NAN, "ics": NAN}},     # the forecast reads w before t[5]
+        {5: {"av": NAN, "OpT": NAN}},     # y[5] is read after t[5]
+        {4: {"av": NAN}, 5: {"ics": NAN}},
+        {0: {"av": NAN}},
+        {0: {"OpT": NAN}},                # a lag of row 1
+        {19: {"NOpT": NAN}},
+    ])
+    def test_the_first_bad_read_decides_the_error(self, faults):
+        bad = _with_cells(self._records(), faults)
+        expected = _stepwise_error(self._model(), bad)
+        assert expected is not None
+        model = self._model()
+        before = model.to_json()
+        with pytest.raises(expected):
+            model.run_online(bad)
+        assert model.to_json() == before
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_faults_match_the_stepwise_replay(self, seed):
+        # faults in one or two rows, on a run from a random start that
+        # forecasts from there, later or never
+        rng = np.random.default_rng(seed)
+        q, start, faults = int(rng.integers(0, 3)), int(rng.integers(0, 12)), {}
+        forecast_from = [None, start, start + 3, 20][int(rng.integers(0, 4))]
+        for row in rng.choice(20, size=int(rng.integers(1, 3)), replace=False):
+            columns = rng.choice(["av", "ics", "OpT", "NOpT"], size=int(rng.integers(1, 4)),
+                                 replace=False)
+            faults[int(row)] = {str(c): float(rng.choice([np.nan, np.inf, -np.inf]))
+                                for c in columns}
+        bad = _with_cells(self._records(), faults)
+        replay, model = self._model(q=q), self._model(q=q)
+        expected = _stepwise_error(replay, bad, start, forecast_from)
+        before = model.to_json()
+        if expected is None:  # every fault sits in a cell the loop never reads
+            model.run_online(bad, indices=range(start, 20), forecast_from=forecast_from)
+            assert model.to_json() == replay.to_json()
+        else:
+            with pytest.raises(expected):
+                model.run_online(bad, indices=range(start, 20), forecast_from=forecast_from)
+            assert model.to_json() == before
+
+    def _assert_same_steps(self, a, b):
+        assert [st.index for st in a] == [st.index for st in b]
+        for x, y in zip(a, b):
+            assert x.state == y.state
+            np.testing.assert_array_equal(x.forecast.y_hat, y.forecast.y_hat)
+
+    def test_unread_lag_only_row_is_accepted(self):
+        # at q = 2 the table of indices 10.. starts at row 8, whose t and w
+        # nobody reads (row 9 is the previous row of the first forecast)
+        records = self._records()
+        bad = _with_cells(records, {8: {"av": self.NAN, "ics": self.NAN}})
+        clean, dirty = self._model(q=2), self._model(q=2)
+        for model in (clean, dirty):
+            model.learn_records(records[:8])
+        self._assert_same_steps(dirty.run_online(bad, indices=range(10, 20)),
+                                clean.run_online(records, indices=range(10, 20)))
+
+    def test_row_before_is_read_for_the_state_it_leaves(self):
+        # without a forecast, learning reads the previous row's state unless
+        # the record begins a shift (rows 4, 8, 12 ... begin one here)
+        records = self._records()
+        model = self._model()
+        before = model.to_json()
+        with pytest.raises(InputError):
+            model.run_online(_with_cells(records, {8: {"av": self.NAN}}),
+                             indices=range(9, 12), forecast_from=20)
+        assert model.to_json() == before
+        steps = model.run_online(_with_cells(records, {7: {"av": self.NAN}}),
+                                 indices=range(8, 12), forecast_from=20)
+        assert [st.index for st in steps] == [8, 9, 10, 11]
+
+    def test_unread_gap_row_is_accepted(self):
+        # indices skip 12 and 13; 13 is read as the row before 14, 12 is not
+        records = self._records()
+        bad = _with_cells(records, {12: {"av": self.NAN, "ics": self.NAN,
+                                         "OpT": self.NAN}})
+        clean, dirty = self._model(), self._model()
+        for model in (clean, dirty):
+            model.learn_records(records[:8])
+        indices = [8, 9, 10, 11, 14, 15, 16]
+        self._assert_same_steps(dirty.run_online(bad, indices=indices),
+                                clean.run_online(records, indices=indices))
+        with pytest.raises(InputError):
+            dirty.run_online(bad, indices=[8, 13])
+
+
+class TestLearnTable:
+    def test_a_derived_table_learns_like_learn_records(self):
+        records = TestRunOnline()._records(24, seed=9)
+        a, b = _model(q=2, allow_cold_start=True), _model(q=2, allow_cold_start=True)
+        a.learn_records(records)
+        lag_free = build_features(records, a.config.features.with_lags(0))
+        b.learn_table(lag_free.lagged(2, (0, 1)))
+        assert a.to_json() == b.to_json()
+
+    def test_rejects_a_table_of_another_config(self):
+        records = TestRunOnline()._records(10)
+        model = _model(q=1)
+        before = model.to_json()
+        table = build_features(records, model.config.features)
+        for bad in (build_features(records, _feature_config(q=2)),
+                    replace(table, t=np.hstack((table.t, table.t))),  # two t columns
+                    replace(table, z=table.z[:, 1:]),  # a pattern too short
+                    replace(table, y=table.y[:-1])):  # a row short
+            with pytest.raises(DimensionError):
+                model.learn_table(bad)
+        with pytest.raises(InsufficientHistoryError):
+            model.learn_table(build_features(records[:1], _feature_config(q=0))
+                              .lagged(1, (0, 1)))
+        assert model.to_json() == before
 
 
 class TestFit:
