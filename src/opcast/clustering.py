@@ -7,7 +7,9 @@ keep adapting after fitting through running-mean updates.
 
 The implementation is self-contained (seeded restarts, lowest-index tie
 breaking, deterministic empty-cluster repair) so that fitted states are
-reproducible bit for bit across runs.
+reproducible bit for bit across runs. Distances are (K, n) arrays, so each
+operation runs along the n points, accumulated column by column in numpy's
+order for a last-axis sum, so they equal the (n, K, D) reduction bit for bit.
 """
 
 from __future__ import annotations
@@ -74,33 +76,48 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
+def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """(K, n) squared distances from the rows of ``C`` to the columns of ``XT``:
+    ``((XT.T[:, None] - C) ** 2).sum(axis=2).T`` bit for bit."""
+    if len(XT) > 128:  # past numpy's pairwise block size: the plain form
+        return ((XT.T.copy()[:, None] - C) ** 2).sum(axis=2).T
+    d = XT[:, None] - C.T[:, :, None]
+    np.square(d, out=d)
+    blocks = len(d) // 8 * 8
+    if blocks:  # numpy's order: eight running sums added as a tree, then the rest
+        r = d[:blocks].reshape(-1, 8, *d.shape[1:]).sum(axis=0)
+        while len(r) > 1:
+            r = r[0::2] + r[1::2]
+        d = np.concatenate((r, d[blocks:]))
+    return d.sum(axis=0)  # along the first axis numpy adds in order
+
+
 def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
+    XT = np.ascontiguousarray(X.T)
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(XT, centroids[:1])[0]
     for k in range(1, K):
-        total = d2.sum()
-        idx = int(rng.choice(n, p=d2 / total))
-        centroids[k] = X[idx]
-        d2 = np.minimum(d2, ((X - centroids[k]) ** 2).sum(axis=1))
+        centroids[k] = X[int(rng.choice(n, p=d2 / d2.sum()))]
+        d2 = np.minimum(d2, _sq_dists(XT, centroids[k:k + 1])[0])
     return centroids
 
 
 def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
            max_iter: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
-    n = X.shape[0]
+    n, D = X.shape
+    XT = np.ascontiguousarray(X.T)
     centroids = _plus_plus_seed(X, K, rng)
     prev = None
     for _ in range(max_iter):
-        diff = X[:, None, :] - centroids[None, :, :]
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        d2 = _sq_dists(XT, centroids)
+        assign = d2.argmin(axis=0)
         counts = np.bincount(assign, minlength=K)
         for k in np.flatnonzero(counts == 0):
             # steal the point farthest from its centroid, but never empty
             # another cluster in the process
-            own = d2[np.arange(n), assign]
+            own = d2[assign, np.arange(n)]
             movable = counts[assign] > 1
             far = int(np.where(movable, own, -np.inf).argmax())
             counts[assign[far]] -= 1
@@ -111,7 +128,6 @@ def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
             break
         prev = assign
         # per-cluster sums in row order, the order of the masked means
-        D = X.shape[1]
         sums = np.bincount((assign[:, None] * D + np.arange(D)).ravel(),
                            weights=X.ravel(), minlength=K * D)
         centroids = sums.reshape(K, D) / counts[:, None]
@@ -203,9 +219,9 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
     """Fit centroids with the smallest K that explains enough spread.
 
     K runs from ``k_min`` upward; for each K the best of ``n_restarts``
-    seeded runs (lowest within-cluster sum) is kept. The first K whose
-    between-cluster share reaches ``threshold`` wins. If none does, the
-    largest K is used and a warning is emitted.
+    seeded runs (lowest within-cluster sum, the first on ties) is kept.
+    The first K whose between-cluster share reaches ``threshold`` wins. If
+    none does, the largest K is used and a warning is emitted.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must lie in (0, 1], got {threshold}")
@@ -223,22 +239,13 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
     if tss == 0.0:
         raise DegenerateDataError("classification points have zero spread")
 
-    k_cap = min(k_max, n_distinct)
-    chosen = None
-    for K in range(k_min, k_cap + 1):
-        best = None
-        for r in range(n_restarts):
-            rng = np.random.default_rng([seed, K, r])
-            centroids, assign, wss = _lloyd(X, K, rng, max_iter=max_iter)
-            if best is None or wss < best[2]:
-                best = (centroids, assign, wss)
-        centroids, assign, wss = best
+    for K in range(k_min, min(k_max, n_distinct) + 1):
+        centroids, assign, wss = min(
+            (_lloyd(X, K, np.random.default_rng([seed, K, r]), max_iter=max_iter)
+             for r in range(n_restarts)), key=lambda fit: fit[2])
         gof = 1.0 - wss / tss
-        chosen = (K, centroids, assign, gof)
         if gof >= threshold:
             break
-
-    K, centroids, assign, gof = chosen
     reached = gof >= threshold
     if not reached:
         warnings.warn(

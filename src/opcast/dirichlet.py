@@ -41,12 +41,18 @@ class DirichletTable:
         """Checked table key of ``pattern``; its counts exist afterwards."""
         if isinstance(pattern, str) and pattern in self._initial:
             return pattern  # only checked keys enter the table
-        if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
-            raise ConfigurationError(
-                f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
+        self.check(pattern)
         self._initial.setdefault(pattern, np.full(self.n_states, JEFFREYS))
         self._transition.setdefault(pattern, np.full((self.n_states, self.n_states), JEFFREYS))
         return pattern
+
+    def check(self, pattern, *states) -> None:
+        """Raise for a pattern or state the tables cannot take; creates nothing."""
+        if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
+            raise ConfigurationError(
+                f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
+        for state in states:
+            self._check_state(state)
 
     def _check_state(self, state: int) -> int:
         if not isinstance(state, (int, np.integer)) or not 1 <= state <= self.n_states:
@@ -75,9 +81,6 @@ class DirichletTable:
         self._transition[key][i, j] += 1.0
 
     # -- posterior-mean probabilities -------------------------------------
-
-    def initial_probabilities(self, pattern) -> np.ndarray:
-        return self.expected_state_vector(pattern)
 
     def transition_probabilities(self, pattern) -> np.ndarray:
         counts = self.transition_counts(pattern)

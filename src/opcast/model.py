@@ -39,6 +39,8 @@ _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
 SNAPSHOT_VERSION = 1
+_COLD = ("no observations for this pattern yet; enable cold starts to "
+         "forecast from the zero-knowledge prior")
 
 
 @dataclass(frozen=True)
@@ -162,9 +164,7 @@ def _combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
     """``combine``; ``checked`` trusts u, v and the variances, ``origin`` fills the result."""
     cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
     if cold and not allow_cold_start:
-        raise ForecastUnavailableError(
-            "no observations for this pattern yet; enable cold starts to "
-            "forecast from the zero-knowledge prior")
+        raise ForecastUnavailableError(_COLD)
     sigma_u, sigma_v = state_u.Sigma, state_v.Sigma
     if checked:
         delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
@@ -309,7 +309,9 @@ class IoHmmModel:
                 f"regressor vector must have length {self.config.features.w_dim}")
         key = pattern_key(z)
         u = checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
-        self._learn(key, u, checked_vector(y, self.n_responses, "y"), prev_state, cur_state)
+        y = checked_vector(y, self.n_responses, "y")
+        self.dirichlet.check(key, *(() if prev_state is None else (prev_state,)), cur_state)
+        self._learn(key, u, y, prev_state, cur_state)
 
     def forecast_step(self, t_prev, z_next, w_next, begins: bool) -> ForecastResult:
         """Forecast the next period from the last classified one.
@@ -339,9 +341,12 @@ class IoHmmModel:
 
     def _forecast(self, x_prev: np.ndarray, key: str, u: np.ndarray,
                   begins: bool) -> ForecastResult:
+        known = self.params.get(key)
+        if not (self.config.allow_cold_start or known and (known.u.gamma or known.v.gamma)):
+            raise ForecastUnavailableError(_COLD)  # refused before anything moves
         state = int(self.clusters.nearest(x_prev[None])[0])
         self.clusters.absorb(state, x_prev)
-        states = self._states_for(key)
+        states = known or self._states_for(key)
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
         result = _combine(u, v, states.u, states.v, self.config.allow_cold_start,
                           state=state, pattern=key, begins=begins)

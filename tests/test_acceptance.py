@@ -167,7 +167,7 @@ def test_a04_pseudo_counts_track_events_exactly():
 
     worst = 0.0
     for pat in patterns + ("11",):
-        sums = [table.initial_probabilities(pat).sum()]
+        sums = [table.expected_state_vector(pat).sum()]
         sums.extend(table.transition_probabilities(pat).sum(axis=1))
         sums.append(table.expected_state_vector(pat, None).sum())
         for prev in range(1, K + 1):

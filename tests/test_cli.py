@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import opcast
 from opcast import IoHmmModel, parse_dataset
 from opcast.cli import main
 
@@ -268,10 +271,13 @@ class TestParsing:
         assert main(["fit", "--out", "x.json"]) == 1
 
     def test_module_entry_point(self, workdir, tmp_path):
+        # the child imports the package under test, also without PYTHONPATH set
+        src = str(Path(opcast.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "opcast.cli", "simulate",
              "--spec", str(workdir / "spec.json"),
              "--out", str(tmp_path / "sub.csv")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "wrote" in proc.stdout

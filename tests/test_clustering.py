@@ -257,6 +257,17 @@ def _masked_mean_lloyd(repairs):
     return lloyd
 
 
+def _reference_seed(X, K, rng):
+    """k-means++ with each distance a last-axis sum over the (n, D) squares."""
+    centroids = np.empty((K, X.shape[1]))
+    centroids[0] = X[rng.integers(len(X))]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        centroids[k] = X[int(rng.choice(len(X), p=d2 / d2.sum()))]
+        d2 = np.minimum(d2, ((X - centroids[k]) ** 2).sum(axis=1))
+    return centroids
+
+
 class TestLloydOracle:
     """The bincount centroid step reproduces the masked means bit for bit."""
 
@@ -269,6 +280,9 @@ class TestLloydOracle:
                               n_per=40, spread=0.4)[0], 2, 6
         yield "wide", rng.normal(size=(500, 6)) * [1.0, 3.0, 0.1, 10.0, 1.0, 50.0], 2, 8
         yield "ties", np.round(rng.normal(size=(300, 3)), 1), 2, 8
+        # past eight columns numpy sums a distance in eight running sums
+        yield "heavy-9", np.random.default_rng(909).standard_cauchy(size=(120, 9)), 2, 6
+        yield "ties-17", np.round(rng.normal(size=(200, 17)), 1), 2, 6
 
     def test_fit_auto_k_matches_masked_means(self, monkeypatch):
         for name, pts, k_min, k_max in self._point_sets():
@@ -285,6 +299,59 @@ class TestLloydOracle:
             assert fast.counts.tobytes() == ref.counts.tobytes(), name
             if name == "repair":
                 assert repairs, "the repair set no longer empties a cluster"
+
+    def test_seeding_matches_the_plain_distances(self):
+        for name, pts, _, k_max in self._point_sets():
+            X = Standardizer.fit(pts).transform(pts)
+            for r in range(3):
+                fast = clustering._plus_plus_seed(X, k_max, np.random.default_rng([7, r]))
+                ref = _reference_seed(X, k_max, np.random.default_rng([7, r]))
+                assert fast.tobytes() == ref.tobytes(), (name, r)
+
+    def test_lloyd_on_decimal_lattices_follows_numpy_order(self, monkeypatch):
+        # squares of one-decimal differences round, so a distance depends on
+        # the order of its sum: a point that is equally far from two centroids
+        # in exact arithmetic is labelled by the last bits, past 8 columns too
+        def differing_runs(X):
+            found = []
+            for K in range(2, 9):
+                for r in range(10):
+                    fast = clustering._lloyd(X, K, np.random.default_rng([0, K, r]))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(clustering, "_plus_plus_seed", _reference_seed)
+                        ref = _masked_mean_lloyd([])(X, K, np.random.default_rng([0, K, r]))
+                    if (fast[0].tobytes(), fast[1].tobytes()) != (ref[0].tobytes(),
+                                                                  ref[1].tobytes()):
+                        found.append((K, r))
+            return found
+
+        def in_column_order(XT, C):
+            return sum(np.square(XT[j] - C[:, j, None]) for j in range(len(XT)))
+
+        for D, seed in ((9, 1), (17, 2)):
+            X = np.round(np.random.default_rng([D, seed]).normal(size=(150, D)), 1)
+            assert differing_runs(X) == [], D
+            with monkeypatch.context() as patch:
+                patch.setattr(clustering, "_sq_dists", in_column_order)
+                assert differing_runs(X), f"D={D} no longer tells the orders apart"
+
+
+class TestSquaredDistances:
+    """``_sq_dists`` equals numpy's last-axis sum of the (n, K, D) squares bit for bit."""
+
+    @pytest.mark.parametrize("D", [*range(1, 33), 129, 300])
+    def test_matches_the_three_d_sum(self, D):
+        rng = np.random.default_rng([D, 5])
+        heavy = rng.standard_cauchy(size=(40, D))
+        tied = np.round(rng.normal(size=(40, D)) * rng.uniform(0.1, 50.0, D), 1)
+        for X in (heavy, tied):
+            XT = np.ascontiguousarray(X.T)
+            for C in (rng.normal(size=(12, D)), X[[3, 3, 7]]):
+                want = ((X[:, None] - C) ** 2).sum(axis=2)
+                assert clustering._sq_dists(XT, C).T.tobytes() == want.tobytes()
+            c = X[11]
+            want = ((X - c) ** 2).sum(axis=1)
+            assert clustering._sq_dists(XT, c[None])[0].tobytes() == want.tobytes()
 
 
 class TestNearest:

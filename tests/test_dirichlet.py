@@ -20,7 +20,7 @@ class TestCounts:
         table = DirichletTable(n_states=2, pattern_length=1)
         table.observe_initial("1", 1)
         np.testing.assert_array_equal(table.initial_counts("1"), [1.5, 0.5])
-        np.testing.assert_allclose(table.initial_probabilities("1"),
+        np.testing.assert_allclose(table.expected_state_vector("1"),
                                    [0.75, 0.25])
 
     def test_counts_grow_by_one(self):

@@ -10,7 +10,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ConfigurationError, DimensionError, FeatureConfig,
                     ForecastUnavailableError, InputError, InsufficientHistoryError,
                     IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
-                    Standardizer, SyntheticSpec, build_features,
+                    Standardizer, StateIndexError, SyntheticSpec, build_features,
                     classification_vector, combination_weights, combine,
                     default_feature_config, generate_synthetic)
 from opcast.model import ForecastResult
@@ -178,6 +178,32 @@ class TestLearnStep:
         with pytest.raises(DimensionError):
             model.learn_step(*_row(table, 0), None, 1)
 
+    def test_rejected_call_moves_nothing(self):
+        model = _model()
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
+        z, w, y = _row(build_features(records, model.config.features), 1)
+        model.learn_step(z, w, y, None, 1)
+        nan_w, inf_y = np.where([True] + [False] * (len(w) - 1), np.nan, w), y + [0, np.inf]
+        before = model.to_json()
+        for args, error in (((z, w[:-1], y, 1, 2), DimensionError),
+                            (([2.0, 0.0, 0.0], w, y, 1, 2), ConfigurationError),
+                            (([1.0, 0.0], w, y, 1, 2), ConfigurationError),
+                            (([1.0, 0.0, 0.0, 0.0], w, y, 1, 2), ConfigurationError),
+                            ((z, nan_w, y, 1, 2), NumericError),
+                            ((z, w, inf_y, 1, 2), NumericError),
+                            ((z, w, y[:1], 1, 2), DimensionError),
+                            ((z, w, y, 0, 2), StateIndexError),
+                            ((z, w, y, 1.5, 2), StateIndexError),
+                            ((z, w, y, 1, 5), StateIndexError),
+                            ((z, w, y, None, 0), StateIndexError),
+                            (([0.0, 1.0, 0.0], w, y, 1, 3), StateIndexError),
+                            (([0.0, 0.0, 1.0], w, y, 9, 1), StateIndexError),
+                            (([1.0, 0.0], w, y, 1, 5), ConfigurationError),
+                            ((z, w, [np.nan, 1.0], 0, 1), NumericError)):
+            with pytest.raises(error):
+                model.learn_step(*args)
+            assert model.to_json() == before, (args, error)
+
     def test_requires_clusters(self):
         model = IoHmmModel(ModelConfig(features=_feature_config()))
         records = build_stream([{}, {}])
@@ -215,6 +241,28 @@ class TestForecastStep:
         assert out.cold_start
         np.testing.assert_allclose(out.y_hat, [0.0, 0.0])
         np.testing.assert_allclose(out.intervals, 0.0)
+
+    def test_refused_cold_start_moves_nothing(self):
+        model = _model()
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}])
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        # a pattern with no entry, then one whose entry has seen nothing yet
+        before = model.to_json()
+        with pytest.raises(ForecastUnavailableError):
+            model.forecast_step([6.0], [0.0, 1.0, 0.0], table.w[2], False)
+        assert model.to_json() == before
+        model.config = replace(model.config, allow_cold_start=True)
+        model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], False)
+        model.config = replace(model.config, allow_cold_start=False)
+        assert model.params["001"].u.gamma == model.params["001"].v.gamma == 0.0
+        before = model.to_json()
+        with pytest.raises(ForecastUnavailableError):
+            model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], True)
+        assert model.to_json() == before
+        # a known pattern still forecasts, and only then moves a centroid
+        model.forecast_step([6.0], table.z[2], table.w[2], False)
+        assert model.to_json() != before
 
     def test_begins_switches_to_initial_counts(self):
         model = _model(allow_cold_start=True, lambda_u=1.0, lambda_v=1.0)
