@@ -159,7 +159,7 @@ def cmd_evaluate(args) -> int:
     base = _model_config(records, {**cfg, "allow_cold_start": True})
     report = leave_one_week_out(records, model_names=models, base=base,
                                 seed=cfg["seed"], threshold=cfg["threshold"],
-                                k_max=cfg["kmax"])
+                                k_min=cfg["kmin"], k_max=cfg["kmax"])
     with open(args.out, "w") as fh:
         fh.write(emit_report(report, "csv"))
     if args.summary_out:
@@ -215,9 +215,6 @@ def cmd_inspect(args) -> int:
         init = model.dirichlet.initial_counts(key)
         print(f"  {key}: gamma_u={st.u.gamma:.4f} gamma_v={st.v.gamma:.4f} "
               f"initial_counts={np.round(init, 3).tolist()}")
-    if model.last_forecast is not None:
-        print(f"last forecast: state={model.last_forecast.state} "
-              f"pattern={model.last_forecast.pattern}")
     return 0
 
 

@@ -202,10 +202,15 @@ class ClusterModel:
         mean = np.asarray(doc["mean"], dtype=float)
         scale = np.asarray(doc["scale"], dtype=float)
         K = int(doc["K"])
-        if centroids.shape[0] != K or counts.shape != (K,):
+        if centroids.ndim != 2 or centroids.shape[0] != K or counts.shape != (K,):
             raise DimensionError("serialized cluster model is inconsistent")
         if mean.shape != (centroids.shape[1],) or scale.shape != mean.shape:
             raise DimensionError("serialized standardizer is inconsistent")
+        # a centroid is the mean of at least one point; a scale divides
+        if not (all(np.isfinite(a).all() for a in (centroids, counts, mean, scale))
+                and (counts >= 1.0).all() and (scale > 0.0).all()):
+            raise InputError("serialized cluster model needs finite values, "
+                             "counts >= 1 and scales > 0")
         return cls(K=K, centroids=centroids, counts=counts,
                    standardizer=Standardizer(mean=mean, scale=scale),
                    gof=float(doc["gof"]),

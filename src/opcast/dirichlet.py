@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, StateIndexError
+from .errors import ConfigurationError, NumericError, StateIndexError
 
 JEFFREYS = 0.5
 
@@ -21,8 +21,9 @@ JEFFREYS = 0.5
 class DirichletTable:
     """Per-pattern initial and transition pseudo-counts.
 
-    Tables are materialized lazily the first time a pattern is touched, so
-    only patterns that occur in the data take up space.
+    Tables are materialized lazily the first time a pattern is observed, so
+    only patterns that occur in the data take up space; reading a pattern
+    never observed gives the Jeffreys prior and stores nothing.
     """
 
     def __init__(self, n_states: int, pattern_length: int):
@@ -37,14 +38,16 @@ class DirichletTable:
 
     # -- helpers ---------------------------------------------------------
 
-    def _key(self, pattern: str) -> str:
-        """Checked table key of ``pattern``; its counts exist afterwards."""
+    def _counts(self, pattern, store: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Initial and transition counts of a checked ``pattern``; for a pattern
+        never observed the Jeffreys prior, entered in the tables only on ``store``."""
         if isinstance(pattern, str) and pattern in self._initial:
-            return pattern  # only checked keys enter the table
+            return self._initial[pattern], self._transition[pattern]  # keys were checked
         self.check(pattern)
-        self._initial.setdefault(pattern, np.full(self.n_states, JEFFREYS))
-        self._transition.setdefault(pattern, np.full((self.n_states, self.n_states), JEFFREYS))
-        return pattern
+        prior = np.full(self.n_states, JEFFREYS), np.full((self.n_states,) * 2, JEFFREYS)
+        if store:
+            self._initial[pattern], self._transition[pattern] = prior
+        return prior
 
     def check(self, pattern, *states) -> None:
         """Raise for a pattern or state the tables cannot take; creates nothing."""
@@ -66,19 +69,17 @@ class DirichletTable:
         return sorted(self._initial)
 
     def initial_counts(self, pattern) -> np.ndarray:
-        return self._initial[self._key(pattern)].copy()
+        return self._counts(pattern)[0].copy()
 
     def transition_counts(self, pattern) -> np.ndarray:
-        return self._transition[self._key(pattern)].copy()
+        return self._counts(pattern)[1].copy()
 
     def observe_initial(self, pattern, state: int) -> None:
-        self._initial[self._key(pattern)][self._check_state(state) - 1] += 1.0
+        self._counts(pattern, store=True)[0][self._check_state(state) - 1] += 1.0
 
     def observe_transition(self, pattern, prev_state: int, state: int) -> None:
-        key = self._key(pattern)
-        i = self._check_state(prev_state) - 1
-        j = self._check_state(state) - 1
-        self._transition[key][i, j] += 1.0
+        transition = self._counts(pattern, store=True)[1]
+        transition[self._check_state(prev_state) - 1, self._check_state(state) - 1] += 1.0
 
     # -- posterior-mean probabilities -------------------------------------
 
@@ -92,9 +93,9 @@ class DirichletTable:
         With ``prev_state=None`` (a sequence begins) the initial counts are
         used, otherwise the transition-count row of the previous state.
         """
-        key = self._key(pattern)
-        counts = (self._initial[key] if prev_state is None
-                  else self._transition[key][self._check_state(prev_state) - 1])
+        initial, transition = self._counts(pattern)
+        counts = (initial if prev_state is None
+                  else transition[self._check_state(prev_state) - 1])
         return counts / counts.sum()
 
     # -- serialization -----------------------------------------------------
@@ -124,7 +125,10 @@ class DirichletTable:
             if transition.shape != (table.n_states, table.n_states):
                 raise ConfigurationError(
                     f"transition counts for pattern {key!r} have shape {transition.shape}")
-            key = table._key(key)
-            table._initial[key] = initial
-            table._transition[key] = transition
+            for counts in (initial, transition):  # counts start at 1/2 and only grow
+                if not (np.isfinite(counts).all() and (counts >= JEFFREYS).all()):
+                    raise NumericError(
+                        f"counts for pattern {key!r} must be finite and >= {JEFFREYS}")
+            table.check(key)
+            table._initial[key], table._transition[key] = initial, transition
         return table

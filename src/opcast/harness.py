@@ -123,7 +123,7 @@ def _iohmm_predictions(records, train: FeatureTable, states: ClusterModel,
                        test_idx, name, fold, cfg: ModelConfig,
                        columns) -> list[PredictionRow]:
     """Learn the fold's lag-free table, as derived for ``cfg``, then the test week."""
-    # forecast_step moves centroids, so every model gets its own copy
+    # run_online moves centroids, so every model gets its own copy
     model = IoHmmModel(cfg, clusters=copy.deepcopy(states))
     model.learn_table(train.lagged(cfg.features.q, columns))
     steps = model.run_online(records, indices=test_idx, forecast_from=test_idx[0])
@@ -164,7 +164,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
                        model_names: Sequence[str] = DEFAULT_MODELS,
                        base: ModelConfig | None = None,
                        seed: int = 0, threshold: float = 0.8,
-                       k_max: int = 12) -> MetricsReport:
+                       k_min: int = 2, k_max: int = 12) -> MetricsReport:
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
@@ -194,7 +194,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
         train = [rec for rec in records if week_key(rec.date) != fold]
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
-                            k_max=k_max) if use_iohmm else None
+                            k_min=k_min, k_max=k_max) if use_iohmm else None
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
         for name in model_names:
             kind, q = parse_model_name(name)

@@ -9,8 +9,11 @@ dynamics are tracked by the pseudo-counts.
 
 Everything updates online through one learning loop: ``run_online``
 interleaves forecasting with learning, ``learn_records`` and
-``learn_table`` learn without forecasts. The loop checks the table cells it
-reads before any state moves, then runs the trusted cores of
+``learn_table`` learn without forecasts. A forecast only reads: the loop
+is the one place where a record moves state (its centroid, counts and
+predictors). Before any state moves the loop checks the table cells it
+reads and, unless cold starts are allowed, that no forecast meets a
+pattern without observations; then it runs the trusted cores of
 ``learn_step``, ``forecast_step`` and ``combine``, which are checked entry
 points to them. Every forecast is a ``ForecastResult``, and the full state
 can be snapshotted to a plain JSON document.
@@ -106,20 +109,6 @@ class ForecastResult:
             "begins_shift": self.begins,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict, response_names: Sequence[str]) -> "ForecastResult":
-        names = list(response_names)
-        return cls(
-            y_hat=np.array([doc["y_hat"][n] for n in names]),
-            sigma=np.asarray(doc["sigma"], dtype=float),
-            weights=np.array([doc["weights"][n] for n in names]),
-            intervals=np.array([doc["intervals"][n] for n in names]),
-            cold_start=bool(doc["cold_start"]),
-            state=int(doc["state"]),
-            pattern=str(doc["pattern"]),
-            begins=bool(doc["begins_shift"]),
-        )
-
 
 @dataclass(frozen=True)
 class StepResult:
@@ -156,22 +145,20 @@ def _weights(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
             allow_cold_start: bool = False) -> ForecastResult:
     """Blend the two per-pattern predictors for one upcoming period."""
-    return _combine(u, v, state_u, state_v, allow_cold_start, checked=False)
+    combination_weights(state_u.Sigma, state_v.Sigma)  # raises for bad variances
+    return _combine(checked_vector(u, state_u.n_predictors, "u"),
+                    checked_vector(v, state_v.n_predictors, "v"),
+                    state_u, state_v, allow_cold_start)
 
 
-def _combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
-             allow_cold_start: bool, checked: bool = True, **origin) -> ForecastResult:
-    """``combine``; ``checked`` trusts u, v and the variances, ``origin`` fills the result."""
+def _combine(u: np.ndarray, v: np.ndarray, state_u: AdaptiveState,
+             state_v: AdaptiveState, allow_cold_start: bool, **origin) -> ForecastResult:
+    """``combine`` of checked vectors and variances; ``origin`` fills the result."""
     cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
     if cold and not allow_cold_start:
         raise ForecastUnavailableError(_COLD)
     sigma_u, sigma_v = state_u.Sigma, state_v.Sigma
-    if checked:
-        delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
-    else:
-        delta = combination_weights(sigma_u, sigma_v)
-        u = checked_vector(u, state_u.n_predictors, "u")
-        v = checked_vector(v, state_v.n_predictors, "v")
+    delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
     rest = 1.0 - delta
     y_hat = delta * (u @ state_u.H) + rest * (v @ state_v.H)
     sigma = delta[:, None] * delta * sigma_u + rest[:, None] * rest * sigma_v
@@ -216,7 +203,7 @@ def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
 
     The result depends on the classification spec only, so models that
     differ in lags or responses can share one fit (each needs its own
-    copy: forecasting moves the centroids).
+    copy: ``run_online`` moves the centroids).
     """
     return fit_auto_k(classification_points(records, features), threshold=threshold,
                       k_min=k_min, k_max=k_max, seed=seed)
@@ -235,8 +222,6 @@ class IoHmmModel:
         self.clusters: ClusterModel | None = None
         self.dirichlet: DirichletTable | None = None
         self.params: dict[str, PatternStates] = {}
-        self.last_state: int | None = None
-        self.last_forecast: ForecastResult | None = None
         if clusters is not None:
             self.attach_clusters(clusters)
 
@@ -267,8 +252,6 @@ class IoHmmModel:
         self.dirichlet = DirichletTable(clusters.K,
                                         self.config.features.pattern_length)
         self.params = {}
-        self.last_state = None
-        self.last_forecast = None
 
     def fit(self, records: Sequence[ProductionRecord], seed: int = 0,
             threshold: float = 0.8, k_min: int = 2, k_max: int = 12) -> "IoHmmModel":
@@ -284,11 +267,14 @@ class IoHmmModel:
     def _states_for(self, key: str) -> PatternStates:
         states = self.params.get(key)
         if states is None:
-            states = PatternStates(
-                u=AdaptiveState(self.u_dim, self.n_responses, self.config.lambda_u),
-                v=AdaptiveState(self.n_states, self.n_responses, self.config.lambda_v))
-            self.params[key] = states
+            states = self.params[key] = self._prior()
         return states
+
+    def _prior(self) -> PatternStates:
+        """The zero-knowledge predictors of a pattern without observations."""
+        return PatternStates(
+            u=AdaptiveState(self.u_dim, self.n_responses, self.config.lambda_u),
+            v=AdaptiveState(self.n_states, self.n_responses, self.config.lambda_v))
 
     def _require_fitted(self) -> None:
         if self.clusters is None or self.dirichlet is None:
@@ -314,10 +300,12 @@ class IoHmmModel:
         self._learn(key, u, y, prev_state, cur_state)
 
     def forecast_step(self, t_prev, z_next, w_next, begins: bool) -> ForecastResult:
-        """Forecast the next period from the last classified one.
+        """Forecast the next period from the last classified one; a pure read.
 
-        The state of the previous period is looked up first and its
-        centroid absorbs the observation afterwards, in that order.
+        The previous period's state is the centroid nearest to ``t_prev``.
+        Nothing moves: ``run_online`` absorbs ``t_prev`` into that centroid
+        just before it forecasts, and a caller that streams step by step
+        does so with ``clusters.update_centroid(result.state, t_prev)``.
         """
         self._require_fitted()
         x_prev = self.clusters.standardized(t_prev)
@@ -326,7 +314,8 @@ class IoHmmModel:
             raise DimensionError(
                 f"pattern must have length {self.config.features.pattern_length}")
         u = checked_vector(np.concatenate((_INTERCEPT, np.ravel(w_next))), self.u_dim, "u")
-        return self._forecast(x_prev, pattern_key(z_next), u, begins)
+        state = int(self.clusters.nearest(x_prev[None])[0])
+        return self._forecast(state, pattern_key(z_next), u, begins)
 
     def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
                prev_state: int | None, cur_state: int) -> None:
@@ -339,20 +328,13 @@ class IoHmmModel:
         else:
             self.dirichlet.observe_transition(key, prev_state, cur_state)
 
-    def _forecast(self, x_prev: np.ndarray, key: str, u: np.ndarray,
-                  begins: bool) -> ForecastResult:
-        known = self.params.get(key)
-        if not (self.config.allow_cold_start or known and (known.u.gamma or known.v.gamma)):
-            raise ForecastUnavailableError(_COLD)  # refused before anything moves
-        state = int(self.clusters.nearest(x_prev[None])[0])
-        self.clusters.absorb(state, x_prev)
-        states = known or self._states_for(key)
+    def _forecast(self, state: int, key: str, u: np.ndarray, begins: bool) -> ForecastResult:
+        """The forecast after a period in ``state``; reads only (an unseen
+        pattern blends the zero-knowledge prior, which is not kept)."""
+        states = self.params.get(key) or self._prior()
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
-        result = _combine(u, v, states.u, states.v, self.config.allow_cold_start,
-                          state=state, pattern=key, begins=begins)
-        self.last_state = state
-        self.last_forecast = result
-        return result
+        return _combine(u, v, states.u, states.v, self.config.allow_cold_start,
+                        state=state, pattern=key, begins=begins)
 
     def learn_records(self, records: Sequence[ProductionRecord]) -> None:
         """Single learning pass over chronologically sorted records."""
@@ -412,12 +394,20 @@ class IoHmmModel:
               first: int) -> list[StepResult]:
         """The one learning loop; row ``r`` of ``table`` is record ``offset + r``.
 
-        Per position: forecast the record from the row before it (from
-        ``first`` on), classify it, learn from it (from ``q`` on).
+        Per position: from ``first`` on, classify the row before, absorb it
+        into its centroid and forecast the record; then classify the
+        record and learn from it (from ``q`` on). Nothing moves before
+        every read and every forecast is known to succeed.
         """
         q, clusters = self.config.features.q, self.clusters
         _check_reads(table, offset, positions, first, q)
         keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in positions]
+        if not self.config.allow_cold_start:
+            warm = {key for key, st in self.params.items() if st.u.gamma or st.v.gamma}
+            for i, key in zip(positions, keys):
+                if i >= first and key not in warm:
+                    raise ForecastUnavailableError(f"record {i}: {_COLD}")
+                warm.add(key)  # learned from q on; before q the key is None
         X = clusters.standardizer.transform(table.t)  # one standardization per row
         # before the first forecast no centroid moves: one labelling holds
         labels = clusters.nearest(X).tolist() if positions[0] < first else None
@@ -428,7 +418,9 @@ class IoHmmModel:
             begins = bool(table.begins_shift[r])
             forecast = None
             if i >= first:
-                forecast = self._forecast(X[r - 1], key, U[r], begins)
+                state = int(clusters.nearest(X[r - 1:r])[0])
+                clusters.absorb(state, X[r - 1])
+                forecast = self._forecast(state, key, U[r], begins)
                 cur = int(clusters.nearest(X[r:r + 1])[0])
             else:
                 cur = labels[r]
@@ -451,9 +443,6 @@ class IoHmmModel:
             "dirichlet": self.dirichlet.to_dict() if self.dirichlet else None,
             "params": {key: {"u": st.u.to_dict(), "v": st.v.to_dict()}
                        for key, st in sorted(self.params.items())},
-            "last_state": self.last_state,
-            "last_forecast": (self.last_forecast.to_dict(self.config.features.response_names)
-                              if self.last_forecast else None),
         }
 
     def to_json(self) -> str:
@@ -473,7 +462,12 @@ class IoHmmModel:
             model = cls(ModelConfig.from_dict(doc["config"]))
             if doc.get("clusters") is not None:
                 model.attach_clusters(ClusterModel.from_dict(doc["clusters"]))
-                model.dirichlet = DirichletTable.from_dict(doc["dirichlet"])
+                table = DirichletTable.from_dict(doc["dirichlet"])
+                if ((table.n_states, table.pattern_length)
+                        != (model.n_states, model.config.features.pattern_length)):
+                    raise RestoreError("pseudo-count tables do not match the number "
+                                       "of states and the pattern length")
+                model.dirichlet = table
             for key, entry in doc.get("params", {}).items():
                 u = AdaptiveState.from_dict(entry["u"])
                 v = AdaptiveState.from_dict(entry["v"])
@@ -483,11 +477,8 @@ class IoHmmModel:
                 if {u.n_responses, v.n_responses} != {model.n_responses}:
                     raise RestoreError(
                         f"adaptive state for pattern {key!r} has wrong response count")
+                model.dirichlet.check(key)
                 model.params[key] = PatternStates(u=u, v=v)
-            model.last_state = doc.get("last_state")
-            if doc.get("last_forecast") is not None:
-                model.last_forecast = ForecastResult.from_dict(
-                    doc["last_forecast"], model.config.features.response_names)
             return model
         except RestoreError:
             raise

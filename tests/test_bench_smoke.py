@@ -28,15 +28,22 @@ def _check(workload, tmp_path, units):
     problems, findings = workload.check(state, outcome)
     assert problems == []
     assert outcome.failed == 0 and outcome.attempted > 0, outcome.first_error
-    return findings
+    return findings, outcome.digest
+
+
+# Digest of the 20-day stream below: every step (state, forecast, pattern)
+# and the final snapshot. Any change to it moves an output byte of
+# `run_online` and must be declared as a behaviour change.
+SHORT_STREAM_SHA256 = "f1c9ba538948d3a6a0b104ac28722ac582cd3b616f18eb8fbe1ebd78d820fbad"
 
 
 def test_stream_year_check_passes(workloads, tmp_path):
     class ShortStream(workloads.StreamYear):
         days = 20
 
-    findings = _check(ShortStream(), tmp_path, units=1)
+    findings, digest = _check(ShortStream(), tmp_path, units=1)
     assert findings["forecasts"] > 0
+    assert digest == SHORT_STREAM_SHA256
 
 
 def test_cli_forecast_check_passes(workloads, tmp_path):
@@ -44,7 +51,7 @@ def test_cli_forecast_check_passes(workloads, tmp_path):
         fit_days = 3
         score_days = 1
 
-    findings = _check(ShortForecast(), tmp_path, units=2)
+    findings, _ = _check(ShortForecast(), tmp_path, units=2)
     assert findings["forecasts"] == workloads.PER_DAY
 
 
@@ -57,6 +64,6 @@ def test_lowo_default_check_passes(workloads, tmp_path):
     class ShortLowo(workloads.LowoDefault):
         days = 14
 
-    findings = _check(ShortLowo(), tmp_path, units=1)
+    findings, _ = _check(ShortLowo(), tmp_path, units=1)
     assert findings["folds"] == 2
     assert findings["report_sha256"] == SHORT_LOWO_SHA256

@@ -167,6 +167,30 @@ class TestForecast:
         assert not out.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("damage", [
+        lambda doc: [entry.update(initial=[float("nan")] * len(entry["initial"]))
+                     for entry in doc["dirichlet"]["patterns"].values()],
+        lambda doc: [entry.update(transition=[[0.0] * len(row) for row in entry["transition"]])
+                     for entry in doc["dirichlet"]["patterns"].values()],
+        lambda doc: doc["dirichlet"].update(n_states=doc["clusters"]["K"] + 1, patterns={}),
+        lambda doc: doc["dirichlet"].update(pattern_length=1, patterns={}),
+        lambda doc: doc["clusters"]["centroids"][0].__setitem__(0, float("nan")),
+        lambda doc: doc["clusters"]["scale"].__setitem__(0, 0.0),
+        lambda doc: doc["clusters"]["scale"].__setitem__(0, float("nan")),
+    ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "nan-centroid",
+            "zero-scale", "nan-scale"])
+    def test_damaged_snapshot_is_refused_at_load(self, workdir, tmp_path, capsys, damage):
+        doc = json.loads((workdir / "model.json").read_text())
+        damage(doc)
+        snap = tmp_path / "damaged.json"
+        snap.write_text(json.dumps(doc))
+        out = tmp_path / "fc.json"
+        assert main(["forecast", "--snapshot", str(snap),
+                     "--data", str(workdir / "data.csv"),
+                     "--shift", "Tu M", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_unseen_pattern_is_a_numeric_failure(self, workdir):
         # an announced label outside the learned shift codes maps to the
         # all-zeros pattern, which has no observations
@@ -245,6 +269,13 @@ class TestEvaluate:
         assert doc["models"] == ["persistence", "varx-q1", "no-lags"]
         table = capsys.readouterr().out
         assert "persistence" in table and "varx-q1" in table
+
+    def test_k_range_is_checked_as_in_fit(self, workdir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kmin": 5, "kmax": 3}))
+        for command in ("fit", "evaluate"):
+            assert main([command, "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
 
     def test_unknown_model_name(self, workdir, tmp_path):
         assert main(["evaluate", "--data", str(workdir / "data.csv"),

@@ -34,7 +34,7 @@ class TestCounts:
         table = DirichletTable(n_states=2, pattern_length=2)
         table.observe_initial("10", 1)
         np.testing.assert_array_equal(table.initial_counts("01"), [0.5, 0.5])
-        assert table.patterns == ["01", "10"]
+        assert table.patterns == ["10"]  # a read of an unobserved pattern stores nothing
 
     def test_returned_arrays_are_copies(self):
         table = DirichletTable(n_states=2, pattern_length=1)

@@ -13,7 +13,6 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     Standardizer, StateIndexError, SyntheticSpec, build_features,
                     classification_vector, combination_weights, combine,
                     default_feature_config, generate_synthetic)
-from opcast.model import ForecastResult
 
 from conftest import build_stream
 
@@ -218,16 +217,31 @@ class TestForecastStep:
                        lambda_v=1.0, allow_cold_start=True)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
         table = build_features(records, model.config.features)
+        before = model.to_json()
         out = model.forecast_step([6.0], table.z[1], table.w[1],
                                   bool(table.begins_shift[1]))
         # nearest centroid to 6.0 is 10.0 (distance 4 vs 6)
         assert out.state == 2
-        # and the centroid absorbed the point afterwards: (10+6)/2
-        np.testing.assert_allclose(model.clusters.centroids[1], [8.0])
+        # and a forecast moves nothing: no centroid absorbs the point
+        np.testing.assert_allclose(model.clusters.centroids[1], [10.0])
         np.testing.assert_allclose(model.clusters.centroids[0], [0.0])
-        # updating first would have moved the centroid to 8 before the
-        # lookup and a later point at 3.9 would then flip its state
-        assert model.clusters.counts[1] == 2.0
+        assert model.clusters.counts[1] == 1.0
+        assert model.to_json() == before
+
+    def test_leaves_the_model_unchanged(self):
+        model = _model(allow_cold_start=True)
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}])
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        before = model.to_json()
+        known = model.forecast_step([6.0], table.z[2], table.w[2], False)
+        assert not known.cold_start
+        # an unseen pattern blends the zero-knowledge prior and keeps no entry
+        cold = model.forecast_step([6.0], [0.0, 1.0, 0.0], table.w[2], False)
+        assert cold.cold_start and cold.pattern == "010"
+        np.testing.assert_array_equal(cold.y_hat, [0.0, 0.0])
+        assert model.to_json() == before
+        assert sorted(model.params) == model.dirichlet.patterns == ["100"]
 
     def test_cold_start_policy(self):
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
@@ -255,14 +269,14 @@ class TestForecastStep:
         model.config = replace(model.config, allow_cold_start=True)
         model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], False)
         model.config = replace(model.config, allow_cold_start=False)
-        assert model.params["001"].u.gamma == model.params["001"].v.gamma == 0.0
-        before = model.to_json()
+        assert "001" not in model.params and "001" not in model.dirichlet.patterns
+        assert model.to_json() == before
         with pytest.raises(ForecastUnavailableError):
             model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], True)
         assert model.to_json() == before
-        # a known pattern still forecasts, and only then moves a centroid
+        # a known pattern still forecasts, and moves nothing either
         model.forecast_step([6.0], table.z[2], table.w[2], False)
-        assert model.to_json() != before
+        assert model.to_json() == before
 
     def test_begins_switches_to_initial_counts(self):
         model = _model(allow_cold_start=True, lambda_u=1.0, lambda_v=1.0)
@@ -299,12 +313,14 @@ class TestForecastStep:
         model = _model(allow_cold_start=True)
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
         table = build_features(records, model.config.features)
+        before = model.to_json()
         for n in range(1, 4):
-            model.forecast_step([6.0], table.z[1], table.w[1], False)
+            out = model.forecast_step([6.0], table.z[1], table.w[1], False)
             assert len(calls) == n
-        # the lookup and the absorb read the same vector: 6 joins the
-        # nearer centroid 10 three times, 10 -> 8 -> 7.333 -> 7
-        np.testing.assert_allclose(model.clusters.centroids[1], [7.0])
+            assert out.state == 2
+        # 6 is nearer to centroid 10 every time, and no centroid moved
+        np.testing.assert_allclose(model.clusters.centroids[1], [10.0])
+        assert model.to_json() == before
 
     def test_rejected_input_moves_nothing(self):
         model = _model(allow_cold_start=True)
@@ -316,16 +332,6 @@ class TestForecastStep:
             with pytest.raises(OpcastError):
                 model.forecast_step(t_prev, table.z[1], w, False)
         assert model.to_json() == before
-
-    def test_last_forecast_is_cached(self):
-        model = _model(allow_cold_start=True)
-        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
-        table = build_features(records, model.config.features)
-        assert model.last_forecast is None
-        out = model.forecast_step([6.0], table.z[1], table.w[1],
-                                  bool(table.begins_shift[1]))
-        assert model.last_forecast is out
-        assert model.last_state == out.state
 
 
 class TestRunOnline:
@@ -373,6 +379,7 @@ class TestRunOnline:
                 t_prev = classification_vector(records[i - 1], fc)
                 got.append(manual.forecast_step(t_prev, table.z[i], table.w[i],
                                                 begins))
+                manual.clusters.update_centroid(got[-1].state, t_prev)
             cur = manual.clusters.assign(classification_vector(rec, fc))
             if i >= fc.q:
                 prev = None if begins else label[i - 1]
@@ -454,6 +461,38 @@ class TestRunOnline:
         np.testing.assert_array_equal(steps[1].y, table.y[2])
         assert model.params == {} and model.dirichlet.patterns == []
 
+    def test_absorbs_the_row_before_just_before_the_forecast(self):
+        model = _model(allow_cold_start=True, centroids=((0.0,), (10.0,)))
+        records = build_stream([{"OpT": 6.0}, {"OpT": 6.0}, {"OpT": 4.5}])
+        steps = model.run_online(records)
+        # row 1 (6.0) is nearest to centroid 10 and is looked up first ...
+        assert steps[2].forecast.state == 2
+        # ... then absorbed, (10 + 6) / 2, before row 2 is classified: 4.5
+        # is nearer to 8 than to 0, though not to the 10 it was
+        np.testing.assert_array_equal(model.clusters.centroids, [[0.0], [8.0]])
+        np.testing.assert_array_equal(model.clusters.counts, [1.0, 2.0])
+        assert steps[2].state == 2
+
+    def test_a_refused_pass_moves_nothing(self):
+        # the first A shift (record 4) has no observations yet
+        model = _model()
+        before = model.to_json()
+        with pytest.raises(ForecastUnavailableError, match="record 4"):
+            model.run_online(self._records(20))
+        assert model.to_json() == before
+
+    def test_patterns_learned_earlier_in_the_pass_are_warm(self):
+        # M, A and N shifts are all learned before record 12
+        records = self._records(20)
+        strict, lenient = _model(), _model(allow_cold_start=True)
+        a = strict.run_online(records, forecast_from=12)
+        b = lenient.run_online(records, forecast_from=12)
+        assert not any(st.forecast.cold_start for st in a if st.forecast)
+        assert [st.state for st in a] == [st.state for st in b]
+        a_doc, b_doc = strict.snapshot(), lenient.snapshot()
+        assert a_doc.pop("config") != b_doc.pop("config")  # the cold-start flag
+        assert a_doc == b_doc
+
     def test_states_are_nearest_centroids(self):
         records = self._records(15, seed=7)
         model = _model(q=1, allow_cold_start=True,
@@ -488,6 +527,7 @@ def _stepwise_error(model, records, start=0, forecast_from=None):
             if i >= first:
                 forecast = model.forecast_step(table.t[i - 1], table.z[i], table.w[i],
                                                begins)
+                model.clusters.update_centroid(forecast.state, table.t[i - 1])
             cur = model.clusters.assign(table.t[i])
             if i >= fc.q:
                 prev = None if begins else forecast.state if forecast else \
@@ -715,6 +755,45 @@ class TestSnapshot:
                 np.testing.assert_array_equal(a.forecast.sigma,
                                               b.forecast.sigma)
 
+    def test_older_snapshot_with_a_cached_forecast_continues_identically(self):
+        # earlier versions also stored the last forecast; restore ignores it
+        model, _ = self._trained()
+        doc = model.snapshot()
+        doc["last_state"] = 2
+        doc["last_forecast"] = model.forecast_step(
+            [6.0], [1.0, 0.0, 0.0], [7.0, 0.0, 6.5, 4.0], False).to_dict(("OpT", "NOpT"))
+        clone = IoHmmModel.restore(doc)
+        assert clone.to_json() == model.to_json()
+        more = build_stream([{"OpT": 7.0 + 0.05 * i} for i in range(12)],
+                            start=dt.datetime(2022, 10, 4, 6, 0))
+        for a, b in zip(model.run_online(more), clone.run_online(more)):
+            assert a.state == b.state
+            if a.forecast is not None:
+                np.testing.assert_array_equal(a.forecast.y_hat, b.forecast.y_hat)
+                np.testing.assert_array_equal(a.forecast.sigma, b.forecast.sigma)
+        assert clone.to_json() == model.to_json()
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc["dirichlet"]["patterns"]["100"].update(initial=[np.nan, np.nan]),
+        lambda doc: doc["dirichlet"]["patterns"]["100"].update(transition=[[0.0, 0.0],
+                                                                           [0.0, 0.0]]),
+        lambda doc: doc["dirichlet"].update(n_states=3, patterns={}),
+        lambda doc: doc["dirichlet"].update(pattern_length=2, patterns={}),
+        lambda doc: doc["params"].update({"1x0": doc["params"]["100"]}),
+        lambda doc: doc["clusters"]["centroids"][0].__setitem__(0, np.nan),
+        lambda doc: doc["clusters"].update(counts=[1.0, 0.0]),
+        lambda doc: doc["clusters"].update(mean=[np.inf]),
+        lambda doc: doc["clusters"].update(scale=[0.0]),
+        lambda doc: doc["clusters"].update(scale=[np.nan]),
+    ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "params-key",
+            "nan-centroid", "empty-cluster", "inf-mean", "zero-scale", "nan-scale"])
+    def test_restore_rejects_damaged_states_and_counts(self, damage):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        damage(doc)
+        with pytest.raises(RestoreError):
+            IoHmmModel.restore(doc)
+
     def test_save_load(self, tmp_path):
         model, _ = self._trained()
         path = tmp_path / "model.json"
@@ -795,18 +874,3 @@ class TestLongStream:
             assert np.linalg.cond(states.u.P) < 1e4
             np.testing.assert_array_equal(states.u.Sigma, states.u.Sigma.T)
 
-
-class TestForecastResultDict:
-    def test_roundtrip(self):
-        result = ForecastResult(y_hat=np.array([1.0, 2.0]),
-                                sigma=np.array([[0.5, 0.1], [0.1, 0.4]]),
-                                weights=np.array([0.6, 0.7]),
-                                intervals=np.array([[0.0, 2.0], [1.0, 3.0]]),
-                                cold_start=False, state=2, pattern="010",
-                                begins=True)
-        doc = result.to_dict(("OpT", "NOpT"))
-        back = ForecastResult.from_dict(doc, ("OpT", "NOpT"))
-        np.testing.assert_array_equal(back.y_hat, result.y_hat)
-        np.testing.assert_array_equal(back.sigma, result.sigma)
-        np.testing.assert_array_equal(back.intervals, result.intervals)
-        assert back.state == 2 and back.pattern == "010" and back.begins
