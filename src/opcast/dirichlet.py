@@ -75,11 +75,23 @@ class DirichletTable:
         return self._counts(pattern)[1].copy()
 
     def observe_initial(self, pattern, state: int) -> None:
-        self._counts(pattern, store=True)[0][self._check_state(state) - 1] += 1.0
+        self.check(pattern, state)  # before a new pattern's counts are stored
+        self._counts(pattern, store=True)[0][state - 1] += 1.0
 
     def observe_transition(self, pattern, prev_state: int, state: int) -> None:
-        transition = self._counts(pattern, store=True)[1]
-        transition[self._check_state(prev_state) - 1, self._check_state(state) - 1] += 1.0
+        self.check(pattern, prev_state, state)
+        self._counts(pattern, store=True)[1][prev_state - 1, state - 1] += 1.0
+
+    def count_rows(self, pattern) -> np.ndarray:
+        """A ``(n_states + 1, n_states)`` copy of the counts: row 0 the initial
+        counts, row ``s`` the transitions from state ``s``."""
+        return np.vstack(self._counts(pattern))
+
+    def set_count_rows(self, pattern, rows: np.ndarray) -> None:
+        """Store counts laid out as ``count_rows`` returns them; the caller
+        vouches for the counts, the pattern is checked here."""
+        self.check(pattern)
+        self._initial[pattern], self._transition[pattern] = rows[0].copy(), rows[1:].copy()
 
     # -- posterior-mean probabilities -------------------------------------
 

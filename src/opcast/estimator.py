@@ -4,14 +4,22 @@ Tracks the coefficient matrix of ``y = u H + noise`` together with a
 noise-covariance estimate, discounting old observations by a forgetting
 factor. One update is a rank-one correction (no matrix inversion); the
 precision proxy ``P`` plays the role of ``(sum of weighted outer products
-of u)^-1`` and is kept symmetric explicitly.
+of u)^-1``.
 
 The update refuses a step whose gain denominator ``lam + u'Pu`` is not
 positive, before touching any state. Past that guard the noise covariance
 step is a convex combination of the previous covariance and the outer
 product of the innovation, so ``Sigma`` stays exactly symmetric and
-positive semidefinite by construction. It is checked once, where a
-covariance enters from outside: ``from_dict``.
+positive semidefinite by construction. ``P`` stays exactly symmetric too:
+its step subtracts ``Pu_i Pu_j / denom`` from entry ``(i, j)`` and IEEE
+multiplication commutes, so a symmetric ``P`` gives a symmetric result
+with no explicit symmetrization. Both invariants are checked once, where
+a state enters from outside: ``from_dict``.
+
+``stacked_pass`` folds many same-shaped states through their own input
+sequences at once, one stacked update per step, computing bit for bit
+what ``AdaptiveState._update`` computes one state at a time; ``stacked``
+lays the sequences out for it.
 
 ``batch_oracle`` recomputes the same quantities non-recursively with
 direct solves, which is useful to validate the recursion.
@@ -20,6 +28,7 @@ direct solves, which is useful to validate the recursion.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,6 +61,21 @@ def checked_vector(x, length: int, name: str) -> np.ndarray:
     if not all(map(math.isfinite, arr.tolist())):  # cheaper than numpy on short vectors
         raise NumericError(f"{name} contains non-finite values")
     return arr
+
+
+def _refusal(denom) -> str:
+    return f"gain denominator lam + u'Pu is {denom:.3e}, not positive"
+
+
+def _conditioning(P: np.ndarray, n_updates: int) -> str | None:
+    """The ConditioningWarning message due after update ``n_updates``, if any."""
+    if n_updates % COND_CHECK_EVERY:
+        return None
+    cond = np.linalg.cond(P)
+    if np.isfinite(cond) and cond <= COND_THRESHOLD:
+        return None
+    return (f"precision proxy condition number {cond:.3e} exceeds "
+            f"{COND_THRESHOLD:.1e} after {n_updates} updates")
 
 
 class AdaptiveState:
@@ -95,7 +119,7 @@ class AdaptiveState:
         Pu = self.P @ u
         denom = lam + u @ Pu
         if not denom > 0.0:
-            raise NumericError(f"gain denominator lam + u'Pu is {denom:.3e}, not positive")
+            raise NumericError(_refusal(denom))
 
         self.gamma = gamma = 1.0 + lam * self.gamma
         e = y - u @ self.H
@@ -103,17 +127,12 @@ class AdaptiveState:
         # both weights are >= 0 (gamma >= 1), so Sigma stays PSD and the
         # outer product scaled as a whole keeps it exactly symmetric
         self.Sigma = (1.0 - 1.0 / gamma) * self.Sigma + (e[:, None] * e) * (lam / (gamma * denom))
-        P = (self.P - Pu[:, None] * Pu / denom) / lam
-        self.P = (P + P.T) / 2.0
+        self.P = (self.P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
 
         self.n_updates += 1
-        if self.n_updates % COND_CHECK_EVERY == 0:
-            cond = np.linalg.cond(self.P)
-            if not np.isfinite(cond) or cond > COND_THRESHOLD:
-                warnings.warn(
-                    f"precision proxy condition number {cond:.3e} exceeds "
-                    f"{COND_THRESHOLD:.1e} after {self.n_updates} updates",
-                    ConditioningWarning, stacklevel=3)
+        message = _conditioning(self.P, self.n_updates)
+        if message is not None:
+            warnings.warn(message, ConditioningWarning, stacklevel=3)
 
     def predict_mean(self, u) -> np.ndarray:
         u = checked_vector(u, self.n_predictors, "u")
@@ -158,6 +177,13 @@ class AdaptiveState:
                 raise NumericError(f"serialized {name} contains non-finite values")
         if not 0.0 <= gamma < math.inf:
             raise NumericError(f"serialized gamma must be finite and >= 0, got {gamma!r}")
+        n_updates = doc["n_updates"]
+        if (isinstance(n_updates, bool) or not isinstance(n_updates, numbers.Real)
+                or not (n_updates >= 0 and float(n_updates).is_integer())):
+            raise NumericError(
+                f"serialized n_updates must be a non-negative integer, got {n_updates!r}")
+        if not np.array_equal(P, P.T):
+            raise NumericError("serialized precision proxy P is not symmetric")
         if not np.array_equal(Sigma, Sigma.T):
             raise NumericError("serialized noise covariance is not symmetric")
         low = np.linalg.eigvalsh(Sigma).min()
@@ -165,8 +191,89 @@ class AdaptiveState:
             raise NumericError(f"serialized noise covariance has negative eigenvalue {low:.3e}")
         state.H, state.Sigma, state.P = H, Sigma, P
         state.gamma = gamma
-        state.n_updates = int(doc["n_updates"])
+        state.n_updates = int(n_updates)
         return state
+
+
+def stacked(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Sequences sorted longest first, zero-padded into one ``(steps, count, ...)``
+    array, and per step the number of sequences still running (a prefix)."""
+    lengths = np.array([len(seq) for seq in sequences])
+    out = np.zeros((lengths[0], len(sequences)) + sequences[0].shape[1:],
+                   dtype=sequences[0].dtype)
+    for i, seq in enumerate(sequences):
+        out[:len(seq), i] = seq
+    return out, (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()
+
+
+def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
+                 active: Sequence[int]) -> tuple:
+    """Fold each state's own sequence of checked ``(u, y)`` rows, all at once.
+
+    The states share their dimensions and forgetting factor and come
+    sorted by sequence length, longest first; ``X``, ``Y`` and ``active``
+    hold their sequences as ``stacked`` lays them out. Step ``k`` advances
+    the first ``active[k]`` states by one stacked update that computes bit
+    for bit what ``_update`` computes state by state: the products are
+    ``np.matmul`` of ``(n, p, p) @ (n, p, 1)`` stacks of contiguous slices,
+    which call the BLAS gemv/dot of the 2-D product once per slice, and
+    the elementwise steps keep ``_update``'s operands and order.
+
+    Nothing is written to the states: returns ``commit``, which writes the
+    results, the ``(state, step, message)`` of every ConditioningWarning
+    due, and per refused state the ``(step, message)`` of its first
+    refused step (the state is then reset to a harmless prior and carried
+    along).
+    """
+    lam = states[0].forgetting
+    p, m = X.shape[2], Y.shape[2]
+    lengths = (np.asarray(active)[:, None] > np.arange(len(states))).sum(axis=0).tolist()
+    H = np.stack([st.H for st in states])
+    Sigma = np.stack([st.Sigma for st in states])
+    P = np.stack([st.P for st in states])
+    gamma = np.array([st.gamma for st in states])
+    checks: dict[int, list[int]] = {}  # step -> states whose update count hits the schedule
+    for j, (st, length) in enumerate(zip(states, lengths)):
+        for k in range(COND_CHECK_EVERY - 1 - st.n_updates % COND_CHECK_EVERY, length,
+                       COND_CHECK_EVERY):
+            checks.setdefault(k, []).append(j)
+    caught: list[tuple[int, int, str]] = []
+    refused: dict[int, tuple[int, str]] = {}
+    for k, n in enumerate(active):
+        u, Hk, Sk, Pk, gk = X[k, :n], H[:n], Sigma[:n], P[:n], gamma[:n]
+        ut = u.reshape(n, 1, p)
+        Pu = np.matmul(Pk, u.reshape(n, p, 1))
+        denom = np.matmul(ut, Pu)
+        denom += lam
+        if not (denom > 0.0).all():
+            for j in np.flatnonzero(~(denom[:, 0, 0] > 0.0)).tolist():
+                refused.setdefault(j, (k, _refusal(denom[j, 0, 0])))
+                Hk[j], Sk[j], Pk[j], gk[j] = 0.0, 0.0, np.eye(p), 0.0
+            Pu = np.matmul(Pk, u.reshape(n, p, 1))
+            denom = np.matmul(ut, Pu)
+            denom += lam
+        gk *= lam
+        gk += 1.0
+        e = Y[k, :n].reshape(n, 1, m) - np.matmul(ut, Hk)
+        Hk += Pu * e / denom
+        ee = e.reshape(n, m, 1) * e
+        ee *= (lam / (gk * denom[:, 0, 0]))[:, None, None]
+        Sk *= (1.0 - 1.0 / gk)[:, None, None]
+        Sk += ee
+        outer = Pu * Pu.reshape(n, 1, p)
+        outer /= denom
+        Pk -= outer
+        Pk /= lam
+        for j in checks.get(k, ()):
+            message = _conditioning(Pk[j], states[j].n_updates + k + 1)
+            if message is not None and j not in refused:
+                caught.append((j, k, message))
+
+    def commit() -> None:
+        for i, (st, length) in enumerate(zip(states, lengths)):
+            st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
+            st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
+    return commit, caught, refused
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ as sequence starts) and evaluated on the held-out week. Per fold, the
 hidden states are discovered once and the training weeks are featurized
 once, as a lag-free table of all responses (also the VARX input). Each
 IO-HMM variant learns its own coefficients and counts from a copy of that
-table with its response columns and lags. The online model keeps learning
-as it walks through the test week, mirroring production use; the
-regression benchmark stays frozen after fitting.
+table with its response columns and lags; the variants of a fold learn
+together, in one stacked pass (``learn_tables``), and then walk the test
+week one after the other in model order. Only one fold's models are alive
+at a time. The online model keeps learning as it walks through the test
+week, mirroring production use; the regression benchmark stays frozen
+after fitting.
 
 Aggregation is per model, fold, shift type and response.
 """
@@ -19,6 +22,7 @@ import copy
 import io
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -29,7 +33,7 @@ from .errors import ConfigurationError, DegenerateDataError
 from .clustering import ClusterModel
 from .features import FeatureTable, build_features, default_feature_config
 from .metrics import coverage, interval_width, mae, rmse
-from .model import IoHmmModel, ModelConfig, fit_states
+from .model import IoHmmModel, ModelConfig, fit_states, learn_tables
 from .records import ProductionRecord, check_chronological
 
 DEFAULT_MODELS = (
@@ -119,16 +123,37 @@ def _rows(records, name, fold, i, responses, actual, predicted,
             for j, resp in enumerate(responses)]
 
 
-def _iohmm_predictions(records, train: FeatureTable, states: ClusterModel,
-                       test_idx, name, fold, cfg: ModelConfig,
-                       columns) -> list[PredictionRow]:
-    """Learn the fold's lag-free table, as derived for ``cfg``, then the test week."""
-    # run_online moves centroids, so every model gets its own copy
-    model = IoHmmModel(cfg, clusters=copy.deepcopy(states))
-    model.learn_table(train.lagged(cfg.features.q, columns))
+def _fit_iohmm(model_names, base: ModelConfig, train: FeatureTable,
+               states: ClusterModel) -> dict[str, list[IoHmmModel]]:
+    """The fold's IO-HMM variants per identifier, in response order, each
+    learned from the lag-free table as derived for it, all in one stacked pass."""
+    responses = base.features.response_names
+    fitted: dict[str, list[IoHmmModel]] = {}
+    models, tables = [], []
+    for name in model_names:
+        kind, q = parse_model_name(name)
+        if kind not in ("iohmm", "iohmm-uni"):
+            continue
+        features = base.features.with_lags(q)
+        variants = [(features, range(len(responses)))] if kind == "iohmm" else \
+            [(features.for_response(resp), [j]) for j, resp in enumerate(responses)]
+        for features, columns in variants:
+            # run_online moves centroids, so every model gets its own copy
+            models.append(IoHmmModel(replace(base, features=features),
+                                     clusters=copy.deepcopy(states)))
+            tables.append(train.lagged(q, columns))
+        fitted[name] = models[-len(variants):]
+    learn_tables(models, tables)
+    return fitted
+
+
+def _iohmm_predictions(records, model: IoHmmModel, test_idx, name,
+                       fold) -> list[PredictionRow]:
+    """A learned model's forecasts as it walks the test week."""
     steps = model.run_online(records, indices=test_idx, forecast_from=test_idx[0])
     return [row for st in steps if st.forecast is not None
-            for row in _rows(records, name, fold, st.index, cfg.features.response_names,
+            for row in _rows(records, name, fold, st.index,
+                             model.config.features.response_names,
                              st.y, st.forecast.y_hat, st.forecast.sigma)]
 
 
@@ -174,6 +199,9 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     """
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
+    repeated = sorted(name for name, n in Counter(model_names).items() if n > 1)
+    if repeated:
+        raise ConfigurationError(f"model identifiers repeated: {', '.join(repeated)}")
     if base is None:
         base = ModelConfig(features=default_feature_config(records),
                            allow_cold_start=True)
@@ -196,6 +224,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
                             k_min=k_min, k_max=k_max) if use_iohmm else None
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
+        fitted = _fit_iohmm(model_names, base, train_table, states) if use_iohmm else {}
         for name in model_names:
             kind, q = parse_model_name(name)
             if kind == "persistence":
@@ -204,17 +233,9 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
             elif kind == "varx":
                 rows = _varx_predictions(records, train_table, varx_full, test_idx,
                                          name, fold, responses, q)
-            elif kind == "iohmm":
-                cfg = replace(base, features=base.features.with_lags(q))
-                rows = _iohmm_predictions(records, train_table, states, test_idx,
-                                          name, fold, cfg, range(len(responses)))
-            else:  # iohmm-uni
-                rows = []
-                for j, resp in enumerate(responses):
-                    cfg = replace(base, features=base.features
-                                  .with_lags(q).for_response(resp))
-                    rows += _iohmm_predictions(records, train_table, states,
-                                               test_idx, name, fold, cfg, [j])
+            else:  # the variants of an IO-HMM identifier, in response order
+                rows = [row for model in fitted[name]
+                        for row in _iohmm_predictions(records, model, test_idx, name, fold)]
             if not rows:
                 warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
                               stacklevel=2)

@@ -7,21 +7,26 @@ the pseudo-count tables. Their forecasts are blended per response with
 inverse-variance weights. Hidden states come from clustering; their
 dynamics are tracked by the pseudo-counts.
 
-Everything updates online through one learning loop: ``run_online``
-interleaves forecasting with learning, ``learn_records`` and
-``learn_table`` learn without forecasts. A forecast only reads: the loop
-is the one place where a record moves state (its centroid, counts and
-predictors). Before any state moves the loop checks the table cells it
-reads and, unless cold starts are allowed, that no forecast meets a
-pattern without observations; then it runs the trusted cores of
-``learn_step``, ``forecast_step`` and ``combine``, which are checked entry
-points to them. Every forecast is a ``ForecastResult``, and the full state
-can be snapshotted to a plain JSON document.
+Records move state in two passes, and a forecast only reads. ``run_online``
+is the interleaved loop: per record it absorbs the record before into its
+centroid, forecasts, then learns the record's counts and predictors. A
+pass without forecasts (``learn_tables``, behind ``fit``, ``learn_records``
+and ``learn_table``) moves no centroid, so the rows of each pattern form
+an independent chain: all chains of all models in the pass advance
+together, one stacked update per chain position, bit for bit as the
+interleaved loop would learn them. Both passes check the table cells they
+read before any state moves and refuse as a whole; ``run_online`` also
+checks, unless cold starts are allowed, that no forecast meets a pattern
+without observations. Then they run trusted cores, of which
+``learn_step``, ``forecast_step`` and ``combine`` are the checked entry
+points. Every forecast is a ``ForecastResult``, and the full state can be
+snapshotted to a plain JSON document.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,10 +34,10 @@ import numpy as np
 
 from .clustering import ClusterModel, fit_auto_k
 from .dirichlet import DirichletTable
-from .errors import (ConfigurationError, DimensionError, ForecastUnavailableError,
-                     InputError, InsufficientHistoryError, NumericError,
-                     OpcastError, RestoreError)
-from .estimator import AdaptiveState, checked_vector
+from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
+                     ForecastUnavailableError, InputError, InsufficientHistoryError,
+                     NumericError, OpcastError, RestoreError)
+from .estimator import AdaptiveState, checked_vector, stacked, stacked_pass
 from .features import (FeatureConfig, FeatureTable, build_features,
                        classification_points, pattern_key)
 from .records import ProductionRecord
@@ -196,6 +201,107 @@ def _check_reads(table: FeatureTable, offset: int, positions: Sequence[int],
                            "contain non-finite values")
 
 
+@dataclass
+class _Chain:
+    """The rows of one table that one pattern of one model learns, in order."""
+
+    order: int              # the model's place in the pass
+    model: "IoHmmModel"
+    key: str
+    states: PatternStates   # the pattern's predictors before the pass
+    table: FeatureTable
+    rows: np.ndarray        # the learned rows of the table
+    prev: np.ndarray        # count row read: 0 where a sequence begins, else the state before
+    cur: np.ndarray         # realized states, 1-based
+    counts: np.ndarray | None = None  # count rows after the pass, set by the count walk
+
+    @property
+    def u(self) -> np.ndarray:
+        """The regressor vectors ``[1, w]``, built only while a pass needs them."""
+        w = self.table.w[self.rows]
+        return np.concatenate((np.ones((len(w), 1)), w), axis=1)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.table.y[self.rows]
+
+
+def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
+    """Read and count every observation of ``chains`` (one K, longest first),
+    one stacked step per chain position; the expected-state vectors read,
+    laid out as ``stacked`` lays out sequences.
+
+    Counts are half-integers, so every sum is exact and each vector equals
+    ``expected_state_vector``'s.
+    """
+    counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
+    prev, active = stacked([ch.prev for ch in chains])
+    cur, _ = stacked([ch.cur - 1 for ch in chains])
+    vectors = np.empty(prev.shape + counts.shape[2:])
+    for k, n in enumerate(active):
+        at, read = np.arange(n), prev[k, :n]
+        rows = counts[at, read]
+        vectors[k, :n] = rows / rows.sum(axis=1, keepdims=True)
+        counts[at, read, cur[k, :n]] += 1.0
+    for ch, rows in zip(chains, counts):
+        ch.counts = rows
+    return vectors, active
+
+
+def _groups(chains: Sequence[_Chain], name: str) -> list[list[_Chain]]:
+    """``chains`` grouped by the shape and forgetting of their ``name`` predictor."""
+    groups: dict = {}
+    for ch in chains:
+        st = getattr(ch.states, name)
+        groups.setdefault((st.n_predictors, st.n_responses, st.forgetting), []).append(ch)
+    return list(groups.values())
+
+
+def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
+    """Learn each model from its table, without forecasts, in one stacked pass.
+
+    Every ``(model, table)`` pair is checked before any state moves: the
+    model is fitted, the table has the shapes of its feature config, the
+    cells the pass reads are finite and its patterns are valid; no model
+    may appear twice. Each table splits into one chain per pattern of the
+    rows it learns, and chains never touch each other's state, so they
+    advance together: at each chain position, one stacked count step and
+    one stacked predictor update per predictor shape. The result is bit
+    for bit what learning the tables one record at a time gives,
+    ConditioningWarnings included. The states are written back only at
+    the end, so a refused pass moves nothing in any model.
+    """
+    if len(models) != len(tables):
+        raise DimensionError(f"{len(models)} models but {len(tables)} tables")
+    if len({id(model) for model in models}) < len(models):
+        raise ConfigurationError("a model appears twice in one learning pass")
+    chains = [ch for order, (model, table) in enumerate(zip(models, tables))
+              for ch in model._chains(order, table)]
+    longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
+    commits, events, refusals = [], [], []
+    for side, name in enumerate(("u", "v")):  # a record updates u, then v
+        for group in _groups(longest_first, name):
+            X, active = stacked([ch.u for ch in group]) if name == "u" \
+                else _walk_counts(group)
+            commit, caught, refused = stacked_pass([getattr(ch.states, name) for ch in group],
+                                                   X, stacked([ch.y for ch in group])[0], active)
+            commits.append(commit)
+            # keyed by where each update falls in a record-by-record pass
+            events += [((group[j].order, group[j].rows[k], side), message)
+                       for j, k, message in caught]
+            refusals += [((group[j].order, group[j].rows[k], side), message)
+                         for j, (k, message) in refused.items()]
+    if refusals:
+        raise NumericError(min(refusals)[1])
+    for _, message in sorted(events):
+        warnings.warn(message, ConditioningWarning, stacklevel=2)
+    for commit in commits:
+        commit()
+    for ch in chains:
+        ch.model.params.setdefault(ch.key, ch.states)
+        ch.model.dirichlet.set_count_rows(ch.key, ch.counts)
+
+
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
                seed: int = 0, threshold: float = 0.8, k_min: int = 2,
                k_max: int = 12) -> ClusterModel:
@@ -343,6 +449,11 @@ class IoHmmModel:
 
     def learn_table(self, table: FeatureTable) -> None:
         """``learn_records`` of a table built for this model's feature config."""
+        learn_tables([self], [table])
+
+    def _chains(self, order: int, table: FeatureTable) -> list[_Chain]:
+        """Check ``table`` as this model's input and split its learned rows
+        into one chain per pattern, in the order the patterns first occur."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
@@ -351,7 +462,22 @@ class IoHmmModel:
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
-        self._pass(table, 0, range(n), n)
+        _check_reads(table, 0, range(n), n, fc.q)
+        patterns, firsts, which = np.unique(table.z[fc.q:], axis=0, return_index=True,
+                                            return_inverse=True)
+        keys, which = [pattern_key(z) for z in patterns], which.reshape(-1)
+        for key in keys:
+            self.dirichlet.check(key)
+        # no centroid moves in a pass without forecasts: one labelling holds
+        labels = self.clusters.nearest(self.clusters.standardizer.transform(table.t))
+        chains = []
+        for j in np.argsort(firsts, kind="stable").tolist():
+            rows = fc.q + np.flatnonzero(which == j)
+            states = self.params.get(keys[j]) or self._prior()
+            chains.append(_Chain(order, self, keys[j], states, table, rows,
+                                 np.where(table.begins_shift[rows], 0, labels[rows - 1]),
+                                 labels[rows]))
+        return chains
 
     def run_online(self, records: Sequence[ProductionRecord],
                    forecast_from: int | None = None,
@@ -392,7 +518,7 @@ class IoHmmModel:
 
     def _pass(self, table: FeatureTable, offset: int, positions: Sequence[int],
               first: int) -> list[StepResult]:
-        """The one learning loop; row ``r`` of ``table`` is record ``offset + r``.
+        """The interleaved loop; row ``r`` of ``table`` is record ``offset + r``.
 
         Per position: from ``first`` on, classify the row before, absorb it
         into its centroid and forecast the record; then classify the

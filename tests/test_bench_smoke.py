@@ -67,3 +67,33 @@ def test_lowo_default_check_passes(workloads, tmp_path):
     findings, _ = _check(ShortLowo(), tmp_path, units=1)
     assert findings["folds"] == 2
     assert findings["report_sha256"] == SHORT_LOWO_SHA256
+
+
+def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch):
+    # each fold learns its IO-HMM variants in stacked passes: the only
+    # record-by-record updates left are the test-week walks, two per
+    # learned step (the u and the v predictor)
+    from opcast.estimator import AdaptiveState
+    from opcast.model import IoHmmModel
+
+    counts = {"updates": 0, "learned": 0}
+    update, run_online = AdaptiveState._update, IoHmmModel.run_online
+
+    def counting_update(self, u, y):
+        counts["updates"] += 1
+        return update(self, u, y)
+
+    def counting_run(self, records, *args, **kwargs):
+        steps = run_online(self, records, *args, **kwargs)
+        counts["learned"] += sum(st.index >= self.config.features.q for st in steps)
+        return steps
+
+    monkeypatch.setattr(AdaptiveState, "_update", counting_update)
+    monkeypatch.setattr(IoHmmModel, "run_online", counting_run)
+
+    class ShortLowo(workloads.LowoDefault):
+        days = 14
+
+    findings, _ = _check(ShortLowo(), tmp_path, units=1)
+    assert findings["report_sha256"] == SHORT_LOWO_SHA256
+    assert counts["learned"] > 0 and counts["updates"] == 2 * counts["learned"]

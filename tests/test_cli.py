@@ -177,8 +177,11 @@ class TestForecast:
         lambda doc: doc["clusters"]["centroids"][0].__setitem__(0, float("nan")),
         lambda doc: doc["clusters"]["scale"].__setitem__(0, 0.0),
         lambda doc: doc["clusters"]["scale"].__setitem__(0, float("nan")),
+        lambda doc: [entry["u"]["P"][0].__setitem__(1, entry["u"]["P"][0][1] + 0.5)
+                     for entry in doc["params"].values()],
+        lambda doc: [entry["v"].update(n_updates=-3.7) for entry in doc["params"].values()],
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "nan-centroid",
-            "zero-scale", "nan-scale"])
+            "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates"])
     def test_damaged_snapshot_is_refused_at_load(self, workdir, tmp_path, capsys, damage):
         doc = json.loads((workdir / "model.json").read_text())
         damage(doc)
@@ -281,6 +284,13 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(workdir / "data.csv"),
                      "--out", str(tmp_path / "r.csv"),
                      "--models", "sarimax"]) == 1
+
+    def test_repeated_model_name(self, workdir, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["evaluate", "--data", str(workdir / "data.csv"), "--out", str(out),
+                     "--models", "persistence,iohmm-q1,iohmm-q1"]) == 1
+        assert not out.exists()
+        assert "iohmm-q1" in capsys.readouterr().err
 
 
 class TestInspect:

@@ -117,6 +117,33 @@ class TestValidation:
         table.observe_transition(np.str_("01"), 1, 2)  # a str subclass keeps the counts
         assert table.transition_counts("01")[0, 1] == JEFFREYS + 2.0
 
+    def test_a_rejected_observation_stores_no_pattern(self):
+        table = DirichletTable(2, 1)
+        with pytest.raises(StateIndexError):
+            table.observe_initial("1", 5)
+        with pytest.raises(StateIndexError):
+            table.observe_transition("0", 1, 3)
+        with pytest.raises(StateIndexError):
+            table.observe_transition("0", 0, 1)
+        assert table.patterns == []
+        table.observe_transition("0", 2, 1)
+        assert table.patterns == ["0"]
+        assert table.transition_counts("0").tolist() == [[JEFFREYS] * 2,
+                                                         [JEFFREYS + 1, JEFFREYS]]
+
+    def test_count_rows_stack_initial_over_transitions(self):
+        table = DirichletTable(2, 2)
+        table.observe_initial("01", 2)
+        table.observe_transition("01", 2, 1)
+        rows = table.count_rows("01")
+        assert rows.tolist() == [[0.5, 1.5], [0.5, 0.5], [1.5, 0.5]]
+        rows[0, 0] = 9.0  # a copy
+        other = DirichletTable(2, 2)
+        other.set_count_rows("01", table.count_rows("01"))
+        assert other.to_dict() == table.to_dict()
+        assert table.count_rows("10").tolist() == [[JEFFREYS] * 2] * 3
+        assert table.patterns == ["01"]
+
     def test_constructor_bounds(self):
         with pytest.raises(ConfigurationError):
             DirichletTable(n_states=1, pattern_length=1)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, NumericError, batch_oracle)
-from opcast.estimator import COND_CHECK_EVERY
+from opcast.estimator import COND_CHECK_EVERY, stacked, stacked_pass
 
 
 def _run(state, history):
@@ -291,3 +294,127 @@ class TestSerialization:
         doc["Sigma"] = [[1.0, 0.2], [0.1, 1.0]]
         with pytest.raises(NumericError, match="symmetric"):
             AdaptiveState.from_dict(doc)
+
+    def test_asymmetric_precision_proxy_rejected(self):
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc["P"] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(NumericError, match="precision proxy P is not symmetric"):
+            AdaptiveState.from_dict(doc)
+
+    def test_symmetric_indefinite_precision_proxy_is_kept(self):
+        # only symmetry is checked: a wound-up P need not pass a definiteness test
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc["P"] = [[-1.0, 0.5], [0.5, -1.0]]
+        assert AdaptiveState.from_dict(doc).P.tolist() == doc["P"]
+
+    @pytest.mark.parametrize("n_updates", [-3.7, -1, 2.5, np.nan, np.inf, "7", None, True])
+    def test_n_updates_must_be_a_non_negative_integer(self, n_updates):
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc["n_updates"] = n_updates
+        with pytest.raises(NumericError, match="n_updates"):
+            AdaptiveState.from_dict(doc)
+
+    @pytest.mark.parametrize("n_updates", [0, 7, 7.0, np.int64(7)])
+    def test_integral_n_updates_accepted(self, n_updates):
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc["n_updates"] = n_updates
+        state = AdaptiveState.from_dict(doc)
+        assert state.n_updates == int(n_updates) and type(state.n_updates) is int
+
+
+class TestPrecisionSymmetry:
+    def test_update_keeps_p_exactly_symmetric(self):
+        rng = np.random.default_rng(7)
+        state = AdaptiveState(6, 2, forgetting=0.9)
+        for u, y in _random_history(rng, 300, 6, 2, scale=3.0):
+            state.update(u, y)
+            assert np.array_equal(state.P, state.P.T)
+
+
+def _sequential(states, inputs, responses):
+    """The oracle: ``_update`` state by state, row by row, on copies."""
+    out, caught = [], []
+    for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
+        st = AdaptiveState.from_dict(st.to_dict())
+        for k, (u, y) in enumerate(zip(X, Y)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                st._update(u, y)
+            caught += [(j, k, str(w.message)) for w in seen
+                       if w.category is ConditioningWarning]
+        out.append(st)
+    return out, caught
+
+
+def _stack(inputs, responses):
+    X, active = stacked(inputs)
+    return X, stacked(responses)[0], active
+
+
+class TestStackedPass:
+    """stacked_pass against the record-by-record update it replaces."""
+
+    @staticmethod
+    def _case(rng, p, m, lam, lengths, prior_updates=0):
+        states, inputs, responses = [], [], []
+        for length in sorted(lengths, reverse=True):
+            st = AdaptiveState(p, m, lam)
+            if prior_updates:
+                _run(st, _random_history(rng, prior_updates, p, m))
+            states.append(st)
+            history = _random_history(rng, length, p, m, scale=float(rng.uniform(0.1, 3.0)))
+            inputs.append(np.array([u for u, _ in history]))
+            responses.append(np.array([y for _, y in history]))
+        return states, inputs, responses
+
+    @pytest.mark.parametrize("p, m", [(1, 1), (2, 1), (4, 2), (5, 1), (9, 2), (14, 2),
+                                      (12, 1), (17, 3)])
+    def test_bitwise_equal_to_the_update(self, p, m):
+        rng = np.random.default_rng(100 * p + m)
+        lengths = rng.integers(1, 140, size=int(rng.integers(1, 9)))
+        states, inputs, responses = self._case(rng, p, m, 0.97, lengths,
+                                               prior_updates=int(rng.integers(0, 60)))
+        before = [st.to_dict() for st in states]
+        expected, caught = _sequential(states, inputs, responses)
+        commit, warned, refused = stacked_pass(states, *_stack(inputs, responses))
+        assert [st.to_dict() for st in states] == before  # nothing written yet
+        assert refused == {} and sorted(warned) == caught
+        commit()
+        assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
+        for st in states:
+            assert st.P.flags.c_contiguous and np.array_equal(st.P, st.P.T)
+
+    def test_conditioning_warnings_at_the_same_updates(self):
+        # one-directional inputs wind P up; prior counts shift the schedule
+        rng = np.random.default_rng(3)
+        states, inputs, responses = [], [], []
+        for length, prior in ((130, 0), (120, 17), (75, 49), (20, 0)):
+            st = AdaptiveState(3, 1, 0.6)
+            _run(st, [([1.0, 0.5, 0.0], [1.0])] * prior)
+            states.append(st)
+            inputs.append(np.column_stack((np.ones(length), 0.5 + rng.normal(size=length),
+                                           np.zeros(length))))
+            responses.append(rng.normal(size=(length, 1)))
+        expected, caught = _sequential(states, inputs, responses)
+        commit, warned, _ = stacked_pass(states, *_stack(inputs, responses))
+        assert len(caught) >= 5 and sorted(warned) == caught
+        commit()
+        assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
+
+    def test_a_refused_state_is_reported_and_nothing_is_written(self):
+        rng = np.random.default_rng(4)
+        states, inputs, responses = self._case(rng, 3, 2, 0.95, [40, 30, 25])
+        states[1].P = -np.eye(3)
+        before = [st.to_dict() for st in states]
+        with pytest.raises(NumericError) as refused:
+            _run(AdaptiveState.from_dict(states[1].to_dict()),
+                 zip(inputs[1], responses[1]))
+        _, _, refusals = stacked_pass(states, *_stack(inputs, responses))
+        assert refusals == {1: (0, str(refused.value))}
+        assert [st.to_dict() for st in states] == before
+
+    def test_stacked_pads_and_counts_the_running_sequences(self):
+        out, active = stacked([np.ones((3, 2)), 2 * np.ones((1, 2)), 3 * np.ones((1, 2))])
+        assert out.shape == (3, 3, 2) and active == [3, 1, 1]
+        assert out[:, 0].tolist() == [[1.0, 1.0]] * 3
+        assert out[1:, 1:].tolist() == [[[0.0, 0.0]] * 2] * 2

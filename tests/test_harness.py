@@ -219,6 +219,15 @@ class TestLeaveOneWeekOut:
         with pytest.raises(ConfigurationError):
             leave_one_week_out(two_week_records, model_names=("nope",))
 
+    def test_repeated_model_rejected_upfront(self, two_week_records, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done for a refused model list")
+
+        monkeypatch.setattr(opcast.model, "fit_auto_k", forbidden)
+        with pytest.raises(ConfigurationError, match="repeated: iohmm-q1, persistence"):
+            leave_one_week_out(two_week_records, model_names=(
+                "persistence", "iohmm-q1", "varx-q1", "iohmm-q1", "persistence"))
+
     def test_unsorted_records_rejected(self, two_week_records):
         shuffled = [two_week_records[1], two_week_records[0]]
         with pytest.raises(OrderingError):

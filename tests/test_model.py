@@ -1,3 +1,4 @@
+import copy
 import datetime as dt
 import warnings
 from dataclasses import replace
@@ -12,7 +13,9 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
                     Standardizer, StateIndexError, SyntheticSpec, build_features,
                     classification_vector, combination_weights, combine,
-                    default_feature_config, generate_synthetic)
+                    default_feature_config, fit_states, generate_synthetic,
+                    pattern_key)
+from opcast.model import learn_tables
 
 from conftest import build_stream
 
@@ -688,6 +691,142 @@ class TestLearnTable:
         assert model.to_json() == before
 
 
+def _learn_record_by_record(model, table):
+    """The oracle of ``learn_tables``: the sequential ``_learn`` path over a
+    table, one record at a time, as the interleaved loop learns."""
+    q = model.config.features.q
+    labels = model.clusters.nearest(model.clusters.standardizer.transform(table.t)).tolist()
+    U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
+    for r in range(q, len(table.y)):
+        prev = None if table.begins_shift[r] else labels[r - 1]
+        model._learn(pattern_key(table.z[r]), U[r], table.y[r], prev, labels[r])
+
+
+def _conditioning_messages(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return [str(w.message) for w in caught if w.category is ConditioningWarning]
+
+
+class TestLearnTables:
+    """One stacked pass against the record-by-record ``_learn`` path."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        records = generate_synthetic(SyntheticSpec(
+            states=3, transition=((0.8, 0.15, 0.05), (0.1, 0.8, 0.1), (0.05, 0.15, 0.8)),
+            state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
+            noise_cov=((0.04, 0.01), (0.01, 0.04)), ar=(((0.3, 0.0), (0.0, 0.3)),),
+            days=14, periods_per_shift=6, dt_max=0.4, ics_levels=(1.88,), seed=5))
+        features = FeatureConfig(response_names=("OpT", "NOpT"),
+                                 z_spec=("shift_code==M", "shift_code==A", "shift_code==N"),
+                                 w_spec=("ics", "@begins_shift"), t_spec=("av", "OT"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # K selection
+            states = fit_states(records, features, seed=0, k_max=4)
+        return records, features, states
+
+    FAST = 0.7  # winds up enough to warn, not enough to refuse an update
+
+    def _models(self, setting):
+        """Mixed lag orders, joint and single-response, two forgetting
+        settings (one speed makes ``ics`` repeat the intercept, so the FAST
+        ones wind up and warn), one table without the N shift and one
+        model that learned before."""
+        records, features, states = setting
+        lag_free = build_features(records, features.with_lags(0))
+        models, tables = [], []
+        for q in range(4):
+            for columns, names in (((0, 1), ("OpT", "NOpT")), ((0,), ("OpT",)),
+                                   ((1,), ("NOpT",))):
+                fast = q % 2 == len(columns) % 2
+                cfg = ModelConfig(features=replace(features, q=q, response_names=names),
+                                  lambda_u=self.FAST if fast else 0.99,
+                                  lambda_v=self.FAST if fast else 0.95, allow_cold_start=True)
+                models.append(IoHmmModel(cfg, clusters=copy.deepcopy(states)))
+                tables.append(lag_free.lagged(q, columns))
+        no_night = [rec for rec in records if rec.shift_code != "N"]
+        models.append(IoHmmModel(ModelConfig(features=features.with_lags(2)),
+                                 clusters=copy.deepcopy(states)))
+        tables.append(build_features(no_night, features.with_lags(2)))
+        learned = IoHmmModel(ModelConfig(features=features, lambda_u=self.FAST),
+                             clusters=copy.deepcopy(states))
+        learned.learn_records(records[:100])
+        models.append(learned)
+        tables.append(build_features(records[90:], features))
+        return models, tables
+
+    def test_matches_the_record_by_record_pass(self, setting):
+        models, tables = self._models(setting)
+        oracle = copy.deepcopy(models)
+        expected = _conditioning_messages(lambda: [
+            _learn_record_by_record(model, table) for model, table in zip(oracle, tables)])
+        got = _conditioning_messages(lambda: learn_tables(models, tables))
+        assert len(expected) > 10 and got == expected
+        assert [m.to_json() for m in models] == [m.to_json() for m in oracle]
+        assert sorted(models[-2].params) == ["010", "100"]
+        for model in models:
+            for states in model.params.values():
+                for state in (states.u, states.v):
+                    assert np.array_equal(state.P, state.P.T)
+
+    def test_learn_table_is_a_pass_of_one(self, setting):
+        models, tables = self._models(setting)
+        oracle = copy.deepcopy(models)
+        for model, twin, table in zip(models, oracle, tables):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                model.learn_table(table)
+                _learn_record_by_record(twin, table)
+            assert model.to_json() == twin.to_json()
+
+    @staticmethod
+    def _negative_definite(model, key):
+        doc = model.snapshot()
+        doc["params"][key]["u"]["P"] = (-np.eye(model.u_dim)).tolist()
+        return IoHmmModel.restore(doc)
+
+    @pytest.mark.parametrize("fault", ["non-finite-y", "wrong-shape", "negative-p"])
+    def test_a_refused_pass_moves_nothing(self, setting, fault):
+        models, tables = self._models(setting)
+        if fault == "non-finite-y":
+            y = tables[5].y.copy()
+            y[40, 0] = np.nan
+            tables[5] = replace(tables[5], y=y)
+            error = NumericError
+        elif fault == "wrong-shape":
+            tables[7] = replace(tables[7], w=tables[7].w[:, 1:])
+            error = DimensionError
+        else:
+            # refused in two models and two patterns: the error is that of
+            # the first refused update in model and record order
+            models[-1] = self._negative_definite(
+                self._negative_definite(models[-1], "001"), "010")
+            models[-2].learn_table(tables[-2])
+            models[-2] = self._negative_definite(models[-2], "100")
+            error = NumericError
+        before = [m.to_json() for m in models]
+        with pytest.raises(error) as refused:
+            learn_tables(models, tables)
+        assert [m.to_json() for m in models] == before
+        if fault == "negative-p":
+            with pytest.raises(NumericError) as first, warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                for model, table in zip(copy.deepcopy(models), tables):
+                    _learn_record_by_record(model, table)
+            assert str(refused.value) == str(first.value)
+
+    def test_a_model_learns_once_per_pass(self, setting):
+        models, tables = self._models(setting)
+        before = models[0].to_json()
+        with pytest.raises(ConfigurationError, match="twice"):
+            learn_tables([models[0], models[0]], [tables[0], tables[0]])
+        with pytest.raises(DimensionError):
+            learn_tables(models[:2], tables[:1])
+        assert models[0].to_json() == before
+
+
 class TestFit:
     def test_auto_state_discovery(self):
         steps = []
@@ -785,8 +924,12 @@ class TestSnapshot:
         lambda doc: doc["clusters"].update(mean=[np.inf]),
         lambda doc: doc["clusters"].update(scale=[0.0]),
         lambda doc: doc["clusters"].update(scale=[np.nan]),
+        lambda doc: doc["params"]["100"]["u"]["P"][0].__setitem__(1, 0.5),
+        lambda doc: doc["params"]["100"]["v"].update(n_updates=-3.7),
+        lambda doc: doc["params"]["100"]["u"].update(n_updates=2.5),
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "params-key",
-            "nan-centroid", "empty-cluster", "inf-mean", "zero-scale", "nan-scale"])
+            "nan-centroid", "empty-cluster", "inf-mean", "zero-scale", "nan-scale",
+            "asymmetric-p", "negative-n-updates", "fractional-n-updates"])
     def test_restore_rejects_damaged_states_and_counts(self, damage):
         model, _ = self._trained()
         doc = model.snapshot()
