@@ -11,7 +11,7 @@ from .errors import (ConditioningWarning, ConfigurationError, DataError,
                      InsufficientHistoryError, NumericError, OpcastError,
                      OrderingError, RestoreError, SchemaError, StateIndexError,
                      ThresholdWarning, TimeConsistencyError)
-from .estimator import AdaptiveState, BatchOracleResult, batch_oracle
+from .estimator import AdaptiveState
 from .features import (CovariateSpec, FeatureConfig, FeatureTable,
                        assemble_next_features, build_features,
                        classification_vector, default_feature_config,

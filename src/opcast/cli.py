@@ -212,7 +212,7 @@ def cmd_inspect(args) -> int:
     print(f"patterns: {len(model.params)}")
     for key in sorted(model.params):
         st = model.params[key]
-        init = model.dirichlet.initial_counts(key)
+        init = model.dirichlet.count_rows(key)[0]
         print(f"  {key}: gamma_u={st.u.gamma:.4f} gamma_v={st.v.gamma:.4f} "
               f"initial_counts={np.round(init, 3).tolist()}")
     return 0

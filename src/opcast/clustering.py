@@ -24,6 +24,9 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
                      InputError, StateIndexError, ThresholdWarning)
 
+N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
+MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
+
 
 class OeeBand(enum.Enum):
     OPTIMAL = "Optimal"
@@ -104,13 +107,13 @@ def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(X: np.ndarray, K: int, rng: np.random.Generator,
-           max_iter: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(X: np.ndarray, K: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     n, D = X.shape
     XT = np.ascontiguousarray(X.T)
     centroids = _plus_plus_seed(X, K, rng)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d2 = _sq_dists(XT, centroids)
         assign = d2.argmin(axis=0)
         counts = np.bincount(assign, minlength=K)
@@ -219,11 +222,10 @@ class ClusterModel:
 
 
 def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
-               seed: int = 0, n_restarts: int = 10,
-               max_iter: int = 300) -> ClusterModel:
+               seed: int = 0) -> ClusterModel:
     """Fit centroids with the smallest K that explains enough spread.
 
-    K runs from ``k_min`` upward; for each K the best of ``n_restarts``
+    K runs from ``k_min`` upward; for each K the best of ``N_RESTARTS``
     seeded runs (lowest within-cluster sum, the first on ties) is kept.
     The first K whose between-cluster share reaches ``threshold`` wins. If
     none does, the largest K is used and a warning is emitted.
@@ -246,8 +248,8 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
 
     for K in range(k_min, min(k_max, n_distinct) + 1):
         centroids, assign, wss = min(
-            (_lloyd(X, K, np.random.default_rng([seed, K, r]), max_iter=max_iter)
-             for r in range(n_restarts)), key=lambda fit: fit[2])
+            (_lloyd(X, K, np.random.default_rng([seed, K, r])) for r in range(N_RESTARTS)),
+            key=lambda fit: fit[2])
         gof = 1.0 - wss / tss
         if gof >= threshold:
             break

@@ -1,7 +1,8 @@
 """Pseudo-count tables for the hidden-state dynamics.
 
-For every binary conditioning pattern there is one vector of initial-state
-counts and one matrix of transition counts. All counts start at the
+For every binary conditioning pattern there is one ``(n_states + 1,
+n_states)`` array of counts: row 0 holds the initial-state counts, row
+``s`` the counts of transitions from state ``s``. All counts start at the
 symmetric Jeffreys value 1/2 and grow by exactly one per observation, so
 the posterior-mean state probabilities are simple count ratios and every
 update is a constant-time increment.
@@ -21,9 +22,10 @@ JEFFREYS = 0.5
 class DirichletTable:
     """Per-pattern initial and transition pseudo-counts.
 
-    Tables are materialized lazily the first time a pattern is observed, so
-    only patterns that occur in the data take up space; reading a pattern
-    never observed gives the Jeffreys prior and stores nothing.
+    ``counts`` maps each observed pattern to its count rows. A pattern's
+    rows are materialized the first time it is observed, so only patterns
+    that occur in the data take up space; reading a pattern never observed
+    gives the Jeffreys prior and stores nothing.
     """
 
     def __init__(self, n_states: int, pattern_length: int):
@@ -33,21 +35,20 @@ class DirichletTable:
             raise ConfigurationError(f"pattern length must be >= 1, got {pattern_length!r}")
         self.n_states = n_states
         self.pattern_length = pattern_length
-        self._initial: dict[str, np.ndarray] = {}
-        self._transition: dict[str, np.ndarray] = {}
+        self.counts: dict[str, np.ndarray] = {}
 
     # -- helpers ---------------------------------------------------------
 
-    def _counts(self, pattern, store: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Initial and transition counts of a checked ``pattern``; for a pattern
-        never observed the Jeffreys prior, entered in the tables only on ``store``."""
-        if isinstance(pattern, str) and pattern in self._initial:
-            return self._initial[pattern], self._transition[pattern]  # keys were checked
-        self.check(pattern)
-        prior = np.full(self.n_states, JEFFREYS), np.full((self.n_states,) * 2, JEFFREYS)
-        if store:
-            self._initial[pattern], self._transition[pattern] = prior
-        return prior
+    def _rows(self, pattern, store: bool = False) -> np.ndarray:
+        """The count rows of a checked ``pattern``; for a pattern never
+        observed the Jeffreys prior, entered in the table only on ``store``."""
+        rows = self.counts.get(pattern) if isinstance(pattern, str) else None
+        if rows is None:  # known keys were checked when they were stored
+            self.check(pattern)
+            rows = np.full((self.n_states + 1, self.n_states), JEFFREYS)
+            if store:
+                self.counts[pattern] = rows
+        return rows
 
     def check(self, pattern, *states) -> None:
         """Raise for a pattern or state the tables cannot take; creates nothing."""
@@ -66,38 +67,22 @@ class DirichletTable:
 
     @property
     def patterns(self) -> list[str]:
-        return sorted(self._initial)
-
-    def initial_counts(self, pattern) -> np.ndarray:
-        return self._counts(pattern)[0].copy()
-
-    def transition_counts(self, pattern) -> np.ndarray:
-        return self._counts(pattern)[1].copy()
+        return sorted(self.counts)
 
     def observe_initial(self, pattern, state: int) -> None:
         self.check(pattern, state)  # before a new pattern's counts are stored
-        self._counts(pattern, store=True)[0][state - 1] += 1.0
+        self._rows(pattern, store=True)[0, state - 1] += 1.0
 
     def observe_transition(self, pattern, prev_state: int, state: int) -> None:
         self.check(pattern, prev_state, state)
-        self._counts(pattern, store=True)[1][prev_state - 1, state - 1] += 1.0
+        self._rows(pattern, store=True)[prev_state, state - 1] += 1.0
 
     def count_rows(self, pattern) -> np.ndarray:
-        """A ``(n_states + 1, n_states)`` copy of the counts: row 0 the initial
-        counts, row ``s`` the transitions from state ``s``."""
-        return np.vstack(self._counts(pattern))
-
-    def set_count_rows(self, pattern, rows: np.ndarray) -> None:
-        """Store counts laid out as ``count_rows`` returns them; the caller
-        vouches for the counts, the pattern is checked here."""
-        self.check(pattern)
-        self._initial[pattern], self._transition[pattern] = rows[0].copy(), rows[1:].copy()
+        """A copy of the counts: row 0 the initial counts, row ``s`` the
+        transitions from state ``s``."""
+        return self._rows(pattern).copy()
 
     # -- posterior-mean probabilities -------------------------------------
-
-    def transition_probabilities(self, pattern) -> np.ndarray:
-        counts = self.transition_counts(pattern)
-        return counts / counts.sum(axis=1, keepdims=True)
 
     def expected_state_vector(self, pattern, prev_state: int | None = None) -> np.ndarray:
         """Probability vector over next states.
@@ -105,9 +90,8 @@ class DirichletTable:
         With ``prev_state=None`` (a sequence begins) the initial counts are
         used, otherwise the transition-count row of the previous state.
         """
-        initial, transition = self._counts(pattern)
-        counts = (initial if prev_state is None
-                  else transition[self._check_state(prev_state) - 1])
+        counts = self._rows(pattern)[0 if prev_state is None
+                                     else self._check_state(prev_state)]
         return counts / counts.sum()
 
     # -- serialization -----------------------------------------------------
@@ -118,8 +102,8 @@ class DirichletTable:
             "pattern_length": self.pattern_length,
             "patterns": {
                 key: {
-                    "initial": self._initial[key].tolist(),
-                    "transition": self._transition[key].tolist(),
+                    "initial": self.counts[key][0].tolist(),
+                    "transition": self.counts[key][1:].tolist(),
                 }
                 for key in self.patterns
             },
@@ -129,18 +113,16 @@ class DirichletTable:
     def from_dict(cls, doc: dict) -> "DirichletTable":
         table = cls(int(doc["n_states"]), int(doc["pattern_length"]))
         for key, entry in doc["patterns"].items():
-            initial = np.asarray(entry["initial"], dtype=float)
-            transition = np.asarray(entry["transition"], dtype=float)
-            if initial.shape != (table.n_states,):
-                raise ConfigurationError(
-                    f"initial counts for pattern {key!r} have shape {initial.shape}")
-            if transition.shape != (table.n_states, table.n_states):
-                raise ConfigurationError(
-                    f"transition counts for pattern {key!r} have shape {transition.shape}")
-            for counts in (initial, transition):  # counts start at 1/2 and only grow
-                if not (np.isfinite(counts).all() and (counts >= JEFFREYS).all()):
-                    raise NumericError(
-                        f"counts for pattern {key!r} must be finite and >= {JEFFREYS}")
+            initial, transition = (np.asarray(entry[part], dtype=float)
+                                   for part in ("initial", "transition"))
+            if (initial.shape, transition.shape) != ((table.n_states,), (table.n_states,) * 2):
+                raise ConfigurationError(f"counts for pattern {key!r} have shapes "
+                                         f"{initial.shape} and {transition.shape}")
+            rows = np.vstack((initial, transition))
+            if not (np.isfinite(rows).all() and (rows >= JEFFREYS).all()):
+                # counts start at 1/2 and only grow
+                raise NumericError(
+                    f"counts for pattern {key!r} must be finite and >= {JEFFREYS}")
             table.check(key)
-            table._initial[key], table._transition[key] = initial, transition
+            table.counts[key] = rows
         return table

@@ -20,9 +20,6 @@ a state enters from outside: ``from_dict``.
 sequences at once, one stacked update per step, computing bit for bit
 what ``AdaptiveState._update`` computes one state at a time; ``stacked``
 lays the sequences out for it.
-
-``batch_oracle`` recomputes the same quantities non-recursively with
-direct solves, which is useful to validate the recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +43,6 @@ COND_CHECK_EVERY = 50
 COND_THRESHOLD = 1e8
 
 
-def _check_forgetting(forgetting: float) -> float:
-    forgetting = float(forgetting)
-    if not 0.0 < forgetting <= 1.0:
-        raise ConfigurationError(f"forgetting factor must lie in (0, 1], got {forgetting}")
-    return forgetting
-
-
 def checked_vector(x, length: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.shape != (length,):
@@ -61,6 +50,17 @@ def checked_vector(x, length: int, name: str) -> np.ndarray:
     if not all(map(math.isfinite, arr.tolist())):  # cheaper than numpy on short vectors
         raise NumericError(f"{name} contains non-finite values")
     return arr
+
+
+def _serialized(doc: dict, name: str, integer: bool = False):
+    """A finite non-negative number of a serialized state, a whole one if
+    ``integer`` (``7.0`` passes; ``true`` and ``"7"`` are not numbers)."""
+    value = doc[name]
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value < math.inf or integer and not float(value).is_integer()):
+        raise NumericError(f"serialized {name} must be a finite non-negative "
+                           f"{'integer' if integer else 'number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _refusal(denom) -> str:
@@ -96,7 +96,9 @@ class AdaptiveState:
             raise ConfigurationError("predictor and response dimensions must be >= 1")
         self.n_predictors = int(n_predictors)
         self.n_responses = int(n_responses)
-        self.forgetting = _check_forgetting(forgetting)
+        self.forgetting = float(forgetting)
+        if not 0.0 < self.forgetting <= 1.0:
+            raise ConfigurationError(f"forgetting factor must lie in (0, 1], got {forgetting}")
         self.H = np.zeros((self.n_predictors, self.n_responses))
         self.Sigma = np.zeros((self.n_responses, self.n_responses))
         self.P = np.eye(self.n_predictors)
@@ -134,10 +136,6 @@ class AdaptiveState:
         if message is not None:
             warnings.warn(message, ConditioningWarning, stacklevel=3)
 
-    def predict_mean(self, u) -> np.ndarray:
-        u = checked_vector(u, self.n_predictors, "u")
-        return u @ self.H
-
     def covariance(self) -> np.ndarray:
         """Noise covariance (symmetric and PSD by construction)."""
         return self.Sigma.copy()
@@ -163,25 +161,18 @@ class AdaptiveState:
         Keys of older documents that are no longer settable
         (``cond_check_every``, ``cond_threshold``) are ignored.
         """
-        state = cls(int(doc["n_predictors"]), int(doc["n_responses"]),
-                    float(doc["forgetting"]))
+        state = cls(_serialized(doc, "n_predictors", integer=True),
+                    _serialized(doc, "n_responses", integer=True),
+                    _serialized(doc, "forgetting"))
         H = np.asarray(doc["H"], dtype=float)
         Sigma = np.asarray(doc["Sigma"], dtype=float)
         P = np.asarray(doc["P"], dtype=float)
-        gamma = float(doc["gamma"])
         p, m = state.n_predictors, state.n_responses
         if H.shape != (p, m) or Sigma.shape != (m, m) or P.shape != (p, p):
             raise DimensionError("serialized state matrices do not match dimensions")
         for name, arr in (("H", H), ("Sigma", Sigma), ("P", P)):
             if not np.isfinite(arr).all():
                 raise NumericError(f"serialized {name} contains non-finite values")
-        if not 0.0 <= gamma < math.inf:
-            raise NumericError(f"serialized gamma must be finite and >= 0, got {gamma!r}")
-        n_updates = doc["n_updates"]
-        if (isinstance(n_updates, bool) or not isinstance(n_updates, numbers.Real)
-                or not (n_updates >= 0 and float(n_updates).is_integer())):
-            raise NumericError(
-                f"serialized n_updates must be a non-negative integer, got {n_updates!r}")
         if not np.array_equal(P, P.T):
             raise NumericError("serialized precision proxy P is not symmetric")
         if not np.array_equal(Sigma, Sigma.T):
@@ -190,8 +181,8 @@ class AdaptiveState:
         if low < -EIG_FLOOR:
             raise NumericError(f"serialized noise covariance has negative eigenvalue {low:.3e}")
         state.H, state.Sigma, state.P = H, Sigma, P
-        state.gamma = gamma
-        state.n_updates = int(n_updates)
+        state.gamma = _serialized(doc, "gamma")
+        state.n_updates = _serialized(doc, "n_updates", integer=True)
         return state
 
 
@@ -274,55 +265,3 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
             st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
             st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
     return commit, caught, refused
-
-
-@dataclass(frozen=True)
-class BatchOracleResult:
-    H: np.ndarray
-    Sigma: np.ndarray
-    P: np.ndarray
-    gamma: float
-
-
-def batch_oracle(history: Sequence[tuple], forgetting: float,
-                 prior_H: np.ndarray | None = None,
-                 prior_P: np.ndarray | None = None) -> BatchOracleResult:
-    """Recompute the estimator state from scratch with direct solves.
-
-    The precision accumulates as ``lam * previous + u u^T`` starting from
-    the inverse of the prior ``P``; coefficients solve the correspondingly
-    discounted normal equations at every step. The covariance recursion is
-    unrolled with the per-step innovations measured against the previous
-    directly solved coefficients, so nothing here shares code with the
-    rank-one update path.
-    """
-    lam = _check_forgetting(forgetting)
-    if not history:
-        raise ConfigurationError("history must contain at least one observation")
-    u0 = np.asarray(history[0][0], dtype=float).reshape(-1)
-    y0 = np.asarray(history[0][1], dtype=float).reshape(-1)
-    p, m = u0.size, y0.size
-    H_prev = np.zeros((p, m)) if prior_H is None else np.asarray(prior_H, dtype=float)
-    P_prior = np.eye(p) if prior_P is None else np.asarray(prior_P, dtype=float)
-    if H_prev.shape != (p, m) or P_prior.shape != (p, p):
-        raise DimensionError("prior matrices do not match observation dimensions")
-
-    precision = np.linalg.inv(P_prior)
-    moment = precision @ H_prev              # discounted sum of u^T y plus prior term
-    P_prev = P_prior.copy()
-    weighted_sq = np.zeros((m, m))           # gamma_n * Sigma_n
-    gamma = 0.0
-
-    for u, y in history:
-        u = checked_vector(u, p, "u")
-        y = checked_vector(y, m, "y")
-        gamma = 1.0 + lam * gamma
-        e = y - u @ H_prev
-        weighted_sq = lam * weighted_sq + lam * np.outer(e, e) / (lam + u @ (P_prev @ u))
-        precision = lam * precision + np.outer(u, u)
-        moment = lam * moment + np.outer(u, y)
-        H_prev = np.linalg.solve(precision, moment)
-        P_prev = np.linalg.inv(precision)
-
-    return BatchOracleResult(H=H_prev, Sigma=weighted_sq / gamma,
-                             P=P_prev, gamma=gamma)

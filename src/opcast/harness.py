@@ -150,7 +150,7 @@ def _fit_iohmm(model_names, base: ModelConfig, train: FeatureTable,
 def _iohmm_predictions(records, model: IoHmmModel, test_idx, name,
                        fold) -> list[PredictionRow]:
     """A learned model's forecasts as it walks the test week."""
-    steps = model.run_online(records, indices=test_idx, forecast_from=test_idx[0])
+    steps = model.run_online(records, indices=test_idx)
     return [row for st in steps if st.forecast is not None
             for row in _rows(records, name, fold, st.index,
                              model.config.features.response_names,

@@ -6,6 +6,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
+Z95 = 1.96  # the two-sided 95% normal quantile of every interval
+
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actual, dtype=float).reshape(-1)
@@ -29,22 +31,22 @@ def rmse(actual, predicted) -> float:
     return float(np.sqrt(((a - p) ** 2).mean()))
 
 
-def coverage(actual, predicted, sd, z: float = 1.96) -> float:
-    """Share of actuals inside the centered ``z * sd`` band."""
+def coverage(actual, predicted, sd) -> float:
+    """Share of actuals inside the centered 95% band, ``Z95 * sd``."""
     a, p = _paired(actual, predicted)
     s = np.asarray(sd, dtype=float).reshape(-1)
     if s.shape != a.shape:
         raise DimensionError(f"length mismatch: {a.shape} vs {s.shape}")
     if not np.all(np.isfinite(s)) or (s < 0).any():
         raise NumericError("standard deviations must be finite and non-negative")
-    return float((np.abs(a - p) <= z * s).mean())
+    return float((np.abs(a - p) <= Z95 * s).mean())
 
 
-def interval_width(sd, z: float = 1.96) -> float:
-    """Mean half-width of the centered ``z * sd`` band."""
+def interval_width(sd) -> float:
+    """Mean half-width of the centered 95% band."""
     s = np.asarray(sd, dtype=float).reshape(-1)
     if s.size == 0:
         raise DimensionError("need at least one value")
     if not np.all(np.isfinite(s)) or (s < 0).any():
         raise NumericError("standard deviations must be finite and non-negative")
-    return float((z * s).mean())
+    return float((Z95 * s).mean())

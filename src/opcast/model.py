@@ -10,21 +10,21 @@ dynamics are tracked by the pseudo-counts.
 Records move state in two passes, and a forecast only reads. ``run_online``
 is the interleaved loop: per record it absorbs the record before into its
 centroid, forecasts, then learns the record's counts and predictors. A
-pass without forecasts (``learn_tables``, behind ``fit``, ``learn_records``
-and ``learn_table``) moves no centroid, so the rows of each pattern form
-an independent chain: all chains of all models in the pass advance
-together, one stacked update per chain position, bit for bit as the
-interleaved loop would learn them. Both passes check the table cells they
-read before any state moves and refuse as a whole; ``run_online`` also
-checks, unless cold starts are allowed, that no forecast meets a pattern
-without observations. Then they run trusted cores, of which
-``learn_step``, ``forecast_step`` and ``combine`` are the checked entry
-points. Every forecast is a ``ForecastResult``, and the full state can be
-snapshotted to a plain JSON document.
+pass without forecasts (``learn_tables``, behind ``fit`` and the LOWO
+folds) moves no centroid, so the rows of each pattern form an independent
+chain: all chains of all models in the pass advance together, one stacked
+update per chain position, bit for bit as the interleaved loop would learn
+them. Both passes check the table cells they read before any state moves;
+``run_online`` also checks, unless cold starts are allowed, that no
+forecast meets a pattern without observations. Then they run trusted
+cores (checked entry points: ``learn_step``, ``forecast_step``,
+``combine``), and a refusal in them moves nothing either. Every forecast
+is a ``ForecastResult``; the full state snapshots to a JSON document.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -40,9 +40,9 @@ from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
 from .estimator import AdaptiveState, checked_vector, stacked, stacked_pass
 from .features import (FeatureConfig, FeatureTable, build_features,
                        classification_points, pattern_key)
+from .metrics import Z95
 from .records import ProductionRecord
 
-Z95 = 1.96
 _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
@@ -299,7 +299,7 @@ def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable])
         commit()
     for ch in chains:
         ch.model.params.setdefault(ch.key, ch.states)
-        ch.model.dirichlet.set_count_rows(ch.key, ch.counts)
+        ch.model.dirichlet.counts[ch.key] = ch.counts  # the key was checked in _chains
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -313,6 +313,32 @@ def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
     """
     return fit_auto_k(classification_points(records, features), threshold=threshold,
                       k_min=k_min, k_max=k_max, seed=seed)
+
+
+class _AllOrNothing(contextlib.AbstractContextManager):
+    """Puts back, if the block raises, the centroids and the predictors and
+    counts of patterns ``keys``: references to a predictor's arrays (an
+    update replaces them) and copies of the count rows (changed in place)."""
+
+    def __init__(self, model: "IoHmmModel", keys):
+        self.model, self.params = model, dict(model.params)
+        self.counts = dict(model.dirichlet.counts)
+        self.centroids = model.clusters.centroids.copy(), model.clusters.counts.copy()
+        self.fields = []
+        for key in keys:
+            if key in self.counts:
+                self.counts[key] = self.counts[key].copy()
+            if key in self.params:
+                u, v = self.params[key].u, self.params[key].v
+                self.fields += (u, vars(u).copy()), (v, vars(v).copy())
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is not None:  # put back; the exception propagates
+            model = self.model
+            model.params, model.dirichlet.counts = self.params, self.counts
+            model.clusters.centroids, model.clusters.counts = self.centroids
+            for st, values in self.fields:
+                vars(st).update(values)
 
 
 class IoHmmModel:
@@ -365,16 +391,10 @@ class IoHmmModel:
         self.attach_clusters(fit_states(records, self.config.features, seed=seed,
                                         threshold=threshold, k_min=k_min,
                                         k_max=k_max))
-        self.learn_records(records)
+        learn_tables([self], [build_features(records, self.config.features)])
         return self
 
     # -- pattern state access ------------------------------------------------
-
-    def _states_for(self, key: str) -> PatternStates:
-        states = self.params.get(key)
-        if states is None:
-            states = self.params[key] = self._prior()
-        return states
 
     def _prior(self) -> PatternStates:
         """The zero-knowledge predictors of a pattern without observations."""
@@ -403,7 +423,8 @@ class IoHmmModel:
         u = checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
         y = checked_vector(y, self.n_responses, "y")
         self.dirichlet.check(key, *(() if prev_state is None else (prev_state,)), cur_state)
-        self._learn(key, u, y, prev_state, cur_state)
+        with _AllOrNothing(self, (key,)):
+            self._learn(key, u, y, prev_state, cur_state)
 
     def forecast_step(self, t_prev, z_next, w_next, begins: bool) -> ForecastResult:
         """Forecast the next period from the last classified one; a pure read.
@@ -425,7 +446,9 @@ class IoHmmModel:
 
     def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
                prev_state: int | None, cur_state: int) -> None:
-        states = self._states_for(key)
+        states = self.params.get(key)
+        if states is None:
+            states = self.params[key] = self._prior()
         v = self.dirichlet.expected_state_vector(key, prev_state)
         states.u._update(u, y)
         states.v._update(v, y)
@@ -441,15 +464,6 @@ class IoHmmModel:
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
         return _combine(u, v, states.u, states.v, self.config.allow_cold_start,
                         state=state, pattern=key, begins=begins)
-
-    def learn_records(self, records: Sequence[ProductionRecord]) -> None:
-        """Single learning pass over chronologically sorted records."""
-        self._require_fitted()
-        self.learn_table(build_features(records, self.config.features))
-
-    def learn_table(self, table: FeatureTable) -> None:
-        """``learn_records`` of a table built for this model's feature config."""
-        learn_tables([self], [table])
 
     def _chains(self, order: int, table: FeatureTable) -> list[_Chain]:
         """Check ``table`` as this model's input and split its learned rows
@@ -480,7 +494,6 @@ class IoHmmModel:
         return chains
 
     def run_online(self, records: Sequence[ProductionRecord],
-                   forecast_from: int | None = None,
                    indices: Sequence[int] | None = None) -> list[StepResult]:
         """Interleave forecasting and learning over the records.
 
@@ -493,7 +506,7 @@ class IoHmmModel:
         increasing); earlier records still provide lags and previous-state
         labels. Only the processed records and the ``max(q, 1)`` before
         them are featurized. Returns one entry per processed record;
-        ``forecast`` is None for warm-up records.
+        ``forecast`` is None for warm-up records. A refused pass moves nothing.
         """
         self._require_fitted()
         fc = self.config.features
@@ -510,40 +523,41 @@ class IoHmmModel:
                 raise DimensionError("indices must be strictly increasing")
             if not positions:
                 return []
-        first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
         # rows from `start` on: the lags and boundary flag of every position
         start = max(0, positions[0] - max(fc.q, 1))
         table = build_features(records[start:max(positions[-1], fc.q) + 1], fc)
-        return self._pass(table, start, positions, first)
+        keys = [pattern_key(table.z[i - start]) if i >= fc.q else None for i in positions]
+        with _AllOrNothing(self, set(keys) - {None}):
+            return self._pass(table, start, positions, keys)
 
     def _pass(self, table: FeatureTable, offset: int, positions: Sequence[int],
-              first: int) -> list[StepResult]:
-        """The interleaved loop; row ``r`` of ``table`` is record ``offset + r``.
+              keys: Sequence[str | None]) -> list[StepResult]:
+        """The interleaved loop; row ``r`` of ``table`` is record ``offset + r``
+        and ``keys`` are the positions' patterns (None before ``q``).
 
-        Per position: from ``first`` on, classify the row before, absorb it
+        Per position: from ``q + 1`` on, classify the row before, absorb it
         into its centroid and forecast the record; then classify the
         record and learn from it (from ``q`` on). Nothing moves before
         every read and every forecast is known to succeed.
         """
         q, clusters = self.config.features.q, self.clusters
-        _check_reads(table, offset, positions, first, q)
-        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in positions]
+        _check_reads(table, offset, positions, q + 1, q)
         if not self.config.allow_cold_start:
             warm = {key for key, st in self.params.items() if st.u.gamma or st.v.gamma}
             for i, key in zip(positions, keys):
-                if i >= first and key not in warm:
+                if i > q and key not in warm:
                     raise ForecastUnavailableError(f"record {i}: {_COLD}")
                 warm.add(key)  # learned from q on; before q the key is None
         X = clusters.standardizer.transform(table.t)  # one standardization per row
         # before the first forecast no centroid moves: one labelling holds
-        labels = clusters.nearest(X).tolist() if positions[0] < first else None
+        labels = clusters.nearest(X).tolist() if positions[0] <= q else None
         U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
         results: list[StepResult] = []
         for i, key in zip(positions, keys):
             r = i - offset
             begins = bool(table.begins_shift[r])
             forecast = None
-            if i >= first:
+            if i > q:
                 state = int(clusters.nearest(X[r - 1:r])[0])
                 clusters.absorb(state, X[r - 1])
                 forecast = self._forecast(state, key, U[r], begins)
@@ -603,6 +617,8 @@ class IoHmmModel:
                 if {u.n_responses, v.n_responses} != {model.n_responses}:
                     raise RestoreError(
                         f"adaptive state for pattern {key!r} has wrong response count")
+                if (u.forgetting, v.forgetting) != (model.config.lambda_u, model.config.lambda_v):
+                    raise RestoreError(f"pattern {key!r} does not forget at lambda_u/lambda_v")
                 model.dirichlet.check(key)
                 model.params[key] = PatternStates(u=u, v=v)
             return model

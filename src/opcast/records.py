@@ -143,20 +143,20 @@ def derive_time_variables(OT: float, SBT: float, DT: float, PLT: float,
     return DerivedTimes(LT, OpT, NOpT, VT)
 
 
-def compute_indices(OT: float, LT: float, OpT: float, NOpT: float, VT: float,
-                    degenerate_value: float = 0.0) -> EffectivenessIndices:
+def compute_indices(OT: float, LT: float, OpT: float, NOpT: float,
+                    VT: float) -> EffectivenessIndices:
     """Effectiveness ratios of consecutive cascade levels.
 
-    Each ratio with a zero denominator is replaced by ``degenerate_value``
-    and flagged by name. The overall index is the product of availability,
-    performance and quality.
+    Each ratio with a zero denominator is replaced by 0 and flagged by
+    name. The overall index is the product of availability, performance
+    and quality.
     """
     flagged: list[str] = []
 
     def _ratio(num: float, den: float, name: str) -> float:
         if den == 0.0:
             flagged.append(name)
-            return degenerate_value
+            return 0.0
         return num / den
 
     lo = _ratio(LT, OT, "lo")

@@ -180,8 +180,12 @@ class TestForecast:
         lambda doc: [entry["u"]["P"][0].__setitem__(1, entry["u"]["P"][0][1] + 0.5)
                      for entry in doc["params"].values()],
         lambda doc: [entry["v"].update(n_updates=-3.7) for entry in doc["params"].values()],
+        lambda doc: [entry["u"].update(forgetting=0.5) for entry in doc["params"].values()],
+        lambda doc: [entry["u"].update(n_predictors=len(entry["u"]["P"]) + 0.25)
+                     for entry in doc["params"].values()],
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "nan-centroid",
-            "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates"])
+            "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates", "forgetting",
+            "fractional-n-predictors"])
     def test_damaged_snapshot_is_refused_at_load(self, workdir, tmp_path, capsys, damage):
         doc = json.loads((workdir / "model.json").read_text())
         damage(doc)

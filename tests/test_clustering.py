@@ -206,8 +206,8 @@ class TestEmptyClusterRepair:
         repairs, restarts = [], []
         lloyd = clustering._lloyd
 
-        def recorded(X, K, rng, max_iter=300):
-            restarts.append(lloyd(X, K, rng, max_iter))
+        def recorded(X, K, rng):
+            restarts.append(lloyd(X, K, rng))
             return restarts[-1]
 
         with warnings.catch_warnings():
@@ -231,11 +231,11 @@ def _masked_mean_lloyd(repairs):
 
     Counts every empty-cluster repair into ``repairs``.
     """
-    def lloyd(X, K, rng, max_iter=300):
+    def lloyd(X, K, rng):
         n = X.shape[0]
         centroids = clustering._plus_plus_seed(X, K, rng)
         prev = None
-        for _ in range(max_iter):
+        for _ in range(clustering.MAX_ITER):
             d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             assign = d2.argmin(axis=1)
             counts = np.bincount(assign, minlength=K)

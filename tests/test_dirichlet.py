@@ -8,9 +8,9 @@ from opcast.dirichlet import JEFFREYS
 class TestCounts:
     def test_symmetric_start(self):
         table = DirichletTable(n_states=3, pattern_length=2)
-        np.testing.assert_array_equal(table.initial_counts("10"),
+        np.testing.assert_array_equal(table.count_rows("10")[0],
                                       [0.5, 0.5, 0.5])
-        np.testing.assert_array_equal(table.transition_counts("10"),
+        np.testing.assert_array_equal(table.count_rows("10")[1:],
                                       np.full((3, 3), 0.5))
         assert JEFFREYS == 0.5
 
@@ -19,7 +19,7 @@ class TestCounts:
         # counts [1.5, 0.5], probabilities [0.75, 0.25]
         table = DirichletTable(n_states=2, pattern_length=1)
         table.observe_initial("1", 1)
-        np.testing.assert_array_equal(table.initial_counts("1"), [1.5, 0.5])
+        np.testing.assert_array_equal(table.count_rows("1")[0], [1.5, 0.5])
         np.testing.assert_allclose(table.expected_state_vector("1"),
                                    [0.75, 0.25])
 
@@ -28,18 +28,21 @@ class TestCounts:
         for _ in range(4):
             table.observe_transition("0", 2, 1)
         expected = np.array([[0.5, 0.5], [4.5, 0.5]])
-        np.testing.assert_array_equal(table.transition_counts("0"), expected)
+        np.testing.assert_array_equal(table.count_rows("0")[1:], expected)
 
     def test_patterns_are_independent(self):
         table = DirichletTable(n_states=2, pattern_length=2)
         table.observe_initial("10", 1)
-        np.testing.assert_array_equal(table.initial_counts("01"), [0.5, 0.5])
+        np.testing.assert_array_equal(table.count_rows("01")[0], [0.5, 0.5])
         assert table.patterns == ["10"]  # a read of an unobserved pattern stores nothing
 
     def test_returned_arrays_are_copies(self):
         table = DirichletTable(n_states=2, pattern_length=1)
-        table.initial_counts("1")[0] = 99.0
-        np.testing.assert_array_equal(table.initial_counts("1"), [0.5, 0.5])
+        table.count_rows("1")[0, 0] = 99.0
+        np.testing.assert_array_equal(table.count_rows("1")[0], [0.5, 0.5])
+        table.observe_initial("1", 2)  # and the stored rows of an observed pattern
+        table.count_rows("1")[0, 0] = 99.0
+        np.testing.assert_array_equal(table.count_rows("1")[0], [0.5, 1.5])
 
 
 class TestProbabilities:
@@ -49,7 +52,7 @@ class TestProbabilities:
         for _ in range(300):
             table.observe_transition("1", int(rng.integers(1, 5)),
                                      int(rng.integers(1, 5)))
-        probs = table.transition_probabilities("1")
+        probs = np.array([table.expected_state_vector("1", s) for s in range(1, 5)])
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-12)
         assert (probs > 0).all()
 
@@ -71,9 +74,9 @@ class TestProbabilities:
         for _ in range(100):
             table.observe_transition("11", int(rng.integers(1, 4)),
                                      int(rng.integers(1, 4)))
-        counts = table.transition_counts("11")
+        counts = table.count_rows("11")[1:]
         np.testing.assert_allclose(
-            table.transition_probabilities("11"),
+            [table.expected_state_vector("11", s) for s in range(1, 4)],
             counts / counts.sum(axis=1, keepdims=True))
 
 
@@ -97,7 +100,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             table.observe_initial("101", 1)
         with pytest.raises(ConfigurationError):
-            table.initial_counts("2x")
+            table.count_rows("2x")
 
     def test_known_patterns_are_still_checked(self):
         # once "01" has counts, lookups take the fast path for it
@@ -115,7 +118,7 @@ class TestValidation:
             table.observe_initial("01", np.int64(5))
         assert table.to_dict() == before
         table.observe_transition(np.str_("01"), 1, 2)  # a str subclass keeps the counts
-        assert table.transition_counts("01")[0, 1] == JEFFREYS + 2.0
+        assert table.count_rows("01")[1, 1] == JEFFREYS + 2.0
 
     def test_a_rejected_observation_stores_no_pattern(self):
         table = DirichletTable(2, 1)
@@ -128,8 +131,8 @@ class TestValidation:
         assert table.patterns == []
         table.observe_transition("0", 2, 1)
         assert table.patterns == ["0"]
-        assert table.transition_counts("0").tolist() == [[JEFFREYS] * 2,
-                                                         [JEFFREYS + 1, JEFFREYS]]
+        assert table.count_rows("0")[1:].tolist() == [[JEFFREYS] * 2,
+                                                      [JEFFREYS + 1, JEFFREYS]]
 
     def test_count_rows_stack_initial_over_transitions(self):
         table = DirichletTable(2, 2)
@@ -139,7 +142,7 @@ class TestValidation:
         assert rows.tolist() == [[0.5, 1.5], [0.5, 0.5], [1.5, 0.5]]
         rows[0, 0] = 9.0  # a copy
         other = DirichletTable(2, 2)
-        other.set_count_rows("01", table.count_rows("01"))
+        other.counts["01"] = table.count_rows("01")
         assert other.to_dict() == table.to_dict()
         assert table.count_rows("10").tolist() == [[JEFFREYS] * 2] * 3
         assert table.patterns == ["01"]
@@ -160,10 +163,8 @@ class TestSerialization:
         clone = DirichletTable.from_dict(table.to_dict())
         assert clone.patterns == table.patterns
         for key in table.patterns:
-            np.testing.assert_array_equal(clone.initial_counts(key),
-                                          table.initial_counts(key))
-            np.testing.assert_array_equal(clone.transition_counts(key),
-                                          table.transition_counts(key))
+            np.testing.assert_array_equal(clone.count_rows(key), table.count_rows(key))
+        assert clone.to_dict() == table.to_dict()
 
     def test_shape_mismatch_rejected(self):
         doc = DirichletTable(2, 1).to_dict()

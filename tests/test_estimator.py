@@ -5,8 +5,10 @@ import pytest
 
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
-                    DimensionError, NumericError, batch_oracle)
+                    DimensionError, NumericError)
 from opcast.estimator import COND_CHECK_EVERY, stacked, stacked_pass
+
+from oracles import batch_oracle
 
 
 def _run(state, history):
@@ -123,12 +125,6 @@ class TestAgainstBatchOracle:
 
 
 class TestPredictionAndCovariance:
-    def test_predict_mean(self):
-        state = AdaptiveState(2, 2, forgetting=1.0)
-        state.H = np.array([[1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(state.predict_mean([3.0, 4.0]),
-                                   [3.0, 8.0])
-
     def test_covariance_is_psd_and_symmetric(self):
         rng = np.random.default_rng(31)
         state = _run(AdaptiveState(3, 2, forgetting=0.97),
@@ -245,8 +241,7 @@ class TestSerialization:
         state = _run(AdaptiveState(3, 2, forgetting=0.98), history)
         clone = AdaptiveState.from_dict(state.to_dict())
         u_next = rng.normal(size=3)
-        np.testing.assert_array_equal(clone.predict_mean(u_next),
-                                      state.predict_mean(u_next))
+        np.testing.assert_array_equal(u_next @ clone.H, u_next @ state.H)
         y_next = rng.normal(size=2)
         state.update(u_next, y_next)
         clone.update(u_next, y_next)
@@ -282,7 +277,7 @@ class TestSerialization:
         with pytest.raises(NumericError, match=name):
             AdaptiveState.from_dict(doc)
 
-    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0, "3.5", True, None])
     def test_bad_gamma_rejected(self, gamma):
         doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
         doc["gamma"] = gamma
@@ -312,6 +307,17 @@ class TestSerialization:
         doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
         doc["n_updates"] = n_updates
         with pytest.raises(NumericError, match="n_updates"):
+            AdaptiveState.from_dict(doc)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_predictors", 2.7), ("n_predictors", "2"), ("n_predictors", -2),
+        ("n_responses", True), ("n_responses", 1.5), ("n_responses", np.nan),
+        ("forgetting", "1.0"), ("forgetting", False)])
+    def test_dimensions_and_forgetting_must_be_numbers_of_their_kind(self, name, value):
+        # the check n_updates passes through, for the other scalars of a state
+        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
+        doc[name] = value
+        with pytest.raises(NumericError, match=name):
             AdaptiveState.from_dict(doc)
 
     @pytest.mark.parametrize("n_updates", [0, 7, 7.0, np.int64(7)])

@@ -194,8 +194,7 @@ class TestLeaveOneWeekOut:
             for features in feature_configs:
                 model = IoHmmModel(replace(base, features=features))
                 model.fit(train, seed=0, k_max=6)
-                steps = model.run_online(records, indices=test_idx,
-                                         forecast_from=test_idx[0])
+                steps = model.run_online(records, indices=test_idx)
                 for st in steps:
                     if st.forecast is None:
                         continue

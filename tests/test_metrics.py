@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import opcast.metrics
+import opcast.model
 from opcast import DimensionError, NumericError, coverage, interval_width, mae, rmse
 
 
@@ -41,13 +43,16 @@ class TestIntervalMetrics:
     def test_boundary_is_inside(self):
         assert coverage([1.96], [0.0], [1.0]) == 1.0
 
-    def test_custom_z(self):
-        assert coverage([1.5], [0.0], [1.0], z=1.0) == 0.0
-        assert coverage([1.5], [0.0], [1.0], z=2.0) == 1.0
+    def test_one_95_percent_quantile(self):
+        # the metrics score the band the forecasts carry
+        assert opcast.metrics.Z95 == opcast.model.Z95 == 1.96
+        assert coverage([1.97], [0.0], [1.0]) == 0.0
+        assert coverage([1.5], [0.0], [0.75]) == 0.0
+        assert coverage([1.5], [0.0], [0.8]) == 1.0
 
     def test_width_is_mean_half_width(self):
         assert interval_width([1.0, 2.0]) == pytest.approx(1.96 * 1.5)
-        assert interval_width([0.5], z=2.0) == pytest.approx(1.0)
+        assert interval_width([0.5]) == pytest.approx(0.98)
 
     def test_gaussian_coverage_sanity(self):
         rng = np.random.default_rng(2)

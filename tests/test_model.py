@@ -45,6 +45,11 @@ def _model(q=1, t_spec=("OpT",), centroids=((0.0,), (10.0,)), **cfg):
     return IoHmmModel(config, clusters=_manual_clusters(centroids))
 
 
+def _learn(model, records):
+    """A learning pass without forecasts, as ``fit`` runs one."""
+    learn_tables([model], [build_features(records, model.config.features)])
+
+
 def _row(table, i):
     """(z, w, y) of one record position, the learn_step inputs."""
     return table.z[i], table.w[i], table.y[i]
@@ -158,7 +163,7 @@ class TestLearnStep:
         np.testing.assert_allclose(model.params["100"].v.H[0], y / 3.0)
         # and only afterwards the count moves to [1.5, 0.5]
         np.testing.assert_array_equal(
-            model.dirichlet.initial_counts("100"), [1.5, 0.5])
+            model.dirichlet.count_rows("100")[0], [1.5, 0.5])
 
     def test_transition_vs_initial_dispatch(self):
         model = _model()
@@ -167,11 +172,11 @@ class TestLearnStep:
         model.learn_step(*_row(table, 1), None, 2)
         model.learn_step(*_row(table, 2), 2, 1)
         np.testing.assert_array_equal(
-            model.dirichlet.initial_counts("100"), [0.5, 1.5])
+            model.dirichlet.count_rows("100")[0], [0.5, 1.5])
         expected = np.full((2, 2), 0.5)
         expected[1, 0] += 1.0
         np.testing.assert_array_equal(
-            model.dirichlet.transition_counts("100"), expected)
+            model.dirichlet.count_rows("100")[1:], expected)
 
     def test_regressor_dimension_checked(self):
         model = _model(q=1)
@@ -205,6 +210,21 @@ class TestLearnStep:
             with pytest.raises(error):
                 model.learn_step(*args)
             assert model.to_json() == before, (args, error)
+
+    def test_a_refused_update_moves_nothing(self):
+        # restore keeps a symmetric indefinite P; the gain guard refuses the
+        # update of v after u has taken its own
+        model = _model()
+        records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}])
+        table = build_features(records, model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        doc = model.snapshot()
+        doc["params"]["100"]["v"]["P"] = (-10.0 * np.eye(2)).tolist()
+        model = IoHmmModel.restore(doc)
+        before = model.to_json()
+        with pytest.raises(NumericError, match="not positive"):
+            model.learn_step(*_row(table, 2), 1, 2)
+        assert model.to_json() == before
 
     def test_requires_clusters(self):
         model = IoHmmModel(ModelConfig(features=_feature_config()))
@@ -357,13 +377,6 @@ class TestRunOnline:
         assert missing == [0, 1, 2]
         assert sum(r.forecast is not None for r in results) == 30 - 2 - 1
 
-    def test_forecast_from_delays_forecasting(self):
-        records = self._records(20)
-        model = _model(q=1, allow_cold_start=True)
-        results = model.run_online(records, forecast_from=10)
-        assert [r.index for r in results if r.forecast is not None] == \
-            list(range(10, 20))
-
     def test_matches_manual_replay(self):
         records = self._records(25, seed=3)
         fc = _feature_config(q=1)
@@ -431,11 +444,11 @@ class TestRunOnline:
             lengths.append(len(recs))
             return build_features(recs, config)
 
-        monkeypatch.setattr(opcast.model, "build_features", recording)
         model = _model(q=q, allow_cold_start=True)
-        model.learn_records(records[:20])
-        steps = model.run_online(records, indices=range(20, 26), forecast_from=20)
-        assert lengths == [20, 6 + max(q, 1)]
+        _learn(model, records[:20])
+        monkeypatch.setattr(opcast.model, "build_features", recording)
+        steps = model.run_online(records, indices=range(20, 26))
+        assert lengths == [6 + max(q, 1)]
         assert [st.index for st in steps] == list(range(20, 26))
         assert all(st.forecast is not None for st in steps)
 
@@ -446,7 +459,7 @@ class TestRunOnline:
             with pytest.raises(InsufficientHistoryError):
                 model.run_online(short)
             with pytest.raises(InsufficientHistoryError):
-                model.learn_records(short)
+                _learn(model, short)
         with pytest.raises(InsufficientHistoryError):
             model.run_online(records[:2], indices=[])
         assert model.run_online(records, indices=[]) == []
@@ -484,12 +497,43 @@ class TestRunOnline:
             model.run_online(self._records(20))
         assert model.to_json() == before
 
+    @pytest.mark.parametrize("fault", ["indefinite-p", "warning-as-error"])
+    def test_a_refusal_after_checks_puts_back_what_moved(self, fault):
+        # learned on the A and N shifts (records 4-11); the pass over records
+        # 12-24 creates the M pattern, absorbs rows into centroids and learns
+        # M and A before the first N update is refused
+        records = self._records(25)
+        model = _model(allow_cold_start=True)
+        _learn(model, records[4:12])
+        doc = model.snapshot()
+        v = doc["params"]["001"]["v"]
+        if fault == "indefinite-p":
+            v["P"] = (-10.0 * np.eye(2)).tolist()
+        else:  # the next update is a conditioning check, on an ill-conditioned P
+            v.update(P=np.diag([1.0, 1e-12]).tolist(), n_updates=49)
+        model = IoHmmModel.restore(doc)
+        before = model.to_json()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            with pytest.raises((NumericError, ConditioningWarning)) as refused:
+                model.run_online(records, indices=range(12, 25))
+        assert refused.type is (NumericError if fault == "indefinite-p"
+                                else ConditioningWarning)
+        assert model.to_json() == before
+        assert sorted(model.params) == model.dirichlet.patterns == ["001", "010"]
+        # the model still learns: the same pass runs once the fault is gone
+        model.params["001"].v.P = np.eye(2)
+        model.params["001"].v.n_updates = 0
+        assert len(model.run_online(records, indices=range(12, 25))) == 13
+
     def test_patterns_learned_earlier_in_the_pass_are_warm(self):
         # M, A and N shifts are all learned before record 12
         records = self._records(20)
         strict, lenient = _model(), _model(allow_cold_start=True)
-        a = strict.run_online(records, forecast_from=12)
-        b = lenient.run_online(records, forecast_from=12)
+        for model in (strict, lenient):
+            _learn(model, records[:12])
+        a = strict.run_online(records, indices=range(12, 20))
+        b = lenient.run_online(records, indices=range(12, 20))
         assert not any(st.forecast.cold_start for st in a if st.forecast)
         assert [st.state for st in a] == [st.state for st in b]
         a_doc, b_doc = strict.snapshot(), lenient.snapshot()
@@ -513,15 +557,16 @@ def _with_cells(records, faults):
     return out
 
 
-def _stepwise_error(model, records, start=0, forecast_from=None):
+def _stepwise_error(model, records, start=0, forecasts=True):
     """The error of a replay through the public steps, each checking its input.
 
-    It replays ``run_online(records, indices=range(start, len(records)),
-    forecast_from=forecast_from)`` in the order of the per-record loop.
+    It replays ``run_online(records, indices=range(start, len(records)))``
+    in the order of the per-record loop; without ``forecasts``, a learning
+    pass over ``records`` (``start`` 0).
     """
     fc = model.config.features
     table = build_features(records, fc)
-    first = fc.q + 1 if forecast_from is None else max(forecast_from, fc.q + 1)
+    first = fc.q + 1 if forecasts else len(records)
     labels = {}
     try:
         for i in range(start, len(records)):
@@ -572,7 +617,7 @@ class TestChecksAtTheTable:
             model.run_online(bad, indices=range(8, 20))
         assert model.to_json() == before
         with pytest.raises(error):
-            model.learn_records(bad)
+            _learn(model, bad)
         assert model.to_json() == before
 
     @pytest.mark.parametrize("faults", [
@@ -597,27 +642,28 @@ class TestChecksAtTheTable:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_faults_match_the_stepwise_replay(self, seed):
-        # faults in one or two rows, on a run from a random start that
-        # forecasts from there, later or never
+        # faults in one or two rows, on a run from a random start and on a
+        # learning pass over every row
         rng = np.random.default_rng(seed)
         q, start, faults = int(rng.integers(0, 3)), int(rng.integers(0, 12)), {}
-        forecast_from = [None, start, start + 3, 20][int(rng.integers(0, 4))]
         for row in rng.choice(20, size=int(rng.integers(1, 3)), replace=False):
             columns = rng.choice(["av", "ics", "OpT", "NOpT"], size=int(rng.integers(1, 4)),
                                  replace=False)
             faults[int(row)] = {str(c): float(rng.choice([np.nan, np.inf, -np.inf]))
                                 for c in columns}
         bad = _with_cells(self._records(), faults)
-        replay, model = self._model(q=q), self._model(q=q)
-        expected = _stepwise_error(replay, bad, start, forecast_from)
-        before = model.to_json()
-        if expected is None:  # every fault sits in a cell the loop never reads
-            model.run_online(bad, indices=range(start, 20), forecast_from=forecast_from)
-            assert model.to_json() == replay.to_json()
-        else:
-            with pytest.raises(expected):
-                model.run_online(bad, indices=range(start, 20), forecast_from=forecast_from)
-            assert model.to_json() == before
+        for forecasts, run in ((True, lambda m: m.run_online(bad, indices=range(start, 20))),
+                               (False, lambda m: _learn(m, bad))):
+            replay, model = self._model(q=q), self._model(q=q)
+            expected = _stepwise_error(replay, bad, start if forecasts else 0, forecasts)
+            before = model.to_json()
+            if expected is None:  # every fault sits in a cell the loop never reads
+                run(model)
+                assert model.to_json() == replay.to_json()
+            else:
+                with pytest.raises(expected):
+                    run(model)
+                assert model.to_json() == before
 
     def _assert_same_steps(self, a, b):
         assert [st.index for st in a] == [st.index for st in b]
@@ -632,23 +678,24 @@ class TestChecksAtTheTable:
         bad = _with_cells(records, {8: {"av": self.NAN, "ics": self.NAN}})
         clean, dirty = self._model(q=2), self._model(q=2)
         for model in (clean, dirty):
-            model.learn_records(records[:8])
+            _learn(model, records[:8])
         self._assert_same_steps(dirty.run_online(bad, indices=range(10, 20)),
                                 clean.run_online(records, indices=range(10, 20)))
 
     def test_row_before_is_read_for_the_state_it_leaves(self):
-        # without a forecast, learning reads the previous row's state unless
-        # the record begins a shift (rows 4, 8, 12 ... begin one here)
+        # the first learned position, q, has no forecast: its learning reads
+        # the previous row's state unless the record begins a shift (records
+        # 4, 8, 12 ... begin one here); 9 does not, 8 does
         records = self._records()
         model = self._model()
         before = model.to_json()
         with pytest.raises(InputError):
-            model.run_online(_with_cells(records, {8: {"av": self.NAN}}),
-                             indices=range(9, 12), forecast_from=20)
+            model.run_online(_with_cells(records, {8: {"av": self.NAN}})[8:12],
+                             indices=range(1, 4))
         assert model.to_json() == before
-        steps = model.run_online(_with_cells(records, {7: {"av": self.NAN}}),
-                                 indices=range(8, 12), forecast_from=20)
-        assert [st.index for st in steps] == [8, 9, 10, 11]
+        steps = model.run_online(_with_cells(records, {7: {"av": self.NAN}})[7:12],
+                                 indices=range(1, 5))
+        assert [st.index for st in steps] == [1, 2, 3, 4]
 
     def test_unread_gap_row_is_accepted(self):
         # indices skip 12 and 13; 13 is read as the row before 14, 12 is not
@@ -657,7 +704,7 @@ class TestChecksAtTheTable:
                                          "OpT": self.NAN}})
         clean, dirty = self._model(), self._model()
         for model in (clean, dirty):
-            model.learn_records(records[:8])
+            _learn(model, records[:8])
         indices = [8, 9, 10, 11, 14, 15, 16]
         self._assert_same_steps(dirty.run_online(bad, indices=indices),
                                 clean.run_online(records, indices=indices))
@@ -669,9 +716,9 @@ class TestLearnTable:
     def test_a_derived_table_learns_like_learn_records(self):
         records = TestRunOnline()._records(24, seed=9)
         a, b = _model(q=2, allow_cold_start=True), _model(q=2, allow_cold_start=True)
-        a.learn_records(records)
+        _learn(a, records)
         lag_free = build_features(records, a.config.features.with_lags(0))
-        b.learn_table(lag_free.lagged(2, (0, 1)))
+        learn_tables([b], [lag_free.lagged(2, (0, 1))])
         assert a.to_json() == b.to_json()
 
     def test_rejects_a_table_of_another_config(self):
@@ -684,10 +731,10 @@ class TestLearnTable:
                     replace(table, z=table.z[:, 1:]),  # a pattern too short
                     replace(table, y=table.y[:-1])):  # a row short
             with pytest.raises(DimensionError):
-                model.learn_table(bad)
+                learn_tables([model], [bad])
         with pytest.raises(InsufficientHistoryError):
-            model.learn_table(build_features(records[:1], _feature_config(q=0))
-                              .lagged(1, (0, 1)))
+            learn_tables([model], [build_features(records[:1], _feature_config(q=0))
+                                   .lagged(1, (0, 1))])
         assert model.to_json() == before
 
 
@@ -752,7 +799,7 @@ class TestLearnTables:
         tables.append(build_features(no_night, features.with_lags(2)))
         learned = IoHmmModel(ModelConfig(features=features, lambda_u=self.FAST),
                              clusters=copy.deepcopy(states))
-        learned.learn_records(records[:100])
+        _learn(learned, records[:100])
         models.append(learned)
         tables.append(build_features(records[90:], features))
         return models, tables
@@ -777,7 +824,7 @@ class TestLearnTables:
         for model, twin, table in zip(models, oracle, tables):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
-                model.learn_table(table)
+                learn_tables([model], [table])
                 _learn_record_by_record(twin, table)
             assert model.to_json() == twin.to_json()
 
@@ -803,7 +850,7 @@ class TestLearnTables:
             # the first refused update in model and record order
             models[-1] = self._negative_definite(
                 self._negative_definite(models[-1], "001"), "010")
-            models[-2].learn_table(tables[-2])
+            learn_tables([models[-2]], [tables[-2]])
             models[-2] = self._negative_definite(models[-2], "100")
             error = NumericError
         before = [m.to_json() for m in models]
@@ -856,7 +903,7 @@ class TestFit:
         model = IoHmmModel(ModelConfig(features=features, allow_cold_start=True))
         model.fit(records, seed=0, k_max=3)
         assert model.u_dim == 1 + 2 * q
-        results = model.run_online(records, forecast_from=20)
+        results = model.run_online(records, indices=range(20, 30))
         forecasts = [r.forecast for r in results if r.forecast is not None]
         assert len(forecasts) == 10
         assert all(np.isfinite(f.y_hat).all() for f in forecasts)
@@ -927,9 +974,12 @@ class TestSnapshot:
         lambda doc: doc["params"]["100"]["u"]["P"][0].__setitem__(1, 0.5),
         lambda doc: doc["params"]["100"]["v"].update(n_updates=-3.7),
         lambda doc: doc["params"]["100"]["u"].update(n_updates=2.5),
+        lambda doc: doc["params"]["100"]["u"].update(forgetting=0.5),
+        lambda doc: doc["params"]["100"]["v"].update(forgetting=1.0),
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "params-key",
             "nan-centroid", "empty-cluster", "inf-mean", "zero-scale", "nan-scale",
-            "asymmetric-p", "negative-n-updates", "fractional-n-updates"])
+            "asymmetric-p", "negative-n-updates", "fractional-n-updates",
+            "u-forgetting", "v-forgetting"])
     def test_restore_rejects_damaged_states_and_counts(self, damage):
         model, _ = self._trained()
         doc = model.snapshot()

@@ -85,12 +85,6 @@ class TestTimeAlgebra:
         assert set(idx.degenerate) == {"lo", "av", "pf", "qu", "oee"}
         assert idx.lo == 0.0 and idx.oee == 0.0
 
-    def test_degenerate_value_is_configurable(self):
-        idx = compute_indices(10.0, 10.0, 0.0, 0.0, 0.0, degenerate_value=1.0)
-        assert idx.pf == 1.0
-        assert "pf" in idx.degenerate
-        assert idx.lo == 1.0 and "lo" not in idx.degenerate
-
 
 def _rows_to_csv(rows, header=None):
     from opcast.records import COLUMNS
