@@ -9,6 +9,7 @@ problem, 3 numeric or model-state problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -29,14 +30,14 @@ _CONFIG_KEYS = {
     "lambda_u": float, "lambda_v": float, "lags": int, "threshold": float,
     "kmax": int, "kmin": int, "seed": int, "responses": list, "models": list,
     "allow_cold_start": bool, "z_spec": list, "w_spec": list, "t_spec": list,
-    "max_lags": int,
+    "max_lags": int, "schema": dict,
 }
 
 _DEFAULTS = {
     "lambda_u": 0.99, "lambda_v": 0.95, "lags": 1, "threshold": 0.8,
     "kmax": 12, "kmin": 2, "seed": 0, "responses": ["OpT", "NOpT"],
     "models": list(DEFAULT_MODELS), "allow_cold_start": False,
-    "z_spec": None, "w_spec": None, "t_spec": None, "max_lags": 5,
+    "z_spec": None, "w_spec": None, "t_spec": None, "max_lags": 5, "schema": None,
 }
 
 
@@ -63,6 +64,10 @@ def _load_config_file(path) -> dict:
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    schema = doc.get("schema", {})  # canonical name -> name in the file
+    names = [*schema, *schema.values()] if isinstance(schema, dict) else [None]
+    if not all(isinstance(name, str) for name in names):
+        raise ConfigurationError("config key 'schema' must map column names to column names")
     return doc
 
 
@@ -78,8 +83,8 @@ def _settings(args) -> dict:
     return merged
 
 
-def _load_records(path):
-    result = parse_dataset(path)
+def _load_records(path, schema):
+    result = parse_dataset(path, schema)
     if result.errors:
         print(f"warning: skipped {len(result.errors)} unparseable rows "
               f"(first: line {result.errors[0].line}: {result.errors[0].message})",
@@ -105,7 +110,7 @@ def _model_config(records, cfg) -> ModelConfig:
 
 def cmd_fit(args) -> int:
     cfg = _settings(args)
-    records = _load_records(args.data)
+    records = _load_records(args.data, cfg["schema"])
     model = IoHmmModel(_model_config(records, cfg))
     model.fit(records, seed=cfg["seed"], threshold=cfg["threshold"],
               k_min=cfg["kmin"], k_max=cfg["kmax"])
@@ -125,7 +130,7 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     model = IoHmmModel.load(args.snapshot)
-    records = _load_records(args.data)
+    records = _load_records(args.data, _settings(args)["schema"])
     overrides = {}
     if args.next_values:
         try:
@@ -154,7 +159,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _settings(args)
-    records = _load_records(args.data)
+    records = _load_records(args.data, cfg["schema"])
     models = args.models.split(",") if args.models else list(cfg["models"])
     base = _model_config(records, {**cfg, "allow_cold_start": True})
     report = leave_one_week_out(records, model_names=models, base=base,
@@ -218,6 +223,7 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="opcast",
                      description="online forecasting of operational times")
@@ -241,6 +247,7 @@ def _build_parser() -> _Parser:
 
     p_fc = sub.add_parser("forecast", help="forecast the next period")
     p_fc.add_argument("--snapshot", required=True)
+    p_fc.add_argument("--config", help="JSON config file; only its schema is read")
     p_fc.add_argument("--data", required=True, help="history CSV")
     p_fc.add_argument("--shift", required=True, help="announced shift label")
     p_fc.add_argument("--ics", type=float, help="announced speed (default: last)")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
                      InputError, StateIndexError, ThresholdWarning)
+from .estimator import serialized
 
 N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
@@ -204,7 +205,7 @@ class ClusterModel:
         counts = np.asarray(doc["counts"], dtype=float)
         mean = np.asarray(doc["mean"], dtype=float)
         scale = np.asarray(doc["scale"], dtype=float)
-        K = int(doc["K"])
+        K = serialized(doc, "K", int)
         if centroids.ndim != 2 or centroids.shape[0] != K or counts.shape != (K,):
             raise DimensionError("serialized cluster model is inconsistent")
         if mean.shape != (centroids.shape[1],) or scale.shape != mean.shape:
@@ -217,7 +218,7 @@ class ClusterModel:
         return cls(K=K, centroids=centroids, counts=counts,
                    standardizer=Standardizer(mean=mean, scale=scale),
                    gof=float(doc["gof"]),
-                   reached_threshold=bool(doc["reached_threshold"]),
+                   reached_threshold=serialized(doc, "reached_threshold", bool),
                    threshold=float(doc.get("threshold", 0.8)))
 
 

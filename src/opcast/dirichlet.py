@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, StateIndexError
+from .estimator import serialized
 
 JEFFREYS = 0.5
 
@@ -111,7 +112,7 @@ class DirichletTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DirichletTable":
-        table = cls(int(doc["n_states"]), int(doc["pattern_length"]))
+        table = cls(serialized(doc, "n_states", int), serialized(doc, "pattern_length", int))
         for key, entry in doc["patterns"].items():
             initial, transition = (np.asarray(entry[part], dtype=float)
                                    for part in ("initial", "transition"))

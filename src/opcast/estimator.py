@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
-                     NumericError)
+                     NumericError, RestoreError)
 
 # Eigenvalues of a restored noise covariance in [-EIG_FLOOR, 0) are
 # rounding noise; anything lower is a real violation.
@@ -52,15 +52,18 @@ def checked_vector(x, length: int, name: str) -> np.ndarray:
     return arr
 
 
-def _serialized(doc: dict, name: str, integer: bool = False):
-    """A finite non-negative number of a serialized state, a whole one if
-    ``integer`` (``7.0`` passes; ``true`` and ``"7"`` are not numbers)."""
+def serialized(doc: dict, name: str, kind: type = float):
+    """A scalar of a serialized document, checked, not coerced: a JSON boolean
+    for ``bool``, else a finite non-negative number, a whole one for ``int``
+    (``7.0`` passes as an int; ``0`` as a bool, ``true`` or ``"7"`` as a number fail)."""
     value = doc[name]
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 <= value < math.inf or integer and not float(value).is_integer()):
+    if kind is bool and not isinstance(value, bool):
+        raise RestoreError(f"serialized {name} must be a boolean, got {value!r}")
+    if kind is not bool and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value < math.inf or kind is int and not float(value).is_integer()):
         raise NumericError(f"serialized {name} must be a finite non-negative "
-                           f"{'integer' if integer else 'number'}, got {value!r}")
-    return int(value) if integer else float(value)
+                           f"{'integer' if kind is int else 'number'}, got {value!r}")
+    return kind(value)
 
 
 def _refusal(denom) -> str:
@@ -161,9 +164,9 @@ class AdaptiveState:
         Keys of older documents that are no longer settable
         (``cond_check_every``, ``cond_threshold``) are ignored.
         """
-        state = cls(_serialized(doc, "n_predictors", integer=True),
-                    _serialized(doc, "n_responses", integer=True),
-                    _serialized(doc, "forgetting"))
+        state = cls(serialized(doc, "n_predictors", int),
+                    serialized(doc, "n_responses", int),
+                    serialized(doc, "forgetting"))
         H = np.asarray(doc["H"], dtype=float)
         Sigma = np.asarray(doc["Sigma"], dtype=float)
         P = np.asarray(doc["P"], dtype=float)
@@ -181,8 +184,8 @@ class AdaptiveState:
         if low < -EIG_FLOOR:
             raise NumericError(f"serialized noise covariance has negative eigenvalue {low:.3e}")
         state.H, state.Sigma, state.P = H, Sigma, P
-        state.gamma = _serialized(doc, "gamma")
-        state.n_updates = _serialized(doc, "n_updates", integer=True)
+        state.gamma = serialized(doc, "gamma")
+        state.n_updates = serialized(doc, "n_updates", int)
         return state
 
 

@@ -37,7 +37,7 @@ from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      ForecastUnavailableError, InputError, InsufficientHistoryError,
                      NumericError, OpcastError, RestoreError)
-from .estimator import AdaptiveState, checked_vector, stacked, stacked_pass
+from .estimator import AdaptiveState, checked_vector, serialized, stacked, stacked_pass
 from .features import (FeatureConfig, FeatureTable, build_features,
                        classification_points, pattern_key)
 from .metrics import Z95
@@ -77,7 +77,7 @@ class ModelConfig:
         return cls(features=FeatureConfig.from_dict(doc["features"]),
                    lambda_u=float(doc["lambda_u"]),
                    lambda_v=float(doc["lambda_v"]),
-                   allow_cold_start=bool(doc["allow_cold_start"]))
+                   allow_cold_start=serialized(doc, "allow_cold_start", bool))
 
 
 @dataclass

@@ -14,6 +14,7 @@ import datetime as dt
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -176,6 +177,7 @@ _SLOT = {alias: i for i, (alias, _) in enumerate(COLUMNS)}
 _GROUPS = tuple(tuple((alias, _SLOT[alias], _CONVERTERS[alias]) for alias in group)
                 for group in (MANDATORY, _DURATIONS, _INDICES, _OPTIONAL))
 _REQUIRED = object()
+_CHUNK = 256  # rows per column pass: bounds the transposed copies held at once
 
 
 def _convert_cells(values: list, group, cells, fallback) -> None:
@@ -227,6 +229,43 @@ def _parse_row(row: list[str], plan: tuple, tol: float) -> ProductionRecord:
     return ProductionRecord(*values)
 
 
+def _build_records(columns) -> list[ProductionRecord]:
+    """Records from per-field columns in ``COLUMNS`` order, each built by filling
+    its ``__dict__``: with no ``__post_init__`` that is ``ProductionRecord(*values)``."""
+    records = []
+    for values in zip(*columns):
+        record = object.__new__(ProductionRecord)
+        record.__dict__.update(zip(ALIAS_TO_ATTR.values(), values))
+        records.append(record)
+    return records
+
+
+def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | None:
+    """A chunk's records converted a column at a time, the likeliest empty groups
+    first; ``None`` once a row needs the row rules: a short row, an empty, bad or
+    non-finite cell, or an absent column other than hum/temp (those read None)."""
+    if min(map(len, rows)) < width:
+        return None
+    cells, columns = list(zip(*rows)), [[None] * len(rows)] * len(COLUMNS)
+    try:
+        for alias, slot, convert in chain(*reversed(_GROUPS)):
+            if alias not in position:
+                if alias not in _OPTIONAL:
+                    return None
+            elif convert is str:
+                columns[slot] = list(map(str.strip, cells[position[alias]]))
+                if not all(columns[slot]):
+                    return None
+            else:
+                columns[slot] = column = list(map(convert, cells[position[alias]]))
+                if (convert is float and not math.isfinite(sum(column))
+                        and not all(map(math.isfinite, column))):
+                    return None
+    except ValueError:
+        return None
+    return _build_records(columns)
+
+
 def parse_dataset(source, schema: dict[str, str] | None = None,
                   tol: float = 0.01) -> ParseResult:
     """Read a delimited dataset into records.
@@ -244,6 +283,10 @@ def parse_dataset(source, schema: dict[str, str] | None = None,
     * derived durations (``LT``, ``OpT``, ``NOpT``, ``VT``) and indices
       (``lo``, ``av``, ``pf``, ``qu``, ``oee``) are recomputed only when
       their cell is empty or absent; ``hum``/``temp`` are optional.
+
+    Chunks of 256 rows are converted a column at a time; a chunk with a row
+    that needs the rules above goes row by row, the only route that derives
+    values and reports row errors, so both give the same results.
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, "r", newline="")
     with opened as stream:
@@ -268,12 +311,17 @@ def parse_dataset(source, schema: dict[str, str] | None = None,
             itemgetter(*(position.get(alias, -1) for alias, _, _ in group)) for group in _GROUPS))
         records: list[ProductionRecord] = []
         errors: list[RowError] = []
-        for row in reader:
-            if row:
+        numbered = ((reader.line_num, row) for row in reader if row)
+        while chunk := list(islice(numbered, _CHUNK)):
+            fast = _column_pass([row for _, row in chunk], position, len(fieldnames))
+            if fast is not None:
+                records += fast
+                continue
+            for line, row in chunk:
                 try:
                     records.append(_parse_row(row, plan, tol))
                 except (ValueError, TimeConsistencyError) as exc:
-                    errors.append(RowError(reader.line_num, str(exc)))
+                    errors.append(RowError(line, str(exc)))
         return ParseResult(records, errors)
 
 

@@ -2,18 +2,24 @@
 
 ``batch_oracle`` recomputes the recursive estimator's state from scratch
 with direct solves, sharing no code with the rank-one update of
-``opcast.estimator.AdaptiveState``.
+``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` parses a dataset
+one row at a time, without the column pass of ``parse_dataset``.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from opcast.errors import ConfigurationError, DimensionError
+from opcast.errors import (ConfigurationError, DimensionError, SchemaError,
+                           TimeConsistencyError)
 from opcast.estimator import checked_vector
+from opcast.records import (_GROUPS, ALIAS_TO_ATTR, MANDATORY, ParseResult, RowError,
+                            _parse_row)
 
 
 @dataclass(frozen=True)
@@ -68,3 +74,36 @@ def batch_oracle(history: Sequence[tuple], forgetting: float,
 
     return BatchOracleResult(H=H_prev, Sigma=weighted_sq / gamma,
                              P=P_prev, gamma=gamma)
+
+
+def row_parse_oracle(stream, schema: dict[str, str] | None = None,
+                     tol: float = 0.01) -> ParseResult:
+    """``parse_dataset`` as ``_parse_row`` applied to every non-blank row.
+
+    The header rules are those of ``parse_dataset``: a duplicated name
+    reads its last cell, ``schema`` renames actual names to canonical ones.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if not header:
+        raise SchemaError("dataset has no header row")
+    rename = {}
+    for canonical, actual in (schema or {}).items():
+        if canonical not in ALIAS_TO_ATTR:
+            raise SchemaError(f"unknown canonical column {canonical!r} in schema")
+        rename[actual] = canonical
+    last = {name: i for i, name in enumerate(header)}
+    position = {rename.get(name, name): i for name, i in last.items()}
+    missing = [alias for alias in MANDATORY if alias not in position]
+    if missing:
+        raise SchemaError(f"dataset header is missing mandatory columns: {missing}")
+    plan = (len(header), tuple(itemgetter(*(position.get(alias, -1) for alias, _, _ in group))
+                               for group in _GROUPS))
+    records, errors = [], []
+    for row in reader:
+        if row:
+            try:
+                records.append(_parse_row(row, plan, tol))
+            except (ValueError, TimeConsistencyError) as exc:
+                errors.append(RowError(reader.line_num, str(exc)))
+    return ParseResult(records, errors)

@@ -183,9 +183,17 @@ class TestForecast:
         lambda doc: [entry["u"].update(forgetting=0.5) for entry in doc["params"].values()],
         lambda doc: [entry["u"].update(n_predictors=len(entry["u"]["P"]) + 0.25)
                      for entry in doc["params"].values()],
+        lambda doc: doc["config"].update(allow_cold_start="false"),
+        lambda doc: doc["clusters"].update(reached_threshold="false"),
+        lambda doc: doc["clusters"].update(K=doc["clusters"]["K"] + 0.5),
+        lambda doc: doc["dirichlet"].update(n_states=doc["dirichlet"]["n_states"] + 0.9),
+        lambda doc: doc["dirichlet"].update(
+            pattern_length=doc["dirichlet"]["pattern_length"] + 0.5),
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "nan-centroid",
             "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates", "forgetting",
-            "fractional-n-predictors"])
+            "fractional-n-predictors", "string-allow-cold-start",
+            "string-reached-threshold", "fractional-k", "fractional-n-states",
+            "fractional-pattern-length"])
     def test_damaged_snapshot_is_refused_at_load(self, workdir, tmp_path, capsys, damage):
         doc = json.loads((workdir / "model.json").read_text())
         damage(doc)
@@ -197,6 +205,17 @@ class TestForecast:
                      "--shift", "Tu M", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_back_to_back_requests_share_no_state(self, workdir, capsys):
+        request = ["forecast", "--snapshot", str(workdir / "model.json"),
+                   "--data", str(workdir / "data.csv"), "--shift", "Tu M"]
+        assert main(request + ["--new-order"]) == 0
+        new_order = capsys.readouterr().out
+        assert main(request) == 0
+        same_order = capsys.readouterr().out
+        assert new_order != same_order
+        assert main(request) == 0
+        assert capsys.readouterr().out == same_order
 
     def test_unseen_pattern_is_a_numeric_failure(self, workdir):
         # an announced label outside the learned shift codes maps to the
@@ -258,6 +277,61 @@ class TestForecast:
         assert main(["forecast", "--snapshot", str(bad),
                      "--data", str(workdir / "data.csv"),
                      "--shift", "Tu M"]) == 2
+
+
+class TestSchema:
+    """A config ``schema`` reads a file whose header uses other column names."""
+
+    @pytest.fixture(scope="class")
+    def renamed(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("schema")
+        header, rest = (workdir / "data.csv").read_text().split("\n", 1)
+        data = root / "renamed.csv"
+        data.write_text(header.replace(",OT,", ",opening,").replace(",hum,", ",humidity,")
+                        + "\n" + rest)
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps({"schema": {"OT": "opening", "hum": "humidity"},
+                                   "kmax": 4}))
+        return data, cfg
+
+    def test_fit_reads_the_renamed_file(self, workdir, renamed, tmp_path):
+        data, cfg = renamed
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (workdir / "model.json").read_text()
+
+    def test_forecast_reads_the_renamed_history(self, workdir, renamed, capsys):
+        data, cfg = renamed
+        request = ["forecast", "--snapshot", str(workdir / "model.json"), "--shift", "Tu M"]
+        assert main(request + ["--data", str(workdir / "data.csv")]) == 0
+        expected = capsys.readouterr().out
+        assert main(request + ["--data", str(data), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(request + ["--data", str(data)]) == 2
+
+    def test_evaluate_reads_the_renamed_file(self, workdir, renamed, tmp_path):
+        data, cfg = renamed
+        request = ["evaluate", "--models", "persistence", "--kmax", "4"]
+        assert main(request + ["--data", str(workdir / "data.csv"),
+                               "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(request + ["--data", str(data), "--config", str(cfg),
+                               "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+    @pytest.mark.parametrize("schema, code", [
+        (["OT"], 1), ("OT=opening", 1), (None, 1), ({"OT": 1}, 1), ({"OT": None}, 1),
+        ({"bogus": "OT"}, 2)])
+    def test_bad_schema(self, workdir, tmp_path, capsys, schema, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": schema}))
+        for command in (["fit", "--out", str(tmp_path / "m.json")],
+                        ["forecast", "--snapshot", str(workdir / "model.json"),
+                         "--shift", "Tu M"],
+                        ["evaluate", "--out", str(tmp_path / "r.csv")]):
+            assert main(command + ["--data", str(workdir / "data.csv"),
+                                   "--config", str(cfg)]) == code
+            assert "schema" in capsys.readouterr().err
 
 
 class TestEvaluate:

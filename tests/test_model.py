@@ -987,6 +987,27 @@ class TestSnapshot:
         with pytest.raises(RestoreError):
             IoHmmModel.restore(doc)
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("config", "allow_cold_start", "false"), ("config", "allow_cold_start", 0),
+        ("clusters", "reached_threshold", "false"), ("clusters", "reached_threshold", 1),
+        ("clusters", "K", 2.5), ("clusters", "K", "2"),
+        ("dirichlet", "n_states", 2.9), ("dirichlet", "n_states", True),
+        ("dirichlet", "pattern_length", 3.5), ("dirichlet", "pattern_length", "3")])
+    def test_restore_rejects_scalars_of_another_kind(self, section, name, value):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        doc[section][name] = value
+        with pytest.raises(RestoreError, match=name):
+            IoHmmModel.restore(doc)
+
+    def test_restore_takes_integral_floats(self):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        doc["clusters"]["K"] = float(doc["clusters"]["K"])
+        doc["dirichlet"].update(n_states=float(doc["dirichlet"]["n_states"]),
+                                pattern_length=float(doc["dirichlet"]["pattern_length"]))
+        assert IoHmmModel.restore(doc).to_json() == model.to_json()
+
     def test_save_load(self, tmp_path):
         model, _ = self._trained()
         path = tmp_path / "model.json"

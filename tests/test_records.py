@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import datetime as dt
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from opcast import (OrderingError, ParseResult, ProductionRecord, RowError,
                     boundary_flags, check_chronological, compute_indices,
                     consistency_issues, derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
-from opcast.records import ALIAS_TO_ATTR, MANDATORY
+from opcast import records as records_module
+from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, _build_records
 from conftest import make_record
+from oracles import row_parse_oracle
 
 
 # published table rows used as golden values throughout
@@ -399,6 +403,174 @@ class TestParserOracle:
         record = parse_dataset(io.StringIO(_csv_text([make_record()]))).records[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.OT = 1.0
+
+
+_ATTRS = tuple(attr for _, attr in COLUMNS)
+# empty, padded, non-finite, out of range, underscored, signed, unparseable
+# and line-breaking cells
+_ODD_CELLS = ("", " ", "\t ", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1_000",
+              " 7 ", "+3", "1e3", "-0.0", "abc", "\x1c2.5", "9.5\n1", "2022-13-40",
+              " 2022-10-04 ", "06:30", "M")
+_GROUP_NAMES = (MANDATORY, ("LT", "OpT", "NOpT", "VT"), ("lo", "av", "pf", "qu", "oee"),
+                ("hum", "temp"))
+
+
+@functools.cache
+def _base_rows():
+    records = generate_synthetic(SyntheticSpec(
+        states=2, transition=((0.8, 0.2), (0.3, 0.7)),
+        state_means=((3.0, 2.8), (2.0, 1.8)), days=22, periods_per_shift=10,
+        order_every=5, dt_max=0.3, qu_frac_max=0.05, seed=4))
+    return list(csv.reader(io.StringIO(_csv_text(records))))
+
+
+def _generated_file(rng, base):
+    """(file text, schema) from a random slice of ``base`` with random faults."""
+    header, body = base[0], base[1:]
+    n_rows = rng.randrange(41) if rng.random() < 0.85 else rng.randrange(250, 600)
+    start = rng.randrange(len(body) - n_rows + 1)
+    header, rows = list(header), [list(row) for row in body[start:start + n_rows]]
+    if rng.random() < 0.2:
+        optional = [name for name in header if name not in MANDATORY]
+        keep = [j for j, name in enumerate(header)
+                if name not in rng.sample(optional, rng.randint(1, 3))]
+        header, rows = [header[j] for j in keep], [[row[j] for j in keep] for row in rows]
+    if rng.random() < 0.15:
+        header.append(rng.choice(header))
+        for row in rows:
+            row.append(rng.choice(("1.25", "7", "")))
+    if rng.random() < 0.05:
+        j = header.index(rng.choice([n for n in ("ics", "OT", "hum") if n in header]))
+        for row in rows:
+            row[j] = "1e308"  # finite cells whose sum overflows
+    n_faults = rng.choice((0, 0, 0, 1, 2, 3)) if n_rows else 0
+    faults = {rng.randrange(n_rows) for _ in range(n_faults)}
+    for i in sorted(faults, reverse=True):
+        kind = rng.random()
+        names = [n for n in rng.choice(_GROUP_NAMES) if n in header] or header
+        j = header.index(rng.choice(names))
+        if kind < 0.5:
+            rows[i][j] = rng.choice(_ODD_CELLS)
+        elif kind < 0.7:
+            rows[i][j] = f" {rows[i][j]}\t"
+        elif kind < 0.8:
+            rows[i] = rows[i][:rng.randrange(1, len(header))]
+        elif kind < 0.85:
+            rows[i] += ["x"] * rng.randint(1, 3)
+        else:
+            rows.insert(i, rng.choice(([], ["   "], [""] * 3)))
+    schema = None
+    if rng.random() < 0.2:
+        schema = {name: f"col {name}" for name in rng.sample(header, rng.randint(1, 3))
+                  if name in ALIAS_TO_ATTR}
+        header = [f"col {name}" if name in schema else name for name in header]
+    return _join(header, rows), schema
+
+
+def _generated_corpus(seed, count):
+    rng, base = random.Random(seed), _base_rows()
+    for i in range(count):
+        yield f"seed {seed} file {i}", *_generated_file(rng, base)
+
+
+def _cell_corpus():
+    """Three-row files with one odd cell, for every column and odd value."""
+    header, *rows = _base_rows()[:4]
+    for j, name in enumerate(header):
+        for cell in ("", " \t", f" {rows[1][j]}\t", "nan", "inf", "1e400", "1_000", "abc"):
+            odd = [list(row) for row in rows]
+            odd[1][j] = cell
+            yield f"{name} = {cell!r}", _join(header, odd), None
+
+
+def _chunk_edge_corpus():
+    """Files around the 256-row chunk: each bad row holds one row error."""
+    rng, base = random.Random(99), _base_rows()
+    header = base[0]
+    bad_names = [name for name in MANDATORY if name != "shift"]
+    yield "header only", ",".join(header) + "\n", ()
+    for n_rows in (255, 256, 257, 512, 513):
+        yield f"{n_rows} clean rows", _join(header, base[1:n_rows + 1]), ()
+    for names in (("LT",), ("lo",), ("hum",), ("hum", "temp")):
+        keep = [j for j, name in enumerate(header) if name not in names]
+        yield f"300 rows without {names}", _join(
+            [header[j] for j in keep], [[row[j] for j in keep] for row in base[1:301]]), ()
+    for bad in ((255,), (256,), (257,), (255, 256, 257), (0, 511)):
+        for n_rows in (256, 258, 600):
+            if max(bad) < n_rows:
+                rows = [list(row) for row in base[1:n_rows + 1]]
+                for i in bad:
+                    rows[i][header.index(rng.choice(bad_names))] = \
+                        rng.choice(("", "abc", "nan", "1e400"))
+                yield f"{n_rows} rows, bad at {bad}", _join(header, rows), bad
+
+
+def _field_types(result):
+    return [tuple(type(getattr(rec, attr)) for attr in _ATTRS) for rec in result.records]
+
+
+class TestRowOracle:
+    """``parse_dataset`` gives what ``_parse_row`` gives row by row."""
+
+    def _check(self, name, text, schema):
+        got = _outcome(parse_dataset, text, schema)
+        want = _outcome(row_parse_oracle, text, schema)
+        assert got == want, name
+        if isinstance(got, ParseResult):
+            assert _field_types(got) == _field_types(want), name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_files(self, seed):
+        for case in _generated_corpus(seed, 100):
+            self._check(*case)
+
+    def test_every_column_with_each_odd_cell(self):
+        for case in _cell_corpus():
+            self._check(*case)
+
+    def test_chunk_edges(self):
+        for name, text, bad in _chunk_edge_corpus():
+            self._check(name, text, None)
+            lines = [e.line for e in parse_dataset(io.StringIO(text)).errors]
+            assert lines == [i + 2 for i in bad], name
+
+    def test_corpus_reaches_both_routes(self, monkeypatch):
+        taken = []
+        column_pass = records_module._column_pass
+
+        def spy(*args):
+            result = column_pass(*args)
+            taken.append(result is not None)
+            return result
+
+        monkeypatch.setattr(records_module, "_column_pass", spy)
+        outcomes = [_outcome(parse_dataset, text, schema)
+                    for _, text, schema in _generated_corpus(0, 100)]
+        assert taken.count(True) > 30 and taken.count(False) > 30
+        assert sum(isinstance(o, ParseResult) and bool(o.errors) for o in outcomes) > 20
+        taken.clear()
+        header, *rows = _base_rows()[:6]
+        rows = [row[:5] + ["1e308"] + row[6:] for row in rows]  # ics sums to inf
+        assert len(parse_dataset(io.StringIO(_join(header, rows))).records) == 5
+        assert taken == [True]
+
+
+class TestBuildRecords:
+    def test_nothing_runs_after_init(self):
+        assert not hasattr(ProductionRecord, "__post_init__")
+
+    def test_equals_the_dataclass_init(self):
+        records = [make_record(n=1), make_record(n=2, hum=55.5, temp=None),
+                   make_record(n=3, hum=None, temp=20.0)]
+        values = [tuple(getattr(rec, attr) for attr in _ATTRS) for rec in records]
+        built = _build_records(list(zip(*values)))
+        expected = [ProductionRecord(*row) for row in values]
+        assert built == expected
+        assert [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in built] == \
+            [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in expected]
+        assert [hash(rec) for rec in built] == [hash(rec) for rec in expected]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built[0].OT = 1.0
 
 
 class TestSegmentation:
