@@ -19,6 +19,7 @@ import numpy as np
 from .clustering import oee_band
 from .errors import (ConfigurationError, DataError, ForecastUnavailableError,
                      NumericError, OpcastError)
+from .estimator import json_number
 from .features import (FeatureConfig, assemble_next_features,
                        classification_vector, default_feature_config)
 from .harness import DEFAULT_MODELS, emit_report, leave_one_week_out
@@ -26,19 +27,16 @@ from .model import IoHmmModel, ModelConfig
 from .records import parse_dataset, write_dataset
 from .synthetic import SyntheticSpec, generate_synthetic
 
+# key: (kind, default); None takes the specs from the data, the names from the header
 _CONFIG_KEYS = {
-    "lambda_u": float, "lambda_v": float, "lags": int, "threshold": float,
-    "kmax": int, "kmin": int, "seed": int, "responses": list, "models": list,
-    "allow_cold_start": bool, "z_spec": list, "w_spec": list, "t_spec": list,
-    "max_lags": int, "schema": dict,
+    "lambda_u": (float, 0.99), "lambda_v": (float, 0.95), "lags": (int, 1),
+    "threshold": (float, 0.8), "kmax": (int, 12), "kmin": (int, 2), "seed": (int, 0),
+    "responses": (list, ["OpT", "NOpT"]), "models": (list, list(DEFAULT_MODELS)),
+    "allow_cold_start": (bool, False), "z_spec": (list, None), "w_spec": (list, None),
+    "t_spec": (list, None), "max_lags": (int, 5), "schema": (dict, None),
 }
-
-_DEFAULTS = {
-    "lambda_u": 0.99, "lambda_v": 0.95, "lags": 1, "threshold": 0.8,
-    "kmax": 12, "kmin": 2, "seed": 0, "responses": ["OpT", "NOpT"],
-    "models": list(DEFAULT_MODELS), "allow_cold_start": False,
-    "z_spec": None, "w_spec": None, "t_spec": None, "max_lags": 5, "schema": None,
-}
+_KINDS = {int: "a whole number >= 0", float: "a finite number", bool: "true or false",
+          list: "a list of strings", dict: "an object mapping column names to column names"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,30 +55,32 @@ def _read_json(path, what: str):
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _load_config_file(path) -> dict:
-    doc = _read_json(path, "config file")
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config file must hold a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    schema = doc.get("schema", {})  # canonical name -> name in the file
-    names = [*schema, *schema.values()] if isinstance(schema, dict) else [None]
-    if not all(isinstance(name, str) for name in names):
-        raise ConfigurationError("config key 'schema' must map column names to column names")
-    return doc
+def _checked(key: str, value):
+    """``value`` if it has the kind ``_CONFIG_KEYS`` declares for ``key`` (a
+    number is never a boolean or a string); a whole float becomes an int."""
+    kind = _CONFIG_KEYS[key][0]
+    ok = {float: json_number(value), int: json_number(value, whole=True),
+          bool: isinstance(value, bool),
+          list: isinstance(value, list) and all(isinstance(v, str) for v in value),
+          dict: isinstance(value, dict)  # canonical name -> name in the file
+          and all(isinstance(name, str) for name in [*value, *value.values()])}[kind]
+    if not ok:
+        raise ConfigurationError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return int(value) if kind is int else value
 
 
 def _settings(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+    """Defaults, overridden by the config file, then by flags; each value given checked."""
+    given = _read_json(args.config, "config file") if getattr(args, "config", None) else {}
+    if not isinstance(given, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    unknown = set(given) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    given.update((key, getattr(args, key)) for key in _CONFIG_KEYS
+                 if getattr(args, key, None) is not None)
+    return {key: _checked(key, given[key]) if key in given else default
+            for key, (_, default) in _CONFIG_KEYS.items()}
 
 
 def _load_records(path, schema):
@@ -160,7 +160,7 @@ def cmd_forecast(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _settings(args)
     records = _load_records(args.data, cfg["schema"])
-    models = args.models.split(",") if args.models else list(cfg["models"])
+    models = args.names.split(",") if args.names else list(cfg["models"])
     base = _model_config(records, {**cfg, "allow_cold_start": True})
     report = leave_one_week_out(records, model_names=models, base=base,
                                 seed=cfg["seed"], threshold=cfg["threshold"],
@@ -186,9 +186,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = _read_json(args.spec, "spec file")
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    spec = SyntheticSpec.from_dict(doc)
+    try:
+        spec = SyntheticSpec.from_dict(doc if args.seed is None else {**doc, "seed": args.seed})
+    except (TypeError, ValueError, AttributeError, NumericError) as exc:  # of the wrong shape
+        raise ConfigurationError(f"malformed spec: {exc}") from exc
     records = generate_synthetic(spec)
     write_dataset(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -262,7 +263,7 @@ def _build_parser() -> _Parser:
     p_ev.add_argument("--out", required=True, help="report CSV path")
     p_ev.add_argument("--summary-out", dest="summary_out",
                       help="structured-text report path")
-    p_ev.add_argument("--models", help="comma-separated model identifiers")
+    p_ev.add_argument("--models", dest="names", help="comma-separated model identifiers")
     p_ev.set_defaults(func=cmd_evaluate)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic records")

@@ -217,9 +217,9 @@ class ClusterModel:
                              "counts >= 1 and scales > 0")
         return cls(K=K, centroids=centroids, counts=counts,
                    standardizer=Standardizer(mean=mean, scale=scale),
-                   gof=float(doc["gof"]),
+                   gof=serialized(doc, "gof"),
                    reached_threshold=serialized(doc, "reached_threshold", bool),
-                   threshold=float(doc.get("threshold", 0.8)))
+                   threshold=serialized(doc, "threshold") if "threshold" in doc else 0.8)
 
 
 def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from typing import Sequence
 
@@ -52,15 +53,21 @@ def checked_vector(x, length: int, name: str) -> np.ndarray:
     return arr
 
 
+def json_number(value, whole: bool = False) -> bool:
+    """Whether ``value`` is a finite number, never a boolean or a string; with
+    ``whole``, an integer >= 0 (``7.0`` counts as 7)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max  # exact: no JSON number overflows
+            and (not whole or value >= 0 and value == int(value)))
+
+
 def serialized(doc: dict, name: str, kind: type = float):
     """A scalar of a serialized document, checked, not coerced: a JSON boolean
-    for ``bool``, else a finite non-negative number, a whole one for ``int``
-    (``7.0`` passes as an int; ``0`` as a bool, ``true`` or ``"7"`` as a number fail)."""
+    for ``bool``, else a ``json_number`` >= 0, a whole one for ``int``."""
     value = doc[name]
     if kind is bool and not isinstance(value, bool):
         raise RestoreError(f"serialized {name} must be a boolean, got {value!r}")
-    if kind is not bool and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 <= value < math.inf or kind is int and not float(value).is_integer()):
+    if kind is not bool and not (json_number(value, kind is int) and value >= 0):
         raise NumericError(f"serialized {name} must be a finite non-negative "
                            f"{'integer' if kind is int else 'number'}, got {value!r}")
     return kind(value)

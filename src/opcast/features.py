@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientHistoryError
+from .estimator import serialized
 from .records import BoundaryFlags, ProductionRecord, boundary_flags
 
 _FLAGS = ("@begins_shift", "@begins_order")
@@ -178,8 +179,8 @@ class FeatureConfig:
                    z_spec=tuple(doc["z_spec"]),
                    w_spec=tuple(doc["w_spec"]),
                    t_spec=tuple(doc["t_spec"]),
-                   q=int(doc["q"]),
-                   max_lags=int(doc.get("max_lags", 5)))
+                   q=serialized(doc, "q", int),
+                   max_lags=serialized(doc, "max_lags", int) if "max_lags" in doc else 5)
 
 
 @dataclass(frozen=True)

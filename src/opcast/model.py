@@ -14,12 +14,12 @@ pass without forecasts (``learn_tables``, behind ``fit`` and the LOWO
 folds) moves no centroid, so the rows of each pattern form an independent
 chain: all chains of all models in the pass advance together, one stacked
 update per chain position, bit for bit as the interleaved loop would learn
-them. Both passes check the table cells they read before any state moves;
-``run_online`` also checks, unless cold starts are allowed, that no
-forecast meets a pattern without observations. Then they run trusted
-cores (checked entry points: ``learn_step``, ``forecast_step``,
-``combine``), and a refusal in them moves nothing either. Every forecast
-is a ``ForecastResult``; the full state snapshots to a JSON document.
+them. ``learn_tables`` checks the table cells it reads before any state
+moves. ``run_online`` checks each cell where its loop reads it, in the
+order of the checked entry points (``forecast_step``, ``update_centroid``,
+``assign``, ``learn_step``), and puts back what moved when it refuses.
+Both run trusted cores. Every forecast is a ``ForecastResult``; the full
+state snapshots to a JSON document.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
 SNAPSHOT_VERSION = 1
-_COLD = ("no observations for this pattern yet; enable cold starts to "
-         "forecast from the zero-knowledge prior")
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
         return cls(features=FeatureConfig.from_dict(doc["features"]),
-                   lambda_u=float(doc["lambda_u"]),
-                   lambda_v=float(doc["lambda_v"]),
+                   lambda_u=serialized(doc, "lambda_u"),
+                   lambda_v=serialized(doc, "lambda_v"),
                    allow_cold_start=serialized(doc, "allow_cold_start", bool))
 
 
@@ -161,7 +159,8 @@ def _combine(u: np.ndarray, v: np.ndarray, state_u: AdaptiveState,
     """``combine`` of checked vectors and variances; ``origin`` fills the result."""
     cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
     if cold and not allow_cold_start:
-        raise ForecastUnavailableError(_COLD)
+        raise ForecastUnavailableError("no observations for this pattern yet; enable cold "
+                                       "starts to forecast from the zero-knowledge prior")
     sigma_u, sigma_v = state_u.Sigma, state_v.Sigma
     delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
     rest = 1.0 - delta
@@ -173,32 +172,8 @@ def _combine(u: np.ndarray, v: np.ndarray, state_u: AdaptiveState,
                           intervals=intervals, cold_start=cold, **origin)
 
 
-def _check_reads(table: FeatureTable, offset: int, positions: Sequence[int],
-                 first: int, q: int) -> None:
-    """Raise for the first non-finite cell the loop over ``positions`` reads:
-    ``InputError`` in a classification vector, ``NumericError`` in a learned row's w or y."""
-    # the common case: all finite from the first row read on (no lag NaN there)
-    lo, fit = positions[0] - offset, max(positions[0], q) - offset
-    if (np.isfinite(table.t[max(lo - 1, 0):]).all()
-            and np.isfinite(table.w[fit:]).all() and np.isfinite(table.y[fit:]).all()):
-        return
-    idx = np.asarray(positions)
-    r = idx - offset
-    learned, forecast = idx >= q, idx >= first
-    bad_t = ~np.isfinite(table.t).all(axis=1)
-    bad_w = ~np.isfinite(table.w).all(axis=1)[r]
-    reads_prev = forecast | learned & ~table.begins_shift[r]
-    bad_input = bad_t[r] | reads_prev & bad_t[r - 1]
-    bad_numeric = learned & (bad_w | ~np.isfinite(table.y).all(axis=1)[r])
-    bad = np.flatnonzero(bad_input | bad_numeric)
-    if bad.size:
-        p = bad[0]
-        # a forecast reads the row before, then the regressors, then classifies
-        if bad_input[p] and not (forecast[p] and bad_w[p] and not bad_t[r[p] - 1]):
-            raise InputError(f"classification vector read at record {idx[p]} "
-                             "contains non-finite values")
-        raise NumericError(f"regressors or responses of record {idx[p]} "
-                           "contain non-finite values")
+_BAD_T = "classification vector read at record {} contains non-finite values"
+_BAD_WY = "regressors or responses of record {} contain non-finite values"
 
 
 @dataclass
@@ -299,7 +274,7 @@ def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable])
         commit()
     for ch in chains:
         ch.model.params.setdefault(ch.key, ch.states)
-        ch.model.dirichlet.counts[ch.key] = ch.counts  # the key was checked in _chains
+        ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -476,12 +451,15 @@ class IoHmmModel:
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
-        _check_reads(table, 0, range(n), n, fc.q)
+        ok_t = np.isfinite(table.t).all(axis=1)  # every row is classified; from q, learned
+        ok_wy = np.isfinite(np.hstack((table.w, table.y))).all(axis=1)
+        ok = ok_t & (ok_wy | (np.arange(n) < fc.q))
+        if not ok.all():
+            p = int(ok.argmin())
+            raise InputError(_BAD_T.format(p)) if not ok_t[p] else NumericError(_BAD_WY.format(p))
         patterns, firsts, which = np.unique(table.z[fc.q:], axis=0, return_index=True,
                                             return_inverse=True)
         keys, which = [pattern_key(z) for z in patterns], which.reshape(-1)
-        for key in keys:
-            self.dirichlet.check(key)
         # no centroid moves in a pass without forecasts: one labelling holds
         labels = self.clusters.nearest(self.clusters.standardizer.transform(table.t))
         chains = []
@@ -506,7 +484,8 @@ class IoHmmModel:
         increasing); earlier records still provide lags and previous-state
         labels. Only the processed records and the ``max(q, 1)`` before
         them are featurized. Returns one entry per processed record;
-        ``forecast`` is None for warm-up records. A refused pass moves nothing.
+        ``forecast`` is None for warm-up records. The first read that the
+        checked steps refuse decides the error; a refused pass moves nothing.
         """
         self._require_fitted()
         fc = self.config.features
@@ -537,37 +516,41 @@ class IoHmmModel:
 
         Per position: from ``q + 1`` on, classify the row before, absorb it
         into its centroid and forecast the record; then classify the
-        record and learn from it (from ``q`` on). Nothing moves before
-        every read and every forecast is known to succeed.
+        record and learn from it (from ``q`` on). Each read is checked where
+        it happens; ``run_online`` puts back what moved before a refusal.
         """
         q, clusters = self.config.features.q, self.clusters
-        _check_reads(table, offset, positions, q + 1, q)
-        if not self.config.allow_cold_start:
-            warm = {key for key, st in self.params.items() if st.u.gamma or st.v.gamma}
-            for i, key in zip(positions, keys):
-                if i > q and key not in warm:
-                    raise ForecastUnavailableError(f"record {i}: {_COLD}")
-                warm.add(key)  # learned from q on; before q the key is None
+        ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist()
+                            for a in (table.t, table.w, table.y))
         X = clusters.standardizer.transform(table.t)  # one standardization per row
-        # before the first forecast no centroid moves: one labelling holds
-        labels = clusters.nearest(X).tolist() if positions[0] <= q else None
         U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
+
+        def label(r: int, i: int) -> int:  # the state of row r, read for record i
+            if not ok_t[r]:
+                raise InputError(_BAD_T.format(i))
+            return int(clusters.nearest(X[r:r + 1])[0])
+
         results: list[StepResult] = []
         for i, key in zip(positions, keys):
             r = i - offset
             begins = bool(table.begins_shift[r])
-            forecast = None
+            forecast = prev = None
             if i > q:
-                state = int(clusters.nearest(X[r - 1:r])[0])
-                clusters.absorb(state, X[r - 1])
-                forecast = self._forecast(state, key, U[r], begins)
-                cur = int(clusters.nearest(X[r:r + 1])[0])
-            else:
-                cur = labels[r]
+                prev = label(r - 1, i)
+                if not ok_w[r]:
+                    raise NumericError(_BAD_WY.format(i))
+                clusters.absorb(prev, X[r - 1])
+                try:
+                    forecast = self._forecast(prev, key, U[r], begins)
+                except ForecastUnavailableError as exc:
+                    raise ForecastUnavailableError(f"record {i}: {exc}") from None
+            cur = label(r, i)
             if i >= q:
-                prev = None if begins else labels[r - 1] if forecast is None \
-                    else forecast.state
-                self._learn(key, U[r], table.y[r], prev, cur)
+                if i == q and not begins:  # no forecast read the state the row before left
+                    prev = label(r - 1, i)
+                if not (ok_w[r] and ok_y[r]):
+                    raise NumericError(_BAD_WY.format(i))
+                self._learn(key, U[r], table.y[r], None if begins else prev, cur)
             results.append(StepResult(index=i, state=cur, y=table.y[r],
                                       forecast=forecast))
         return results

@@ -13,12 +13,13 @@ matching the begins-sequence branch of the forecasting model.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .estimator import json_number, serialized
 from .records import ProductionRecord, compute_indices
 
 WEEKDAYS = ("Mo", "Tu", "We", "Th", "Fr", "Sa", "Su")
@@ -106,32 +107,38 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        known = {
-            "states": int(doc["states"]),
-            "transition": tuple(map(tuple, doc["transition"])),
-            "state_means": tuple(map(tuple, doc["state_means"])),
-        }
-        if "noise_cov" in doc:
-            known["noise_cov"] = tuple(map(tuple, doc["noise_cov"]))
-        if doc.get("initial") is not None:
-            known["initial"] = tuple(doc["initial"])
-        if "ar" in doc:
-            known["ar"] = tuple(tuple(map(tuple, m)) for m in doc["ar"])
-        if "shift_effects" in doc:
-            known["shift_effects"] = {code: tuple(eff)
-                                      for code, eff in doc["shift_effects"].items()}
-        known.update({name: cast(doc[name]) for name, cast in (
-            ("days", int), ("periods_per_shift", int), ("order_every", int), ("seed", int),
-            ("dt_max", float), ("qu_frac_max", float)) if name in doc})
-        if "ics_levels" in doc:
-            known["ics_levels"] = tuple(float(v) for v in doc["ics_levels"])
-        elif "ics" in doc:
-            known["ics_levels"] = (float(doc["ics"]),)
-        if "shift_codes" in doc:
-            known["shift_codes"] = tuple(doc["shift_codes"])
-        if "start_date" in doc:
-            known["start_date"] = dt.date.fromisoformat(doc["start_date"])
-        return cls(**known)
+        """The spec of a ``to_dict`` document, which may give one speed as
+        ``ics``; unknown keys and values of another kind are refused, not cast."""
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"a spec must be a JSON object, not {type(doc).__name__}")
+        doc = dict(doc)
+        if "ics" in doc and "ics_levels" not in doc:
+            doc["ics_levels"] = [doc.pop("ics")]
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown spec keys: {sorted(unknown)}")
+        spec = {}
+        for f in fields(cls):
+            if f.name not in doc or f.name == "initial" and doc[f.name] is None:
+                continue
+            if f.type in ("int", "float"):
+                spec[f.name] = serialized(doc, f.name, int if f.type == "int" else float)
+            elif f.name == "start_date":
+                spec[f.name] = dt.date.fromisoformat(doc[f.name])
+            else:
+                spec[f.name] = _leaves(doc[f.name], str if f.name == "shift_codes" else float)
+        return cls(**spec)
+
+
+def _leaves(value, kind: type):
+    """``value`` with its JSON lists made tuples; each leaf must be a string
+    for ``str``, else a finite number (never a boolean)."""
+    if isinstance(value, (list, dict)):
+        return tuple(_leaves(item, kind) for item in value) if isinstance(value, list) \
+            else {key: _leaves(item, kind) for key, item in value.items()}
+    if isinstance(value, str) if kind is str else json_number(value):
+        return value
+    raise TypeError(f"{value!r} is not {'a string' if kind is str else 'a finite number'}")
 
 
 def _noise_factor(cov: np.ndarray) -> np.ndarray:

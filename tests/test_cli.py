@@ -63,6 +63,33 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("spec", [
+        [SIM_SPEC], "spec", {key: v for key, v in SIM_SPEC.items() if key != "states"},
+        {**SIM_SPEC, "ar": 3}, {**SIM_SPEC, "days": 2.7}, {**SIM_SPEC, "days": "2"},
+        {**SIM_SPEC, "states": 2.9}, {**SIM_SPEC, "periods_per_shift": True},
+        {**SIM_SPEC, "seed": 1.5}, {**SIM_SPEC, "dayz": 2}, {**SIM_SPEC, "ics": "1.5"},
+        {**SIM_SPEC, "transition": [[0.85, "0.15"], [0.25, 0.75]]},
+        {**SIM_SPEC, "shift_codes": ["M", 2]}, {**SIM_SPEC, "start_date": 20221003},
+        {**SIM_SPEC, "shift_effects": [0.1, 0.2]}, {**SIM_SPEC, "initial": [True, False]}],
+        ids=["array", "string", "no-states", "scalar-ar", "fractional-days", "string-days",
+             "fractional-states", "boolean-periods", "fractional-seed", "unknown-key",
+             "string-ics", "string-probability", "numeric-shift-code", "numeric-date",
+             "array-shift-effects", "boolean-probability"])
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
+        path, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(spec))
+        # a seed flag is merged into the spec, which must then be an object too
+        for seed in ([],) if isinstance(spec, dict) else ([], ["--seed", "3"]):
+            assert main(["simulate", "--spec", str(path), "--out", str(out)] + seed) == 1
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_whole_floats_are_whole_numbers(self, workdir, tmp_path):
+        path, out = tmp_path / "spec.json", tmp_path / "x.csv"
+        path.write_text(json.dumps({**SIM_SPEC, "days": 14.0, "seed": 7.0}))
+        assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 0
+        assert out.read_text() == (workdir / "data.csv").read_text()
+
 
 class TestFit:
     def test_snapshot_is_a_restorable_model(self, workdir):
@@ -121,6 +148,42 @@ class TestFit:
         assert main(["fit", "--data", str(workdir / "data.csv"),
                      "--out", str(tmp_path / "m.json"),
                      "--lambda-u", "1.2"]) == 1
+
+
+class TestConfigValues:
+    """Each config value has the kind its key declares; none is cast."""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_u", "0.9"), ("lambda_v", True), ("lags", True), ("threshold", "0.5"),
+        ("kmax", 4.5), ("kmin", -2), ("seed", 1.5), ("responses", "OpT"),
+        ("models", ["persistence", 3]), ("allow_cold_start", "no"),
+        ("z_spec", "shift_code==M"), ("w_spec", ["ics", None]), ("t_spec", None),
+        ("max_lags", 5.5), ("schema", ["OT"]), ("threshold", float("nan")),
+        ("lambda_u", float("inf")), ("seed", 10 ** 400)])
+    def test_a_value_of_another_kind_exits_1(self, workdir, tmp_path, capsys, command,
+                                             key, value):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err
+
+    def test_whole_floats_are_whole_numbers(self, workdir, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps({"kmax": 4.0, "lags": 1.0, "allow_cold_start": False}))
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (workdir / "model.json").read_text()
+
+    def test_flags_are_checked_too(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--out", str(out),
+                     "--seed=-1"]) == 1
+        assert not out.exists()
+        assert "seed" in capsys.readouterr().err
 
 
 class TestForecast:

@@ -588,13 +588,16 @@ def _stepwise_error(model, records, start=0, forecasts=True):
 
 
 class TestChecksAtTheTable:
-    """run_online checks the cells its loop reads before any state moves."""
+    """run_online checks each cell where its loop reads it, in the order of
+    the checked steps, and a cold start there unless it is allowed; the
+    first refused read decides the error and nothing moves. learn_tables
+    checks the whole table before any state moves."""
 
     NAN = float("nan")
 
-    def _model(self, q=1):
+    def _model(self, q=1, cold=True):
         return _model(q=q, t_spec=("av",), centroids=((0.92,), (0.94,)),
-                      allow_cold_start=True)
+                      allow_cold_start=cold)
 
     def _records(self, n=20):
         return TestRunOnline()._records(n, seed=11)
@@ -640,10 +643,12 @@ class TestChecksAtTheTable:
             model.run_online(bad)
         assert model.to_json() == before
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_random_faults_match_the_stepwise_replay(self, seed):
+    @pytest.mark.parametrize("seed, cold", [  # the ids of the allowing leg are the seeds
+        pytest.param(seed, cold, id=str(seed) if cold else f"{seed}-strict")
+        for cold in (True, False) for seed in range(60)])
+    def test_random_faults_match_the_stepwise_replay(self, seed, cold):
         # faults in one or two rows, on a run from a random start and on a
-        # learning pass over every row
+        # learning pass over every row; a strict model refuses cold starts
         rng = np.random.default_rng(seed)
         q, start, faults = int(rng.integers(0, 3)), int(rng.integers(0, 12)), {}
         for row in rng.choice(20, size=int(rng.integers(1, 3)), replace=False):
@@ -654,7 +659,7 @@ class TestChecksAtTheTable:
         bad = _with_cells(self._records(), faults)
         for forecasts, run in ((True, lambda m: m.run_online(bad, indices=range(start, 20))),
                                (False, lambda m: _learn(m, bad))):
-            replay, model = self._model(q=q), self._model(q=q)
+            replay, model = self._model(q=q, cold=cold), self._model(q=q, cold=cold)
             expected = _stepwise_error(replay, bad, start if forecasts else 0, forecasts)
             before = model.to_json()
             if expected is None:  # every fault sits in a cell the loop never reads
@@ -664,6 +669,25 @@ class TestChecksAtTheTable:
                 with pytest.raises(expected):
                     run(model)
                 assert model.to_json() == before
+
+    def test_a_cold_start_read_before_a_bad_cell_decides(self):
+        # the first A shift (record 4) is forecast before record 6 is read
+        model = self._model(cold=False)
+        before = model.to_json()
+        with pytest.raises(ForecastUnavailableError, match="record 4"):
+            model.run_online(_with_cells(self._records(), {6: {"OpT": self.NAN}}))
+        assert model.to_json() == before
+
+    def test_learn_tables_refuses_a_non_binary_pattern(self):
+        model = self._model()
+        _learn(model, self._records()[:8])
+        before = model.to_json()
+        table = build_features(self._records(), model.config.features)
+        z = table.z.copy()
+        z[10, 1] = 2.0
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            learn_tables([model], [replace(table, z=z)])
+        assert model.to_json() == before
 
     def _assert_same_steps(self, a, b):
         assert [st.index for st in a] == [st.index for st in b]
@@ -992,11 +1016,18 @@ class TestSnapshot:
         ("clusters", "reached_threshold", "false"), ("clusters", "reached_threshold", 1),
         ("clusters", "K", 2.5), ("clusters", "K", "2"),
         ("dirichlet", "n_states", 2.9), ("dirichlet", "n_states", True),
-        ("dirichlet", "pattern_length", 3.5), ("dirichlet", "pattern_length", "3")])
+        ("dirichlet", "pattern_length", 3.5), ("dirichlet", "pattern_length", "3"),
+        ("config", "lambda_u", "0.99"), ("config", "lambda_v", None),
+        ("config.features", "q", 1.7), ("config.features", "q", "1"),
+        ("config.features", "max_lags", 5.5), ("config.features", "max_lags", False),
+        ("clusters", "gof", "0.5"), ("clusters", "threshold", True)])
     def test_restore_rejects_scalars_of_another_kind(self, section, name, value):
         model, _ = self._trained()
         doc = model.snapshot()
-        doc[section][name] = value
+        part = doc
+        for key in section.split("."):
+            part = part[key]
+        part[name] = value
         with pytest.raises(RestoreError, match=name):
             IoHmmModel.restore(doc)
 
@@ -1006,6 +1037,8 @@ class TestSnapshot:
         doc["clusters"]["K"] = float(doc["clusters"]["K"])
         doc["dirichlet"].update(n_states=float(doc["dirichlet"]["n_states"]),
                                 pattern_length=float(doc["dirichlet"]["pattern_length"]))
+        features = doc["config"]["features"]
+        features.update(q=float(features["q"]), max_lags=float(features["max_lags"]))
         assert IoHmmModel.restore(doc).to_json() == model.to_json()
 
     def test_save_load(self, tmp_path):
