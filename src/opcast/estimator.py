@@ -222,9 +222,10 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
 
     Nothing is written to the states: returns ``commit``, which writes the
     results, the ``(state, step, message)`` of every ConditioningWarning
-    due, and per refused state the ``(step, message)`` of its first
-    refused step (the state is then reset to a harmless prior and carried
-    along).
+    due, per refused state the ``(step, message)`` of its first refused
+    step (the state is then reset to a harmless prior and carried along),
+    and, laid out like ``Y``, each step's pre-update prediction ``u'H`` and
+    diagonal of ``Sigma``: the forecast a state makes before it learns.
     """
     lam = states[0].forgetting
     p, m = X.shape[2], Y.shape[2]
@@ -240,6 +241,7 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
             checks.setdefault(k, []).append(j)
     caught: list[tuple[int, int, str]] = []
     refused: dict[int, tuple[int, str]] = {}
+    mean, var = np.empty(Y.shape), np.empty(Y.shape)
     for k, n in enumerate(active):
         u, Hk, Sk, Pk, gk = X[k, :n], H[:n], Sigma[:n], P[:n], gamma[:n]
         ut = u.reshape(n, 1, p)
@@ -253,9 +255,12 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
             Pu = np.matmul(Pk, u.reshape(n, p, 1))
             denom = np.matmul(ut, Pu)
             denom += lam
+        var[k, :n] = Sk.diagonal(0, 1, 2)
+        pred = np.matmul(ut, Hk)
+        mean[k, :n] = pred[:, 0]
         gk *= lam
         gk += 1.0
-        e = Y[k, :n].reshape(n, 1, m) - np.matmul(ut, Hk)
+        e = Y[k, :n].reshape(n, 1, m) - pred
         Hk += Pu * e / denom
         ee = e.reshape(n, m, 1) * e
         ee *= (lam / (gk * denom[:, 0, 0]))[:, None, None]
@@ -274,4 +279,4 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         for i, (st, length) in enumerate(zip(states, lengths)):
             st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
             st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
-    return commit, caught, refused
+    return commit, caught, refused, mean, var

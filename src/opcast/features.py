@@ -215,13 +215,13 @@ def _with_lags(w_base: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
 
 def pattern_key(z) -> str:
-    """Canonical string form of a binary conditioning pattern."""
+    """Canonical string form of a binary conditioning pattern; a cell that
+    is not the number 0 or 1 (NaN, inf, 0.5, "1") is refused."""
     bits = []
     for v in z.tolist() if isinstance(z, np.ndarray) and z.ndim == 1 else z:
-        iv = int(v)
-        if iv not in (0, 1) or float(v) != iv:
+        if v not in (0, 1):  # checked before any conversion
             raise ConfigurationError(f"pattern entries must be 0 or 1, got {v!r}")
-        bits.append(str(iv))
+        bits.append("1" if v else "0")
     return "".join(bits)
 
 

@@ -8,17 +8,17 @@ once, as a lag-free table of all responses (also the VARX input). Each
 IO-HMM variant learns its own coefficients and counts from a copy of that
 table with its response columns and lags; the variants of a fold learn
 together, in one stacked pass (``learn_tables``), and then walk the test
-week one after the other in model order. Only one fold's models are alive
-at a time. The online model keeps learning as it walks through the test
-week, mirroring production use; the regression benchmark stays frozen
-after fitting.
+week together, in one more (``walk_tables``), each in a copy of the
+lag-free table of all records, built once. Only one fold's models are
+alive at a time. The online model keeps learning as it walks through the
+test week, mirroring production use; the regression benchmark stays
+frozen after fitting.
 
 Aggregation is per model, fold, shift type and response.
 """
 
 from __future__ import annotations
 
-import copy
 import io
 import json
 import warnings
@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DegenerateDataError
 from .clustering import ClusterModel
 from .features import FeatureTable, build_features, default_feature_config
 from .metrics import coverage, interval_width, mae, rmse
-from .model import IoHmmModel, ModelConfig, fit_states, learn_tables
+from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
 DEFAULT_MODELS = (
@@ -115,21 +115,24 @@ def response_summary(records: Sequence[ProductionRecord],
 
 
 def _rows(records, name, fold, i, responses, actual, predicted,
-          sigma=None) -> list[PredictionRow]:
-    """One row per response of record ``i``; ``sigma`` gives the spreads, if any."""
-    sd = None if sigma is None else np.sqrt(np.clip(np.diagonal(sigma), 0.0, None))
+          var=None) -> list[PredictionRow]:
+    """One row per response of record ``i``; the variances ``var`` give the
+    spreads, if any."""
+    sd = None if var is None else np.sqrt(np.clip(var, 0.0, None))
     return [PredictionRow(name, fold, i, resp, float(actual[j]), float(predicted[j]),
                           None if sd is None else float(sd[j]), records[i].shift_code)
             for j, resp in enumerate(responses)]
 
 
-def _fit_iohmm(model_names, base: ModelConfig, train: FeatureTable,
-               states: ClusterModel) -> dict[str, list[IoHmmModel]]:
-    """The fold's IO-HMM variants per identifier, in response order, each
-    learned from the lag-free table as derived for it, all in one stacked pass."""
+def _iohmm_predictions(records, model_names, base: ModelConfig, train: FeatureTable,
+                       full: FeatureTable, states: ClusterModel, test_idx,
+                       fold) -> dict[str, list[PredictionRow]]:
+    """The forecasts of the fold's IO-HMM variants per identifier, in response
+    order. Each variant learns from the training table and walks the test
+    week in the table of all records, both as derived for it; the variants
+    learn in one stacked pass and walk in one more, sharing ``states``."""
     responses = base.features.response_names
-    fitted: dict[str, list[IoHmmModel]] = {}
-    models, tables = [], []
+    names, models, derived = [], [], []
     for name in model_names:
         kind, q = parse_model_name(name)
         if kind not in ("iohmm", "iohmm-uni"):
@@ -138,23 +141,18 @@ def _fit_iohmm(model_names, base: ModelConfig, train: FeatureTable,
         variants = [(features, range(len(responses)))] if kind == "iohmm" else \
             [(features.for_response(resp), [j]) for j, resp in enumerate(responses)]
         for features, columns in variants:
-            # run_online moves centroids, so every model gets its own copy
-            models.append(IoHmmModel(replace(base, features=features),
-                                     clusters=copy.deepcopy(states)))
-            tables.append(train.lagged(q, columns))
-        fitted[name] = models[-len(variants):]
-    learn_tables(models, tables)
-    return fitted
-
-
-def _iohmm_predictions(records, model: IoHmmModel, test_idx, name,
-                       fold) -> list[PredictionRow]:
-    """A learned model's forecasts as it walks the test week."""
-    steps = model.run_online(records, indices=test_idx)
-    return [row for st in steps if st.forecast is not None
-            for row in _rows(records, name, fold, st.index,
-                             model.config.features.response_names,
-                             st.y, st.forecast.y_hat, st.forecast.sigma)]
+            names.append(name)
+            models.append(IoHmmModel(replace(base, features=features), clusters=states))
+            derived.append((q, columns))
+    learn_tables(models, [train.lagged(q, columns) for q, columns in derived])
+    tables = [full.lagged(q, columns) for q, columns in derived]
+    walks = walk_tables(models, tables, range(test_idx[0], test_idx[-1] + 1))
+    rows: dict[str, list[PredictionRow]] = {name: [] for name in names}
+    for name, model, table, walk in zip(names, models, tables, walks):
+        for i, y_hat, var in walk:
+            rows[name] += _rows(records, name, fold, i, model.config.features.response_names,
+                                table.y[i], y_hat, var)
+    return rows
 
 
 def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx,
@@ -168,8 +166,9 @@ def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx
     for i in test_idx:
         if i >= q:
             lags = [full.y[i - j] for j in range(1, q + 1)]
-            rows += _rows(records, name, fold, i, responses, full.y[i],
-                          *predict_varx(varx, lags, full.w[i]))
+            y_hat, sigma = predict_varx(varx, lags, full.w[i])
+            rows += _rows(records, name, fold, i, responses, full.y[i], y_hat,
+                          np.diagonal(sigma))
     return rows
 
 
@@ -193,8 +192,9 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
-    over between folds. The states of a fold are fitted once and copied
-    into each IO-HMM variant. Per-fold cells that produce no forecasts are
+    over between folds. The states of a fold are fitted once and shared by
+    its IO-HMM variants, whose learning and test-week walks run before the
+    fold's other models. Per-fold cells that produce no forecasts are
     omitted with a warning.
     """
     check_chronological(records)
@@ -215,7 +215,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     lag_free = base.features.with_lags(0)
     use_varx = "varx" in kinds
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
-    varx_full = build_features(records, lag_free) if use_varx else None
+    full = build_features(records, lag_free) if use_varx or use_iohmm else None
 
     predictions: list[PredictionRow] = []
     for fold in weeks:
@@ -224,18 +224,18 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
                             k_min=k_min, k_max=k_max) if use_iohmm else None
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
-        fitted = _fit_iohmm(model_names, base, train_table, states) if use_iohmm else {}
+        iohmm = _iohmm_predictions(records, model_names, base, train_table, full, states,
+                                   test_idx, fold) if use_iohmm else {}
         for name in model_names:
             kind, q = parse_model_name(name)
             if kind == "persistence":
                 rows = _persistence_predictions(records, test_idx, name, fold,
                                                 responses)
             elif kind == "varx":
-                rows = _varx_predictions(records, train_table, varx_full, test_idx,
+                rows = _varx_predictions(records, train_table, full, test_idx,
                                          name, fold, responses, q)
-            else:  # the variants of an IO-HMM identifier, in response order
-                rows = [row for model in fitted[name]
-                        for row in _iohmm_predictions(records, model, test_idx, name, fold)]
+            else:
+                rows = iohmm[name]
             if not rows:
                 warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
                               stacklevel=2)

@@ -14,20 +14,23 @@ pass without forecasts (``learn_tables``, behind ``fit`` and the LOWO
 folds) moves no centroid, so the rows of each pattern form an independent
 chain: all chains of all models in the pass advance together, one stacked
 update per chain position, bit for bit as the interleaved loop would learn
-them. ``learn_tables`` checks the table cells it reads before any state
-moves. ``run_online`` checks each cell where its loop reads it, in the
-order of the checked entry points (``forecast_step``, ``update_centroid``,
-``assign``, ``learn_step``), and puts back what moved when it refuses.
-Both run trusted cores. Every forecast is a ``ForecastResult``; the full
-state snapshots to a JSON document.
+them; ``walk_tables`` gives the interleaved loop's forecasts over a range
+of records the same way, moving nothing. ``learn_tables`` checks the table
+cells it reads before any state moves. ``run_online`` checks each cell
+where its loop reads it, in the order of the checked entry points
+(``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``), and
+puts back what moved when it refuses. All run trusted cores. Every
+forecast is a ``ForecastResult``; the full state snapshots to a JSON
+document.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -189,6 +192,7 @@ class _Chain:
     prev: np.ndarray        # count row read: 0 where a sequence begins, else the state before
     cur: np.ndarray         # realized states, 1-based
     counts: np.ndarray | None = None  # count rows after the pass, set by the count walk
+    moments: list = field(default_factory=list)  # per side, pre-update means and variances
 
     @property
     def u(self) -> np.ndarray:
@@ -232,6 +236,31 @@ def _groups(chains: Sequence[_Chain], name: str) -> list[list[_Chain]]:
     return list(groups.values())
 
 
+def _advance(chains: Sequence[_Chain]) -> tuple[list, list, list]:
+    """Advance ``chains`` together, one stacked count step and one stacked
+    update per predictor shape at each chain position; fill their ``moments``
+    (u mean and variance, v mean and variance per step) and return the
+    commits, and the warnings and refusals keyed by where each falls in a
+    record-by-record pass."""
+    longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
+    commits, events, refusals = [], [], []
+    for side, name in enumerate(("u", "v")):  # a record updates u, then v
+        for group in _groups(longest_first, name):
+            X, active = stacked([ch.u for ch in group]) if name == "u" \
+                else _walk_counts(group)
+            commit, caught, refused, mean, var = stacked_pass(
+                [getattr(ch.states, name) for ch in group], X,
+                stacked([ch.y for ch in group])[0], active)
+            commits.append(commit)
+            events += [((group[j].order, group[j].rows[k], side), message)
+                       for j, k, message in caught]
+            refusals += [((group[j].order, group[j].rows[k], side), message)
+                         for j, (k, message) in refused.items()]
+            for j, ch in enumerate(group):
+                ch.moments += mean[:len(ch.rows), j], var[:len(ch.rows), j]
+    return commits, events, refusals
+
+
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
     """Learn each model from its table, without forecasts, in one stacked pass.
 
@@ -240,32 +269,28 @@ def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable])
     cells the pass reads are finite and its patterns are valid; no model
     may appear twice. Each table splits into one chain per pattern of the
     rows it learns, and chains never touch each other's state, so they
-    advance together: at each chain position, one stacked count step and
-    one stacked predictor update per predictor shape. The result is bit
-    for bit what learning the tables one record at a time gives,
-    ConditioningWarnings included. The states are written back only at
-    the end, so a refused pass moves nothing in any model.
+    advance together (``_advance``). The result is bit for bit what
+    learning the tables one record at a time gives, ConditioningWarnings
+    included. The states are written back only at the end, so a refused
+    pass moves nothing in any model.
     """
     if len(models) != len(tables):
         raise DimensionError(f"{len(models)} models but {len(tables)} tables")
     if len({id(model) for model in models}) < len(models):
         raise ConfigurationError("a model appears twice in one learning pass")
-    chains = [ch for order, (model, table) in enumerate(zip(models, tables))
-              for ch in model._chains(order, table)]
-    longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
-    commits, events, refusals = [], [], []
-    for side, name in enumerate(("u", "v")):  # a record updates u, then v
-        for group in _groups(longest_first, name):
-            X, active = stacked([ch.u for ch in group]) if name == "u" \
-                else _walk_counts(group)
-            commit, caught, refused = stacked_pass([getattr(ch.states, name) for ch in group],
-                                                   X, stacked([ch.y for ch in group])[0], active)
-            commits.append(commit)
-            # keyed by where each update falls in a record-by-record pass
-            events += [((group[j].order, group[j].rows[k], side), message)
-                       for j, k, message in caught]
-            refusals += [((group[j].order, group[j].rows[k], side), message)
-                         for j, (k, message) in refused.items()]
+    chains = []
+    for order, (model, table) in enumerate(zip(models, tables)):
+        q, n = model._checked(table), len(table.y)
+        ok_t = np.isfinite(table.t).all(axis=1)  # every row is classified; from q, learned
+        ok_wy = np.isfinite(np.hstack((table.w, table.y))).all(axis=1)
+        ok = ok_t & (ok_wy | (np.arange(n) < q))
+        if not ok.all():
+            p = int(ok.argmin())
+            raise InputError(_BAD_T.format(p)) if not ok_t[p] else NumericError(_BAD_WY.format(p))
+        # no centroid moves in a pass without forecasts: one labelling holds
+        labels = model.clusters.nearest(model.clusters.standardizer.transform(table.t))
+        chains += model._chains(order, table, np.arange(q, n), labels)
+    commits, events, refusals = _advance(chains)
     if refusals:
         raise NumericError(min(refusals)[1])
     for _, message in sorted(events):
@@ -277,14 +302,81 @@ def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable])
         ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
 
 
+def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
+                span: range) -> list[list[tuple]]:
+    """Per model, the ``(record, mean, variances)`` of each forecast that
+    ``run_online(records, indices=span)`` makes, bit for bit, moving nothing;
+    row ``i`` of a table is record ``i``, and tables are checked first.
+
+    Centroid moves never depend on the predictors, so the states come from
+    one walk of a copy of the centroids per point where absorbing starts.
+    The learned rows split into chains that advance together, and each
+    forecast blends its step's pre-update predictions as ``_combine`` does.
+    A walk that meets a non-finite cell, a cold start it must refuse or a
+    refused update runs ``_pass`` on a copy of each model instead.
+    """
+    if len(models) != len(tables):
+        raise DimensionError(f"{len(models)} models but {len(tables)} tables")
+    labels, chains, starts = {}, [], []
+    for order, (model, table) in enumerate(zip(models, tables)):
+        q = model._checked(table)
+        if span.step != 1 or not 0 <= span.start <= span.stop <= len(table.y):
+            raise DimensionError("the records to walk are not a range of the table's rows")
+        rows, start = np.arange(max(span.start, q), span.stop), max(span.start, q + 1)
+        if not all(np.isfinite(a).all() for a in (table.w[rows], table.y[rows],
+                                                  table.t[max(span.start - 1, 0):span.stop])):
+            return _one_by_one(models, tables, span)
+        key = (id(model.clusters), id(table.t), start)  # the same walk, the same states
+        if key not in labels:
+            walk = replace(model.clusters, centroids=model.clusters.centroids.copy(),
+                           counts=model.clusters.counts.copy())
+            X, labels[key] = walk.standardizer.transform(table.t), np.zeros(len(table.t), int)
+            for i in range(max(span.start - 1, 0), span.stop):  # as _pass labels them
+                if i >= start:
+                    walk.absorb(labels[key][i - 1], X[i - 1])
+                labels[key][i] = walk.nearest(X[i:i + 1])[0]
+        mine = model._chains(order, table, rows, labels[key])
+        if not model.config.allow_cold_start and any(
+                ch.rows[0] >= start and ch.states.u.gamma == ch.states.v.gamma == 0.0
+                for ch in mine):
+            return _one_by_one(models, tables, span)
+        chains += mine
+        starts.append(start)
+    _, events, refusals = _advance(chains)
+    if refusals:
+        return _one_by_one(models, tables, span)
+    for _, message in sorted(events):
+        warnings.warn(message, ConditioningWarning, stacklevel=2)
+    out: list[list[tuple]] = [[] for _ in models]
+    for ch in chains:
+        mu, su, mv, sv = ch.moments
+        delta = _weights(su, sv)  # then _combine's operands in _combine's order
+        rest = 1.0 - delta
+        out[ch.order] += [(i, mean, var) for i, mean, var in zip(
+            ch.rows.tolist(), delta * mu + rest * mv, delta * delta * su + rest * rest * sv)
+            if i >= starts[ch.order]]
+    return [sorted(walk, key=lambda forecast: forecast[0]) for walk in out]
+
+
+def _one_by_one(models, tables, span) -> list[list[tuple]]:
+    """``walk_tables`` through ``_pass``, each model on a copy of itself, in order."""
+    out = []
+    for model, table in zip(models, tables):
+        q = model.config.features.q
+        keys = [pattern_key(table.z[i]) if i >= q else None for i in span]
+        out.append([(st.index, st.forecast.y_hat, st.forecast.sigma.diagonal())
+                    for st in copy.deepcopy(model)._pass(table, 0, span, keys) if st.forecast])
+    return out
+
+
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
                seed: int = 0, threshold: float = 0.8, k_min: int = 2,
                k_max: int = 12) -> ClusterModel:
     """Discover the hidden states from the records' classification vectors.
 
     The result depends on the classification spec only, so models that
-    differ in lags or responses can share one fit (each needs its own
-    copy: ``run_online`` moves the centroids).
+    differ in lags or responses can share one fit (``run_online`` moves the
+    centroids; the passes without it do not).
     """
     return fit_auto_k(classification_points(records, features), threshold=threshold,
                       k_min=k_min, k_max=k_max, seed=seed)
@@ -440,9 +532,9 @@ class IoHmmModel:
         return _combine(u, v, states.u, states.v, self.config.allow_cold_start,
                         state=state, pattern=key, begins=begins)
 
-    def _chains(self, order: int, table: FeatureTable) -> list[_Chain]:
-        """Check ``table`` as this model's input and split its learned rows
-        into one chain per pattern, in the order the patterns first occur."""
+    def _checked(self, table: FeatureTable) -> int:
+        """This model's ``q``, once ``table`` is checked as its input: more
+        than ``q`` rows, in the shapes of its feature config."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
@@ -451,24 +543,22 @@ class IoHmmModel:
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
-        ok_t = np.isfinite(table.t).all(axis=1)  # every row is classified; from q, learned
-        ok_wy = np.isfinite(np.hstack((table.w, table.y))).all(axis=1)
-        ok = ok_t & (ok_wy | (np.arange(n) < fc.q))
-        if not ok.all():
-            p = int(ok.argmin())
-            raise InputError(_BAD_T.format(p)) if not ok_t[p] else NumericError(_BAD_WY.format(p))
-        patterns, firsts, which = np.unique(table.z[fc.q:], axis=0, return_index=True,
+        return fc.q
+
+    def _chains(self, order: int, table: FeatureTable, rows: np.ndarray,
+                labels: np.ndarray) -> list[_Chain]:
+        """The learned ``rows`` of ``table``, one chain per pattern in the order
+        the patterns first occur; ``labels`` are the rows' states."""
+        patterns, firsts, which = np.unique(table.z[rows], axis=0, return_index=True,
                                             return_inverse=True)
         keys, which = [pattern_key(z) for z in patterns], which.reshape(-1)
-        # no centroid moves in a pass without forecasts: one labelling holds
-        labels = self.clusters.nearest(self.clusters.standardizer.transform(table.t))
         chains = []
         for j in np.argsort(firsts, kind="stable").tolist():
-            rows = fc.q + np.flatnonzero(which == j)
+            at = rows[which == j]
             states = self.params.get(keys[j]) or self._prior()
-            chains.append(_Chain(order, self, keys[j], states, table, rows,
-                                 np.where(table.begins_shift[rows], 0, labels[rows - 1]),
-                                 labels[rows]))
+            chains.append(_Chain(order, self, keys[j], states, table, at,
+                                 np.where(table.begins_shift[at], 0, labels[at - 1]),
+                                 labels[at]))
         return chains
 
     def run_online(self, records: Sequence[ProductionRecord],

@@ -242,8 +242,9 @@ def _build_records(columns) -> list[ProductionRecord]:
 
 def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | None:
     """A chunk's records converted a column at a time, the likeliest empty groups
-    first; ``None`` once a row needs the row rules: a short row, an empty, bad or
-    non-finite cell, or an absent column other than hum/temp (those read None)."""
+    first; ``None`` once a row needs the row rules: a short row, a bad or
+    non-finite cell, or an empty cell or absent column other than hum/temp
+    (whose empty cells and absent columns read None, as in the row rules)."""
     if min(map(len, rows)) < width:
         return None
     cells, columns = list(zip(*rows)), [[None] * len(rows)] * len(COLUMNS)
@@ -257,9 +258,16 @@ def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | N
                 if not all(columns[slot]):
                     return None
             else:
-                columns[slot] = column = list(map(convert, cells[position[alias]]))
-                if (convert is float and not math.isfinite(sum(column))
-                        and not all(map(math.isfinite, column))):
+                raw = cells[position[alias]]
+                try:
+                    columns[slot] = present = list(map(convert, raw))
+                except ValueError:
+                    if alias not in _OPTIONAL:
+                        raise
+                    columns[slot] = [convert(c) if c.strip() else None for c in raw]
+                    present = [v for v in columns[slot] if v is not None]
+                if (convert is float and not math.isfinite(sum(present))
+                        and not all(map(math.isfinite, present))):
                     return None
     except ValueError:
         return None

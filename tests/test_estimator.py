@@ -338,18 +338,22 @@ class TestPrecisionSymmetry:
 
 
 def _sequential(states, inputs, responses):
-    """The oracle: ``_update`` state by state, row by row, on copies."""
-    out, caught = [], []
+    """The oracle: ``_update`` state by state, row by row, on copies; also
+    each state's forecast ``u @ H`` and variances before each update."""
+    out, caught, forecasts = [], [], []
     for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
         st = AdaptiveState.from_dict(st.to_dict())
+        forecasts.append(([], []))
         for k, (u, y) in enumerate(zip(X, Y)):
+            forecasts[-1][0].append(u @ st.H)
+            forecasts[-1][1].append(st.Sigma.diagonal().copy())
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 st._update(u, y)
             caught += [(j, k, str(w.message)) for w in seen
                        if w.category is ConditioningWarning]
         out.append(st)
-    return out, caught
+    return out, caught, forecasts
 
 
 def _stack(inputs, responses):
@@ -381,10 +385,13 @@ class TestStackedPass:
         states, inputs, responses = self._case(rng, p, m, 0.97, lengths,
                                                prior_updates=int(rng.integers(0, 60)))
         before = [st.to_dict() for st in states]
-        expected, caught = _sequential(states, inputs, responses)
-        commit, warned, refused = stacked_pass(states, *_stack(inputs, responses))
+        expected, caught, forecasts = _sequential(states, inputs, responses)
+        commit, warned, refused, mean, var = stacked_pass(states, *_stack(inputs, responses))
         assert [st.to_dict() for st in states] == before  # nothing written yet
         assert refused == {} and sorted(warned) == caught
+        for j, (means, variances) in enumerate(forecasts):  # pre-update, bit for bit
+            assert np.array_equal(mean[:len(means), j], means)
+            assert np.array_equal(var[:len(means), j], variances)
         commit()
         assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
         for st in states:
@@ -401,8 +408,8 @@ class TestStackedPass:
             inputs.append(np.column_stack((np.ones(length), 0.5 + rng.normal(size=length),
                                            np.zeros(length))))
             responses.append(rng.normal(size=(length, 1)))
-        expected, caught = _sequential(states, inputs, responses)
-        commit, warned, _ = stacked_pass(states, *_stack(inputs, responses))
+        expected, caught, _ = _sequential(states, inputs, responses)
+        commit, warned, *_ = stacked_pass(states, *_stack(inputs, responses))
         assert len(caught) >= 5 and sorted(warned) == caught
         commit()
         assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
@@ -415,7 +422,7 @@ class TestStackedPass:
         with pytest.raises(NumericError) as refused:
             _run(AdaptiveState.from_dict(states[1].to_dict()),
                  zip(inputs[1], responses[1]))
-        _, _, refusals = stacked_pass(states, *_stack(inputs, responses))
+        _, _, refusals, *_ = stacked_pass(states, *_stack(inputs, responses))
         assert refusals == {1: (0, str(refused.value))}
         assert [st.to_dict() for st in states] == before
 

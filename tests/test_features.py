@@ -142,6 +142,12 @@ class TestPatternKey:
         with pytest.raises(ConfigurationError):
             pattern_key([0.5, 1.0])
 
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf"), 2.0, "1"])
+    def test_a_non_finite_or_non_numeric_cell_is_a_configuration_error(self, cell):
+        for z in ([cell, 0.0, 0.0], np.array([0.0, cell, 1.0]) if cell != "1" else [1, cell]):
+            with pytest.raises(ConfigurationError, match="0 or 1"):
+                pattern_key(z)
+
 
 class TestDefaults:
     def test_built_from_observed_codes(self):

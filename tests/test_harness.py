@@ -9,7 +9,8 @@ import pytest
 import opcast.harness
 import opcast.model
 from opcast import (ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
-                    IoHmmModel, ModelConfig, OrderingError, SyntheticSpec,
+                    ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
+                    NumericError, OpcastError, OrderingError, SyntheticSpec,
                     ThresholdWarning, default_feature_config, emit_report,
                     generate_synthetic, leave_one_week_out, mae,
                     parse_model_name, response_summary, week_key)
@@ -172,42 +173,87 @@ class TestLeaveOneWeekOut:
         monkeypatch.setattr(opcast.harness, "build_features", forbidden)
         leave_one_week_out(two_week_records, model_names=("persistence",))
 
+    IOHMM_NAMES = [name for name in DEFAULT_MODELS
+                   if parse_model_name(name)[0] in ("iohmm", "iohmm-uni")]
+
+    @staticmethod
+    def _walks_one_by_one(records, names, base):
+        """The oracle: per fold and identifier, each variant fitted on its own
+        and walked through the test week by ``run_online``, in model order;
+        the first refusal as (type, message)."""
+        expected = {}
+        try:
+            for fold in sorted({week_key(r.date) for r in records}):
+                test_idx = [i for i, r in enumerate(records) if week_key(r.date) == fold]
+                train = [r for r in records if week_key(r.date) != fold]
+                for name in names:
+                    kind, q = parse_model_name(name)
+                    features = base.features.with_lags(q)
+                    for features in [features] if kind == "iohmm" else \
+                            [features.for_response(r) for r in features.response_names]:
+                        model = IoHmmModel(replace(base, features=features))
+                        model.fit(train, seed=0, k_max=6)
+                        for st in model.run_online(records, indices=test_idx):
+                            if st.forecast is None:
+                                continue
+                            sd = np.sqrt(np.clip(np.diagonal(st.forecast.sigma), 0.0, None))
+                            expected.setdefault((name, fold), []).extend(
+                                (st.index, resp, float(st.y[j]),
+                                 float(st.forecast.y_hat[j]), float(sd[j]))
+                                for j, resp in enumerate(features.response_names))
+        except OpcastError as exc:
+            return type(exc), str(exc)
+        return expected
+
     def test_shared_states_match_independent_fits(self, two_week_records):
         # every default IO-HMM variant learns its table derived from the
-        # fold's shared one, with the shared labels
+        # fold's shared one, with the shared labels, and walks the test week
+        # in the table of all records derived for it, in every fold
         records = two_week_records
-        names = [name for name in DEFAULT_MODELS
-                 if parse_model_name(name)[0] in ("iohmm", "iohmm-uni")]
-        assert len(names) == 11
-        report = leave_one_week_out(records, model_names=names, seed=0, k_max=6)
-        fold = report.folds[0]
-        test_idx = [i for i, r in enumerate(records) if week_key(r.date) == fold]
-        train = [r for r in records if week_key(r.date) != fold]
+        assert len(self.IOHMM_NAMES) == 11
         base = ModelConfig(features=default_feature_config(records),
                            allow_cold_start=True)
-        for name in names:
-            kind, q = parse_model_name(name)
-            features = base.features.with_lags(q)
-            feature_configs = [features] if kind == "iohmm" else \
-                [features.for_response(r) for r in features.response_names]
-            expected = []
-            for features in feature_configs:
-                model = IoHmmModel(replace(base, features=features))
-                model.fit(train, seed=0, k_max=6)
-                steps = model.run_online(records, indices=test_idx)
-                for st in steps:
-                    if st.forecast is None:
-                        continue
-                    sd = np.sqrt(np.clip(np.diagonal(st.forecast.sigma), 0.0,
-                                         None))
-                    for j, resp in enumerate(features.response_names):
-                        expected.append((st.index, resp, float(st.y[j]),
-                                         float(st.forecast.y_hat[j]),
-                                         float(sd[j])))
-            got = [(p.index, p.response, p.actual, p.predicted, p.sd)
-                   for p in report.predictions
-                   if p.model == name and p.fold == fold]
-            assert expected and got == expected, name
+        expected = self._walks_one_by_one(records, self.IOHMM_NAMES, base)
+        report = leave_one_week_out(records, model_names=self.IOHMM_NAMES, seed=0, k_max=6)
+        assert len(report.folds) == 2
+        for fold in report.folds:
+            for name in self.IOHMM_NAMES:
+                got = [(p.index, p.response, p.actual, p.predicted, p.sd)
+                       for p in report.predictions if p.model == name and p.fold == fold]
+                assert got and got == expected[name, fold], (name, fold)
+
+    @pytest.mark.parametrize("cells, error", [
+        ({"av": float("nan")}, InputError),      # t
+        ({"ics": float("inf")}, NumericError),   # w
+        ({"OpT": float("nan")}, NumericError),   # y, and a lag of the next record
+        ({"NOpT": -float("inf")}, NumericError),
+    ])
+    def test_a_bad_test_week_cell_is_refused_as_one_by_one(self, two_week_records,
+                                                           cells, error):
+        # record 20 lies in the first week, the first fold's test week
+        records = list(two_week_records)
+        records[20] = replace(records[20], **cells)
+        base = ModelConfig(features=default_feature_config(records), allow_cold_start=True)
+        expected = self._walks_one_by_one(records, self.IOHMM_NAMES, base)
+        assert expected[0] is error and "record 20 " in expected[1]
+        with pytest.raises(error) as refused:
+            leave_one_week_out(records, model_names=self.IOHMM_NAMES, base=base,
+                               seed=0, k_max=6)
+        assert str(refused.value) == expected[1]
+
+    def test_an_unseen_pattern_is_refused_as_one_by_one(self, two_week_records):
+        # a shift type that only the first week has meets no training data
+        # in the first fold; with cold starts refused, its first forecast is
+        records = list(two_week_records)
+        for i in range(24, 30):
+            records[i] = replace(records[i], shift=records[i].shift[:-1] + "X")
+        base = ModelConfig(features=default_feature_config(records))
+        expected = self._walks_one_by_one(records, self.IOHMM_NAMES, base)
+        assert expected[0] is ForecastUnavailableError
+        with pytest.raises(ForecastUnavailableError) as refused:
+            leave_one_week_out(records, model_names=self.IOHMM_NAMES, base=base,
+                               seed=0, k_max=6)
+        assert str(refused.value) == expected[1]
 
     def test_single_week_rejected(self):
         records = build_stream([{} for _ in range(10)])

@@ -15,7 +15,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     classification_vector, combination_weights, combine,
                     default_feature_config, fit_states, generate_synthetic,
                     pattern_key)
-from opcast.model import learn_tables
+from opcast.model import learn_tables, walk_tables
 
 from conftest import build_stream
 
@@ -224,6 +224,24 @@ class TestLearnStep:
         before = model.to_json()
         with pytest.raises(NumericError, match="not positive"):
             model.learn_step(*_row(table, 2), 1, 2)
+        assert model.to_json() == before
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf")])
+    def test_a_non_finite_pattern_cell_is_refused(self, cell):
+        # refused as a configuration error, before any state moves
+        model = _model(allow_cold_start=True)
+        table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}]),
+                               model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        before = model.to_json()
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            model.learn_step([cell, 0.0, 0.0], table.w[2], table.y[2], 1, 2)
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            model.forecast_step([6.0], [cell, 0.0, 0.0], table.w[2], False)
+        z = table.z.copy()
+        z[2, 0] = cell
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            learn_tables([model], [replace(table, z=z)])
         assert model.to_json() == before
 
     def test_requires_clusters(self):
@@ -780,23 +798,24 @@ def _conditioning_messages(run):
     return [str(w.message) for w in caught if w.category is ConditioningWarning]
 
 
+@pytest.fixture(scope="module")
+def setting():
+    records = generate_synthetic(SyntheticSpec(
+        states=3, transition=((0.8, 0.15, 0.05), (0.1, 0.8, 0.1), (0.05, 0.15, 0.8)),
+        state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
+        noise_cov=((0.04, 0.01), (0.01, 0.04)), ar=(((0.3, 0.0), (0.0, 0.3)),),
+        days=14, periods_per_shift=6, dt_max=0.4, ics_levels=(1.88,), seed=5))
+    features = FeatureConfig(response_names=("OpT", "NOpT"),
+                             z_spec=("shift_code==M", "shift_code==A", "shift_code==N"),
+                             w_spec=("ics", "@begins_shift"), t_spec=("av", "OT"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # K selection
+        states = fit_states(records, features, seed=0, k_max=4)
+    return records, features, states
+
+
 class TestLearnTables:
     """One stacked pass against the record-by-record ``_learn`` path."""
-
-    @pytest.fixture(scope="class")
-    def setting(self):
-        records = generate_synthetic(SyntheticSpec(
-            states=3, transition=((0.8, 0.15, 0.05), (0.1, 0.8, 0.1), (0.05, 0.15, 0.8)),
-            state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
-            noise_cov=((0.04, 0.01), (0.01, 0.04)), ar=(((0.3, 0.0), (0.0, 0.3)),),
-            days=14, periods_per_shift=6, dt_max=0.4, ics_levels=(1.88,), seed=5))
-        features = FeatureConfig(response_names=("OpT", "NOpT"),
-                                 z_spec=("shift_code==M", "shift_code==A", "shift_code==N"),
-                                 w_spec=("ics", "@begins_shift"), t_spec=("av", "OT"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # K selection
-            states = fit_states(records, features, seed=0, k_max=4)
-        return records, features, states
 
     FAST = 0.7  # winds up enough to warn, not enough to refuse an update
 
@@ -896,6 +915,147 @@ class TestLearnTables:
         with pytest.raises(DimensionError):
             learn_tables(models[:2], tables[:1])
         assert models[0].to_json() == before
+
+
+def _outcome(run):
+    """What ``run`` returns, or the type and message of the error it raises,
+    and the messages of the ConditioningWarnings it issues, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except OpcastError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught if w.category is ConditioningWarning]
+
+
+def _walks_one_by_one(models, records, span):
+    """The oracle of ``walk_tables``: each model's own ``run_online`` walk, in
+    model order, on a copy; per model its forecasts as (record, mean bytes,
+    variance bytes)."""
+    out = []
+    for model in [copy.deepcopy(m) for m in models]:  # each with its own centroids
+        out.append([(st.index, st.forecast.y_hat.tobytes(),
+                     np.diagonal(st.forecast.sigma).tobytes())
+                    for st in model.run_online(records, indices=span) if st.forecast])
+    return out
+
+
+def _walked(models, tables, span):
+    """``walk_tables`` with its forecasts laid out as the oracle's."""
+    return [[(i, mean.tobytes(), var.tobytes()) for i, mean, var in walk]
+            for walk in walk_tables(models, tables, span)]
+
+
+class TestWalkTables:
+    """One stacked walk against each model's own ``run_online`` walk."""
+
+    FAST = 0.7  # winds up enough to warn
+
+    def _models(self, setting, learned, cold=True, walked=None):
+        """Mixed lag orders, joint and single-response, two forgetting
+        settings, sharing one ``ClusterModel`` and learned from ``learned``
+        (if longer than q), with their tables of ``walked`` (all records)."""
+        records, features, states = setting
+        lag_free = build_features(walked or records, features.with_lags(0))
+        models, tables = [], []
+        for q in range(4):
+            for columns, names in (((0, 1), ("OpT", "NOpT")), ((0,), ("OpT",)),
+                                   ((1,), ("NOpT",))):
+                fast = q % 2 == len(columns) % 2
+                cfg = ModelConfig(features=replace(features, q=q, response_names=names),
+                                  lambda_u=self.FAST if fast else 0.99,
+                                  lambda_v=self.FAST if fast else 0.95,
+                                  allow_cold_start=cold)
+                models.append(IoHmmModel(cfg, clusters=states))
+                tables.append(lag_free.lagged(q, columns))
+                if len(learned) > q:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", ConditioningWarning)
+                        _learn(models[-1], learned)
+        return models, tables
+
+    def _assert_as_one_by_one(self, models, tables, records, span):
+        before = [m.to_json() for m in models]
+        expected = _outcome(lambda: _walks_one_by_one(models, records, span))
+        got = _outcome(lambda: _walked(models, tables, span))
+        assert got == expected
+        assert [m.to_json() for m in models] == before  # a walk moves nothing
+        return got
+
+    @pytest.mark.parametrize("first", [0, 2, 100, 251])
+    def test_forecasts_match_the_walks_one_by_one(self, setting, first):
+        # from 0 and 2 the lag orders start forecasting at different records
+        records = setting[0]
+        models, tables = self._models(setting, records[:first])
+        span = range(first, len(records))
+        (forecasts, warned) = self._assert_as_one_by_one(models, tables, records, span)
+        assert sum(map(len, forecasts)) > 0
+        if first == 100:
+            assert len(warned) > 5
+
+    @pytest.mark.parametrize("seed, cold", [
+        pytest.param(seed, cold, id=f"{seed}-{'cold' if cold else 'strict'}")
+        for cold in (True, False) for seed in range(30)])
+    def test_faults_are_refused_as_one_by_one(self, setting, seed, cold):
+        # non-finite t (av), w (ics) and y cells (OpT, NOpT, also lags) in
+        # and just before the walked records; a strict model refuses cold
+        # starts, so patterns not learned yet refuse too
+        rng = np.random.default_rng(seed)
+        records = setting[0]
+        first = int(rng.choice([0, 3, 40, 150]))
+        learned = records[:first] if rng.random() < 0.7 else \
+            [rec for rec in records[:first] if rec.shift_code != "N"]
+        faults = {}
+        for row in rng.choice(np.arange(max(first - 2, 0), min(first + 30, len(records))),
+                              size=int(rng.integers(1, 3)), replace=False):
+            columns = rng.choice(["av", "ics", "OpT", "NOpT"], size=int(rng.integers(1, 3)),
+                                 replace=False)
+            faults[int(row)] = {str(c): float(rng.choice([np.nan, np.inf])) for c in columns}
+        bad = _with_cells(records, faults)
+        models, tables = self._models(setting, learned, cold, walked=bad)
+        self._assert_as_one_by_one(models, tables, bad, range(first, len(records)))
+
+    @pytest.mark.parametrize("first, faults", [
+        (40, {39: {"av": float("nan")}}),   # the row before, read at the first forecast
+        (2, {1: {"av": float("inf")}}),     # read by q = 0 and 1 only
+        (40, {39: {"ics": float("nan"), "OpT": float("nan")}}),  # only its y, as a lag
+        (40, {45: {"NOpT": float("nan")}, 41: {"av": float("nan")}}),
+    ])
+    def test_the_first_bad_read_decides(self, setting, first, faults):
+        records = setting[0]
+        bad = _with_cells(records, faults)
+        models, tables = self._models(setting, records[:first], walked=bad)
+        (error, _), _ = self._assert_as_one_by_one(models, tables, bad,
+                                                   range(first, len(records)))
+        assert error in (InputError, NumericError)
+
+    def test_an_unseen_pattern_is_refused_as_one_by_one(self, setting):
+        records = setting[0]
+        models, tables = self._models(
+            setting, [rec for rec in records[:100] if rec.shift_code != "N"], cold=False)
+        (error, message), _ = self._assert_as_one_by_one(models, tables, records,
+                                                         range(100, len(records)))
+        assert error is ForecastUnavailableError and message.startswith("record ")
+
+    def test_a_restored_indefinite_p_is_refused_as_one_by_one(self, setting):
+        # refused in two models: the first refused update in model and
+        # record order decides, after the warnings due before it
+        records = setting[0]
+        models, tables = self._models(setting, records[:100])
+        for j, key in ((4, "001"), (7, "010")):
+            models[j] = TestLearnTables._negative_definite(models[j], key)
+        (error, message), warned = self._assert_as_one_by_one(models, tables, records,
+                                                              range(100, len(records)))
+        assert error is NumericError and "gain denominator" in message and warned
+
+    def test_rejects_what_it_cannot_walk(self, setting):
+        models, tables = self._models(setting, setting[0][:50])
+        for span in (range(0, len(tables[0].y) + 1), range(10, 20, 2)):
+            with pytest.raises(DimensionError):
+                walk_tables(models, tables, span)
+        with pytest.raises(DimensionError):
+            walk_tables(models, tables[1:], range(50, 60))
 
 
 class TestFit:

@@ -505,6 +505,23 @@ def _chunk_edge_corpus():
                 yield f"{n_rows} rows, bad at {bad}", _join(header, rows), bad
 
 
+def _gap_corpus(seed, count):
+    """Files with gaps in hum/temp: empty, whitespace-only, padded, nan or
+    unparseable cells, in one row, every few rows or every row."""
+    rng, base = random.Random(1000 + seed), _base_rows()
+    header = base[0]
+    for i in range(count):
+        n_rows = rng.randrange(1, 41) if rng.random() < 0.6 else rng.randrange(250, 600)
+        start = rng.randrange(len(base) - n_rows)
+        rows = [list(row) for row in base[1 + start:1 + start + n_rows]]
+        every = rng.choice((1, 3, 100, n_rows))
+        cells = ("", " ", "\t ", " 7 ") if rng.random() < 0.7 else ("", " ", "nan", "abc")
+        for r in range(rng.randrange(every), n_rows, every):
+            for name in rng.sample(("hum", "temp"), rng.randint(1, 2)):
+                rows[r][header.index(name)] = rng.choice(cells)
+        yield f"gaps seed {seed} file {i}", _join(header, rows), None
+
+
 def _field_types(result):
     return [tuple(type(getattr(rec, attr)) for attr in _ATTRS) for rec in result.records]
 
@@ -533,6 +550,27 @@ class TestRowOracle:
             self._check(name, text, None)
             lines = [e.line for e in parse_dataset(io.StringIO(text)).errors]
             assert lines == [i + 2 for i in bad], name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_files_with_sensor_gaps(self, seed):
+        for case in _gap_corpus(seed, 60):
+            self._check(*case)
+
+    def test_blank_sensor_cells_stay_on_the_column_pass(self, monkeypatch):
+        taken = []
+        column_pass = records_module._column_pass
+        monkeypatch.setattr(records_module, "_column_pass",
+                            lambda *args: taken.append(column_pass(*args)) or taken[-1])
+        header, *rows = _base_rows()[:301]
+        rows = [list(row) for row in rows]
+        for r in range(0, 300, 100):
+            rows[r][header.index("hum")] = ""
+            rows[r + 1][header.index("temp")] = " \t"
+        got = parse_dataset(io.StringIO(_join(header, rows)))
+        assert [chunk is not None for chunk in taken] == [True, True]
+        assert [i for i, rec in enumerate(got.records) if rec.hum is None] == [0, 100, 200]
+        assert [i for i, rec in enumerate(got.records) if rec.temp is None] == [1, 101, 201]
+        self._check("blank sensor cells", _join(header, rows), None)
 
     def test_corpus_reaches_both_routes(self, monkeypatch):
         taken = []
