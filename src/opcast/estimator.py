@@ -18,8 +18,8 @@ a state enters from outside: ``from_dict``.
 
 ``stacked_pass`` folds many same-shaped states through their own input
 sequences at once, one stacked update per step, computing bit for bit
-what ``AdaptiveState._update`` computes one state at a time; ``stacked``
-lays the sequences out for it.
+what ``AdaptiveState._update`` computes one state at a time, and stops
+where ``_update`` would refuse; ``stacked`` lays the sequences out for it.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ def serialized(doc: dict, name: str, kind: type = float):
         raise NumericError(f"serialized {name} must be a finite non-negative "
                            f"{'integer' if kind is int else 'number'}, got {value!r}")
     return kind(value)
-
-
-def _refusal(denom) -> str:
-    return f"gain denominator lam + u'Pu is {denom:.3e}, not positive"
 
 
 def _conditioning(P: np.ndarray, n_updates: int) -> str | None:
@@ -131,7 +127,7 @@ class AdaptiveState:
         Pu = self.P @ u
         denom = lam + u @ Pu
         if not denom > 0.0:
-            raise NumericError(_refusal(denom))
+            raise NumericError(f"gain denominator lam + u'Pu is {denom:.3e}, not positive")
 
         self.gamma = gamma = 1.0 + lam * self.gamma
         e = y - u @ self.H
@@ -208,7 +204,7 @@ def stacked(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
 
 
 def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
-                 active: Sequence[int]) -> tuple:
+                 active: Sequence[int]) -> tuple | None:
     """Fold each state's own sequence of checked ``(u, y)`` rows, all at once.
 
     The states share their dimensions and forgetting factor and come
@@ -222,10 +218,10 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
 
     Nothing is written to the states: returns ``commit``, which writes the
     results, the ``(state, step, message)`` of every ConditioningWarning
-    due, per refused state the ``(step, message)`` of its first refused
-    step (the state is then reset to a harmless prior and carried along),
-    and, laid out like ``Y``, each step's pre-update prediction ``u'H`` and
-    diagonal of ``Sigma``: the forecast a state makes before it learns.
+    due and, laid out like ``Y``, each step's pre-update prediction ``u'H``
+    and diagonal of ``Sigma``: the forecast a state makes before it learns.
+    Returns None at the first step with a gain denominator that is not
+    positive, where ``_update`` refuses.
     """
     lam = states[0].forgetting
     p, m = X.shape[2], Y.shape[2]
@@ -240,7 +236,6 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
                        COND_CHECK_EVERY):
             checks.setdefault(k, []).append(j)
     caught: list[tuple[int, int, str]] = []
-    refused: dict[int, tuple[int, str]] = {}
     mean, var = np.empty(Y.shape), np.empty(Y.shape)
     for k, n in enumerate(active):
         u, Hk, Sk, Pk, gk = X[k, :n], H[:n], Sigma[:n], P[:n], gamma[:n]
@@ -249,12 +244,7 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         denom = np.matmul(ut, Pu)
         denom += lam
         if not (denom > 0.0).all():
-            for j in np.flatnonzero(~(denom[:, 0, 0] > 0.0)).tolist():
-                refused.setdefault(j, (k, _refusal(denom[j, 0, 0])))
-                Hk[j], Sk[j], Pk[j], gk[j] = 0.0, 0.0, np.eye(p), 0.0
-            Pu = np.matmul(Pk, u.reshape(n, p, 1))
-            denom = np.matmul(ut, Pu)
-            denom += lam
+            return None
         var[k, :n] = Sk.diagonal(0, 1, 2)
         pred = np.matmul(ut, Hk)
         mean[k, :n] = pred[:, 0]
@@ -272,11 +262,11 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         Pk /= lam
         for j in checks.get(k, ()):
             message = _conditioning(Pk[j], states[j].n_updates + k + 1)
-            if message is not None and j not in refused:
+            if message is not None:
                 caught.append((j, k, message))
 
     def commit() -> None:
         for i, (st, length) in enumerate(zip(states, lengths)):
             st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
             st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
-    return commit, caught, refused, mean, var
+    return commit, caught, mean, var

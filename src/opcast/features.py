@@ -118,8 +118,9 @@ class FeatureConfig:
         for name in self.response_names:
             if name not in _NUMERIC_COLUMNS:
                 raise ConfigurationError(f"unknown response column {name!r}")
-        if not isinstance(self.q, int) or self.q < 0:
-            raise ConfigurationError(f"lag order must be a non-negative integer, got {self.q!r}")
+        for name, value in (("q", self.q), ("max_lags", self.max_lags)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
         if self.q > self.max_lags:
             raise ConfigurationError(f"lag order {self.q} exceeds max_lags {self.max_lags}")
         if not self.z_spec:

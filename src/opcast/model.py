@@ -7,19 +7,20 @@ the pseudo-count tables. Their forecasts are blended per response with
 inverse-variance weights. Hidden states come from clustering; their
 dynamics are tracked by the pseudo-counts.
 
-Records move state in two passes, and a forecast only reads. ``run_online``
-is the interleaved loop: per record it absorbs the record before into its
-centroid, forecasts, then learns the record's counts and predictors. A
-pass without forecasts (``learn_tables``, behind ``fit`` and the LOWO
-folds) moves no centroid, so the rows of each pattern form an independent
-chain: all chains of all models in the pass advance together, one stacked
-update per chain position, bit for bit as the interleaved loop would learn
-them; ``walk_tables`` gives the interleaved loop's forecasts over a range
-of records the same way, moving nothing. ``learn_tables`` checks the table
-cells it reads before any state moves. ``run_online`` checks each cell
-where its loop reads it, in the order of the checked entry points
-(``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``), and
-puts back what moved when it refuses. All run trusted cores. Every
+Records move state in one loop, and a forecast only reads. ``run_online``
+(``_pass``) is the interleaved loop: per record it absorbs the record
+before into its centroid, forecasts, then learns the record's counts and
+predictors. It checks each cell where it reads it, in the order of the
+checked entry points (``forecast_step``, ``update_centroid``, ``assign``,
+``learn_step``), and puts back what moved when it refuses. ``learn_tables``
+(behind ``fit`` and the LOWO folds) and ``walk_tables`` are one stacked
+pass of that loop over several models' tables: learning is a walk whose
+first forecast lies after the last row. Centroid moves never depend on the
+predictors, so the rows of each pattern form an independent chain, and all
+chains advance together, one stacked update per chain position, bit for
+bit as the loop would. Every pass refuses what ``_pass`` refuses over the
+same records, in model order: what the stacked pass cannot take it hands
+to ``_pass`` on copies of the models. All run trusted cores. Every
 forecast is a ``ForecastResult``; the full state snapshots to a JSON
 document.
 """
@@ -31,7 +32,7 @@ import copy
 import json
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      ForecastUnavailableError, InputError, InsufficientHistoryError,
                      NumericError, OpcastError, RestoreError)
-from .estimator import AdaptiveState, checked_vector, serialized, stacked, stacked_pass
+from .estimator import (AdaptiveState, checked_vector, json_number, serialized, stacked,
+                        stacked_pass)
 from .features import (FeatureConfig, FeatureTable, build_features,
                        classification_points, pattern_key)
 from .metrics import Z95
@@ -62,8 +64,11 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("lambda_u", "lambda_v"):
             value = getattr(self, name)
-            if not 0.0 < float(value) <= 1.0:
-                raise ConfigurationError(f"{name} must lie in (0, 1], got {value}")
+            if not (json_number(value) and 0.0 < value <= 1.0):
+                raise ConfigurationError(f"{name} must lie in (0, 1], got {value!r}")
+        if not isinstance(self.allow_cold_start, bool):
+            raise ConfigurationError(
+                f"allow_cold_start must be a boolean, got {self.allow_cold_start!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -236,137 +241,126 @@ def _groups(chains: Sequence[_Chain], name: str) -> list[list[_Chain]]:
     return list(groups.values())
 
 
-def _advance(chains: Sequence[_Chain]) -> tuple[list, list, list]:
+def _advance(chains: Sequence[_Chain]) -> tuple[list, list] | None:
     """Advance ``chains`` together, one stacked count step and one stacked
     update per predictor shape at each chain position; fill their ``moments``
     (u mean and variance, v mean and variance per step) and return the
-    commits, and the warnings and refusals keyed by where each falls in a
-    record-by-record pass."""
+    commits and the warnings keyed by where each falls in a record-by-record
+    pass, or None at the first refused update."""
     longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
-    commits, events, refusals = [], [], []
+    commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         for group in _groups(longest_first, name):
             X, active = stacked([ch.u for ch in group]) if name == "u" \
                 else _walk_counts(group)
-            commit, caught, refused, mean, var = stacked_pass(
-                [getattr(ch.states, name) for ch in group], X,
-                stacked([ch.y for ch in group])[0], active)
+            done = stacked_pass([getattr(ch.states, name) for ch in group], X,
+                                stacked([ch.y for ch in group])[0], active)
+            if done is None:
+                return None
+            commit, caught, mean, var = done
             commits.append(commit)
             events += [((group[j].order, group[j].rows[k], side), message)
                        for j, k, message in caught]
-            refusals += [((group[j].order, group[j].rows[k], side), message)
-                         for j, (k, message) in refused.items()]
             for j, ch in enumerate(group):
                 ch.moments += mean[:len(ch.rows), j], var[:len(ch.rows), j]
-    return commits, events, refusals
+    return commits, events
 
 
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
-    """Learn each model from its table, without forecasts, in one stacked pass.
-
-    Every ``(model, table)`` pair is checked before any state moves: the
-    model is fitted, the table has the shapes of its feature config, the
-    cells the pass reads are finite and its patterns are valid; no model
-    may appear twice. Each table splits into one chain per pattern of the
-    rows it learns, and chains never touch each other's state, so they
-    advance together (``_advance``). The result is bit for bit what
-    learning the tables one record at a time gives, ConditioningWarnings
-    included. The states are written back only at the end, so a refused
-    pass moves nothing in any model.
-    """
-    if len(models) != len(tables):
-        raise DimensionError(f"{len(models)} models but {len(tables)} tables")
-    if len({id(model) for model in models}) < len(models):
-        raise ConfigurationError("a model appears twice in one learning pass")
-    chains = []
-    for order, (model, table) in enumerate(zip(models, tables)):
-        q, n = model._checked(table), len(table.y)
-        ok_t = np.isfinite(table.t).all(axis=1)  # every row is classified; from q, learned
-        ok_wy = np.isfinite(np.hstack((table.w, table.y))).all(axis=1)
-        ok = ok_t & (ok_wy | (np.arange(n) < q))
-        if not ok.all():
-            p = int(ok.argmin())
-            raise InputError(_BAD_T.format(p)) if not ok_t[p] else NumericError(_BAD_WY.format(p))
-        # no centroid moves in a pass without forecasts: one labelling holds
-        labels = model.clusters.nearest(model.clusters.standardizer.transform(table.t))
-        chains += model._chains(order, table, np.arange(q, n), labels)
-    commits, events, refusals = _advance(chains)
-    if refusals:
-        raise NumericError(min(refusals)[1])
-    for _, message in sorted(events):
-        warnings.warn(message, ConditioningWarning, stacklevel=2)
-    for commit in commits:
-        commit()
-    for ch in chains:
-        ch.model.params.setdefault(ch.key, ch.states)
-        ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
+    """Learn each model (at most once) from every row of its table, bit for
+    bit as ``_pass`` would, in one stacked pass; a refused pass moves nothing."""
+    _stacked(models, tables, None)[1]()
 
 
 def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
                 span: range) -> list[list[tuple]]:
     """Per model, the ``(record, mean, variances)`` of each forecast that
-    ``run_online(records, indices=span)`` makes, bit for bit, moving nothing;
-    row ``i`` of a table is record ``i``, and tables are checked first.
+    ``run_online(records, indices=span)`` makes, bit for bit, in one stacked
+    pass that moves nothing; row ``i`` of a table is record ``i``."""
+    return _stacked(models, tables, span)[0]
 
-    Centroid moves never depend on the predictors, so the states come from
-    one walk of a copy of the centroids per point where absorbing starts.
-    The learned rows split into chains that advance together, and each
-    forecast blends its step's pre-update predictions as ``_combine`` does.
-    A walk that meets a non-finite cell, a cold start it must refuse or a
-    refused update runs ``_pass`` on a copy of each model instead.
+
+def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], None]]:
+    """The pass behind ``learn_tables`` (``span`` None) and ``walk_tables``:
+    per model its forecasts, and a commit that writes what it learned.
+
+    The states come from one walk of a copy of the centroids per point
+    where forecasts start; the learned rows split into one chain per
+    pattern, all chains advance together (``_advance``), and each forecast
+    blends its step's pre-update predictions as ``_combine`` does. A pass
+    that reads a non-finite cell or a non-binary pattern, must refuse a cold
+    start or refuses an update goes to ``_one_by_one`` instead.
     """
     if len(models) != len(tables):
         raise DimensionError(f"{len(models)} models but {len(tables)} tables")
-    labels, chains, starts = {}, [], []
+    if span is None and len({id(model) for model in models}) < len(models):
+        raise ConfigurationError("a model appears twice in one learning pass")
+    labels, chains, firsts = {}, [], []
     for order, (model, table) in enumerate(zip(models, tables)):
-        q = model._checked(table)
-        if span.step != 1 or not 0 <= span.start <= span.stop <= len(table.y):
-            raise DimensionError("the records to walk are not a range of the table's rows")
-        rows, start = np.arange(max(span.start, q), span.stop), max(span.start, q + 1)
-        if not all(np.isfinite(a).all() for a in (table.w[rows], table.y[rows],
-                                                  table.t[max(span.start - 1, 0):span.stop])):
+        q, records, first = model._reach(table, span)
+        lo, rows = max(records.start - 1, 0), np.arange(max(records.start, q), records.stop)
+        if not (np.isin(table.z[rows], (0, 1)).all() and all(np.isfinite(a).all() for a in (
+                table.w[rows], table.y[rows], table.t[lo:records.stop]))):
             return _one_by_one(models, tables, span)
-        key = (id(model.clusters), id(table.t), start)  # the same walk, the same states
+        key = (id(model.clusters), id(table.t), first)  # the same walk, the same states
         if key not in labels:
             walk = replace(model.clusters, centroids=model.clusters.centroids.copy(),
                            counts=model.clusters.counts.copy())
             X, labels[key] = walk.standardizer.transform(table.t), np.zeros(len(table.t), int)
-            for i in range(max(span.start - 1, 0), span.stop):  # as _pass labels them
-                if i >= start:
-                    walk.absorb(labels[key][i - 1], X[i - 1])
+            labels[key][lo:records.stop] = walk.nearest(X[lo:records.stop])
+            for i in range(first, records.stop):  # from there on as _pass labels them
+                walk.absorb(labels[key][i - 1], X[i - 1])
                 labels[key][i] = walk.nearest(X[i:i + 1])[0]
         mine = model._chains(order, table, rows, labels[key])
         if not model.config.allow_cold_start and any(
-                ch.rows[0] >= start and ch.states.u.gamma == ch.states.v.gamma == 0.0
+                ch.rows[0] >= first and ch.states.u.gamma == ch.states.v.gamma == 0.0
                 for ch in mine):
             return _one_by_one(models, tables, span)
         chains += mine
-        starts.append(start)
-    _, events, refusals = _advance(chains)
-    if refusals:
+        firsts.append(first)
+    advanced = _advance(chains)
+    if advanced is None:
         return _one_by_one(models, tables, span)
+    commits, events = advanced
     for _, message in sorted(events):
-        warnings.warn(message, ConditioningWarning, stacklevel=2)
+        warnings.warn(message, ConditioningWarning, stacklevel=3)
     out: list[list[tuple]] = [[] for _ in models]
     for ch in chains:
-        mu, su, mv, sv = ch.moments
-        delta = _weights(su, sv)  # then _combine's operands in _combine's order
-        rest = 1.0 - delta
-        out[ch.order] += [(i, mean, var) for i, mean, var in zip(
-            ch.rows.tolist(), delta * mu + rest * mv, delta * delta * su + rest * rest * sv)
-            if i >= starts[ch.order]]
-    return [sorted(walk, key=lambda forecast: forecast[0]) for walk in out]
+        if ch.rows[-1] >= firsts[ch.order]:
+            mu, su, mv, sv = ch.moments
+            delta = _weights(su, sv)  # then _combine's operands in _combine's order
+            rest = 1.0 - delta
+            out[ch.order] += [(i, mean, var) for i, mean, var in zip(
+                ch.rows.tolist(), delta * mu + rest * mv, delta * delta * su + rest * rest * sv)
+                if i >= firsts[ch.order]]
+
+    def commit() -> None:
+        for step in commits:
+            step()
+        for ch in chains:
+            ch.model.params.setdefault(ch.key, ch.states)
+            ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
+    return [sorted(forecasts, key=lambda f: f[0]) for forecasts in out], commit
 
 
-def _one_by_one(models, tables, span) -> list[list[tuple]]:
-    """``walk_tables`` through ``_pass``, each model on a copy of itself, in order."""
-    out = []
+def _one_by_one(models, tables, span: range | None) -> tuple[list, Callable[[], None]]:
+    """``_stacked`` through ``_pass``, each model on a copy of itself, in order.
+
+    Its commit hands the copies' predictors and counts over; no centroid
+    moves in a learning pass, which only gets here to raise.
+    """
+    out, twins = [], []
     for model, table in zip(models, tables):
-        q = model.config.features.q
-        keys = [pattern_key(table.z[i]) if i >= q else None for i in span]
+        q, records, first = model._reach(table, span)
+        keys = [pattern_key(table.z[i]) if i >= q else None for i in records]
+        twins.append(copy.deepcopy(model))
         out.append([(st.index, st.forecast.y_hat, st.forecast.sigma.diagonal())
-                    for st in copy.deepcopy(model)._pass(table, 0, span, keys) if st.forecast])
-    return out
+                    for st in twins[-1]._pass(table, 0, records, keys, first) if st.forecast])
+
+    def commit() -> None:
+        for model, twin in zip(models, twins):
+            model.params, model.dirichlet = twin.params, twin.dirichlet
+    return out, commit
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -532,9 +526,11 @@ class IoHmmModel:
         return _combine(u, v, states.u, states.v, self.config.allow_cold_start,
                         state=state, pattern=key, begins=begins)
 
-    def _checked(self, table: FeatureTable) -> int:
-        """This model's ``q``, once ``table`` is checked as its input: more
-        than ``q`` rows, in the shapes of its feature config."""
+    def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, range, int]:
+        """This model's ``q`` once ``table`` is checked as its input (more than
+        ``q`` rows, in the shapes of its feature config), the records of a
+        pass over it and the first it forecasts: every row and none when
+        ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
@@ -543,7 +539,11 @@ class IoHmmModel:
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
-        return fc.q
+        if span is None:
+            return fc.q, range(n), n
+        if span.step != 1 or not 0 <= span.start <= span.stop <= n:
+            raise DimensionError("the records to walk are not a range of the table's rows")
+        return fc.q, span, max(span.start, fc.q + 1)
 
     def _chains(self, order: int, table: FeatureTable, rows: np.ndarray,
                 labels: np.ndarray) -> list[_Chain]:
@@ -597,17 +597,18 @@ class IoHmmModel:
         table = build_features(records[start:max(positions[-1], fc.q) + 1], fc)
         keys = [pattern_key(table.z[i - start]) if i >= fc.q else None for i in positions]
         with _AllOrNothing(self, set(keys) - {None}):
-            return self._pass(table, start, positions, keys)
+            return self._pass(table, start, positions, keys, fc.q + 1)
 
     def _pass(self, table: FeatureTable, offset: int, positions: Sequence[int],
-              keys: Sequence[str | None]) -> list[StepResult]:
+              keys: Sequence[str | None], first: int) -> list[StepResult]:
         """The interleaved loop; row ``r`` of ``table`` is record ``offset + r``
         and ``keys`` are the positions' patterns (None before ``q``).
 
-        Per position: from ``q + 1`` on, classify the row before, absorb it
-        into its centroid and forecast the record; then classify the
-        record and learn from it (from ``q`` on). Each read is checked where
-        it happens; ``run_online`` puts back what moved before a refusal.
+        Per position: from ``first`` (after ``q``) on, classify the row
+        before, absorb it into its centroid and forecast the record; then
+        classify the record and learn from it (from ``q`` on). Each read is
+        checked where it happens; ``run_online`` puts back what moved before
+        a refusal.
         """
         q, clusters = self.config.features.q, self.clusters
         ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist()
@@ -625,7 +626,7 @@ class IoHmmModel:
             r = i - offset
             begins = bool(table.begins_shift[r])
             forecast = prev = None
-            if i > q:
+            if i >= first:
                 prev = label(r - 1, i)
                 if not ok_w[r]:
                     raise NumericError(_BAD_WY.format(i))
@@ -636,7 +637,7 @@ class IoHmmModel:
                     raise ForecastUnavailableError(f"record {i}: {exc}") from None
             cur = label(r, i)
             if i >= q:
-                if i == q and not begins:  # no forecast read the state the row before left
+                if i < first and not begins:  # no forecast read the state the row before left
                     prev = label(r - 1, i)
                 if not (ok_w[r] and ok_y[r]):
                     raise NumericError(_BAD_WY.format(i))

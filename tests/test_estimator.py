@@ -386,9 +386,9 @@ class TestStackedPass:
                                                prior_updates=int(rng.integers(0, 60)))
         before = [st.to_dict() for st in states]
         expected, caught, forecasts = _sequential(states, inputs, responses)
-        commit, warned, refused, mean, var = stacked_pass(states, *_stack(inputs, responses))
+        commit, warned, mean, var = stacked_pass(states, *_stack(inputs, responses))
         assert [st.to_dict() for st in states] == before  # nothing written yet
-        assert refused == {} and sorted(warned) == caught
+        assert sorted(warned) == caught
         for j, (means, variances) in enumerate(forecasts):  # pre-update, bit for bit
             assert np.array_equal(mean[:len(means), j], means)
             assert np.array_equal(var[:len(means), j], variances)
@@ -419,11 +419,10 @@ class TestStackedPass:
         states, inputs, responses = self._case(rng, 3, 2, 0.95, [40, 30, 25])
         states[1].P = -np.eye(3)
         before = [st.to_dict() for st in states]
-        with pytest.raises(NumericError) as refused:
+        with pytest.raises(NumericError, match="gain denominator"):
             _run(AdaptiveState.from_dict(states[1].to_dict()),
                  zip(inputs[1], responses[1]))
-        _, _, refusals, *_ = stacked_pass(states, *_stack(inputs, responses))
-        assert refusals == {1: (0, str(refused.value))}
+        assert stacked_pass(states, *_stack(inputs, responses)) is None
         assert [st.to_dict() for st in states] == before
 
     def test_stacked_pads_and_counts_the_running_sequences(self):

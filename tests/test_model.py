@@ -145,6 +145,16 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(features=_feature_config(), lambda_v=1.5)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lambda_u", "0.9"), ("lambda_u", True), ("allow_cold_start", "no"),
+        ("allow_cold_start", 0), ("q", True), ("max_lags", 2.5)])
+    def test_refuses_what_a_snapshot_cannot_restore(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            if name in ("q", "max_lags"):
+                replace(_feature_config(), **{name: value})
+            else:
+                ModelConfig(features=_feature_config(), **{name: value})
+
     def test_dict_roundtrip(self):
         cfg = ModelConfig(features=_feature_config(), lambda_u=0.98,
                           lambda_v=0.9, allow_cold_start=True)
@@ -897,15 +907,36 @@ class TestLearnTables:
             models[-2] = self._negative_definite(models[-2], "100")
             error = NumericError
         before = [m.to_json() for m in models]
-        with pytest.raises(error) as refused:
+        with pytest.raises(error):
             learn_tables(models, tables)
         assert [m.to_json() for m in models] == before
-        if fault == "negative-p":
-            with pytest.raises(NumericError) as first, warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConditioningWarning)
-                for model, table in zip(copy.deepcopy(models), tables):
-                    _learn_record_by_record(model, table)
-            assert str(refused.value) == str(first.value)
+        if fault == "negative-p":  # the same error after the same warnings
+            got = _outcome(lambda: learn_tables(models, tables))
+            assert got == self._one_by_one(models, tables)
+            (kind, message), warned = got
+            assert kind is NumericError and "gain denominator" in message and warned
+            assert [m.to_json() for m in models] == before
+
+    @staticmethod
+    def _one_by_one(models, tables):
+        """The outcome of learning copies of ``models`` record by record, in order."""
+        return _outcome(lambda: [_learn_record_by_record(model, table)
+                                 for model, table in zip(copy.deepcopy(models), tables)])
+
+    @pytest.mark.parametrize("cells, value", [("y", np.nan), ("z", 2.0)])
+    def test_the_first_refusal_in_model_order_decides(self, setting, cells, value):
+        # model 0 refuses an update; model 1's table holds a cell it refuses
+        models, tables = self._models(setting)
+        models, tables = [models[-1], models[0]], [tables[-1], tables[0]]
+        models[0] = self._negative_definite(models[0], "010")
+        bad = getattr(tables[1], cells).copy()
+        bad[40, 0] = value
+        tables[1] = replace(tables[1], **{cells: bad})
+        before = [m.to_json() for m in models]
+        got = _outcome(lambda: learn_tables(models, tables))
+        assert got == self._one_by_one(models, tables)
+        assert got[0][0] is NumericError and "gain denominator" in got[0][1]
+        assert [m.to_json() for m in models] == before
 
     def test_a_model_learns_once_per_pass(self, setting):
         models, tables = self._models(setting)
