@@ -16,7 +16,7 @@ from .features import (CovariateSpec, FeatureConfig, FeatureTable,
                        assemble_next_features, build_features,
                        classification_vector, default_feature_config,
                        pattern_key)
-from .harness import (DEFAULT_MODELS, MetricsReport, PredictionRow, ReportRow,
+from .harness import (DEFAULT_MODELS, ForecastBlock, MetricsReport, ReportRow,
                       emit_report, leave_one_week_out, parse_model_name,
                       response_summary, week_key)
 from .metrics import coverage, interval_width, mae, rmse

@@ -20,11 +20,12 @@ from .errors import ConfigurationError, DimensionError, FittingError, NumericErr
 
 
 def persistence_forecast(y_prev) -> np.ndarray:
-    """The previous observation, unchanged."""
-    y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(y_prev)):
+    """The previous observations, unchanged: a copy of ``y_prev``, one row
+    per forecast (a 1-D ``y_prev`` is one forecast)."""
+    y_prev = np.array(y_prev, dtype=float, ndmin=1)
+    if not np.isfinite(y_prev).all():
         raise NumericError("previous observation contains non-finite values")
-    return y_prev.copy()
+    return y_prev
 
 
 @dataclass(frozen=True)
@@ -48,37 +49,35 @@ def _design_columns(q: int, m: int, g: int) -> list[str]:
             + [f"g[{c}]" for c in range(g)])
 
 
-def fit_varx(train: Sequence[tuple], q: int) -> VarxModel:
-    """Least-squares fit of a VARX(q) on chronological (y, g) pairs.
+def fit_varx(y, g, q: int) -> VarxModel:
+    """Least-squares fit of a VARX(q) on chronological rows: responses ``y``
+    ``(n, m)`` and exogenous inputs ``g`` ``(n, g_dim)``.
 
-    The first q pairs only provide lags. The residual covariance uses the
+    The first q rows only provide lags. The residual covariance uses the
     degrees-of-freedom denominator (rows minus parameters per equation).
     Raises when the design is rank deficient, naming the involved columns.
     """
     if not isinstance(q, int) or q < 0:
         raise ConfigurationError(f"lag order must be a non-negative integer, got {q!r}")
-    pairs = [(np.asarray(y, dtype=float).reshape(-1),
-              np.asarray(g, dtype=float).reshape(-1)) for y, g in train]
-    if not pairs:
+    y, g = np.asarray(y, dtype=float), np.asarray(g, dtype=float)
+    if y.size == 0:
         raise ConfigurationError("training data is empty")
-    m, g_dim = pairs[0][0].size, pairs[0][1].size
-    for y, g in pairs:
-        if y.size != m or g.size != g_dim:
-            raise DimensionError("training pairs have inconsistent dimensions")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(g))):
-            raise NumericError("training pairs contain non-finite values")
+    if y.ndim != 2 or g.ndim != 2 or len(y) != len(g):
+        raise DimensionError("training pairs have inconsistent dimensions")
+    if not (np.isfinite(y).all() and np.isfinite(g).all()):
+        raise NumericError("training pairs contain non-finite values")
 
-    n_rows = len(pairs) - q
+    (n, m), g_dim = y.shape, g.shape[1]
+    n_rows = n - q
     p_cols = 1 + q * m + g_dim
     if n_rows <= p_cols:
         raise FittingError(
             f"need more than {q + p_cols} observations to fit {p_cols} "
-            f"parameters per equation, got {len(pairs)}")
+            f"parameters per equation, got {n}")
 
-    ys = np.array([y for y, _ in pairs])
-    X = np.hstack([np.ones((n_rows, 1))] + [ys[q - j:len(pairs) - j] for j in range(1, q + 1)]
-                  + [np.array([g for _, g in pairs[q:]])])
-    Y = ys[q:]
+    X = np.hstack([np.ones((n_rows, 1))] + [y[q - j:n - j] for j in range(1, q + 1)]
+                  + [g[q:]])
+    Y = y[q:]
 
     names = _design_columns(q, m, g_dim)
     rank = np.linalg.matrix_rank(X)
@@ -103,22 +102,24 @@ def fit_varx(train: Sequence[tuple], q: int) -> VarxModel:
 
 
 def predict_varx(model: VarxModel, lags: Sequence, g) -> tuple[np.ndarray, np.ndarray]:
-    """One-step mean and the frozen residual covariance.
+    """One-step means of ``n`` rows and the frozen residual covariance.
 
-    ``lags[0]`` is the most recent response vector, ``lags[q-1]`` the
-    oldest required one.
+    ``g`` holds the rows' exogenous vectors ``(n, g_dim)``; ``lags[0]`` the
+    rows' most recent response vectors ``(n, m)``, ``lags[q-1]`` the oldest
+    required ones. Each mean adds the terms in the order of the model,
+    intercept first, one matrix-vector product per row and term.
     """
     m = model.intercept.size
     if len(lags) != model.q:
         raise DimensionError(f"expected {model.q} lag vectors, got {len(lags)}")
-    g = np.asarray(g, dtype=float).reshape(-1)
-    if g.size != model.beta.shape[1]:
-        raise DimensionError(f"exogenous vector must have length {model.beta.shape[1]}")
-    y_hat = model.intercept.copy()
-    for j, lag in enumerate(lags):
-        lag = np.asarray(lag, dtype=float).reshape(-1)
-        if lag.size != m:
-            raise DimensionError(f"lag vectors must have length {m}")
-        y_hat = y_hat + model.phi[j] @ lag
-    y_hat = y_hat + model.beta @ g
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[1] != model.beta.shape[1]:
+        raise DimensionError(f"exogenous vectors must have length {model.beta.shape[1]}")
+    y_hat = model.intercept
+    for phi, lag in zip(model.phi, lags):
+        lag = np.asarray(lag, dtype=float)
+        if lag.shape != (len(g), m):
+            raise DimensionError(f"lag vectors must have length {m}, one per row")
+        y_hat = y_hat + np.matmul(phi, lag[:, :, None])[:, :, 0]
+    y_hat = y_hat + np.matmul(model.beta, g[:, :, None])[:, :, 0]
     return y_hat, model.sigma_eta.copy()

@@ -75,9 +75,11 @@ def serialized(doc: dict, name: str, kind: type = float):
 
 def _conditioning(P: np.ndarray, n_updates: int) -> str | None:
     """The ConditioningWarning message due after update ``n_updates``, if any."""
-    if n_updates % COND_CHECK_EVERY:
-        return None
-    cond = np.linalg.cond(P)
+    return None if n_updates % COND_CHECK_EVERY else _cond_message(np.linalg.cond(P), n_updates)
+
+
+def _cond_message(cond: float, n_updates: int) -> str | None:
+    """The ConditioningWarning message for a checked ``cond(P)``, if it is due."""
     if np.isfinite(cond) and cond <= COND_THRESHOLD:
         return None
     return (f"precision proxy condition number {cond:.3e} exceeds "
@@ -260,10 +262,12 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         outer /= denom
         Pk -= outer
         Pk /= lam
-        for j in checks.get(k, ()):
-            message = _conditioning(Pk[j], states[j].n_updates + k + 1)
-            if message is not None:
-                caught.append((j, k, message))
+        due = checks.get(k)
+        if due:  # one batched cond over the due states, then their messages in order
+            for j, cond in zip(due, np.linalg.cond(Pk[due]).tolist()):
+                message = _cond_message(cond, states[j].n_updates + k + 1)
+                if message is not None:
+                    caught.append((j, k, message))
 
     def commit() -> None:
         for i, (st, length) in enumerate(zip(states, lengths)):

@@ -14,7 +14,8 @@ alive at a time. The online model keeps learning as it walks through the
 test week, mirroring production use; the regression benchmark stays
 frozen after fitting.
 
-Aggregation is per model, fold, shift type and response.
+Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
+the report splits each by shift type, per model, fold, shift type and response.
 """
 
 from __future__ import annotations
@@ -68,15 +69,18 @@ def week_key(date) -> str:
 
 
 @dataclass(frozen=True)
-class PredictionRow:
+class ForecastBlock:
+    """The forecasts of one response that one model made in one fold, in
+    record order: 1-D arrays of record ``index``, ``actual``, ``mean`` and
+    ``sd`` (None for a model without predictive spreads)."""
+
     model: str
     fold: str
-    index: int
     response: str
-    actual: float
-    predicted: float
-    sd: float | None
-    shift_type: str
+    index: np.ndarray
+    actual: np.ndarray
+    mean: np.ndarray
+    sd: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ class MetricsReport:
     folds: list[str]
     models: list[str]
     n_records: int
-    predictions: list[PredictionRow] = field(default_factory=list)
+    predictions: list[ForecastBlock] = field(default_factory=list)
 
 
 def response_summary(records: Sequence[ProductionRecord],
@@ -114,23 +118,21 @@ def response_summary(records: Sequence[ProductionRecord],
     return out
 
 
-def _rows(records, name, fold, i, responses, actual, predicted,
-          var=None) -> list[PredictionRow]:
-    """One row per response of record ``i``; the variances ``var`` give the
-    spreads, if any."""
-    sd = None if var is None else np.sqrt(np.clip(var, 0.0, None))
-    return [PredictionRow(name, fold, i, resp, float(actual[j]), float(predicted[j]),
-                          None if sd is None else float(sd[j]), records[i].shift_code)
-            for j, resp in enumerate(responses)]
+def _blocks(name, fold, responses, index, actual, mean, sd=None) -> list[ForecastBlock]:
+    """One block per response of the ``(n, m)`` forecasts of records ``index``;
+    none without forecasts."""
+    return [ForecastBlock(name, fold, resp, index, actual[:, j], mean[:, j],
+                          None if sd is None else sd[:, j])
+            for j, resp in enumerate(responses)] if len(index) else []
 
 
-def _iohmm_predictions(records, model_names, base: ModelConfig, train: FeatureTable,
-                       full: FeatureTable, states: ClusterModel, test_idx,
-                       fold) -> dict[str, list[PredictionRow]]:
-    """The forecasts of the fold's IO-HMM variants per identifier, in response
-    order. Each variant learns from the training table and walks the test
-    week in the table of all records, both as derived for it; the variants
-    learn in one stacked pass and walk in one more, sharing ``states``."""
+def _iohmm_blocks(model_names, base: ModelConfig, train: FeatureTable,
+                  full: FeatureTable, states: ClusterModel, test: range,
+                  fold) -> dict[str, list[ForecastBlock]]:
+    """The forecast blocks of the fold's IO-HMM variants per identifier, in
+    response order. Each variant learns from the training table and walks
+    the test week in the table of all records, both as derived for it; the
+    variants learn in one stacked pass and walk in one more, sharing ``states``."""
     responses = base.features.response_names
     names, models, derived = [], [], []
     for name in model_names:
@@ -146,42 +148,29 @@ def _iohmm_predictions(records, model_names, base: ModelConfig, train: FeatureTa
             derived.append((q, columns))
     learn_tables(models, [train.lagged(q, columns) for q, columns in derived])
     tables = [full.lagged(q, columns) for q, columns in derived]
-    walks = walk_tables(models, tables, range(test_idx[0], test_idx[-1] + 1))
-    rows: dict[str, list[PredictionRow]] = {name: [] for name in names}
+    walks = walk_tables(models, tables, test)
+    blocks: dict[str, list[ForecastBlock]] = {name: [] for name in names}
     for name, model, table, walk in zip(names, models, tables, walks):
-        for i, y_hat, var in walk:
-            rows[name] += _rows(records, name, fold, i, model.config.features.response_names,
-                                table.y[i], y_hat, var)
-    return rows
+        if walk:
+            index, mean, var = (np.array(column) for column in zip(*walk))
+            blocks[name] += _blocks(name, fold, model.config.features.response_names, index,
+                                    table.y[index], mean, np.sqrt(np.clip(var, 0.0, None)))
+    return blocks
 
 
-def _varx_predictions(records, train: FeatureTable, full: FeatureTable, test_idx,
-                      name, fold, responses, q: int) -> list[PredictionRow]:
-    """VARX(q) fitted on the training table, forecasting from the full one.
+def _varx_blocks(train: FeatureTable, full: FeatureTable, test: range, name, fold,
+                 responses, q: int) -> list[ForecastBlock]:
+    """VARX(q) fitted on the training table, forecasting the test records
+    from ``q`` on out of the full one, in one call.
 
     Both tables are built without lags; the VARX takes its lags from ``y``.
     """
-    varx = fit_varx(list(zip(train.y, train.w)), q)
-    rows = []
-    for i in test_idx:
-        if i >= q:
-            lags = [full.y[i - j] for j in range(1, q + 1)]
-            y_hat, sigma = predict_varx(varx, lags, full.w[i])
-            rows += _rows(records, name, fold, i, responses, full.y[i], y_hat,
-                          np.diagonal(sigma))
-    return rows
-
-
-def _persistence_predictions(records, test_idx, name, fold,
-                             responses) -> list[PredictionRow]:
-    rows = []
-    for i in test_idx:
-        if i >= 1:
-            prev = persistence_forecast([float(getattr(records[i - 1], r))
-                                         for r in responses])
-            rows += _rows(records, name, fold, i, responses,
-                          [getattr(records[i], r) for r in responses], prev)
-    return rows
+    varx = fit_varx(train.y, train.w, q)
+    index = np.arange(max(test.start, q), test.stop)
+    y_hat, sigma = predict_varx(varx, [full.y[index - j] for j in range(1, q + 1)],
+                                full.w[index])
+    sd = np.broadcast_to(np.sqrt(np.clip(np.diagonal(sigma), 0.0, None)), y_hat.shape)
+    return _blocks(name, fold, responses, index, full.y[index], y_hat, sd)
 
 
 def leave_one_week_out(records: Sequence[ProductionRecord],
@@ -207,7 +196,8 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
                            allow_cold_start=True)
     responses = base.features.response_names
 
-    weeks = sorted({week_key(rec.date) for rec in records})
+    keys = [week_key(rec.date) for rec in records]
+    weeks = sorted(set(keys))
     if len(weeks) < 2:
         raise DegenerateDataError(
             f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
@@ -216,59 +206,62 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     use_varx = "varx" in kinds
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
     full = build_features(records, lag_free) if use_varx or use_iohmm else None
+    values = np.array([[float(getattr(rec, name)) for name in responses]
+                       for rec in records]) if "persistence" in kinds else None
 
-    predictions: list[PredictionRow] = []
-    for fold in weeks:
-        test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
-        train = [rec for rec in records if week_key(rec.date) != fold]
+    blocks: list[ForecastBlock] = []
+    for fold in weeks:  # chronological records: each week is one run of indices
+        test = range(keys.index(fold), len(keys) - keys[::-1].index(fold))
+        train = [*records[:test.start], *records[test.stop:]]
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
                             k_min=k_min, k_max=k_max) if use_iohmm else None
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
-        iohmm = _iohmm_predictions(records, model_names, base, train_table, full, states,
-                                   test_idx, fold) if use_iohmm else {}
+        iohmm = _iohmm_blocks(model_names, base, train_table, full, states, test,
+                              fold) if use_iohmm else {}
         for name in model_names:
             kind, q = parse_model_name(name)
-            if kind == "persistence":
-                rows = _persistence_predictions(records, test_idx, name, fold,
-                                                responses)
+            if kind == "persistence":  # every test record after the dataset's first
+                index = np.arange(max(test.start, 1), test.stop)
+                mine = _blocks(name, fold, responses, index, values[index],
+                               persistence_forecast(values[index - 1]))
             elif kind == "varx":
-                rows = _varx_predictions(records, train_table, full, test_idx,
-                                         name, fold, responses, q)
+                mine = _varx_blocks(train_table, full, test, name, fold, responses, q)
             else:
-                rows = iohmm[name]
-            if not rows:
+                mine = iohmm[name]
+            if not mine:
                 warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
                               stacklevel=2)
-            predictions.extend(rows)
+            blocks += mine
 
-    report_rows = _aggregate(predictions)
-    return MetricsReport(rows=report_rows,
+    shifts = np.array([rec.shift_code for rec in records])
+    return MetricsReport(rows=_aggregate(blocks, shifts),
                          response_summary=response_summary(records, responses),
                          folds=weeks, models=list(model_names),
-                         n_records=len(records), predictions=predictions)
+                         n_records=len(records), predictions=blocks)
 
 
-def _aggregate(predictions: Sequence[PredictionRow]) -> list[ReportRow]:
-    """Per (model, fold, shift_type, response) accuracy metrics.
+def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[ReportRow]:
+    """Per (model, fold, shift_type, response) accuracy metrics; ``shifts``
+    holds the shift type of every record.
 
+    A cell holds its block's forecasts of one shift type, in record order.
     Interval metrics are reported only for cells whose model provides
     predictive spreads.
     """
-    cells: dict[tuple[str, str, str, str], list[PredictionRow]] = {}
-    for row in predictions:
-        cells.setdefault((row.model, row.fold, row.shift_type, row.response),
-                         []).append(row)
+    cells: dict[tuple[str, str, str, str], tuple[ForecastBlock, np.ndarray]] = {}
+    for block in blocks:
+        codes = shifts[block.index]
+        for shift in set(codes.tolist()):
+            cells[block.model, block.fold, shift, block.response] = block, codes == shift
     out: list[ReportRow] = []
     for key in sorted(cells):
-        group = cells[key]
-        actual = [r.actual for r in group]
-        predicted = [r.predicted for r in group]
-        metrics = [("mae", mae(actual, predicted)), ("rmse", rmse(actual, predicted))]
-        if all(r.sd is not None for r in group):
-            sds = [r.sd for r in group]
-            metrics += [("covg", coverage(actual, predicted, sds)),
-                        ("piw", interval_width(sds))]
-        out += [ReportRow(*key, metric, value, len(group)) for metric, value in metrics]
+        block, at = cells[key]
+        actual, mean = block.actual[at], block.mean[at]
+        metrics = [("mae", mae(actual, mean)), ("rmse", rmse(actual, mean))]
+        if block.sd is not None:
+            sd = block.sd[at]
+            metrics += [("covg", coverage(actual, mean, sd)), ("piw", interval_width(sd))]
+        out += [ReportRow(*key, metric, value, len(actual)) for metric, value in metrics]
     return out
 
 

@@ -4,22 +4,33 @@
 with direct solves, sharing no code with the rank-one update of
 ``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` parses a dataset
 one row at a time, without the column pass of ``parse_dataset``.
+``lowo_row_oracle`` evaluates leave-one-week-out one forecast row at a
+time: one record per forecast and response, grouped into cells by a dict,
+with the pair-form VARX fit (``fit_varx_pairs``) and one-row forecasts.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from opcast.errors import (ConfigurationError, DimensionError, SchemaError,
+from opcast.benchmarks import VarxModel, _design_columns
+from opcast.errors import (ConfigurationError, DegenerateDataError, DimensionError,
+                           FittingError, NumericError, SchemaError,
                            TimeConsistencyError)
 from opcast.estimator import checked_vector
+from opcast.features import build_features, default_feature_config
+from opcast.harness import (DEFAULT_MODELS, MetricsReport, ReportRow, parse_model_name,
+                            response_summary, week_key)
+from opcast.metrics import coverage, interval_width, mae, rmse
+from opcast.model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from opcast.records import (_GROUPS, ALIAS_TO_ATTR, MANDATORY, ParseResult, RowError,
-                            _parse_row)
+                            _parse_row, check_chronological)
 
 
 @dataclass(frozen=True)
@@ -107,3 +118,189 @@ def row_parse_oracle(stream, schema: dict[str, str] | None = None,
             except (ValueError, TimeConsistencyError) as exc:
                 errors.append(RowError(reader.line_num, str(exc)))
     return ParseResult(records, errors)
+
+
+def fit_varx_pairs(train: Sequence[tuple], q: int) -> VarxModel:
+    """``fit_varx`` on chronological (y, g) pairs, converted and checked one
+    pair at a time."""
+    if not isinstance(q, int) or q < 0:
+        raise ConfigurationError(f"lag order must be a non-negative integer, got {q!r}")
+    pairs = [(np.asarray(y, dtype=float).reshape(-1),
+              np.asarray(g, dtype=float).reshape(-1)) for y, g in train]
+    if not pairs:
+        raise ConfigurationError("training data is empty")
+    m, g_dim = pairs[0][0].size, pairs[0][1].size
+    for y, g in pairs:
+        if y.size != m or g.size != g_dim:
+            raise DimensionError("training pairs have inconsistent dimensions")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(g))):
+            raise NumericError("training pairs contain non-finite values")
+
+    n_rows = len(pairs) - q
+    p_cols = 1 + q * m + g_dim
+    if n_rows <= p_cols:
+        raise FittingError(
+            f"need more than {q + p_cols} observations to fit {p_cols} "
+            f"parameters per equation, got {len(pairs)}")
+
+    ys = np.array([y for y, _ in pairs])
+    X = np.hstack([np.ones((n_rows, 1))] + [ys[q - j:len(pairs) - j] for j in range(1, q + 1)]
+                  + [np.array([g for _, g in pairs[q:]])])
+    Y = ys[q:]
+
+    names = _design_columns(q, m, g_dim)
+    rank = np.linalg.matrix_rank(X)
+    if rank < p_cols:
+        _, _, vt = np.linalg.svd(X, full_matrices=True)
+        involved = sorted({names[c] for row in vt[rank:]
+                           for c in np.flatnonzero(np.abs(row) > 1e-8)})
+        raise FittingError(
+            f"design matrix is rank deficient ({rank}/{p_cols}); "
+            f"collinear columns: {involved}")
+
+    coef, _, _, _ = np.linalg.lstsq(X, Y, rcond=None)
+    resid = Y - X @ coef
+    sigma_eta = resid.T @ resid / (n_rows - p_cols)
+    phi = tuple(coef[1 + j * m: 1 + (j + 1) * m].T for j in range(q))
+    beta = coef[1 + q * m:].T
+    return VarxModel(q=q, intercept=coef[0].copy(), phi=phi, beta=beta,
+                     sigma_eta=sigma_eta, column_names=tuple(names))
+
+
+def predict_varx_row(model: VarxModel, lags: Sequence, g) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_varx`` of one row: ``lags[0]`` the most recent response vector."""
+    m = model.intercept.size
+    if len(lags) != model.q:
+        raise DimensionError(f"expected {model.q} lag vectors, got {len(lags)}")
+    g = np.asarray(g, dtype=float).reshape(-1)
+    if g.size != model.beta.shape[1]:
+        raise DimensionError(f"exogenous vector must have length {model.beta.shape[1]}")
+    y_hat = model.intercept.copy()
+    for j, lag in enumerate(lags):
+        lag = np.asarray(lag, dtype=float).reshape(-1)
+        if lag.size != m:
+            raise DimensionError(f"lag vectors must have length {m}")
+        y_hat = y_hat + model.phi[j] @ lag
+    y_hat = y_hat + model.beta @ g
+    return y_hat, model.sigma_eta.copy()
+
+
+def _persistence_row(y_prev) -> np.ndarray:
+    y_prev = np.asarray(y_prev, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(y_prev)):
+        raise NumericError("previous observation contains non-finite values")
+    return y_prev.copy()
+
+
+@dataclass(frozen=True)
+class PredictionRow:
+    model: str
+    fold: str
+    index: int
+    response: str
+    actual: float
+    predicted: float
+    sd: float | None
+    shift_type: str
+
+
+def _rows(records, name, fold, i, responses, actual, predicted, var=None):
+    sd = None if var is None else np.sqrt(np.clip(var, 0.0, None))
+    return [PredictionRow(name, fold, i, resp, float(actual[j]), float(predicted[j]),
+                          None if sd is None else float(sd[j]), records[i].shift_code)
+            for j, resp in enumerate(responses)]
+
+
+def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | None = None,
+                    seed: int = 0, threshold: float = 0.8, k_min: int = 2,
+                    k_max: int = 12) -> MetricsReport:
+    """``leave_one_week_out`` one forecast row at a time; ``predictions``
+    holds the rows. The IO-HMM variants learn and walk through the same
+    stacked passes."""
+    check_chronological(records)
+    kinds = {parse_model_name(name)[0] for name in model_names}
+    if base is None:
+        base = ModelConfig(features=default_feature_config(records), allow_cold_start=True)
+    responses = base.features.response_names
+    weeks = sorted({week_key(rec.date) for rec in records})
+    if len(weeks) < 2:
+        raise DegenerateDataError(
+            f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
+    lag_free = base.features.with_lags(0)
+    use_varx = "varx" in kinds
+    use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
+    full = build_features(records, lag_free) if use_varx or use_iohmm else None
+
+    predictions = []
+    for fold in weeks:
+        test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
+        train = [rec for rec in records if week_key(rec.date) != fold]
+        states = fit_states(train, base.features, seed=seed, threshold=threshold,
+                            k_min=k_min, k_max=k_max) if use_iohmm else None
+        train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
+        iohmm = {}
+        if use_iohmm:
+            names, models, derived = [], [], []
+            for name in model_names:
+                kind, q = parse_model_name(name)
+                if kind not in ("iohmm", "iohmm-uni"):
+                    continue
+                features = base.features.with_lags(q)
+                variants = [(features, range(len(responses)))] if kind == "iohmm" else \
+                    [(features.for_response(r), [j]) for j, r in enumerate(responses)]
+                for features, columns in variants:
+                    names.append(name)
+                    models.append(IoHmmModel(replace(base, features=features),
+                                             clusters=states))
+                    derived.append((q, columns))
+            learn_tables(models, [train_table.lagged(q, cols) for q, cols in derived])
+            tables = [full.lagged(q, cols) for q, cols in derived]
+            walks = walk_tables(models, tables, range(test_idx[0], test_idx[-1] + 1))
+            iohmm = {name: [] for name in names}
+            for name, model, table, walk in zip(names, models, tables, walks):
+                for i, y_hat, var in walk:
+                    iohmm[name] += _rows(records, name, fold, i,
+                                         model.config.features.response_names,
+                                         table.y[i], y_hat, var)
+        for name in model_names:
+            kind, q = parse_model_name(name)
+            rows = []
+            if kind == "persistence":
+                for i in test_idx:
+                    if i >= 1:
+                        prev = _persistence_row([float(getattr(records[i - 1], r))
+                                                 for r in responses])
+                        rows += _rows(records, name, fold, i, responses,
+                                      [getattr(records[i], r) for r in responses], prev)
+            elif kind == "varx":
+                varx = fit_varx_pairs(list(zip(train_table.y, train_table.w)), q)
+                for i in test_idx:
+                    if i >= q:
+                        lags = [full.y[i - j] for j in range(1, q + 1)]
+                        y_hat, sigma = predict_varx_row(varx, lags, full.w[i])
+                        rows += _rows(records, name, fold, i, responses, full.y[i], y_hat,
+                                      np.diagonal(sigma))
+            else:
+                rows = iohmm[name]
+            if not rows:
+                warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
+                              stacklevel=2)
+            predictions.extend(rows)
+
+    cells: dict[tuple, list[PredictionRow]] = {}
+    for row in predictions:
+        cells.setdefault((row.model, row.fold, row.shift_type, row.response), []).append(row)
+    out = []
+    for key in sorted(cells):
+        group = cells[key]
+        actual = [r.actual for r in group]
+        predicted = [r.predicted for r in group]
+        metrics = [("mae", mae(actual, predicted)), ("rmse", rmse(actual, predicted))]
+        if all(r.sd is not None for r in group):
+            sds = [r.sd for r in group]
+            metrics += [("covg", coverage(actual, predicted, sds)),
+                        ("piw", interval_width(sds))]
+        out += [ReportRow(*key, metric, value, len(group)) for metric, value in metrics]
+    return MetricsReport(rows=out, response_summary=response_summary(records, responses),
+                         folds=weeks, models=list(model_names), n_records=len(records),
+                         predictions=predictions)

@@ -263,7 +263,7 @@ def test_a07_varx_coefficient_recovery():
     for t in range(1, n):
         Y[t] = c + Phi @ Y[t - 1] + B @ G[t] + 0.1 * rng.standard_normal(2)
 
-    model = fit_varx(list(zip(Y, G)), q=1)
+    model = fit_varx(Y, G, q=1)
     errs = (np.abs(model.intercept - c).max(),
             np.abs(model.phi[0] - Phi).max(),
             np.abs(model.beta - B).max())

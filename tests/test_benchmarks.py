@@ -4,6 +4,8 @@ import pytest
 from opcast import (ConfigurationError, DimensionError, FittingError,
                     NumericError, fit_varx, persistence_forecast, predict_varx)
 
+from oracles import fit_varx_pairs, predict_varx_row
+
 
 def _simulate_varx(rng, n, intercept, phi, beta, noise=0.1):
     """Draw from a known VARX(q) with i.i.d. N(0,1) exogenous inputs."""
@@ -22,6 +24,11 @@ def _simulate_varx(rng, n, intercept, phi, beta, noise=0.1):
     return pairs[q:] if q else pairs
 
 
+def _arrays(pairs):
+    """The ``(n, m)`` responses and ``(n, g)`` exogenous rows of ``pairs``."""
+    return np.array([y for y, _ in pairs]), np.array([g for _, g in pairs])
+
+
 class TestPersistence:
     def test_returns_copy_of_previous(self):
         prev = np.array([1.0, 2.0])
@@ -30,9 +37,18 @@ class TestPersistence:
         out[0] = 99.0
         assert prev[0] == 1.0
 
+    def test_one_row_per_forecast(self):
+        prev = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = persistence_forecast(prev)
+        np.testing.assert_array_equal(out, prev)
+        assert out is not prev
+        assert persistence_forecast(2.5).shape == (1,)
+
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             persistence_forecast([np.nan])
+        with pytest.raises(NumericError, match="previous observation"):
+            persistence_forecast([[1.0, 2.0], [np.inf, 0.0]])
 
 
 class TestVarxFit:
@@ -42,7 +58,7 @@ class TestVarxFit:
         phi = [np.array([[0.5, 0.1], [0.0, 0.4]])]
         beta = np.array([[0.8], [-0.3]])
         pairs = _simulate_varx(rng, 3000, intercept, phi, beta, noise=0.05)
-        model = fit_varx(pairs, q=1)
+        model = fit_varx(*_arrays(pairs), q=1)
         np.testing.assert_allclose(model.intercept, intercept, atol=0.02)
         np.testing.assert_allclose(model.phi[0], phi[0], atol=0.02)
         np.testing.assert_allclose(model.beta, beta, atol=0.02)
@@ -54,7 +70,7 @@ class TestVarxFit:
         phi = [np.array([[0.6]])]
         pairs = _simulate_varx(rng, 200, [2.0], phi, np.array([[1.5]]),
                                noise=0.0)
-        model = fit_varx(pairs, q=1)
+        model = fit_varx(*_arrays(pairs), q=1)
         assert model.intercept[0] == pytest.approx(2.0, abs=1e-9)
         assert model.phi[0][0, 0] == pytest.approx(0.6, abs=1e-9)
         assert model.sigma_eta[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -63,7 +79,7 @@ class TestVarxFit:
         rng = np.random.default_rng(19)
         pairs = _simulate_varx(rng, 300, [0.5], [np.array([[0.7]])],
                                np.array([[0.2]]))
-        model = fit_varx(pairs, q=1)
+        model = fit_varx(*_arrays(pairs), q=1)
         ys = np.array([y for y, _ in pairs])
         X = np.column_stack([np.ones(len(pairs) - 1), ys[:-1],
                              [g for _, g in pairs[1:]]])
@@ -78,7 +94,7 @@ class TestVarxFit:
         pairs = [(np.array([v]), np.array([gv])) for v, gv in
                  [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0), (2.0, 1.0),
                   (5.0, 0.5), (1.5, 0.2), (4.0, 0.9)]]
-        model = fit_varx(pairs, q=1)
+        model = fit_varx(*_arrays(pairs), q=1)
         ys = np.array([y[0] for y, _ in pairs])
         X = np.column_stack([np.ones(6), ys[:-1],
                              [g[0] for _, g in pairs[1:]]])
@@ -92,22 +108,21 @@ class TestVarxFit:
         rng = np.random.default_rng(20)
         pairs = [(rng.normal(size=1), np.array([1.0])) for _ in range(50)]
         with pytest.raises(FittingError) as err:
-            fit_varx(pairs, q=0)
+            fit_varx(*_arrays(pairs), q=0)
         assert "const" in str(err.value) and "g[0]" in str(err.value)
 
     def test_too_few_rows(self):
         pairs = [(np.zeros(2), np.zeros(1))] * 5
         with pytest.raises(FittingError, match="observations"):
-            fit_varx(pairs, q=1)
+            fit_varx(*_arrays(pairs), q=1)
 
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
-            fit_varx([], q=1)
+            fit_varx(np.zeros((0, 1)), np.zeros((0, 1)), q=1)
         with pytest.raises(ConfigurationError):
-            fit_varx([(np.zeros(1), np.zeros(1))], q=-1)
-        bad = [(np.zeros(2), np.zeros(1)), (np.zeros(3), np.zeros(1))]
+            fit_varx(np.zeros((1, 1)), np.zeros((1, 1)), q=-1)
         with pytest.raises(DimensionError):
-            fit_varx(bad, q=0)
+            fit_varx(np.zeros((2, 2)), np.zeros((3, 1)), q=0)
 
     def test_q_zero_is_regression_on_exogenous_only(self):
         rng = np.random.default_rng(24)
@@ -115,7 +130,7 @@ class TestVarxFit:
         for _ in range(200):
             g = rng.normal(size=2)
             pairs.append((np.array([1.0 + 2.0 * g[0] - g[1]]), g))
-        model = fit_varx(pairs, q=0)
+        model = fit_varx(*_arrays(pairs), q=0)
         assert model.phi == ()
         np.testing.assert_allclose(model.beta, [[2.0, -1.0]], atol=1e-9)
         np.testing.assert_allclose(model.intercept, [1.0], atol=1e-9)
@@ -123,13 +138,13 @@ class TestVarxFit:
 
 class TestVarxPredict:
     def test_one_step_mean(self):
-        model = fit_varx(_simulate_varx(np.random.default_rng(25), 500,
-                                        [1.0], [np.array([[0.5]])],
-                                        np.array([[2.0]])), q=1)
-        y_hat, cov = predict_varx(model, [np.array([3.0])], [0.5])
+        model = fit_varx(*_arrays(_simulate_varx(np.random.default_rng(25), 500,
+                                                 [1.0], [np.array([[0.5]])],
+                                                 np.array([[2.0]]))), q=1)
+        y_hat, cov = predict_varx(model, [np.array([[3.0]])], [[0.5]])
         expected = model.intercept + model.phi[0] @ np.array([3.0]) \
             + model.beta @ np.array([0.5])
-        np.testing.assert_allclose(y_hat, expected)
+        np.testing.assert_allclose(y_hat[0], expected)
         np.testing.assert_array_equal(cov, model.sigma_eta)
 
     def test_lag_ordering_most_recent_first(self):
@@ -137,21 +152,81 @@ class TestVarxPredict:
         phi = [np.array([[0.7]]), np.array([[-0.3]])]
         pairs = _simulate_varx(rng, 2000, [0.0], phi, np.array([[1.0]]),
                                noise=0.01)
-        model = fit_varx(pairs, q=2)
-        y_hat, _ = predict_varx(model, [np.array([1.0]), np.array([0.0])],
-                                [0.0])
-        assert y_hat[0] == pytest.approx(0.7, abs=0.02)
-        y_hat, _ = predict_varx(model, [np.array([0.0]), np.array([1.0])],
-                                [0.0])
-        assert y_hat[0] == pytest.approx(-0.3, abs=0.02)
+        model = fit_varx(*_arrays(pairs), q=2)
+        y_hat, _ = predict_varx(model, [np.array([[1.0]]), np.array([[0.0]])],
+                                [[0.0]])
+        assert y_hat[0, 0] == pytest.approx(0.7, abs=0.02)
+        y_hat, _ = predict_varx(model, [np.array([[0.0]]), np.array([[1.0]])],
+                                [[0.0]])
+        assert y_hat[0, 0] == pytest.approx(-0.3, abs=0.02)
 
     def test_dimension_checks(self):
-        model = fit_varx(_simulate_varx(np.random.default_rng(27), 100,
-                                        [0.0], [np.array([[0.5]])],
-                                        np.array([[1.0]])), q=1)
+        model = fit_varx(*_arrays(_simulate_varx(np.random.default_rng(27), 100,
+                                                 [0.0], [np.array([[0.5]])],
+                                                 np.array([[1.0]]))), q=1)
         with pytest.raises(DimensionError):
-            predict_varx(model, [], [0.0])
+            predict_varx(model, [], [[0.0]])
         with pytest.raises(DimensionError):
-            predict_varx(model, [np.zeros(2)], [0.0])
+            predict_varx(model, [np.zeros((1, 2))], [[0.0]])
         with pytest.raises(DimensionError):
-            predict_varx(model, [np.zeros(1)], [0.0, 1.0])
+            predict_varx(model, [np.zeros((1, 1))], [[0.0, 1.0]])
+        with pytest.raises(DimensionError):  # one lag row per forecast row
+            predict_varx(model, [np.zeros((2, 1))], [[0.0]])
+
+
+def _random_design(rng, n, m, g_dim):
+    return rng.normal(size=(n, m)), rng.normal(size=(n, g_dim))
+
+
+class TestVarxAgainstRowOracle:
+    """The array forms against the pair fit and one-row forecast they replace."""
+
+    @pytest.mark.parametrize("q", range(6))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fit_is_bitwise_the_pair_fit(self, q, m):
+        rng = np.random.default_rng(10 * q + m)
+        y, g = _random_design(rng, 60 + 7 * q, m, 3)
+        got, expected = fit_varx(y, g, q), fit_varx_pairs(list(zip(y, g)), q)
+        assert got.q == expected.q and got.column_names == expected.column_names
+        for name in ("intercept", "beta", "sigma_eta"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert len(got.phi) == q
+        assert all(np.array_equal(a, b) for a, b in zip(got.phi, expected.phi))
+
+    @pytest.mark.parametrize("y, g, q", [
+        (np.zeros((0, 2)), np.zeros((0, 1)), 1),                        # empty
+        (np.ones((9, 1)), np.ones((9, 1)), -1),                         # lag order
+        (np.ones((9, 1)), np.ones((9, 1)), 1.5),
+        (np.array([[1.0], [np.nan]] * 5), np.ones((10, 1)), 0),        # y not finite
+        (np.ones((10, 1)), np.array([[1.0], [np.inf]] * 5), 0),        # g not finite
+        (np.zeros((5, 2)), np.zeros((5, 1)), 1),                        # too few rows
+        (np.arange(50.0)[:, None] ** 0.5, np.ones((50, 1)), 0),         # collinear
+    ])
+    def test_refuses_what_the_pair_fit_refuses(self, y, g, q):
+        with pytest.raises(Exception) as expected:
+            fit_varx_pairs(list(zip(y, g)), q)
+        with pytest.raises(type(expected.value)) as got:
+            fit_varx(y, g, q)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("y, g", [(np.ones(9), np.ones((9, 1))),   # not (n, m)
+                                      (np.ones((9, 1)), np.ones((8, 1)))])  # rows differ
+    def test_refuses_rows_that_do_not_pair_up(self, y, g):
+        with pytest.raises(DimensionError, match="inconsistent dimensions"):
+            fit_varx(y, g, 0)
+
+    @pytest.mark.parametrize("q", range(6))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_batched_forecast_is_bitwise_the_row_forecast(self, q, m):
+        rng = np.random.default_rng(100 + 10 * q + m)
+        for _ in range(20):
+            g_dim = int(rng.integers(1, 6))
+            model = fit_varx(*_random_design(rng, 40 + 7 * q, m, g_dim), q)
+            lags = [rng.normal(size=(30, m)) * 10.0 ** rng.integers(-3, 4) for _ in range(q)]
+            g = rng.normal(size=(30, g_dim))
+            y_hat, sigma = predict_varx(model, lags, g)
+            assert y_hat.shape == (30, m)
+            assert np.array_equal(sigma, model.sigma_eta) and sigma is not model.sigma_eta
+            for r in range(30):
+                expected, _ = predict_varx_row(model, [lag[r] for lag in lags], g[r])
+                assert np.array_equal(y_hat[r], expected), r

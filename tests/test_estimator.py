@@ -6,7 +6,7 @@ import pytest
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, NumericError)
-from opcast.estimator import COND_CHECK_EVERY, stacked, stacked_pass
+from opcast.estimator import COND_CHECK_EVERY, _conditioning, stacked, stacked_pass
 
 from oracles import batch_oracle
 
@@ -413,6 +413,38 @@ class TestStackedPass:
         assert len(caught) >= 5 and sorted(warned) == caught
         commit()
         assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
+
+    def test_states_checked_at_the_same_step_warn_as_checked_one_by_one(self):
+        # three states hit the schedule together (prior counts 0, 0 and 50);
+        # only the one-directional inputs wind P up, so one batched check of
+        # several states must give exactly the per-state messages
+        rng = np.random.default_rng(8)
+        states, inputs, responses = [], [], []
+        for length, prior, narrow in ((120, 0, True), (110, 0, False), (100, 50, False)):
+            st = AdaptiveState(3, 2, 0.6)
+            _run(st, _random_history(rng, prior, 3, 2))
+            states.append(st)
+            X = rng.normal(size=(length, 3))
+            if narrow:
+                X[:, 2] = 0.0
+            inputs.append(X)
+            responses.append(rng.normal(size=(length, 2)))
+        expected, due = [], {}
+        for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
+            st = AdaptiveState.from_dict(st.to_dict())
+            for k, (u, y) in enumerate(zip(X, Y)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    st._update(u, y)
+                if st.n_updates % COND_CHECK_EVERY == 0:
+                    due.setdefault(k, []).append(j)
+                    message = _conditioning(st.P, st.n_updates)
+                    if message is not None:
+                        expected.append((j, k, message))
+        assert due[49] == due[99] == [0, 1, 2]
+        assert [j for j, _, _ in expected] == [0, 0]
+        _, warned, *_ = stacked_pass(states, *_stack(inputs, responses))
+        assert warned == expected
 
     def test_a_refused_state_is_reported_and_nothing_is_written(self):
         rng = np.random.default_rng(4)

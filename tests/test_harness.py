@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from collections import Counter
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from opcast import (ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL
 
 from conftest import build_stream
+from oracles import lowo_row_oracle
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +99,28 @@ class TestLeaveOneWeekOut:
 
     def test_predictions_stay_inside_their_fold(self, two_week_records,
                                                 small_report):
-        for row in small_report.predictions:
-            assert week_key(two_week_records[row.index].date) == row.fold
-            assert two_week_records[row.index].shift_code == row.shift_type
+        counts = {(r.model, r.fold, r.shift_type, r.response): r.count
+                  for r in small_report.rows}
+        seen = Counter()
+        for block in small_report.predictions:
+            assert len(block.index) == len(block.actual) == len(block.mean)
+            assert np.all(np.diff(block.index) > 0)  # record order
+            for i in block.index.tolist():
+                assert week_key(two_week_records[i].date) == block.fold
+                seen[block.model, block.fold, two_week_records[i].shift_code,
+                     block.response] += 1
+        assert seen == counts  # each cell holds its block's records of that shift type
 
     def test_persistence_predicts_previous_value(self, two_week_records,
                                                  small_report):
-        rows = [r for r in small_report.predictions
-                if r.model == "persistence" and r.response == "OpT"]
-        assert rows
-        for row in rows:
-            assert row.predicted == two_week_records[row.index - 1].OpT
-            assert row.actual == two_week_records[row.index].OpT
-            assert row.sd is None
+        blocks = [b for b in small_report.predictions
+                  if b.model == "persistence" and b.response == "OpT"]
+        assert blocks
+        for block in blocks:
+            assert block.sd is None
+            for i, actual, mean in zip(block.index.tolist(), block.actual, block.mean):
+                assert mean == two_week_records[i - 1].OpT
+                assert actual == two_week_records[i].OpT
 
     def test_interval_metrics_only_with_spreads(self, small_report):
         by_model = {}
@@ -119,34 +130,32 @@ class TestLeaveOneWeekOut:
         for model in ("no-lags", "iohmm-q1", "varx-q1", "iohmm-uni-q1"):
             assert by_model[model] == {"mae", "rmse", "covg", "piw"}
 
-    def test_cell_values_match_their_predictions(self, small_report):
-        cells = {}
-        for p in small_report.predictions:
-            cells.setdefault((p.model, p.fold, p.shift_type, p.response),
-                             []).append(p)
+    def test_cell_values_match_their_predictions(self, two_week_records, small_report):
+        blocks = {(b.model, b.fold, b.response): b for b in small_report.predictions}
         checked = 0
         for row in small_report.rows:
             if row.metric != "mae":
                 continue
-            group = cells[(row.model, row.fold, row.shift_type, row.response)]
+            block = blocks[row.model, row.fold, row.response]
+            group = [j for j, i in enumerate(block.index.tolist())
+                     if two_week_records[i].shift_code == row.shift_type]
             assert row.count == len(group)
-            expected = mae([p.actual for p in group],
-                           [p.predicted for p in group])
+            expected = mae([block.actual[j] for j in group],
+                           [block.mean[j] for j in group])
             assert row.value == pytest.approx(expected, rel=1e-12)
             checked += 1
         assert checked >= 40
 
     def test_varx_spread_is_frozen_within_a_fold(self, small_report):
+        def spreads(model, fold):
+            return {round(sd, 12) for b in small_report.predictions
+                    if b.model == model and b.fold == fold and b.response == "OpT"
+                    for sd in b.sd.tolist()}
+
         for fold in small_report.folds:
-            sds = {round(p.sd, 12) for p in small_report.predictions
-                   if p.model == "varx-q1" and p.fold == fold
-                   and p.response == "OpT"}
-            assert len(sds) == 1
+            assert len(spreads("varx-q1", fold)) == 1
         # while the online model adapts its spread as the week unfolds
-        sds = {round(p.sd, 12) for p in small_report.predictions
-               if p.model == "iohmm-q1" and p.fold == small_report.folds[0]
-               and p.response == "OpT"}
-        assert len(sds) > 1
+        assert len(spreads("iohmm-q1", small_report.folds[0])) > 1
 
     def test_deterministic_repeat(self, two_week_records, small_report):
         again = leave_one_week_out(two_week_records, model_names=SMALL_MODELS,
@@ -218,9 +227,11 @@ class TestLeaveOneWeekOut:
         assert len(report.folds) == 2
         for fold in report.folds:
             for name in self.IOHMM_NAMES:
-                got = [(p.index, p.response, p.actual, p.predicted, p.sd)
-                       for p in report.predictions if p.model == name and p.fold == fold]
-                assert got and got == expected[name, fold], (name, fold)
+                got = [(i, b.response, actual, mean, sd)
+                       for b in report.predictions if b.model == name and b.fold == fold
+                       for i, actual, mean, sd in zip(b.index.tolist(), b.actual.tolist(),
+                                                      b.mean.tolist(), b.sd.tolist())]
+                assert got and sorted(got) == sorted(expected[name, fold]), (name, fold)
 
     @pytest.mark.parametrize("cells, error", [
         ({"av": float("nan")}, InputError),      # t
@@ -293,6 +304,73 @@ class TestLeaveOneWeekOut:
             report = leave_one_week_out(records, model_names=("persistence",))
         assert "2022-W39" in report.folds
         assert all(r.fold != "2022-W39" for r in report.rows)
+
+
+def _first_week_of_one_record():
+    """A first ISO week holding only the very first record, which no model
+    can forecast (nothing precedes it)."""
+    first = build_stream([{"date": dt.date(2022, 10, 2)}])
+    rest = build_stream([{} for _ in range(20)], start=dt.datetime(2022, 10, 3, 6, 0))
+    rest = rest + build_stream([{} for _ in range(20)],
+                               start=dt.datetime(2022, 10, 10, 6, 0))
+    return first + [r.__class__(**{**r.__dict__, "n": i + 2}) for i, r in enumerate(rest)]
+
+
+def _with_nan_opt(records, i):
+    records = list(records)
+    records[i] = replace(records[i], OpT=float("nan"))
+    return records
+
+
+class TestReportOracle:
+    """The columnar report against the row-by-row one of ``lowo_row_oracle``,
+    byte for byte in both formats, with the same warnings and refusals."""
+
+    @staticmethod
+    def _emitted(run, records, models, **kwargs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                report = run(records, model_names=models, seed=0, **kwargs)
+            except OpcastError as exc:
+                return type(exc), str(exc)
+        return (emit_report(report, "csv"), emit_report(report, "structured-text"),
+                [str(w.message) for w in caught if w.category is UserWarning])
+
+    @pytest.fixture(scope="class")
+    def datasets(self, two_week_records):
+        spec = SyntheticSpec(states=3,
+                             transition=((0.8, 0.15, 0.05), (0.1, 0.8, 0.1),
+                                         (0.05, 0.15, 0.8)),
+                             state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
+                             noise_cov=((0.04, 0.01), (0.01, 0.04)),
+                             days=28, periods_per_shift=4, dt_max=0.4,
+                             qu_frac_max=0.05, seed=9)
+        return {"14 days": two_week_records, "28 days": generate_synthetic(spec),
+                "one-record week": _first_week_of_one_record(),
+                "NaN in a test week": _with_nan_opt(two_week_records, 20),
+                "NaN in the last record": _with_nan_opt(two_week_records,
+                                                        len(two_week_records) - 1)}
+
+    @pytest.mark.parametrize("data, models, warned, refused", [
+        ("14 days", DEFAULT_MODELS, False, False),
+        ("28 days", DEFAULT_MODELS, False, False),
+        ("one-record week", ("persistence",), True, False),
+        ("14 days", ("persistence",), False, False),
+        ("14 days", ("varx-q5", "varx-q1"), False, False),  # varx-q5 drops records 0-4
+        ("NaN in a test week", ("persistence", "varx-q2"), False, True),
+        ("NaN in a test week", ("varx-q2",), False, True),
+        ("NaN in a test week", DEFAULT_MODELS, False, True),
+        ("NaN in the last record", ("persistence",), False, True),
+    ])
+    def test_same_bytes_warnings_and_refusals(self, datasets, data, models, warned,
+                                              refused):
+        expected = self._emitted(lowo_row_oracle, datasets[data], models, k_max=4)
+        got = self._emitted(leave_one_week_out, datasets[data], models, k_max=4)
+        assert got == expected
+        assert (len(got) == 2) == refused
+        if not refused:
+            assert any("no forecasts" in message for message in got[2]) == warned
 
 
 class TestEmitReport:
