@@ -41,7 +41,6 @@ class VarxModel:
     phi: tuple[np.ndarray, ...]    # q matrices, each (m, m)
     beta: np.ndarray               # (m, g)
     sigma_eta: np.ndarray          # (m, m) residual covariance
-    column_names: tuple[str, ...]  # design columns, for diagnostics
 
 
 def _design_columns(q: int, m: int, g: int) -> list[str]:
@@ -79,10 +78,10 @@ def fit_varx(y, g, q: int) -> VarxModel:
                   + [g[q:]])
     Y = y[q:]
 
-    names = _design_columns(q, m, g_dim)
     rank = np.linalg.matrix_rank(X)
     if rank < p_cols:
         # name the columns loading on the null space of X^T X
+        names = _design_columns(q, m, g_dim)
         _, _, vt = np.linalg.svd(X, full_matrices=True)
         null = vt[rank:]
         involved = sorted({names[c] for row in null
@@ -97,8 +96,7 @@ def fit_varx(y, g, q: int) -> VarxModel:
 
     phi = tuple(coef[1 + j * m: 1 + (j + 1) * m].T for j in range(q))
     beta = coef[1 + q * m:].T
-    return VarxModel(q=q, intercept=coef[0].copy(), phi=phi, beta=beta,
-                     sigma_eta=sigma_eta, column_names=tuple(names))
+    return VarxModel(q=q, intercept=coef[0].copy(), phi=phi, beta=beta, sigma_eta=sigma_eta)
 
 
 def predict_varx(model: VarxModel, lags: Sequence, g) -> tuple[np.ndarray, np.ndarray]:

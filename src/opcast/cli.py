@@ -230,7 +230,7 @@ def _build_parser() -> _Parser:
                      description="online forecasting of operational times")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--lambda-u", dest="lambda_u", type=float)
@@ -238,8 +238,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--lags", type=int)
         p.add_argument("--threshold", type=float)
         p.add_argument("--kmax", type=int)
-        if data:
-            p.add_argument("--data", required=True, help="dataset CSV")
+        p.add_argument("--data", required=True, help="dataset CSV")
 
     p_fit = sub.add_parser("fit", help="fit a model and write a snapshot")
     common(p_fit)

@@ -123,8 +123,9 @@ class AdaptiveState:
         self._update(checked_vector(u, self.n_predictors, "u"),
                      checked_vector(y, self.n_responses, "y"))
 
-    def _update(self, u: np.ndarray, y: np.ndarray) -> None:
-        """``update`` of vectors the caller has checked (right length, finite)."""
+    def _update(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``update`` of vectors the caller has checked (right length, finite);
+        returns the prediction ``u'H`` and the ``Sigma`` it learned against."""
         lam = self.forgetting
         Pu = self.P @ u
         denom = lam + u @ Pu
@@ -132,17 +133,19 @@ class AdaptiveState:
             raise NumericError(f"gain denominator lam + u'Pu is {denom:.3e}, not positive")
 
         self.gamma = gamma = 1.0 + lam * self.gamma
-        e = y - u @ self.H
+        pred, Sigma = u @ self.H, self.Sigma
+        e = y - pred
         self.H = self.H + Pu[:, None] * e / denom
         # both weights are >= 0 (gamma >= 1), so Sigma stays PSD and the
         # outer product scaled as a whole keeps it exactly symmetric
-        self.Sigma = (1.0 - 1.0 / gamma) * self.Sigma + (e[:, None] * e) * (lam / (gamma * denom))
+        self.Sigma = (1.0 - 1.0 / gamma) * Sigma + (e[:, None] * e) * (lam / (gamma * denom))
         self.P = (self.P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
 
         self.n_updates += 1
         message = _conditioning(self.P, self.n_updates)
         if message is not None:
             warnings.warn(message, ConditioningWarning, stacklevel=3)
+        return pred, Sigma
 
     def covariance(self) -> np.ndarray:
         """Noise covariance (symmetric and PSD by construction)."""
@@ -220,10 +223,12 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
 
     Nothing is written to the states: returns ``commit``, which writes the
     results, the ``(state, step, message)`` of every ConditioningWarning
-    due and, laid out like ``Y``, each step's pre-update prediction ``u'H``
-    and diagonal of ``Sigma``: the forecast a state makes before it learns.
-    Returns None at the first step with a gain denominator that is not
-    positive, where ``_update`` refuses.
+    due, each step's pre-update prediction ``u'H`` laid out like ``Y`` and
+    each step's pre-update ``Sigma`` (one ``(m, m)`` matrix per entry of
+    ``Y``): what ``_update`` returns, the moments that ``run_online`` and
+    ``walk_tables`` blend into the forecast of the step's row. Returns None
+    at the first step with a gain denominator that is not positive, where
+    ``_update`` refuses.
     """
     lam = states[0].forgetting
     p, m = X.shape[2], Y.shape[2]
@@ -238,7 +243,7 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
                        COND_CHECK_EVERY):
             checks.setdefault(k, []).append(j)
     caught: list[tuple[int, int, str]] = []
-    mean, var = np.empty(Y.shape), np.empty(Y.shape)
+    mean, cov = np.empty(Y.shape), np.empty(Y.shape + (m,))
     for k, n in enumerate(active):
         u, Hk, Sk, Pk, gk = X[k, :n], H[:n], Sigma[:n], P[:n], gamma[:n]
         ut = u.reshape(n, 1, p)
@@ -247,7 +252,7 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         denom += lam
         if not (denom > 0.0).all():
             return None
-        var[k, :n] = Sk.diagonal(0, 1, 2)
+        cov[k, :n] = Sk
         pred = np.matmul(ut, Hk)
         mean[k, :n] = pred[:, 0]
         gk *= lam
@@ -273,4 +278,4 @@ def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
         for i, (st, length) in enumerate(zip(states, lengths)):
             st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
             st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
-    return commit, caught, mean, var
+    return commit, caught, mean, cov

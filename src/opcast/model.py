@@ -9,10 +9,10 @@ dynamics are tracked by the pseudo-counts.
 
 Records move state in one loop, and a forecast only reads. ``run_online``
 (``_pass``) is the interleaved loop: per record it absorbs the record
-before into its centroid, forecasts, then learns the record's counts and
-predictors. It checks each cell where it reads it, in the order of the
-checked entry points (``forecast_step``, ``update_centroid``, ``assign``,
-``learn_step``), and puts back what moved when it refuses. ``learn_tables``
+before into its centroid, then learns the record's counts and predictors.
+It checks each cell where it reads it, in the order of the checked entry
+points (``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``),
+and puts back what moved when it refuses. ``learn_tables``
 (behind ``fit`` and the LOWO folds) and ``walk_tables`` are one stacked
 pass of that loop over several models' tables: learning is a walk whose
 first forecast lies after the last row. Centroid moves never depend on the
@@ -20,9 +20,12 @@ predictors, so the rows of each pattern form an independent chain, and all
 chains advance together, one stacked update per chain position, bit for
 bit as the loop would. Every pass refuses what ``_pass`` refuses over the
 same records, in model order: what the stacked pass cannot take it hands
-to ``_pass`` on copies of the models. All run trusted cores. Every
-forecast is a ``ForecastResult``; the full state snapshots to a JSON
-document.
+to ``_pass`` on copies of the models. All run trusted cores. One blend,
+``_blend``, makes every forecast: ``run_online`` and ``walk_tables`` both
+forecast a record as the blend of the pre-update predictions of the step
+that learns it, and ``forecast_step`` reads the same moments without
+learning. A single forecast is a ``ForecastResult``; the full state
+snapshots to a JSON document.
 """
 
 from __future__ import annotations
@@ -105,14 +108,12 @@ class ForecastResult:
     pattern: str | None = None
     begins: bool = False
 
-    def to_dict(self, response_names: Sequence[str] | None = None) -> dict:
-        names = list(response_names) if response_names is not None \
-            else [f"y{j}" for j in range(self.y_hat.size)]
+    def to_dict(self, response_names: Sequence[str]) -> dict:
         return {
-            "y_hat": {name: float(v) for name, v in zip(names, self.y_hat)},
+            "y_hat": {name: float(v) for name, v in zip(response_names, self.y_hat)},
             "intervals": {name: [float(lo), float(hi)]
-                          for name, (lo, hi) in zip(names, self.intervals)},
-            "weights": {name: float(d) for name, d in zip(names, self.weights)},
+                          for name, (lo, hi) in zip(response_names, self.intervals)},
+            "weights": {name: float(d) for name, d in zip(response_names, self.weights)},
             "sigma": self.sigma.tolist(),
             "cold_start": self.cold_start,
             "state": self.state,
@@ -153,31 +154,43 @@ def _weights(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
     return np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
 
 
+def _blend(mu, sigma_u, mv, sigma_v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weights, mean and covariance of the inverse-variance blend of the
+    two predictors' means and noise covariances, for one forecast (``(m,)``
+    means, ``(m, m)`` covariances) or a stack of them (leading axes)."""
+    delta = _weights(np.diagonal(sigma_u, 0, -2, -1), np.diagonal(sigma_v, 0, -2, -1))
+    rest = 1.0 - delta
+    return delta, delta * mu + rest * mv, (delta[..., :, None] * delta[..., None, :] * sigma_u
+                                           + rest[..., :, None] * rest[..., None, :] * sigma_v)
+
+
+def _result(cold: bool, u: tuple, v: tuple, **origin) -> ForecastResult:
+    """The forecast blending the two predictors' ``(mean, covariance)``;
+    ``origin`` fills in where it came from."""
+    delta, y_hat, sigma = _blend(*u, *v)
+    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))
+    return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta, cold_start=cold,
+                          intervals=np.stack((y_hat - half, y_hat + half), axis=1), **origin)
+
+
+def _cold_start(states: PatternStates | None, allowed: bool, where: str = "") -> bool:
+    """Whether a forecast from a pattern's predictors (None: never learned)
+    starts cold; raises, after ``where``, when that is not ``allowed``."""
+    cold = states is None or states.u.gamma == 0.0 and states.v.gamma == 0.0
+    if cold and not allowed:
+        raise ForecastUnavailableError(f"{where}no observations for this pattern yet; enable "
+                                       "cold starts to forecast from the zero-knowledge prior")
+    return cold
+
+
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
             allow_cold_start: bool = False) -> ForecastResult:
     """Blend the two per-pattern predictors for one upcoming period."""
     combination_weights(state_u.Sigma, state_v.Sigma)  # raises for bad variances
-    return _combine(checked_vector(u, state_u.n_predictors, "u"),
-                    checked_vector(v, state_v.n_predictors, "v"),
-                    state_u, state_v, allow_cold_start)
-
-
-def _combine(u: np.ndarray, v: np.ndarray, state_u: AdaptiveState,
-             state_v: AdaptiveState, allow_cold_start: bool, **origin) -> ForecastResult:
-    """``combine`` of checked vectors and variances; ``origin`` fills the result."""
-    cold = state_u.gamma == 0.0 and state_v.gamma == 0.0
-    if cold and not allow_cold_start:
-        raise ForecastUnavailableError("no observations for this pattern yet; enable cold "
-                                       "starts to forecast from the zero-knowledge prior")
-    sigma_u, sigma_v = state_u.Sigma, state_v.Sigma
-    delta = _weights(sigma_u.diagonal(), sigma_v.diagonal())
-    rest = 1.0 - delta
-    y_hat = delta * (u @ state_u.H) + rest * (v @ state_v.H)
-    sigma = delta[:, None] * delta * sigma_u + rest[:, None] * rest * sigma_v
-    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))
-    intervals = np.stack((y_hat - half, y_hat + half), axis=1)
-    return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta,
-                          intervals=intervals, cold_start=cold, **origin)
+    u = checked_vector(u, state_u.n_predictors, "u")
+    v = checked_vector(v, state_v.n_predictors, "v")
+    return _result(_cold_start(PatternStates(state_u, state_v), allow_cold_start),
+                   (u @ state_u.H, state_u.Sigma), (v @ state_v.H, state_v.Sigma))
 
 
 _BAD_T = "classification vector read at record {} contains non-finite values"
@@ -197,7 +210,7 @@ class _Chain:
     prev: np.ndarray        # count row read: 0 where a sequence begins, else the state before
     cur: np.ndarray         # realized states, 1-based
     counts: np.ndarray | None = None  # count rows after the pass, set by the count walk
-    moments: list = field(default_factory=list)  # per side, pre-update means and variances
+    moments: list = field(default_factory=list)  # per side, each step's pre-update (u'H, Sigma)
 
     @property
     def u(self) -> np.ndarray:
@@ -244,7 +257,7 @@ def _groups(chains: Sequence[_Chain], name: str) -> list[list[_Chain]]:
 def _advance(chains: Sequence[_Chain]) -> tuple[list, list] | None:
     """Advance ``chains`` together, one stacked count step and one stacked
     update per predictor shape at each chain position; fill their ``moments``
-    (u mean and variance, v mean and variance per step) and return the
+    (u mean and covariance, v mean and covariance per step) and return the
     commits and the warnings keyed by where each falls in a record-by-record
     pass, or None at the first refused update."""
     longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
@@ -257,12 +270,12 @@ def _advance(chains: Sequence[_Chain]) -> tuple[list, list] | None:
                                 stacked([ch.y for ch in group])[0], active)
             if done is None:
                 return None
-            commit, caught, mean, var = done
+            commit, caught, mean, cov = done
             commits.append(commit)
             events += [((group[j].order, group[j].rows[k], side), message)
                        for j, k, message in caught]
             for j, ch in enumerate(group):
-                ch.moments += mean[:len(ch.rows), j], var[:len(ch.rows), j]
+                ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
     return commits, events
 
 
@@ -287,7 +300,7 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
     The states come from one walk of a copy of the centroids per point
     where forecasts start; the learned rows split into one chain per
     pattern, all chains advance together (``_advance``), and each forecast
-    blends its step's pre-update predictions as ``_combine`` does. A pass
+    is the ``_blend`` of its step's pre-update moments, as in ``_pass``. A pass
     that reads a non-finite cell or a non-binary pattern, must refuse a cold
     start or refuses an update goes to ``_one_by_one`` instead.
     """
@@ -327,12 +340,9 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
     out: list[list[tuple]] = [[] for _ in models]
     for ch in chains:
         if ch.rows[-1] >= firsts[ch.order]:
-            mu, su, mv, sv = ch.moments
-            delta = _weights(su, sv)  # then _combine's operands in _combine's order
-            rest = 1.0 - delta
+            _, means, covs = _blend(*ch.moments)
             out[ch.order] += [(i, mean, var) for i, mean, var in zip(
-                ch.rows.tolist(), delta * mu + rest * mv, delta * delta * su + rest * rest * sv)
-                if i >= firsts[ch.order]]
+                ch.rows.tolist(), means, np.diagonal(covs, 0, 1, 2)) if i >= firsts[ch.order]]
 
     def commit() -> None:
         for step in commits:
@@ -503,28 +513,27 @@ class IoHmmModel:
                 f"pattern must have length {self.config.features.pattern_length}")
         u = checked_vector(np.concatenate((_INTERCEPT, np.ravel(w_next))), self.u_dim, "u")
         state = int(self.clusters.nearest(x_prev[None])[0])
-        return self._forecast(state, pattern_key(z_next), u, begins)
+        key = pattern_key(z_next)
+        states = self.params.get(key) or self._prior()  # an unseen pattern's is not kept
+        v = self.dirichlet.expected_state_vector(key, None if begins else state)
+        return _result(_cold_start(states, self.config.allow_cold_start),
+                       (u @ states.u.H, states.u.Sigma), (v @ states.v.H, states.v.Sigma),
+                       state=state, pattern=key, begins=begins)
 
     def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
-               prev_state: int | None, cur_state: int) -> None:
+               prev_state: int | None, cur_state: int) -> tuple[tuple, tuple]:
+        """Learn one checked record; the ``(prediction, Sigma)`` each side
+        learned against, the moments a forecast of the record blends."""
         states = self.params.get(key)
         if states is None:
             states = self.params[key] = self._prior()
         v = self.dirichlet.expected_state_vector(key, prev_state)
-        states.u._update(u, y)
-        states.v._update(v, y)
+        learned = states.u._update(u, y), states.v._update(v, y)
         if prev_state is None:
             self.dirichlet.observe_initial(key, cur_state)
         else:
             self.dirichlet.observe_transition(key, prev_state, cur_state)
-
-    def _forecast(self, state: int, key: str, u: np.ndarray, begins: bool) -> ForecastResult:
-        """The forecast after a period in ``state``; reads only (an unseen
-        pattern blends the zero-knowledge prior, which is not kept)."""
-        states = self.params.get(key) or self._prior()
-        v = self.dirichlet.expected_state_vector(key, None if begins else state)
-        return _combine(u, v, states.u, states.v, self.config.allow_cold_start,
-                        state=state, pattern=key, begins=begins)
+        return learned
 
     def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, range, int]:
         """This model's ``q`` once ``table`` is checked as its input (more than
@@ -605,10 +614,11 @@ class IoHmmModel:
         and ``keys`` are the positions' patterns (None before ``q``).
 
         Per position: from ``first`` (after ``q``) on, classify the row
-        before, absorb it into its centroid and forecast the record; then
-        classify the record and learn from it (from ``q`` on). Each read is
-        checked where it happens; ``run_online`` puts back what moved before
-        a refusal.
+        before, absorb it into its centroid and check that the record can be
+        forecast (a cold start); then classify the record and learn from it
+        (from ``q`` on). The forecast is the blend of what that learning step
+        predicted before it learned. Each read is checked where it happens;
+        ``run_online`` puts back what moved before a refusal.
         """
         q, clusters = self.config.features.q, self.clusters
         ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist()
@@ -631,17 +641,17 @@ class IoHmmModel:
                 if not ok_w[r]:
                     raise NumericError(_BAD_WY.format(i))
                 clusters.absorb(prev, X[r - 1])
-                try:
-                    forecast = self._forecast(prev, key, U[r], begins)
-                except ForecastUnavailableError as exc:
-                    raise ForecastUnavailableError(f"record {i}: {exc}") from None
+                cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
+                                   f"record {i}: ")
             cur = label(r, i)
             if i >= q:
                 if i < first and not begins:  # no forecast read the state the row before left
                     prev = label(r - 1, i)
                 if not (ok_w[r] and ok_y[r]):
                     raise NumericError(_BAD_WY.format(i))
-                self._learn(key, U[r], table.y[r], None if begins else prev, cur)
+                learned = self._learn(key, U[r], table.y[r], None if begins else prev, cur)
+                if i >= first:
+                    forecast = _result(cold, *learned, state=prev, pattern=key, begins=begins)
             results.append(StepResult(index=i, state=cur, y=table.y[r],
                                       forecast=forecast))
         return results

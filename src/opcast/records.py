@@ -101,7 +101,6 @@ class EffectivenessIndices:
     pf: float
     qu: float
     oee: float
-    degenerate: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -148,26 +147,14 @@ def compute_indices(OT: float, LT: float, OpT: float, NOpT: float,
                     VT: float) -> EffectivenessIndices:
     """Effectiveness ratios of consecutive cascade levels.
 
-    Each ratio with a zero denominator is replaced by 0 and flagged by
-    name. The overall index is the product of availability, performance
-    and quality.
+    Each ratio with a zero denominator is replaced by 0. The overall index
+    is the product of availability, performance and quality.
     """
-    flagged: list[str] = []
+    def _ratio(num: float, den: float) -> float:
+        return 0.0 if den == 0.0 else num / den
 
-    def _ratio(num: float, den: float, name: str) -> float:
-        if den == 0.0:
-            flagged.append(name)
-            return 0.0
-        return num / den
-
-    lo = _ratio(LT, OT, "lo")
-    av = _ratio(OpT, LT, "av")
-    pf = _ratio(NOpT, OpT, "pf")
-    qu = _ratio(VT, NOpT, "qu")
-    oee = av * pf * qu
-    if any(name in flagged for name in ("av", "pf", "qu")):
-        flagged.append("oee")
-    return EffectivenessIndices(lo, av, pf, qu, oee, tuple(flagged))
+    av, pf, qu = _ratio(OpT, LT), _ratio(NOpT, OpT), _ratio(VT, NOpT)
+    return EffectivenessIndices(_ratio(LT, OT), av, pf, qu, av * pf * qu)
 
 
 _CONVERTERS = {**{alias: int if attr in _INT_FIELDS else float for alias, attr in COLUMNS},

@@ -148,9 +148,9 @@ def fit_varx_pairs(train: Sequence[tuple], q: int) -> VarxModel:
                   + [np.array([g for _, g in pairs[q:]])])
     Y = ys[q:]
 
-    names = _design_columns(q, m, g_dim)
     rank = np.linalg.matrix_rank(X)
     if rank < p_cols:
+        names = _design_columns(q, m, g_dim)
         _, _, vt = np.linalg.svd(X, full_matrices=True)
         involved = sorted({names[c] for row in vt[rank:]
                            for c in np.flatnonzero(np.abs(row) > 1e-8)})
@@ -163,8 +163,7 @@ def fit_varx_pairs(train: Sequence[tuple], q: int) -> VarxModel:
     sigma_eta = resid.T @ resid / (n_rows - p_cols)
     phi = tuple(coef[1 + j * m: 1 + (j + 1) * m].T for j in range(q))
     beta = coef[1 + q * m:].T
-    return VarxModel(q=q, intercept=coef[0].copy(), phi=phi, beta=beta,
-                     sigma_eta=sigma_eta, column_names=tuple(names))
+    return VarxModel(q=q, intercept=coef[0].copy(), phi=phi, beta=beta, sigma_eta=sigma_eta)
 
 
 def predict_varx_row(model: VarxModel, lags: Sequence, g) -> tuple[np.ndarray, np.ndarray]:

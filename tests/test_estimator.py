@@ -53,6 +53,15 @@ class TestScalarGolden:
         # P = 0.5 - 0.25/1.5 = 1/3
         assert state.P[0, 0] == pytest.approx(1.0 / 3.0)
 
+    def test_update_returns_the_moments_it_learned_against(self):
+        # the third update predicts u'H = 4/3 under Sigma = 4/3, both from
+        # before it learns, and leaves the returned Sigma as it was
+        state = _run(AdaptiveState(1, 1, forgetting=1.0), [([1.0], [2.0])] * 2)
+        H, Sigma = state.H.copy(), state.Sigma.copy()
+        pred, used = state._update(np.array([1.0]), np.array([2.0]))
+        assert np.array_equal(pred, np.array([1.0]) @ H)
+        assert np.array_equal(used, Sigma) and not np.array_equal(state.Sigma, Sigma)
+
     def test_effective_sample_size_counts_observations_without_forgetting(self):
         state = AdaptiveState(1, 1, forgetting=1.0)
         for k in range(1, 200):
@@ -339,17 +348,17 @@ class TestPrecisionSymmetry:
 
 def _sequential(states, inputs, responses):
     """The oracle: ``_update`` state by state, row by row, on copies; also
-    each state's forecast ``u @ H`` and variances before each update."""
+    the ``(u @ H, Sigma)`` before each update that ``_update`` returns."""
     out, caught, forecasts = [], [], []
     for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
         st = AdaptiveState.from_dict(st.to_dict())
         forecasts.append(([], []))
         for k, (u, y) in enumerate(zip(X, Y)):
-            forecasts[-1][0].append(u @ st.H)
-            forecasts[-1][1].append(st.Sigma.diagonal().copy())
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                st._update(u, y)
+                pred, Sigma = st._update(u, y)
+            forecasts[-1][0].append(pred)
+            forecasts[-1][1].append(Sigma)
             caught += [(j, k, str(w.message)) for w in seen
                        if w.category is ConditioningWarning]
         out.append(st)
@@ -386,12 +395,12 @@ class TestStackedPass:
                                                prior_updates=int(rng.integers(0, 60)))
         before = [st.to_dict() for st in states]
         expected, caught, forecasts = _sequential(states, inputs, responses)
-        commit, warned, mean, var = stacked_pass(states, *_stack(inputs, responses))
+        commit, warned, mean, cov = stacked_pass(states, *_stack(inputs, responses))
         assert [st.to_dict() for st in states] == before  # nothing written yet
         assert sorted(warned) == caught
-        for j, (means, variances) in enumerate(forecasts):  # pre-update, bit for bit
+        for j, (means, covariances) in enumerate(forecasts):  # pre-update, bit for bit
             assert np.array_equal(mean[:len(means), j], means)
-            assert np.array_equal(var[:len(means), j], variances)
+            assert np.array_equal(cov[:len(means), j], covariances)
         commit()
         assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
         for st in states:

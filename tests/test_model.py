@@ -8,7 +8,7 @@ import pytest
 
 import opcast.model
 from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
-                    ConfigurationError, DimensionError, FeatureConfig,
+                    ConfigurationError, DimensionError, DirichletTable, FeatureConfig,
                     ForecastUnavailableError, InputError, InsufficientHistoryError,
                     IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
                     Standardizer, StateIndexError, SyntheticSpec, build_features,
@@ -479,6 +479,25 @@ class TestRunOnline:
         assert lengths == [6 + max(q, 1)]
         assert [st.index for st in steps] == list(range(20, 26))
         assert all(st.forecast is not None for st in steps)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_a_streamed_record_reads_its_counts_once(self, q, monkeypatch):
+        # a learned record's forecast is what its learning step predicted,
+        # so the forecast and the learning share one read of the counts
+        records = self._records(30, seed=6)
+        model = _model(q=q, allow_cold_start=True)
+        _learn(model, records[:15])
+        reads, read = [], DirichletTable.expected_state_vector
+
+        def counting(table, *args):
+            reads.append(args)
+            return read(table, *args)
+
+        monkeypatch.setattr(DirichletTable, "expected_state_vector", counting)
+        steps = [model.run_online(records[i - q - 1:i + 1], indices=[q + 1])[0]
+                 for i in range(15, 30)]
+        assert all(st.forecast is not None for st in steps)
+        assert len(reads) == len(steps)
 
     def test_short_lists_raise(self):
         records = self._records(10)

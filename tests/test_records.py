@@ -84,10 +84,9 @@ class TestTimeAlgebra:
         with pytest.raises(TimeConsistencyError, match="NOpT"):
             derive_time_variables(5.0, 0.0, 1.0, 4.5, 0.0)
 
-    def test_zero_denominators_are_flagged(self):
+    def test_zero_denominators_give_zero(self):
         idx = compute_indices(0.0, 0.0, 0.0, 0.0, 0.0)
-        assert set(idx.degenerate) == {"lo", "av", "pf", "qu", "oee"}
-        assert idx.lo == 0.0 and idx.oee == 0.0
+        assert (idx.lo, idx.av, idx.pf, idx.qu, idx.oee) == (0.0,) * 5
 
 
 def _rows_to_csv(rows, header=None):
