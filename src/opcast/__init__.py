@@ -20,8 +20,8 @@ from .harness import (DEFAULT_MODELS, ForecastBlock, MetricsReport, ReportRow,
                       emit_report, leave_one_week_out, parse_model_name,
                       response_summary, week_key)
 from .metrics import coverage, interval_width, mae, rmse
-from .model import (ForecastResult, IoHmmModel, ModelConfig, StepResult,
-                    combination_weights, combine, fit_states)
+from .model import (ForecastResult, IoHmmModel, ModelConfig, StepResult, combine,
+                    fit_states)
 from .records import (BoundaryFlags, DerivedTimes, EffectivenessIndices,
                       ParseResult, ProductionRecord, RowError, boundary_flags,
                       check_chronological, compute_indices, consistency_issues,

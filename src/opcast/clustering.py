@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
-                     InputError, StateIndexError, ThresholdWarning)
+                     InputError, StateIndexError, ThresholdWarning, warn)
 from .estimator import serialized
 
 N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
@@ -256,9 +255,8 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
             break
     reached = gof >= threshold
     if not reached:
-        warnings.warn(
-            f"cluster-quality threshold {threshold} not reached by K={K} "
-            f"(best share {gof:.3f}); using K={K}", ThresholdWarning, stacklevel=2)
+        warn(f"cluster-quality threshold {threshold} not reached by K={K} "
+             f"(best share {gof:.3f}); using K={K}", ThresholdWarning)
     counts = np.bincount(assign, minlength=K).astype(float)
     return ClusterModel(K=K, centroids=centroids, counts=counts, standardizer=std,
                         gof=gof, reached_threshold=reached, threshold=threshold)

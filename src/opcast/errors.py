@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: configuration problems exit 1, data
 problems exit 2, numeric or model-state problems exit 3.
 """
 
+import sys
+import warnings
+
 
 class OpcastError(Exception):
     """Base class for all package errors."""
@@ -71,3 +74,11 @@ class ConditioningWarning(UserWarning):
 
 class ThresholdWarning(UserWarning):
     """The cluster-quality threshold was not reached within the allowed range."""
+
+
+def warn(message: str, category: type[Warning]) -> None:
+    """Issue a warning at the first caller outside this package, however deep it arose."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

@@ -27,13 +27,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
-                     NumericError, RestoreError)
+                     NumericError, RestoreError, warn)
 
 # Eigenvalues of a restored noise covariance in [-EIG_FLOOR, 0) are
 # rounding noise; anything lower is a real violation.
@@ -144,7 +143,7 @@ class AdaptiveState:
         self.n_updates += 1
         message = _conditioning(self.P, self.n_updates)
         if message is not None:
-            warnings.warn(message, ConditioningWarning, stacklevel=3)
+            warn(message, ConditioningWarning)
         return pred, Sigma
 
     def covariance(self) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import json
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -30,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
-from .errors import ConfigurationError, DegenerateDataError
+from .errors import ConfigurationError, DegenerateDataError, warn
 from .clustering import ClusterModel
 from .features import FeatureTable, build_features, default_feature_config
 from .metrics import coverage, interval_width, mae, rmse
@@ -229,8 +228,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
             else:
                 mine = iohmm[name]
             if not mine:
-                warnings.warn(f"model {name!r} produced no forecasts in fold {fold}",
-                              stacklevel=2)
+                warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
             blocks += mine
 
     shifts = np.array([rec.shift_code for rec in records])

@@ -8,19 +8,19 @@ inverse-variance weights. Hidden states come from clustering; their
 dynamics are tracked by the pseudo-counts.
 
 Records move state in one loop, and a forecast only reads. ``run_online``
-(``_pass``) is the interleaved loop: per record it absorbs the record
-before into its centroid, then learns the record's counts and predictors.
-It checks each cell where it reads it, in the order of the checked entry
-points (``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``),
-and puts back what moved when it refuses. ``learn_tables``
-(behind ``fit`` and the LOWO folds) and ``walk_tables`` are one stacked
-pass of that loop over several models' tables: learning is a walk whose
-first forecast lies after the last row. Centroid moves never depend on the
-predictors, so the rows of each pattern form an independent chain, and all
-chains advance together, one stacked update per chain position, bit for
-bit as the loop would. Every pass refuses what ``_pass`` refuses over the
-same records, in model order: what the stacked pass cannot take it hands
-to ``_pass`` on copies of the models. All run trusted cores. One blend,
+(``_pass``) is the interleaved loop over a run of consecutive records: per
+record it absorbs the record before into its centroid, then classifies the
+record (once) and learns its counts and predictors. It checks each cell
+where it reads it, in the order of the checked entry points
+(``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``), and
+puts back what moved when it refuses. ``learn_tables`` (behind ``fit`` and
+the LOWO folds) and ``walk_tables`` are one stacked pass of that loop over
+several models' tables: learning is a walk whose first forecast lies after
+the last row. Centroid moves never depend on the predictors, so the rows of
+each pattern form an independent chain, and all chains advance together,
+one stacked update per chain position, bit for bit as the loop would. A
+stacked pass takes exactly what ``_pass`` accepts; what ``_pass`` refuses it
+replays through ``_pass`` on copies, in model order, only to raise. One blend,
 ``_blend``, makes every forecast: ``run_online`` and ``walk_tables`` both
 forecast a record as the blend of the pre-update predictions of the step
 that learns it, and ``forecast_step`` reads the same moments without
@@ -33,9 +33,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .clustering import ClusterModel, fit_auto_k
 from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      ForecastUnavailableError, InputError, InsufficientHistoryError,
-                     NumericError, OpcastError, RestoreError)
+                     NumericError, OpcastError, RestoreError, warn)
 from .estimator import (AdaptiveState, checked_vector, json_number, serialized, stacked,
                         stacked_pass)
 from .features import (FeatureConfig, FeatureTable, build_features,
@@ -130,25 +129,9 @@ class StepResult:
     forecast: ForecastResult | None
 
 
-def combination_weights(sigma_u: np.ndarray, sigma_v: np.ndarray) -> np.ndarray:
-    """Per-response blending weight for the regressor-driven forecast.
-
-    The weight is the share of the competing model's variance, so the
-    less certain model is down-weighted. When both variances vanish the
-    weight is 1/2.
-    """
-    su, sv = (a.diagonal() if a.ndim == 2 else a.reshape(-1)
-              for a in (np.asarray(sigma_u, dtype=float), np.asarray(sigma_v, dtype=float)))
-    if su.shape != sv.shape:
-        raise DimensionError("variance inputs have mismatched sizes")
-    for arr in (su, sv):
-        bad = arr < -1e-10
-        if bad.any():
-            raise NumericError(f"negative variance {arr[bad].min():.3e} in combination")
-    return _weights(su, sv)
-
-
 def _weights(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """Per response, the regressor side's weight: the competing variance's
+    share of the total, so the less certain side counts less (1/2 if both vanish)."""
     sv = np.maximum(sv, 0.0)
     total = np.maximum(su, 0.0) + sv
     return np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
@@ -183,10 +166,36 @@ def _cold_start(states: PatternStates | None, allowed: bool, where: str = "") ->
     return cold
 
 
+def _reads_before(span: range, q: int, first: int, begins: np.ndarray) -> bool:
+    """Whether a pass over the records ``span`` classifies the one before: if it
+    forecasts the first, or learns it while ``begins[0]`` says no sequence begins there."""
+    return bool(span) and (span.start >= first or span.start >= q and not begins[0])
+
+
+def _span(indices, n: int) -> range:
+    """The consecutive positions among ``n`` records that ``indices`` lists (None: all)."""
+    if indices is None:
+        return range(n)
+    at = np.asarray(indices) if isinstance(indices, (list, range, np.ndarray)) else None
+    if at is None or at.ndim != 1 or len(at) and at.dtype.kind not in "iu":
+        raise DimensionError("indices must be a list, a range or an integer array")
+    positions = at.tolist()
+    span = range(positions[0], positions[-1] + 1) if positions else range(0)
+    if positions != list(span) or not 0 <= span.start <= span.stop <= n:
+        raise DimensionError(f"indices must be one increasing run of consecutive "
+                             f"positions of the {n} records")
+    return span
+
+
 def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
             allow_cold_start: bool = False) -> ForecastResult:
     """Blend the two per-pattern predictors for one upcoming period."""
-    combination_weights(state_u.Sigma, state_v.Sigma)  # raises for bad variances
+    su, sv = state_u.Sigma.diagonal(), state_v.Sigma.diagonal()
+    if su.shape != sv.shape:
+        raise DimensionError("variance inputs have mismatched sizes")
+    for arr in (su, sv):
+        if (arr < -1e-10).any():
+            raise NumericError(f"negative variance {arr.min():.3e} in combination")
     u = checked_vector(u, state_u.n_predictors, "u")
     v = checked_vector(v, state_v.n_predictors, "v")
     return _result(_cold_start(PatternStates(state_u, state_v), allow_cold_start),
@@ -300,9 +309,9 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
     The states come from one walk of a copy of the centroids per point
     where forecasts start; the learned rows split into one chain per
     pattern, all chains advance together (``_advance``), and each forecast
-    is the ``_blend`` of its step's pre-update moments, as in ``_pass``. A pass
-    that reads a non-finite cell or a non-binary pattern, must refuse a cold
-    start or refuses an update goes to ``_one_by_one`` instead.
+    is the ``_blend`` of its step's pre-update moments, as in ``_pass``. It takes
+    exactly what ``_pass`` accepts: a pass that reads a bad cell (by ``_reads_before``
+    for the row before), must refuse a cold start or refuses an update raises.
     """
     if len(models) != len(tables):
         raise DimensionError(f"{len(models)} models but {len(tables)} tables")
@@ -311,7 +320,8 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
     labels, chains, firsts = {}, [], []
     for order, (model, table) in enumerate(zip(models, tables)):
         q, records, first = model._reach(table, span)
-        lo, rows = max(records.start - 1, 0), np.arange(max(records.start, q), records.stop)
+        lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
+        rows = np.arange(max(records.start, q), records.stop)
         if not (np.isin(table.z[rows], (0, 1)).all() and all(np.isfinite(a).all() for a in (
                 table.w[rows], table.y[rows], table.t[lo:records.stop]))):
             return _one_by_one(models, tables, span)
@@ -326,8 +336,7 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
                 labels[key][i] = walk.nearest(X[i:i + 1])[0]
         mine = model._chains(order, table, rows, labels[key])
         if not model.config.allow_cold_start and any(
-                ch.rows[0] >= first and ch.states.u.gamma == ch.states.v.gamma == 0.0
-                for ch in mine):
+                ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
             return _one_by_one(models, tables, span)
         chains += mine
         firsts.append(first)
@@ -336,7 +345,7 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
         return _one_by_one(models, tables, span)
     commits, events = advanced
     for _, message in sorted(events):
-        warnings.warn(message, ConditioningWarning, stacklevel=3)
+        warn(message, ConditioningWarning)
     out: list[list[tuple]] = [[] for _ in models]
     for ch in chains:
         if ch.rows[-1] >= firsts[ch.order]:
@@ -353,24 +362,13 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
     return [sorted(forecasts, key=lambda f: f[0]) for forecasts in out], commit
 
 
-def _one_by_one(models, tables, span: range | None) -> tuple[list, Callable[[], None]]:
-    """``_stacked`` through ``_pass``, each model on a copy of itself, in order.
-
-    Its commit hands the copies' predictors and counts over; no centroid
-    moves in a learning pass, which only gets here to raise.
-    """
-    out, twins = [], []
+def _one_by_one(models, tables, span: range | None) -> NoReturn:
+    """Raise what ``_pass`` raises over the records of a pass that ``_stacked``
+    refused, each model on a copy of itself, in model order."""
     for model, table in zip(models, tables):
-        q, records, first = model._reach(table, span)
-        keys = [pattern_key(table.z[i]) if i >= q else None for i in records]
-        twins.append(copy.deepcopy(model))
-        out.append([(st.index, st.forecast.y_hat, st.forecast.sigma.diagonal())
-                    for st in twins[-1]._pass(table, 0, records, keys, first) if st.forecast])
-
-    def commit() -> None:
-        for model, twin in zip(models, twins):
-            model.params, model.dirichlet = twin.params, twin.dirichlet
-    return out, commit
+        _, records, first = model._reach(table, span)
+        copy.deepcopy(model)._pass(table, 0, records, first)
+    raise AssertionError("the stacked pass refused records that the loop accepts")
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
@@ -579,48 +577,42 @@ class IoHmmModel:
         forecastable position is ``q + 1``: position ``q`` is the first
         with features and it has no featurized predecessor.
 
-        ``indices`` restricts processing to a sub-range (it must be
-        increasing); earlier records still provide lags and previous-state
-        labels. Only the processed records and the ``max(q, 1)`` before
-        them are featurized. Returns one entry per processed record;
-        ``forecast`` is None for warm-up records. The first read that the
-        checked steps refuse decides the error; a refused pass moves nothing.
+        ``indices`` restricts processing to one run of consecutive positions,
+        a list, a range or an integer array (else ``DimensionError``); earlier
+        records still provide lags and the previous state. Only the processed
+        records and the ``max(q, 1)`` before them are featurized. Returns one
+        entry per processed record; ``forecast`` is None for warm-up records.
+        The first read that the checked steps refuse decides the error; a
+        refused pass moves nothing.
         """
         self._require_fitted()
         fc = self.config.features
         if len(records) <= fc.q:
             raise InsufficientHistoryError(
                 f"need more than q={fc.q} records, got {len(records)}")
-        if indices is None:
-            positions: Sequence[int] = range(len(records))
-        else:
-            positions = [int(i) for i in indices]
-            if any(not 0 <= i < len(records) for i in positions):
-                raise DimensionError("indices outside the record range")
-            if any(b <= a for a, b in zip(positions, positions[1:])):
-                raise DimensionError("indices must be strictly increasing")
-            if not positions:
-                return []
+        span = _span(indices, len(records))
+        if not span:
+            return []
         # rows from `start` on: the lags and boundary flag of every position
-        start = max(0, positions[0] - max(fc.q, 1))
-        table = build_features(records[start:max(positions[-1], fc.q) + 1], fc)
-        keys = [pattern_key(table.z[i - start]) if i >= fc.q else None for i in positions]
-        with _AllOrNothing(self, set(keys) - {None}):
-            return self._pass(table, start, positions, keys, fc.q + 1)
+        start = max(0, span.start - max(fc.q, 1))
+        table = build_features(records[start:max(span.stop, fc.q + 1)], fc)
+        return self._pass(table, start, span, fc.q + 1)
 
-    def _pass(self, table: FeatureTable, offset: int, positions: Sequence[int],
-              keys: Sequence[str | None], first: int) -> list[StepResult]:
-        """The interleaved loop; row ``r`` of ``table`` is record ``offset + r``
-        and ``keys`` are the positions' patterns (None before ``q``).
+    def _pass(self, table: FeatureTable, offset: int, span: range,
+              first: int) -> list[StepResult]:
+        """The interleaved loop over the consecutive records ``span``; row
+        ``r`` of ``table`` is record ``offset + r``.
 
-        Per position: from ``first`` (after ``q``) on, classify the row
-        before, absorb it into its centroid and check that the record can be
+        Per record: from ``first`` (after ``q``) on, absorb the row before
+        into the state it was classified in and check that the record can be
         forecast (a cold start); then classify the record and learn from it
-        (from ``q`` on). The forecast is the blend of what that learning step
-        predicted before it learned. Each read is checked where it happens;
-        ``run_online`` puts back what moved before a refusal.
+        (from ``q`` on). Each row is classified once, the row before the span
+        only where it is read (``_reads_before``). The forecast is the blend of
+        what that learning step predicted before it learned. Each read is
+        checked where it happens; a refused pass puts back what moved.
         """
         q, clusters = self.config.features.q, self.clusters
+        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
         ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist()
                             for a in (table.t, table.w, table.y))
         X = clusters.standardizer.transform(table.t)  # one standardization per row
@@ -632,28 +624,30 @@ class IoHmmModel:
             return int(clusters.nearest(X[r:r + 1])[0])
 
         results: list[StepResult] = []
-        for i, key in zip(positions, keys):
-            r = i - offset
-            begins = bool(table.begins_shift[r])
-            forecast = prev = None
-            if i >= first:
-                prev = label(r - 1, i)
-                if not ok_w[r]:
-                    raise NumericError(_BAD_WY.format(i))
-                clusters.absorb(prev, X[r - 1])
-                cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
-                                   f"record {i}: ")
-            cur = label(r, i)
-            if i >= q:
-                if i < first and not begins:  # no forecast read the state the row before left
-                    prev = label(r - 1, i)
-                if not (ok_w[r] and ok_y[r]):
-                    raise NumericError(_BAD_WY.format(i))
-                learned = self._learn(key, U[r], table.y[r], None if begins else prev, cur)
+        with _AllOrNothing(self, set(keys) - {None}):
+            r = span.start - offset
+            prev = label(r - 1, span.start) if _reads_before(
+                span, q, first, table.begins_shift[r:]) else None
+            for i, key in zip(span, keys):
+                r = i - offset
+                begins = bool(table.begins_shift[r])
+                forecast = None
                 if i >= first:
-                    forecast = _result(cold, *learned, state=prev, pattern=key, begins=begins)
-            results.append(StepResult(index=i, state=cur, y=table.y[r],
-                                      forecast=forecast))
+                    if not ok_w[r]:
+                        raise NumericError(_BAD_WY.format(i))
+                    clusters.absorb(prev, X[r - 1])
+                    cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
+                                       f"record {i}: ")
+                cur = label(r, i)
+                if i >= q:
+                    if not (ok_w[r] and ok_y[r]):
+                        raise NumericError(_BAD_WY.format(i))
+                    learned = self._learn(key, U[r], table.y[r], None if begins else prev, cur)
+                    if i >= first:
+                        forecast = _result(cold, *learned, state=prev, pattern=key,
+                                           begins=begins)
+                results.append(StepResult(index=i, state=cur, y=table.y[r], forecast=forecast))
+                prev = cur
         return results
 
     # -- serialization -----------------------------------------------------

@@ -21,7 +21,7 @@ from opcast import (
     IoHmmModel,
     ModelConfig,
     SyntheticSpec,
-    combination_weights,
+    combine,
     compute_indices,
     coverage,
     derive_time_variables,
@@ -192,7 +192,11 @@ def test_a05_blend_weight_minimizes_variance():
     var_u[0], var_v[1] = 0.0, 0.0
     var_u[2] = var_v[2] = 0.0
 
-    delta = combination_weights(var_u, var_v)
+    states = []
+    for var in (var_u, var_v):
+        states.append(AdaptiveState(1, len(var), forgetting=1.0))
+        states[-1].Sigma = np.diag(var)
+    delta = combine([1.0], [1.0], *states, allow_cold_start=True).weights
     blended = delta ** 2 * var_u + (1.0 - delta) ** 2 * var_v
 
     grid = np.linspace(0.0, 1.0, 1001)

@@ -12,9 +12,9 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ForecastUnavailableError, InputError, InsufficientHistoryError,
                     IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
                     Standardizer, StateIndexError, SyntheticSpec, build_features,
-                    classification_vector, combination_weights, combine,
+                    ThresholdWarning, classification_vector, combine,
                     default_feature_config, fit_states, generate_synthetic,
-                    pattern_key)
+                    leave_one_week_out, pattern_key)
 from opcast.model import learn_tables, walk_tables
 
 from conftest import build_stream
@@ -55,36 +55,47 @@ def _row(table, i):
     return table.z[i], table.w[i], table.y[i]
 
 
+def _weights(sigma_u, sigma_v):
+    """The blending weights ``combine`` gives predictors with these noise
+    covariances (a vector: its diagonal)."""
+    states = []
+    for sigma in (sigma_u, sigma_v):
+        sigma = np.asarray(sigma, dtype=float)
+        states.append(AdaptiveState(1, len(sigma), forgetting=1.0))
+        states[-1].Sigma = sigma if sigma.ndim == 2 else np.diag(sigma)
+    return combine([1.0], [1.0], *states, allow_cold_start=True).weights
+
+
 class TestCombinationWeights:
     def test_share_of_competing_variance(self):
-        d = combination_weights(np.array([1.0, 4.0]), np.array([3.0, 4.0]))
+        d = _weights(np.array([1.0, 4.0]), np.array([3.0, 4.0]))
         np.testing.assert_allclose(d, [0.75, 0.5])
 
     def test_matrix_inputs_use_diagonals(self):
         su = np.array([[1.0, 9.0], [9.0, 4.0]])
         sv = np.array([[3.0, -2.0], [-2.0, 12.0]])
-        np.testing.assert_allclose(combination_weights(su, sv),
+        np.testing.assert_allclose(_weights(su, sv),
                                    [0.75, 0.75])
 
     def test_both_zero_is_a_half(self):
         np.testing.assert_allclose(
-            combination_weights(np.zeros(2), np.zeros(2)), [0.5, 0.5])
+            _weights(np.zeros(2), np.zeros(2)), [0.5, 0.5])
 
     def test_one_zero_takes_all_weight(self):
         np.testing.assert_allclose(
-            combination_weights(np.array([0.0]), np.array([2.0])), [1.0])
+            _weights(np.array([0.0]), np.array([2.0])), [1.0])
         np.testing.assert_allclose(
-            combination_weights(np.array([2.0]), np.array([0.0])), [0.0])
+            _weights(np.array([2.0]), np.array([0.0])), [0.0])
 
     def test_rounding_noise_clipped_but_real_negative_raises(self):
-        d = combination_weights(np.array([-1e-12]), np.array([1.0]))
+        d = _weights(np.array([-1e-12]), np.array([1.0]))
         np.testing.assert_allclose(d, [1.0])
         with pytest.raises(NumericError):
-            combination_weights(np.array([-1e-6]), np.array([1.0]))
+            _weights(np.array([-1e-6]), np.array([1.0]))
 
     def test_mismatched_sizes(self):
         with pytest.raises(DimensionError):
-            combination_weights(np.zeros(2), np.zeros(3))
+            _weights(np.zeros(2), np.zeros(3))
 
 
 class TestCombine:
@@ -463,6 +474,46 @@ class TestRunOnline:
         with pytest.raises(DimensionError):
             model.run_online(records, indices=[5, 50])
 
+    @pytest.mark.parametrize("indices", [
+        [8, 13], [3, 4, 6], range(2, 8, 2), range(5, 2, -1), [2.0, 3.0], (2, 3), 4,
+        np.array([[2, 3]]), np.array([2.0, 3.0]), [-1, 0], range(18, 21)])
+    def test_anything_but_a_run_of_consecutive_records_is_refused(self, indices):
+        records = self._records(20)
+        model = _model(allow_cold_start=True)
+        _learn(model, records[:4])
+        before = model.to_json()
+        with pytest.raises(DimensionError):
+            model.run_online(records, indices=indices)
+        assert model.to_json() == before
+
+    @pytest.mark.parametrize("indices", [[4, 5, 6], range(4, 7), np.arange(4, 7),
+                                         np.array([4, 5, 6], dtype=np.uint8)])
+    def test_a_run_is_a_list_a_range_or_an_integer_array(self, indices):
+        records = self._records(10)
+        model = _model(allow_cold_start=True)
+        steps = model.run_online(records, indices=indices)
+        assert [st.index for st in steps] == [4, 5, 6]
+
+    def test_each_row_is_classified_once(self, monkeypatch):
+        # a batch of N records classifies them and the row before the first,
+        # N + 1 rows; a streamed record classifies itself and the row before
+        records = self._records(30, seed=3)
+        batch, stream = _model(allow_cold_start=True), _model(allow_cold_start=True)
+        calls, nearest = [], ClusterModel.nearest
+
+        def counting(clusters, X):
+            calls.append(len(X))
+            return nearest(clusters, X)
+
+        monkeypatch.setattr(ClusterModel, "nearest", counting)
+        batch.run_online(records, indices=range(10, 30))
+        assert calls == [1] * 21
+        for i in range(10, 30):
+            calls.clear()
+            stream.run_online(records[i - 2:i + 1], indices=[2])
+            assert calls == [1, 1]
+        assert batch.to_json() == stream.to_json()
+
     @pytest.mark.parametrize("q", [0, 1, 2])
     def test_featurizes_only_the_processed_records(self, q, monkeypatch):
         records = self._records(30, seed=2)
@@ -516,12 +567,12 @@ class TestRunOnline:
         records = self._records(10, seed=4)
         model = _model(q=3, allow_cold_start=True)
         table = build_features(records, model.config.features)
-        steps = model.run_online(records, indices=[0, 2])
-        assert [st.index for st in steps] == [0, 2]
+        steps = model.run_online(records, indices=[0, 1, 2])
+        assert [st.index for st in steps] == [0, 1, 2]
         assert all(st.forecast is None for st in steps)
         assert [st.state for st in steps] == \
-            [model.clusters.assign(table.t[i]) for i in (0, 2)]
-        np.testing.assert_array_equal(steps[1].y, table.y[2])
+            [model.clusters.assign(table.t[i]) for i in (0, 1, 2)]
+        np.testing.assert_array_equal(steps[2].y, table.y[2])
         assert model.params == {} and model.dirichlet.patterns == []
 
     def test_absorbs_the_row_before_just_before_the_forecast(self):
@@ -768,19 +819,24 @@ class TestChecksAtTheTable:
                                  indices=range(1, 5))
         assert [st.index for st in steps] == [1, 2, 3, 4]
 
-    def test_unread_gap_row_is_accepted(self):
-        # indices skip 12 and 13; 13 is read as the row before 14, 12 is not
+    def test_an_unread_row_before_a_walk_is_walked_in_the_stacked_pass(self, monkeypatch):
+        # the walk starts at q = 1 on record 8, which begins a shift, so
+        # nothing reads record 7; the stacked pass takes it and gives the
+        # clean walk's forecasts, bit for bit
+        def refused(*args):
+            raise AssertionError("replayed one by one")
+
         records = self._records()
-        bad = _with_cells(records, {12: {"av": self.NAN, "ics": self.NAN,
-                                         "OpT": self.NAN}})
+        bad = _with_cells(records, {7: {"av": self.NAN}})
         clean, dirty = self._model(), self._model()
         for model in (clean, dirty):
-            _learn(model, records[:8])
-        indices = [8, 9, 10, 11, 14, 15, 16]
-        self._assert_same_steps(dirty.run_online(bad, indices=indices),
-                                clean.run_online(records, indices=indices))
-        with pytest.raises(InputError):
-            dirty.run_online(bad, indices=[8, 13])
+            _learn(model, records[:7])
+        fc = clean.config.features
+        monkeypatch.setattr(opcast.model, "_one_by_one", refused)
+        walked = [_walked([model], [build_features(recs[7:], fc)], range(1, 13))
+                  for model, recs in ((dirty, bad), (clean, records))]
+        assert walked[0] == walked[1] and len(walked[0][0]) == 11
+        assert walked[0] == _walks_one_by_one([dirty], bad[7:], range(1, 13))
 
 
 class TestLearnTable:
@@ -1331,3 +1387,38 @@ class TestLongStream:
             assert np.linalg.cond(states.u.P) < 1e4
             np.testing.assert_array_equal(states.u.Sigma, states.u.Sigma.T)
 
+
+
+def _wind_up():
+    """Fifty updates of a predictor that sees one direction only: the fiftieth
+    checks the conditioning and warns."""
+    state = AdaptiveState(2, 1, forgetting=0.6)
+    for _ in range(50):
+        state.update([1.0, 0.0], [1.0])
+
+
+@pytest.mark.parametrize("entry", ["AdaptiveState.update", "run_online", "learn_tables",
+                                   "walk_tables", "IoHmmModel.fit", "leave_one_week_out"])
+def test_warnings_point_at_the_callers_line(setting, entry):
+    # however deep in the package a warning arises, it is attributed to the
+    # first caller outside it: this file
+    records, features, states = setting
+    fast = IoHmmModel(ModelConfig(features=features, lambda_u=0.7, lambda_v=0.7,
+                                  allow_cold_start=True), clusters=copy.deepcopy(states))
+    table = build_features(records, features)
+    run, category = {
+        "AdaptiveState.update": (_wind_up, ConditioningWarning),
+        "run_online": (lambda: fast.run_online(records), ConditioningWarning),
+        "learn_tables": (lambda: learn_tables([fast], [table]), ConditioningWarning),
+        "walk_tables": (lambda: walk_tables([fast], [table], range(len(records))),
+                        ConditioningWarning),
+        "IoHmmModel.fit": (lambda: IoHmmModel(ModelConfig(features=features)).fit(
+            records, threshold=0.99, k_max=3), ThresholdWarning),
+        "leave_one_week_out": (lambda: leave_one_week_out(
+            records, model_names=("iohmm-q1",), threshold=0.99, k_max=3), ThresholdWarning),
+    }[entry]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    assert category in {w.category for w in caught}
+    assert {w.filename for w in caught} == {__file__}
