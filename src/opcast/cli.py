@@ -33,7 +33,7 @@ _CONFIG_KEYS = {
     "threshold": (float, 0.8), "kmax": (int, 12), "kmin": (int, 2), "seed": (int, 0),
     "responses": (list, ["OpT", "NOpT"]), "models": (list, list(DEFAULT_MODELS)),
     "allow_cold_start": (bool, False), "z_spec": (list, None), "w_spec": (list, None),
-    "t_spec": (list, None), "max_lags": (int, 5), "schema": (dict, None),
+    "t_spec": (list, None), "schema": (dict, None),
 }
 _KINDS = {int: "a whole number >= 0", float: "a finite number", bool: "true or false",
           list: "a list of strings", dict: "an object mapping column names to column names"}
@@ -95,9 +95,7 @@ def _load_records(path, schema):
 
 
 def _feature_config(records, cfg) -> FeatureConfig:
-    base = default_feature_config(records, q=cfg["lags"],
-                                  responses=tuple(cfg["responses"]),
-                                  max_lags=cfg["max_lags"])
+    base = default_feature_config(records, q=cfg["lags"], responses=tuple(cfg["responses"]))
     return replace(base, **{key: tuple(cfg[key])
                             for key in ("z_spec", "w_spec", "t_spec") if cfg[key]})
 

@@ -148,7 +148,6 @@ class ClusterModel:
     standardizer: Standardizer
     gof: float
     reached_threshold: bool
-    threshold: float = 0.8
 
     def assign(self, t) -> int:
         """1-based index of the nearest centroid; ties go to the lowest index."""
@@ -173,8 +172,7 @@ class ClusterModel:
     def nearest(self, X: np.ndarray) -> np.ndarray:
         """1-based nearest centroid of each row of ``X``, standardized and
         finite: the trusted core of ``assign``, for callers that checked."""
-        d2 = ((X[:, None, :] - self.centroids) ** 2).sum(axis=2)
-        return d2.argmin(axis=1) + 1
+        return _sq_dists(np.ascontiguousarray(X.T), self.centroids).argmin(axis=0) + 1
 
     def absorb(self, state: int, x: np.ndarray) -> None:
         """Running-mean step of centroid ``state`` towards a standardized,
@@ -184,7 +182,7 @@ class ClusterModel:
         self.centroids[k] += (x - self.centroids[k]) / self.counts[k]
 
     def centroids_original(self) -> np.ndarray:
-        return np.array([self.standardizer.inverse(c) for c in self.centroids])
+        return self.standardizer.inverse(self.centroids)
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +193,11 @@ class ClusterModel:
             "scale": self.standardizer.scale.tolist(),
             "gof": self.gof,
             "reached_threshold": self.reached_threshold,
-            "threshold": self.threshold,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClusterModel":
+        """The model of a ``to_dict`` document; an older one's ``threshold`` is ignored."""
         centroids = np.asarray(doc["centroids"], dtype=float)
         counts = np.asarray(doc["counts"], dtype=float)
         mean = np.asarray(doc["mean"], dtype=float)
@@ -217,8 +215,7 @@ class ClusterModel:
         return cls(K=K, centroids=centroids, counts=counts,
                    standardizer=Standardizer(mean=mean, scale=scale),
                    gof=serialized(doc, "gof"),
-                   reached_threshold=serialized(doc, "reached_threshold", bool),
-                   threshold=serialized(doc, "threshold") if "threshold" in doc else 0.8)
+                   reached_threshold=serialized(doc, "reached_threshold", bool))
 
 
 def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
@@ -259,4 +256,4 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
              f"(best share {gof:.3f}); using K={K}", ThresholdWarning)
     counts = np.bincount(assign, minlength=K).astype(float)
     return ClusterModel(K=K, centroids=centroids, counts=counts, standardizer=std,
-                        gof=gof, reached_threshold=reached, threshold=threshold)
+                        gof=gof, reached_threshold=reached)

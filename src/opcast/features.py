@@ -20,6 +20,7 @@ Covariates are declared as small spec strings:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -37,6 +38,8 @@ _FLAGS = ("@begins_shift", "@begins_order")
 _TEXT_COLUMNS = frozenset({"shift", "shift_code", "weekday", "date", "start"})
 _COLUMNS = frozenset(f.name for f in fields(ProductionRecord)) | _TEXT_COLUMNS
 _NUMERIC_COLUMNS = _COLUMNS - _TEXT_COLUMNS
+
+MAX_LAGS = 5  # the largest lag order q: bounds the width of a lagged table
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,6 @@ class FeatureConfig:
     w_spec: tuple[str, ...]
     t_spec: tuple[str, ...]
     q: int = 1
-    max_lags: int = 5
     parsed_z: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
     parsed_w: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
     parsed_t: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
@@ -118,11 +120,8 @@ class FeatureConfig:
         for name in self.response_names:
             if name not in _NUMERIC_COLUMNS:
                 raise ConfigurationError(f"unknown response column {name!r}")
-        for name, value in (("q", self.q), ("max_lags", self.max_lags)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigurationError(f"{name} must be a non-negative integer, got {value!r}")
-        if self.q > self.max_lags:
-            raise ConfigurationError(f"lag order {self.q} exceeds max_lags {self.max_lags}")
+        if isinstance(self.q, bool) or not isinstance(self.q, int) or not 0 <= self.q <= MAX_LAGS:
+            raise ConfigurationError(f"q must be an integer in 0..{MAX_LAGS}, got {self.q!r}")
         if not self.z_spec:
             raise ConfigurationError("conditioning pattern spec is empty")
         for spec in self.parsed_z:
@@ -171,17 +170,16 @@ class FeatureConfig:
             "w_spec": list(self.w_spec),
             "t_spec": list(self.t_spec),
             "q": self.q,
-            "max_lags": self.max_lags,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureConfig":
+        """The config of a ``to_dict`` document; an older one's ``max_lags`` is ignored."""
         return cls(response_names=tuple(doc["response_names"]),
                    z_spec=tuple(doc["z_spec"]),
                    w_spec=tuple(doc["w_spec"]),
                    t_spec=tuple(doc["t_spec"]),
-                   q=serialized(doc, "q", int),
-                   max_lags=serialized(doc, "max_lags", int) if "max_lags" in doc else 5)
+                   q=serialized(doc, "q", int))
 
 
 @dataclass(frozen=True)
@@ -227,8 +225,7 @@ def pattern_key(z) -> str:
 
 
 def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
-                           responses: Sequence[str] = ("OpT", "NOpT"),
-                           max_lags: int = 5) -> FeatureConfig:
+                           responses: Sequence[str] = ("OpT", "NOpT")) -> FeatureConfig:
     """Case-study defaults built from the shift codes present in the data.
 
     The conditioning pattern one-hot encodes the shift type, and that is
@@ -245,14 +242,13 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
     w_spec = ("ics", "@begins_shift", "@begins_order")
     t_spec = ("av", "pf", "oee", "OT", "rcs", "TU")
     return FeatureConfig(response_names=tuple(responses), z_spec=z_spec,
-                         w_spec=w_spec, t_spec=t_spec, q=q, max_lags=max_lags)
+                         w_spec=w_spec, t_spec=t_spec, q=q)
 
 
 def classification_points(records: Sequence[ProductionRecord],
                           config: FeatureConfig) -> np.ndarray:
     """Classification vectors of the records, one row each."""
-    no_flags = [BoundaryFlags(False, False)] * len(records)  # numeric specs ignore flags
-    return _evaluate(config.parsed_t, records, no_flags)
+    return _evaluate(config.parsed_t, records, ())  # numeric specs read no flags
 
 
 def classification_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
@@ -298,6 +294,12 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     return table.z[-1], table.w[-1], bool(table.begins_shift[-1])
 
 
+@functools.cache
+def _numeric(columns: tuple[str, ...]) -> tuple[CovariateSpec, ...]:
+    """The numeric covariates reading ``columns`` (the responses), parsed once per tuple."""
+    return tuple(map(CovariateSpec, columns))
+
+
 def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
               flags: Sequence[BoundaryFlags]) -> np.ndarray:
     out = np.empty((len(records), len(specs)))
@@ -318,8 +320,7 @@ def build_features(records: Sequence[ProductionRecord],
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
     flags = boundary_flags(records)
-    y = np.array([[float(getattr(rec, name)) for name in config.response_names]
-                  for rec in records])
+    y = _evaluate(_numeric(config.response_names), records, flags)
     return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
                         w=_with_lags(_evaluate(config.parsed_w, records, flags),
                                      y, config.q),

@@ -31,7 +31,7 @@ import numpy as np
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .errors import ConfigurationError, DegenerateDataError, warn
 from .clustering import ClusterModel
-from .features import FeatureTable, build_features, default_feature_config
+from .features import CovariateSpec, FeatureTable, build_features, default_feature_config
 from .metrics import coverage, interval_width, mae, rmse
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
@@ -107,8 +107,8 @@ def response_summary(records: Sequence[ProductionRecord],
                      responses: Sequence[str]) -> dict[str, dict[str, float]]:
     """Location statistics of each response over the whole dataset."""
     out: dict[str, dict[str, float]] = {}
-    for name in responses:
-        values = np.array([float(getattr(rec, name)) for rec in records])
+    for name in responses:  # a numeric covariate: an empty cell is refused
+        values = np.array(CovariateSpec(name).evaluate(records, ()))
         qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
         out[name] = {
             "min": float(qs[0]), "q1": float(qs[1]), "median": float(qs[2]),
@@ -205,8 +205,8 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     use_varx = "varx" in kinds
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
     full = build_features(records, lag_free) if use_varx or use_iohmm else None
-    values = np.array([[float(getattr(rec, name)) for name in responses]
-                       for rec in records]) if "persistence" in kinds else None
+    values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
+                             ) if "persistence" in kinds else None
 
     blocks: list[ForecastBlock] = []
     for fold in weeks:  # chronological records: each week is one run of indices
@@ -264,7 +264,7 @@ def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[Repo
 
 
 def emit_report(report: MetricsReport, format: str = "csv") -> str:
-    """Render a report as a flat CSV or a structured-text (JSON) document.
+    """Render a report as a flat CSV (``"csv"``) or a JSON document (``"structured-text"``).
 
     The CSV includes the dataset-level response summary as rows under the
     pseudo-model ``_summary`` so one document is self-contained.
@@ -281,7 +281,7 @@ def emit_report(report: MetricsReport, format: str = "csv") -> str:
                 buf.write(f"{SUMMARY_MODEL},,,{resp},{stat},{stats[stat]!r},"
                           f"{report.n_records}\n")
         return buf.getvalue()
-    if format in ("structured-text", "json"):
+    if format == "structured-text":
         doc = {
             "rows": [{"model": r.model, "fold": r.fold, "shift_type": r.shift_type,
                       "response": r.response, "metric": r.metric,

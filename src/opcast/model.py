@@ -504,13 +504,12 @@ class IoHmmModel:
         does so with ``clusters.update_centroid(result.state, t_prev)``.
         """
         self._require_fitted()
-        x_prev = self.clusters.standardized(t_prev)
+        state = self.clusters.assign(t_prev)
         z_next = np.asarray(z_next, dtype=float).reshape(-1)
         if z_next.shape != (self.config.features.pattern_length,):
             raise DimensionError(
                 f"pattern must have length {self.config.features.pattern_length}")
         u = checked_vector(np.concatenate((_INTERCEPT, np.ravel(w_next))), self.u_dim, "u")
-        state = int(self.clusters.nearest(x_prev[None])[0])
         key = pattern_key(z_next)
         states = self.params.get(key) or self._prior()  # an unseen pattern's is not kept
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
@@ -534,10 +533,10 @@ class IoHmmModel:
         return learned
 
     def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, range, int]:
-        """This model's ``q`` once ``table`` is checked as its input (more than
-        ``q`` rows, in the shapes of its feature config), the records of a
-        pass over it and the first it forecasts: every row and none when
-        ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
+        """This model's ``q`` once ``table`` is checked as its input (more than ``q``
+        rows shaped by its feature config; at ``q = 0`` row 0 begins a shift), the
+        records of a pass over it and the first it forecasts: every row and none
+        when ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
@@ -546,6 +545,9 @@ class IoHmmModel:
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
+        if fc.q == 0 and not table.begins_shift[0]:
+            raise InputError("with q = 0 the table's first row must begin a shift: "
+                             "no row before it gives its previous state")
         if span is None:
             return fc.q, range(n), n
         if span.step != 1 or not 0 <= span.start <= span.stop <= n:

@@ -189,7 +189,7 @@ def _convert_cells(values: list, group, cells, fallback) -> None:
         values[slot] = value
 
 
-def _parse_row(row: list[str], plan: tuple, tol: float) -> ProductionRecord:
+def _parse_row(row: list[str], plan: tuple) -> ProductionRecord:
     """One record from a csv row.
 
     ``plan`` holds the header width and one cell picker per group. A short
@@ -206,7 +206,7 @@ def _parse_row(row: list[str], plan: tuple, tol: float) -> ProductionRecord:
     cells, derived = durations(row), None
     if not all(cells):
         derived = derive_time_variables(
-            *(values[_SLOT[a]] for a in ("OT", "SBT", "DT", "PLT", "QLT")), tol=tol)
+            *(values[_SLOT[a]] for a in ("OT", "SBT", "DT", "PLT", "QLT")))
     _convert_cells(values, _GROUPS[1], cells, derived)
     cells, computed = indices(row), None
     if not all(cells):
@@ -261,8 +261,7 @@ def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | N
     return _build_records(columns)
 
 
-def parse_dataset(source, schema: dict[str, str] | None = None,
-                  tol: float = 0.01) -> ParseResult:
+def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
     """Read a delimited dataset into records.
 
     ``source`` is a path or a text stream. ``schema`` optionally maps
@@ -314,7 +313,7 @@ def parse_dataset(source, schema: dict[str, str] | None = None,
                 continue
             for line, row in chunk:
                 try:
-                    records.append(_parse_row(row, plan, tol))
+                    records.append(_parse_row(row, plan))
                 except (ValueError, TimeConsistencyError) as exc:
                     errors.append(RowError(line, str(exc)))
         return ParseResult(records, errors)

@@ -83,31 +83,9 @@ class SyntheticSpec:
         if not self.ics_levels or any(float(v) <= 0 for v in self.ics_levels):
             raise ConfigurationError("ics_levels must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "states": self.states,
-            "transition": np.asarray(self.transition, dtype=float).tolist(),
-            "state_means": np.asarray(self.state_means, dtype=float).tolist(),
-            "noise_cov": np.asarray(self.noise_cov, dtype=float).tolist(),
-            "initial": (None if self.initial is None
-                        else np.asarray(self.initial, dtype=float).tolist()),
-            "ar": [np.asarray(m, dtype=float).tolist() for m in self.ar],
-            "shift_effects": {code: np.asarray(eff, dtype=float).tolist()
-                              for code, eff in self.shift_effects.items()},
-            "days": self.days,
-            "periods_per_shift": self.periods_per_shift,
-            "shift_codes": list(self.shift_codes),
-            "start_date": self.start_date.isoformat(),
-            "ics_levels": list(self.ics_levels),
-            "order_every": self.order_every,
-            "dt_max": self.dt_max,
-            "qu_frac_max": self.qu_frac_max,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        """The spec of a ``to_dict`` document, which may give one speed as
+        """The spec of a JSON document of its fields, which may give one speed as
         ``ics``; unknown keys and values of another kind are refused, not cast."""
         if not isinstance(doc, dict):
             raise ConfigurationError(f"a spec must be a JSON object, not {type(doc).__name__}")

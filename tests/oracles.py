@@ -87,8 +87,7 @@ def batch_oracle(history: Sequence[tuple], forgetting: float,
                              P=P_prev, gamma=gamma)
 
 
-def row_parse_oracle(stream, schema: dict[str, str] | None = None,
-                     tol: float = 0.01) -> ParseResult:
+def row_parse_oracle(stream, schema: dict[str, str] | None = None) -> ParseResult:
     """``parse_dataset`` as ``_parse_row`` applied to every non-blank row.
 
     The header rules are those of ``parse_dataset``: a duplicated name
@@ -114,7 +113,7 @@ def row_parse_oracle(stream, schema: dict[str, str] | None = None,
     for row in reader:
         if row:
             try:
-                records.append(_parse_row(row, plan, tol))
+                records.append(_parse_row(row, plan))
             except (ValueError, TimeConsistencyError) as exc:
                 errors.append(RowError(reader.line_num, str(exc)))
     return ParseResult(records, errors)

@@ -159,7 +159,7 @@ class TestConfigValues:
         ("kmax", 4.5), ("kmin", -2), ("seed", 1.5), ("responses", "OpT"),
         ("models", ["persistence", 3]), ("allow_cold_start", "no"),
         ("z_spec", "shift_code==M"), ("w_spec", ["ics", None]), ("t_spec", None),
-        ("max_lags", 5.5), ("schema", ["OT"]), ("threshold", float("nan")),
+        ("schema", ["OT"]), ("threshold", float("nan")),
         ("lambda_u", float("inf")), ("seed", 10 ** 400)])
     def test_a_value_of_another_kind_exits_1(self, workdir, tmp_path, capsys, command,
                                              key, value):
@@ -184,6 +184,56 @@ class TestConfigValues:
                      "--seed=-1"]) == 1
         assert not out.exists()
         assert "seed" in capsys.readouterr().err
+
+
+class TestRemovedKeys:
+    def test_max_lags_is_an_unknown_key(self, workdir, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps({"max_lags": 5}))
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "unknown config keys: ['max_lags']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["fit", "--lags", "6"],
+                                      ["evaluate", "--models", "iohmm-q999999999"]])
+    def test_the_lag_order_stays_bounded(self, workdir, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--data", str(workdir / "data.csv"), "--kmax", "4",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "q must be an integer in 0..5, got" in capsys.readouterr().err
+
+
+class TestEmptyResponseCells:
+    """A response is read as a numeric covariate: each path that reads one
+    refuses an empty cell with the column's name, as a configuration error."""
+
+    @pytest.fixture(scope="class")
+    def gappy(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gappy")
+        lines = (workdir / "data.csv").read_text().splitlines()
+        at = lines[0].split(",").index("hum")
+        for i in (5, 6, 40, 100):
+            cells = lines[i].split(",")
+            cells[at] = ""
+            lines[i] = ",".join(cells)
+        (root / "data.csv").write_text("\n".join(lines) + "\n")
+        (root / "cfg.json").write_text(json.dumps({"responses": ["hum", "OpT"]}))
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["fit"], ["evaluate", "--models", "iohmm-q1"], ["evaluate", "--models", "no-lags"],
+        ["evaluate", "--models", "iohmm-uni-q1"], ["evaluate", "--models", "varx-q1"],
+        ["evaluate", "--models", "persistence"]],
+        ids=["fit", "iohmm", "no-lags", "iohmm-uni", "varx", "persistence"])
+    def test_exits_1_naming_the_column(self, gappy, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--data", str(gappy / "data.csv"), "--config",
+                     str(gappy / "cfg.json"), "--kmax", "4", "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "'hum'" in err
 
 
 class TestForecast:

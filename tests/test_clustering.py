@@ -384,6 +384,24 @@ class TestNearest:
         assert labels == [model.assign(p) for p in pts]
         assert labels == self._per_row_oracle(model, pts)
 
+    @pytest.mark.parametrize("D", [1, 5, 8, 9, 64, 128, 129, 300])
+    def test_equals_the_broadcast_form_bit_for_bit(self, D):
+        # one row and a block, at D <= 8 (no pairwise block), 8 < D <= 128
+        # (pairwise blocks of eight) and D > 128 (past numpy's block size);
+        # midpoints of two centroids and repeated centroids make near and
+        # exact ties, where a sum in another order could flip the label
+        rng = np.random.default_rng([D, 9])
+        C = np.concatenate((rng.normal(size=(6, D)), rng.normal(size=(1, D)).repeat(2, 0)))
+        model = ClusterModel(K=8, centroids=C, counts=np.ones(8),
+                             standardizer=Standardizer(mean=np.zeros(D), scale=np.ones(D)),
+                             gof=1.0, reached_threshold=True)
+        pairs = rng.integers(0, 8, size=(30, 2))
+        block = np.concatenate((rng.standard_cauchy(size=(30, D)),
+                                (C[pairs[:, 0]] + C[pairs[:, 1]]) / 2.0, C[[6, 7]]))
+        for X in (block[:1], block[30:31], block):
+            want = ((X[:, None, :] - C) ** 2).sum(axis=2).argmin(axis=1) + 1
+            assert model.nearest(X).tobytes() == want.tobytes()
+
     def test_matches_a_fitted_model(self):
         rng = np.random.default_rng(21)
         pts, _ = _blobs(rng, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]], n_per=30, spread=0.6)

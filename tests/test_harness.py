@@ -84,6 +84,11 @@ class TestResponseSummary:
         assert stats["q1"] == pytest.approx(2.0)
         assert stats["q3"] == pytest.approx(4.0)
 
+    def test_an_empty_response_cell_is_refused_naming_the_column(self):
+        records = build_stream([{"hum": 60.0}, {"hum": None}, {"hum": 61.0}])
+        with pytest.raises(ConfigurationError, match="'hum'"):
+            response_summary(records, ("OpT", "hum"))
+
 
 class TestLeaveOneWeekOut:
     def test_folds_are_the_iso_weeks(self, two_week_records, small_report):
@@ -402,7 +407,6 @@ class TestEmitReport:
 
     def test_structured_text_is_sorted_json(self, small_report):
         text = emit_report(small_report, format="structured-text")
-        assert text == emit_report(small_report, format="json")
         doc = json.loads(text)
         assert doc["folds"] == small_report.folds
         assert doc["n_records"] == small_report.n_records
@@ -412,3 +416,5 @@ class TestEmitReport:
     def test_unknown_format(self, small_report):
         with pytest.raises(ConfigurationError):
             emit_report(small_report, format="yaml")
+        with pytest.raises(ConfigurationError, match="'json'"):  # not an alias
+            emit_report(small_report, format="json")

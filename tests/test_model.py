@@ -158,10 +158,10 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("lambda_u", "0.9"), ("lambda_u", True), ("allow_cold_start", "no"),
-        ("allow_cold_start", 0), ("q", True), ("max_lags", 2.5)])
+        ("allow_cold_start", 0), ("q", True)])
     def test_refuses_what_a_snapshot_cannot_restore(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
-            if name in ("q", "max_lags"):
+            if name == "q":
                 replace(_feature_config(), **{name: value})
             else:
                 ModelConfig(features=_feature_config(), **{name: value})
@@ -638,6 +638,19 @@ class TestRunOnline:
         assert a_doc.pop("config") != b_doc.pop("config")  # the cold-start flag
         assert a_doc == b_doc
 
+    def test_an_empty_response_cell_is_refused_naming_the_column(self):
+        features = replace(_feature_config(), response_names=("hum", "OpT"))
+        model = IoHmmModel(ModelConfig(features=features),
+                           clusters=_manual_clusters(((0.0,), (10.0,))))
+        records = build_stream([{"OpT": 6.0 + i % 3, "hum": None if i == 7 else 60.0 + i}
+                                for i in range(12)])
+        before = model.to_json()
+        for run in (lambda: model.run_online(records),
+                    lambda: model.run_online(records, indices=[8])):
+            with pytest.raises(ConfigurationError, match="'hum'"):
+                run()
+            assert model.to_json() == before
+
     def test_states_are_nearest_centroids(self):
         records = self._records(15, seed=7)
         model = _model(q=1, allow_cold_start=True,
@@ -837,6 +850,21 @@ class TestChecksAtTheTable:
                   for model, recs in ((dirty, bad), (clean, records))]
         assert walked[0] == walked[1] and len(walked[0][0]) == 11
         assert walked[0] == _walks_one_by_one([dirty], bad[7:], range(1, 13))
+
+    def test_a_q0_table_whose_first_row_begins_no_shift_is_refused(self):
+        # at q = 0 row 0 is learned, and unless it begins a shift its learning
+        # reads the state of the row before it, which the table does not hold
+        records = self._records()
+        model = self._model(q=0)
+        _learn(model, records[:8])
+        before = model.to_json()
+        table = build_features(records[9:], model.config.features)  # 9 begins no shift
+        table = replace(table, begins_shift=np.r_[False, table.begins_shift[1:]])
+        for run in (lambda: learn_tables([model], [table]),
+                    lambda: walk_tables([model], [table], range(len(table.y)))):
+            with pytest.raises(InputError, match="first row must begin a shift"):
+                run()
+            assert model.to_json() == before
 
 
 class TestLearnTable:
@@ -1285,8 +1313,7 @@ class TestSnapshot:
         ("dirichlet", "pattern_length", 3.5), ("dirichlet", "pattern_length", "3"),
         ("config", "lambda_u", "0.99"), ("config", "lambda_v", None),
         ("config.features", "q", 1.7), ("config.features", "q", "1"),
-        ("config.features", "max_lags", 5.5), ("config.features", "max_lags", False),
-        ("clusters", "gof", "0.5"), ("clusters", "threshold", True)])
+        ("clusters", "gof", "0.5")])
     def test_restore_rejects_scalars_of_another_kind(self, section, name, value):
         model, _ = self._trained()
         doc = model.snapshot()
@@ -1304,7 +1331,16 @@ class TestSnapshot:
         doc["dirichlet"].update(n_states=float(doc["dirichlet"]["n_states"]),
                                 pattern_length=float(doc["dirichlet"]["pattern_length"]))
         features = doc["config"]["features"]
-        features.update(q=float(features["q"]), max_lags=float(features["max_lags"]))
+        features.update(q=float(features["q"]))
+        assert IoHmmModel.restore(doc).to_json() == model.to_json()
+
+    def test_an_older_snapshot_with_max_lags_and_threshold_loads(self):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        assert "max_lags" not in doc["config"]["features"]
+        assert "threshold" not in doc["clusters"]
+        doc["config"]["features"]["max_lags"] = 5
+        doc["clusters"]["threshold"] = 0.8
         assert IoHmmModel.restore(doc).to_json() == model.to_json()
 
     def test_save_load(self, tmp_path):

@@ -13,6 +13,19 @@ TWO_STATE = dict(
 )
 
 
+# _spec(initial=(0.4, 0.6), ar=(((0.1, 0.0), (0.0, 0.1)),),
+# shift_effects={"A": (0.2, 0.1)}) as a JSON document of every field
+SPEC_DOC = {
+    "states": 2, "transition": [[0.8, 0.2], [0.3, 0.7]],
+    "state_means": [[3.0, 2.8], [2.0, 1.8]], "noise_cov": [[0.0, 0.0], [0.0, 0.0]],
+    "initial": [0.4, 0.6], "ar": [[[0.1, 0.0], [0.0, 0.1]]],
+    "shift_effects": {"A": [0.2, 0.1]}, "days": 4, "periods_per_shift": 20,
+    "shift_codes": ["M", "A", "N"], "start_date": "2022-10-03",
+    "ics_levels": [1.35, 1.61, 1.88], "order_every": 20, "dt_max": 0.3,
+    "qu_frac_max": 0.05, "seed": 1,
+}
+
+
 def _spec(**kwargs):
     base = dict(TWO_STATE, days=4, periods_per_shift=20, dt_max=0.3,
                 qu_frac_max=0.05, seed=1)
@@ -176,10 +189,10 @@ class TestSpecValidation:
     def test_dict_roundtrip(self):
         spec = _spec(initial=(0.4, 0.6), ar=(((0.1, 0.0), (0.0, 0.1)),),
                      shift_effects={"A": (0.2, 0.1)})
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticSpec.from_dict(SPEC_DOC) == spec
 
     def test_legacy_scalar_speed_accepted(self):
-        doc = _spec().to_dict()
+        doc = dict(SPEC_DOC, initial=None, ar=[], shift_effects={})  # _spec()
         del doc["ics_levels"]
         doc["ics"] = 1.5
         spec = SyntheticSpec.from_dict(doc)
