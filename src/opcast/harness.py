@@ -2,17 +2,14 @@
 
 Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
-as sequence starts) and evaluated on the held-out week. Per fold, the
-hidden states are discovered once and the training weeks are featurized
-once, as a lag-free table of all responses (also the VARX input). Each
-IO-HMM variant learns its own coefficients and counts from a copy of that
-table with its response columns and lags; the variants of a fold learn
-together, in one stacked pass (``learn_tables``), and then walk the test
-week together, in one more (``walk_tables``), each in a copy of the
-lag-free table of all records, built once. Only one fold's models are
-alive at a time. The online model keeps learning as it walks through the
-test week, mirroring production use; the regression benchmark stays
-frozen after fitting.
+as sequence starts) and evaluated on the held-out week. First, each fold's
+hidden states are discovered and its training weeks featurized once, as a
+lag-free table of all responses (also the VARX input). Each IO-HMM variant
+learns from a copy of that table with its response columns and lags, and
+walks its test week in one of the table of all records, built once per
+variant: the variants of all folds learn in one stacked pass (``learn_tables``)
+and walk in one more (``walk_tables``), learning as they walk, as in
+production; the regression benchmark stays frozen after fitting.
 
 Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
 the report splits each by shift type, per model, fold, shift type and response.
@@ -22,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -29,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
-from .errors import ConfigurationError, DegenerateDataError, warn
-from .clustering import ClusterModel
+from .errors import (ConditioningWarning, ConfigurationError, DegenerateDataError,
+                     OpcastError, ThresholdWarning, warn)
 from .features import CovariateSpec, FeatureTable, build_features, default_feature_config
-from .metrics import coverage, interval_width, mae, rmse
+from .metrics import checked, scores
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
@@ -125,35 +123,25 @@ def _blocks(name, fold, responses, index, actual, mean, sd=None) -> list[Forecas
             for j, resp in enumerate(responses)] if len(index) else []
 
 
-def _iohmm_blocks(model_names, base: ModelConfig, train: FeatureTable,
-                  full: FeatureTable, states: ClusterModel, test: range,
-                  fold) -> dict[str, list[ForecastBlock]]:
-    """The forecast blocks of the fold's IO-HMM variants per identifier, in
-    response order. Each variant learns from the training table and walks
-    the test week in the table of all records, both as derived for it; the
-    variants learn in one stacked pass and walk in one more, sharing ``states``."""
-    responses = base.features.response_names
-    names, models, derived = [], [], []
-    for name in model_names:
-        kind, q = parse_model_name(name)
-        if kind not in ("iohmm", "iohmm-uni"):
-            continue
-        features = base.features.with_lags(q)
-        variants = [(features, range(len(responses)))] if kind == "iohmm" else \
-            [(features.for_response(resp), [j]) for j, resp in enumerate(responses)]
-        for features, columns in variants:
-            names.append(name)
-            models.append(IoHmmModel(replace(base, features=features), clusters=states))
-            derived.append((q, columns))
-    learn_tables(models, [train.lagged(q, columns) for q, columns in derived])
-    tables = [full.lagged(q, columns) for q, columns in derived]
-    walks = walk_tables(models, tables, test)
-    blocks: dict[str, list[ForecastBlock]] = {name: [] for name in names}
-    for name, model, table, walk in zip(names, models, tables, walks):
-        if walk:
-            index, mean, var = (np.array(column) for column in zip(*walk))
-            blocks[name] += _blocks(name, fold, model.config.features.response_names, index,
-                                    table.y[index], mean, np.sqrt(np.clip(var, 0.0, None)))
+def _iohmm_blocks(variants, base: ModelConfig, folds, states, trains,
+                  walked) -> dict[tuple[str, str], list[ForecastBlock]]:
+    """The IO-HMM ``variants``' blocks per identifier and fold (``(week, test
+    records)``), in response order: each learns from its fold's training table
+    with its ``states`` and walks the test week in its table of all records
+    (``walked``), all folds in one stacked learning pass and one stacked walk."""
+    models = [IoHmmModel(replace(base, features=features), clusters=fitted)
+              for fitted in states for _, features, _, _ in variants]
+    learn_tables(models, [train.lagged(q, columns)
+                          for train in trains for _, _, q, columns in variants])
+    walks = iter(walk_tables(models, walked * len(folds),
+                             [test for _, test in folds for _ in variants]))
+    blocks: dict[tuple[str, str], list[ForecastBlock]] = {}
+    for fold, _ in folds:
+        for (name, features, _, _), table in zip(variants, walked):
+            index, mean, var = next(walks)
+            blocks.setdefault((name, fold), []).extend(_blocks(
+                name, fold, features.response_names, index, table.y[index], mean,
+                np.sqrt(np.clip(var, 0.0, None))))
     return blocks
 
 
@@ -181,9 +169,10 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
 
     A fresh model instance is fitted per model per fold; nothing carries
     over between folds. The states of a fold are fitted once and shared by
-    its IO-HMM variants, whose learning and test-week walks run before the
-    fold's other models. Per-fold cells that produce no forecasts are
-    omitted with a warning.
+    its IO-HMM variants, which learn and walk before the other models, all
+    folds at once. Per-fold cells without forecasts are omitted with a
+    warning. A refusal is that of the folds one by one: one before the other
+    models replays the folds so, issuing no Threshold or ConditioningWarning twice.
     """
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
@@ -201,35 +190,56 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         raise DegenerateDataError(
             f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
 
+    variants = []  # a fold's IO-HMM models: (identifier, features, lag order, response columns)
+    for name in model_names:
+        kind, q = parse_model_name(name)
+        if kind in ("iohmm", "iohmm-uni"):
+            features = base.features.with_lags(q)
+            variants += [(name, features, q, range(len(responses)))] if kind == "iohmm" else \
+                [(name, features.for_response(resp), q, [j]) for j, resp in enumerate(responses)]
     lag_free = base.features.with_lags(0)
-    use_varx = "varx" in kinds
-    use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
-    full = build_features(records, lag_free) if use_varx or use_iohmm else None
+    full = build_features(records, lag_free) if "varx" in kinds or variants else None
+    walked = [full.lagged(q, columns) for _, _, q, columns in variants]  # the same in every fold
     values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
                              ) if "persistence" in kinds else None
 
-    blocks: list[ForecastBlock] = []
-    for fold in weeks:  # chronological records: each week is one run of indices
-        test = range(keys.index(fold), len(keys) - keys[::-1].index(fold))
-        train = [*records[:test.start], *records[test.stop:]]
-        states = fit_states(train, base.features, seed=seed, threshold=threshold,
-                            k_min=k_min, k_max=k_max) if use_iohmm else None
-        train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
-        iohmm = _iohmm_blocks(model_names, base, train_table, full, states, test,
-                              fold) if use_iohmm else {}
-        for name in model_names:
-            kind, q = parse_model_name(name)
-            if kind == "persistence":  # every test record after the dataset's first
-                index = np.arange(max(test.start, 1), test.stop)
-                mine = _blocks(name, fold, responses, index, values[index],
-                               persistence_forecast(values[index - 1]))
-            elif kind == "varx":
-                mine = _varx_blocks(train_table, full, test, name, fold, responses, q)
-            else:
-                mine = iohmm[name]
-            if not mine:
-                warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
-            blocks += mine
+    def learned(folds) -> tuple[list, dict]:
+        """The training tables and IO-HMM blocks of ``folds``, ``(week, test records)``."""
+        trains = [[*records[:test.start], *records[test.stop:]] for _, test in folds]
+        states = [fit_states(train, base.features, seed=seed, threshold=threshold,
+                             k_min=k_min, k_max=k_max) for train in trains] if variants else []
+        tables = [None if full is None else build_features(train, lag_free) for train in trains]
+        return tables, _iohmm_blocks(variants, base, folds, states, tables, walked)
+
+    def evaluated(folds, tables, blocks) -> list[ForecastBlock]:
+        """All blocks of ``folds`` in fold and model order; an empty cell warns at once."""
+        out = []
+        for (fold, test), table in zip(folds, tables):
+            for name in model_names:
+                kind, q = parse_model_name(name)
+                if kind == "persistence":  # every test record after the dataset's first
+                    index = np.arange(max(test.start, 1), test.stop)
+                    blocks[name, fold] = _blocks(name, fold, responses, index, values[index],
+                                                 persistence_forecast(values[index - 1]))
+                elif kind == "varx":
+                    blocks[name, fold] = _varx_blocks(table, full, test, name, fold, responses, q)
+                if not blocks[name, fold]:
+                    warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
+                out += blocks[name, fold]
+        return out
+
+    folds = [(week, range(keys.index(week), len(keys) - keys[::-1].index(week)))
+             for week in weeks]  # chronological records: each week is one run of indices
+    try:  # a later refusal is the first of the folds one by one, after their UserWarnings
+        prepared = learned(folds)
+    except OpcastError:  # raise what the folds one by one raise, no warning twice
+        with warnings.catch_warnings():
+            for category in (ThresholdWarning, ConditioningWarning):
+                warnings.simplefilter("ignore", category)
+            for fold in folds:
+                evaluated([fold], *learned([fold]))
+        raise AssertionError("the folds together refused what the folds one by one accept")
+    blocks = evaluated(folds, *prepared)
 
     shifts = np.array([rec.shift_code for rec in records])
     return MetricsReport(rows=_aggregate(blocks, shifts),
@@ -247,19 +257,16 @@ def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[Repo
     predictive spreads.
     """
     cells: dict[tuple[str, str, str, str], tuple[ForecastBlock, np.ndarray]] = {}
-    for block in blocks:
+    for block in blocks:  # checked once, then its cells are scored unchecked
+        checked(block.actual, block.mean, block.sd)
         codes = shifts[block.index]
         for shift in set(codes.tolist()):
             cells[block.model, block.fold, shift, block.response] = block, codes == shift
     out: list[ReportRow] = []
-    for key in sorted(cells):
-        block, at = cells[key]
-        actual, mean = block.actual[at], block.mean[at]
-        metrics = [("mae", mae(actual, mean)), ("rmse", rmse(actual, mean))]
-        if block.sd is not None:
-            sd = block.sd[at]
-            metrics += [("covg", coverage(actual, mean, sd)), ("piw", interval_width(sd))]
-        out += [ReportRow(*key, metric, value, len(actual)) for metric, value in metrics]
+    for key, (block, at) in sorted(cells.items()):
+        count = int(np.count_nonzero(at))
+        out += [ReportRow(*key, metric, value, count) for metric, value in scores(
+            block.actual[at], block.mean[at], None if block.sd is None else block.sd[at]).items()]
     return out
 
 

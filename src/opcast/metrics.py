@@ -1,4 +1,5 @@
-"""Point and interval accuracy metrics."""
+"""Point and interval accuracy metrics: each checks its inputs, then scores
+them with ``scores``, which a caller that checks its arrays once calls directly."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from .errors import DimensionError, NumericError
 Z95 = 1.96  # the two-sided 95% normal quantile of every interval
 
 
-def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
+def checked(actual, predicted, sd=None) -> tuple[np.ndarray, ...]:
+    """The pairs (and spreads ``sd``) as 1-D float arrays, refused where a metric would be."""
     a = np.asarray(actual, dtype=float).reshape(-1)
     p = np.asarray(predicted, dtype=float).reshape(-1)
     if a.size == 0:
@@ -18,35 +20,47 @@ def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"length mismatch: {a.shape} vs {p.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
         raise NumericError("metric inputs contain non-finite values")
-    return a, p
+    return (a, p) if sd is None else (a, p, _spreads(sd, a.shape))
 
 
-def mae(actual, predicted) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.abs(a - p).mean())
-
-
-def rmse(actual, predicted) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.sqrt(((a - p) ** 2).mean()))
-
-
-def coverage(actual, predicted, sd) -> float:
-    """Share of actuals inside the centered 95% band, ``Z95 * sd``."""
-    a, p = _paired(actual, predicted)
+def _spreads(sd, shape: tuple | None = None) -> np.ndarray:
     s = np.asarray(sd, dtype=float).reshape(-1)
-    if s.shape != a.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {s.shape}")
-    if not np.all(np.isfinite(s)) or (s < 0).any():
-        raise NumericError("standard deviations must be finite and non-negative")
-    return float((np.abs(a - p) <= Z95 * s).mean())
-
-
-def interval_width(sd) -> float:
-    """Mean half-width of the centered 95% band."""
-    s = np.asarray(sd, dtype=float).reshape(-1)
+    if shape is not None and s.shape != shape:
+        raise DimensionError(f"length mismatch: {shape} vs {s.shape}")
     if s.size == 0:
         raise DimensionError("need at least one value")
     if not np.all(np.isfinite(s)) or (s < 0).any():
         raise NumericError("standard deviations must be finite and non-negative")
+    return s
+
+
+def scores(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[str, float]:
+    """The ``mae`` and ``rmse``, and given spreads ``s`` the ``covg`` and
+    ``piw``, of ``checked`` arrays, in that order."""
+    err = np.abs(a - p)
+    out = {"mae": float(err.mean()), "rmse": float(np.sqrt((err ** 2).mean()))}
+    if s is not None:
+        out.update(covg=float((err <= Z95 * s).mean()), piw=_width(s))
+    return out
+
+
+def _width(s: np.ndarray) -> float:
     return float((Z95 * s).mean())
+
+
+def mae(actual, predicted) -> float:
+    return scores(*checked(actual, predicted))["mae"]
+
+
+def rmse(actual, predicted) -> float:
+    return scores(*checked(actual, predicted))["rmse"]
+
+
+def coverage(actual, predicted, sd) -> float:
+    """Share of actuals inside the centered 95% band, ``Z95 * sd``."""
+    return scores(*checked(actual, predicted, sd))["covg"]
+
+
+def interval_width(sd) -> float:
+    """Mean half-width of the centered 95% band."""
+    return _width(_spreads(sd))

@@ -227,10 +227,6 @@ class _Chain:
         w = self.table.w[self.rows]
         return np.concatenate((np.ones((len(w), 1)), w), axis=1)
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.table.y[self.rows]
-
 
 def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
     """Read and count every observation of ``chains`` (one K, longest first),
@@ -254,36 +250,31 @@ def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
     return vectors, active
 
 
-def _groups(chains: Sequence[_Chain], name: str) -> list[list[_Chain]]:
-    """``chains`` grouped by the shape and forgetting of their ``name`` predictor."""
-    groups: dict = {}
-    for ch in chains:
-        st = getattr(ch.states, name)
-        groups.setdefault((st.n_predictors, st.n_responses, st.forgetting), []).append(ch)
-    return list(groups.values())
-
-
-def _advance(chains: Sequence[_Chain]) -> tuple[list, list] | None:
+def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
     """Advance ``chains`` together, one stacked count step and one stacked
-    update per predictor shape at each chain position; fill their ``moments``
-    (u mean and covariance, v mean and covariance per step) and return the
-    commits and the warnings keyed by where each falls in a record-by-record
-    pass, or None at the first refused update."""
-    longest_first = sorted(chains, key=lambda ch: -len(ch.rows))  # stable
+    update per group of predictors at each chain position; ``walking``, fill
+    their ``moments`` (u mean and covariance, v mean and covariance per step).
+    Returns the commits and the warnings keyed by where each falls in a
+    record-by-record pass, or None at the first refused update."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
-        for group in _groups(longest_first, name):
+        groups: dict = {}  # by predictor shape, the v side also by ClusterModel (one count walk)
+        for ch in sorted(chains, key=lambda ch: -len(ch.rows)):  # stable
+            st = getattr(ch.states, name)
+            groups.setdefault((st.n_predictors, st.n_responses, st.forgetting,
+                               name == "v" and id(ch.model.clusters)), []).append(ch)
+        for group in groups.values():
             X, active = stacked([ch.u for ch in group]) if name == "u" \
                 else _walk_counts(group)
             done = stacked_pass([getattr(ch.states, name) for ch in group], X,
-                                stacked([ch.y for ch in group])[0], active)
+                                stacked([ch.table.y[ch.rows] for ch in group])[0], active)
             if done is None:
                 return None
             commit, caught, mean, cov = done
             commits.append(commit)
             events += [((group[j].order, group[j].rows[k], side), message)
                        for j, k, message in caught]
-            for j, ch in enumerate(group):
+            for j, ch in enumerate(group if walking else ()):
                 ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
     return commits, events
 
@@ -291,41 +282,42 @@ def _advance(chains: Sequence[_Chain]) -> tuple[list, list] | None:
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
     """Learn each model (at most once) from every row of its table, bit for
     bit as ``_pass`` would, in one stacked pass; a refused pass moves nothing."""
-    _stacked(models, tables, None)[1]()
+    _stacked(models, tables, [None] * len(models), False)[1]()
 
 
 def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
-                span: range) -> list[list[tuple]]:
-    """Per model, the ``(record, mean, variances)`` of each forecast that
-    ``run_online(records, indices=span)`` makes, bit for bit, in one stacked
-    pass that moves nothing; row ``i`` of a table is record ``i``."""
-    return _stacked(models, tables, span)[0]
+                spans: Sequence[range]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per model, the forecasts that ``run_online(records, indices=span)`` makes over its
+    own span, bit for bit, as record order columns: records ``(n,)``, means and variances
+    ``(n, m)``; one stacked pass that moves nothing, and row ``i`` of a table is record ``i``."""
+    return _stacked(models, tables, spans, True)[0]
 
 
-def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], None]]:
-    """The pass behind ``learn_tables`` (``span`` None) and ``walk_tables``:
-    per model its forecasts, and a commit that writes what it learned.
+def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], None]]:
+    """The pass behind ``learn_tables`` (``spans`` all None) and ``walk_tables``
+    (``walking``): per model its forecast columns, and a commit that writes
+    what it learned.
 
-    The states come from one walk of a copy of the centroids per point
-    where forecasts start; the learned rows split into one chain per
-    pattern, all chains advance together (``_advance``), and each forecast
-    is the ``_blend`` of its step's pre-update moments, as in ``_pass``. It takes
+    The states come from one walk of a copy of the centroids per run of
+    records walked; the learned rows split into one chain per pattern, all
+    chains advance together (``_advance``), and each forecast is the
+    ``_blend`` of its step's pre-update moments, as in ``_pass``. It takes
     exactly what ``_pass`` accepts: a pass that reads a bad cell (by ``_reads_before``
     for the row before), must refuse a cold start or refuses an update raises.
     """
-    if len(models) != len(tables):
-        raise DimensionError(f"{len(models)} models but {len(tables)} tables")
-    if span is None and len({id(model) for model in models}) < len(models):
+    if not len(models) == len(tables) == len(spans):
+        raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
+    if not walking and len({id(model) for model in models}) < len(models):
         raise ConfigurationError("a model appears twice in one learning pass")
     labels, chains, firsts = {}, [], []
-    for order, (model, table) in enumerate(zip(models, tables)):
+    for order, (model, table, span) in enumerate(zip(models, tables, spans)):
         q, records, first = model._reach(table, span)
         lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
         rows = np.arange(max(records.start, q), records.stop)
         if not (np.isin(table.z[rows], (0, 1)).all() and all(np.isfinite(a).all() for a in (
                 table.w[rows], table.y[rows], table.t[lo:records.stop]))):
-            return _one_by_one(models, tables, span)
-        key = (id(model.clusters), id(table.t), first)  # the same walk, the same states
+            return _one_by_one(models, tables, spans)
+        key = id(model.clusters), id(table.t), lo, first, records.stop  # one walk, one labelling
         if key not in labels:
             walk = replace(model.clusters, centroids=model.clusters.centroids.copy(),
                            counts=model.clusters.counts.copy())
@@ -337,21 +329,25 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
         mine = model._chains(order, table, rows, labels[key])
         if not model.config.allow_cold_start and any(
                 ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
-            return _one_by_one(models, tables, span)
+            return _one_by_one(models, tables, spans)
         chains += mine
         firsts.append(first)
-    advanced = _advance(chains)
+    advanced = _advance(chains, walking)
     if advanced is None:
-        return _one_by_one(models, tables, span)
+        return _one_by_one(models, tables, spans)
     commits, events = advanced
     for _, message in sorted(events):
         warn(message, ConditioningWarning)
-    out: list[list[tuple]] = [[] for _ in models]
-    for ch in chains:
-        if ch.rows[-1] >= firsts[ch.order]:
-            _, means, covs = _blend(*ch.moments)
-            out[ch.order] += [(i, mean, var) for i, mean, var in zip(
-                ch.rows.tolist(), means, np.diagonal(covs, 0, 1, 2)) if i >= firsts[ch.order]]
+    parts = [[(np.zeros(0, int), *[np.zeros((0, m.n_responses))] * 2)] for m in models]
+    for ch in chains if walking else ():  # the forecast rows, from the model's first on
+        _, means, covs = _blend(*ch.moments)
+        at = ch.rows >= firsts[ch.order]
+        parts[ch.order].append((ch.rows[at], means[at], np.diagonal(covs, 0, 1, 2)[at]))
+    out = []
+    for mine in parts:
+        index, mean, var = (np.concatenate(column) for column in zip(*mine))
+        order = np.argsort(index)
+        out.append((index[order], mean[order], var[order]))
 
     def commit() -> None:
         for step in commits:
@@ -359,13 +355,13 @@ def _stacked(models, tables, span: range | None) -> tuple[list, Callable[[], Non
         for ch in chains:
             ch.model.params.setdefault(ch.key, ch.states)
             ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
-    return [sorted(forecasts, key=lambda f: f[0]) for forecasts in out], commit
+    return out, commit
 
 
-def _one_by_one(models, tables, span: range | None) -> NoReturn:
+def _one_by_one(models, tables, spans) -> NoReturn:
     """Raise what ``_pass`` raises over the records of a pass that ``_stacked``
     refused, each model on a copy of itself, in model order."""
-    for model, table in zip(models, tables):
+    for model, table, span in zip(models, tables, spans):
         _, records, first = model._reach(table, span)
         copy.deepcopy(model)._pass(table, 0, records, first)
     raise AssertionError("the stacked pass refused records that the loop accepts")
@@ -456,11 +452,13 @@ class IoHmmModel:
 
     def fit(self, records: Sequence[ProductionRecord], seed: int = 0,
             threshold: float = 0.8, k_min: int = 2, k_max: int = 12) -> "IoHmmModel":
-        """Discover states on the records, then learn them in one pass."""
-        self.attach_clusters(fit_states(records, self.config.features, seed=seed,
-                                        threshold=threshold, k_min=k_min,
-                                        k_max=k_max))
-        learn_tables([self], [build_features(records, self.config.features)])
+        """Featurize the records, discover states on them, then learn them in
+        one pass; a featurizing refusal comes first and a refused fit moves nothing."""
+        table = build_features(records, self.config.features)
+        fitted = IoHmmModel(self.config, fit_states(records, self.config.features, seed=seed,
+                                                    threshold=threshold, k_min=k_min, k_max=k_max))
+        learn_tables([fitted], [table])
+        vars(self).update(vars(fitted))  # the new states only with what was learned from them
         return self
 
     # -- pattern state access ------------------------------------------------
@@ -550,7 +548,7 @@ class IoHmmModel:
                              "no row before it gives its previous state")
         if span is None:
             return fc.q, range(n), n
-        if span.step != 1 or not 0 <= span.start <= span.stop <= n:
+        if not isinstance(span, range) or span.step != 1 or not 0 <= span.start <= span.stop <= n:
             raise DimensionError("the records to walk are not a range of the table's rows")
         return fc.q, span, max(span.start, fc.q + 1)
 

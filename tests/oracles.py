@@ -5,8 +5,9 @@ with direct solves, sharing no code with the rank-one update of
 ``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` parses a dataset
 one row at a time, without the column pass of ``parse_dataset``.
 ``lowo_row_oracle`` evaluates leave-one-week-out one forecast row at a
-time: one record per forecast and response, grouped into cells by a dict,
-with the pair-form VARX fit (``fit_varx_pairs``) and one-row forecasts.
+time and one fold at a time: one record per forecast and response, grouped
+into cells by a dict, with the pair-form VARX fit (``fit_varx_pairs``) and
+one-row forecasts.
 """
 
 from __future__ import annotations
@@ -212,9 +213,10 @@ def _rows(records, name, fold, i, responses, actual, predicted, var=None):
 def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | None = None,
                     seed: int = 0, threshold: float = 0.8, k_min: int = 2,
                     k_max: int = 12) -> MetricsReport:
-    """``leave_one_week_out`` one forecast row at a time; ``predictions``
-    holds the rows. The IO-HMM variants learn and walk through the same
-    stacked passes."""
+    """``leave_one_week_out`` one forecast row at a time and one fold at a
+    time; ``predictions`` holds the rows. The IO-HMM variants of each fold
+    learn and walk through stacked passes of that fold alone, before its
+    other models, and an empty cell warns at once."""
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
     if base is None:
@@ -253,10 +255,12 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
                     derived.append((q, columns))
             learn_tables(models, [train_table.lagged(q, cols) for q, cols in derived])
             tables = [full.lagged(q, cols) for q, cols in derived]
-            walks = walk_tables(models, tables, range(test_idx[0], test_idx[-1] + 1))
+            walks = walk_tables(models, tables,
+                                [range(test_idx[0], test_idx[-1] + 1)] * len(models))
             iohmm = {name: [] for name in names}
-            for name, model, table, walk in zip(names, models, tables, walks):
-                for i, y_hat, var in walk:
+            for name, model, table, (index, means, variances) in zip(names, models, tables,
+                                                                     walks):
+                for i, y_hat, var in zip(index.tolist(), means, variances):
                     iohmm[name] += _rows(records, name, fold, i,
                                          model.config.features.response_names,
                                          table.y[i], y_hat, var)

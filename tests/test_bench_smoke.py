@@ -69,21 +69,30 @@ def test_lowo_default_check_passes(workloads, tmp_path):
     assert findings["report_sha256"] == SHORT_LOWO_SHA256
 
 
-def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch):
-    # each fold learns its IO-HMM variants in one stacked pass and walks
-    # them through the test week in one more: no record-by-record walk or
-    # update is left
+@pytest.mark.parametrize("days, folds", [(14, 2), (21, 3)])
+def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days, folds):
+    # the IO-HMM variants of all folds learn in one stacked pass and walk
+    # their test weeks in one more, whatever the fold count: no
+    # record-by-record walk or update is left
+    import opcast.model
     from opcast.estimator import AdaptiveState
     from opcast.model import IoHmmModel
 
     def forbidden(*args, **kwargs):
         raise AssertionError("record-by-record work in a LOWO run")
 
+    passes = []
+
+    def counted(models, tables, spans, walking, stacked=opcast.model._stacked):
+        passes.append("walk" if walking else "learn")
+        return stacked(models, tables, spans, walking)
+
     monkeypatch.setattr(AdaptiveState, "_update", forbidden)
     monkeypatch.setattr(IoHmmModel, "run_online", forbidden)
+    monkeypatch.setattr(opcast.model, "_stacked", counted)
 
-    class ShortLowo(workloads.LowoDefault):
-        days = 14
-
-    findings, _ = _check(ShortLowo(), tmp_path, units=1)
-    assert findings["report_sha256"] == SHORT_LOWO_SHA256
+    short = type("ShortLowo", (workloads.LowoDefault,), {"days": days})
+    findings, _ = _check(short(), tmp_path, units=1)
+    assert findings["folds"] == folds and passes == ["learn", "walk"]
+    if days == 14:
+        assert findings["report_sha256"] == SHORT_LOWO_SHA256

@@ -9,11 +9,11 @@ import pytest
 
 import opcast.harness
 import opcast.model
-from opcast import (ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
+from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
                     ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
                     NumericError, OpcastError, OrderingError, SyntheticSpec,
                     ThresholdWarning, default_feature_config, emit_report,
-                    generate_synthetic, leave_one_week_out, mae,
+                    fit_states, generate_synthetic, leave_one_week_out, mae,
                     parse_model_name, response_summary, week_key)
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL
 
@@ -21,15 +21,18 @@ from conftest import build_stream
 from oracles import lowo_row_oracle
 
 
-@pytest.fixture(scope="module")
-def two_week_records():
-    spec = SyntheticSpec(states=2,
+def two_week_spec():
+    return SyntheticSpec(states=2,
                          transition=((0.85, 0.15), (0.25, 0.75)),
                          state_means=((3.0, 2.8), (2.2, 2.0)),
                          noise_cov=((0.01, 0.0), (0.0, 0.01)),
                          days=14, periods_per_shift=6, dt_max=0.4,
                          qu_frac_max=0.05, seed=4)
-    return generate_synthetic(spec)
+
+
+@pytest.fixture(scope="module")
+def two_week_records():
+    return generate_synthetic(two_week_spec())
 
 
 SMALL_MODELS = ("persistence", "no-lags", "iohmm-q1", "varx-q1", "iohmm-uni-q1")
@@ -354,6 +357,9 @@ class TestReportOracle:
         return {"14 days": two_week_records, "28 days": generate_synthetic(spec),
                 "one-record week": _first_week_of_one_record(),
                 "NaN in a test week": _with_nan_opt(two_week_records, 20),
+                "NaN after a one-record week": _with_nan_opt(_first_week_of_one_record(), 25),
+                "21 days, one speed": generate_synthetic(replace(  # ics repeats the intercept
+                    two_week_spec(), days=21, ics_levels=(1.88,))),
                 "NaN in the last record": _with_nan_opt(two_week_records,
                                                         len(two_week_records) - 1)}
 
@@ -376,6 +382,106 @@ class TestReportOracle:
         assert (len(got) == 2) == refused
         if not refused:
             assert any("no forecasts" in message for message in got[2]) == warned
+
+
+    def test_folds_of_different_k_share_one_learning_pass_and_one_walk(self, datasets):
+        # at threshold 0.6 the first fold settles on five states and the others
+        # on four, so the passes hold state predictors of two shapes
+        records = datasets["28 days"]
+        weeks = sorted({week_key(rec.date) for rec in records})
+        features = default_feature_config(records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            ks = [fit_states([rec for rec in records if week_key(rec.date) != week], features,
+                             seed=0, threshold=0.6, k_max=6).K for week in weeks]
+        assert len(weeks) == 4 and len(set(ks)) > 1
+        expected = self._emitted(lowo_row_oracle, records, DEFAULT_MODELS, threshold=0.6,
+                                 k_max=6)
+        got = self._emitted(leave_one_week_out, records, DEFAULT_MODELS, threshold=0.6, k_max=6)
+        assert got == expected and len(got) == 3
+
+    FAST_MODELS = ("persistence", "no-lags", "iohmm-q1", "iohmm-uni-q2")
+
+    @staticmethod
+    def _base(records, forgetting):
+        """The default config with regressor-side ``forgetting`` (0.99 is the
+        default's; a faster one winds up on one speed)."""
+        return ModelConfig(features=default_feature_config(records), lambda_u=forgetting,
+                           allow_cold_start=True)
+
+    @staticmethod
+    def _warned(run, records, models, **kwargs):
+        """What ``run`` raises (type, message) or None, and every warning it
+        issues as (category, message), in order."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                run(records, model_names=models, seed=0, k_max=4, **kwargs)
+                refused = None
+            except OpcastError as exc:
+                refused = type(exc), str(exc)
+        return refused, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("data, models, forgetting", [
+        ("28 days", DEFAULT_MODELS, 0.99),
+        ("14 days", SMALL_MODELS, 0.99),
+        ("21 days, one speed", FAST_MODELS, 0.8),  # ConditioningWarnings in every fold
+    ])
+    def test_the_warnings_are_those_of_the_folds_one_by_one(self, datasets, data, models,
+                                                            forgetting):
+        # the same warnings, each once; the ThresholdWarnings of every fold
+        # now come before the passes' ConditioningWarnings
+        base = self._base(datasets[data], forgetting)
+        expected = self._warned(lowo_row_oracle, datasets[data], models, base=base)
+        got = self._warned(leave_one_week_out, datasets[data], models, base=base)
+        assert got[0] is expected[0] is None
+        assert sorted(got[1], key=str) == sorted(expected[1], key=str)
+        kinds = [category for category, _ in got[1]]
+        assert ThresholdWarning in kinds and (ConditioningWarning in kinds) == (forgetting < 0.9)
+        assert kinds == sorted(kinds, key=lambda kind: kind is not ThresholdWarning)
+
+    def test_a_replay_issues_no_threshold_or_conditioning_warning(self, datasets,
+                                                                  monkeypatch):
+        # the passes refuse a wound-up update after warning; the folds are
+        # replayed one by one (the states fitted again) only to raise
+        records = datasets["21 days, one speed"]
+        weeks = {week_key(rec.date) for rec in records}
+        fits = []
+
+        def fit(*args, **kwargs):
+            fits.append(len(caught))
+            return fit_states(*args, **kwargs)
+
+        monkeypatch.setattr(opcast.harness, "fit_states", fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="gain denominator"):
+                leave_one_week_out(records, model_names=self.FAST_MODELS,
+                                   base=self._base(records, 0.7), seed=0, k_max=4)
+        kinds = [w.category for w in caught]
+        assert len(fits) > len(weeks) and ConditioningWarning in kinds[:fits[len(weeks)]]
+        assert kinds[fits[len(weeks)]:] == []
+
+    @pytest.mark.parametrize("data, models, error", [
+        # the first week's fold has no forecasts, and the last one forecasts
+        # from the NaN; the first fold's VARX learns it; no states to find
+        ("NaN after a one-record week", ("persistence",), NumericError),
+        ("NaN after a one-record week", ("persistence", "varx-q1"), NumericError),
+        ("NaN after a one-record week", ("persistence", "iohmm-q1", "varx-q2"),
+         DegenerateDataError),
+        ("NaN in a test week", ("persistence", "iohmm-q1"), NumericError),  # after the fits
+    ])
+    def test_a_refused_evaluation_warns_no_warning_twice(self, datasets, data, models, error):
+        # a refusal of the IO-HMM passes replays the folds one by one, a later
+        # one is theirs already: either way the UserWarnings are theirs
+        expected = self._warned(lowo_row_oracle, datasets[data], models)
+        got = self._warned(leave_one_week_out, datasets[data], models)
+        assert got[0] == expected[0] and got[0][0] is error
+        weeks = {week_key(rec.date) for rec in datasets[data]}
+        assert sum(kind is ThresholdWarning for kind, _ in got[1]) <= len(weeks)  # one a fold
+        assert Counter(w for w in got[1] if w[0] is not ThresholdWarning) <= Counter(expected[1])
+        assert [w for w in got[1] if w[0] is UserWarning] == \
+            [w for w in expected[1] if w[0] is UserWarning]
 
 
 class TestEmitReport:

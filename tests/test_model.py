@@ -846,7 +846,7 @@ class TestChecksAtTheTable:
             _learn(model, records[:7])
         fc = clean.config.features
         monkeypatch.setattr(opcast.model, "_one_by_one", refused)
-        walked = [_walked([model], [build_features(recs[7:], fc)], range(1, 13))
+        walked = [_walked([model], [build_features(recs[7:], fc)], [range(1, 13)])
                   for model, recs in ((dirty, bad), (clean, records))]
         assert walked[0] == walked[1] and len(walked[0][0]) == 11
         assert walked[0] == _walks_one_by_one([dirty], bad[7:], range(1, 13))
@@ -861,7 +861,7 @@ class TestChecksAtTheTable:
         table = build_features(records[9:], model.config.features)  # 9 begins no shift
         table = replace(table, begins_shift=np.r_[False, table.begins_shift[1:]])
         for run in (lambda: learn_tables([model], [table]),
-                    lambda: walk_tables([model], [table], range(len(table.y)))):
+                    lambda: walk_tables([model], [table], [range(len(table.y))])):
             with pytest.raises(InputError, match="first row must begin a shift"):
                 run()
             assert model.to_json() == before
@@ -1075,10 +1075,10 @@ def _walks_one_by_one(models, records, span):
     return out
 
 
-def _walked(models, tables, span):
+def _walked(models, tables, spans):
     """``walk_tables`` with its forecasts laid out as the oracle's."""
-    return [[(i, mean.tobytes(), var.tobytes()) for i, mean, var in walk]
-            for walk in walk_tables(models, tables, span)]
+    return [[(i, mean.tobytes(), var.tobytes()) for i, mean, var in zip(index.tolist(), *moments)]
+            for index, *moments in walk_tables(models, tables, spans)]
 
 
 class TestWalkTables:
@@ -1086,11 +1086,13 @@ class TestWalkTables:
 
     FAST = 0.7  # winds up enough to warn
 
-    def _models(self, setting, learned, cold=True, walked=None):
+    def _models(self, setting, learned, cold=True, walked=None, states=None):
         """Mixed lag orders, joint and single-response, two forgetting
-        settings, sharing one ``ClusterModel`` and learned from ``learned``
-        (if longer than q), with their tables of ``walked`` (all records)."""
-        records, features, states = setting
+        settings, sharing one ``ClusterModel`` (``states``, else the
+        setting's) and learned from ``learned`` (if longer than q), with
+        their tables of ``walked`` (all records)."""
+        records, features, shared = setting
+        states = states or shared
         lag_free = build_features(walked or records, features.with_lags(0))
         models, tables = [], []
         for q in range(4):
@@ -1112,7 +1114,7 @@ class TestWalkTables:
     def _assert_as_one_by_one(self, models, tables, records, span):
         before = [m.to_json() for m in models]
         expected = _outcome(lambda: _walks_one_by_one(models, records, span))
-        got = _outcome(lambda: _walked(models, tables, span))
+        got = _outcome(lambda: _walked(models, tables, [span] * len(models)))
         assert got == expected
         assert [m.to_json() for m in models] == before  # a walk moves nothing
         return got
@@ -1183,13 +1185,35 @@ class TestWalkTables:
                                                               range(100, len(records)))
         assert error is NumericError and "gain denominator" in message and warned
 
+    def test_models_of_two_cluster_models_walk_their_own_spans(self, setting):
+        # two ClusterModels of different K (v predictors of two shapes), each
+        # shared by twelve models, in one walk over three spans: each model's
+        # forecasts equal its own run_online walk, bit for bit
+        records, features, states = setting
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            other = fit_states(records[:150], features, seed=1, k_max=2)
+        assert other.K != states.K
+        first, second = self._models(setting, records[:100]), \
+            self._models(setting, records[:60], states=other)
+        models, tables = first[0] + second[0], first[1] + second[1]
+        spans = [range(100, 180)] * 12 + [range(60, 252), range(200, 252)] * 6
+        before = [m.to_json() for m in models]
+        expected = _outcome(lambda: [_walks_one_by_one([model], records, span)[0]
+                                     for model, span in zip(models, spans)])
+        got = _outcome(lambda: _walked(models, tables, spans))
+        assert got == expected and all(got[0])
+        assert [m.to_json() for m in models] == before
+
     def test_rejects_what_it_cannot_walk(self, setting):
         models, tables = self._models(setting, setting[0][:50])
-        for span in (range(0, len(tables[0].y) + 1), range(10, 20, 2)):
+        for span in (range(0, len(tables[0].y) + 1), range(10, 20, 2), [10, 11], (10, 11)):
             with pytest.raises(DimensionError):
-                walk_tables(models, tables, span)
+                walk_tables(models, tables, [span] * len(models))
         with pytest.raises(DimensionError):
-            walk_tables(models, tables[1:], range(50, 60))
+            walk_tables(models, tables[1:], [range(50, 60)] * len(models))
+        with pytest.raises(DimensionError):
+            walk_tables(models, tables, [range(50, 60)] * (len(models) - 1))
 
 
 class TestFit:
@@ -1230,6 +1254,43 @@ class TestFit:
         config = ModelConfig(features=_feature_config(t_spec=("OpT", "av")))
         with pytest.raises(DimensionError):
             IoHmmModel(config, clusters=_manual_clusters([[0.0], [1.0]]))
+
+    @staticmethod
+    def _fitted(records):
+        model = IoHmmModel(ModelConfig(features=_feature_config(q=1, t_spec=("OpT", "av")),
+                                       allow_cold_start=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            return model.fit(records, seed=0, k_max=3)
+
+    def test_a_refused_refit_moves_nothing(self):
+        # the states are discovered (t holds no NOpT), then learning refuses
+        # the NaN response: the fitted model keeps its states and predictors
+        records = TestRunOnline()._records(30, seed=3)
+        model = self._fitted(records[:20])
+        before = model.to_json()
+        with pytest.raises(NumericError, match="record 25"):
+            self._fitted(_with_cells(records, {25: {"NOpT": float("nan")}}))
+        with pytest.raises(NumericError, match="record 25"):
+            model.fit(_with_cells(records, {25: {"NOpT": float("nan")}}), seed=0, k_max=3)
+        assert model.params and model.to_json() == before
+
+    def test_a_featurizing_refusal_comes_before_state_discovery(self, monkeypatch):
+        # an empty response cell is refused by the featurizer before any
+        # k-means run, also where the state discovery would refuse too (too
+        # few distinct classification points); the fitted model is kept
+        def forbidden(*args, **kwargs):
+            raise AssertionError("states discovered for records the featurizer refuses")
+
+        records = TestRunOnline()._records(30, seed=3)
+        model = self._fitted(records)
+        before = model.to_json()
+        monkeypatch.setattr(opcast.model, "fit_auto_k", forbidden)
+        for bad in (_with_cells(records, {7: {"NOpT": None}}),
+                    [replace(rec, NOpT=None) for rec in records[:2]]):
+            with pytest.raises(ConfigurationError, match="'NOpT'"):
+                model.fit(bad, seed=0, k_max=3)
+        assert model.to_json() == before
 
 
 class TestSnapshot:
@@ -1446,7 +1507,7 @@ def test_warnings_point_at_the_callers_line(setting, entry):
         "AdaptiveState.update": (_wind_up, ConditioningWarning),
         "run_online": (lambda: fast.run_online(records), ConditioningWarning),
         "learn_tables": (lambda: learn_tables([fast], [table]), ConditioningWarning),
-        "walk_tables": (lambda: walk_tables([fast], [table], range(len(records))),
+        "walk_tables": (lambda: walk_tables([fast], [table], [range(len(records))]),
                         ConditioningWarning),
         "IoHmmModel.fit": (lambda: IoHmmModel(ModelConfig(features=features)).fit(
             records, threshold=0.99, k_max=3), ThresholdWarning),
