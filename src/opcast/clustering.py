@@ -2,8 +2,10 @@
 
 Hidden states are cluster centroids in the standardized feature space.
 The number of states is chosen automatically: the smallest K whose
-between-cluster share of the total spread reaches a threshold. Centroids
-keep adapting after fitting through running-mean updates.
+between-cluster share of the total spread reaches a threshold. Short of
+it, the search stops once one more K adds less than ``MIN_GAIN`` of the
+spread and keeps the K before. Centroids keep adapting after fitting
+through running-mean updates.
 
 The implementation is self-contained (seeded restarts, lowest-index tie
 breaking, deterministic empty-cluster repair) so that fitted states are
@@ -26,6 +28,7 @@ from .estimator import serialized
 
 N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
+MIN_GAIN = 0.02  # short of the threshold, the least share of the spread one more K adds
 
 
 class OeeBand(enum.Enum):
@@ -224,8 +227,10 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
 
     K runs from ``k_min`` upward; for each K the best of ``N_RESTARTS``
     seeded runs (lowest within-cluster sum, the first on ties) is kept.
-    The first K whose between-cluster share reaches ``threshold`` wins. If
-    none does, the largest K is used and a warning is emitted.
+    The first K whose between-cluster share reaches ``threshold`` wins.
+    Short of it, the first K that adds less than ``MIN_GAIN`` to the share
+    of K - 1 ends the search with the K - 1 fit; else the largest K is
+    used. Either way a warning names the stop.
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must lie in (0, 1], got {threshold}")
@@ -243,6 +248,7 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
     if tss == 0.0:
         raise DegenerateDataError("classification points have zero spread")
 
+    stop, last = f"K={min(k_max, n_distinct)} is the largest tried", None
     for K in range(k_min, min(k_max, n_distinct) + 1):
         centroids, assign, wss = min(
             (_lloyd(X, K, np.random.default_rng([seed, K, r])) for r in range(N_RESTARTS)),
@@ -250,10 +256,15 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
         gof = 1.0 - wss / tss
         if gof >= threshold:
             break
+        if last is not None and gof - last[2] < MIN_GAIN:  # keep the K - 1 fit
+            stop = f"K={K} adds {gof - last[2]:.4f} < {MIN_GAIN} of the spread"
+            K, (centroids, assign, gof) = K - 1, last
+            break
+        last = centroids, assign, gof
     reached = gof >= threshold
     if not reached:
-        warn(f"cluster-quality threshold {threshold} not reached by K={K} "
-             f"(best share {gof:.3f}); using K={K}", ThresholdWarning)
+        warn(f"cluster-quality threshold {threshold} not reached ({stop}); "
+             f"using K={K} (share {gof:.3f})", ThresholdWarning)
     counts = np.bincount(assign, minlength=K).astype(float)
     return ClusterModel(K=K, centroids=centroids, counts=counts, standardizer=std,
                         gof=gof, reached_threshold=reached)

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
+from .clustering import ClusterModel
 from .errors import (ConditioningWarning, ConfigurationError, DegenerateDataError,
                      OpcastError, ThresholdWarning, warn)
 from .features import CovariateSpec, FeatureTable, build_features, default_feature_config
@@ -99,6 +100,7 @@ class MetricsReport:
     models: list[str]
     n_records: int
     predictions: list[ForecastBlock] = field(default_factory=list)
+    states: dict[str, ClusterModel] = field(default_factory=dict)  # per fold, if fitted
 
 
 def response_summary(records: Sequence[ProductionRecord],
@@ -172,7 +174,8 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     its IO-HMM variants, which learn and walk before the other models, all
     folds at once. Per-fold cells without forecasts are omitted with a
     warning. A refusal is that of the folds one by one: one before the other
-    models replays the folds so, issuing no Threshold or ConditioningWarning twice.
+    models replays the folds so, on the states already fitted, issuing no
+    Threshold or ConditioningWarning twice. ``states`` holds each fold's fit.
     """
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
@@ -203,11 +206,15 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
                              ) if "persistence" in kinds else None
 
+    fitted: dict[str, ClusterModel] = {}  # each fold's states, fitted once
+
     def learned(folds) -> tuple[list, dict]:
         """The training tables and IO-HMM blocks of ``folds``, ``(week, test records)``."""
         trains = [[*records[:test.start], *records[test.stop:]] for _, test in folds]
-        states = [fit_states(train, base.features, seed=seed, threshold=threshold,
-                             k_min=k_min, k_max=k_max) for train in trains] if variants else []
+        fitted.update((week, fit_states(train, base.features, seed=seed, threshold=threshold,
+                                        k_min=k_min, k_max=k_max))
+                      for (week, _), train in zip(folds, trains) if variants and week not in fitted)
+        states = [fitted[week] for week, _ in folds if week in fitted]
         tables = [None if full is None else build_features(train, lag_free) for train in trains]
         return tables, _iohmm_blocks(variants, base, folds, states, tables, walked)
 
@@ -245,7 +252,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     return MetricsReport(rows=_aggregate(blocks, shifts),
                          response_summary=response_summary(records, responses),
                          folds=weeks, models=list(model_names),
-                         n_records=len(records), predictions=blocks)
+                         n_records=len(records), predictions=blocks, states=fitted)
 
 
 def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[ReportRow]:
@@ -297,6 +304,8 @@ def emit_report(report: MetricsReport, format: str = "csv") -> str:
             "folds": report.folds,
             "models": report.models,
             "n_records": report.n_records,
+            "states": {fold: {"K": m.K, "gof": m.gof, "reached_threshold": m.reached_threshold}
+                       for fold, m in report.states.items()},
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     raise ConfigurationError(f"unknown report format {format!r}")

@@ -35,17 +35,16 @@ def _spreads(sd, shape: tuple | None = None) -> np.ndarray:
 
 
 def scores(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[str, float]:
-    """The ``mae`` and ``rmse``, and given spreads ``s`` the ``covg`` and
-    ``piw``, of ``checked`` arrays, in that order."""
+    """The ``mae`` and ``rmse``, and given spreads ``s`` the ``covg``, ``piw`` and
+    ``is95`` (the 95% band's interval score, Gneiting & Raftery 2007: its width
+    plus ``2 / 0.05`` times each miss), of ``checked`` arrays, in that order."""
     err = np.abs(a - p)
     out = {"mae": float(err.mean()), "rmse": float(np.sqrt((err ** 2).mean()))}
     if s is not None:
-        out.update(covg=float((err <= Z95 * s).mean()), piw=_width(s))
+        h = Z95 * s
+        out.update(covg=float((err <= h).mean()), piw=float(h.mean()),
+                   is95=float((2.0 * h + 40.0 * np.maximum(err - h, 0.0)).mean()))
     return out
-
-
-def _width(s: np.ndarray) -> float:
-    return float((Z95 * s).mean())
 
 
 def mae(actual, predicted) -> float:
@@ -63,4 +62,4 @@ def coverage(actual, predicted, sd) -> float:
 
 def interval_width(sd) -> float:
     """Mean half-width of the centered 95% band."""
-    return _width(_spreads(sd))
+    return float((Z95 * _spreads(sd)).mean())

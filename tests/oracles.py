@@ -28,7 +28,7 @@ from opcast.estimator import checked_vector
 from opcast.features import build_features, default_feature_config
 from opcast.harness import (DEFAULT_MODELS, MetricsReport, ReportRow, parse_model_name,
                             response_summary, week_key)
-from opcast.metrics import coverage, interval_width, mae, rmse
+from opcast.metrics import checked, coverage, interval_width, mae, rmse, scores
 from opcast.model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from opcast.records import (_GROUPS, ALIAS_TO_ATTR, MANDATORY, ParseResult, RowError,
                             _parse_row, check_chronological)
@@ -231,12 +231,14 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
     full = build_features(records, lag_free) if use_varx or use_iohmm else None
 
-    predictions = []
+    predictions, fitted = [], {}
     for fold in weeks:
         test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
         train = [rec for rec in records if week_key(rec.date) != fold]
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
                             k_min=k_min, k_max=k_max) if use_iohmm else None
+        if use_iohmm:
+            fitted[fold] = states
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
         iohmm = {}
         if use_iohmm:
@@ -301,8 +303,9 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         if all(r.sd is not None for r in group):
             sds = [r.sd for r in group]
             metrics += [("covg", coverage(actual, predicted, sds)),
-                        ("piw", interval_width(sds))]
+                        ("piw", interval_width(sds)),
+                        ("is95", scores(*checked(actual, predicted, sds))["is95"])]
         out += [ReportRow(*key, metric, value, len(group)) for metric, value in metrics]
     return MetricsReport(rows=out, response_summary=response_summary(records, responses),
                          folds=weeks, models=list(model_names), n_records=len(records),
-                         predictions=predictions)
+                         predictions=predictions, states=fitted)

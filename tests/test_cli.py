@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import opcast
-from opcast import IoHmmModel, parse_dataset
+from opcast import (IoHmmModel, ThresholdWarning, default_feature_config, fit_states,
+                    parse_dataset, week_key)
 from opcast.cli import main
 
 SIM_SPEC = {
@@ -463,6 +465,28 @@ class TestEvaluate:
         assert doc["models"] == ["persistence", "varx-q1", "no-lags"]
         table = capsys.readouterr().out
         assert "persistence" in table and "varx-q1" in table
+
+    def test_the_summary_shows_each_folds_state_search(self, workdir, tmp_path):
+        records = parse_dataset(workdir / "data.csv").records
+        summary = tmp_path / "report.json"
+        for models, fitted in (("persistence", False), ("persistence,no-lags", True)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ThresholdWarning)
+                assert main(["evaluate", "--data", str(workdir / "data.csv"),
+                             "--out", str(tmp_path / "report.csv"),
+                             "--summary-out", str(summary), "--models", models,
+                             "--kmax", "4"]) == 0
+            doc = json.loads(summary.read_text())
+            weeks = doc["folds"]
+            assert sorted(doc["states"]) == (weeks if fitted else [])
+        features = default_feature_config(records)
+        for week in weeks:  # the fold's states, as fitted on its training weeks
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ThresholdWarning)
+                states = fit_states([rec for rec in records if week_key(rec.date) != week],
+                                    features, k_max=4)
+            assert doc["states"][week] == {"K": states.K, "gof": states.gof,
+                                           "reached_threshold": states.reached_threshold}
 
     def test_k_range_is_checked_as_in_fit(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"

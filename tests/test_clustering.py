@@ -117,6 +117,64 @@ class TestAutoK:
             fit_auto_k(np.ones(5))
 
 
+class TestGainStop:
+    """Short of the threshold, the K search stops before the first K that adds
+    less than ``MIN_GAIN`` of the spread."""
+
+    @staticmethod
+    def _no_structure():
+        return np.random.default_rng(2).normal(size=(200, 3))  # the step to K=9 adds 0.013
+
+    @staticmethod
+    def _share(pts, K, seed=0):
+        """The share of the kept fit at K alone: the fit the search makes at K."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            return fit_auto_k(pts, threshold=1.0, k_min=K, k_max=K, seed=seed).gof
+
+    def test_the_result_is_the_search_capped_at_its_k(self):
+        pts = self._no_structure()
+        with pytest.warns(ThresholdWarning):
+            model = fit_auto_k(pts)
+            capped = fit_auto_k(pts, k_max=model.K)
+        assert 2 < model.K < 12 and not model.reached_threshold
+        assert model.centroids.tobytes() == capped.centroids.tobytes()
+        assert model.counts.tobytes() == capped.counts.tobytes()
+        assert model.gof == capped.gof == self._share(pts, model.K)
+        shares = [self._share(pts, K) for K in range(2, model.K + 2)]
+        steps = np.diff(shares)
+        assert steps[-1] < clustering.MIN_GAIN <= steps[:-1].min()
+
+    def test_a_threshold_reached_still_wins(self):
+        # at the share of the K past the stop, the paper's rule reaches it there
+        pts = self._no_structure()
+        with pytest.warns(ThresholdWarning):
+            stop = fit_auto_k(pts).K
+        threshold = self._share(pts, stop + 1)
+        assert threshold - self._share(pts, stop) < clustering.MIN_GAIN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ThresholdWarning)
+            model = fit_auto_k(pts, threshold=threshold)
+        assert model.K == stop + 1 and model.reached_threshold
+
+    def test_steps_at_or_above_the_least_gain_run_to_k_max(self):
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(-50.0, 50.0, size=(6, 2))
+        pts = np.concatenate([c + rng.normal(size=(30, 2)) for c in centers])
+        with pytest.warns(ThresholdWarning, match=r"\(K=5 is the largest tried\); using K=5"):
+            model = fit_auto_k(pts, threshold=0.9999, k_max=5)
+        assert model.K == 5 and not model.reached_threshold
+
+    def test_the_warning_names_the_stop(self):
+        pts = self._no_structure()
+        with pytest.warns(ThresholdWarning) as caught:
+            model = fit_auto_k(pts)
+        assert len(caught) == 1
+        assert (f"(K={model.K + 1} adds 0.01" in str(caught[0].message)
+                and f"< {clustering.MIN_GAIN} of the spread); using K={model.K}"
+                in str(caught[0].message))
+
+
 class TestClusterModel:
     def _manual(self, centroids, counts):
         centroids = np.asarray(centroids, dtype=float)

@@ -136,7 +136,7 @@ class TestLeaveOneWeekOut:
             by_model.setdefault(row.model, set()).add(row.metric)
         assert by_model["persistence"] == {"mae", "rmse"}
         for model in ("no-lags", "iohmm-q1", "varx-q1", "iohmm-uni-q1"):
-            assert by_model[model] == {"mae", "rmse", "covg", "piw"}
+            assert by_model[model] == {"mae", "rmse", "covg", "piw", "is95"}
 
     def test_cell_values_match_their_predictions(self, two_week_records, small_report):
         blocks = {(b.model, b.fold, b.response): b for b in small_report.predictions}
@@ -443,24 +443,29 @@ class TestReportOracle:
     def test_a_replay_issues_no_threshold_or_conditioning_warning(self, datasets,
                                                                   monkeypatch):
         # the passes refuse a wound-up update after warning; the folds are
-        # replayed one by one (the states fitted again) only to raise
+        # replayed one by one, with the states already fitted, only to raise
         records = datasets["21 days, one speed"]
         weeks = {week_key(rec.date) for rec in records}
-        fits = []
+        fits, passes = [], []
 
         def fit(*args, **kwargs):
             fits.append(len(caught))
             return fit_states(*args, **kwargs)
 
+        def learn(*args, blocks=opcast.harness._iohmm_blocks):
+            passes.append(len(caught))
+            return blocks(*args)
+
         monkeypatch.setattr(opcast.harness, "fit_states", fit)
+        monkeypatch.setattr(opcast.harness, "_iohmm_blocks", learn)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericError, match="gain denominator"):
                 leave_one_week_out(records, model_names=self.FAST_MODELS,
                                    base=self._base(records, 0.7), seed=0, k_max=4)
         kinds = [w.category for w in caught]
-        assert len(fits) > len(weeks) and ConditioningWarning in kinds[:fits[len(weeks)]]
-        assert kinds[fits[len(weeks)]:] == []
+        assert len(fits) == len(weeks) and len(passes) > 1  # one fit a fold, then a replay
+        assert ConditioningWarning in kinds[:passes[1]] and kinds[passes[1]:] == []
 
     @pytest.mark.parametrize("data, models, error", [
         # the first week's fold has no forecasts, and the last one forecasts

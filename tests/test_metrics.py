@@ -69,3 +69,36 @@ class TestIntervalMetrics:
             interval_width([np.inf])
         with pytest.raises(DimensionError):
             interval_width([])
+
+
+class TestIntervalScore:
+    @staticmethod
+    def _is95(actual, predicted, sd):
+        # one forecast at a time: the band's width plus 2 / 0.05 times the miss
+        total = 0.0
+        for a, p, s in zip(actual, predicted, sd):
+            lo, hi = p - 1.96 * s, p + 1.96 * s
+            total += (hi - lo) + 2.0 / 0.05 * (max(lo - a, 0.0) + max(a - hi, 0.0))
+        return total / len(actual)
+
+    @staticmethod
+    def _scores(actual, predicted, sd):
+        return opcast.metrics.scores(*opcast.metrics.checked(actual, predicted, sd))
+
+    def test_equals_a_loop_over_the_forecasts(self):
+        rng = np.random.default_rng(3)
+        a, p = rng.normal(size=(2, 300))
+        sd = rng.uniform(0.0, 1.5, size=300)  # some misses on either side, some zero spreads
+        sd[:5] = 0.0
+        out = self._scores(a, p, sd)
+        assert list(out) == ["mae", "rmse", "covg", "piw", "is95"]
+        assert out["is95"] == pytest.approx(self._is95(a, p, sd), rel=1e-12)
+
+    def test_hand_values(self):
+        # inside: the width 2 * 1.96; outside by 0.5: that plus 40 * 0.5
+        assert self._scores([0.5], [0.0], [1.0])["is95"] == pytest.approx(3.92)
+        assert self._scores([-2.46], [0.0], [1.0])["is95"] == pytest.approx(23.92)
+        assert self._scores([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])["is95"] == 40.0
+
+    def test_only_with_spreads(self):
+        assert "is95" not in self._scores([1.0], [0.0], None)
