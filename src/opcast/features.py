@@ -2,13 +2,13 @@
 
 Three vectors are built per record: a binary conditioning pattern ``z``
 (drives the discrete state machinery), a continuous regressor vector ``w``
-(drives the adaptive linear models, includes lagged responses) and a
-classification vector ``t`` (drives state assignment). ``build_features``
-is the one featurizer: it evaluates them for a whole record list into one
-``FeatureTable`` of arrays indexed by record position. The announced,
-not yet observed period is featurized the same way, as a pseudo-record
-appended to the tail of the history. Specs are parsed and checked against
-the record columns once, when the ``FeatureConfig`` is built.
+(drives the adaptive linear models) and a classification vector ``t``
+(drives state assignment). ``build_features`` evaluates them and the
+responses ``y`` for a whole record list into one lag-free ``FeatureTable``
+of arrays indexed by record position; a model reads its responses' lags
+from ``y`` (``FeatureTable.regressors``). The announced period is featurized
+the same way, as a pseudo-record appended to the tail of the history. Specs
+are parsed and checked against the record columns once, in ``FeatureConfig``.
 
 Covariates are declared as small spec strings:
 
@@ -39,7 +39,7 @@ _TEXT_COLUMNS = frozenset({"shift", "shift_code", "weekday", "date", "start"})
 _COLUMNS = frozenset(f.name for f in fields(ProductionRecord)) | _TEXT_COLUMNS
 _NUMERIC_COLUMNS = _COLUMNS - _TEXT_COLUMNS
 
-MAX_LAGS = 5  # the largest lag order q: bounds the width of a lagged table
+MAX_LAGS = 5  # the largest lag order q: bounds the width of a model's regressors
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ class CovariateSpec:
 class FeatureConfig:
     """Declarative description of the model inputs.
 
-    ``q`` lagged copies of the response vector are appended to ``w`` in
-    lag-major order (all responses at lag 1, then lag 2, ...).
+    A model's regressors are ``w`` followed by ``q`` lags of its responses in
+    lag-major order (all responses at lag 1, then lag 2, ...), read from ``y``.
     """
 
     response_names: tuple[str, ...]
@@ -186,31 +186,22 @@ class FeatureConfig:
 class FeatureTable:
     """Model inputs of one record list; row ``i`` belongs to record ``i``.
 
-    The lag cells of ``w`` in rows before ``q`` are NaN: those records only
-    supply lags and are never learned from or forecast.
+    It holds no lags: ``w`` has a column per regressor spec for any ``q``, ``y``
+    one per name in ``responses``, and a model reads its lags from ``y``.
     """
 
     z: np.ndarray             # (n, pattern_length)
-    w: np.ndarray             # (n, w_dim)
+    w: np.ndarray             # (n, len(w_spec))
     t: np.ndarray             # (n, len(t_spec))
-    y: np.ndarray             # (n, n_responses)
+    y: np.ndarray             # (n, len(responses))
     begins_shift: np.ndarray  # (n,) bool
+    responses: tuple[str, ...]  # the name of each column of y
 
-    def lagged(self, q: int, responses: Sequence[int]) -> "FeatureTable":
-        """This lag-free table with ``q`` lags of its ``responses`` columns:
-        the table ``build_features`` makes for that lag order and response subset."""
-        y = self.y[:, list(responses)]
-        return replace(self, w=_with_lags(self.w, y, q), y=y)
-
-
-def _with_lags(w_base: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
-    """``w_base`` with ``q`` lags of ``y`` appended; rows before ``q`` get NaN there."""
-    (n, m), n_base = y.shape, w_base.shape[1]
-    w = np.full((n, n_base + q * m), np.nan)
-    w[:, :n_base] = w_base
-    for j in range(1, q + 1):
-        w[q:, n_base + (j - 1) * m:n_base + j * m] = y[q - j:n - j]
-    return w
+    def regressors(self, rows: np.ndarray, q: int, columns: Sequence[int]) -> np.ndarray:
+        """``[w, y[rows - 1], ..., y[rows - q]]`` of ``rows`` (>= q) for the ``y`` ``columns``."""
+        y = self.y.take(columns, axis=1)  # take: cheaper than fancy indexing on a few rows
+        return np.concatenate([self.w.take(rows, axis=0)]
+                              + [y.take(rows - j, axis=0) for j in range(1, q + 1)], axis=1)
 
 
 def pattern_key(z) -> str:
@@ -268,7 +259,7 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     covariates other than the speed must be supplied through ``overrides``
     because they are not known before the period runs.
 
-    Returns ``(z, w, begins_shift)``.
+    Returns ``(z, w, begins_shift)``, ``w`` with the ``q`` lags of the responses.
     """
     if len(records) < max(config.q, 1):
         raise InsufficientHistoryError(
@@ -291,7 +282,8 @@ def assemble_next_features(records: Sequence[ProductionRecord],
                         ics=float(ics) if ics is not None else last.ics,
                         pr_ord=last.pr_ord + bool(new_order), **future)
     table = build_features(list(records[-(config.q + 1):]) + [announced], config)
-    return table.z[-1], table.w[-1], bool(table.begins_shift[-1])
+    w = table.regressors(np.array([len(table.y) - 1]), config.q, range(config.n_responses))
+    return table.z[-1], w[0], bool(table.begins_shift[-1])
 
 
 @functools.cache
@@ -310,19 +302,19 @@ def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord
 
 def build_features(records: Sequence[ProductionRecord],
                    config: FeatureConfig) -> FeatureTable:
-    """Featurize a whole record list into one table.
+    """Featurize a whole record list into one lag-free table of the config's responses.
 
-    The first ``q`` records only supply lags; learning and forecasting
-    start at position ``q``. Lags run across sequence boundaries: the
-    previous ``q`` records are used regardless of shift or order changes.
+    At lag order ``q`` the first ``q`` records only supply lags. Lags run
+    across sequence boundaries: the previous ``q`` records are used
+    regardless of shift or order changes.
     """
     if len(records) <= config.q:
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
     flags = boundary_flags(records)
-    y = _evaluate(_numeric(config.response_names), records, flags)
     return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
-                        w=_with_lags(_evaluate(config.parsed_w, records, flags),
-                                     y, config.q),
-                        t=classification_points(records, config), y=y,
-                        begins_shift=np.array([fl.begins_shift for fl in flags]))
+                        w=_evaluate(config.parsed_w, records, flags),
+                        t=classification_points(records, config),
+                        y=_evaluate(_numeric(config.response_names), records, flags),
+                        begins_shift=np.array([fl.begins_shift for fl in flags]),
+                        responses=config.response_names)

@@ -4,12 +4,12 @@ Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
 as sequence starts) and evaluated on the held-out week. First, each fold's
 hidden states are discovered and its training weeks featurized once, as a
-lag-free table of all responses (also the VARX input). Each IO-HMM variant
-learns from a copy of that table with its response columns and lags, and
-walks its test week in one of the table of all records, built once per
-variant: the variants of all folds learn in one stacked pass (``learn_tables``)
-and walk in one more (``walk_tables``), learning as they walk, as in
-production; the regression benchmark stays frozen after fitting.
+lag-free table of all responses (also the VARX input). Every IO-HMM variant
+reads its responses and lags from that table, learning, and walks its test
+week in the one such table of all records: the variants of all folds learn
+in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
+learning as they walk, as in production; the regression benchmark stays
+frozen after fitting.
 
 Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
 the report splits each by shift type, per model, fold, shift type and response.
@@ -126,34 +126,31 @@ def _blocks(name, fold, responses, index, actual, mean, sd=None) -> list[Forecas
 
 
 def _iohmm_blocks(variants, base: ModelConfig, folds, states, trains,
-                  walked) -> dict[tuple[str, str], list[ForecastBlock]]:
+                  full: FeatureTable) -> dict[tuple[str, str], list[ForecastBlock]]:
     """The IO-HMM ``variants``' blocks per identifier and fold (``(week, test
     records)``), in response order: each learns from its fold's training table
-    with its ``states`` and walks the test week in its table of all records
-    (``walked``), all folds in one stacked learning pass and one stacked walk."""
+    with its ``states`` and walks the test week in the table of all records
+    (``full``), all folds in one stacked learning pass and one stacked walk."""
     models = [IoHmmModel(replace(base, features=features), clusters=fitted)
-              for fitted in states for _, features, _, _ in variants]
-    learn_tables(models, [train.lagged(q, columns)
-                          for train in trains for _, _, q, columns in variants])
-    walks = iter(walk_tables(models, walked * len(folds),
+              for fitted in states for _, features, _ in variants]
+    learn_tables(models, [train for train in trains for _ in variants])
+    walks = iter(walk_tables(models, [full] * len(models),
                              [test for _, test in folds for _ in variants]))
     blocks: dict[tuple[str, str], list[ForecastBlock]] = {}
     for fold, _ in folds:
-        for (name, features, _, _), table in zip(variants, walked):
+        for name, features, columns in variants:
             index, mean, var = next(walks)
             blocks.setdefault((name, fold), []).extend(_blocks(
-                name, fold, features.response_names, index, table.y[index], mean,
-                np.sqrt(np.clip(var, 0.0, None))))
+                name, fold, features.response_names, index, full.y[np.ix_(index, columns)],
+                mean, np.sqrt(np.clip(var, 0.0, None))))
     return blocks
 
 
 def _varx_blocks(train: FeatureTable, full: FeatureTable, test: range, name, fold,
                  responses, q: int) -> list[ForecastBlock]:
     """VARX(q) fitted on the training table, forecasting the test records
-    from ``q`` on out of the full one, in one call.
-
-    Both tables are built without lags; the VARX takes its lags from ``y``.
-    """
+    from ``q`` on out of the full one, in one call; like the IO-HMM
+    variants, the VARX takes its lags from ``y``."""
     varx = fit_varx(train.y, train.w, q)
     index = np.arange(max(test.start, q), test.stop)
     y_hat, sigma = predict_varx(varx, [full.y[index - j] for j in range(1, q + 1)],
@@ -193,16 +190,15 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         raise DegenerateDataError(
             f"leave-one-week-out needs at least 2 ISO weeks, found {len(weeks)}")
 
-    variants = []  # a fold's IO-HMM models: (identifier, features, lag order, response columns)
+    variants = []  # a fold's IO-HMM models: (identifier, features, response columns)
     for name in model_names:
         kind, q = parse_model_name(name)
         if kind in ("iohmm", "iohmm-uni"):
             features = base.features.with_lags(q)
-            variants += [(name, features, q, range(len(responses)))] if kind == "iohmm" else \
-                [(name, features.for_response(resp), q, [j]) for j, resp in enumerate(responses)]
+            variants += [(name, features, range(len(responses)))] if kind == "iohmm" else \
+                [(name, features.for_response(resp), [j]) for j, resp in enumerate(responses)]
     lag_free = base.features.with_lags(0)
     full = build_features(records, lag_free) if "varx" in kinds or variants else None
-    walked = [full.lagged(q, columns) for _, _, q, columns in variants]  # the same in every fold
     values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
                              ) if "persistence" in kinds else None
 
@@ -216,7 +212,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
                       for (week, _), train in zip(folds, trains) if variants and week not in fitted)
         states = [fitted[week] for week, _ in folds if week in fitted]
         tables = [None if full is None else build_features(train, lag_free) for train in trains]
-        return tables, _iohmm_blocks(variants, base, folds, states, tables, walked)
+        return tables, _iohmm_blocks(variants, base, folds, states, tables, full)
 
     def evaluated(folds, tables, blocks) -> list[ForecastBlock]:
         """All blocks of ``folds`` in fold and model order; an empty cell warns at once."""

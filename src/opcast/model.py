@@ -1,11 +1,11 @@
 """Online forecasting model combining two adaptive predictors per pattern.
 
 For every binary conditioning pattern the model keeps two linear models
-sharing the same responses: one driven by the continuous regressors
-(``u = [1, w]``), one driven by the expected-state probability vector from
-the pseudo-count tables. Their forecasts are blended per response with
-inverse-variance weights. Hidden states come from clustering; their
-dynamics are tracked by the pseudo-counts.
+sharing the same responses: one driven by the regressors ``u = [1, w]``
+(``w`` and ``q`` lags of its responses, read from a lag-free table's ``y``),
+one driven by the expected-state probability vector from the pseudo-count
+tables. Their forecasts are blended per response with inverse-variance
+weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
 Records move state in one loop, and a forecast only reads. ``run_online``
 (``_pass``) is the interleaved loop over a run of consecutive records: per
@@ -215,6 +215,7 @@ class _Chain:
     key: str
     states: PatternStates   # the pattern's predictors before the pass
     table: FeatureTable
+    columns: list           # the columns of table.y that hold the model's responses
     rows: np.ndarray        # the learned rows of the table
     prev: np.ndarray        # count row read: 0 where a sequence begins, else the state before
     cur: np.ndarray         # realized states, 1-based
@@ -224,7 +225,7 @@ class _Chain:
     @property
     def u(self) -> np.ndarray:
         """The regressor vectors ``[1, w]``, built only while a pass needs them."""
-        w = self.table.w[self.rows]
+        w = self.table.regressors(self.rows, self.model.config.features.q, self.columns)
         return np.concatenate((np.ones((len(w), 1)), w), axis=1)
 
 
@@ -266,8 +267,9 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | Non
         for group in groups.values():
             X, active = stacked([ch.u for ch in group]) if name == "u" \
                 else _walk_counts(group)
-            done = stacked_pass([getattr(ch.states, name) for ch in group], X,
-                                stacked([ch.table.y[ch.rows] for ch in group])[0], active)
+            Y = stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
+                         for ch in group])[0]
+            done = stacked_pass([getattr(ch.states, name) for ch in group], X, Y, active)
             if done is None:
                 return None
             commit, caught, mean, cov = done
@@ -302,8 +304,8 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     records walked; the learned rows split into one chain per pattern, all
     chains advance together (``_advance``), and each forecast is the
     ``_blend`` of its step's pre-update moments, as in ``_pass``. It takes
-    exactly what ``_pass`` accepts: a pass that reads a bad cell (by ``_reads_before``
-    for the row before), must refuse a cold start or refuses an update raises.
+    exactly what ``_pass`` accepts: a pass that reads a bad cell of its model's columns (by
+    ``_reads_before`` for the row before), must refuse a cold start or refuses an update raises.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
@@ -311,11 +313,12 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         raise ConfigurationError("a model appears twice in one learning pass")
     labels, chains, firsts = {}, [], []
     for order, (model, table, span) in enumerate(zip(models, tables, spans)):
-        q, records, first = model._reach(table, span)
+        q, columns, records, first = model._reach(table, span)
         lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
         rows = np.arange(max(records.start, q), records.stop)
+        read = slice(rows[0] - q, records.stop) if len(rows) else slice(0)  # with the lags
         if not (np.isin(table.z[rows], (0, 1)).all() and all(np.isfinite(a).all() for a in (
-                table.w[rows], table.y[rows], table.t[lo:records.stop]))):
+                table.w[rows], table.y[read, columns], table.t[lo:records.stop]))):
             return _one_by_one(models, tables, spans)
         key = id(model.clusters), id(table.t), lo, first, records.stop  # one walk, one labelling
         if key not in labels:
@@ -362,7 +365,7 @@ def _one_by_one(models, tables, spans) -> NoReturn:
     """Raise what ``_pass`` raises over the records of a pass that ``_stacked``
     refused, each model on a copy of itself, in model order."""
     for model, table, span in zip(models, tables, spans):
-        _, records, first = model._reach(table, span)
+        *_, records, first = model._reach(table, span)
         copy.deepcopy(model)._pass(table, 0, records, first)
     raise AssertionError("the stacked pass refused records that the loop accepts")
 
@@ -530,27 +533,35 @@ class IoHmmModel:
             self.dirichlet.observe_transition(key, prev_state, cur_state)
         return learned
 
-    def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, range, int]:
-        """This model's ``q`` once ``table`` is checked as its input (more than ``q``
-        rows shaped by its feature config; at ``q = 0`` row 0 begins a shift), the
-        records of a pass over it and the first it forecasts: every row and none
-        when ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
+    def _columns(self, table: FeatureTable) -> list[int]:
+        """The columns of ``table.y`` that hold this model's responses, in its order."""
+        try:
+            return [table.responses.index(name) for name in self.config.features.response_names]
+        except ValueError:
+            raise DimensionError("the table lacks one of the model's responses") from None
+
+    def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, list, range, int]:
+        """This model's ``q`` and ``y`` columns once ``table`` is checked as its input (more
+        than ``q`` rows shaped by its feature config, with its responses; at ``q = 0`` row 0
+        begins a shift), the records of a pass over it and the first it forecasts: every row
+        and none when ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
             raise InsufficientHistoryError(f"need more than q={fc.q} records, got {n}")
-        widths = (fc.pattern_length, fc.w_dim, len(fc.t_spec), fc.n_responses)
+        widths = (fc.pattern_length, len(fc.w_spec), len(fc.t_spec), len(table.responses))
         if ([a.shape for a in (table.z, table.w, table.t, table.y)]
                 != [(n, d) for d in widths] or table.begins_shift.shape != (n,)):
             raise DimensionError("table shape does not match the model's feature config")
+        columns = self._columns(table)
         if fc.q == 0 and not table.begins_shift[0]:
             raise InputError("with q = 0 the table's first row must begin a shift: "
                              "no row before it gives its previous state")
         if span is None:
-            return fc.q, range(n), n
+            return fc.q, columns, range(n), n
         if not isinstance(span, range) or span.step != 1 or not 0 <= span.start <= span.stop <= n:
             raise DimensionError("the records to walk are not a range of the table's rows")
-        return fc.q, span, max(span.start, fc.q + 1)
+        return fc.q, columns, span, max(span.start, fc.q + 1)
 
     def _chains(self, order: int, table: FeatureTable, rows: np.ndarray,
                 labels: np.ndarray) -> list[_Chain]:
@@ -559,11 +570,11 @@ class IoHmmModel:
         patterns, firsts, which = np.unique(table.z[rows], axis=0, return_index=True,
                                             return_inverse=True)
         keys, which = [pattern_key(z) for z in patterns], which.reshape(-1)
-        chains = []
+        chains, columns = [], self._columns(table)
         for j in np.argsort(firsts, kind="stable").tolist():
             at = rows[which == j]
             states = self.params.get(keys[j]) or self._prior()
-            chains.append(_Chain(order, self, keys[j], states, table, at,
+            chains.append(_Chain(order, self, keys[j], states, table, columns, at,
                                  np.where(table.begins_shift[at], 0, labels[at - 1]),
                                  labels[at]))
         return chains
@@ -608,15 +619,15 @@ class IoHmmModel:
         forecast (a cold start); then classify the record and learn from it
         (from ``q`` on). Each row is classified once, the row before the span
         only where it is read (``_reads_before``). The forecast is the blend of
-        what that learning step predicted before it learned. Each read is
-        checked where it happens; a refused pass puts back what moved.
+        what that learning step predicted before it learned. Each read of the
+        model's cells is checked where it happens; a refused pass puts back what moved.
         """
-        q, clusters = self.config.features.q, self.clusters
+        q, clusters, columns = self.config.features.q, self.clusters, self._columns(table)
         keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
-        ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist()
-                            for a in (table.t, table.w, table.y))
+        w = table.regressors(np.arange(q, len(table.y)), q, columns)  # row r's at r - q
+        U, Y = np.concatenate((np.ones((len(w), 1)), w), axis=1), table.y.take(columns, axis=1)
+        ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist() for a in (table.t, U, Y))
         X = clusters.standardizer.transform(table.t)  # one standardization per row
-        U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
 
         def label(r: int, i: int) -> int:  # the state of row r, read for record i
             if not ok_t[r]:
@@ -633,20 +644,20 @@ class IoHmmModel:
                 begins = bool(table.begins_shift[r])
                 forecast = None
                 if i >= first:
-                    if not ok_w[r]:
+                    if not ok_w[r - q]:
                         raise NumericError(_BAD_WY.format(i))
                     clusters.absorb(prev, X[r - 1])
                     cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
                                        f"record {i}: ")
                 cur = label(r, i)
                 if i >= q:
-                    if not (ok_w[r] and ok_y[r]):
+                    if not (ok_w[r - q] and ok_y[r]):
                         raise NumericError(_BAD_WY.format(i))
-                    learned = self._learn(key, U[r], table.y[r], None if begins else prev, cur)
+                    learned = self._learn(key, U[r - q], Y[r], None if begins else prev, cur)
                     if i >= first:
                         forecast = _result(cold, *learned, state=prev, pattern=key,
                                            begins=begins)
-                results.append(StepResult(index=i, state=cur, y=table.y[r], forecast=forecast))
+                results.append(StepResult(index=i, state=cur, y=Y[r], forecast=forecast))
                 prev = cur
         return results
 

@@ -254,18 +254,17 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
                     names.append(name)
                     models.append(IoHmmModel(replace(base, features=features),
                                              clusters=states))
-                    derived.append((q, columns))
-            learn_tables(models, [train_table.lagged(q, cols) for q, cols in derived])
-            tables = [full.lagged(q, cols) for q, cols in derived]
-            walks = walk_tables(models, tables,
+                    derived.append(columns)
+            learn_tables(models, [train_table] * len(models))  # lag-free: each reads its own
+            walks = walk_tables(models, [full] * len(models),
                                 [range(test_idx[0], test_idx[-1] + 1)] * len(models))
             iohmm = {name: [] for name in names}
-            for name, model, table, (index, means, variances) in zip(names, models, tables,
-                                                                     walks):
+            for name, model, columns, (index, means, variances) in zip(names, models, derived,
+                                                                       walks):
                 for i, y_hat, var in zip(index.tolist(), means, variances):
                     iohmm[name] += _rows(records, name, fold, i,
                                          model.config.features.response_names,
-                                         table.y[i], y_hat, var)
+                                         [full.y[i, j] for j in columns], y_hat, var)
         for name in model_names:
             kind, q = parse_model_name(name)
             rows = []

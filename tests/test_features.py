@@ -164,21 +164,31 @@ class TestDefaults:
             default_feature_config([])
 
 
+def _lagged_row(table, i, q, columns=(0, 1)):
+    """Record ``i``'s regressors, ``w`` and ``q`` lags of ``y``'s ``columns``,
+    gathered one lag at a time."""
+    return np.concatenate([table.w[i]] + [table.y[i - j, list(columns)]
+                                          for j in range(1, q + 1)])
+
+
 class TestBuildFeatures:
     def test_features_start_after_lag_window(self):
+        # the table holds no lags; the regressors start at row q, none is NaN
         records = build_stream([{"OpT": 6.0 + i} for i in range(6)])
         table = build_features(records, _config(q=2))
-        lags = table.w[:, 3:]
-        assert table.w.shape == (6, 3 + 2 * 2)
-        assert np.isnan(lags[:2]).all()
-        assert np.isfinite(table.w[2:]).all()
+        assert table.w.shape == (6, 3) and table.y.shape == (6, 2)
+        assert np.isfinite(table.w).all()
+        lagged = table.regressors(np.arange(2, 6), 2, (0, 1))
+        assert lagged.shape == (4, 3 + 2 * 2)
+        assert np.isfinite(lagged).all()
 
     def test_lag_order_is_lag_major(self):
         records = build_stream([{"OpT": 6.0, "NOpT": 5.5},
                                 {"OpT": 7.0, "NOpT": 6.5},
                                 {"OpT": 8.0, "NOpT": 7.5}])
         table = build_features(records, _config(q=2))
-        np.testing.assert_allclose(table.w[2, -4:], [7.0, 6.5, 6.0, 5.5])
+        np.testing.assert_allclose(table.regressors(np.array([2]), 2, (0, 1))[0, -4:],
+                                   [7.0, 6.5, 6.0, 5.5])
         np.testing.assert_allclose(table.y[2], [8.0, 7.5])
 
     def test_lags_cross_shift_boundaries(self):
@@ -187,7 +197,8 @@ class TestBuildFeatures:
                                  "start": dt.time(14, 0)}])
         table = build_features(records, _config(q=1))
         assert table.begins_shift[1]
-        np.testing.assert_allclose(table.w[1, -2:], [6.0, records[0].NOpT])
+        np.testing.assert_allclose(table.regressors(np.array([1]), 1, (0, 1))[0, -2:],
+                                   [6.0, records[0].NOpT])
 
     def test_pattern_and_flags(self):
         records = build_stream([
@@ -229,16 +240,25 @@ class TestBuildFeatures:
 
     @pytest.mark.parametrize("q", [0, 1, 3])
     @pytest.mark.parametrize("columns", [(0, 1), (0,), (1,)])
-    def test_lagged_equals_the_table_built_for_it(self, q, columns):
+    def test_regressors_equal_those_of_the_table_built_for_them(self, q, columns):
+        # the table of all responses and the one built for a lag order and a
+        # response subset differ only in y's columns; the regressors that a
+        # model reads from either are the rows gathered one lag at a time
         records = build_stream([{"OpT": 6.0 + 0.5 * i, "NOpT": 5.0 + 0.25 * i,
                                  "shift": f"Mo {'MAN'[i // 3 % 3]}"} for i in range(9)])
         lag_free = build_features(records, _config(q=0))
         names = tuple(_config().response_names[j] for j in columns)
         built = build_features(records, _config(q=q, response_names=names))
-        derived = lag_free.lagged(q, columns)
-        for name in ("z", "w", "t", "y", "begins_shift"):
-            got, want = getattr(derived, name), getattr(built, name)
+        for name in ("z", "w", "t", "begins_shift"):
+            got, want = getattr(lag_free, name), getattr(built, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert built.y.tobytes() == lag_free.y[:, list(columns)].tobytes()
+        assert built.responses == names and lag_free.responses == ("OpT", "NOpT")
+        rows = np.arange(q, 9)
+        derived = lag_free.regressors(rows, q, columns)
+        want = np.stack([_lagged_row(lag_free, i, q, columns) for i in rows])
+        assert derived.shape == want.shape and derived.tobytes() == want.tobytes()
+        assert built.regressors(rows, q, range(len(names))).tobytes() == want.tobytes()
         assert lag_free.w.shape == (9, 3) and lag_free.y.shape == (9, 2)
 
 
@@ -307,5 +327,5 @@ class TestNextFeatures:
                 new_order=target.pr_ord != last.pr_ord,
                 overrides={"rcs": target.rcs})
             np.testing.assert_array_equal(z, table.z[t])
-            np.testing.assert_array_equal(w, table.w[t])
+            np.testing.assert_array_equal(w, _lagged_row(table, t, q))
             assert begins is bool(table.begins_shift[t])

@@ -50,9 +50,15 @@ def _learn(model, records):
     learn_tables([model], [build_features(records, model.config.features)])
 
 
-def _row(table, i):
-    """(z, w, y) of one record position, the learn_step inputs."""
-    return table.z[i], table.w[i], table.y[i]
+def _w(table, i, q=1):
+    """The regressors of record ``i``: ``w`` and ``q`` lags of the table's
+    responses, lag-major, gathered row by row."""
+    return np.concatenate([table.w[i]] + [table.y[i - j] for j in range(1, q + 1)])
+
+
+def _row(table, i, q=1):
+    """(z, w, y) of one record position, the learn_step inputs at lag order ``q``."""
+    return table.z[i], _w(table, i, q), table.y[i]
 
 
 def _weights(sigma_u, sigma_v):
@@ -204,7 +210,7 @@ class TestLearnStep:
         records = build_stream([{}, {}])
         table = build_features(records, _feature_config(q=0))
         with pytest.raises(DimensionError):
-            model.learn_step(*_row(table, 0), None, 1)
+            model.learn_step(*_row(table, 0, q=0), None, 1)
 
     def test_rejected_call_moves_nothing(self):
         model = _model()
@@ -256,9 +262,9 @@ class TestLearnStep:
         model.learn_step(*_row(table, 1), None, 1)
         before = model.to_json()
         with pytest.raises(ConfigurationError, match="0 or 1"):
-            model.learn_step([cell, 0.0, 0.0], table.w[2], table.y[2], 1, 2)
+            model.learn_step([cell, 0.0, 0.0], _w(table, 2), table.y[2], 1, 2)
         with pytest.raises(ConfigurationError, match="0 or 1"):
-            model.forecast_step([6.0], [cell, 0.0, 0.0], table.w[2], False)
+            model.forecast_step([6.0], [cell, 0.0, 0.0], _w(table, 2), False)
         z = table.z.copy()
         z[2, 0] = cell
         with pytest.raises(ConfigurationError, match="0 or 1"):
@@ -280,7 +286,7 @@ class TestForecastStep:
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
         table = build_features(records, model.config.features)
         before = model.to_json()
-        out = model.forecast_step([6.0], table.z[1], table.w[1],
+        out = model.forecast_step([6.0], table.z[1], _w(table, 1),
                                   bool(table.begins_shift[1]))
         # nearest centroid to 6.0 is 10.0 (distance 4 vs 6)
         assert out.state == 2
@@ -296,10 +302,10 @@ class TestForecastStep:
         table = build_features(records, model.config.features)
         model.learn_step(*_row(table, 1), None, 1)
         before = model.to_json()
-        known = model.forecast_step([6.0], table.z[2], table.w[2], False)
+        known = model.forecast_step([6.0], table.z[2], _w(table, 2), False)
         assert not known.cold_start
         # an unseen pattern blends the zero-knowledge prior and keeps no entry
-        cold = model.forecast_step([6.0], [0.0, 1.0, 0.0], table.w[2], False)
+        cold = model.forecast_step([6.0], [0.0, 1.0, 0.0], _w(table, 2), False)
         assert cold.cold_start and cold.pattern == "010"
         np.testing.assert_array_equal(cold.y_hat, [0.0, 0.0])
         assert model.to_json() == before
@@ -308,7 +314,7 @@ class TestForecastStep:
     def test_cold_start_policy(self):
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
         table = build_features(records, _feature_config())
-        z, w, begins = table.z[1], table.w[1], bool(table.begins_shift[1])
+        z, w, begins = table.z[1], _w(table, 1), bool(table.begins_shift[1])
         model = _model()
         with pytest.raises(ForecastUnavailableError):
             model.forecast_step([6.0], z, w, begins)
@@ -326,18 +332,18 @@ class TestForecastStep:
         # a pattern with no entry, then one whose entry has seen nothing yet
         before = model.to_json()
         with pytest.raises(ForecastUnavailableError):
-            model.forecast_step([6.0], [0.0, 1.0, 0.0], table.w[2], False)
+            model.forecast_step([6.0], [0.0, 1.0, 0.0], _w(table, 2), False)
         assert model.to_json() == before
         model.config = replace(model.config, allow_cold_start=True)
-        model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], False)
+        model.forecast_step([6.0], [0.0, 0.0, 1.0], _w(table, 2), False)
         model.config = replace(model.config, allow_cold_start=False)
         assert "001" not in model.params and "001" not in model.dirichlet.patterns
         assert model.to_json() == before
         with pytest.raises(ForecastUnavailableError):
-            model.forecast_step([6.0], [0.0, 0.0, 1.0], table.w[2], True)
+            model.forecast_step([6.0], [0.0, 0.0, 1.0], _w(table, 2), True)
         assert model.to_json() == before
         # a known pattern still forecasts, and moves nothing either
-        model.forecast_step([6.0], table.z[2], table.w[2], False)
+        model.forecast_step([6.0], table.z[2], _w(table, 2), False)
         assert model.to_json() == before
 
     def test_begins_switches_to_initial_counts(self):
@@ -346,7 +352,7 @@ class TestForecastStep:
         table = build_features(records, model.config.features)
         model.learn_step(*_row(table, 1), None, 1)
         model.learn_step(*_row(table, 2), 1, 2)
-        z, w = table.z[2], table.w[2]
+        z, w = table.z[2], _w(table, 2)
 
         v_cont = model.dirichlet.expected_state_vector("100", 1)
         v_init = model.dirichlet.expected_state_vector("100", None)
@@ -377,7 +383,7 @@ class TestForecastStep:
         table = build_features(records, model.config.features)
         before = model.to_json()
         for n in range(1, 4):
-            out = model.forecast_step([6.0], table.z[1], table.w[1], False)
+            out = model.forecast_step([6.0], table.z[1], _w(table, 1), False)
             assert len(calls) == n
             assert out.state == 2
         # 6 is nearer to centroid 10 every time, and no centroid moved
@@ -389,8 +395,8 @@ class TestForecastStep:
         records = build_stream([{"OpT": 6.0}, {"OpT": 7.0}])
         table = build_features(records, model.config.features)
         before = model.to_json()
-        for t_prev, w in (([np.nan], table.w[1]), ([6.0], [np.nan, 0.0, 1.0, 1.0]),
-                          ([6.0], table.w[1][:2])):
+        for t_prev, w in (([np.nan], _w(table, 1)), ([6.0], [np.nan, 0.0, 1.0, 1.0]),
+                          ([6.0], _w(table, 1)[:2])):
             with pytest.raises(OpcastError):
                 model.forecast_step(t_prev, table.z[1], w, False)
         assert model.to_json() == before
@@ -432,7 +438,7 @@ class TestRunOnline:
             begins = bool(table.begins_shift[i])
             if i >= 2:
                 t_prev = classification_vector(records[i - 1], fc)
-                got.append(manual.forecast_step(t_prev, table.z[i], table.w[i],
+                got.append(manual.forecast_step(t_prev, table.z[i], _w(table, i),
                                                 begins))
                 manual.clusters.update_centroid(got[-1].state, t_prev)
             cur = manual.clusters.assign(classification_vector(rec, fc))
@@ -684,14 +690,14 @@ def _stepwise_error(model, records, start=0, forecasts=True):
             begins = bool(table.begins_shift[i])
             forecast = None
             if i >= first:
-                forecast = model.forecast_step(table.t[i - 1], table.z[i], table.w[i],
-                                               begins)
+                forecast = model.forecast_step(table.t[i - 1], table.z[i],
+                                               _w(table, i, fc.q), begins)
                 model.clusters.update_centroid(forecast.state, table.t[i - 1])
             cur = model.clusters.assign(table.t[i])
             if i >= fc.q:
                 prev = None if begins else forecast.state if forecast else \
                     labels[i - 1] if i > start else model.clusters.assign(table.t[i - 1])
-                model.learn_step(table.z[i], table.w[i], table.y[i], prev, cur)
+                model.learn_step(*_row(table, i, fc.q), prev, cur)
             labels[i] = cur
     except OpcastError as exc:
         return type(exc)
@@ -869,11 +875,13 @@ class TestChecksAtTheTable:
 
 class TestLearnTable:
     def test_a_derived_table_learns_like_learn_records(self):
+        # the table built for another lag order is the same lag-free table
         records = TestRunOnline()._records(24, seed=9)
         a, b = _model(q=2, allow_cold_start=True), _model(q=2, allow_cold_start=True)
         _learn(a, records)
         lag_free = build_features(records, a.config.features.with_lags(0))
-        learn_tables([b], [lag_free.lagged(2, (0, 1))])
+        assert lag_free.w.shape == (24, 2)
+        learn_tables([b], [lag_free])
         assert a.to_json() == b.to_json()
 
     def test_rejects_a_table_of_another_config(self):
@@ -881,27 +889,32 @@ class TestLearnTable:
         model = _model(q=1)
         before = model.to_json()
         table = build_features(records, model.config.features)
-        for bad in (build_features(records, _feature_config(q=2)),
-                    replace(table, t=np.hstack((table.t, table.t))),  # two t columns
+        for bad in (replace(table, t=np.hstack((table.t, table.t))),  # two t columns
                     replace(table, z=table.z[:, 1:]),  # a pattern too short
-                    replace(table, y=table.y[:-1])):  # a row short
+                    replace(table, y=table.y[:-1]),  # a row short
+                    replace(table, w=table.w[:, 1:]),  # a regressor short
+                    # without one of the model's responses
+                    build_features(records, replace(_feature_config(), response_names=("OpT",)))):
             with pytest.raises(DimensionError):
                 learn_tables([model], [bad])
+            assert model.to_json() == before
         with pytest.raises(InsufficientHistoryError):
-            learn_tables([model], [build_features(records[:1], _feature_config(q=0))
-                                   .lagged(1, (0, 1))])
+            learn_tables([model], [build_features(records[:1], _feature_config(q=0))])
         assert model.to_json() == before
 
 
 def _learn_record_by_record(model, table):
     """The oracle of ``learn_tables``: the sequential ``_learn`` path over a
-    table, one record at a time, as the interleaved loop learns."""
-    q = model.config.features.q
+    table, one record at a time, as the interleaved loop learns; each row's
+    regressors ``[1, w, lags]`` are gathered here, row by row."""
+    fc = model.config.features
+    columns = [table.responses.index(name) for name in fc.response_names]
     labels = model.clusters.nearest(model.clusters.standardizer.transform(table.t)).tolist()
-    U = np.concatenate((np.ones((len(table.w), 1)), table.w), axis=1)
-    for r in range(q, len(table.y)):
+    for r in range(fc.q, len(table.y)):
+        u = np.concatenate([[1.0], table.w[r]]
+                           + [table.y[r - j, columns] for j in range(1, fc.q + 1)])
         prev = None if table.begins_shift[r] else labels[r - 1]
-        model._learn(pattern_key(table.z[r]), U[r], table.y[r], prev, labels[r])
+        model._learn(pattern_key(table.z[r]), u, table.y[r, columns], prev, labels[r])
 
 
 def _conditioning_messages(run):
@@ -938,17 +951,16 @@ class TestLearnTables:
         ones wind up and warn), one table without the N shift and one
         model that learned before."""
         records, features, states = setting
-        lag_free = build_features(records, features.with_lags(0))
+        lag_free = build_features(records, features.with_lags(0))  # one table for all twelve
         models, tables = [], []
         for q in range(4):
-            for columns, names in (((0, 1), ("OpT", "NOpT")), ((0,), ("OpT",)),
-                                   ((1,), ("NOpT",))):
-                fast = q % 2 == len(columns) % 2
+            for names in (("OpT", "NOpT"), ("OpT",), ("NOpT",)):
+                fast = q % 2 == len(names) % 2
                 cfg = ModelConfig(features=replace(features, q=q, response_names=names),
                                   lambda_u=self.FAST if fast else 0.99,
                                   lambda_v=self.FAST if fast else 0.95, allow_cold_start=True)
                 models.append(IoHmmModel(cfg, clusters=copy.deepcopy(states)))
-                tables.append(lag_free.lagged(q, columns))
+                tables.append(lag_free)
         no_night = [rec for rec in records if rec.shift_code != "N"]
         models.append(IoHmmModel(ModelConfig(features=features.with_lags(2)),
                                  clusters=copy.deepcopy(states)))
@@ -993,9 +1005,9 @@ class TestLearnTables:
     @pytest.mark.parametrize("fault", ["non-finite-y", "wrong-shape", "negative-p"])
     def test_a_refused_pass_moves_nothing(self, setting, fault):
         models, tables = self._models(setting)
-        if fault == "non-finite-y":
+        if fault == "non-finite-y":  # in the one response of model 5, NOpT
             y = tables[5].y.copy()
-            y[40, 0] = np.nan
+            y[40, 1] = np.nan
             tables[5] = replace(tables[5], y=y)
             error = NumericError
         elif fault == "wrong-shape":
@@ -1040,6 +1052,37 @@ class TestLearnTables:
         assert got == self._one_by_one(models, tables)
         assert got[0][0] is NumericError and "gain denominator" in got[0][1]
         assert [m.to_json() for m in models] == before
+
+    def test_one_table_serves_joint_and_single_response_models(self, setting):
+        # a NaN in the OpT column of y: the NOpT model never reads it, so it
+        # learns and walks as on the clean table; the joint model refuses it
+        records, features, states = setting
+        clean = build_features(records, features)
+        y = clean.y.copy()
+        y[40, clean.responses.index("OpT")] = np.nan
+        dirty = replace(clean, y=y)
+        span = [range(20, 80)]  # walks through the NaN row and its lag
+        single = ModelConfig(features=features.for_response("NOpT"), allow_cold_start=True)
+        a, b = (IoHmmModel(single, clusters=copy.deepcopy(states)) for _ in range(2))
+        learn_tables([a], [clean])
+        learn_tables([b], [dirty])
+        assert a.to_json() == b.to_json()
+        assert _walked([a], [clean], span) == _walked([b], [dirty], span)
+        joint = IoHmmModel(ModelConfig(features=features, allow_cold_start=True),
+                           clusters=copy.deepcopy(states))
+        before = joint.to_json()
+        with pytest.raises(NumericError, match="record 40 contain non-finite"):
+            learn_tables([joint], [dirty])
+        assert joint.to_json() == before
+        learn_tables([joint], [clean])
+        with pytest.raises(NumericError, match="record 40 contain non-finite"):
+            walk_tables([joint], [dirty], span)
+        # replayed one by one behind the joint model's refusal at record 60,
+        # the NOpT model still passes the OpT cell of record 40
+        late = clean.y.copy()
+        late[60, 0] = np.nan
+        with pytest.raises(NumericError, match="record 60 contain non-finite"):
+            learn_tables([b, joint], [dirty, replace(clean, y=late)])
 
     def test_a_model_learns_once_per_pass(self, setting):
         models, tables = self._models(setting)
@@ -1096,15 +1139,14 @@ class TestWalkTables:
         lag_free = build_features(walked or records, features.with_lags(0))
         models, tables = [], []
         for q in range(4):
-            for columns, names in (((0, 1), ("OpT", "NOpT")), ((0,), ("OpT",)),
-                                   ((1,), ("NOpT",))):
-                fast = q % 2 == len(columns) % 2
+            for names in (("OpT", "NOpT"), ("OpT",), ("NOpT",)):
+                fast = q % 2 == len(names) % 2
                 cfg = ModelConfig(features=replace(features, q=q, response_names=names),
                                   lambda_u=self.FAST if fast else 0.99,
                                   lambda_v=self.FAST if fast else 0.95,
                                   allow_cold_start=cold)
                 models.append(IoHmmModel(cfg, clusters=states))
-                tables.append(lag_free.lagged(q, columns))
+                tables.append(lag_free)
                 if len(learned) > q:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", ConditioningWarning)
@@ -1241,7 +1283,8 @@ class TestFit:
                                          "shift_code==N"),
                                  w_spec=(), t_spec=("OpT",), q=q)
         table = build_features(records, features)
-        assert table.w.shape == (30, 2 * q)
+        assert table.w.shape == (30, 0)
+        assert table.regressors(np.arange(q, 30), q, [0, 1]).shape == (30 - q, 2 * q)
         model = IoHmmModel(ModelConfig(features=features, allow_cold_start=True))
         model.fit(records, seed=0, k_max=3)
         assert model.u_dim == 1 + 2 * q
