@@ -30,7 +30,7 @@ from .synthetic import SyntheticSpec, generate_synthetic
 # key: (kind, default); None takes the specs from the data, the names from the header
 _CONFIG_KEYS = {
     "lambda_u": (float, 0.99), "lambda_v": (float, 0.95), "lags": (int, 1),
-    "threshold": (float, 0.8), "kmax": (int, 12), "kmin": (int, 2), "seed": (int, 0),
+    "threshold": (float, 0.8), "kmax": (int, 12), "seed": (int, 0),
     "responses": (list, ["OpT", "NOpT"]), "models": (list, list(DEFAULT_MODELS)),
     "allow_cold_start": (bool, False), "z_spec": (list, None), "w_spec": (list, None),
     "t_spec": (list, None), "schema": (dict, None),
@@ -110,8 +110,7 @@ def cmd_fit(args) -> int:
     cfg = _settings(args)
     records = _load_records(args.data, cfg["schema"])
     model = IoHmmModel(_model_config(records, cfg))
-    model.fit(records, seed=cfg["seed"], threshold=cfg["threshold"],
-              k_min=cfg["kmin"], k_max=cfg["kmax"])
+    model.fit(records, seed=cfg["seed"], threshold=cfg["threshold"], k_max=cfg["kmax"])
     model.save(args.out)
     clusters = model.clusters
     print(f"fitted on {len(records)} records")
@@ -162,7 +161,7 @@ def cmd_evaluate(args) -> int:
     base = _model_config(records, {**cfg, "allow_cold_start": True})
     report = leave_one_week_out(records, model_names=models, base=base,
                                 seed=cfg["seed"], threshold=cfg["threshold"],
-                                k_min=cfg["kmin"], k_max=cfg["kmax"])
+                                k_max=cfg["kmax"])
     with open(args.out, "w") as fh:
         fh.write(emit_report(report, "csv"))
     if args.summary_out:

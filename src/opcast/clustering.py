@@ -1,7 +1,7 @@
 """State discovery by clustering of per-period classification vectors.
 
 Hidden states are cluster centroids in the standardized feature space.
-The number of states is chosen automatically: the smallest K whose
+The number of states is chosen automatically: the smallest K from 2 whose
 between-cluster share of the total spread reaches a threshold. Short of
 it, the search stops once one more K adds less than ``MIN_GAIN`` of the
 spread and keeps the K before. Centroids keep adapting after fitting
@@ -221,12 +221,12 @@ class ClusterModel:
                    reached_threshold=serialized(doc, "reached_threshold", bool))
 
 
-def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
-               seed: int = 0) -> ClusterModel:
+def fit_auto_k(points, threshold: float = 0.8, k_max: int = 12, seed: int = 0) -> ClusterModel:
     """Fit centroids with the smallest K that explains enough spread.
 
-    K runs from ``k_min`` upward; for each K the best of ``N_RESTARTS``
-    seeded runs (lowest within-cluster sum, the first on ties) is kept.
+    K runs from 2, the fewest states a count table takes, upward; for each
+    K the best of ``N_RESTARTS`` seeded runs (lowest within-cluster sum, the
+    first on ties) is kept.
     The first K whose between-cluster share reaches ``threshold`` wins.
     Short of it, the first K that adds less than ``MIN_GAIN`` to the share
     of K - 1 ends the search with the K - 1 fit; else the largest K is
@@ -234,13 +234,13 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(f"threshold must lie in (0, 1], got {threshold}")
-    if k_min < 2 or k_max < k_min:
-        raise ConfigurationError(f"need 2 <= k_min <= k_max, got {k_min}..{k_max}")
+    if k_max < 2:
+        raise ConfigurationError(f"need k_max >= 2, got {k_max}")
     pts = _check_points(points)
     n_distinct = np.unique(pts, axis=0).shape[0]
-    if n_distinct < k_min:
+    if n_distinct < 2:
         raise DegenerateDataError(
-            f"only {n_distinct} distinct points; cannot form {k_min} clusters")
+            f"only {n_distinct} distinct points; cannot form 2 clusters")
 
     std = Standardizer.fit(pts)
     X = std.transform(pts)
@@ -249,7 +249,7 @@ def fit_auto_k(points, threshold: float = 0.8, k_min: int = 2, k_max: int = 12,
         raise DegenerateDataError("classification points have zero spread")
 
     stop, last = f"K={min(k_max, n_distinct)} is the largest tried", None
-    for K in range(k_min, min(k_max, n_distinct) + 1):
+    for K in range(2, min(k_max, n_distinct) + 1):
         centroids, assign, wss = min(
             (_lloyd(X, K, np.random.default_rng([seed, K, r])) for r in range(N_RESTARTS)),
             key=lambda fit: fit[2])

@@ -21,7 +21,8 @@ JEFFREYS = 0.5
 
 
 class DirichletTable:
-    """Per-pattern initial and transition pseudo-counts.
+    """Per-pattern initial and transition pseudo-counts: ``observe`` adds one
+    to the row that ``expected_state_vector`` reads.
 
     ``counts`` maps each observed pattern to its count rows. A pattern's
     rows are materialized the first time it is observed, so only patterns
@@ -51,13 +52,19 @@ class DirichletTable:
                 self.counts[pattern] = rows
         return rows
 
-    def check(self, pattern, *states) -> None:
-        """Raise for a pattern or state the tables cannot take; creates nothing."""
+    def check(self, pattern, prev_state: int | None = None, state: int | None = None) -> int:
+        """Raise for a pattern or state the tables cannot take; creates nothing.
+
+        Returns the row ``prev_state`` reads: row 0 (the initial counts) when
+        it is None, as a sequence begins, else its transition row.
+        """
         if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
             raise ConfigurationError(
                 f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
-        for state in states:
+        row = 0 if prev_state is None else self._check_state(prev_state)
+        if state is not None:
             self._check_state(state)
+        return row
 
     def _check_state(self, state: int) -> int:
         if not isinstance(state, (int, np.integer)) or not 1 <= state <= self.n_states:
@@ -70,13 +77,11 @@ class DirichletTable:
     def patterns(self) -> list[str]:
         return sorted(self.counts)
 
-    def observe_initial(self, pattern, state: int) -> None:
-        self.check(pattern, state)  # before a new pattern's counts are stored
-        self._rows(pattern, store=True)[0, state - 1] += 1.0
-
-    def observe_transition(self, pattern, prev_state: int, state: int) -> None:
-        self.check(pattern, prev_state, state)
-        self._rows(pattern, store=True)[prev_state, state - 1] += 1.0
+    def observe(self, pattern, prev_state: int | None, state: int) -> None:
+        """Count ``state`` in the row ``expected_state_vector`` reads for ``prev_state``;
+        all is checked before a new pattern's counts are stored."""
+        row = self.check(pattern, prev_state, state)
+        self._rows(pattern, store=True)[row, state - 1] += 1.0
 
     def count_rows(self, pattern) -> np.ndarray:
         """A copy of the counts: row 0 the initial counts, row ``s`` the
@@ -91,8 +96,7 @@ class DirichletTable:
         With ``prev_state=None`` (a sequence begins) the initial counts are
         used, otherwise the transition-count row of the previous state.
         """
-        counts = self._rows(pattern)[0 if prev_state is None
-                                     else self._check_state(prev_state)]
+        counts = self._rows(pattern)[self.check(pattern, prev_state)]
         return counts / counts.sum()
 
     # -- serialization -----------------------------------------------------

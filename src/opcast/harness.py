@@ -162,8 +162,7 @@ def _varx_blocks(train: FeatureTable, full: FeatureTable, test: range, name, fol
 def leave_one_week_out(records: Sequence[ProductionRecord],
                        model_names: Sequence[str] = DEFAULT_MODELS,
                        base: ModelConfig | None = None,
-                       seed: int = 0, threshold: float = 0.8,
-                       k_min: int = 2, k_max: int = 12) -> MetricsReport:
+                       seed: int = 0, threshold: float = 0.8, k_max: int = 12) -> MetricsReport:
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
@@ -208,7 +207,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
         """The training tables and IO-HMM blocks of ``folds``, ``(week, test records)``."""
         trains = [[*records[:test.start], *records[test.stop:]] for _, test in folds]
         fitted.update((week, fit_states(train, base.features, seed=seed, threshold=threshold,
-                                        k_min=k_min, k_max=k_max))
+                                        k_max=k_max))
                       for (week, _), train in zip(folds, trains) if variants and week not in fitted)
         states = [fitted[week] for week, _ in folds if week in fitted]
         tables = [None if full is None else build_features(train, lag_free) for train in trains]

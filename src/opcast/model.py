@@ -371,8 +371,7 @@ def _one_by_one(models, tables, spans) -> NoReturn:
 
 
 def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
-               seed: int = 0, threshold: float = 0.8, k_min: int = 2,
-               k_max: int = 12) -> ClusterModel:
+               seed: int = 0, threshold: float = 0.8, k_max: int = 12) -> ClusterModel:
     """Discover the hidden states from the records' classification vectors.
 
     The result depends on the classification spec only, so models that
@@ -380,7 +379,7 @@ def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
     centroids; the passes without it do not).
     """
     return fit_auto_k(classification_points(records, features), threshold=threshold,
-                      k_min=k_min, k_max=k_max, seed=seed)
+                      k_max=k_max, seed=seed)
 
 
 class _AllOrNothing(contextlib.AbstractContextManager):
@@ -454,12 +453,12 @@ class IoHmmModel:
         self.params = {}
 
     def fit(self, records: Sequence[ProductionRecord], seed: int = 0,
-            threshold: float = 0.8, k_min: int = 2, k_max: int = 12) -> "IoHmmModel":
+            threshold: float = 0.8, k_max: int = 12) -> "IoHmmModel":
         """Featurize the records, discover states on them, then learn them in
         one pass; a featurizing refusal comes first and a refused fit moves nothing."""
         table = build_features(records, self.config.features)
         fitted = IoHmmModel(self.config, fit_states(records, self.config.features, seed=seed,
-                                                    threshold=threshold, k_min=k_min, k_max=k_max))
+                                                    threshold=threshold, k_max=k_max))
         learn_tables([fitted], [table])
         vars(self).update(vars(fitted))  # the new states only with what was learned from them
         return self
@@ -492,7 +491,7 @@ class IoHmmModel:
         key = pattern_key(z)
         u = checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
         y = checked_vector(y, self.n_responses, "y")
-        self.dirichlet.check(key, *(() if prev_state is None else (prev_state,)), cur_state)
+        self.dirichlet.check(key, prev_state, cur_state)
         with _AllOrNothing(self, (key,)):
             self._learn(key, u, y, prev_state, cur_state)
 
@@ -527,10 +526,7 @@ class IoHmmModel:
             states = self.params[key] = self._prior()
         v = self.dirichlet.expected_state_vector(key, prev_state)
         learned = states.u._update(u, y), states.v._update(v, y)
-        if prev_state is None:
-            self.dirichlet.observe_initial(key, cur_state)
-        else:
-            self.dirichlet.observe_transition(key, prev_state, cur_state)
+        self.dirichlet.observe(key, prev_state, cur_state)
         return learned
 
     def _columns(self, table: FeatureTable) -> list[int]:

@@ -211,8 +211,7 @@ def _rows(records, name, fold, i, responses, actual, predicted, var=None):
 
 
 def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | None = None,
-                    seed: int = 0, threshold: float = 0.8, k_min: int = 2,
-                    k_max: int = 12) -> MetricsReport:
+                    seed: int = 0, threshold: float = 0.8, k_max: int = 12) -> MetricsReport:
     """``leave_one_week_out`` one forecast row at a time and one fold at a
     time; ``predictions`` holds the rows. The IO-HMM variants of each fold
     learn and walk through stacked passes of that fold alone, before its
@@ -236,7 +235,7 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
         train = [rec for rec in records if week_key(rec.date) != fold]
         states = fit_states(train, base.features, seed=seed, threshold=threshold,
-                            k_min=k_min, k_max=k_max) if use_iohmm else None
+                            k_max=k_max) if use_iohmm else None
         if use_iohmm:
             fitted[fold] = states
         train_table = build_features(train, lag_free) if use_varx or use_iohmm else None

@@ -145,12 +145,12 @@ def test_a04_pseudo_counts_track_events_exactly():
         pat = patterns[rng.integers(len(patterns))]
         state = int(rng.integers(1, K + 1))
         if rng.random() < 0.3:
-            table.observe_initial(pat, state)
+            table.observe(pat, None, state)
             key = (pat, state)
             init_events[key] = init_events.get(key, 0) + 1
         else:
             prev = int(rng.integers(1, K + 1))
-            table.observe_transition(pat, prev, state)
+            table.observe(pat, prev, state)
             key = (pat, prev, state)
             trans_events[key] = trans_events.get(key, 0) + 1
 

@@ -158,7 +158,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("command", ["fit", "evaluate"])
     @pytest.mark.parametrize("key, value", [
         ("lambda_u", "0.9"), ("lambda_v", True), ("lags", True), ("threshold", "0.5"),
-        ("kmax", 4.5), ("kmin", -2), ("seed", 1.5), ("responses", "OpT"),
+        ("kmax", 4.5), ("kmax", -2), ("seed", 1.5), ("responses", "OpT"),
         ("models", ["persistence", 3]), ("allow_cold_start", "no"),
         ("z_spec", "shift_code==M"), ("w_spec", ["ics", None]), ("t_spec", None),
         ("schema", ["OT"]), ("threshold", float("nan")),
@@ -189,13 +189,15 @@ class TestConfigValues:
 
 
 class TestRemovedKeys:
-    def test_max_lags_is_an_unknown_key(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("key, value", [("max_lags", 5), ("kmin", 3)])
+    def test_a_removed_key_is_unknown(self, workdir, tmp_path, capsys, command, key, value):
         cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
-        cfg.write_text(json.dumps({"max_lags": 5}))
-        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(cfg),
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--data", str(workdir / "data.csv"), "--config", str(cfg),
                      "--out", str(out)]) == 1
         assert not out.exists()
-        assert "unknown config keys: ['max_lags']" in capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["fit", "--lags", "6"],
                                       ["evaluate", "--models", "iohmm-q999999999"]])
@@ -488,12 +490,13 @@ class TestEvaluate:
             assert doc["states"][week] == {"K": states.K, "gof": states.gof,
                                            "reached_threshold": states.reached_threshold}
 
-    def test_k_range_is_checked_as_in_fit(self, workdir, tmp_path):
+    def test_k_range_is_checked_as_in_fit(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kmin": 5, "kmax": 3}))
+        cfg.write_text(json.dumps({"kmax": 1}))
         for command in ("fit", "evaluate"):
             assert main([command, "--data", str(workdir / "data.csv"), "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 1
+            assert "need k_max >= 2, got 1" in capsys.readouterr().err
 
     def test_unknown_model_name(self, workdir, tmp_path):
         assert main(["evaluate", "--data", str(workdir / "data.csv"),

@@ -83,7 +83,7 @@ class TestAutoK:
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(120, 2))  # one fat blob, no real structure
         with pytest.warns(ThresholdWarning):
-            model = fit_auto_k(pts, threshold=0.995, k_min=2, k_max=3)
+            model = fit_auto_k(pts, threshold=0.995, k_max=3)
         assert model.K == 3
         assert not model.reached_threshold
         assert model.gof < 0.995
@@ -96,12 +96,12 @@ class TestAutoK:
 
     def test_too_few_distinct_points(self):
         pts = np.array([[1.0, 2.0]] * 10)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError, match="cannot form 2 clusters"):
             fit_auto_k(pts)
 
     def test_k_cap_at_distinct_points(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0]] * 20)
-        model = fit_auto_k(pts, threshold=0.8, k_min=2, k_max=12, seed=0)
+        model = fit_auto_k(pts, threshold=0.8, k_max=12, seed=0)
         assert model.K == 2
         assert model.gof == pytest.approx(1.0)
 
@@ -109,10 +109,10 @@ class TestAutoK:
         pts = np.random.default_rng(0).normal(size=(30, 2))
         with pytest.raises(ConfigurationError):
             fit_auto_k(pts, threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            fit_auto_k(pts, k_min=1)
-        with pytest.raises(ConfigurationError):
-            fit_auto_k(pts, k_min=5, k_max=4)
+        with pytest.raises(ConfigurationError, match="need k_max >= 2, got 1"):
+            fit_auto_k(pts, k_max=1)
+        with pytest.raises(ConfigurationError, match="need k_max >= 2, got -4"):
+            fit_auto_k(pts, k_max=-4)
         with pytest.raises(DimensionError):
             fit_auto_k(np.ones(5))
 
@@ -127,10 +127,12 @@ class TestGainStop:
 
     @staticmethod
     def _share(pts, K, seed=0):
-        """The share of the kept fit at K alone: the fit the search makes at K."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ThresholdWarning)
-            return fit_auto_k(pts, threshold=1.0, k_min=K, k_max=K, seed=seed).gof
+        """The share of the fit the search makes at K: the best of its
+        ``N_RESTARTS`` seeded runs on the standardized points."""
+        X = Standardizer.fit(pts).transform(pts)
+        wss = min(clustering._lloyd(X, K, np.random.default_rng([seed, K, r]))[2]
+                  for r in range(clustering.N_RESTARTS))
+        return 1.0 - wss / float(((X - X.mean(axis=0)) ** 2).sum())
 
     def test_the_result_is_the_search_capped_at_its_k(self):
         pts = self._no_structure()
@@ -256,32 +258,24 @@ class TestClusterModel:
 
 
 class TestEmptyClusterRepair:
-    def test_forced_empty_cluster_is_repaired(self, monkeypatch):
+    def test_forced_empty_cluster_is_repaired(self):
         # heavy tails: at K=8 one restart leaves a cluster empty after an
         # assignment step. The repair must produce eight non-empty states in
         # every restart, not only in the one that is kept.
         pts = np.random.default_rng(354).standard_cauchy(size=(24, 2))
-        repairs, restarts = [], []
-        lloyd = clustering._lloyd
-
-        def recorded(X, K, rng):
-            restarts.append(lloyd(X, K, rng))
-            return restarts[-1]
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ThresholdWarning)
-            monkeypatch.setattr(clustering, "_lloyd", recorded)
-            model = fit_auto_k(pts, threshold=0.999, k_min=8, k_max=8, seed=0)
-            monkeypatch.setattr(clustering, "_lloyd", _masked_mean_lloyd(repairs))
-            ref = fit_auto_k(pts, threshold=0.999, k_min=8, k_max=8, seed=0)
-        assert repairs, "the point set no longer empties a cluster"
-        for centroids, assign, _ in restarts:
+        X = Standardizer.fit(pts).transform(pts)
+        repairs = []
+        fast, ref = ([lloyd(X, 8, np.random.default_rng([0, 8, r]))
+                      for r in range(clustering.N_RESTARTS)]
+                     for lloyd in (clustering._lloyd, _masked_mean_lloyd(repairs)))
+        assert repairs, "the point set no longer empties a cluster at K=8"
+        for centroids, assign, _ in fast:
             assert np.isfinite(centroids).all()
             assert np.bincount(assign, minlength=8).min() > 0
-        assert model.K == 8
-        assert (model.counts > 0).all()
-        assert model.counts.sum() == 24.0
-        assert model.counts.tobytes() == ref.counts.tobytes()
+        kept, kept_ref = (min(fits, key=lambda fit: fit[2]) for fits in (fast, ref))
+        counts = np.bincount(kept[1], minlength=8)
+        assert counts.size == 8 and (counts > 0).all() and counts.sum() == 24
+        assert counts.tobytes() == np.bincount(kept_ref[1], minlength=8).tobytes()
 
 
 def _masked_mean_lloyd(repairs):
@@ -333,24 +327,24 @@ class TestLloydOracle:
     def _point_sets():
         rng = np.random.default_rng(2024)
         # heavy tails: one restart of K=8 empties a cluster
-        yield "repair", np.random.default_rng(354).standard_cauchy(size=(24, 2)), 2, 8
+        yield "repair", np.random.default_rng(354).standard_cauchy(size=(24, 2)), 8
         yield "blobs", _blobs(rng, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]],
-                              n_per=40, spread=0.4)[0], 2, 6
-        yield "wide", rng.normal(size=(500, 6)) * [1.0, 3.0, 0.1, 10.0, 1.0, 50.0], 2, 8
-        yield "ties", np.round(rng.normal(size=(300, 3)), 1), 2, 8
+                              n_per=40, spread=0.4)[0], 6
+        yield "wide", rng.normal(size=(500, 6)) * [1.0, 3.0, 0.1, 10.0, 1.0, 50.0], 8
+        yield "ties", np.round(rng.normal(size=(300, 3)), 1), 8
         # past eight columns numpy sums a distance in eight running sums
-        yield "heavy-9", np.random.default_rng(909).standard_cauchy(size=(120, 9)), 2, 6
-        yield "ties-17", np.round(rng.normal(size=(200, 17)), 1), 2, 6
+        yield "heavy-9", np.random.default_rng(909).standard_cauchy(size=(120, 9)), 6
+        yield "ties-17", np.round(rng.normal(size=(200, 17)), 1), 6
 
     def test_fit_auto_k_matches_masked_means(self, monkeypatch):
-        for name, pts, k_min, k_max in self._point_sets():
+        for name, pts, k_max in self._point_sets():
             repairs = []
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ThresholdWarning)
-                fast = fit_auto_k(pts, threshold=0.999, k_min=k_min, k_max=k_max)
+                fast = fit_auto_k(pts, threshold=0.999, k_max=k_max)
                 with monkeypatch.context() as patch:
                     patch.setattr(clustering, "_lloyd", _masked_mean_lloyd(repairs))
-                    ref = fit_auto_k(pts, threshold=0.999, k_min=k_min, k_max=k_max)
+                    ref = fit_auto_k(pts, threshold=0.999, k_max=k_max)
             assert fast.K == ref.K, name
             assert fast.gof == ref.gof, name
             assert fast.centroids.tobytes() == ref.centroids.tobytes(), name
@@ -359,7 +353,7 @@ class TestLloydOracle:
                 assert repairs, "the repair set no longer empties a cluster"
 
     def test_seeding_matches_the_plain_distances(self):
-        for name, pts, _, k_max in self._point_sets():
+        for name, pts, k_max in self._point_sets():
             X = Standardizer.fit(pts).transform(pts)
             for r in range(3):
                 fast = clustering._plus_plus_seed(X, k_max, np.random.default_rng([7, r]))

@@ -18,7 +18,7 @@ class TestCounts:
         # one initial observation of state 1 with two states:
         # counts [1.5, 0.5], probabilities [0.75, 0.25]
         table = DirichletTable(n_states=2, pattern_length=1)
-        table.observe_initial("1", 1)
+        table.observe("1", None, 1)
         np.testing.assert_array_equal(table.count_rows("1")[0], [1.5, 0.5])
         np.testing.assert_allclose(table.expected_state_vector("1"),
                                    [0.75, 0.25])
@@ -26,13 +26,13 @@ class TestCounts:
     def test_counts_grow_by_one(self):
         table = DirichletTable(n_states=2, pattern_length=1)
         for _ in range(4):
-            table.observe_transition("0", 2, 1)
+            table.observe("0", 2, 1)
         expected = np.array([[0.5, 0.5], [4.5, 0.5]])
         np.testing.assert_array_equal(table.count_rows("0")[1:], expected)
 
     def test_patterns_are_independent(self):
         table = DirichletTable(n_states=2, pattern_length=2)
-        table.observe_initial("10", 1)
+        table.observe("10", None, 1)
         np.testing.assert_array_equal(table.count_rows("01")[0], [0.5, 0.5])
         assert table.patterns == ["10"]  # a read of an unobserved pattern stores nothing
 
@@ -40,7 +40,7 @@ class TestCounts:
         table = DirichletTable(n_states=2, pattern_length=1)
         table.count_rows("1")[0, 0] = 99.0
         np.testing.assert_array_equal(table.count_rows("1")[0], [0.5, 0.5])
-        table.observe_initial("1", 2)  # and the stored rows of an observed pattern
+        table.observe("1", None, 2)  # and the stored rows of an observed pattern
         table.count_rows("1")[0, 0] = 99.0
         np.testing.assert_array_equal(table.count_rows("1")[0], [0.5, 1.5])
 
@@ -50,16 +50,15 @@ class TestProbabilities:
         rng = np.random.default_rng(11)
         table = DirichletTable(n_states=4, pattern_length=1)
         for _ in range(300):
-            table.observe_transition("1", int(rng.integers(1, 5)),
-                                     int(rng.integers(1, 5)))
+            table.observe("1", int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         probs = np.array([table.expected_state_vector("1", s) for s in range(1, 5)])
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-12)
         assert (probs > 0).all()
 
     def test_expected_state_vector_dispatch(self):
         table = DirichletTable(n_states=2, pattern_length=1)
-        table.observe_initial("1", 1)
-        table.observe_transition("1", 1, 2)
+        table.observe("1", None, 1)
+        table.observe("1", 1, 2)
         np.testing.assert_allclose(table.expected_state_vector("1"),
                                    [0.75, 0.25])
         np.testing.assert_allclose(table.expected_state_vector("1", 1),
@@ -72,8 +71,7 @@ class TestProbabilities:
         rng = np.random.default_rng(3)
         table = DirichletTable(n_states=3, pattern_length=2)
         for _ in range(100):
-            table.observe_transition("11", int(rng.integers(1, 4)),
-                                     int(rng.integers(1, 4)))
+            table.observe("11", int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         counts = table.count_rows("11")[1:]
         np.testing.assert_allclose(
             [table.expected_state_vector("11", s) for s in range(1, 4)],
@@ -84,11 +82,11 @@ class TestValidation:
     def test_state_bounds(self):
         table = DirichletTable(n_states=2, pattern_length=1)
         with pytest.raises(StateIndexError):
-            table.observe_initial("1", 0)
+            table.observe("1", None, 0)
         with pytest.raises(StateIndexError):
-            table.observe_initial("1", 3)
+            table.observe("1", None, 3)
         with pytest.raises(StateIndexError):
-            table.observe_transition("1", 1, -1)
+            table.observe("1", 1, -1)
         with pytest.raises(StateIndexError):
             table.expected_state_vector("1", 5)
 
@@ -98,14 +96,14 @@ class TestValidation:
     def test_pattern_length_checked(self):
         table = DirichletTable(n_states=2, pattern_length=2)
         with pytest.raises(ConfigurationError):
-            table.observe_initial("101", 1)
+            table.observe("101", None, 1)
         with pytest.raises(ConfigurationError):
             table.count_rows("2x")
 
     def test_known_patterns_are_still_checked(self):
         # once "01" has counts, lookups take the fast path for it
         table = DirichletTable(n_states=2, pattern_length=2)
-        table.observe_transition("01", 1, 2)
+        table.observe("01", 1, 2)
         before = table.to_dict()
         for bad in ("011", "0", "02", "ab", ""):
             with pytest.raises(ConfigurationError):
@@ -113,31 +111,47 @@ class TestValidation:
         with pytest.raises(StateIndexError):
             table.expected_state_vector("01", 3)
         with pytest.raises(StateIndexError):
-            table.observe_transition("01", 1, 0)
+            table.observe("01", 1, 0)
         with pytest.raises(StateIndexError):
-            table.observe_initial("01", np.int64(5))
+            table.observe("01", None, np.int64(5))
         assert table.to_dict() == before
-        table.observe_transition(np.str_("01"), 1, 2)  # a str subclass keeps the counts
+        table.observe(np.str_("01"), 1, 2)  # a str subclass keeps the counts
         assert table.count_rows("01")[1, 1] == JEFFREYS + 2.0
 
     def test_a_rejected_observation_stores_no_pattern(self):
         table = DirichletTable(2, 1)
         with pytest.raises(StateIndexError):
-            table.observe_initial("1", 5)
+            table.observe("1", None, 5)
         with pytest.raises(StateIndexError):
-            table.observe_transition("0", 1, 3)
+            table.observe("0", 1, 3)
         with pytest.raises(StateIndexError):
-            table.observe_transition("0", 0, 1)
+            table.observe("0", 0, 1)
+        with pytest.raises(StateIndexError):
+            table.observe("0", 1.0, 1)
+        for bad in ("01", "2", ""):  # a bad pattern first, whatever the states
+            with pytest.raises(ConfigurationError):
+                table.observe(bad, 3, 0)
         assert table.patterns == []
-        table.observe_transition("0", 2, 1)
+        table.observe("0", 2, 1)
         assert table.patterns == ["0"]
         assert table.count_rows("0")[1:].tolist() == [[JEFFREYS] * 2,
                                                       [JEFFREYS + 1, JEFFREYS]]
 
+    def test_observe_counts_in_the_row_that_is_read(self):
+        # None is the initial row, exactly as expected_state_vector reads it
+        for prev, row in [(None, 0), (1, 1), (2, 2), (3, 3), (np.int64(2), 2)]:
+            table = DirichletTable(3, 1)
+            table.observe("1", prev, 2)
+            want = np.full((4, 3), JEFFREYS)
+            want[row, 1] += 1.0
+            assert table.count_rows("1").tolist() == want.tolist()
+            np.testing.assert_array_equal(table.expected_state_vector("1", prev),
+                                          want[row] / want[row].sum())
+
     def test_count_rows_stack_initial_over_transitions(self):
         table = DirichletTable(2, 2)
-        table.observe_initial("01", 2)
-        table.observe_transition("01", 2, 1)
+        table.observe("01", None, 2)
+        table.observe("01", 2, 1)
         rows = table.count_rows("01")
         assert rows.tolist() == [[0.5, 1.5], [0.5, 0.5], [1.5, 0.5]]
         rows[0, 0] = 9.0  # a copy
@@ -157,9 +171,9 @@ class TestValidation:
 class TestSerialization:
     def test_roundtrip(self):
         table = DirichletTable(n_states=3, pattern_length=2)
-        table.observe_initial("10", 2)
-        table.observe_transition("10", 2, 3)
-        table.observe_transition("01", 1, 1)
+        table.observe("10", None, 2)
+        table.observe("10", 2, 3)
+        table.observe("01", 1, 1)
         clone = DirichletTable.from_dict(table.to_dict())
         assert clone.patterns == table.patterns
         for key in table.patterns:

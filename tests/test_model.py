@@ -231,6 +231,7 @@ class TestLearnStep:
                             ((z, w, y, 1, 5), StateIndexError),
                             ((z, w, y, None, 0), StateIndexError),
                             (([0.0, 1.0, 0.0], w, y, 1, 3), StateIndexError),
+                            (([0.0, 1.0, 0.0], w, y, None, 3), StateIndexError),
                             (([0.0, 0.0, 1.0], w, y, 9, 1), StateIndexError),
                             (([1.0, 0.0], w, y, 1, 5), ConfigurationError),
                             ((z, w, [np.nan, 1.0], 0, 1), NumericError)):
