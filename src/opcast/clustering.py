@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
-                     InputError, StateIndexError, ThresholdWarning, warn)
-from .estimator import serialized
+                     InputError, ThresholdWarning, warn)
+from .estimator import checked_state, json_number, serialized
 
 N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
@@ -157,10 +157,9 @@ class ClusterModel:
         return int(self.nearest(self.standardized(t)[None])[0])
 
     def update_centroid(self, state: int, t) -> None:
-        """Fold one observation into a centroid as a running mean."""
-        if not 1 <= int(state) <= self.K:
-            raise StateIndexError(f"state {state!r} outside 1..{self.K}")
-        self.absorb(int(state), self.standardized(t))
+        """Fold one observation into centroid ``state`` as a running mean; the
+        label is checked (``checked_state``) before ``t``, so a refusal moves nothing."""
+        self.absorb(checked_state(state, self.K), self.standardized(t))
 
     def standardized(self, t) -> np.ndarray:
         """Checked classification vector in centroid coordinates."""
@@ -232,10 +231,11 @@ def fit_auto_k(points, threshold: float = 0.8, k_max: int = 12, seed: int = 0) -
     of K - 1 ends the search with the K - 1 fit; else the largest K is
     used. Either way a warning names the stop.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"threshold must lie in (0, 1], got {threshold}")
-    if k_max < 2:
-        raise ConfigurationError(f"need k_max >= 2, got {k_max}")
+    if not (json_number(threshold) and 0.0 < threshold <= 1.0):
+        raise ConfigurationError(f"threshold must lie in (0, 1], got {threshold!r}")
+    if not (json_number(k_max, whole=True) and k_max >= 2):
+        raise ConfigurationError(f"need k_max >= 2, got {k_max!r} (a whole number of states)")
+    k_max = int(k_max)
     pts = _check_points(points)
     n_distinct = np.unique(pts, axis=0).shape[0]
     if n_distinct < 2:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, StateIndexError
-from .estimator import serialized
+from .errors import ConfigurationError, NumericError
+from .estimator import checked_state, serialized
 
 JEFFREYS = 0.5
 
@@ -58,18 +58,14 @@ class DirichletTable:
         Returns the row ``prev_state`` reads: row 0 (the initial counts) when
         it is None, as a sequence begins, else its transition row.
         """
-        if len(pattern) != self.pattern_length or set(pattern) - {"0", "1"}:
-            raise ConfigurationError(
-                f"pattern {pattern!r} does not match pattern length {self.pattern_length}")
-        row = 0 if prev_state is None else self._check_state(prev_state)
+        if (not isinstance(pattern, str) or len(pattern) != self.pattern_length
+                or set(pattern) - {"0", "1"}):
+            raise ConfigurationError(f"pattern {pattern!r} is not a string of "
+                                     f"{self.pattern_length} zeros and ones")
+        row = 0 if prev_state is None else checked_state(prev_state, self.n_states)
         if state is not None:
-            self._check_state(state)
+            checked_state(state, self.n_states)
         return row
-
-    def _check_state(self, state: int) -> int:
-        if not isinstance(state, (int, np.integer)) or not 1 <= state <= self.n_states:
-            raise StateIndexError(f"state {state!r} outside 1..{self.n_states}")
-        return int(state)
 
     # -- counts ----------------------------------------------------------
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
-                     NumericError, RestoreError, warn)
+                     NumericError, RestoreError, StateIndexError, warn)
 
 # Eigenvalues of a restored noise covariance in [-EIG_FLOOR, 0) are
 # rounding noise; anything lower is a real violation.
@@ -58,6 +58,15 @@ def json_number(value, whole: bool = False) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max  # exact: no JSON number overflows
             and (not whole or value >= 0 and value == int(value)))
+
+
+def checked_state(state, n_states: int) -> int:
+    """``state`` as an ``int`` if it labels one of ``n_states`` states: a whole
+    number of type ``int`` or ``np.integer``, never a boolean, in 1..n_states."""
+    if (isinstance(state, bool) or not isinstance(state, (int, np.integer))
+            or not 1 <= state <= n_states):
+        raise StateIndexError(f"state {state!r} is not an integer in 1..{n_states}")
+    return int(state)
 
 
 def serialized(doc: dict, name: str, kind: type = float):
@@ -99,13 +108,13 @@ class AdaptiveState:
     """
 
     def __init__(self, n_predictors: int, n_responses: int, forgetting: float):
-        if n_predictors < 1 or n_responses < 1:
-            raise ConfigurationError("predictor and response dimensions must be >= 1")
+        if not all(json_number(n, whole=True) and n >= 1 for n in (n_predictors, n_responses)):
+            raise ConfigurationError("predictor and response dimensions must be whole numbers >= 1")
+        if not (json_number(forgetting) and 0.0 < forgetting <= 1.0):
+            raise ConfigurationError(f"forgetting factor must lie in (0, 1], got {forgetting!r}")
         self.n_predictors = int(n_predictors)
         self.n_responses = int(n_responses)
         self.forgetting = float(forgetting)
-        if not 0.0 < self.forgetting <= 1.0:
-            raise ConfigurationError(f"forgetting factor must lie in (0, 1], got {forgetting}")
         self.H = np.zeros((self.n_predictors, self.n_responses))
         self.Sigma = np.zeros((self.n_responses, self.n_responses))
         self.P = np.eye(self.n_predictors)

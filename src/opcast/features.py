@@ -20,16 +20,13 @@ Covariates are declared as small spec strings:
 
 from __future__ import annotations
 
-import functools
-import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientHistoryError
-from .estimator import serialized
+from .estimator import json_number, serialized
 from .records import BoundaryFlags, ProductionRecord, boundary_flags
 
 _FLAGS = ("@begins_shift", "@begins_order")
@@ -107,6 +104,7 @@ class FeatureConfig:
     parsed_z: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
     parsed_w: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
     parsed_t: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
+    parsed_y: tuple[CovariateSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "response_names", tuple(self.response_names))
@@ -120,6 +118,7 @@ class FeatureConfig:
         for name in self.response_names:
             if name not in _NUMERIC_COLUMNS:
                 raise ConfigurationError(f"unknown response column {name!r}")
+        object.__setattr__(self, "parsed_y", tuple(map(CovariateSpec, self.response_names)))
         if isinstance(self.q, bool) or not isinstance(self.q, int) or not 0 <= self.q <= MAX_LAGS:
             raise ConfigurationError(f"q must be an integer in 0..{MAX_LAGS}, got {self.q!r}")
         if not self.z_spec:
@@ -273,7 +272,7 @@ def assemble_next_features(records: Sequence[ProductionRecord],
                     f"covariate {spec.expr!r} is unknown for a future period; "
                     "supply it explicitly")
             value = overrides[spec.column]
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not json_number(value):
                 raise ConfigurationError(
                     f"override {spec.column!r} is not a finite number: {value!r}")
             future[spec.column] = float(value)
@@ -284,12 +283,6 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     table = build_features(list(records[-(config.q + 1):]) + [announced], config)
     w = table.regressors(np.array([len(table.y) - 1]), config.q, range(config.n_responses))
     return table.z[-1], w[0], bool(table.begins_shift[-1])
-
-
-@functools.cache
-def _numeric(columns: tuple[str, ...]) -> tuple[CovariateSpec, ...]:
-    """The numeric covariates reading ``columns`` (the responses), parsed once per tuple."""
-    return tuple(map(CovariateSpec, columns))
 
 
 def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
@@ -315,6 +308,6 @@ def build_features(records: Sequence[ProductionRecord],
     return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
                         w=_evaluate(config.parsed_w, records, flags),
                         t=classification_points(records, config),
-                        y=_evaluate(_numeric(config.response_names), records, flags),
+                        y=_evaluate(config.parsed_y, records, flags),
                         begins_shift=np.array([fl.begins_shift for fl in flags]),
                         responses=config.response_names)

@@ -230,9 +230,10 @@ class _Chain:
 
 
 def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
-    """Read and count every observation of ``chains`` (one K, longest first),
-    one stacked step per chain position; the expected-state vectors read,
-    laid out as ``stacked`` lays out sequences.
+    """Read and count every observation of ``chains`` (one K, as ``_advance``'s
+    shape key ensures; longest first), each in its own counts, one stacked step
+    per chain position; the expected-state vectors read, laid out as ``stacked``
+    lays out sequences.
 
     Counts are half-integers, so every sum is exact and each vector equals
     ``expected_state_vector``'s.
@@ -259,11 +260,10 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | Non
     record-by-record pass, or None at the first refused update."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
-        groups: dict = {}  # by predictor shape, the v side also by ClusterModel (one count walk)
+        groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
         for ch in sorted(chains, key=lambda ch: -len(ch.rows)):  # stable
             st = getattr(ch.states, name)
-            groups.setdefault((st.n_predictors, st.n_responses, st.forgetting,
-                               name == "v" and id(ch.model.clusters)), []).append(ch)
+            groups.setdefault((st.n_predictors, st.n_responses, st.forgetting), []).append(ch)
         for group in groups.values():
             X, active = stacked([ch.u for ch in group]) if name == "u" \
                 else _walk_counts(group)

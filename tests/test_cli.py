@@ -366,7 +366,7 @@ class TestForecast:
     @pytest.mark.parametrize("given, named", [
         ('{"hum": "abc"}', "'hum'"), ('{"hum": null}', "'hum'"),
         ('{"hum": NaN}', "'hum'"), ('{"hum": -Infinity}', "'hum'"),
-        ('["hum"]', "JSON object"), ('"hum"', "JSON object")])
+        ('{"hum": true}', "'hum'"), ('["hum"]', "JSON object"), ('"hum"', "JSON object")])
     def test_next_values_must_be_finite_numbers(self, workdir, hum_snapshot,
                                                  capsys, given, named):
         assert main(["forecast", "--snapshot", str(hum_snapshot),

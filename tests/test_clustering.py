@@ -113,6 +113,13 @@ class TestAutoK:
             fit_auto_k(pts, k_max=1)
         with pytest.raises(ConfigurationError, match="need k_max >= 2, got -4"):
             fit_auto_k(pts, k_max=-4)
+        with pytest.raises(ConfigurationError, match="need k_max >= 2, got 2.5"):
+            fit_auto_k(pts, k_max=2.5)
+        with pytest.raises(ConfigurationError, match="threshold must lie in"):
+            fit_auto_k(pts, threshold=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            assert fit_auto_k(pts, k_max=4.0).to_dict() == fit_auto_k(pts, k_max=4).to_dict()
         with pytest.raises(DimensionError):
             fit_auto_k(np.ones(5))
 
@@ -222,6 +229,11 @@ class TestClusterModel:
             model.update_centroid(0, [0.0, 0.0])
         with pytest.raises(StateIndexError):
             model.update_centroid(3, [0.0, 0.0])
+        for label in (1.7, "2", True, 2.0):  # a label is an integer, never a float or bool
+            with pytest.raises(StateIndexError):
+                model.update_centroid(label, [0.5, 0.5])
+        np.testing.assert_array_equal(model.centroids, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(model.counts, [1.0, 1.0])
         with pytest.raises(DimensionError):
             model.assign([0.0])
         with pytest.raises(InputError):

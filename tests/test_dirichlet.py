@@ -128,7 +128,9 @@ class TestValidation:
             table.observe("0", 0, 1)
         with pytest.raises(StateIndexError):
             table.observe("0", 1.0, 1)
-        for bad in ("01", "2", ""):  # a bad pattern first, whatever the states
+        with pytest.raises(StateIndexError):
+            table.observe("0", True, 1)
+        for bad in ("01", "2", "", ("0",), ["0"]):  # a bad pattern first, whatever the states
             with pytest.raises(ConfigurationError):
                 table.observe(bad, 3, 0)
         assert table.patterns == []

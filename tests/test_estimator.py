@@ -184,6 +184,20 @@ class TestValidation:
             AdaptiveState(1, 1, forgetting=1.2)
         AdaptiveState(1, 1, forgetting=1.0)
 
+    @pytest.mark.parametrize("dims, forgetting", [
+        ((2.7, 1), 0.9), ((3, 1.5), 0.9), ((True, 1), 0.9), ((3, "1"), 0.9), ((0, 1), 0.9),
+        ((3, 1), "0.9"), ((3, 1), True), ((3, 1), float("nan"))],
+        ids=["fractional-p", "fractional-m", "bool-p", "str-m", "zero-p",
+             "str-forgetting", "bool-forgetting", "nan-forgetting"])
+    def test_only_numbers_are_dimensions_and_forgetting(self, dims, forgetting):
+        with pytest.raises(ConfigurationError):
+            AdaptiveState(*dims, forgetting)
+
+    def test_a_whole_float_is_a_dimension(self):
+        state = AdaptiveState(3.0, np.int64(2), np.float64(0.9))
+        assert (state.n_predictors, state.n_responses, state.forgetting) == (3, 2, 0.9)
+        assert type(state.n_predictors) is int and state.P.shape == (3, 3)
+
     def test_dimension_mismatch(self):
         state = AdaptiveState(2, 1, forgetting=1.0)
         with pytest.raises(DimensionError):

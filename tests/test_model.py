@@ -1248,6 +1248,43 @@ class TestWalkTables:
         assert got == expected and all(got[0])
         assert [m.to_json() for m in models] == before
 
+    def test_two_cluster_models_of_one_k_share_each_count_walk(self, setting, monkeypatch):
+        # the setting's states and a copy with its centroids in reverse order
+        # (its labels permuted): the v sides of both share one count walk per
+        # (K, m, forgetting) group, yet each model learns and walks as alone
+        records, features, states = setting
+        mirrored = replace(states, centroids=states.centroids[::-1].copy(),
+                           counts=states.counts[::-1].copy())
+        walks = []
+        counting = opcast.model._walk_counts
+        monkeypatch.setattr(opcast.model, "_walk_counts",
+                            lambda chains: walks.append(chains) or counting(chains))
+
+        def both(learned):
+            (a, tables_a), (b, tables_b) = (self._models(setting, learned, states=s)
+                                            for s in (states, mirrored))
+            return a + b, tables_a + tables_b
+
+        models, tables = both([])
+        groups = {(m.n_states, m.n_responses, m.config.lambda_v) for m in models}
+        assert len(groups) == 4
+        alone = [copy.deepcopy(m) for m in models]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            for model, table in zip(alone, tables):
+                learn_tables([model], [table])
+            del walks[:]
+            learn_tables(models, tables)
+        assert len(walks) == len(groups)
+        assert [m.to_json() for m in models] == [m.to_json() for m in alone]
+        models, tables = both(records[:100])
+        span = range(100, len(records))
+        expected = _outcome(lambda: _walks_one_by_one(models, records, span))
+        del walks[:]
+        got = _outcome(lambda: _walked(models, tables, [span] * len(models)))
+        assert len(walks) == len(groups)
+        assert got == expected and all(got[0])
+
     def test_rejects_what_it_cannot_walk(self, setting):
         models, tables = self._models(setting, setting[0][:50])
         for span in (range(0, len(tables[0].y) + 1), range(10, 20, 2), [10, 11], (10, 11)):
