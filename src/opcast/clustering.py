@@ -7,11 +7,12 @@ it, the search stops once one more K adds less than ``MIN_GAIN`` of the
 spread and keeps the K before. Centroids keep adapting after fitting
 through running-mean updates.
 
-The implementation is self-contained (seeded restarts, lowest-index tie
-breaking, deterministic empty-cluster repair) so that fitted states are
-reproducible bit for bit across runs. Distances are (K, n) arrays, so each
-operation runs along the n points, accumulated column by column in numpy's
-order for a last-axis sum, so they equal the (n, K, D) reduction bit for bit.
+The implementation is self-contained (one greedy k-means++ seeding per K,
+lowest-index tie breaking, deterministic empty-cluster repair) so that
+fitted states are reproducible bit for bit across runs. Distances are
+(K, n) arrays, so each operation runs along the n points, accumulated column
+by column in numpy's order for a last-axis sum, so they equal the (n, K, D)
+reduction bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
                      InputError, ThresholdWarning, warn)
 from .estimator import checked_state, json_number, serialized
 
-N_RESTARTS = 10  # seeded k-means runs per K; the lowest within-cluster sum is kept
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
 MIN_GAIN = 0.02  # short of the threshold, the least share of the spread one more K adds
 
@@ -99,14 +99,19 @@ def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
+    """Greedy k-means++ (Arthur & Vassilvitskii 2007): each new centre is the
+    one of ``2 + int(log K)`` candidates drawn with the D² weights that leaves
+    the lowest potential (the first on ties), so one run per K suffices."""
+    n, trials = X.shape[0], 2 + int(math.log(K))
     XT = np.ascontiguousarray(X.T)
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
     d2 = _sq_dists(XT, centroids[:1])[0]
     for k in range(1, K):
-        centroids[k] = X[int(rng.choice(n, p=d2 / d2.sum()))]
-        d2 = np.minimum(d2, _sq_dists(XT, centroids[k:k + 1])[0])
+        cands = rng.choice(n, size=trials, p=d2 / d2.sum())
+        reach = np.minimum(d2, _sq_dists(XT, X[cands]))
+        best = int(reach.sum(axis=1).argmin())
+        centroids[k], d2 = X[cands[best]], reach[best]
     return centroids
 
 
@@ -223,9 +228,9 @@ class ClusterModel:
 def fit_auto_k(points, threshold: float = 0.8, k_max: int = 12, seed: int = 0) -> ClusterModel:
     """Fit centroids with the smallest K that explains enough spread.
 
-    K runs from 2, the fewest states a count table takes, upward; for each
-    K the best of ``N_RESTARTS`` seeded runs (lowest within-cluster sum, the
-    first on ties) is kept.
+    K runs from 2, the fewest states a count table takes, upward; each K
+    gets one Lloyd run from a greedy k-means++ seeding (``_plus_plus_seed``)
+    with the generator of ``[seed, K]``.
     The first K whose between-cluster share reaches ``threshold`` wins.
     Short of it, the first K that adds less than ``MIN_GAIN`` to the share
     of K - 1 ends the search with the K - 1 fit; else the largest K is
@@ -250,9 +255,7 @@ def fit_auto_k(points, threshold: float = 0.8, k_max: int = 12, seed: int = 0) -
 
     stop, last = f"K={min(k_max, n_distinct)} is the largest tried", None
     for K in range(2, min(k_max, n_distinct) + 1):
-        centroids, assign, wss = min(
-            (_lloyd(X, K, np.random.default_rng([seed, K, r])) for r in range(N_RESTARTS)),
-            key=lambda fit: fit[2])
+        centroids, assign, wss = _lloyd(X, K, np.random.default_rng([seed, K]))
         gof = 1.0 - wss / tss
         if gof >= threshold:
             break

@@ -263,6 +263,8 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     if len(records) < max(config.q, 1):
         raise InsufficientHistoryError(
             f"need at least {max(config.q, 1)} records of history")
+    if not (ics is None or json_number(ics)):
+        raise ConfigurationError(f"ics is not a finite number: {ics!r}")
     overrides = overrides or {}
     future = {}
     for spec in config.parsed_w:

@@ -311,7 +311,7 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
     if not walking and len({id(model) for model in models}) < len(models):
         raise ConfigurationError("a model appears twice in one learning pass")
-    labels, chains, firsts = {}, [], []
+    labels, patterns, chains, firsts = {}, {}, [], []
     for order, (model, table, span) in enumerate(zip(models, tables, spans)):
         q, columns, records, first = model._reach(table, span)
         lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
@@ -329,7 +329,9 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
             for i in range(first, records.stop):  # from there on as _pass labels them
                 walk.absorb(labels[key][i - 1], X[i - 1])
                 labels[key][i] = walk.nearest(X[i:i + 1])[0]
-        mine = model._chains(order, table, rows, labels[key])
+        if id(table.z) not in patterns:  # each row's pattern id, once per table
+            patterns[id(table.z)] = np.unique(table.z, axis=0, return_inverse=True)
+        mine = model._chains(order, table, rows, labels[key], *patterns[id(table.z)])
         if not model.config.allow_cold_start and any(
                 ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
             return _one_by_one(models, tables, spans)
@@ -559,18 +561,18 @@ class IoHmmModel:
             raise DimensionError("the records to walk are not a range of the table's rows")
         return fc.q, columns, span, max(span.start, fc.q + 1)
 
-    def _chains(self, order: int, table: FeatureTable, rows: np.ndarray,
-                labels: np.ndarray) -> list[_Chain]:
+    def _chains(self, order: int, table: FeatureTable, rows: np.ndarray, labels: np.ndarray,
+                patterns: np.ndarray, ids: np.ndarray) -> list[_Chain]:
         """The learned ``rows`` of ``table``, one chain per pattern in the order
-        the patterns first occur; ``labels`` are the rows' states."""
-        patterns, firsts, which = np.unique(table.z[rows], axis=0, return_index=True,
-                                            return_inverse=True)
-        keys, which = [pattern_key(z) for z in patterns], which.reshape(-1)
+        the patterns first occur; ``labels`` are the rows' states and
+        ``patterns[ids]`` the table's ``z``."""
+        present, firsts, which = np.unique(ids.reshape(-1)[rows], return_index=True,
+                                           return_inverse=True)
         chains, columns = [], self._columns(table)
         for j in np.argsort(firsts, kind="stable").tolist():
-            at = rows[which == j]
-            states = self.params.get(keys[j]) or self._prior()
-            chains.append(_Chain(order, self, keys[j], states, table, columns, at,
+            at, key = rows[which == j], pattern_key(patterns[present[j]])
+            states = self.params.get(key) or self._prior()
+            chains.append(_Chain(order, self, key, states, table, columns, at,
                                  np.where(table.begins_shift[at], 0, labels[at - 1]),
                                  labels[at]))
         return chains

@@ -130,15 +130,14 @@ class TestGainStop:
 
     @staticmethod
     def _no_structure():
-        return np.random.default_rng(2).normal(size=(200, 3))  # the step to K=9 adds 0.013
+        return np.random.default_rng(2).normal(size=(200, 3))  # the step to K=9 adds 0.0027
 
     @staticmethod
     def _share(pts, K, seed=0):
-        """The share of the fit the search makes at K: the best of its
-        ``N_RESTARTS`` seeded runs on the standardized points."""
+        """The share of the fit the search makes at K: its one run, seeded
+        with ``[seed, K]``, on the standardized points."""
         X = Standardizer.fit(pts).transform(pts)
-        wss = min(clustering._lloyd(X, K, np.random.default_rng([seed, K, r]))[2]
-                  for r in range(clustering.N_RESTARTS))
+        wss = clustering._lloyd(X, K, np.random.default_rng([seed, K]))[2]
         return 1.0 - wss / float(((X - X.mean(axis=0)) ** 2).sum())
 
     def test_the_result_is_the_search_capped_at_its_k(self):
@@ -178,10 +177,45 @@ class TestGainStop:
         pts = self._no_structure()
         with pytest.warns(ThresholdWarning) as caught:
             model = fit_auto_k(pts)
+        step = self._share(pts, model.K + 1) - self._share(pts, model.K)
         assert len(caught) == 1
-        assert (f"(K={model.K + 1} adds 0.01" in str(caught[0].message)
+        assert (f"(K={model.K + 1} adds {step:.4f}" in str(caught[0].message)
                 and f"< {clustering.MIN_GAIN} of the spread); using K={model.K}"
                 in str(caught[0].message))
+
+
+class TestOneRunPerK:
+    """The search makes one Lloyd run per K tried, seeded with ``[seed, K]``."""
+
+    @staticmethod
+    def _runs(monkeypatch, pts, **kwargs):
+        runs, lloyd = [], clustering._lloyd
+
+        def counted(X, K, rng):
+            runs.append((K, rng.bit_generator.state))
+            return lloyd(X, K, rng)
+        monkeypatch.setattr(clustering, "_lloyd", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            model = fit_auto_k(pts, **kwargs)
+        return model, runs
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_up_to_the_gain_stop(self, monkeypatch, seed):
+        pts = TestGainStop._no_structure()
+        model, runs = self._runs(monkeypatch, pts, seed=seed)
+        assert not model.reached_threshold
+        assert [K for K, _ in runs] == list(range(2, model.K + 2))
+        assert all(state == np.random.default_rng([seed, K]).bit_generator.state
+                   for K, state in runs)
+
+    def test_up_to_the_threshold(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pts, _ = _blobs(rng, [[0.0, 0.0], [10.0, 0.0], [5.0, 9.0]], spread=1.0)
+        model, runs = self._runs(monkeypatch, pts, seed=3)
+        assert model.K == 3 and model.reached_threshold
+        assert runs == [(K, np.random.default_rng([3, K]).bit_generator.state)
+                        for K in (2, 3)]
 
 
 class TestClusterModel:
@@ -269,25 +303,32 @@ class TestClusterModel:
             ClusterModel.from_dict(doc)
 
 
+# heavy tails: signed squares of Cauchy draws in 3-D, rounded to integers.
+# The K search reaches K=6 (threshold 0.999), and its one run there leaves a
+# cluster empty after an assignment step.
+REPAIR_POINTS = np.array([
+    [-5, 0, 4], [-1, 4, 6], [-34, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, -222], [1, -1, -117],
+    [0, 11, -133], [0, -1, 0], [1, 2, 0], [-2, -5, 0], [1, -30, 0], [0, -1, -12], [4, -3, -1],
+    [3174, -2, -1], [-7, 0, 0], [-100, 9, 1], [-58, 14, 0], [0, 0, 0], [0, 0, 0], [-2, -1, 0],
+    [2, 0, -1], [0, -5, -19], [2, 0, 56], [-3, 69, -1], [0, 0, 0], [-78, 0, 5], [-330, 0, -1]],
+    dtype=float)
+REPAIR_K = 6
+
+
 class TestEmptyClusterRepair:
     def test_forced_empty_cluster_is_repaired(self):
-        # heavy tails: at K=8 one restart leaves a cluster empty after an
-        # assignment step. The repair must produce eight non-empty states in
-        # every restart, not only in the one that is kept.
-        pts = np.random.default_rng(354).standard_cauchy(size=(24, 2))
-        X = Standardizer.fit(pts).transform(pts)
+        # the repair must give six non-empty states, as the masked means do
+        X = Standardizer.fit(REPAIR_POINTS).transform(REPAIR_POINTS)
         repairs = []
-        fast, ref = ([lloyd(X, 8, np.random.default_rng([0, 8, r]))
-                      for r in range(clustering.N_RESTARTS)]
-                     for lloyd in (clustering._lloyd, _masked_mean_lloyd(repairs)))
-        assert repairs, "the point set no longer empties a cluster at K=8"
-        for centroids, assign, _ in fast:
-            assert np.isfinite(centroids).all()
-            assert np.bincount(assign, minlength=8).min() > 0
-        kept, kept_ref = (min(fits, key=lambda fit: fit[2]) for fits in (fast, ref))
-        counts = np.bincount(kept[1], minlength=8)
-        assert counts.size == 8 and (counts > 0).all() and counts.sum() == 24
-        assert counts.tobytes() == np.bincount(kept_ref[1], minlength=8).tobytes()
+        (centroids, assign, _), ref = (
+            lloyd(X, REPAIR_K, np.random.default_rng([0, REPAIR_K]))
+            for lloyd in (clustering._lloyd, _masked_mean_lloyd(repairs)))
+        assert repairs, f"the point set no longer empties a cluster at K={REPAIR_K}"
+        assert np.isfinite(centroids).all()
+        counts = np.bincount(assign, minlength=REPAIR_K)
+        assert counts.size == REPAIR_K and (counts > 0).all() and counts.sum() == 28
+        assert counts.tobytes() == np.bincount(ref[1], minlength=REPAIR_K).tobytes()
+        assert centroids.tobytes() == ref[0].tobytes()
 
 
 def _masked_mean_lloyd(repairs):
@@ -322,13 +363,18 @@ def _masked_mean_lloyd(repairs):
 
 
 def _reference_seed(X, K, rng):
-    """k-means++ with each distance a last-axis sum over the (n, D) squares."""
+    """Greedy k-means++ with each distance a last-axis sum over the (n, D)
+    squares: of ``2 + int(log K)`` candidates drawn with the D² weights, the
+    one leaving the lowest potential (the first on ties) becomes the centre."""
+    trials = 2 + int(np.log(K))
     centroids = np.empty((K, X.shape[1]))
     centroids[0] = X[rng.integers(len(X))]
     d2 = ((X - centroids[0]) ** 2).sum(axis=1)
     for k in range(1, K):
-        centroids[k] = X[int(rng.choice(len(X), p=d2 / d2.sum()))]
-        d2 = np.minimum(d2, ((X - centroids[k]) ** 2).sum(axis=1))
+        cands = rng.choice(len(X), size=trials, p=d2 / d2.sum())
+        reach = [np.minimum(d2, ((X - X[c]) ** 2).sum(axis=1)) for c in cands]
+        best = min(range(trials), key=lambda j: reach[j].sum())
+        centroids[k], d2 = X[cands[best]], reach[best]
     return centroids
 
 
@@ -338,8 +384,7 @@ class TestLloydOracle:
     @staticmethod
     def _point_sets():
         rng = np.random.default_rng(2024)
-        # heavy tails: one restart of K=8 empties a cluster
-        yield "repair", np.random.default_rng(354).standard_cauchy(size=(24, 2)), 8
+        yield "repair", REPAIR_POINTS, 8  # the search's run at K=6 empties a cluster
         yield "blobs", _blobs(rng, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]],
                               n_per=40, spread=0.4)[0], 6
         yield "wide", rng.normal(size=(500, 6)) * [1.0, 3.0, 0.1, 10.0, 1.0, 50.0], 8

@@ -303,6 +303,17 @@ class TestNextFeatures:
                                          overrides={"hum": 61.0})
         assert w[1] == 61.0
 
+    @pytest.mark.parametrize("ics", [True, "2.5", float("nan")])
+    def test_ics_must_be_a_finite_number(self, ics):
+        records = build_stream([{"shift": "Mo M"}, {"shift": "Mo M"}, {"shift": "Mo M"}])
+        with pytest.raises(ConfigurationError, match=r"^ics is not a finite number"):
+            assemble_next_features(records, _config(q=1), "Mo M", ics=ics)
+
+    def test_ics_takes_a_numpy_float(self):
+        records = build_stream([{"shift": "Mo M"}, {"shift": "Mo M"}, {"shift": "Mo M"}])
+        _, w, _ = assemble_next_features(records, _config(q=1), "Mo M", ics=np.float64(1.25))
+        assert w[0] == 1.25
+
     def test_needs_enough_history_for_lags(self):
         records = build_stream([{}])
         with pytest.raises(InsufficientHistoryError):

@@ -807,6 +807,18 @@ class TestChecksAtTheTable:
             learn_tables([model], [replace(table, z=z)])
         assert model.to_json() == before
 
+    @pytest.mark.parametrize("cell", [np.nan, 2.0, -np.inf])
+    def test_learn_tables_never_reads_the_pattern_of_an_unlearned_row(self, cell):
+        # at q = 2 rows 0 and 1 only give lags: a bad pattern cell there is
+        # not read, and the pass learns what it learns from the clean table
+        clean, dirty = self._model(q=2), self._model(q=2)
+        table = build_features(self._records(), clean.config.features)
+        z = table.z.copy()
+        z[0, 0], z[1, 2] = cell, cell
+        learn_tables([clean], [table])
+        learn_tables([dirty], [replace(table, z=z)])
+        assert dirty.to_json() == clean.to_json()
+
     def _assert_same_steps(self, a, b):
         assert [st.index for st in a] == [st.index for st in b]
         for x, y in zip(a, b):
