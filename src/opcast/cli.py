@@ -24,7 +24,7 @@ from .features import (FeatureConfig, assemble_next_features,
                        classification_vector, default_feature_config)
 from .harness import DEFAULT_MODELS, emit_report, leave_one_week_out
 from .model import IoHmmModel, ModelConfig
-from .records import parse_dataset, write_dataset
+from .records import parse_dataset, parse_tail, write_dataset
 from .synthetic import SyntheticSpec, generate_synthetic
 
 # key: (kind, default); None takes the specs from the data, the names from the header
@@ -83,8 +83,7 @@ def _settings(args) -> dict:
             for key, (_, default) in _CONFIG_KEYS.items()}
 
 
-def _load_records(path, schema):
-    result = parse_dataset(path, schema)
+def _usable_records(result):
     if result.errors:
         print(f"warning: skipped {len(result.errors)} unparseable rows "
               f"(first: line {result.errors[0].line}: {result.errors[0].message})",
@@ -108,7 +107,7 @@ def _model_config(records, cfg) -> ModelConfig:
 
 def cmd_fit(args) -> int:
     cfg = _settings(args)
-    records = _load_records(args.data, cfg["schema"])
+    records = _usable_records(parse_dataset(args.data, cfg["schema"]))
     model = IoHmmModel(_model_config(records, cfg))
     model.fit(records, seed=cfg["seed"], threshold=cfg["threshold"], k_max=cfg["kmax"])
     model.save(args.out)
@@ -127,7 +126,10 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     model = IoHmmModel.load(args.snapshot)
-    records = _load_records(args.data, _settings(args)["schema"])
+    fc = model.config.features
+    # the request reads the last q + 1 records: parse only the file's tail
+    records = _usable_records(parse_tail(args.data, max(fc.q, 1) + 1,
+                                         _settings(args)["schema"]))
     overrides = {}
     if args.next_values:
         try:
@@ -138,7 +140,6 @@ def cmd_forecast(args) -> int:
             raise ConfigurationError("--next-values must be a JSON object")
     if args.ics is not None and not np.isfinite(args.ics):
         raise ConfigurationError(f"--ics must be a finite number, got {args.ics!r}")
-    fc = model.config.features
     z, w, begins = assemble_next_features(records, fc, args.shift,
                                           ics=args.ics, new_order=args.new_order,
                                           overrides=overrides)
@@ -156,7 +157,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _settings(args)
-    records = _load_records(args.data, cfg["schema"])
+    records = _usable_records(parse_dataset(args.data, cfg["schema"]))
     models = args.names.split(",") if args.names else list(cfg["models"])
     base = _model_config(records, {**cfg, "allow_cold_start": True})
     report = leave_one_week_out(records, model_names=models, base=base,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -264,9 +265,11 @@ def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | N
 def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
     """Read a delimited dataset into records.
 
-    ``source`` is a path or a text stream. ``schema`` optionally maps
-    canonical column names to the names actually used in the file header.
-    Row rules:
+    ``source`` is a path or a text stream; a file is read as UTF-8, with or
+    without a byte-order mark. ``schema`` optionally maps canonical column
+    names to the names actually used in the file header. ``fit`` and
+    ``evaluate`` parse whole files with it, and ``parse_tail`` (for
+    ``forecast``) a file's header and last rows. Row rules:
 
     * the first line is the header (``SchemaError`` if it is blank or lacks
       a mandatory column); blank rows are skipped;
@@ -282,7 +285,8 @@ def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
     that needs the rules above goes row by row, the only route that derives
     values and reports row errors, so both give the same results.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(source, "r", newline="")
+    opened = (nullcontext(source) if hasattr(source, "read")
+              else open(source, "r", newline="", encoding="utf-8-sig"))
     with opened as stream:
         reader = csv.reader(stream)
         fieldnames = next(reader, None)
@@ -319,6 +323,47 @@ def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
         return ParseResult(records, errors)
 
 
+_BLOCK = 4096  # bytes of the file's end that a tail read starts with
+
+
+def parse_tail(path, need: int, schema: dict[str, str] | None = None) -> ParseResult:
+    """The last rows of a dataset file, parsed with ``parse_dataset``'s rules.
+
+    Reads the header line, then the file's last 4 kB, doubling the block
+    until the rows after its first line break hold ``need`` usable records
+    or the block reaches the header; the records are then those of the
+    whole file's parse from some row on. Row errors keep their file line
+    numbers, but only the rows read are reported. The whole file is parsed
+    when ``path`` is not a seekable file, and when a ``"`` or a bare ``\r``
+    could make a row span lines or a block holds no line break.
+    """
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            header, size = fh.readline(), _BLOCK
+            end = fh.seek(0, io.SEEK_END)
+            while True:
+                start = max(len(header), end - size)
+                fh.seek(start)
+                block = fh.read(end - start)
+                cut = block.find(b"\n") + 1 if start > len(header) else 0
+                text = header + block
+                if b'"' in text or text.count(b"\r") != text.count(b"\r\n") or (
+                        start > len(header) and not cut):
+                    break
+                result = parse_dataset(io.StringIO(
+                    header.decode("utf-8-sig") + block[cut:].decode(), newline=""), schema)
+                if len(result.records) >= need or start == len(header):
+                    if not result.errors:
+                        return result
+                    fh.seek(len(header))  # the skipped rows' line breaks
+                    skipped = fh.read(start + cut - len(header)).count(b"\n")
+                    return ParseResult(result.records, [
+                        RowError(e.line + skipped, e.message) for e in result.errors])
+                size *= 2
+            fh.seek(0)
+        return parse_dataset(io.TextIOWrapper(fh, "utf-8-sig", newline=""), schema)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -330,8 +375,9 @@ def _fmt(value) -> str:
 
 
 def write_dataset(records: Sequence[ProductionRecord], target) -> None:
-    """Write records with the canonical header. Floats keep full precision."""
-    opened = nullcontext(target) if hasattr(target, "write") else open(target, "w", newline="")
+    """Write records with the canonical header, as UTF-8. Floats keep full precision."""
+    opened = (nullcontext(target) if hasattr(target, "write")
+              else open(target, "w", newline="", encoding="utf-8"))
     with opened as stream:
         writer = csv.writer(stream)
         writer.writerow([alias for alias, _ in COLUMNS])

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import opcast
+import opcast.cli
+import opcast.records
 from opcast import (IoHmmModel, ThresholdWarning, default_feature_config, fit_states,
                     parse_dataset, week_key)
 from opcast.cli import main
@@ -394,6 +397,115 @@ class TestForecast:
         assert main(["forecast", "--snapshot", str(bad),
                      "--data", str(workdir / "data.csv"),
                      "--shift", "Tu M"]) == 2
+
+
+def _spoiled(header: str, row: str, column: str, value: str) -> str:
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = value
+    return ",".join(cells)
+
+
+def _history(workdir) -> list[str]:
+    """Lines of a history with bad, short and blank rows: the first rows of
+    data.csv, a bad row, a short row, a blank line, 14 bad rows (more than
+    the first 4 kB block), a blank line and a bad row before the last."""
+    header, *rows = (workdir / "data.csv").read_text().splitlines()
+    bad = functools.partial(_spoiled, header)
+    return [header, *rows[:6], bad(rows[6], "OT", "abc"), *rows[7:10],
+            ",".join(rows[10].split(",")[:6]), "", *rows[11:15],
+            *(bad(row, "date", "2022-13-40") for row in rows[15:29]), *rows[29:32], "",
+            bad(rows[32], "nstops", "x"), rows[33]]
+
+
+class TestTailRead:
+    """``forecast`` parses only the history's header and last rows."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, workdir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("lags")
+        paths = {1: workdir / "model.json"}
+        for q in (0, 2, 3, 4, 5):
+            paths[q] = root / f"model-q{q}.json"
+            assert main(["fit", "--data", str(workdir / "data.csv"), "--lags", str(q),
+                         "--kmax", "4", "--out", str(paths[q])]) == 0
+        return dict(sorted(paths.items()))
+
+    @pytest.mark.parametrize("variant", ["crlf-renamed", "lf", "quoted"])
+    def test_every_prefix_serves_the_whole_files_document(
+            self, workdir, snapshots, tmp_path, monkeypatch, capsys, variant):
+        # for q = 0..5 and every prefix of the history, with and without its
+        # last line break, the exit code, the document and the error are
+        # those of a request that parses the whole file
+        lines, request = _history(workdir), []
+        if variant == "crlf-renamed":
+            lines[0] = lines[0].replace(",OT,", ",opening,")
+            (tmp_path / "cfg.json").write_text(json.dumps({"schema": {"OT": "opening"}}))
+            request = ["--config", str(tmp_path / "cfg.json")]
+        if variant == "quoted":  # near the end: longer prefixes are parsed whole
+            shift = lines[-4].split(",")[3]
+            lines[-4] = _spoiled(lines[0], lines[-4], "shift", f'"{shift}"')
+        ending = "\n" if variant == "lf" else "\r\n"
+        path = tmp_path / "history.csv"
+        routes, parse = [], opcast.records.parse_dataset
+        monkeypatch.setattr(opcast.records, "parse_dataset", lambda source, schema=None: (
+            routes.append(type(source).__name__) or parse(source, schema)))
+
+        def outcome(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err.splitlines()[-1] if code else ""
+        codes = set()
+        for q, snapshot in snapshots.items():
+            for k in range(1, len(lines) + 1):
+                text = ending.join(lines[:k]) + ending * (k % 2)
+                path.write_bytes(text.encode())
+                argv = ["forecast", "--snapshot", str(snapshot), "--data", str(path),
+                        "--shift", "Tu M", *request]
+                tail = outcome(argv)
+                with monkeypatch.context() as whole:
+                    whole.setattr(opcast.cli, "parse_tail",
+                                  lambda source, need, schema=None: parse(source, schema))
+                    assert outcome(argv) == tail, (q, k)
+                codes.add(tail[0])
+        assert codes == {0, 2}
+        assert set(routes) == ({"StringIO", "TextIOWrapper"} if variant == "quoted"
+                               else {"StringIO"})
+
+    def test_no_usable_record_exits_2(self, workdir, tmp_path, capsys):
+        header, *rows = _history(workdir)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header] + [_spoiled(header, row, "OT", "abc")
+                                             for row in rows if row.count(",") > 6]) + "\n")
+        assert path.stat().st_size > 8192  # the block grows back to the header
+        assert main(["forecast", "--snapshot", str(workdir / "model.json"),
+                     "--data", str(path), "--shift", "Tu M"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("data error: dataset contains no usable records\n")
+
+    def test_a_history_shorter_than_the_lags_exits_2(self, workdir, snapshots,
+                                                      tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(_history(workdir)[:3]) + "\n")
+        assert main(["forecast", "--snapshot", str(snapshots[3]),
+                     "--data", str(path), "--shift", "Tu M"]) == 2
+        assert capsys.readouterr().err == \
+            "data error: need at least 3 records of history\n"
+
+    def test_the_skipped_row_warning(self, workdir, tmp_path, capsys):
+        # fit counts every bad row of the file, forecast the bad rows it read;
+        # both give the first one's line number in the file
+        path = tmp_path / "history.csv"
+        path.write_text("\n".join(_history(workdir)) + "\n")
+        assert main(["fit", "--data", str(path), "--kmax", "4",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipped 17 unparseable rows "
+            "(first: line 8: column 'OT': cannot parse 'abc' as a number)\n")
+        assert main(["forecast", "--snapshot", str(workdir / "model.json"),
+                     "--data", str(path), "--shift", "Tu M"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: skipped 8 unparseable rows "
+            "(first: line 25: column 'date': cannot parse '2022-13-40')\n")
 
 
 class TestSchema:

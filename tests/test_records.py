@@ -4,7 +4,9 @@ import functools
 import datetime as dt
 import io
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from opcast import (OrderingError, ParseResult, ProductionRecord, RowError,
                     consistency_issues, derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
 from opcast import records as records_module
-from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, _build_records
+from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, _build_records, parse_tail
 from conftest import make_record
 from oracles import row_parse_oracle
 
@@ -608,6 +610,141 @@ class TestBuildRecords:
         assert [hash(rec) for rec in built] == [hash(rec) for rec in expected]
         with pytest.raises(dataclasses.FrozenInstanceError):
             built[0].OT = 1.0
+
+
+def _tail_rows(count):
+    """The header and ``count`` rows of distinct records, without line endings."""
+    return _csv_text([make_record(n=i + 1, OpT=7.0 + 0.01 * i, hum=60.0 + i)
+                      for i in range(count)]).splitlines()
+
+
+def _spoiled(row, alias="OT", value="abc"):
+    cells = row.split(",")
+    cells[[a for a, _ in COLUMNS].index(alias)] = value
+    return ",".join(cells)
+
+
+class TestParseTail:
+    """``parse_tail`` reads a file's header and last rows with the rules of
+    ``parse_dataset``: its records end the whole file's records."""
+
+    @staticmethod
+    def _file(tmp_path, lines, ending="\r\n", last_ending=True, prefix=b""):
+        path = tmp_path / "data.csv"
+        text = ending.join(lines) + (ending if last_ending else "")
+        path.write_bytes(prefix + text.encode())
+        return path
+
+    @staticmethod
+    def _counting(monkeypatch):
+        sources = []
+        real = records_module.parse_dataset
+
+        def counted(source, schema=None):
+            sources.append(type(source).__name__)
+            return real(source, schema)
+        monkeypatch.setattr(records_module, "parse_dataset", counted)
+        return sources
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_reads_only_the_last_block(self, tmp_path, monkeypatch, ending):
+        lines = _tail_rows(60)
+        path = self._file(tmp_path, lines, ending)
+        sources = self._counting(monkeypatch)
+        tail, full = parse_tail(path, 3), parse_dataset(path)
+        assert sources == ["StringIO"]
+        assert 3 <= len(tail.records) < 20 and tail.errors == []
+        assert tail.records == full.records[-len(tail.records):]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_row_errors_keep_their_file_line_numbers(self, tmp_path, ending):
+        lines = _tail_rows(40)
+        lines[2] = _spoiled(lines[2])           # line 3, outside the tail
+        lines[20:20] = ["", "", ""]             # blank lines count as lines
+        lines[-2] = _spoiled(lines[-2], "date", "2022-13-40")
+        path = self._file(tmp_path, lines, ending)
+        tail, full = parse_tail(path, 2), parse_dataset(path)
+        assert [e.line for e in full.errors] == [3, len(lines) - 1]
+        assert tail.errors == full.errors[1:]
+        assert tail.records == full.records[-len(tail.records):]
+
+    def test_grows_back_to_the_header_when_the_last_blocks_are_bad(
+            self, tmp_path, monkeypatch):
+        good = _tail_rows(64)
+        lines = good[:4] + [_spoiled(row) for row in good[4:]]
+        path = self._file(tmp_path, lines)
+        sources = self._counting(monkeypatch)
+        assert parse_tail(path, 2) == parse_dataset(path)
+        # the blocks double from 4 kB until the last one reaches the header
+        rows = path.stat().st_size - len(lines[0]) - 2
+        assert sources == ["StringIO"] * (1 + math.ceil(math.log2(rows / 4096)))
+        assert len(parse_dataset(path).records) == 3
+
+    def test_no_usable_row_reads_the_whole_file(self, tmp_path):
+        lines = _tail_rows(30)
+        path = self._file(tmp_path, lines[:1] + [_spoiled(row) for row in lines[1:]])
+        result = parse_tail(path, 2)
+        assert result.records == [] and result.errors == parse_dataset(path).errors
+
+    def test_a_quoted_field_reads_the_whole_file(self, tmp_path, monkeypatch):
+        # a quoted shift label with a line break: a tail cut at that break
+        # would read the label's second half as a row
+        lines = _tail_rows(30)
+        lines[-1] = _spoiled(lines[-1], "shift", '"Mo\nM"')
+        path = self._file(tmp_path, lines)
+        sources = self._counting(monkeypatch)
+        tail = parse_tail(path, 2)
+        assert sources == ["TextIOWrapper"]
+        assert tail == parse_dataset(path) and tail.records[-1].shift == "Mo\nM"
+
+    @pytest.mark.parametrize("case", ["cr", "unbroken"])
+    def test_rows_that_may_span_lines_read_the_whole_file(self, tmp_path, monkeypatch,
+                                                        case):
+        lines = _tail_rows(30)
+        if case == "unbroken":  # a last row wider than the block, unterminated
+            lines[-1] += "," * 5000
+        path = self._file(tmp_path, lines, "\r" if case == "cr" else "\r\n",
+                          last_ending=case == "cr")
+        sources = self._counting(monkeypatch)
+        tail = parse_tail(path, 2)
+        assert sources == ["TextIOWrapper"]
+        assert tail == parse_dataset(path) and len(tail.records) == 30
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+    def test_a_pipe_is_parsed_whole(self, tmp_path):
+        lines = _tail_rows(30)
+        expected = parse_dataset(self._file(tmp_path, lines))
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=lambda: pipe.write_bytes(("\r\n".join(lines) + "\r\n").encode()))
+        writer.start()
+        try:
+            assert parse_tail(pipe, 2) == expected
+        finally:
+            writer.join()
+
+
+class TestByteOrderMark:
+    """A file saved with a UTF-8 byte-order mark ("CSV UTF-8") reads as without."""
+
+    def test_parse_dataset(self, tmp_path):
+        text = _csv_text([make_record(n=1), make_record(n=2, shift="Mo N")])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_dataset(marked) == parse_dataset(plain)
+        assert len(parse_dataset(marked).records) == 2
+
+    @pytest.mark.parametrize("need", [2, 100], ids=["last-block", "whole-file"])
+    def test_parse_tail(self, tmp_path, need):
+        text = "\r\n".join(_tail_rows(30)) + "\r\n"
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig", newline="")
+        tail, full = parse_tail(marked, need), parse_dataset(io.StringIO(text))
+        assert tail.errors == [] and tail.records == full.records[-len(tail.records):]
+        assert len(tail.records) == 30 if need == 100 else 2 <= len(tail.records) < 30
 
 
 class TestSegmentation:
