@@ -51,7 +51,7 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from exc
 
 

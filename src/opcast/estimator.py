@@ -16,10 +16,13 @@ multiplication commutes, so a symmetric ``P`` gives a symmetric result
 with no explicit symmetrization. Both invariants are checked once, where
 a state enters from outside: ``from_dict``.
 
-``stacked_pass`` folds many same-shaped states through their own input
-sequences at once, one stacked update per step, computing bit for bit
-what ``AdaptiveState._update`` computes one state at a time, and stops
-where ``_update`` would refuse; ``stacked`` lays the sequences out for it.
+``stacked_pass`` folds many states through their own input sequences at
+once, computing bit for bit what ``AdaptiveState._update`` computes one
+state at a time, and stops where ``_update`` would refuse. Its layout is
+ragged: the states come in groups of one shape, each kind of array is one
+flat buffer of all states' blocks, and one step advances every group, the
+products per group and everything else once over the flat buffers;
+``stacked`` lays the sequences out for it.
 """
 
 from __future__ import annotations
@@ -216,74 +219,126 @@ def stacked(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     return out, (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()
 
 
-def stacked_pass(states: Sequence[AdaptiveState], X: np.ndarray, Y: np.ndarray,
-                 active: Sequence[int]) -> tuple | None:
-    """Fold each state's own sequence of checked ``(u, y)`` rows, all at once.
+def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None:
+    """Fold many states, each through its own sequence of checked ``(u, y)``
+    rows, in one ragged pass, bit for bit as ``_update`` folds them one by one.
 
-    The states share their dimensions and forgetting factor and come
-    sorted by sequence length, longest first; ``X``, ``Y`` and ``active``
-    hold their sequences as ``stacked`` lays them out. Step ``k`` advances
-    the first ``active[k]`` states by one stacked update that computes bit
-    for bit what ``_update`` computes state by state: the products are
-    ``np.matmul`` of ``(n, p, p) @ (n, p, 1)`` stacks of contiguous slices,
-    which call the BLAS gemv/dot of the 2-D product once per slice, and
-    the elementwise steps keep ``_update``'s operands and order.
+    Each group is ``(states, X, active, Y)``: states of one shape ``(p, m)``,
+    sorted by sequence length, longest first, and their sequences as
+    ``stacked`` lays them out; the first ``active[k]`` states are active at
+    step ``k``. Each kind of array (``H``, ``Sigma``, ``P``, ``Pu``, ...) is one
+    flat buffer of every state's block, a group's blocks one ``(n, ...)``
+    view of it. Per group and step, ``P u``, ``u'Pu`` and ``u'H`` are
+    ``np.matmul`` of ``(n, p, p) @ (n, p, 1)`` stacks, which call the BLAS
+    gemv/dot of the 2-D product once per slice; every other operation runs
+    once over the flat buffers, with ``_update``'s operands and order. A state
+    is kept as its last step leaves it and its blocks are then zeroed, so
+    that with its zero rows they stay zero, whatever its values were.
 
     Nothing is written to the states: returns ``commit``, which writes the
-    results, the ``(state, step, message)`` of every ConditioningWarning
-    due, each step's pre-update prediction ``u'H`` laid out like ``Y`` and
-    each step's pre-update ``Sigma`` (one ``(m, m)`` matrix per entry of
-    ``Y``): what ``_update`` returns, the moments that ``run_online`` and
-    ``walk_tables`` blend into the forecast of the step's row. Returns None
-    at the first step with a gain denominator that is not positive, where
-    ``_update`` refuses.
+    results, the ``(group, state, step, message)`` of every
+    ConditioningWarning due and, with ``moments``, per group each step's
+    pre-update ``u'H`` laid out like its ``Y`` and ``Sigma`` (an ``(m, m)``
+    matrix per entry of ``Y``): what ``_update`` returns, the moments that
+    ``run_online`` and ``walk_tables`` blend into the forecast of the step's
+    row. Returns None at the first step with a gain denominator that is not
+    positive, where ``_update`` refuses.
     """
-    lam = states[0].forgetting
-    p, m = X.shape[2], Y.shape[2]
-    lengths = (np.asarray(active)[:, None] > np.arange(len(states))).sum(axis=0).tolist()
-    H = np.stack([st.H for st in states])
-    Sigma = np.stack([st.Sigma for st in states])
-    P = np.stack([st.P for st in states])
-    gamma = np.array([st.gamma for st in states])
-    checks: dict[int, list[int]] = {}  # step -> states whose update count hits the schedule
-    for j, (st, length) in enumerate(zip(states, lengths)):
-        for k in range(COND_CHECK_EVERY - 1 - st.n_updates % COND_CHECK_EVERY, length,
-                       COND_CHECK_EVERY):
-            checks.setdefault(k, []).append(j)
-    caught: list[tuple[int, int, str]] = []
-    mean, cov = np.empty(Y.shape), np.empty(Y.shape + (m,))
-    for k, n in enumerate(active):
-        u, Hk, Sk, Pk, gk = X[k, :n], H[:n], Sigma[:n], P[:n], gamma[:n]
-        ut = u.reshape(n, 1, p)
-        Pu = np.matmul(Pk, u.reshape(n, p, 1))
-        denom = np.matmul(ut, Pu)
-        denom += lam
-        if not (denom > 0.0).all():
+    if not groups:
+        return (lambda: None), [], []
+    states = [st for sts, *_ in groups for st in sts]
+    first = np.cumsum([0] + [len(sts) for sts, *_ in groups]).tolist()
+    shapes = [(X.shape[2], Y.shape[2]) for _, X, _, Y in groups]
+    ps, ms = (np.repeat(dim, np.diff(first)) for dim in zip(*shapes))  # per state
+    steps = max(len(X) for _, X, _, _ in groups)
+    pm, mm, pp = (lambda p, m: (p, m)), (lambda p, m: (m, m)), (lambda p, m: (p, p))
+
+    def flat(block):
+        """A zeroed buffer of a ``block(p, m)`` per state, its group views and
+        where each state's block starts."""
+        rows, cols = block(ps, ms)
+        at = np.concatenate([[0], np.cumsum(np.broadcast_to(rows * cols, len(states)))])
+        buf = np.zeros(at[-1])
+        return buf, [buf[at[a]:at[b]].reshape((b - a,) + block(*shape))
+                     for shape, a, b in zip(shapes, first, first[1:])], at
+
+    def outer(block, at_y):
+        """For the blocks ``x y'`` of shape ``block(p, m)``: how often each ``x_i``
+        repeats, where each ``y_j`` lies in its buffer (blocks starting at
+        ``at_y``), and a buffer to gather into."""
+        rows, cols = block(ps, ms)
+        sizes = rows * cols
+        within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return (cols.repeat(rows), within % cols.repeat(sizes) + at_y[:-1].repeat(sizes),
+                np.empty(sizes.sum()))
+
+    def product(x, y, reps, j, yj):  # x_i y_j, as _update's outer products compute it
+        return np.multiply(x.repeat(reps), y.take(j, out=yj, mode="clip"), out=yj)
+
+    (H, Hs, at_H), (S, _, at_S), (P, Ps, at_P), (Pu, Pus, at_u), (den, dens, at_1), \
+        (pred, preds, at_y) = (flat(block) for block in (
+            pm, mm, pp, lambda p, m: (p, 1), lambda p, m: (1, 1), lambda p, m: (1, m)))
+    on_H, on_S, on_P = outer(pm, at_y), outer(mm, at_y), outer(pp, at_u)
+    size_H, size_S, size_P = np.diff(at_H), np.diff(at_S), np.diff(at_P)
+    blocks = (H, at_H, "H"), (S, at_S, "Sigma"), (P, at_P, "P")
+    for buf, _, name in blocks:
+        np.concatenate([getattr(st, name).ravel() for st in states], out=buf)
+    gamma, lam = (np.array([getattr(st, key) for st in states]) for key in ("gamma", "forgetting"))
+    lam_P = lam.repeat(size_P)
+    kept = H.copy(), S.copy(), P.copy(), gamma.copy(), np.zeros(len(states), int)
+    Y = np.zeros((steps, len(pred)))
+    mean, cov = (np.empty((steps, len(buf))) for buf in (pred, S)) if moments else (None, None)
+    checks, ends, stacks = {}, {}, []  # step -> {group: states due a check}, [states ending]
+    for g, (sts, X, active, Yg) in enumerate(groups):
+        Y[:len(Yg), at_y[first[g]]:at_y[first[g + 1]]] = Yg.reshape(len(Yg), -1)
+        lengths = (np.asarray(active)[:, None] > np.arange(len(sts))).sum(axis=0).tolist()
+        for i, (st, length) in enumerate(zip(sts, lengths)):
+            for k in range(COND_CHECK_EVERY - 1 - st.n_updates % COND_CHECK_EVERY, length,
+                           COND_CHECK_EVERY):
+                checks.setdefault(k, {}).setdefault(g, []).append(i)
+        active = [*active, 0]
+        for k in np.flatnonzero(np.diff(active)).tolist():  # states active[k + 1].. end at k
+            ends.setdefault(k, []).append((first[g] + active[k + 1], first[g] + active[k]))
+        if len(X) < steps:  # a group that ends early reads zero rows to the last step
+            X = np.concatenate([X, np.zeros((steps - len(X),) + X.shape[1:])])
+        stacks.append((X[..., None], X[:, :, None], Ps[g], Pus[g], dens[g], Hs[g], preds[g]))
+    caught: list[tuple[int, int, int, str]] = []
+    for k in range(steps):
+        for Xc, Xr, Pk, Puk, dk, Hk, yk in stacks:
+            np.matmul(Pk, Xc[k], out=Puk)
+            np.matmul(Xr[k], Puk, out=dk)
+            np.matmul(Xr[k], Hk, out=yk)
+        den += lam
+        if not den.min() > 0.0:
             return None
-        cov[k, :n] = Sk
-        pred = np.matmul(ut, Hk)
-        mean[k, :n] = pred[:, 0]
-        gk *= lam
-        gk += 1.0
-        e = Y[k, :n].reshape(n, 1, m) - pred
-        Hk += Pu * e / denom
-        ee = e.reshape(n, m, 1) * e
-        ee *= (lam / (gk * denom[:, 0, 0]))[:, None, None]
-        Sk *= (1.0 - 1.0 / gk)[:, None, None]
-        Sk += ee
-        outer = Pu * Pu.reshape(n, 1, p)
-        outer /= denom
-        Pk -= outer
-        Pk /= lam
-        due = checks.get(k)
-        if due:  # one batched cond over the due states, then their messages in order
-            for j, cond in zip(due, np.linalg.cond(Pk[due]).tolist()):
-                message = _cond_message(cond, states[j].n_updates + k + 1)
+        if moments:
+            mean[k], cov[k] = pred, S
+        gamma *= lam
+        gamma += 1.0
+        e = Y[k] - pred
+        H += np.divide(product(Pu, e, *on_H), den.repeat(size_H), out=on_H[2])
+        ee = np.multiply(product(e, e, *on_S), (lam / (gamma * den)).repeat(size_S), out=on_S[2])
+        S *= (1.0 - 1.0 / gamma).repeat(size_S)
+        S += ee
+        P -= np.divide(product(Pu, Pu, *on_P), den.repeat(size_P), out=on_P[2])
+        P /= lam_P
+        for g, due in checks.get(k, {}).items():  # one batched cond per group
+            for i, cond in zip(due, np.linalg.cond(Ps[g][due]).tolist()):
+                message = _cond_message(cond, groups[g][0][i].n_updates + k + 1)
                 if message is not None:
-                    caught.append((j, k, message))
+                    caught.append((g, i, k, message))
+        for a, b in ends.get(k, ()):  # kept, then zeroed: with zero rows they stay zero
+            for now, last, at in zip((H, S, P, gamma), kept, (at_H, at_S, at_P, at_1)):
+                last[at[a]:at[b]] = now[at[a]:at[b]]
+                now[at[a]:at[b]] = 0.0
+            kept[4][a:b] = k + 1
 
     def commit() -> None:
-        for i, (st, length) in enumerate(zip(states, lengths)):
-            st.H, st.Sigma, st.P = H[i].copy(), Sigma[i].copy(), P[i].copy()
-            st.gamma, st.n_updates = float(gamma[i]), st.n_updates + length
-    return commit, caught, mean, cov
+        for j, st in enumerate(states):
+            for (_, at, name), last in zip(blocks, kept):
+                setattr(st, name, last[at[j]:at[j + 1]].reshape(getattr(st, name).shape).copy())
+            st.gamma, st.n_updates = float(kept[3][j]), st.n_updates + int(kept[4][j])
+    return commit, caught, [
+        (mean[:, at_y[a]:at_y[b]].reshape(steps, b - a, m),
+         cov[:, at_S[a]:at_S[b]].reshape(steps, b - a, m, m))
+        for (_, m), a, b in zip(shapes, first, first[1:])] if moments else None

@@ -18,7 +18,8 @@ the LOWO folds) and ``walk_tables`` are one stacked pass of that loop over
 several models' tables: learning is a walk whose first forecast lies after
 the last row. Centroid moves never depend on the predictors, so the rows of
 each pattern form an independent chain, and all chains advance together,
-one stacked update per chain position, bit for bit as the loop would. A
+one stacked update of all groups of a side per chain position
+(``stacked_pass``), bit for bit as the loop would. A
 stacked pass takes exactly what ``_pass`` accepts; what ``_pass`` refuses it
 replays through ``_pass`` on copies, in model order, only to raise. One blend,
 ``_blend``, makes every forecast: ``run_online`` and ``walk_tables`` both
@@ -241,7 +242,7 @@ def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
     counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
     prev, active = stacked([ch.prev for ch in chains])
     cur, _ = stacked([ch.cur - 1 for ch in chains])
-    vectors = np.empty(prev.shape + counts.shape[2:])
+    vectors = np.zeros(prev.shape + counts.shape[2:])  # zero after a chain ends, as stacked pads
     for k, n in enumerate(active):
         at, read = np.arange(n), prev[k, :n]
         rows = counts[at, read]
@@ -253,30 +254,32 @@ def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
 
 
 def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
-    """Advance ``chains`` together, one stacked count step and one stacked
-    update per group of predictors at each chain position; ``walking``, fill
-    their ``moments`` (u mean and covariance, v mean and covariance per step).
-    Returns the commits and the warnings keyed by where each falls in a
-    record-by-record pass, or None at the first refused update."""
+    """Advance ``chains`` together: one stacked count step per group of v
+    predictors and one ragged update of each side's groups (``stacked_pass``)
+    at each chain position; ``walking``, fill their ``moments`` (u mean and
+    covariance, v mean and covariance per step). Returns the commits and the
+    warnings keyed by where each falls in a record-by-record pass, or None at
+    the first refused update."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
-        for ch in sorted(chains, key=lambda ch: -len(ch.rows)):  # stable
+        for ch in sorted(chains, key=lambda ch: -len(ch.rows)):  # stable; groups longest first
             st = getattr(ch.states, name)
-            groups.setdefault((st.n_predictors, st.n_responses, st.forgetting), []).append(ch)
-        for group in groups.values():
-            X, active = stacked([ch.u for ch in group]) if name == "u" \
-                else _walk_counts(group)
-            Y = stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
-                         for ch in group])[0]
-            done = stacked_pass([getattr(ch.states, name) for ch in group], X, Y, active)
-            if done is None:
-                return None
-            commit, caught, mean, cov = done
-            commits.append(commit)
-            events += [((group[j].order, group[j].rows[k], side), message)
-                       for j, k, message in caught]
-            for j, ch in enumerate(group if walking else ()):
+            groups.setdefault((st.n_predictors, st.n_responses), []).append(ch)
+        groups = list(groups.values())
+        done = stacked_pass([(
+            [getattr(ch.states, name) for ch in group],
+            *(stacked([ch.u for ch in group]) if name == "u" else _walk_counts(group)),
+            stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
+                     for ch in group])[0]) for group in groups], walking)
+        if done is None:
+            return None
+        commit, caught, moments = done
+        commits.append(commit)
+        events += [((groups[g][j].order, groups[g][j].rows[k], side), message)
+                   for g, j, k, message in caught]
+        for group, (mean, cov) in zip(groups, moments if walking else ()):
+            for j, ch in enumerate(group):
                 ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
     return commits, events
 
@@ -716,9 +719,9 @@ class IoHmmModel:
 
     @classmethod
     def load(cls, path) -> "IoHmmModel":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise RestoreError(f"snapshot is not valid JSON: {exc}") from exc
         return cls.restore(doc)

@@ -72,8 +72,8 @@ def test_lowo_default_check_passes(workloads, tmp_path):
 @pytest.mark.parametrize("days, folds", [(14, 2), (21, 3)])
 def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days, folds):
     # the IO-HMM variants of all folds learn in one stacked pass and walk
-    # their test weeks in one more, whatever the fold count: no
-    # record-by-record walk or update is left
+    # their test weeks in one more, whatever the fold count, each pass one
+    # ragged update per side: no record-by-record walk or update is left
     import opcast.model
     from opcast.estimator import AdaptiveState
     from opcast.model import IoHmmModel
@@ -81,18 +81,24 @@ def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days,
     def forbidden(*args, **kwargs):
         raise AssertionError("record-by-record work in a LOWO run")
 
-    passes = []
+    passes, updates = [], []
 
     def counted(models, tables, spans, walking, stacked=opcast.model._stacked):
         passes.append("walk" if walking else "learn")
         return stacked(models, tables, spans, walking)
 
+    def ragged(groups, moments=False, stacked_pass=opcast.model.stacked_pass):
+        updates.append(len(groups))
+        return stacked_pass(groups, moments)
+
     monkeypatch.setattr(AdaptiveState, "_update", forbidden)
     monkeypatch.setattr(IoHmmModel, "run_online", forbidden)
     monkeypatch.setattr(opcast.model, "_stacked", counted)
+    monkeypatch.setattr(opcast.model, "stacked_pass", ragged)
 
     short = type("ShortLowo", (workloads.LowoDefault,), {"days": days})
     findings, _ = _check(short(), tmp_path, units=1)
     assert findings["folds"] == folds and passes == ["learn", "walk"]
+    assert len(updates) == 4 and min(updates) > 1  # 2 per pass, each of several groups
     if days == 14:
         assert findings["report_sha256"] == SHORT_LOWO_SHA256

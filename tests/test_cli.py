@@ -508,6 +508,52 @@ class TestTailRead:
             "(first: line 25: column 'date': cannot parse '2022-13-40')\n")
 
 
+class TestNotUtf8:
+    """A byte that does not decode as UTF-8 is a data error naming its file."""
+
+    @pytest.fixture
+    def latin1(self, workdir, tmp_path):
+        def history(row):  # data.csv with a Latin-1 shift cell in the given row
+            header, *rows = (workdir / "data.csv").read_text().splitlines()
+            rows[row] = _spoiled(header, rows[row], "shift", "Mo \xe9")
+            path = tmp_path / f"latin1-{row}.csv"
+            path.write_bytes("\n".join([header, *rows, ""]).encode("latin-1"))
+            return path
+        return history
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_fit_and_evaluate_exit_2(self, latin1, tmp_path, capsys, command):
+        path, out = latin1(3), tmp_path / "out"
+        assert main([command, "--data", str(path), "--kmax", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {path} is not UTF-8 text: cannot decode byte 0xe9\n"
+        assert not out.exists()
+
+    def test_forecast_exits_2_on_the_rows_it_reads(self, workdir, latin1, capsys):
+        argv = ["forecast", "--snapshot", str(workdir / "model.json"), "--shift", "Tu M"]
+        path = latin1(-1)
+        assert main([*argv, "--data", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {path} is not UTF-8 text: cannot decode byte 0xe9\n"
+        assert main([*argv, "--data", str(latin1(3))]) == 0  # a row before the tail
+
+    def test_inspect_exits_2(self, workdir, tmp_path, capsys):
+        text = (workdir / "model.json").read_text().replace("opcast-model", "opcast-mod\xe9l")
+        path = tmp_path / "latin1.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["inspect", "--snapshot", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: snapshot is not valid JSON: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_a_config_file_exits_1(self, workdir, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes('{"schema": {"shift": "Schicht\xe9"}}'.encode("latin-1"))
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(path),
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: config file is not valid JSON: 'utf-8' codec")
+
+
 class TestSchema:
     """A config ``schema`` reads a file whose header uses other column names."""
 

@@ -380,8 +380,16 @@ def _sequential(states, inputs, responses):
 
 
 def _stack(inputs, responses):
-    X, active = stacked(inputs)
-    return X, stacked(responses)[0], active
+    return (*stacked(inputs), stacked(responses)[0])
+
+
+def _one_group(states, inputs, responses):
+    """``stacked_pass`` of one group, its warnings as ``(state, step, message)``."""
+    done = stacked_pass([(states, *_stack(inputs, responses))], moments=True)
+    if done is None:
+        return None
+    commit, warned, [(mean, cov)] = done
+    return commit, [(j, k, message) for _, j, k, message in warned], mean, cov
 
 
 class TestStackedPass:
@@ -409,7 +417,7 @@ class TestStackedPass:
                                                prior_updates=int(rng.integers(0, 60)))
         before = [st.to_dict() for st in states]
         expected, caught, forecasts = _sequential(states, inputs, responses)
-        commit, warned, mean, cov = stacked_pass(states, *_stack(inputs, responses))
+        commit, warned, mean, cov = _one_group(states, inputs, responses)
         assert [st.to_dict() for st in states] == before  # nothing written yet
         assert sorted(warned) == caught
         for j, (means, covariances) in enumerate(forecasts):  # pre-update, bit for bit
@@ -432,7 +440,7 @@ class TestStackedPass:
                                            np.zeros(length))))
             responses.append(rng.normal(size=(length, 1)))
         expected, caught, _ = _sequential(states, inputs, responses)
-        commit, warned, *_ = stacked_pass(states, *_stack(inputs, responses))
+        commit, warned, *_ = _one_group(states, inputs, responses)
         assert len(caught) >= 5 and sorted(warned) == caught
         commit()
         assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
@@ -466,7 +474,7 @@ class TestStackedPass:
                         expected.append((j, k, message))
         assert due[49] == due[99] == [0, 1, 2]
         assert [j for j, _, _ in expected] == [0, 0]
-        _, warned, *_ = stacked_pass(states, *_stack(inputs, responses))
+        _, warned, *_ = _one_group(states, inputs, responses)
         assert warned == expected
 
     def test_a_refused_state_is_reported_and_nothing_is_written(self):
@@ -477,7 +485,7 @@ class TestStackedPass:
         with pytest.raises(NumericError, match="gain denominator"):
             _run(AdaptiveState.from_dict(states[1].to_dict()),
                  zip(inputs[1], responses[1]))
-        assert stacked_pass(states, *_stack(inputs, responses)) is None
+        assert _one_group(states, inputs, responses) is None
         assert [st.to_dict() for st in states] == before
 
     def test_stacked_pads_and_counts_the_running_sequences(self):
@@ -485,3 +493,95 @@ class TestStackedPass:
         assert out.shape == (3, 3, 2) and active == [3, 1, 1]
         assert out[:, 0].tolist() == [[1.0, 1.0]] * 3
         assert out[1:, 1:].tolist() == [[[0.0, 0.0]] * 2] * 2
+
+
+class TestRaggedPass:
+    """stacked_pass over groups of several shapes at once, against ``_update``
+    record by record."""
+
+    @staticmethod
+    def _group(rng, p, m, lengths, narrow=False):
+        """States of one shape with prior updates (0-60, shifting the check
+        schedule) and mixed forgetting factors, longest first, and their
+        histories; ``narrow`` inputs wind ``P`` up so that checks warn."""
+        states, inputs, responses = [], [], []
+        for length in sorted(lengths, reverse=True):
+            st = _run(AdaptiveState(p, m, float(rng.choice([0.6, 0.95, 0.99]))),
+                      _random_history(rng, int(rng.integers(0, 61)), p, m))
+            X = rng.normal(size=(length, p))
+            if narrow:
+                X[:, -1] = 0.0
+            states.append(st)
+            inputs.append(X)
+            responses.append(rng.normal(size=(length, m)))
+        return states, inputs, responses
+
+    @staticmethod
+    def _oracle(groups):
+        """Per group the ``_sequential`` states and moments, and the warnings
+        as ``(group, state, step, message)``."""
+        expected, caught, forecasts = [], [], []
+        for g, group in enumerate(groups):
+            done, warned, moments = _sequential(*group)
+            expected.append([st.to_dict() for st in done])
+            caught += [(g, j, k, message) for j, k, message in warned]
+            forecasts.append(moments)
+        return expected, caught, forecasts
+
+    @staticmethod
+    def _pass(groups, moments=True):
+        return stacked_pass([(states, *_stack(inputs, responses))
+                             for states, inputs, responses in groups], moments)
+
+    def test_bitwise_equal_to_the_update_over_mixed_shapes(self):
+        rng = np.random.default_rng(11)
+        groups = [self._group(rng, 3, 1, [230, 120, 57, 50, 49, 2, 1, 1], narrow=True),
+                  self._group(rng, 5, 2, [140, 99, 3]),
+                  self._group(rng, 2, 3, [1]),
+                  self._group(rng, 4, 1, [210, 100, 100, 51], narrow=True)]
+        before = [[st.to_dict() for st in states] for states, _, _ in groups]
+        expected, caught, forecasts = self._oracle(groups)
+        commit, warned, moments = self._pass(groups)
+        assert [[st.to_dict() for st in states] for states, _, _ in groups] == before
+        assert len(caught) >= 5 and sorted(warned) == caught
+        for (mean, cov), per_state in zip(moments, forecasts):
+            for j, (means, covariances) in enumerate(per_state):
+                assert np.array_equal(mean[:len(means), j], means)
+                assert np.array_equal(cov[:len(means), j], covariances)
+        commit()
+        assert [[st.to_dict() for st in states] for states, _, _ in groups] == expected
+
+    def test_a_refusal_in_the_second_group_at_its_step(self):
+        # zero inputs leave P = -I untouched but for 1/lam, so the state
+        # refuses its first non-zero input, at step 6: the pass returns None
+        # with all six steps before it, and runs when it ends before
+        rng = np.random.default_rng(6)
+        first, second = self._group(rng, 2, 1, [40, 9]), self._group(rng, 3, 2, [30, 12, 5])
+        second[0][1].P = -np.eye(3)
+        second[1][1][:6] = 0.0
+        second[1][1][6:] = 1.0
+        state = AdaptiveState.from_dict(second[0][1].to_dict())
+        _run(state, zip(second[1][1][:6], second[2][1][:6]))
+        with pytest.raises(NumericError, match="gain denominator"):
+            state.update(second[1][1][6], second[2][1][6])
+        before = [[st.to_dict() for st in states] for states, _, _ in (first, second)]
+        assert self._pass([first, second]) is None
+        assert [[st.to_dict() for st in states] for states, _, _ in (first, second)] == before
+        second[1][1], second[2][1] = second[1][1][:6], second[2][1][:6]
+        assert self._pass([first, second]) is not None
+
+    @pytest.mark.parametrize("together", [True, False])
+    def test_finished_states_never_overflow(self, together):
+        # a 5-step chain beside a 20,000-step one at lam = 0.95, in one group
+        # or in two: under raising floating-point errors, the finished state
+        # stays finite for the long one's steps and ends where _update leaves it
+        rng = np.random.default_rng(20000)
+        long_, short = (([AdaptiveState(2, 1, 0.95)], [rng.normal(size=(n, 2))],
+                         [rng.normal(size=(n, 1))]) for n in (20000, 5))
+        groups = [tuple(a + b for a, b in zip(long_, short))] if together else [long_, short]
+        with np.errstate(all="raise"):
+            expected, caught, _ = self._oracle(groups)
+            commit, warned, _ = self._pass(groups, moments=False)
+        assert sorted(warned) == caught
+        commit()
+        assert [[st.to_dict() for st in states] for states, _, _ in groups] == expected

@@ -1263,7 +1263,8 @@ class TestWalkTables:
     def test_two_cluster_models_of_one_k_share_each_count_walk(self, setting, monkeypatch):
         # the setting's states and a copy with its centroids in reverse order
         # (its labels permuted): the v sides of both share one count walk per
-        # (K, m, forgetting) group, yet each model learns and walks as alone
+        # (K, m) group, whatever their forgetting factors, yet each model
+        # learns and walks as alone
         records, features, states = setting
         mirrored = replace(states, centroids=states.centroids[::-1].copy(),
                            counts=states.counts[::-1].copy())
@@ -1278,8 +1279,8 @@ class TestWalkTables:
             return a + b, tables_a + tables_b
 
         models, tables = both([])
-        groups = {(m.n_states, m.n_responses, m.config.lambda_v) for m in models}
-        assert len(groups) == 4
+        groups = {(m.n_states, m.n_responses) for m in models}
+        assert len(groups) == 2 and len({m.config.lambda_v for m in models}) == 2
         alone = [copy.deepcopy(m) for m in models]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
