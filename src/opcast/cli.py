@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path, what: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc}") from exc

@@ -233,7 +233,8 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None
     gemv/dot of the 2-D product once per slice; every other operation runs
     once over the flat buffers, with ``_update``'s operands and order. A state
     is kept as its last step leaves it and its blocks are then zeroed, so
-    that with its zero rows they stay zero, whatever its values were.
+    that with its zero rows they stay zero, whatever its values were; a
+    group whose states have all ended skips its products.
 
     Nothing is written to the states: returns ``commit``, which writes the
     results, the ``(group, state, step, message)`` of every
@@ -299,12 +300,10 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None
         active = [*active, 0]
         for k in np.flatnonzero(np.diff(active)).tolist():  # states active[k + 1].. end at k
             ends.setdefault(k, []).append((first[g] + active[k + 1], first[g] + active[k]))
-        if len(X) < steps:  # a group that ends early reads zero rows to the last step
-            X = np.concatenate([X, np.zeros((steps - len(X),) + X.shape[1:])])
         stacks.append((X[..., None], X[:, :, None], Ps[g], Pus[g], dens[g], Hs[g], preds[g]))
     caught: list[tuple[int, int, int, str]] = []
     for k in range(steps):
-        for Xc, Xr, Pk, Puk, dk, Hk, yk in stacks:
+        for Xc, Xr, Pk, Puk, dk, Hk, yk in [s for s in stacks if k < len(s[0])]:  # live groups
             np.matmul(Pk, Xc[k], out=Puk)
             np.matmul(Xr[k], Puk, out=dk)
             np.matmul(Xr[k], Hk, out=yk)
@@ -330,6 +329,8 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None
         for a, b in ends.get(k, ()):  # kept, then zeroed: with zero rows they stay zero
             for now, last, at in zip((H, S, P, gamma), kept, (at_H, at_S, at_P, at_1)):
                 last[at[a]:at[b]] = now[at[a]:at[b]]
+                now[at[a]:at[b]] = 0.0
+            for now, at in ((Pu, at_u), (den, at_1), (pred, at_y)):  # as a skipped group needs
                 now[at[a]:at[b]] = 0.0
             kept[4][a:b] = k + 1
 

@@ -2,8 +2,8 @@
 
 ``batch_oracle`` recomputes the recursive estimator's state from scratch
 with direct solves, sharing no code with the rank-one update of
-``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` applies
-``_parse_row`` to every non-blank row of a dataset.
+``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` parses a dataset
+one row at a time, without the column pass of ``parse_dataset``.
 ``lowo_row_oracle`` evaluates leave-one-week-out one forecast row at a
 time and one fold at a time: one record per forecast and response, grouped
 into cells by a dict, with the pair-form VARX fit (``fit_varx_pairs``) and

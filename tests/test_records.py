@@ -17,7 +17,7 @@ from opcast import (OrderingError, ParseResult, ProductionRecord, RowError,
                     consistency_issues, derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
 from opcast import records as records_module
-from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, parse_tail
+from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, _build_records, parse_tail
 from conftest import make_record
 from oracles import row_parse_oracle
 
@@ -484,9 +484,8 @@ def _cell_corpus():
             yield f"{name} = {cell!r}", _join(header, odd), None
 
 
-def _bad_row_corpus():
-    """Files of up to 600 rows, some without optional or derived columns:
-    each bad row holds one row error."""
+def _chunk_edge_corpus():
+    """Files around the 256-row chunk: each bad row holds one row error."""
     rng, base = random.Random(99), _base_rows()
     header = base[0]
     bad_names = [name for name in MANDATORY if name != "shift"]
@@ -547,8 +546,8 @@ class TestRowOracle:
         for case in _cell_corpus():
             self._check(*case)
 
-    def test_bad_rows_keep_their_line_numbers(self):
-        for name, text, bad in _bad_row_corpus():
+    def test_chunk_edges(self):
+        for name, text, bad in _chunk_edge_corpus():
             self._check(name, text, None)
             lines = [e.line for e in parse_dataset(io.StringIO(text)).errors]
             assert lines == [i + 2 for i in bad], name
@@ -558,16 +557,59 @@ class TestRowOracle:
         for case in _gap_corpus(seed, 60):
             self._check(*case)
 
-    def test_blank_sensor_cells_read_none(self):
+    def test_blank_sensor_cells_stay_on_the_column_pass(self, monkeypatch):
+        taken = []
+        column_pass = records_module._column_pass
+        monkeypatch.setattr(records_module, "_column_pass",
+                            lambda *args: taken.append(column_pass(*args)) or taken[-1])
         header, *rows = _base_rows()[:301]
         rows = [list(row) for row in rows]
         for r in range(0, 300, 100):
             rows[r][header.index("hum")] = ""
             rows[r + 1][header.index("temp")] = " \t"
         got = parse_dataset(io.StringIO(_join(header, rows)))
+        assert [chunk is not None for chunk in taken] == [True, True]
         assert [i for i, rec in enumerate(got.records) if rec.hum is None] == [0, 100, 200]
         assert [i for i, rec in enumerate(got.records) if rec.temp is None] == [1, 101, 201]
         self._check("blank sensor cells", _join(header, rows), None)
+
+    def test_corpus_reaches_both_routes(self, monkeypatch):
+        taken = []
+        column_pass = records_module._column_pass
+
+        def spy(*args):
+            result = column_pass(*args)
+            taken.append(result is not None)
+            return result
+
+        monkeypatch.setattr(records_module, "_column_pass", spy)
+        outcomes = [_outcome(parse_dataset, text, schema)
+                    for _, text, schema in _generated_corpus(0, 100)]
+        assert taken.count(True) > 30 and taken.count(False) > 30
+        assert sum(isinstance(o, ParseResult) and bool(o.errors) for o in outcomes) > 20
+        taken.clear()
+        header, *rows = _base_rows()[:6]
+        rows = [row[:5] + ["1e308"] + row[6:] for row in rows]  # ics sums to inf
+        assert len(parse_dataset(io.StringIO(_join(header, rows))).records) == 5
+        assert taken == [True]
+
+
+class TestBuildRecords:
+    def test_nothing_runs_after_init(self):
+        assert not hasattr(ProductionRecord, "__post_init__")
+
+    def test_equals_the_dataclass_init(self):
+        records = [make_record(n=1), make_record(n=2, hum=55.5, temp=None),
+                   make_record(n=3, hum=None, temp=20.0)]
+        values = [tuple(getattr(rec, attr) for attr in _ATTRS) for rec in records]
+        built = _build_records(list(zip(*values)))
+        expected = [ProductionRecord(*row) for row in values]
+        assert built == expected
+        assert [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in built] == \
+            [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in expected]
+        assert [hash(rec) for rec in built] == [hash(rec) for rec in expected]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built[0].OT = 1.0
 
 
 def _tail_rows(count):
