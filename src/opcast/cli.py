@@ -148,7 +148,7 @@ def cmd_forecast(args) -> int:
     doc = result.to_dict(fc.response_names)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -163,18 +163,20 @@ def cmd_evaluate(args) -> int:
     report = leave_one_week_out(records, model_names=models, base=base,
                                 seed=cfg["seed"], threshold=cfg["threshold"],
                                 k_max=cfg["kmax"])
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(emit_report(report, "csv"))
     if args.summary_out:
-        with open(args.summary_out, "w") as fh:
+        with open(args.summary_out, "w", encoding="utf-8") as fh:
             fh.write(emit_report(report, "structured-text"))
     print(f"folds: {' '.join(report.folds)}")
     print(f"{'model':<16} {'mae':>8} {'rmse':>8} {'covg':>6}")
+    cells: dict = {}  # per model and metric, the (value, count) of its rows in report order
+    for r in report.rows:
+        cells.setdefault((r.model, r.metric), []).append((r.value, r.count))
     for name in models:
-        rows = [r for r in report.rows if r.model == name]
         line = f"{name:<16}"
         for metric, width, digits in (("mae", 8, 4), ("rmse", 8, 4), ("covg", 6, 3)):
-            vals = [(r.value, r.count) for r in rows if r.metric == metric]
+            vals = cells.get((name, metric))
             mean = sum(v * c for v, c in vals) / sum(c for _, c in vals) if vals else 0.0
             line += f" {mean:{width}.{digits}f}" if vals else " " + "-".rjust(width)
         print(line)

@@ -83,11 +83,12 @@ def _check_points(points) -> np.ndarray:
 
 
 def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(K, n) squared distances from the rows of ``C`` to the columns of ``XT``:
-    ``((XT.T[:, None] - C) ** 2).sum(axis=2).T`` bit for bit."""
+    """(K, n) squared distances from the rows of ``C`` (of ``C[j]`` for an ``(n, K, D)``
+    stack) to the columns ``j`` of ``XT``: ``((XT.T[:, None] - C) ** 2).sum(axis=2).T``
+    bit for bit."""
     if len(XT) > 128:  # past numpy's pairwise block size: the plain form
         return ((XT.T.copy()[:, None] - C) ** 2).sum(axis=2).T
-    d = XT[:, None] - C.T[:, :, None]
+    d = XT[:, None] - C.T.reshape(len(XT), C.shape[-2], -1)
     np.square(d, out=d)
     blocks = len(d) // 8 * 8
     if blocks:  # numpy's order: eight running sums added as a tree, then the rest
@@ -96,6 +97,34 @@ def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
             r = r[0::2] + r[1::2]
         d = np.concatenate((r, d[blocks:]))
     return d.sum(axis=0)  # along the first axis numpy adds in order
+
+
+def walk_labels(walks) -> None:
+    """Label rows ``first..stop-1`` of each walk ``(clusters, X, labels, first, stop)``
+    as ``_pass`` does, all walks in lockstep: per row, absorb the row before into a
+    copy of the centroids at its label, then label the row by ``nearest``'s distances.
+    ``X`` is standardized and finite from ``first - 1`` on. Fewer states pad with
+    inf centroids, nearer to no point than a real one."""
+    groups: dict = {}  # walks of one dimension, longest first
+    for walk in sorted(walks, key=lambda walk: walk[3] - walk[4]):
+        if walk[3] < walk[4]:
+            groups.setdefault(walk[1].shape[1], []).append(walk)
+    for group in groups.values():
+        lengths = np.array([stop - first for *_, first, stop in group])
+        C = np.full((len(group), max(cl.K for cl, *_ in group), group[0][1].shape[1]), np.inf)
+        counts, points = np.ones(C.shape[:2]), np.zeros((lengths[0] + 1,) + C[:, 0].shape)
+        for j, (cl, X, labels, first, stop) in enumerate(group):  # step s reads first - 1 + s
+            C[j, :cl.K], counts[j, :cl.K] = cl.centroids, cl.counts
+            points[:stop - first + 1, j] = X[first - 1:stop]
+        prev = np.array([labels[first - 1] - 1 for _, _, labels, first, _ in group])
+        at, out = np.arange(len(group)), np.zeros((lengths[0], len(group)), int)
+        for s, n in enumerate((lengths > np.arange(lengths[0])[:, None]).sum(axis=1)):
+            moved = at[:n], prev[:n]  # absorbed as ClusterModel.absorb does
+            counts[moved] += 1.0
+            C[moved] += (points[s, :n] - C[moved]) / counts[moved][:, None]
+            prev[:n] = out[s, :n] = _sq_dists(points[s + 1, :n].T, C[:n]).argmin(axis=0)
+        for j, (_, _, labels, first, stop) in enumerate(group):
+            labels[first:stop] = out[:stop - first, j] + 1
 
 
 def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:

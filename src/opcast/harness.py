@@ -31,7 +31,7 @@ from .clustering import ClusterModel
 from .errors import (ConditioningWarning, ConfigurationError, DegenerateDataError,
                      OpcastError, ThresholdWarning, warn)
 from .features import CovariateSpec, FeatureTable, build_features, default_feature_config
-from .metrics import checked, scores
+from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
@@ -254,22 +254,25 @@ def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[Repo
     """Per (model, fold, shift_type, response) accuracy metrics; ``shifts``
     holds the shift type of every record.
 
-    A cell holds its block's forecasts of one shift type, in record order.
+    A cell holds its block's forecasts of one shift type, in record order: a
+    slice of the block's metric columns, after a stable sort by shift type.
     Interval metrics are reported only for cells whose model provides
     predictive spreads.
     """
-    cells: dict[tuple[str, str, str, str], tuple[ForecastBlock, np.ndarray]] = {}
+    cells: dict[tuple[str, str, str, str], tuple[dict, slice]] = {}
     for block in blocks:  # checked once, then its cells are scored unchecked
         checked(block.actual, block.mean, block.sd)
-        codes = shifts[block.index]
-        for shift in set(codes.tolist()):
-            cells[block.model, block.fold, shift, block.response] = block, codes == shift
-    out: list[ReportRow] = []
-    for key, (block, at) in sorted(cells.items()):
-        count = int(np.count_nonzero(at))
-        out += [ReportRow(*key, metric, value, count) for metric, value in scores(
-            block.actual[at], block.mean[at], None if block.sd is None else block.sd[at]).items()]
-    return out
+        order = np.argsort(shifts[block.index], kind="stable")
+        codes = shifts[block.index[order]]
+        edges = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+        cols = columns(block.actual[order], block.mean[order],
+                       None if block.sd is None else block.sd[order])
+        for start, stop in zip(edges, edges[1:]):
+            cells[block.model, block.fold, codes[start].item(), block.response] = \
+                cols, slice(start, stop)
+    return [ReportRow(*key, metric, value, part.stop - part.start)
+            for key, (cols, part) in sorted(cells.items())
+            for metric, value in cell_scores(cols, part).items()]
 
 
 def emit_report(report: MetricsReport, format: str = "csv") -> str:

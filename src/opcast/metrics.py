@@ -38,12 +38,26 @@ def scores(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[st
     """The ``mae`` and ``rmse``, and given spreads ``s`` the ``covg``, ``piw`` and
     ``is95`` (the 95% band's interval score, Gneiting & Raftery 2007: its width
     plus ``2 / 0.05`` times each miss), of ``checked`` arrays, in that order."""
+    return cell_scores(columns(a, p, s), slice(0, len(a)))
+
+
+def columns(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Per pair of ``checked`` arrays, the value each score averages: ``|e|``,
+    ``e²`` (``rmse`` is the root of its mean), and given spreads ``s`` the hit,
+    the half-width ``h`` and the interval-score term."""
     err = np.abs(a - p)
-    out = {"mae": float(err.mean()), "rmse": float(np.sqrt((err ** 2).mean()))}
+    out = {"mae": err, "rmse": err ** 2}
     if s is not None:
         h = Z95 * s
-        out.update(covg=float((err <= h).mean()), piw=float(h.mean()),
-                   is95=float((2.0 * h + 40.0 * np.maximum(err - h, 0.0)).mean()))
+        out.update(covg=err <= h, piw=h, is95=2.0 * h + 40.0 * np.maximum(err - h, 0.0))
+    return out
+
+
+def cell_scores(cols: dict[str, np.ndarray], part: slice) -> dict[str, float]:
+    """``scores`` of the pairs ``part`` of ``columns``: the mean of the same values
+    in the same order as over those pairs alone."""
+    out = {name: float(col[part].sum()) / (part.stop - part.start) for name, col in cols.items()}
+    out["rmse"] = float(np.sqrt(out["rmse"]))
     return out
 
 

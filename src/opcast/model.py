@@ -7,26 +7,20 @@ one driven by the expected-state probability vector from the pseudo-count
 tables. Their forecasts are blended per response with inverse-variance
 weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
-Records move state in one loop, and a forecast only reads. ``run_online``
-(``_pass``) is the interleaved loop over a run of consecutive records: per
-record it absorbs the record before into its centroid, then classifies the
-record (once) and learns its counts and predictors. It checks each cell
-where it reads it, in the order of the checked entry points
-(``forecast_step``, ``update_centroid``, ``assign``, ``learn_step``), and
-puts back what moved when it refuses. ``learn_tables`` (behind ``fit`` and
-the LOWO folds) and ``walk_tables`` are one stacked pass of that loop over
-several models' tables: learning is a walk whose first forecast lies after
-the last row. Centroid moves never depend on the predictors, so the rows of
-each pattern form an independent chain, and all chains advance together,
-one stacked update of all groups of a side per chain position
-(``stacked_pass``), bit for bit as the loop would. A
-stacked pass takes exactly what ``_pass`` accepts; what ``_pass`` refuses it
-replays through ``_pass`` on copies, in model order, only to raise. One blend,
-``_blend``, makes every forecast: ``run_online`` and ``walk_tables`` both
-forecast a record as the blend of the pre-update predictions of the step
-that learns it, and ``forecast_step`` reads the same moments without
-learning. A single forecast is a ``ForecastResult``; the full state
-snapshots to a JSON document.
+``run_online`` (``_pass``) is the interleaved loop over consecutive records:
+per record it absorbs the record before into its centroid, classifies the
+record once and learns its counts and predictors, checking each cell where it
+reads it and putting back what moved when it refuses. ``learn_tables`` (behind
+``fit`` and the LOWO folds) and ``walk_tables`` are one stacked pass of that
+loop over several models' tables, bit for bit. Centroid moves never depend on
+the predictors, so what reads none runs once per pass (checks, labels, chain
+splits, one count walk), and each pattern's rows form a chain; all chains
+advance together, one ragged update of each side per position (``stacked_pass``).
+What ``_pass`` refuses a stacked pass replays through ``_pass`` on copies, in
+model order, only to raise. One blend, ``_blend``, makes every forecast, from
+the pre-update moments of the step that learns the record; ``forecast_step``
+reads the same moments without learning. A forecast is a ``ForecastResult``;
+the full state snapshots to a JSON document.
 """
 
 from __future__ import annotations
@@ -34,12 +28,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .clustering import ClusterModel, fit_auto_k
+from .clustering import ClusterModel, fit_auto_k, walk_labels
 from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      ForecastUnavailableError, InputError, InsufficientHistoryError,
@@ -230,36 +224,45 @@ class _Chain:
         return np.concatenate((np.ones((len(w), 1)), w), axis=1)
 
 
-def _walk_counts(chains: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
-    """Read and count every observation of ``chains`` (one K, as ``_advance``'s
-    shape key ensures; longest first), each in its own counts, one stacked step
-    per chain position; the expected-state vectors read, laid out as ``stacked``
-    lays out sequences.
-
-    Counts are half-integers, so every sum is exact and each vector equals
-    ``expected_state_vector``'s.
-    """
-    counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
-    prev, active = stacked([ch.prev for ch in chains])
-    cur, _ = stacked([ch.cur - 1 for ch in chains])
-    vectors = np.zeros(prev.shape + counts.shape[2:])  # zero after a chain ends, as stacked pads
-    for k, n in enumerate(active):
-        at, read = np.arange(n), prev[k, :n]
-        rows = counts[at, read]
-        vectors[k, :n] = rows / rows.sum(axis=1, keepdims=True)
-        counts[at, read, cur[k, :n]] += 1.0
-    for ch, rows in zip(chains, counts):
-        ch.counts = rows
-    return vectors, active
+def _walk_counts(groups: Sequence[Sequence[_Chain]]) -> list[tuple[np.ndarray, list[int]]]:
+    """Per group of v chains (one K, longest first), the expected-state vectors read
+    and chains running per step, as ``stacked`` lays them out: one walk, one count
+    step of every chain per position. Counts grow by ``+= 1.0`` per observation, as
+    ``observe`` adds them, and numpy sums each row of an ``(n, K)`` array as that row
+    alone, so each vector is ``expected_state_vector``'s, whatever the counts hold."""
+    Ks = [group[0].states.v.n_predictors for group in groups]
+    at = np.cumsum([0] + [len(g[0].rows) * len(g) * K for g, K in zip(groups, Ks)]).tolist()
+    flat, by_k, out = np.zeros(at[-1]), {}, []
+    for start, stop, group, K in zip(at, at[1:], groups, Ks):  # where each vector goes
+        lengths = np.array([len(ch.rows) for ch in group])
+        out.append((flat[start:stop].reshape(lengths[0], len(group), K),
+                    (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()))
+        by_k.setdefault(K, []).extend((ch, start + j * K, len(group) * K)
+                                      for j, ch in enumerate(group))
+    for K, members in by_k.items():
+        members.sort(key=lambda member: -len(member[0].rows))  # stable: longest first
+        chains, starts, strides = zip(*members)
+        counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
+        read, active = stacked([ch.prev for ch in chains])
+        read += np.arange(len(chains)) * (K + 1)  # the row read, among all chains' rows
+        seen = stacked([ch.cur - 1 for ch in chains])[0] + read * K  # the count observed
+        to, stride = (np.array(starts)[:, None] + np.arange(K)).ravel(), np.repeat(strides, K)
+        rows_of, flat_counts = counts.reshape(-1, K), counts.reshape(-1)
+        for k, n in enumerate(active):
+            rows = rows_of.take(read[k, :n], axis=0)
+            flat[to[:n * K] + k * stride[:n * K]] = rows.ravel() / rows.sum(axis=1).repeat(K)
+            flat_counts[seen[k, :n]] += 1.0
+        for ch, rows in zip(chains, counts):
+            ch.counts = rows
+    return out
 
 
 def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
-    """Advance ``chains`` together: one stacked count step per group of v
-    predictors and one ragged update of each side's groups (``stacked_pass``)
-    at each chain position; ``walking``, fill their ``moments`` (u mean and
-    covariance, v mean and covariance per step). Returns the commits and the
-    warnings keyed by where each falls in a record-by-record pass, or None at
-    the first refused update."""
+    """Advance ``chains`` together: one count walk of all v chains and one ragged
+    update of each side's groups (``stacked_pass``); ``walking``, fill their
+    ``moments`` (u mean and covariance, v mean and covariance per step). Returns
+    the commits and the warnings keyed by where each falls in a record-by-record
+    pass, or None at the first refused update."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
@@ -267,11 +270,12 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | Non
             st = getattr(ch.states, name)
             groups.setdefault((st.n_predictors, st.n_responses), []).append(ch)
         groups = list(groups.values())
+        counted = _walk_counts(groups) if name == "v" else None
         done = stacked_pass([(
             [getattr(ch.states, name) for ch in group],
-            *(stacked([ch.u for ch in group]) if name == "u" else _walk_counts(group)),
+            *(stacked([ch.u for ch in group]) if counted is None else counted[g]),
             stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
-                     for ch in group])[0]) for group in groups], walking)
+                     for ch in group])[0]) for g, group in enumerate(groups)], walking)
         if done is None:
             return None
         commit, caught, moments = done
@@ -300,46 +304,69 @@ def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
 
 def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], None]]:
     """The pass behind ``learn_tables`` (``spans`` all None) and ``walk_tables``
-    (``walking``): per model its forecast columns, and a commit that writes
-    what it learned.
+    (``walking``): per model its forecast columns, and a commit of what it learned.
 
-    The states come from one walk of a copy of the centroids per run of
-    records walked; the learned rows split into one chain per pattern, all
-    chains advance together (``_advance``), and each forecast is the
-    ``_blend`` of its step's pre-update moments, as in ``_pass``. It takes
-    exactly what ``_pass`` accepts: a pass that reads a bad cell of its model's columns (by
-    ``_reads_before`` for the row before), must refuse a cold start or refuses an update raises.
+    Once per pass, each table's row masks are checked, sliced per model; its
+    rows labelled per cluster model, the runs that ``_pass`` labels by moving
+    centroids walked in lockstep (``walk_labels``); each labelling split into
+    pattern chains, of which each model learns its rows with its own predictors.
+    All chains advance together (``_advance``); forecasts take one ``_blend`` per
+    response count. It raises exactly where ``_pass`` does: at a bad cell of its
+    model's columns (``_reads_before`` for the row before), a refused cold start
+    or update.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
     if not walking and len({id(model) for model in models}) < len(models):
         raise ConfigurationError("a model appears twice in one learning pass")
-    labels, patterns, chains, firsts = {}, {}, [], []
-    for order, (model, table, span) in enumerate(zip(models, tables, spans)):
+    bad, fixed, walked, reach = {}, {}, {}, []
+    for model, table, span in zip(models, tables, spans):
         q, columns, records, first = model._reach(table, span)
         lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
-        rows = np.arange(max(records.start, q), records.stop)
-        read = slice(rows[0] - q, records.stop) if len(rows) else slice(0)  # with the lags
-        if not (np.isin(table.z[rows], (0, 1)).all() and all(np.isfinite(a).all() for a in (
-                table.w[rows], table.y[read, columns], table.t[lo:records.stop]))):
+        start, stop = max(records.start, q), records.stop
+        if id(table) not in bad:  # the rows holding a cell a pass refuses, once per table
+            bad[id(table)] = (~np.isin(table.z, (0, 1)).all(axis=1) | ~np.isfinite(table.w).all(
+                axis=1), ~np.isfinite(table.t).all(axis=1), ~np.isfinite(table.y))
+        zw, t, y = bad[id(table)]
+        if t[lo:stop].any() or start < stop and (
+                zw[start:stop].any() or y[start - q:stop].take(columns, axis=1).any()):
             return _one_by_one(models, tables, spans)
-        key = id(model.clusters), id(table.t), lo, first, records.stop  # one walk, one labelling
-        if key not in labels:
-            walk = replace(model.clusters, centroids=model.clusters.centroids.copy(),
-                           counts=model.clusters.counts.copy())
-            X, labels[key] = walk.standardizer.transform(table.t), np.zeros(len(table.t), int)
-            labels[key][lo:records.stop] = walk.nearest(X[lo:records.stop])
-            for i in range(first, records.stop):  # from there on as _pass labels them
-                walk.absorb(labels[key][i - 1], X[i - 1])
-                labels[key][i] = walk.nearest(X[i:i + 1])[0]
-        if id(table.z) not in patterns:  # each row's pattern id, once per table
-            patterns[id(table.z)] = np.unique(table.z, axis=0, return_inverse=True)
-        mine = model._chains(order, table, rows, labels[key], *patterns[id(table.z)])
+        key = id(model.clusters), id(table.t)
+        if key not in fixed:  # each row's state by the fitted centroids
+            X = model.clusters.standardizer.transform(table.t)
+            fixed[key] = X, model.clusters.nearest(X)
+        X, labels = fixed[key]
+        run = key + (lo, first, stop)  # from first on, by centroids that move
+        if first < stop:
+            labels = walked.setdefault(run, (model.clusters, X, labels.copy(), first, stop))[2]
+        reach.append((run, labels, lo, stop, columns, start, first))
+    walk_labels(walked.values())
+    splits, chains = {}, []
+    for order, (model, table, (run, labels, lo, stop, columns, start, first)) in enumerate(
+            zip(models, tables, reach)):
+        if id(table.z) not in splits:  # each row's pattern id, once per table
+            distinct, ids = np.unique(table.z, axis=0, return_inverse=True)
+            splits[id(table.z)] = distinct, ids.reshape(-1)
+        distinct, ids = splits[id(table.z)]
+        split = run + (id(table.z), id(table.begins_shift))
+        if split not in splits:  # the labelling's rows, one (id, rows, prev, cur) per pattern
+            at = np.argsort(ids[lo:stop], kind="stable") + lo
+            edges = [0, *(np.flatnonzero(np.diff(ids[at])) + 1).tolist(), len(at)]
+            prev = np.where(table.begins_shift[at], 0, labels[at - 1])  # the count row read
+            splits[split] = [(ids[at[a]], at[a:b], prev[a:b], labels[at[a:b]])
+                             for a, b in zip(edges, edges[1:])]
+        pieces = []
+        for pattern, at, prev, cur in splits[split]:
+            cut = int(np.searchsorted(at, start))
+            if cut < len(at):  # a key only for a pattern learned: other rows go unread
+                pieces.append((int(at[cut]), pattern_key(distinct[pattern]), at[cut:],
+                               prev[cut:], cur[cut:]))
+        mine = [_Chain(order, model, key, model.params.get(key) or model._prior(), table,
+                       columns, *piece) for _, key, *piece in sorted(pieces, key=lambda p: p[0])]
         if not model.config.allow_cold_start and any(
                 ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
             return _one_by_one(models, tables, spans)
         chains += mine
-        firsts.append(first)
     advanced = _advance(chains, walking)
     if advanced is None:
         return _one_by_one(models, tables, spans)
@@ -347,10 +374,16 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     for _, message in sorted(events):
         warn(message, ConditioningWarning)
     parts = [[(np.zeros(0, int), *[np.zeros((0, m.n_responses))] * 2)] for m in models]
-    for ch in chains if walking else ():  # the forecast rows, from the model's first on
-        _, means, covs = _blend(*ch.moments)
-        at = ch.rows >= firsts[ch.order]
-        parts[ch.order].append((ch.rows[at], means[at], np.diagonal(covs, 0, 1, 2)[at]))
+    batches: dict = {}
+    for ch in chains if walking else ():
+        batches.setdefault(ch.moments[0].shape[1], []).append(ch)
+    for batch in batches.values():  # one blend per response count
+        _, means, covs = _blend(*map(np.concatenate, zip(*(ch.moments for ch in batch))))
+        ends = np.cumsum([len(ch.rows) for ch in batch])[:-1]
+        for ch, mean, var in zip(batch, np.split(means, ends),
+                                 np.split(np.diagonal(covs, 0, 1, 2), ends)):
+            at = ch.rows >= reach[ch.order][-1]  # the forecast rows, from the model's first on
+            parts[ch.order].append((ch.rows[at], mean[at], var[at]))
     out = []
     for mine in parts:
         index, mean, var = (np.concatenate(column) for column in zip(*mine))
@@ -564,22 +597,6 @@ class IoHmmModel:
             raise DimensionError("the records to walk are not a range of the table's rows")
         return fc.q, columns, span, max(span.start, fc.q + 1)
 
-    def _chains(self, order: int, table: FeatureTable, rows: np.ndarray, labels: np.ndarray,
-                patterns: np.ndarray, ids: np.ndarray) -> list[_Chain]:
-        """The learned ``rows`` of ``table``, one chain per pattern in the order
-        the patterns first occur; ``labels`` are the rows' states and
-        ``patterns[ids]`` the table's ``z``."""
-        present, firsts, which = np.unique(ids.reshape(-1)[rows], return_index=True,
-                                           return_inverse=True)
-        chains, columns = [], self._columns(table)
-        for j in np.argsort(firsts, kind="stable").tolist():
-            at, key = rows[which == j], pattern_key(patterns[present[j]])
-            states = self.params.get(key) or self._prior()
-            chains.append(_Chain(order, self, key, states, table, columns, at,
-                                 np.where(table.begins_shift[at], 0, labels[at - 1]),
-                                 labels[at]))
-        return chains
-
     def run_online(self, records: Sequence[ProductionRecord],
                    indices: Sequence[int] | None = None) -> list[StepResult]:
         """Interleave forecasting and learning over the records.
@@ -679,7 +696,7 @@ class IoHmmModel:
         return json.dumps(self.snapshot(), sort_keys=True, indent=2) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
     @classmethod

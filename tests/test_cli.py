@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import os
@@ -554,6 +555,30 @@ class TestNotUtf8:
             "configuration error: config file is not valid JSON: 'utf-8' codec")
 
 
+class TestUtf8Output:
+    """Every file opcast writes is UTF-8, as every reader decodes, whatever the locale."""
+
+    def test_evaluate_under_an_ascii_locale(self, workdir, tmp_path):
+        header, *rows = (workdir / "data.csv").read_text(encoding="utf-8").splitlines()
+        at = header.split(",").index("shift")
+        rows = [_spoiled(header, row, "shift", row.split(",")[at].replace(" M", " Mañana"))
+                for row in rows]
+        data, out, summary = (tmp_path / name for name in ("data.csv", "r.csv", "s.json"))
+        data.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+        src = str(Path(opcast.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "opcast.cli", "evaluate", "--data", str(data),
+             "--out", str(out), "--summary-out", str(summary), "--models", "persistence"],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        report = list(csv.DictReader(out.read_bytes().decode("utf-8").splitlines()))
+        assert {r["shift_type"] for r in report if r["model"] == "persistence"} == \
+            {"Mañana", "A", "N"}
+        assert json.loads(summary.read_bytes().decode("utf-8"))["models"] == ["persistence"]
+
+
 class TestSchema:
     """A config ``schema`` reads a file whose header uses other column names."""
 
@@ -625,6 +650,27 @@ class TestEvaluate:
         assert doc["models"] == ["persistence", "varx-q1", "no-lags"]
         table = capsys.readouterr().out
         assert "persistence" in table and "varx-q1" in table
+
+    def test_the_table_is_each_models_count_weighted_mean(self, workdir, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        models = ["persistence", "no-lags", "varx-q1", "iohmm-uni-q1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            assert main(["evaluate", "--data", str(workdir / "data.csv"), "--out", str(out),
+                         "--models", ",".join(models), "--kmax", "4"]) == 0
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"{'model':<16} {'mae':>8} {'rmse':>8} {'covg':>6}"
+        for name, line in zip(models, lines[2:]):  # a direct mean over the report rows
+            want = f"{name:<16}"
+            for metric, width, digits in (("mae", 8, 4), ("rmse", 8, 4), ("covg", 6, 3)):
+                vals = [(float(r["value"]), int(r["count"])) for r in rows
+                        if r["model"] == name and r["metric"] == metric]
+                mean = sum(v * c for v, c in vals) / sum(c for _, c in vals) if vals else 0.0
+                want += f" {mean:{width}.{digits}f}" if vals else " " + "-".rjust(width)
+            assert line == want
+        assert lines[2 + len(models)] == f"report written to {out}"
 
     def test_the_summary_shows_each_folds_state_search(self, workdir, tmp_path):
         records = parse_dataset(workdir / "data.csv").records

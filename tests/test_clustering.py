@@ -527,3 +527,48 @@ class TestNearest:
         pts = np.array([[2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
         assert self._labels(model, pts) == [1, 1, 2]
         assert [model.assign(p) for p in pts] == [1, 1, 2]
+
+
+class TestWalkLabels:
+    """``walk_labels`` walks runs of rows in lockstep as a loop of ``absorb``
+    and one-row ``nearest`` walks each run on its own copy of the centroids."""
+
+    @staticmethod
+    def _loop(clusters, X, labels, first, stop):
+        walk = ClusterModel(K=clusters.K, centroids=clusters.centroids.copy(),
+                            counts=clusters.counts.copy(), standardizer=clusters.standardizer,
+                            gof=clusters.gof, reached_threshold=clusters.reached_threshold)
+        labels = labels.copy()
+        for i in range(first, stop):
+            walk.absorb(labels[i - 1], X[i - 1])
+            labels[i] = walk.nearest(X[i:i + 1])[0]
+        return labels
+
+    @pytest.mark.parametrize("D", [2, 9, 130])
+    def test_ragged_walks_equal_their_loops(self, D):
+        # K from 2 to 12 (padded with inf up to 12), runs of every length from
+        # other starts, one empty, and one run of another dimension; near ties
+        # from centroids that repeat
+        rng = np.random.default_rng([D, 3])
+        walks = []
+        for j, K in enumerate((2, 5, 12, 7, 3)):
+            C = rng.normal(size=(K, D))
+            C[-1] = C[0]
+            clusters = ClusterModel(K=K, centroids=C, counts=rng.integers(1, 9, K).astype(float),
+                                    standardizer=Standardizer(mean=np.zeros(D), scale=np.ones(D)),
+                                    gof=1.0, reached_threshold=True)
+            X = rng.normal(size=(60, D)) * 2.0
+            first = int(rng.integers(1, 30))
+            stop = int(rng.integers(30, 61)) if j != 4 else first  # the last run is empty
+            walks.append((clusters, X, clusters.nearest(X), first, stop))
+        other = ClusterModel(K=4, centroids=rng.normal(size=(4, 3)), counts=np.ones(4),
+                             standardizer=Standardizer(mean=np.zeros(3), scale=np.ones(3)),
+                             gof=1.0, reached_threshold=True)
+        X3 = rng.normal(size=(40, 3))
+        walks.append((other, X3, other.nearest(X3), 5, 40))
+        expected = [self._loop(*walk) for walk in walks]
+        before = [(c.centroids.copy(), c.counts.copy()) for c, *_ in walks]
+        clustering.walk_labels(walks)
+        for (clusters, _, labels, first, _), want, (C, n) in zip(walks, expected, before):
+            assert labels.tolist() == want.tolist()
+            assert np.array_equal(clusters.centroids, C) and np.array_equal(clusters.counts, n)

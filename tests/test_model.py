@@ -15,6 +15,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ThresholdWarning, classification_vector, combine,
                     default_feature_config, fit_states, generate_synthetic,
                     leave_one_week_out, pattern_key)
+from opcast.features import classification_points
 from opcast.model import learn_tables, walk_tables
 
 from conftest import build_stream
@@ -1262,16 +1263,16 @@ class TestWalkTables:
 
     def test_two_cluster_models_of_one_k_share_each_count_walk(self, setting, monkeypatch):
         # the setting's states and a copy with its centroids in reverse order
-        # (its labels permuted): the v sides of both share one count walk per
-        # (K, m) group, whatever their forgetting factors, yet each model
-        # learns and walks as alone
+        # (its labels permuted): the v sides of both, two (K, m) groups, share
+        # one count walk per pass, whatever their forgetting factors, yet each
+        # model learns and walks as alone
         records, features, states = setting
         mirrored = replace(states, centroids=states.centroids[::-1].copy(),
                            counts=states.counts[::-1].copy())
         walks = []
         counting = opcast.model._walk_counts
         monkeypatch.setattr(opcast.model, "_walk_counts",
-                            lambda chains: walks.append(chains) or counting(chains))
+                            lambda groups: walks.append(groups) or counting(groups))
 
         def both(learned):
             (a, tables_a), (b, tables_b) = (self._models(setting, learned, states=s)
@@ -1288,15 +1289,40 @@ class TestWalkTables:
                 learn_tables([model], [table])
             del walks[:]
             learn_tables(models, tables)
-        assert len(walks) == len(groups)
+        assert len(walks) == 1 and len(walks[0]) == len(groups)
         assert [m.to_json() for m in models] == [m.to_json() for m in alone]
         models, tables = both(records[:100])
         span = range(100, len(records))
         expected = _outcome(lambda: _walks_one_by_one(models, records, span))
         del walks[:]
         got = _outcome(lambda: _walked(models, tables, [span] * len(models)))
-        assert len(walks) == len(groups)
+        assert len(walks) == 1 and len(walks[0]) == len(groups)
         assert got == expected and all(got[0])
+
+    def test_label_walks_of_two_ks_from_record_zero(self, setting):
+        # q = 0..5 under two ClusterModels of different K, every span from
+        # record 0: each model's first forecast is at q + 1, so one pass walks
+        # labels from six starts with centroids of two K in lockstep
+        records, features, states = setting
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            other = fit_states(records[:150], features, seed=1, k_max=2)
+        assert other.K != states.K
+        lag_free = build_features(records, features.with_lags(0))
+        models = []
+        for clusters in (states, other):
+            for q in range(6):
+                models.append(IoHmmModel(ModelConfig(features=features.with_lags(q),
+                                                     allow_cold_start=True), clusters=clusters))
+                if q % 2:  # some learned before, some cold
+                    _learn(models[-1], records[:40])
+        span = range(len(records))
+        before = [m.to_json() for m in models]
+        expected = _outcome(lambda: _walks_one_by_one(models, records, span))
+        got = _outcome(lambda: _walked(models, [lag_free] * len(models), [span] * len(models)))
+        assert got == expected and all(got[0])
+        assert [len(walk) for walk in got[0]] == [len(records) - q - 1 for q in range(6)] * 2
+        assert [m.to_json() for m in models] == before
 
     def test_rejects_what_it_cannot_walk(self, setting):
         models, tables = self._models(setting, setting[0][:50])
@@ -1307,6 +1333,62 @@ class TestWalkTables:
             walk_tables(models, tables[1:], [range(50, 60)] * len(models))
         with pytest.raises(DimensionError):
             walk_tables(models, tables, [range(50, 60)] * (len(models) - 1))
+
+
+class TestCountsThatAreNotHalfIntegers:
+    """A restored snapshot may hold any finite count >= 1/2. The stacked passes
+    still equal the loop bit for bit: counts grow one observation at a time,
+    and each row read is summed as ``expected_state_vector`` sums it."""
+
+    @staticmethod
+    def _restored(setting, clusters, q=1, seed=0):
+        """A model learned from 100 records, its count rows then redrawn from
+        [0.5, 3.5]."""
+        records, features, _ = setting
+        model = IoHmmModel(ModelConfig(features=features.with_lags(q), allow_cold_start=True),
+                           clusters=copy.deepcopy(clusters))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            _learn(model, records[:100])
+        doc = model.snapshot()
+        rng = np.random.default_rng(seed)
+        for entry in doc["dirichlet"]["patterns"].values():
+            for part in ("initial", "transition"):
+                entry[part] = rng.uniform(0.5, 3.5, np.shape(entry[part])).tolist()
+        restored = IoHmmModel.restore(doc)
+        assert any(np.any(rows * 2 % 1) for rows in restored.dirichlet.counts.values())
+        return restored
+
+    def _assert_as_the_loop(self, setting, models):
+        records, features, _ = setting
+        table = build_features(records, features.with_lags(0))
+        span = range(100, len(records))
+        got = _walked(models, [table] * len(models), [span] * len(models))
+        assert got == _walks_one_by_one(models, records, span) and all(got)
+        learned, oracle = copy.deepcopy(models), copy.deepcopy(models)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            learn_tables(learned, [table] * len(models))
+            for model in oracle:
+                _learn_record_by_record(model, table)
+        assert [m.to_json() for m in learned] == [m.to_json() for m in oracle]
+        return got
+
+    def test_a_restored_model_walks_and_learns_as_the_loop(self, setting):
+        walked = self._assert_as_the_loop(setting, [self._restored(setting, setting[2])])
+        assert len(walked[0]) == len(setting[0]) - 100
+
+    def test_two_ways_of_summing_in_one_pass(self, setting):
+        # numpy sums fewer than 8 counts in order and 8 or more in blocks of
+        # 8: K = 4 and 9 in one count walk, each summed its own way
+        records, features, states = setting
+        points = states.standardizer.transform(classification_points(records, features))
+        nine = replace(states, K=9, centroids=points[5::25][:9].copy(), counts=np.ones(9))
+        models = [self._restored(setting, clusters, q, seed)
+                  for seed, (clusters, q) in enumerate((c, q) for c in (states, nine)
+                                                       for q in (0, 2))]
+        assert [m.n_states for m in models] == [states.K] * 2 + [9, 9] and states.K < 8
+        self._assert_as_the_loop(setting, models)
 
 
 class TestFit:
