@@ -226,20 +226,23 @@ class _Chain:
 
 def _walk_counts(groups: Sequence[Sequence[_Chain]]) -> list[tuple[np.ndarray, list[int]]]:
     """Per group of v chains (one K, longest first), the expected-state vectors read
-    and chains running per step, as ``stacked`` lays them out: one walk, one count
-    step of every chain per position. Counts grow by ``+= 1.0`` per observation, as
-    ``observe`` adds them, and numpy sums each row of an ``(n, K)`` array as that row
-    alone, so each vector is ``expected_state_vector``'s, whatever the counts hold."""
-    Ks = [group[0].states.v.n_predictors for group in groups]
-    at = np.cumsum([0] + [len(g[0].rows) * len(g) * K for g, K in zip(groups, Ks)]).tolist()
-    flat, by_k, out = np.zeros(at[-1]), {}, []
-    for start, stop, group, K in zip(at, at[1:], groups, Ks):  # where each vector goes
-        lengths = np.array([len(ch.rows) for ch in group])
-        out.append((flat[start:stop].reshape(lengths[0], len(group), K),
-                    (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()))
-        by_k.setdefault(K, []).extend((ch, start + j * K, len(group) * K)
-                                      for j, ch in enumerate(group))
-    for K, members in by_k.items():
+    and chains running per step, as ``stacked`` lays them out: one count walk of all
+    groups, per K one step of every chain per position. Counts grow by ``+= 1.0`` per
+    observation, as ``observe`` adds them, and numpy sums each row of an ``(n, K)``
+    array as that row alone, so each vector is ``expected_state_vector``'s, whatever
+    the counts hold."""
+    by_k: dict = {}
+    for group in groups:
+        by_k.setdefault(group[0].states.v.n_predictors, []).append(group)
+    out = {}
+    for K, kgroups in by_k.items():  # one buffer per K, each group's vectors one view of it
+        at = np.cumsum([0] + [len(g[0].rows) * len(g) * K for g in kgroups]).tolist()
+        flat, members = np.zeros(at[-1]), []
+        for start, stop, group in zip(at, at[1:], kgroups):  # where each vector goes
+            lengths = np.array([len(ch.rows) for ch in group])
+            out[id(group)] = (flat[start:stop].reshape(lengths[0], len(group), K),
+                              (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist())
+            members += [(ch, start + j * K, len(group) * K) for j, ch in enumerate(group)]
         members.sort(key=lambda member: -len(member[0].rows))  # stable: longest first
         chains, starts, strides = zip(*members)
         counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
@@ -254,7 +257,7 @@ def _walk_counts(groups: Sequence[Sequence[_Chain]]) -> list[tuple[np.ndarray, l
             flat_counts[seen[k, :n]] += 1.0
         for ch, rows in zip(chains, counts):
             ch.counts = rows
-    return out
+    return [out[id(group)] for group in groups]
 
 
 def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
