@@ -354,7 +354,7 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         split = run + (id(table.z), id(table.begins_shift))
         if split not in splits:  # the labelling's rows, one (id, rows, prev, cur) per pattern
             at = np.argsort(ids[lo:stop], kind="stable") + lo
-            edges = [0, *(np.flatnonzero(np.diff(ids[at])) + 1).tolist(), len(at)]
+            edges = [*np.flatnonzero(np.diff(ids[at], prepend=-1)).tolist(), len(at)]
             prev = np.where(table.begins_shift[at], 0, labels[at - 1])  # the count row read
             splits[split] = [(ids[at[a]], at[a:b], prev[a:b], labels[at[a:b]])
                              for a, b in zip(edges, edges[1:])]

@@ -1324,6 +1324,18 @@ class TestWalkTables:
         assert [len(walk) for walk in got[0]] == [len(records) - q - 1 for q in range(6)] * 2
         assert [m.to_json() for m in models] == before
 
+    def test_empty_spans_walk_nothing(self, setting):
+        # spans without records, at the start, inside and at the end, in one
+        # pass with spans that forecast: no forecasts for them, as run_online
+        records = setting[0]
+        models, tables = self._models(setting, records[:100])
+        spans = [range(0, 0), range(150, 150), range(len(records), len(records)),
+                 range(100, 180)] * 3
+        expected = _outcome(lambda: [_walks_one_by_one([model], records, span)[0]
+                                     for model, span in zip(models, spans)])
+        got = _outcome(lambda: _walked(models, tables, spans))
+        assert got == expected and [bool(walk) for walk in got[0]] == ([False] * 3 + [True]) * 3
+
     def test_rejects_what_it_cannot_walk(self, setting):
         models, tables = self._models(setting, setting[0][:50])
         for span in (range(0, len(tables[0].y) + 1), range(10, 20, 2), [10, 11], (10, 11)):
