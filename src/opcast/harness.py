@@ -17,6 +17,7 @@ the report splits each by shift type, per model, fold, shift type and response.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import warnings
@@ -279,19 +280,19 @@ def emit_report(report: MetricsReport, format: str = "csv") -> str:
     """Render a report as a flat CSV (``"csv"``) or a JSON document (``"structured-text"``).
 
     The CSV includes the dataset-level response summary as rows under the
-    pseudo-model ``_summary`` so one document is self-contained.
+    pseudo-model ``_summary`` so one document is self-contained. A text field
+    that holds a comma, a double quote or a line break is quoted; numbers are
+    written as their ``repr``.
     """
     if format == "csv":
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
-        for row in report.rows:
-            buf.write(f"{row.model},{row.fold},{row.shift_type},{row.response},"
-                      f"{row.metric},{row.value!r},{row.count}\n")
-        for resp in sorted(report.response_summary):
-            stats = report.response_summary[resp]
-            for stat in ("min", "q1", "median", "mean", "q3", "max"):
-                buf.write(f"{SUMMARY_MODEL},,,{resp},{stat},{stats[stat]!r},"
-                          f"{report.n_records}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows((row.model, row.fold, row.shift_type, row.response, row.metric,
+                          row.value, row.count) for row in report.rows)
+        writer.writerows((SUMMARY_MODEL, "", "", resp, stat, stats[stat], report.n_records)
+                         for resp, stats in sorted(report.response_summary.items())
+                         for stat in ("min", "q1", "median", "mean", "q3", "max"))
         return buf.getvalue()
     if format == "structured-text":
         doc = {

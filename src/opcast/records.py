@@ -4,7 +4,9 @@ A record describes one observation period of a production process. Base
 durations (operating time, scheduled breaks, downtime, performance and
 quality losses) are related by a fixed subtraction cascade; effectiveness
 indices are ratios of consecutive levels of that cascade. Everything else
-in the package consumes the record objects built here.
+in the package consumes the record objects built here. Every dataset row
+goes through one set of row rules (``parse_dataset``), whether a whole file
+is read or only its header and last rows (``parse_tail``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import io
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -165,7 +166,6 @@ _SLOT = {alias: i for i, (alias, _) in enumerate(COLUMNS)}
 _GROUPS = tuple(tuple((alias, _SLOT[alias], _CONVERTERS[alias]) for alias in group)
                 for group in (MANDATORY, _DURATIONS, _INDICES, _OPTIONAL))
 _REQUIRED = object()
-_CHUNK = 256  # rows per column pass: bounds the transposed copies held at once
 
 
 def _convert_cells(values: list, group, cells, fallback) -> None:
@@ -214,52 +214,10 @@ def _parse_row(row: list[str], plan: tuple) -> ProductionRecord:
         computed = compute_indices(*(values[_SLOT[a]] for a in ("OT",) + _DURATIONS))
     _convert_cells(values, _GROUPS[2], cells, computed)
     _convert_cells(values, _GROUPS[3], optional(row), None)
-    return ProductionRecord(*values)
-
-
-def _build_records(columns) -> list[ProductionRecord]:
-    """Records from per-field columns in ``COLUMNS`` order, each built by filling
-    its ``__dict__``: with no ``__post_init__`` that is ``ProductionRecord(*values)``."""
-    records = []
-    for values in zip(*columns):
-        record = object.__new__(ProductionRecord)
-        record.__dict__.update(zip(ALIAS_TO_ATTR.values(), values))
-        records.append(record)
-    return records
-
-
-def _column_pass(rows, position: dict, width: int) -> list[ProductionRecord] | None:
-    """A chunk's records converted a column at a time, the likeliest empty groups
-    first; ``None`` once a row needs the row rules: a short row, a bad or
-    non-finite cell, or an empty cell or absent column other than hum/temp
-    (whose empty cells and absent columns read None, as in the row rules)."""
-    if min(map(len, rows)) < width:
-        return None
-    cells, columns = list(zip(*rows)), [[None] * len(rows)] * len(COLUMNS)
-    try:
-        for alias, slot, convert in chain(*reversed(_GROUPS)):
-            if alias not in position:
-                if alias not in _OPTIONAL:
-                    return None
-            elif convert is str:
-                columns[slot] = list(map(str.strip, cells[position[alias]]))
-                if not all(columns[slot]):
-                    return None
-            else:
-                raw = cells[position[alias]]
-                try:
-                    columns[slot] = present = list(map(convert, raw))
-                except ValueError:
-                    if alias not in _OPTIONAL:
-                        raise
-                    columns[slot] = [convert(c) if c.strip() else None for c in raw]
-                    present = [v for v in columns[slot] if v is not None]
-                if (convert is float and not math.isfinite(sum(present))
-                        and not all(map(math.isfinite, present))):
-                    return None
-    except ValueError:
-        return None
-    return _build_records(columns)
+    # with no __post_init__, filling __dict__ is ProductionRecord(*values)
+    record = object.__new__(ProductionRecord)
+    record.__dict__.update(zip(ALIAS_TO_ATTR.values(), values))
+    return record
 
 
 @contextmanager
@@ -288,13 +246,17 @@ def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
       and is skipped; parsing continues with the remaining rows;
     * cells are stripped; a short row's missing cells read as empty, extra
       cells are ignored, and a duplicated header name reads its last cell;
+    * a mandatory cell must not be empty; ``n``, ``pr.ord``, ``TU``, ``DU``
+      and ``nstops`` are integers, ``date`` and ``start`` ISO dates and
+      times, ``shift`` text and every other cell a finite number;
     * derived durations (``LT``, ``OpT``, ``NOpT``, ``VT``) and indices
       (``lo``, ``av``, ``pf``, ``qu``, ``oee``) are recomputed only when
-      their cell is empty or absent; ``hum``/``temp`` are optional.
+      their cell is empty or absent; ``hum``/``temp`` are optional;
+    * cells are read a group at a time, each in column order: the mandatory
+      columns, then the durations (derived first if one is empty), the
+      indices and ``hum``/``temp``; a row reports its first fault.
 
-    Chunks of 256 rows are converted a column at a time; a chunk with a row
-    that needs the rules above goes row by row, the only route that derives
-    values and reports row errors, so both give the same results.
+    Every non-blank row goes through these rules, one row at a time.
     """
     opened = (nullcontext(source) if hasattr(source, "read")
               else open(source, "r", newline="", encoding="utf-8-sig"))
@@ -320,38 +282,34 @@ def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
             itemgetter(*(position.get(alias, -1) for alias, _, _ in group)) for group in _GROUPS))
         records: list[ProductionRecord] = []
         errors: list[RowError] = []
-        numbered = ((reader.line_num, row) for row in reader if row)
-        while chunk := list(islice(numbered, _CHUNK)):
-            fast = _column_pass([row for _, row in chunk], position, len(fieldnames))
-            if fast is not None:
-                records += fast
-                continue
-            for line, row in chunk:
+        for row in reader:
+            if row:
                 try:
                     records.append(_parse_row(row, plan))
                 except (ValueError, TimeConsistencyError) as exc:
-                    errors.append(RowError(line, str(exc)))
+                    errors.append(RowError(reader.line_num, str(exc)))
         return ParseResult(records, errors)
 
 
-_BLOCK = 4096  # bytes of the file's end that a tail read starts with
+_RECORD_BYTES = 512  # bytes of the file's end a tail read starts with, per record needed
 
 
 def parse_tail(path, need: int, schema: dict[str, str] | None = None) -> ParseResult:
     """The last rows of a dataset file, parsed with ``parse_dataset``'s rules.
 
-    Reads the header line, then the file's last 4 kB, doubling the block
-    until the rows after its first line break hold ``need`` usable records
-    or the block reaches the header; the records are then those of the
-    whole file's parse from some row on. Row errors keep their file line
-    numbers, but only the rows read are reported, and so is a byte of them
-    that is not UTF-8 (a ``DataError`` naming the file). The whole file is parsed
-    when ``path`` is not a seekable file, and when a ``"`` or a bare ``\r``
-    could make a row span lines or a block holds no line break.
+    Reads the header line, then the file's last 512 bytes per record needed
+    (1 kB for ``need`` 2), doubling the block until the rows after its first
+    line break hold ``need`` usable records or the block reaches the header;
+    the records are then those of the whole file's parse from some row on.
+    Row errors keep their file line numbers, but only the rows read are
+    reported, and so is a byte of them that is not UTF-8 (a ``DataError``
+    naming the file). The whole file is parsed when ``path`` is not a
+    seekable file, and when a ``"`` or a bare ``\r`` could make a row span
+    lines or a block holds no line break.
     """
     with open(path, "rb") as fh, _utf8(path):
         if fh.seekable():
-            header, size = fh.readline(), _BLOCK
+            header, size = fh.readline(), _RECORD_BYTES * need
             end = fh.seek(0, io.SEEK_END)
             while True:
                 start = max(len(header), end - size)

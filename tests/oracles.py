@@ -3,7 +3,9 @@
 ``batch_oracle`` recomputes the recursive estimator's state from scratch
 with direct solves, sharing no code with the rank-one update of
 ``opcast.estimator.AdaptiveState``. ``row_parse_oracle`` parses a dataset
-one row at a time, without the column pass of ``parse_dataset``.
+on ``csv.DictReader`` with its own cell converters, written from the row
+rules that ``parse_dataset`` documents; it shares no code with its row
+parser.
 ``lowo_row_oracle`` evaluates leave-one-week-out one forecast row at a
 time and one fold at a time: one record per forecast and response, grouped
 into cells by a dict, with the pair-form VARX fit (``fit_varx_pairs``) and
@@ -13,9 +15,10 @@ one-row forecasts.
 from __future__ import annotations
 
 import csv
+import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +33,8 @@ from opcast.harness import (DEFAULT_MODELS, MetricsReport, ReportRow, parse_mode
                             response_summary, week_key)
 from opcast.metrics import checked, coverage, interval_width, mae, rmse, scores
 from opcast.model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
-from opcast.records import (_GROUPS, ALIAS_TO_ATTR, MANDATORY, ParseResult, RowError,
-                            _parse_row, check_chronological)
+from opcast.records import (ParseResult, ProductionRecord, RowError, check_chronological,
+                            compute_indices, derive_time_variables)
 
 
 @dataclass(frozen=True)
@@ -88,35 +91,98 @@ def batch_oracle(history: Sequence[tuple], forgetting: float,
                              P=P_prev, gamma=gamma)
 
 
-def row_parse_oracle(stream, schema: dict[str, str] | None = None) -> ParseResult:
-    """``parse_dataset`` as ``_parse_row`` applied to every non-blank row.
+# The row rules of ``parse_dataset``, written out again from its docstring:
+# each group's columns in the order their cells are read.
+_REQUIRED_CELLS = ("n", "date", "start", "shift", "pr.ord", "ics", "rcs", "TU", "DU", "TgU",
+                   "nstops", "OT", "SBT", "DT", "PLT", "QLT")
+_DERIVED_TIMES = ("LT", "OpT", "NOpT", "VT")
+_DERIVED_INDICES = ("lo", "av", "pf", "qu", "oee")
+_SENSORS = ("hum", "temp")
+_KNOWN = set(_REQUIRED_CELLS + _DERIVED_TIMES + _DERIVED_INDICES + _SENSORS)
 
-    The header rules are those of ``parse_dataset``: a duplicated name
-    reads its last cell, ``schema`` renames actual names to canonical ones.
+
+def _number(alias, raw):
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"column {alias!r}: cannot parse {raw!r} as a number") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"column {alias!r}: non-finite value {raw!r}")
+    return value
+
+
+def _integer(alias, raw):
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValueError(f"column {alias!r}: cannot parse {raw!r} as an integer") from exc
+
+
+def _calendar(parse):
+    def convert(alias, raw):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"column {alias!r}: cannot parse {raw!r}") from exc
+    return convert
+
+
+_CELL = {"date": _calendar(dt.date.fromisoformat), "start": _calendar(dt.time.fromisoformat),
+         "shift": lambda alias, raw: raw,
+         **{alias: _integer for alias in ("n", "pr.ord", "TU", "DU", "nstops")}}
+
+
+def _oracle_record(row: dict) -> ProductionRecord:
+    """One record from a ``csv.DictReader`` row keyed by canonical names."""
+    def cell(alias):  # stripped; absent and missing cells read empty
+        return (row.get(alias) or "").strip()
+
+    def convert(alias, fallback=None):
+        raw = cell(alias)
+        return _CELL.get(alias, _number)(alias, raw) if raw else getattr(fallback, alias, None)
+
+    values = {}
+    for alias in _REQUIRED_CELLS:
+        if not cell(alias):
+            raise ValueError(f"column {alias!r}: missing value")
+        values[alias] = convert(alias)
+    derived = None
+    if not all(map(cell, _DERIVED_TIMES)):
+        derived = derive_time_variables(*(values[a] for a in ("OT", "SBT", "DT", "PLT", "QLT")))
+    values.update((alias, convert(alias, derived)) for alias in _DERIVED_TIMES)
+    computed = None
+    if not all(map(cell, _DERIVED_INDICES)):
+        computed = compute_indices(*(values[a] for a in ("OT",) + _DERIVED_TIMES))
+    values.update((alias, convert(alias, computed)) for alias in _DERIVED_INDICES)
+    values.update((alias, convert(alias)) for alias in _SENSORS)
+    return ProductionRecord(**{alias.replace(".", "_"): v for alias, v in values.items()})
+
+
+def row_parse_oracle(stream, schema: dict[str, str] | None = None) -> ParseResult:
+    """``parse_dataset`` on ``csv.DictReader``, with its own cell converters.
+
+    ``DictReader`` gives the header rules: a duplicated name reads its last
+    cell, a short row's missing cells read empty and blank rows are skipped.
+    ``schema`` renames actual names to canonical ones.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if not header:
+    reader = csv.DictReader(stream)
+    if not reader.fieldnames:
         raise SchemaError("dataset has no header row")
     rename = {}
     for canonical, actual in (schema or {}).items():
-        if canonical not in ALIAS_TO_ATTR:
+        if canonical not in _KNOWN:
             raise SchemaError(f"unknown canonical column {canonical!r} in schema")
         rename[actual] = canonical
-    last = {name: i for i, name in enumerate(header)}
-    position = {rename.get(name, name): i for name, i in last.items()}
-    missing = [alias for alias in MANDATORY if alias not in position]
+    present = {rename.get(name, name) for name in reader.fieldnames}
+    missing = [alias for alias in _REQUIRED_CELLS if alias not in present]
     if missing:
         raise SchemaError(f"dataset header is missing mandatory columns: {missing}")
-    plan = (len(header), tuple(itemgetter(*(position.get(alias, -1) for alias, _, _ in group))
-                               for group in _GROUPS))
     records, errors = [], []
     for row in reader:
-        if row:
-            try:
-                records.append(_parse_row(row, plan))
-            except (ValueError, TimeConsistencyError) as exc:
-                errors.append(RowError(reader.line_num, str(exc)))
+        try:
+            records.append(_oracle_record({rename.get(k, k): v for k, v in row.items()}))
+        except (ValueError, TimeConsistencyError) as exc:
+            errors.append(RowError(reader.line_num, str(exc)))
     return ParseResult(records, errors)
 
 

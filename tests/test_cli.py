@@ -409,7 +409,8 @@ def _spoiled(header: str, row: str, column: str, value: str) -> str:
 def _history(workdir) -> list[str]:
     """Lines of a history with bad, short and blank rows: the first rows of
     data.csv, a bad row, a short row, a blank line, 14 bad rows (more than
-    the first 4 kB block), a blank line and a bad row before the last."""
+    the first block of a tail read at any lag order up to 5), a blank line
+    and a bad row before the last."""
     header, *rows = (workdir / "data.csv").read_text().splitlines()
     bad = functools.partial(_spoiled, header)
     return [header, *rows[:6], bad(rows[6], "OT", "abc"), *rows[7:10],
@@ -505,8 +506,8 @@ class TestTailRead:
         assert main(["forecast", "--snapshot", str(workdir / "model.json"),
                      "--data", str(path), "--shift", "Tu M"]) == 0
         assert capsys.readouterr().err == (
-            "warning: skipped 8 unparseable rows "
-            "(first: line 25: column 'date': cannot parse '2022-13-40')\n")
+            "warning: skipped 1 unparseable rows "
+            "(first: line 36: column 'nstops': cannot parse 'x' as an integer)\n")
 
 
 class TestNotUtf8:

@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import io
 import json
 from collections import Counter
 import warnings
@@ -15,7 +17,7 @@ from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, Deg
                     ThresholdWarning, default_feature_config, emit_report,
                     fit_states, generate_synthetic, leave_one_week_out, mae,
                     parse_model_name, response_summary, week_key)
-from opcast.harness import CSV_HEADER, SUMMARY_MODEL
+from opcast.harness import CSV_HEADER, SUMMARY_MODEL, ReportRow
 
 from conftest import build_stream
 from oracles import lowo_row_oracle
@@ -505,6 +507,17 @@ class TestEmitReport:
             fields = line.split(",")
             assert float(fields[5]) == float(repr(float(fields[5])))
             int(fields[6])
+
+    @pytest.mark.parametrize("suffix", ["", ",B", '"1"', "\r\nB"],
+                             ids=["plain", "comma", "quote", "line-break"])
+    def test_csv_reads_back_as_the_report_rows(self, small_report, suffix):
+        # a text field with a comma, a double quote or a line break is quoted
+        report = replace(small_report, rows=[replace(row, shift_type=row.shift_type + suffix)
+                                             for row in small_report.rows])
+        table = csv.DictReader(io.StringIO(emit_report(report, format="csv"), newline=""))
+        rows = [ReportRow(*(r[name] for name in table.fieldnames[:5]), float(r["value"]),
+                          int(r["count"])) for r in table if r["model"] != SUMMARY_MODEL]
+        assert rows == report.rows
 
     def test_summary_rows_embed_dataset_quantiles(self, small_report):
         text = emit_report(small_report, format="csv")

@@ -11,13 +11,13 @@ import threading
 import numpy as np
 import pytest
 
-from opcast import (OrderingError, ParseResult, ProductionRecord, RowError,
-                    SchemaError, SyntheticSpec, TimeConsistencyError,
+from opcast import (OrderingError, ParseResult, ProductionRecord, SchemaError,
+                    SyntheticSpec, TimeConsistencyError,
                     boundary_flags, check_chronological, compute_indices,
                     consistency_issues, derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
 from opcast import records as records_module
-from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, _build_records, parse_tail
+from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, parse_tail
 from conftest import make_record
 from oracles import row_parse_oracle
 
@@ -194,96 +194,6 @@ class TestParsing:
         assert result.records == records
 
 
-def _reference_parse(source, schema=None, tol=0.01):
-    """The csv.DictReader parser with a per-row cell closure (the reference)."""
-    def parse_float(cell, name):
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise ValueError(f"column {name!r}: cannot parse {cell!r} as a number") from exc
-        if not math.isfinite(value):
-            raise ValueError(f"column {name!r}: non-finite value {cell!r}")
-        return value
-
-    def parse_int(cell, name):
-        try:
-            return int(cell)
-        except ValueError as exc:
-            raise ValueError(f"column {name!r}: cannot parse {cell!r} as an integer") from exc
-
-    def parse_row(row):
-        values = {}
-
-        def cell(alias):
-            raw = row.get(alias)
-            if raw is None:
-                return None
-            raw = raw.strip()
-            return raw if raw != "" else None
-
-        for alias in MANDATORY:
-            raw = cell(alias)
-            if raw is None:
-                raise ValueError(f"column {alias!r}: missing value")
-            attr = ALIAS_TO_ATTR[alias]
-            if alias == "date":
-                try:
-                    values[attr] = dt.date.fromisoformat(raw)
-                except ValueError as exc:
-                    raise ValueError(f"column 'date': cannot parse {raw!r}") from exc
-            elif alias == "start":
-                try:
-                    values[attr] = dt.time.fromisoformat(raw)
-                except ValueError as exc:
-                    raise ValueError(f"column 'start': cannot parse {raw!r}") from exc
-            elif alias == "shift":
-                values[attr] = raw
-            elif attr in ("n", "pr_ord", "TU", "DU", "nstops"):
-                values[attr] = parse_int(raw, alias)
-            else:
-                values[attr] = parse_float(raw, alias)
-
-        derived = None
-        if any(cell(alias) is None for alias in ("LT", "OpT", "NOpT", "VT")):
-            derived = derive_time_variables(values["OT"], values["SBT"], values["DT"],
-                                            values["PLT"], values["QLT"], tol=tol)
-        for alias in ("LT", "OpT", "NOpT", "VT"):
-            raw = cell(alias)
-            values[alias] = parse_float(raw, alias) if raw is not None else getattr(derived, alias)
-        indices = compute_indices(values["OT"], values["LT"], values["OpT"],
-                                  values["NOpT"], values["VT"])
-        for alias in ("lo", "av", "pf", "qu", "oee"):
-            raw = cell(alias)
-            values[alias] = parse_float(raw, alias) if raw is not None else getattr(indices, alias)
-        for alias in ("hum", "temp"):
-            raw = cell(alias)
-            values[alias] = parse_float(raw, alias) if raw is not None else None
-        return ProductionRecord(**values)
-
-    reader = csv.DictReader(source)
-    fieldnames = reader.fieldnames
-    if not fieldnames:
-        raise SchemaError("dataset has no header row")
-    rename = {}
-    for canonical, actual in (schema or {}).items():
-        if canonical not in ALIAS_TO_ATTR:
-            raise SchemaError(f"unknown canonical column {canonical!r} in schema")
-        rename[actual] = canonical
-    header = {rename.get(name, name) for name in fieldnames}
-    missing = [alias for alias in MANDATORY if alias not in header]
-    if missing:
-        raise SchemaError(f"dataset header is missing mandatory columns: {missing}")
-    records, errors = [], []
-    for row in reader:
-        if rename:
-            row = {rename.get(k, k): v for k, v in row.items() if k is not None}
-        try:
-            records.append(parse_row(row))
-        except (ValueError, TimeConsistencyError) as exc:
-            errors.append(RowError(reader.line_num, str(exc)))
-    return ParseResult(records, errors)
-
-
 def _join(header, rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header] + rows)
@@ -375,13 +285,13 @@ def _outcome(parse, text, schema):
 
 
 class TestParserOracle:
-    """``parse_dataset`` returns what the DictReader parser returned."""
+    """``parse_dataset`` returns what the DictReader oracle returns."""
 
     @pytest.mark.parametrize("text, schema", [
         pytest.param(text, schema, id=name) for name, text, schema in _oracle_cases()])
     def test_matches_reference(self, text, schema):
         got = _outcome(parse_dataset, text, schema)
-        assert got == _outcome(_reference_parse, text, schema)
+        assert got == _outcome(row_parse_oracle, text, schema)
 
     def test_corpus_reaches_every_outcome(self):
         outcomes = {name: _outcome(parse_dataset, text, schema)
@@ -485,7 +395,8 @@ def _cell_corpus():
 
 
 def _chunk_edge_corpus():
-    """Files around the 256-row chunk: each bad row holds one row error."""
+    """Files of 255 to 600 rows with bad rows at the 256-row marks: each bad
+    row holds one row error."""
     rng, base = random.Random(99), _base_rows()
     header = base[0]
     bad_names = [name for name in MANDATORY if name != "shift"]
@@ -528,7 +439,7 @@ def _field_types(result):
 
 
 class TestRowOracle:
-    """``parse_dataset`` gives what ``_parse_row`` gives row by row."""
+    """``parse_dataset`` gives what the DictReader oracle gives, field types too."""
 
     def _check(self, name, text, schema):
         got = _outcome(parse_dataset, text, schema)
@@ -557,56 +468,42 @@ class TestRowOracle:
         for case in _gap_corpus(seed, 60):
             self._check(*case)
 
-    def test_blank_sensor_cells_stay_on_the_column_pass(self, monkeypatch):
-        taken = []
-        column_pass = records_module._column_pass
-        monkeypatch.setattr(records_module, "_column_pass",
-                            lambda *args: taken.append(column_pass(*args)) or taken[-1])
+    def test_blank_sensor_cells_read_as_absent(self):
         header, *rows = _base_rows()[:301]
         rows = [list(row) for row in rows]
         for r in range(0, 300, 100):
             rows[r][header.index("hum")] = ""
             rows[r + 1][header.index("temp")] = " \t"
         got = parse_dataset(io.StringIO(_join(header, rows)))
-        assert [chunk is not None for chunk in taken] == [True, True]
         assert [i for i, rec in enumerate(got.records) if rec.hum is None] == [0, 100, 200]
         assert [i for i, rec in enumerate(got.records) if rec.temp is None] == [1, 101, 201]
         self._check("blank sensor cells", _join(header, rows), None)
 
-    def test_corpus_reaches_both_routes(self, monkeypatch):
-        taken = []
-        column_pass = records_module._column_pass
-
-        def spy(*args):
-            result = column_pass(*args)
-            taken.append(result is not None)
-            return result
-
-        monkeypatch.setattr(records_module, "_column_pass", spy)
+    def test_corpus_reaches_row_errors_and_overflowing_sums(self):
         outcomes = [_outcome(parse_dataset, text, schema)
                     for _, text, schema in _generated_corpus(0, 100)]
-        assert taken.count(True) > 30 and taken.count(False) > 30
         assert sum(isinstance(o, ParseResult) and bool(o.errors) for o in outcomes) > 20
-        taken.clear()
         header, *rows = _base_rows()[:6]
         rows = [row[:5] + ["1e308"] + row[6:] for row in rows]  # ics sums to inf
-        assert len(parse_dataset(io.StringIO(_join(header, rows))).records) == 5
-        assert taken == [True]
+        got = parse_dataset(io.StringIO(_join(header, rows)))
+        assert len(got.records) == 5 and got.errors == []
+        assert {rec.ics for rec in got.records} == {1e308}
 
 
-class TestBuildRecords:
+class TestParsedRecord:
     def test_nothing_runs_after_init(self):
         assert not hasattr(ProductionRecord, "__post_init__")
 
     def test_equals_the_dataclass_init(self):
+        # the row parser fills each record's __dict__ instead of calling __init__
         records = [make_record(n=1), make_record(n=2, hum=55.5, temp=None),
                    make_record(n=3, hum=None, temp=20.0)]
         values = [tuple(getattr(rec, attr) for attr in _ATTRS) for rec in records]
-        built = _build_records(list(zip(*values)))
+        built = parse_dataset(io.StringIO(_csv_text(records))).records
         expected = [ProductionRecord(*row) for row in values]
         assert built == expected
-        assert [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in built] == \
-            [[type(getattr(rec, attr)) for attr in _ATTRS] for rec in expected]
+        assert _field_types(ParseResult(built, [])) == \
+            _field_types(ParseResult(expected, []))
         assert [hash(rec) for rec in built] == [hash(rec) for rec in expected]
         with pytest.raises(dataclasses.FrozenInstanceError):
             built[0].OT = 1.0
@@ -675,9 +572,11 @@ class TestParseTail:
         path = self._file(tmp_path, lines)
         sources = self._counting(monkeypatch)
         assert parse_tail(path, 2) == parse_dataset(path)
-        # the blocks double from 4 kB until the last one reaches the header
+        # the blocks double from 512 bytes a record until the last one
+        # reaches the header
         rows = path.stat().st_size - len(lines[0]) - 2
-        assert sources == ["StringIO"] * (1 + math.ceil(math.log2(rows / 4096)))
+        first = records_module._RECORD_BYTES * 2
+        assert sources == ["StringIO"] * (1 + math.ceil(math.log2(rows / first)))
         assert len(parse_dataset(path).records) == 3
 
     def test_no_usable_row_reads_the_whole_file(self, tmp_path):
