@@ -17,9 +17,9 @@ the report splits each by shift type, per model, fold, shift type and response.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -276,23 +276,33 @@ def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[Repo
             for metric, value in cell_scores(cols, part).items()]
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted if it holds a comma, a double quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
 def emit_report(report: MetricsReport, format: str = "csv") -> str:
     """Render a report as a flat CSV (``"csv"``) or a JSON document (``"structured-text"``).
 
     The CSV includes the dataset-level response summary as rows under the
     pseudo-model ``_summary`` so one document is self-contained. A text field
-    that holds a comma, a double quote or a line break is quoted; numbers are
-    written as their ``repr``.
+    that holds a comma, a double quote or a line break is quoted under the
+    CSV rules; numbers are written as their ``repr``.
     """
     if format == "csv":
-        buf = io.StringIO()
+        buf, cell = io.StringIO(), _csv_cell
         buf.write(CSV_HEADER + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows((row.model, row.fold, row.shift_type, row.response, row.metric,
-                          row.value, row.count) for row in report.rows)
-        writer.writerows((SUMMARY_MODEL, "", "", resp, stat, stats[stat], report.n_records)
-                         for resp, stats in sorted(report.response_summary.items())
-                         for stat in ("min", "q1", "median", "mean", "q3", "max"))
+        for row in report.rows:
+            buf.write(f"{cell(row.model)},{cell(row.fold)},{cell(row.shift_type)},"
+                      f"{cell(row.response)},{cell(row.metric)},{row.value!r},{row.count}\n")
+        for resp in sorted(report.response_summary):
+            stats = report.response_summary[resp]
+            for stat in ("min", "q1", "median", "mean", "q3", "max"):
+                buf.write(f"{SUMMARY_MODEL},,,{cell(resp)},{stat},{stats[stat]!r},"
+                          f"{report.n_records}\n")
         return buf.getvalue()
     if format == "structured-text":
         doc = {

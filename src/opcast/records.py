@@ -3,10 +3,8 @@
 A record describes one observation period of a production process. Base
 durations (operating time, scheduled breaks, downtime, performance and
 quality losses) are related by a fixed subtraction cascade; effectiveness
-indices are ratios of consecutive levels of that cascade. Everything else
-in the package consumes the record objects built here. Every dataset row
-goes through one set of row rules (``parse_dataset``), whether a whole file
-is read or only its header and last rows (``parse_tail``).
+indices are ratios of consecutive levels of that cascade. One set of row
+rules parses every dataset row into the records the whole package consumes.
 """
 
 from __future__ import annotations
@@ -199,8 +197,7 @@ def _parse_row(row: list[str], plan: tuple) -> ProductionRecord:
     """
     width, (mandatory, durations, indices, optional) = plan
     row = list(map(str.strip, row))
-    if len(row) < width:
-        row += [""] * (width - len(row))
+    row += [""] * (width - len(row))  # nothing for a full or long row
     row.append("")
     values = [None] * len(COLUMNS)
     _convert_cells(values, _GROUPS[0], mandatory(row), _REQUIRED)
@@ -246,17 +243,11 @@ def parse_dataset(source, schema: dict[str, str] | None = None) -> ParseResult:
       and is skipped; parsing continues with the remaining rows;
     * cells are stripped; a short row's missing cells read as empty, extra
       cells are ignored, and a duplicated header name reads its last cell;
-    * a mandatory cell must not be empty; ``n``, ``pr.ord``, ``TU``, ``DU``
-      and ``nstops`` are integers, ``date`` and ``start`` ISO dates and
-      times, ``shift`` text and every other cell a finite number;
     * derived durations (``LT``, ``OpT``, ``NOpT``, ``VT``) and indices
       (``lo``, ``av``, ``pf``, ``qu``, ``oee``) are recomputed only when
       their cell is empty or absent; ``hum``/``temp`` are optional;
-    * cells are read a group at a time, each in column order: the mandatory
-      columns, then the durations (derived first if one is empty), the
-      indices and ``hum``/``temp``; a row reports its first fault.
-
-    Every non-blank row goes through these rules, one row at a time.
+    * a row reports its first fault: mandatory cells, then durations (derived
+      first if one is empty), indices and ``hum``/``temp``, in column order.
     """
     opened = (nullcontext(source) if hasattr(source, "read")
               else open(source, "r", newline="", encoding="utf-8-sig"))
@@ -297,10 +288,10 @@ _RECORD_BYTES = 512  # bytes of the file's end a tail read starts with, per reco
 def parse_tail(path, need: int, schema: dict[str, str] | None = None) -> ParseResult:
     """The last rows of a dataset file, parsed with ``parse_dataset``'s rules.
 
-    Reads the header line, then the file's last 512 bytes per record needed
-    (1 kB for ``need`` 2), doubling the block until the rows after its first
-    line break hold ``need`` usable records or the block reaches the header;
-    the records are then those of the whole file's parse from some row on.
+    Reads the header line, then the file's last 512 bytes per record needed,
+    doubling the block until the rows after its first line break hold
+    ``need`` usable records or the block reaches the header; the records are
+    then those of the whole file's parse from some row on.
     Row errors keep their file line numbers, but only the rows read are
     reported, and so is a byte of them that is not UTF-8 (a ``DataError``
     naming the file). The whole file is parsed when ``path`` is not a

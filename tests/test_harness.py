@@ -508,8 +508,8 @@ class TestEmitReport:
             assert float(fields[5]) == float(repr(float(fields[5])))
             int(fields[6])
 
-    @pytest.mark.parametrize("suffix", ["", ",B", '"1"', "\r\nB"],
-                             ids=["plain", "comma", "quote", "line-break"])
+    @pytest.mark.parametrize("suffix", ["", ",B", '"1"', "\r\nB", "\rB"],
+                             ids=["plain", "comma", "quote", "line-break", "carriage-return"])
     def test_csv_reads_back_as_the_report_rows(self, small_report, suffix):
         # a text field with a comma, a double quote or a line break is quoted
         report = replace(small_report, rows=[replace(row, shift_type=row.shift_type + suffix)
