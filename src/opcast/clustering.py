@@ -9,10 +9,10 @@ through running-mean updates.
 
 The implementation is self-contained (one greedy k-means++ seeding per K,
 lowest-index tie breaking, deterministic empty-cluster repair) so that
-fitted states are reproducible bit for bit across runs. Distances are
-(K, n) arrays, so each operation runs along the n points, accumulated column
-by column in numpy's order for a last-axis sum, so they equal the (n, K, D)
-reduction bit for bit.
+fitted states are reproducible bit for bit across runs. Squared distances
+(``_sq_dists``) are (K, n) arrays equal to numpy's last-axis sum of the
+(n, K, D) squares bit for bit: below 8 dimensions, where numpy adds in order,
+accumulated column by column along the n points; from 8 on that sum itself.
 """
 
 from __future__ import annotations
@@ -85,17 +85,11 @@ def _check_points(points) -> np.ndarray:
 def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
     """(K, n) squared distances from the rows of ``C`` (of ``C[j]`` for an ``(n, K, D)``
     stack) to the columns ``j`` of ``XT``: ``((XT.T[:, None] - C) ** 2).sum(axis=2).T``
-    bit for bit."""
-    if len(XT) > 128:  # past numpy's pairwise block size: the plain form
+    bit for bit, the fast form summing one (K, n) column of squares at a time."""
+    if len(XT) >= 8:  # numpy sums 8 or more terms pairwise: the plain form
         return ((XT.T.copy()[:, None] - C) ** 2).sum(axis=2).T
     d = XT[:, None] - C.T.reshape(len(XT), C.shape[-2], -1)
     np.square(d, out=d)
-    blocks = len(d) // 8 * 8
-    if blocks:  # numpy's order: eight running sums added as a tree, then the rest
-        r = d[:blocks].reshape(-1, 8, *d.shape[1:]).sum(axis=0)
-        while len(r) > 1:
-            r = r[0::2] + r[1::2]
-        d = np.concatenate((r, d[blocks:]))
     return d.sum(axis=0)  # along the first axis numpy adds in order
 
 

@@ -207,7 +207,7 @@ def pattern_key(z) -> str:
     """Canonical string form of a binary conditioning pattern; a cell that
     is not the number 0 or 1 (NaN, inf, 0.5, "1") is refused."""
     bits = []
-    for v in z.tolist() if isinstance(z, np.ndarray) and z.ndim == 1 else z:
+    for v in z.tolist() if isinstance(z, np.ndarray) else z:
         if v not in (0, 1):  # checked before any conversion
             raise ConfigurationError(f"pattern entries must be 0 or 1, got {v!r}")
         bits.append("1" if v else "0")
@@ -235,14 +235,9 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
                          w_spec=w_spec, t_spec=t_spec, q=q)
 
 
-def classification_points(records: Sequence[ProductionRecord],
-                          config: FeatureConfig) -> np.ndarray:
-    """Classification vectors of the records, one row each."""
-    return _evaluate(config.parsed_t, records, ())  # numeric specs read no flags
-
-
 def classification_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
-    return classification_points([record], config)[0]
+    """The record's classification vector, the row ``build_features`` gives it in ``t``."""
+    return _evaluate(config.parsed_t, [record], ())[0]  # numeric specs read no flags
 
 
 def assemble_next_features(records: Sequence[ProductionRecord],
@@ -309,7 +304,7 @@ def build_features(records: Sequence[ProductionRecord],
     flags = boundary_flags(records)
     return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
                         w=_evaluate(config.parsed_w, records, flags),
-                        t=classification_points(records, config),
+                        t=_evaluate(config.parsed_t, records, flags),
                         y=_evaluate(config.parsed_y, records, flags),
                         begins_shift=np.array([fl.begins_shift for fl in flags]),
                         responses=config.response_names)

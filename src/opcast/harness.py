@@ -3,8 +3,9 @@
 Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
 as sequence starts) and evaluated on the held-out week. First, each fold's
-hidden states are discovered and its training weeks featurized once, as a
-lag-free table of all responses (also the VARX input). Every IO-HMM variant
+training weeks are featurized once, as a lag-free table of all responses
+(also the VARX input), and the fold's hidden states are discovered from
+that table's classification vectors. Every IO-HMM variant
 reads its responses and lags from that table, learning, and walks its test
 week in the one such table of all records: the variants of all folds learn
 in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
@@ -206,12 +207,11 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
 
     def learned(folds) -> tuple[list, dict]:
         """The training tables and IO-HMM blocks of ``folds``, ``(week, test records)``."""
-        trains = [[*records[:test.start], *records[test.stop:]] for _, test in folds]
-        fitted.update((week, fit_states(train, base.features, seed=seed, threshold=threshold,
-                                        k_max=k_max))
-                      for (week, _), train in zip(folds, trains) if variants and week not in fitted)
+        tables = [None if full is None else build_features(
+            [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
+        fitted.update((week, fit_states(table, seed=seed, threshold=threshold, k_max=k_max))
+                      for (week, _), table in zip(folds, tables) if variants and week not in fitted)
         states = [fitted[week] for week, _ in folds if week in fitted]
-        tables = [None if full is None else build_features(train, lag_free) for train in trains]
         return tables, _iohmm_blocks(variants, base, folds, states, tables, full)
 
     def evaluated(folds, tables, blocks) -> list[ForecastBlock]:

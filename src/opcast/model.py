@@ -40,10 +40,9 @@ from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      NumericError, OpcastError, RestoreError, warn)
 from .estimator import (AdaptiveState, checked_vector, json_number, serialized, stacked,
                         stacked_pass)
-from .features import (FeatureConfig, FeatureTable, build_features,
-                       classification_points, pattern_key)
+from .features import FeatureConfig, FeatureTable, build_features, pattern_key
 from .metrics import Z95
-from .records import ProductionRecord
+from .records import ProductionRecord, check_chronological
 
 _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
@@ -411,16 +410,15 @@ def _one_by_one(models, tables, spans) -> NoReturn:
     raise AssertionError("the stacked pass refused records that the loop accepts")
 
 
-def fit_states(records: Sequence[ProductionRecord], features: FeatureConfig,
-               seed: int = 0, threshold: float = 0.8, k_max: int = 12) -> ClusterModel:
-    """Discover the hidden states from the records' classification vectors.
+def fit_states(table: FeatureTable, seed: int = 0, threshold: float = 0.8,
+               k_max: int = 12) -> ClusterModel:
+    """Discover the hidden states from a feature table's classification vectors ``t``.
 
     The result depends on the classification spec only, so models that
     differ in lags or responses can share one fit (``run_online`` moves the
     centroids; the passes without it do not).
     """
-    return fit_auto_k(classification_points(records, features), threshold=threshold,
-                      k_max=k_max, seed=seed)
+    return fit_auto_k(table.t, threshold=threshold, k_max=k_max, seed=seed)
 
 
 class _AllOrNothing(contextlib.AbstractContextManager):
@@ -495,11 +493,11 @@ class IoHmmModel:
 
     def fit(self, records: Sequence[ProductionRecord], seed: int = 0,
             threshold: float = 0.8, k_max: int = 12) -> "IoHmmModel":
-        """Featurize the records, discover states on them, then learn them in
-        one pass; a featurizing refusal comes first and a refused fit moves nothing."""
+        """Check the records' order, featurize them, discover states on their table, then
+        learn it in one pass; refusals come in that order and a refused fit moves nothing."""
+        check_chronological(records)
         table = build_features(records, self.config.features)
-        fitted = IoHmmModel(self.config, fit_states(records, self.config.features, seed=seed,
-                                                    threshold=threshold, k_max=k_max))
+        fitted = IoHmmModel(self.config, fit_states(table, seed, threshold, k_max))
         learn_tables([fitted], [table])
         vars(self).update(vars(fitted))  # the new states only with what was learned from them
         return self
@@ -526,11 +524,7 @@ class IoHmmModel:
         the pseudo-count for the realized state is incremented afterwards.
         """
         self._require_fitted()
-        if np.shape(w) != (self.config.features.w_dim,):
-            raise DimensionError(
-                f"regressor vector must have length {self.config.features.w_dim}")
-        key = pattern_key(z)
-        u = checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
+        key, u = self._inputs(z, w)
         y = checked_vector(y, self.n_responses, "y")
         self.dirichlet.check(key, prev_state, cur_state)
         with _AllOrNothing(self, (key,)):
@@ -546,17 +540,20 @@ class IoHmmModel:
         """
         self._require_fitted()
         state = self.clusters.assign(t_prev)
-        z_next = np.asarray(z_next, dtype=float).reshape(-1)
-        if z_next.shape != (self.config.features.pattern_length,):
-            raise DimensionError(
-                f"pattern must have length {self.config.features.pattern_length}")
-        u = checked_vector(np.concatenate((_INTERCEPT, np.ravel(w_next))), self.u_dim, "u")
-        key = pattern_key(z_next)
-        states = self.params.get(key) or self._prior()  # an unseen pattern's is not kept
+        key, u = self._inputs(z_next, w_next)
         v = self.dirichlet.expected_state_vector(key, None if begins else state)
+        states = self.params.get(key) or self._prior()  # an unseen pattern's is not kept
         return _result(_cold_start(states, self.config.allow_cold_start),
                        (u @ states.u.H, states.u.Sigma), (v @ states.v.H, states.v.Sigma),
                        state=state, pattern=key, begins=begins)
+
+    def _inputs(self, z, w) -> tuple[str, np.ndarray]:
+        """The pattern key and regressors ``u = [1, w]`` of one record: ``z`` and ``w``
+        must each be one row, ``z``'s cells are checked before any conversion
+        (``pattern_key``) and its length is left to the count table."""
+        if np.ndim(z) != 1 or np.ndim(w) != 1:
+            raise DimensionError("a record's pattern and regressors must each be one row")
+        return pattern_key(z), checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
 
     def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
                prev_state: int | None, cur_state: int) -> tuple[tuple, tuple]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 
+import opcast.features
 from opcast import ProductionRecord, compute_indices, derive_time_variables
 
 
@@ -54,3 +55,17 @@ def build_stream(steps, start=dt.datetime(2022, 10, 3, 6, 0),
         cursor = dt.datetime.combine(date, time) + dt.timedelta(
             minutes=rec.OT + gap_minutes)
     return records
+
+
+def evaluated_specs(monkeypatch) -> list[tuple[str, ...]]:
+    """The spec strings of every ``opcast.features._evaluate`` call from now
+    on, one tuple per call: a spy that lets each call through."""
+    calls = []
+    evaluate = opcast.features._evaluate
+
+    def spy(specs, records, flags):
+        calls.append(tuple(spec.expr for spec in specs))
+        return evaluate(specs, records, flags)
+
+    monkeypatch.setattr(opcast.features, "_evaluate", spy)
+    return calls

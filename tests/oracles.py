@@ -300,11 +300,11 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
     for fold in weeks:
         test_idx = [i for i, rec in enumerate(records) if week_key(rec.date) == fold]
         train = [rec for rec in records if week_key(rec.date) != fold]
-        states = fit_states(train, base.features, seed=seed, threshold=threshold,
+        train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
+        states = fit_states(train_table, seed=seed, threshold=threshold,
                             k_max=k_max) if use_iohmm else None
         if use_iohmm:
             fitted[fold] = states
-        train_table = build_features(train, lag_free) if use_varx or use_iohmm else None
         iohmm = {}
         if use_iohmm:
             names, models, derived = [], [], []

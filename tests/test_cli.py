@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -12,8 +13,8 @@ import pytest
 import opcast
 import opcast.cli
 import opcast.records
-from opcast import (IoHmmModel, ThresholdWarning, default_feature_config, fit_states,
-                    parse_dataset, week_key)
+from opcast import (IoHmmModel, ThresholdWarning, build_features, default_feature_config,
+                    fit_states, parse_dataset, week_key)
 from opcast.cli import main
 
 SIM_SPEC = {
@@ -120,6 +121,19 @@ class TestFit:
                          "nstops,OT,SBT,DT,PLT,QLT\n")
         assert main(["fit", "--data", str(empty),
                      "--out", str(tmp_path / "m.json")]) == 2
+
+    def test_rows_out_of_order_exit_2(self, workdir, tmp_path, capsys):
+        # fit refuses a row-shuffled history, as evaluate does, instead of
+        # learning scrambled lags
+        header, *rows = (workdir / "data.csv").read_bytes().splitlines(keepends=True)
+        random.Random(0).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_bytes(b"".join([header, *rows]))
+        for command in ("fit", "evaluate"):
+            assert main([command, "--data", str(shuffled), "--out", str(tmp_path / "out"),
+                         "--kmax", "4"]) == 2
+            assert "data error: records out of order" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_and_flag_precedence(self, workdir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -690,8 +704,8 @@ class TestEvaluate:
         for week in weeks:  # the fold's states, as fitted on its training weeks
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ThresholdWarning)
-                states = fit_states([rec for rec in records if week_key(rec.date) != week],
-                                    features, k_max=4)
+                states = fit_states(build_features(
+                    [rec for rec in records if week_key(rec.date) != week], features), k_max=4)
             assert doc["states"][week] == {"K": states.K, "gof": states.gof,
                                            "reached_threshold": states.reached_threshold}
 

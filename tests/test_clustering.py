@@ -461,6 +461,13 @@ class TestSquaredDistances:
             c = X[11]
             want = ((X - c) ** 2).sum(axis=1)
             assert clustering._sq_dists(XT, c[None])[0].tobytes() == want.tobytes()
+            # walk_labels' form: a transposed view of the points, each with its
+            # own centroids, inf where fewer states pad; D = 7 is the widest
+            # fast form, D = 8 the narrowest plain one
+            stack = rng.standard_cauchy(size=(40, 5, D))
+            stack[::3, -1] = np.inf
+            want = ((X[:, None] - stack) ** 2).sum(axis=2)
+            assert clustering._sq_dists(X.T, stack).T.tobytes() == want.tobytes()
 
 
 class TestNearest:

@@ -14,12 +14,12 @@ import opcast.model
 from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
                     ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
                     NumericError, OpcastError, OrderingError, SyntheticSpec,
-                    ThresholdWarning, default_feature_config, emit_report,
+                    ThresholdWarning, build_features, default_feature_config, emit_report,
                     fit_states, generate_synthetic, leave_one_week_out, mae,
                     parse_model_name, response_summary, week_key)
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL, ReportRow
 
-from conftest import build_stream
+from conftest import build_stream, evaluated_specs
 from oracles import lowo_row_oracle
 
 
@@ -394,7 +394,8 @@ class TestReportOracle:
         features = default_feature_config(records)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ThresholdWarning)
-            ks = [fit_states([rec for rec in records if week_key(rec.date) != week], features,
+            ks = [fit_states(build_features([rec for rec in records
+                                             if week_key(rec.date) != week], features),
                              seed=0, threshold=0.6, k_max=6).K for week in weeks]
         assert len(weeks) == 4 and len(set(ks)) > 1
         expected = self._emitted(lowo_row_oracle, records, DEFAULT_MODELS, threshold=0.6,
@@ -403,6 +404,19 @@ class TestReportOracle:
         assert got == expected and len(got) == 3
 
     FAST_MODELS = ("persistence", "no-lags", "iohmm-q1", "iohmm-uni-q2")
+
+    def test_the_classification_specs_are_evaluated_once_per_table(self, datasets,
+                                                                    monkeypatch):
+        # once for the table of all records and once per fold's training
+        # table, from whose t the fold's states are discovered
+        records = datasets["28 days"]
+        calls = evaluated_specs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ThresholdWarning)
+            report = leave_one_week_out(records, model_names=self.FAST_MODELS + ("varx-q1",),
+                                        seed=0, k_max=4)
+        assert len(report.folds) == len(report.states) == 4
+        assert calls.count(default_feature_config(records).t_spec) == 1 + 4
 
     @staticmethod
     def _base(records, forgetting):

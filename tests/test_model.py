@@ -10,15 +10,14 @@ import opcast.model
 from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ConfigurationError, DimensionError, DirichletTable, FeatureConfig,
                     ForecastUnavailableError, InputError, InsufficientHistoryError,
-                    IoHmmModel, ModelConfig, NumericError, OpcastError, RestoreError,
-                    Standardizer, StateIndexError, SyntheticSpec, build_features,
+                    IoHmmModel, ModelConfig, NumericError, OpcastError, OrderingError,
+                    RestoreError, Standardizer, StateIndexError, SyntheticSpec, build_features,
                     ThresholdWarning, classification_vector, combine,
                     default_feature_config, fit_states, generate_synthetic,
                     leave_one_week_out, pattern_key)
-from opcast.features import classification_points
 from opcast.model import learn_tables, walk_tables
 
-from conftest import build_stream
+from conftest import build_stream, evaluated_specs
 
 
 def _feature_config(q=1, t_spec=("OpT",)):
@@ -402,6 +401,33 @@ class TestForecastStep:
             with pytest.raises(OpcastError):
                 model.forecast_step(t_prev, table.z[1], w, False)
         assert model.to_json() == before
+
+
+class TestOneInputRule:
+    """``learn_step`` and ``forecast_step`` take a record's ``z`` and ``w`` by one rule."""
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda z, w: (z[None], w), DimensionError),
+        (lambda z, w: (z, w[None]), DimensionError),
+        (lambda z, w: (["1", "0", "0"], w), ConfigurationError),
+        (lambda z, w: (z[:2], w), ConfigurationError),
+        (lambda z, w: ([np.nan, 0.0, 0.0], w), ConfigurationError),
+        (lambda z, w: (z, np.where(np.arange(len(w)) == 1, np.nan, w)), NumericError),
+    ], ids=["(1, L) pattern", "(1, w_dim) regressor row", "string pattern cells",
+            "short pattern", "NaN pattern cell", "NaN regressor cell"])
+    def test_both_steps_refuse_alike_and_move_nothing(self, bad, error):
+        model = _model(allow_cold_start=True)
+        table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}]),
+                               model.config.features)
+        model.learn_step(*_row(table, 1), None, 1)
+        z, w = bad(table.z[2], _w(table, 2))
+        before = model.to_json()
+        for step in (lambda: model.learn_step(z, w, table.y[2], 1, 2),
+                     lambda: model.forecast_step([6.0], z, w, False)):
+            with pytest.raises(OpcastError) as refused:
+                step()
+            assert refused.type is error, refused.value
+            assert model.to_json() == before
 
 
 class TestRunOnline:
@@ -950,7 +976,7 @@ def setting():
                              w_spec=("ics", "@begins_shift"), t_spec=("av", "OT"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # K selection
-        states = fit_states(records, features, seed=0, k_max=4)
+        states = fit_states(build_features(records, features), seed=0, k_max=4)
     return records, features, states
 
 
@@ -1248,7 +1274,7 @@ class TestWalkTables:
         records, features, states = setting
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ThresholdWarning)
-            other = fit_states(records[:150], features, seed=1, k_max=2)
+            other = fit_states(build_features(records[:150], features), seed=1, k_max=2)
         assert other.K != states.K
         first, second = self._models(setting, records[:100]), \
             self._models(setting, records[:60], states=other)
@@ -1306,7 +1332,7 @@ class TestWalkTables:
         records, features, states = setting
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ThresholdWarning)
-            other = fit_states(records[:150], features, seed=1, k_max=2)
+            other = fit_states(build_features(records[:150], features), seed=1, k_max=2)
         assert other.K != states.K
         lag_free = build_features(records, features.with_lags(0))
         models = []
@@ -1394,7 +1420,7 @@ class TestCountsThatAreNotHalfIntegers:
         # numpy sums fewer than 8 counts in order and 8 or more in blocks of
         # 8: K = 4 and 9 in one count walk, each summed its own way
         records, features, states = setting
-        points = states.standardizer.transform(classification_points(records, features))
+        points = states.standardizer.transform(build_features(records, features).t)
         nine = replace(states, K=9, centroids=points[5::25][:9].copy(), counts=np.ones(9))
         models = [self._restored(setting, clusters, q, seed)
                   for seed, (clusters, q) in enumerate((c, q) for c in (states, nine)
@@ -1479,6 +1505,27 @@ class TestFit:
             with pytest.raises(ConfigurationError, match="'NOpT'"):
                 model.fit(bad, seed=0, k_max=3)
         assert model.to_json() == before
+
+    def test_records_out_of_order_are_refused_first(self, monkeypatch):
+        # as leave_one_week_out does, fit checks the order before it
+        # featurizes: lags of swapped records would be learned scrambled
+        def forbidden(*args, **kwargs):
+            raise AssertionError("records featurized out of order")
+
+        records = TestRunOnline()._records(30, seed=3)
+        model = self._fitted(records)
+        before = model.to_json()
+        monkeypatch.setattr(opcast.model, "build_features", forbidden)
+        with pytest.raises(OrderingError, match="position 1"):
+            model.fit([records[1], records[0], *records[2:]], seed=0, k_max=3)
+        assert model.to_json() == before
+
+    def test_the_classification_specs_are_evaluated_once(self, monkeypatch):
+        # the states are discovered from the table's t, not from a second pass
+        records = TestRunOnline()._records(30, seed=3)
+        calls = evaluated_specs(monkeypatch)
+        model = self._fitted(records)
+        assert calls.count(model.config.features.t_spec) == 1
 
 
 class TestSnapshot:
