@@ -19,13 +19,12 @@ from .features import (CovariateSpec, FeatureConfig, FeatureTable,
 from .harness import (DEFAULT_MODELS, ForecastBlock, MetricsReport, ReportRow,
                       emit_report, leave_one_week_out, parse_model_name,
                       response_summary, week_key)
-from .metrics import coverage, interval_width, mae, rmse
 from .model import (ForecastResult, IoHmmModel, ModelConfig, StepResult, combine,
                     fit_states)
 from .records import (BoundaryFlags, DerivedTimes, EffectivenessIndices,
                       ParseResult, ProductionRecord, RowError, boundary_flags,
-                      check_chronological, compute_indices, consistency_issues,
-                      derive_time_variables, parse_dataset, write_dataset)
+                      check_chronological, compute_indices, derive_time_variables,
+                      parse_dataset, write_dataset)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"

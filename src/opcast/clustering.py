@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
                      InputError, ThresholdWarning, warn)
-from .estimator import checked_state, json_number, serialized
+from .estimator import checked_state, float_cells, json_number, serialized
 
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
 MIN_GAIN = 0.02  # short of the threshold, the least share of the spread one more K adds
@@ -191,7 +191,7 @@ class ClusterModel:
 
     def standardized(self, t) -> np.ndarray:
         """Checked classification vector in centroid coordinates."""
-        t = np.asarray(t, dtype=float).reshape(-1)
+        t = float_cells(t, "classification vector")
         if t.shape != (self.centroids.shape[1],):
             raise DimensionError(
                 f"classification vector must have length {self.centroids.shape[1]}")

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
-                     NumericError, RestoreError, StateIndexError, warn)
+                     InputError, NumericError, RestoreError, StateIndexError, warn)
 
 # Eigenvalues of a restored noise covariance in [-EIG_FLOOR, 0) are
 # rounding noise; anything lower is a real violation.
@@ -46,8 +46,17 @@ COND_CHECK_EVERY = 50
 COND_THRESHOLD = 1e8
 
 
+def float_cells(x, name: str) -> np.ndarray:
+    """``x`` as a flat float array. Text cells, which ``float`` would parse, and
+    complex ones are refused by one dtype test, not a test per cell; ``None`` stays NaN."""
+    arr = np.asarray(x)
+    if arr.dtype.kind in "SUc":
+        raise InputError(f"{name} has cells that are not real numbers")
+    return arr.astype(float, copy=False).reshape(-1)
+
+
 def checked_vector(x, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float).reshape(-1)
+    arr = float_cells(x, name)
     if arr.shape != (length,):
         raise DimensionError(f"{name} must have length {length}, got shape {np.shape(x)}")
     if not all(map(math.isfinite, arr.tolist())):  # cheaper than numpy on short vectors

@@ -1,5 +1,6 @@
-"""Point and interval accuracy metrics: each checks its inputs, then scores
-them with ``scores``, which a caller that checks its arrays once calls directly."""
+"""Point and interval accuracy metrics: ``checked`` turns forecasts and their
+actuals (and spreads) into arrays once, ``columns`` gives each pair's value of
+every score, and ``cell_scores`` averages those over a run of pairs."""
 
 from __future__ import annotations
 
@@ -20,31 +21,21 @@ def checked(actual, predicted, sd=None) -> tuple[np.ndarray, ...]:
         raise DimensionError(f"length mismatch: {a.shape} vs {p.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
         raise NumericError("metric inputs contain non-finite values")
-    return (a, p) if sd is None else (a, p, _spreads(sd, a.shape))
-
-
-def _spreads(sd, shape: tuple | None = None) -> np.ndarray:
+    if sd is None:
+        return a, p
     s = np.asarray(sd, dtype=float).reshape(-1)
-    if shape is not None and s.shape != shape:
-        raise DimensionError(f"length mismatch: {shape} vs {s.shape}")
-    if s.size == 0:
-        raise DimensionError("need at least one value")
+    if s.shape != a.shape:
+        raise DimensionError(f"length mismatch: {a.shape} vs {s.shape}")
     if not np.all(np.isfinite(s)) or (s < 0).any():
         raise NumericError("standard deviations must be finite and non-negative")
-    return s
-
-
-def scores(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[str, float]:
-    """The ``mae`` and ``rmse``, and given spreads ``s`` the ``covg``, ``piw`` and
-    ``is95`` (the 95% band's interval score, Gneiting & Raftery 2007: its width
-    plus ``2 / 0.05`` times each miss), of ``checked`` arrays, in that order."""
-    return cell_scores(columns(a, p, s), slice(0, len(a)))
+    return a, p, s
 
 
 def columns(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Per pair of ``checked`` arrays, the value each score averages: ``|e|``,
     ``e²`` (``rmse`` is the root of its mean), and given spreads ``s`` the hit,
-    the half-width ``h`` and the interval-score term."""
+    the half-width ``h`` and the interval-score term (the 95% band's interval
+    score, Gneiting & Raftery 2007: its width plus ``2 / 0.05`` times each miss)."""
     err = np.abs(a - p)
     out = {"mae": err, "rmse": err ** 2}
     if s is not None:
@@ -54,26 +45,9 @@ def columns(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[s
 
 
 def cell_scores(cols: dict[str, np.ndarray], part: slice) -> dict[str, float]:
-    """``scores`` of the pairs ``part`` of ``columns``: the mean of the same values
+    """The ``mae`` and ``rmse``, and given spreads the ``covg``, ``piw`` and ``is95``,
+    of the pairs ``part`` of ``columns``, in that order: the mean of the same values
     in the same order as over those pairs alone."""
     out = {name: float(col[part].sum()) / (part.stop - part.start) for name, col in cols.items()}
     out["rmse"] = float(np.sqrt(out["rmse"]))
     return out
-
-
-def mae(actual, predicted) -> float:
-    return scores(*checked(actual, predicted))["mae"]
-
-
-def rmse(actual, predicted) -> float:
-    return scores(*checked(actual, predicted))["rmse"]
-
-
-def coverage(actual, predicted, sd) -> float:
-    """Share of actuals inside the centered 95% band, ``Z95 * sd``."""
-    return scores(*checked(actual, predicted, sd))["covg"]
-
-
-def interval_width(sd) -> float:
-    """Mean half-width of the centered 95% band."""
-    return float((Z95 * _spreads(sd)).mean())

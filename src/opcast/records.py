@@ -366,48 +366,3 @@ def boundary_flags(records: Sequence[ProductionRecord]) -> list[BoundaryFlags]:
             BoundaryFlags(rec.shift != records[i - 1].shift,
                           rec.pr_ord != records[i - 1].pr_ord)
             for i, rec in enumerate(records)]
-
-
-def consistency_issues(record: ProductionRecord, tol: float = 0.01,
-                       rate_tol: float = 0.005,
-                       check_target_units: bool = False) -> list[str]:
-    """List violations of the time-accounting identities for one record.
-
-    Returns an empty list for a consistent record. Tolerances allow for
-    rounding in source files.
-    """
-    issues: list[str] = []
-    derived = derive_time_variables(record.OT, record.SBT, record.DT,
-                                    record.PLT, record.QLT, tol=tol)
-    for name in ("LT", "OpT", "NOpT", "VT"):
-        stored = getattr(record, name)
-        expected = getattr(derived, name)
-        if abs(stored - expected) > tol:
-            issues.append(f"{name} stored {stored:.4f} != derived {expected:.4f}")
-
-    chain = (("OT", record.OT), ("LT", record.LT), ("OpT", record.OpT),
-             ("NOpT", record.NOpT), ("VT", record.VT))
-    for (na, va), (nb, vb) in zip(chain, chain[1:]):
-        if vb > va + tol:
-            issues.append(f"{nb} exceeds {na} ({vb:.4f} > {va:.4f})")
-    if record.VT < -tol:
-        issues.append(f"VT negative ({record.VT:.4f})")
-
-    indices = compute_indices(record.OT, record.LT, record.OpT, record.NOpT, record.VT)
-    for name in ("lo", "av", "pf", "qu", "oee"):
-        stored = getattr(record, name)
-        expected = getattr(indices, name)
-        if abs(stored - expected) > rate_tol:
-            issues.append(f"{name} stored {stored:.4f} != computed {expected:.4f}")
-        if not -rate_tol <= stored <= 1.0 + rate_tol:
-            issues.append(f"{name} outside [0, 1] ({stored:.4f})")
-
-    if record.DU > record.TU:
-        issues.append(f"DU exceeds TU ({record.DU} > {record.TU})")
-    if min(record.TU, record.DU, record.nstops) < 0:
-        issues.append("negative count column")
-    if check_target_units:
-        expected = record.OpT * record.ics  # target units implied by the speed
-        if abs(record.TgU - expected) > max(0.1, 0.01 * expected):
-            issues.append(f"TgU stored {record.TgU:.3f} != OpT*ics {expected:.3f}")
-    return issues

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from opcast import metrics
 from opcast.benchmarks import VarxModel, _design_columns
 from opcast.errors import (ConfigurationError, DegenerateDataError, DimensionError,
                            FittingError, NumericError, SchemaError,
@@ -31,7 +32,6 @@ from opcast.estimator import checked_vector
 from opcast.features import build_features, default_feature_config
 from opcast.harness import (DEFAULT_MODELS, MetricsReport, ReportRow, parse_model_name,
                             response_summary, week_key)
-from opcast.metrics import checked, coverage, interval_width, mae, rmse, scores
 from opcast.model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from opcast.records import (ParseResult, ProductionRecord, RowError, check_chronological,
                             compute_indices, derive_time_variables)
@@ -363,13 +363,10 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         group = cells[key]
         actual = [r.actual for r in group]
         predicted = [r.predicted for r in group]
-        metrics = [("mae", mae(actual, predicted)), ("rmse", rmse(actual, predicted))]
-        if all(r.sd is not None for r in group):
-            sds = [r.sd for r in group]
-            metrics += [("covg", coverage(actual, predicted, sds)),
-                        ("piw", interval_width(sds)),
-                        ("is95", scores(*checked(actual, predicted, sds))["is95"])]
-        out += [ReportRow(*key, metric, value, len(group)) for metric, value in metrics]
+        sds = [r.sd for r in group] if all(r.sd is not None for r in group) else None
+        pairs = metrics.checked(actual, predicted, sds)
+        scores = metrics.cell_scores(metrics.columns(*pairs), slice(0, len(group)))
+        out += [ReportRow(*key, metric, value, len(group)) for metric, value in scores.items()]
     return MetricsReport(rows=out, response_summary=response_summary(records, responses),
                          folds=weeks, models=list(model_names), n_records=len(records),
                          predictions=predictions, states=fitted)

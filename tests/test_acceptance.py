@@ -23,17 +23,15 @@ from opcast import (
     SyntheticSpec,
     combine,
     compute_indices,
-    coverage,
     derive_time_variables,
     emit_report,
     fit_auto_k,
     fit_varx,
     generate_synthetic,
     leave_one_week_out,
-    mae,
-    rmse,
 )
 from opcast.features import build_features, classification_vector
+from opcast.metrics import cell_scores, checked, columns
 
 from oracles import batch_oracle
 
@@ -440,9 +438,10 @@ def test_a11_metric_functions_match_single_pass():
     hits = sum(abs(a - p) <= 1.96 * s
                for a, p, s in zip(actual, predicted, sd))
 
-    diffs = (abs(mae(actual, predicted) - abs_sum / n),
-             abs(rmse(actual, predicted) - math.sqrt(sq_sum / n)),
-             abs(coverage(actual, predicted, sd) - hits / n))
+    scores = cell_scores(columns(*checked(actual, predicted, sd)), slice(0, n))
+    diffs = (abs(scores["mae"] - abs_sum / n),
+             abs(scores["rmse"] - math.sqrt(sq_sum / n)),
+             abs(scores["covg"] - hits / n))
     assert max(diffs) <= 1e-12, f"worst metric deviation {max(diffs):.2e}"
     _report("metric-parity",
             f"mae/rmse/coverage on {n} pairs, worst deviation "

@@ -5,7 +5,7 @@ import pytest
 
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
-                    DimensionError, NumericError)
+                    DimensionError, InputError, NumericError)
 from opcast.estimator import COND_CHECK_EVERY, _conditioning, stacked, stacked_pass
 
 from oracles import batch_oracle
@@ -220,6 +220,10 @@ class TestValidation:
         ([1.0, 0.0], [1.0, 2.0], DimensionError),
         ([1.0, 0.0, 0.5], [1.0], DimensionError),
         ([[1.0, 0.0], [0.5, 1.0]], [1.0, 2.0], DimensionError),
+        (["1.0", "0.0", "0.5"], [1.0, 2.0], InputError),  # float() would parse these
+        ([1.0, 0.0, 0.5], [1.0, b"2.0"], InputError),
+        ([1.0, 0.0, 0.5], [1.0, 2.0 + 0j], InputError),
+        ([1.0, None, 0.5], [1.0, 2.0], NumericError),  # None is a missing number
     ])
     def test_rejected_update_leaves_state_untouched(self, u, y, error):
         rng = np.random.default_rng(3)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import opcast.harness
+import opcast.metrics
 import opcast.model
 from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
                     ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
                     NumericError, OpcastError, OrderingError, SyntheticSpec,
                     ThresholdWarning, build_features, default_feature_config, emit_report,
-                    fit_states, generate_synthetic, leave_one_week_out, mae,
+                    fit_states, generate_synthetic, leave_one_week_out,
                     parse_model_name, response_summary, week_key)
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL, ReportRow
 
@@ -150,8 +151,10 @@ class TestLeaveOneWeekOut:
             group = [j for j, i in enumerate(block.index.tolist())
                      if two_week_records[i].shift_code == row.shift_type]
             assert row.count == len(group)
-            expected = mae([block.actual[j] for j in group],
-                           [block.mean[j] for j in group])
+            pairs = opcast.metrics.checked([block.actual[j] for j in group],
+                                           [block.mean[j] for j in group])
+            expected = opcast.metrics.cell_scores(opcast.metrics.columns(*pairs),
+                                                  slice(0, len(group)))["mae"]
             assert row.value == pytest.approx(expected, rel=1e-12)
             checked += 1
         assert checked >= 40

@@ -413,8 +413,11 @@ class TestOneInputRule:
         (lambda z, w: (z[:2], w), ConfigurationError),
         (lambda z, w: ([np.nan, 0.0, 0.0], w), ConfigurationError),
         (lambda z, w: (z, np.where(np.arange(len(w)) == 1, np.nan, w)), NumericError),
+        (lambda z, w: (z, [str(v) for v in w]), InputError),
+        (lambda z, w: (z, [None] + list(w[1:])), NumericError),
     ], ids=["(1, L) pattern", "(1, w_dim) regressor row", "string pattern cells",
-            "short pattern", "NaN pattern cell", "NaN regressor cell"])
+            "short pattern", "NaN pattern cell", "NaN regressor cell",
+            "string regressor cells", "None regressor cell"])
     def test_both_steps_refuse_alike_and_move_nothing(self, bad, error):
         model = _model(allow_cold_start=True)
         table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}]),
@@ -428,6 +431,38 @@ class TestOneInputRule:
                 step()
             assert refused.type is error, refused.value
             assert model.to_json() == before
+
+
+class TestTextCells:
+    """The numeric cells of the record API refuse text, which ``float`` would parse."""
+
+    def test_learn_step_refuses_string_responses(self):
+        model = _model(allow_cold_start=True)
+        table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}]), model.config.features)
+        z, w, y = _row(table, 1)
+        before = model.to_json()
+        with pytest.raises(InputError):
+            model.learn_step(z, w, [str(v) for v in y], None, 1)
+        with pytest.raises(NumericError):
+            model.learn_step(z, w, [None] * len(y), None, 1)
+        assert model.to_json() == before
+
+    def test_forecast_step_refuses_a_string_classification_vector(self):
+        model = _model(allow_cold_start=True)
+        table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}]), model.config.features)
+        with pytest.raises(InputError, match="not real numbers"):
+            model.forecast_step(["6.0"], table.z[1], _w(table, 1), False)
+        with pytest.raises(InputError, match="non-finite"):  # as a NaN is refused
+            model.forecast_step([None], table.z[1], _w(table, 1), False)
+        assert model.forecast_step([6.0], table.z[1], _w(table, 1), False).state == 2
+
+    @pytest.mark.parametrize("u, v, error", [
+        (["1.0"], [1.0], InputError), ([1.0], [b"1.0"], InputError),
+        ([None], [1.0], NumericError)])
+    def test_combine_refuses_string_cells(self, u, v, error):
+        states = [AdaptiveState(1, 1, forgetting=1.0) for _ in range(2)]
+        with pytest.raises(error):
+            combine(u, v, *states, allow_cold_start=True)
 
 
 class TestRunOnline:

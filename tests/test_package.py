@@ -1,5 +1,7 @@
 """The package's public namespace."""
 
+import ast
+import pathlib
 import types
 
 import opcast
@@ -17,3 +19,19 @@ def test_submodules_are_not_exported():
     exec("from opcast import *", namespace)
     assert "harness" not in namespace and "model" not in namespace
     assert {"IoHmmModel", "leave_one_week_out", "parse_dataset"} <= set(namespace)
+
+
+def test_every_exported_name_has_a_caller_outside_its_own_tests():
+    # a use is a name or an attribute in the package's modules or the benchmark;
+    # a string such as a report's "mae" key is not one
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = [path for path in sorted((root / "src" / "opcast").glob("*.py"))
+               if path.name != "__init__.py"] + sorted((root / "bench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(opcast.__all__) - used) == []

@@ -14,7 +14,7 @@ import pytest
 from opcast import (OrderingError, ParseResult, ProductionRecord, SchemaError,
                     SyntheticSpec, TimeConsistencyError,
                     boundary_flags, check_chronological, compute_indices,
-                    consistency_issues, derive_time_variables,
+                    derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
 from opcast import records as records_module
 from opcast.records import ALIAS_TO_ATTR, COLUMNS, MANDATORY, parse_tail
@@ -508,6 +508,12 @@ class TestParsedRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             built[0].OT = 1.0
 
+    def test_shift_code_and_weekday(self):
+        rec = make_record(shift="Tu N")
+        assert rec.shift_code == "N"
+        assert rec.weekday == "Tu"
+        assert make_record(shift="NIGHT").shift_code == "NIGHT"
+
 
 def _tail_rows(count):
     """The header and ``count`` rows of distinct records, without line endings."""
@@ -689,29 +695,3 @@ class TestSegmentation:
                 make_record(n=3, shift="Mo M", start=dt.time(22, 0))]
         assert [fl.begins_shift for fl in boundary_flags(recs)] == [True, True, True]
 
-
-class TestConsistency:
-    def test_clean_record_has_no_issues(self):
-        assert consistency_issues(make_record()) == []
-
-    def test_violations_are_listed(self):
-        rec = make_record()
-        broken = rec.__class__(**{**rec.__dict__, "VT": rec.VT + 1.0,
-                                  "qu": 1.2})
-        issues = consistency_issues(broken)
-        assert any("VT" in msg for msg in issues)
-        assert any("qu" in msg for msg in issues)
-
-    def test_target_units_check_is_optional(self):
-        rec = make_record()
-        wrong = rec.__class__(**{**rec.__dict__, "TgU": rec.TgU + 5.0})
-        assert consistency_issues(wrong) == []
-        assert any("TgU" in m for m in
-                   consistency_issues(wrong, check_target_units=True))
-        assert consistency_issues(rec, check_target_units=True) == []
-
-    def test_shift_code_and_weekday(self):
-        rec = make_record(shift="Tu N")
-        assert rec.shift_code == "N"
-        assert rec.weekday == "Tu"
-        assert make_record(shift="NIGHT").shift_code == "NIGHT"
