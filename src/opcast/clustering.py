@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateDataError, DimensionError,
                      InputError, ThresholdWarning, warn)
-from .estimator import checked_state, float_cells, json_number, serialized
+from .estimator import checked_state, float_cells, json_number, serialized, stacked
 
 MAX_ITER = 300   # Lloyd iterations per run, unless the labels settle sooner
 MIN_GAIN = 0.02  # short of the threshold, the least share of the spread one more K adds
@@ -103,16 +103,15 @@ def walk_labels(walks) -> None:
     for walk in sorted(walks, key=lambda walk: walk[3] - walk[4]):
         if walk[3] < walk[4]:
             groups.setdefault(walk[1].shape[1], []).append(walk)
-    for group in groups.values():
-        lengths = np.array([stop - first for *_, first, stop in group])
-        C = np.full((len(group), max(cl.K for cl, *_ in group), group[0][1].shape[1]), np.inf)
-        counts, points = np.ones(C.shape[:2]), np.zeros((lengths[0] + 1,) + C[:, 0].shape)
-        for j, (cl, X, labels, first, stop) in enumerate(group):  # step s reads first - 1 + s
+    for group in groups.values():  # step s reads row first - 1 + s
+        points, active = stacked([X[first - 1:stop] for _, X, _, first, stop in group])
+        C = np.full((len(group), max(cl.K for cl, *_ in group), points.shape[2]), np.inf)
+        counts = np.ones(C.shape[:2])
+        for j, (cl, *_) in enumerate(group):
             C[j, :cl.K], counts[j, :cl.K] = cl.centroids, cl.counts
-            points[:stop - first + 1, j] = X[first - 1:stop]
         prev = np.array([labels[first - 1] - 1 for _, _, labels, first, _ in group])
-        at, out = np.arange(len(group)), np.zeros((lengths[0], len(group)), int)
-        for s, n in enumerate((lengths > np.arange(lengths[0])[:, None]).sum(axis=1)):
+        at, out = np.arange(len(group)), np.zeros((len(points) - 1, len(group)), int)
+        for s, n in enumerate(active[1:]):
             moved = at[:n], prev[:n]  # absorbed as ClusterModel.absorb does
             counts[moved] += 1.0
             C[moved] += (points[s, :n] - C[moved]) / counts[moved][:, None]

@@ -48,9 +48,11 @@ COND_THRESHOLD = 1e8
 
 def float_cells(x, name: str) -> np.ndarray:
     """``x`` as a flat float array. Text cells, which ``float`` would parse, and
-    complex ones are refused by one dtype test, not a test per cell; ``None`` stays NaN."""
+    complex ones are refused by one dtype test, which only an object array follows
+    with a test per cell; ``None`` stays NaN."""
     arr = np.asarray(x)
-    if arr.dtype.kind in "SUc":
+    if arr.dtype.kind in "SUc" or arr.dtype.kind == "O" and any(
+            isinstance(cell, (str, bytes)) for cell in arr.flat):
         raise InputError(f"{name} has cells that are not real numbers")
     return arr.astype(float, copy=False).reshape(-1)
 

@@ -14,8 +14,9 @@ reads it and putting back what moved when it refuses. ``learn_tables`` (behind
 ``fit`` and the LOWO folds) and ``walk_tables`` are one stacked pass of that
 loop over several models' tables, bit for bit. Centroid moves never depend on
 the predictors, so what reads none runs once per pass (checks, labels, chain
-splits, one count walk), and each pattern's rows form a chain; all chains
-advance together, one ragged update of each side per position (``stacked_pass``).
+splits, one count walk per v group), and each pattern's rows form a chain; all
+chains advance together, one ragged update of each side per position
+(``stacked_pass``), both sides' inputs laid out by ``stacked``.
 What ``_pass`` refuses a stacked pass replays through ``_pass`` on copies, in
 model order, only to raise. One blend, ``_blend``, makes every forecast, from
 the pre-update moments of the step that learns the record; ``forecast_step``
@@ -223,48 +224,34 @@ class _Chain:
         return np.concatenate((np.ones((len(w), 1)), w), axis=1)
 
 
-def _walk_counts(groups: Sequence[Sequence[_Chain]]) -> list[tuple[np.ndarray, list[int]]]:
-    """Per group of v chains (one K, longest first), the expected-state vectors read
-    and chains running per step, as ``stacked`` lays them out: one count walk of all
-    groups, per K one step of every chain per position. Counts grow by ``+= 1.0`` per
-    observation, as ``observe`` adds them, and numpy sums each row of an ``(n, K)``
-    array as that row alone, so each vector is ``expected_state_vector``'s, whatever
-    the counts hold."""
-    by_k: dict = {}
-    for group in groups:
-        by_k.setdefault(group[0].states.v.n_predictors, []).append(group)
-    out = {}
-    for K, kgroups in by_k.items():  # one buffer per K, each group's vectors one view of it
-        at = np.cumsum([0] + [len(g[0].rows) * len(g) * K for g in kgroups]).tolist()
-        flat, members = np.zeros(at[-1]), []
-        for start, stop, group in zip(at, at[1:], kgroups):  # where each vector goes
-            lengths = np.array([len(ch.rows) for ch in group])
-            out[id(group)] = (flat[start:stop].reshape(lengths[0], len(group), K),
-                              (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist())
-            members += [(ch, start + j * K, len(group) * K) for j, ch in enumerate(group)]
-        members.sort(key=lambda member: -len(member[0].rows))  # stable: longest first
-        chains, starts, strides = zip(*members)
-        counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in chains])
-        read, active = stacked([ch.prev for ch in chains])
-        read += np.arange(len(chains)) * (K + 1)  # the row read, among all chains' rows
-        seen = stacked([ch.cur - 1 for ch in chains])[0] + read * K  # the count observed
-        to, stride = (np.array(starts)[:, None] + np.arange(K)).ravel(), np.repeat(strides, K)
-        rows_of, flat_counts = counts.reshape(-1, K), counts.reshape(-1)
-        for k, n in enumerate(active):
-            rows = rows_of.take(read[k, :n], axis=0)
-            flat[to[:n * K] + k * stride[:n * K]] = rows.ravel() / rows.sum(axis=1).repeat(K)
-            flat_counts[seen[k, :n]] += 1.0
-        for ch, rows in zip(chains, counts):
-            ch.counts = rows
-    return [out[id(group)] for group in groups]
+def _walk_counts(group: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
+    """The expected-state vectors that one group of v chains (one K, longest first)
+    reads and the chains running per step, as ``stacked`` lays them out; sets each
+    chain's ``counts``. Counts grow by ``+= 1.0`` per observation, as ``observe`` adds
+    them, and numpy sums each row of an ``(n, K)`` array as that row alone, so each
+    vector is ``expected_state_vector``'s, whatever the counts hold."""
+    K = group[0].states.v.n_predictors
+    counts = np.stack([ch.model.dirichlet.count_rows(ch.key) for ch in group])
+    read, active = stacked([ch.prev for ch in group])
+    read += np.arange(len(group)) * (K + 1)  # the row read, among all chains' rows
+    seen = stacked([ch.cur - 1 for ch in group])[0] + read * K  # the count observed
+    rows_of, flat_counts = counts.reshape(-1, K), counts.reshape(-1)
+    vectors = np.zeros(read.shape + (K,))
+    for k, n in enumerate(active):
+        rows = rows_of.take(read[k, :n], axis=0)
+        vectors[k, :n] = rows / rows.sum(axis=1)[:, None]
+        flat_counts[seen[k, :n]] += 1.0
+    for ch, rows in zip(group, counts):
+        ch.counts = rows
+    return vectors, active
 
 
 def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
-    """Advance ``chains`` together: one count walk of all v chains and one ragged
-    update of each side's groups (``stacked_pass``); ``walking``, fill their
-    ``moments`` (u mean and covariance, v mean and covariance per step). Returns
-    the commits and the warnings keyed by where each falls in a record-by-record
-    pass, or None at the first refused update."""
+    """Advance ``chains`` together: one ragged update of each side's groups
+    (``stacked_pass``), the v side's inputs from one count walk per group;
+    ``walking``, fill their ``moments`` (u mean and covariance, v mean and
+    covariance per step). Returns the commits and the warnings keyed by where
+    each falls in a record-by-record pass, or None at the first refused update."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
@@ -272,12 +259,11 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | Non
             st = getattr(ch.states, name)
             groups.setdefault((st.n_predictors, st.n_responses), []).append(ch)
         groups = list(groups.values())
-        counted = _walk_counts(groups) if name == "v" else None
         done = stacked_pass([(
             [getattr(ch.states, name) for ch in group],
-            *(stacked([ch.u for ch in group]) if counted is None else counted[g]),
+            *(stacked([ch.u for ch in group]) if name == "u" else _walk_counts(group)),
             stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
-                     for ch in group])[0]) for g, group in enumerate(groups)], walking)
+                     for ch in group])[0]) for group in groups], walking)
         if done is None:
             return None
         commit, caught, moments = done

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 

@@ -30,7 +30,7 @@ from opcast import (
     generate_synthetic,
     leave_one_week_out,
 )
-from opcast.features import build_features, classification_vector
+from opcast.features import classification_vector
 from opcast.metrics import cell_scores, checked, columns
 
 from oracles import batch_oracle

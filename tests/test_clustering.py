@@ -270,11 +270,14 @@ class TestClusterModel:
         np.testing.assert_array_equal(model.counts, [1.0, 1.0])
         with pytest.raises(DimensionError):
             model.assign([0.0])
-        with pytest.raises(InputError):
-            model.assign([np.nan, 0.0])
+        for t in ([np.nan, 0.0], np.array(["0.5", "0.5"], dtype=object)):
+            with pytest.raises(InputError):
+                model.assign(t)
 
     @pytest.mark.parametrize("t, error", [([np.nan, 0.0], InputError),
                                           ([0.0, -np.inf], InputError),
+                                          (np.array(["0.5", "0.5"], dtype=object),
+                                           InputError),
                                           ([0.0], DimensionError),
                                           ([0.0, 1.0, 2.0], DimensionError)])
     def test_rejected_centroid_update_leaves_model_untouched(self, t, error):

@@ -223,6 +223,7 @@ class TestValidation:
         (["1.0", "0.0", "0.5"], [1.0, 2.0], InputError),  # float() would parse these
         ([1.0, 0.0, 0.5], [1.0, b"2.0"], InputError),
         ([1.0, 0.0, 0.5], [1.0, 2.0 + 0j], InputError),
+        (np.array(["1.0", "0.0", "0.5"], dtype=object), [1.0, 2.0], InputError),
         ([1.0, None, 0.5], [1.0, 2.0], NumericError),  # None is a missing number
     ])
     def test_rejected_update_leaves_state_untouched(self, u, y, error):

@@ -2,6 +2,7 @@ import copy
 import datetime as dt
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ThresholdWarning, classification_vector, combine,
                     default_feature_config, fit_states, generate_synthetic,
                     leave_one_week_out, pattern_key)
-from opcast.model import learn_tables, walk_tables
+from opcast.model import PatternStates, _Chain, _walk_counts, learn_tables, walk_tables
 
 from conftest import build_stream, evaluated_specs
 
@@ -414,10 +415,12 @@ class TestOneInputRule:
         (lambda z, w: ([np.nan, 0.0, 0.0], w), ConfigurationError),
         (lambda z, w: (z, np.where(np.arange(len(w)) == 1, np.nan, w)), NumericError),
         (lambda z, w: (z, [str(v) for v in w]), InputError),
+        (lambda z, w: (z, np.array([str(v) for v in w], dtype=object)), InputError),
         (lambda z, w: (z, [None] + list(w[1:])), NumericError),
     ], ids=["(1, L) pattern", "(1, w_dim) regressor row", "string pattern cells",
             "short pattern", "NaN pattern cell", "NaN regressor cell",
-            "string regressor cells", "None regressor cell"])
+            "string regressor cells", "object array of string regressor cells",
+            "None regressor cell"])
     def test_both_steps_refuse_alike_and_move_nothing(self, bad, error):
         model = _model(allow_cold_start=True)
         table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}, {"OpT": 8.0}]),
@@ -450,15 +453,16 @@ class TestTextCells:
     def test_forecast_step_refuses_a_string_classification_vector(self):
         model = _model(allow_cold_start=True)
         table = build_features(build_stream([{"OpT": 6.0}, {"OpT": 7.0}]), model.config.features)
-        with pytest.raises(InputError, match="not real numbers"):
-            model.forecast_step(["6.0"], table.z[1], _w(table, 1), False)
+        for t_prev in (["6.0"], np.array(["6.0"], dtype=object)):
+            with pytest.raises(InputError, match="not real numbers"):
+                model.forecast_step(t_prev, table.z[1], _w(table, 1), False)
         with pytest.raises(InputError, match="non-finite"):  # as a NaN is refused
             model.forecast_step([None], table.z[1], _w(table, 1), False)
         assert model.forecast_step([6.0], table.z[1], _w(table, 1), False).state == 2
 
     @pytest.mark.parametrize("u, v, error", [
         (["1.0"], [1.0], InputError), ([1.0], [b"1.0"], InputError),
-        ([None], [1.0], NumericError)])
+        (np.array(["1.0"], dtype=object), [1.0], InputError), ([None], [1.0], NumericError)])
     def test_combine_refuses_string_cells(self, u, v, error):
         states = [AdaptiveState(1, 1, forgetting=1.0) for _ in range(2)]
         with pytest.raises(error):
@@ -1324,16 +1328,16 @@ class TestWalkTables:
 
     def test_two_cluster_models_of_one_k_share_each_count_walk(self, setting, monkeypatch):
         # the setting's states and a copy with its centroids in reverse order
-        # (its labels permuted): the v sides of both, two (K, m) groups, share
-        # one count walk per pass, whatever their forgetting factors, yet each
-        # model learns and walks as alone
+        # (its labels permuted): the v sides of both, two (K, m) groups, take
+        # one count walk per group, holding the chains of both cluster models,
+        # whatever their forgetting factors, yet each model learns and walks as alone
         records, features, states = setting
         mirrored = replace(states, centroids=states.centroids[::-1].copy(),
                            counts=states.counts[::-1].copy())
         walks = []
         counting = opcast.model._walk_counts
         monkeypatch.setattr(opcast.model, "_walk_counts",
-                            lambda groups: walks.append(groups) or counting(groups))
+                            lambda group: walks.append(group) or counting(group))
 
         def both(learned):
             (a, tables_a), (b, tables_b) = (self._models(setting, learned, states=s)
@@ -1350,14 +1354,18 @@ class TestWalkTables:
                 learn_tables([model], [table])
             del walks[:]
             learn_tables(models, tables)
-        assert len(walks) == 1 and len(walks[0]) == len(groups)
+        assert len(walks) == len(groups) and all(
+            {id(ch.model.clusters) for ch in walk} == {id(states), id(mirrored)}
+            for walk in walks)
         assert [m.to_json() for m in models] == [m.to_json() for m in alone]
         models, tables = both(records[:100])
         span = range(100, len(records))
         expected = _outcome(lambda: _walks_one_by_one(models, records, span))
         del walks[:]
         got = _outcome(lambda: _walked(models, tables, [span] * len(models)))
-        assert len(walks) == 1 and len(walks[0]) == len(groups)
+        assert len(walks) == len(groups) and all(
+            {id(ch.model.clusters) for ch in walk} == {id(states), id(mirrored)}
+            for walk in walks)
         assert got == expected and all(got[0])
 
     def test_label_walks_of_two_ks_from_record_zero(self, setting):
@@ -1462,6 +1470,41 @@ class TestCountsThatAreNotHalfIntegers:
                                                        for q in (0, 2))]
         assert [m.n_states for m in models] == [states.K] * 2 + [9, 9] and states.K < 8
         self._assert_as_the_loop(setting, models)
+
+
+class TestCountWalk:
+    """One count walk (``_walk_counts``) against a loop of ``expected_state_vector``
+    then ``observe`` per chain, on a copy of its ``DirichletTable``."""
+
+    @pytest.mark.parametrize("K", [3, 9])  # numpy sums 8 or more counts in blocks
+    def test_one_group_of_ragged_chains_as_the_loop(self, K):
+        rng = np.random.default_rng(K)
+        tables = [DirichletTable(K, 3) for _ in range(3)]
+        for table in tables:
+            for key in ("100", "011"):
+                table.counts[key] = rng.uniform(0.5, 3.5, (K + 1, K))
+        lengths = (40, 40, 23, 6, 1)  # longest first; the last two read one table's rows
+        group = []
+        for order, (length, table, key) in enumerate(zip(
+                lengths, (*tables, tables[2], tables[2]), ("100", "011", "100", "011", "011"))):
+            prev = rng.integers(1, K + 1, length)
+            prev[rng.random(length) < 0.2] = 0  # sequences begin here
+            states = PatternStates(AdaptiveState(2, 1, 1.0), AdaptiveState(K, 1, 1.0))
+            group.append(_Chain(order, SimpleNamespace(dirichlet=table), key, states, None,
+                                [0], np.arange(length), prev, rng.integers(1, K + 1, length)))
+        before = [table.to_dict() for table in tables]
+        vectors, active = _walk_counts(group)
+        assert vectors.shape == (lengths[0], len(group), K)
+        assert active == [sum(n > k for n in lengths) for k in range(lengths[0])]
+        for j, ch in enumerate(group):
+            table, expected = copy.deepcopy(ch.model.dirichlet), []
+            for prev, cur in zip(ch.prev.tolist(), ch.cur.tolist()):
+                expected.append(table.expected_state_vector(ch.key, prev or None))
+                table.observe(ch.key, prev or None, cur)
+            assert np.array_equal(vectors[:len(ch.rows), j], expected)
+            assert not vectors[len(ch.rows):, j].any()  # the padding is zero
+            assert np.array_equal(ch.counts, table.counts[ch.key])
+        assert [table.to_dict() for table in tables] == before  # the walk counts on copies
 
 
 class TestFit:

@@ -35,3 +35,21 @@ def test_every_exported_name_has_a_caller_outside_its_own_tests():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(opcast.__all__) - used) == []
+
+
+def test_every_imported_name_is_used():
+    # in the package's modules (its namespace module re-exports by design) and
+    # the tests: each name an import binds is read as a name somewhere
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = [path for path in sorted((root / "src" / "opcast").glob("*.py"))
+               if path.name != "__init__.py"] + sorted((root / "tests").glob("*.py"))
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = [(alias.asname or alias.name.split(".")[0], node.lineno)
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(root)}:{line} {name}" for name, line in bound
+                   if name not in read]
+    assert unused == []
