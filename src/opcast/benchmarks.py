@@ -54,7 +54,8 @@ def fit_varx(y, g, q: int) -> VarxModel:
 
     The first q rows only provide lags. The residual covariance uses the
     degrees-of-freedom denominator (rows minus parameters per equation).
-    Raises when the design is rank deficient, naming the involved columns.
+    Raises when the design is rank deficient, naming the involved columns; the rank
+    is the fitting ``lstsq``'s (singular values <= eps * max(X.shape) * s_max are zero).
     """
     if not isinstance(q, int) or q < 0:
         raise ConfigurationError(f"lag order must be a non-negative integer, got {q!r}")
@@ -78,7 +79,7 @@ def fit_varx(y, g, q: int) -> VarxModel:
                   + [g[q:]])
     Y = y[q:]
 
-    rank = np.linalg.matrix_rank(X)
+    coef, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     if rank < p_cols:
         # name the columns loading on the null space of X^T X
         names = _design_columns(q, m, g_dim)
@@ -90,7 +91,6 @@ def fit_varx(y, g, q: int) -> VarxModel:
             f"design matrix is rank deficient ({rank}/{p_cols}); "
             f"collinear columns: {involved}")
 
-    coef, _, _, _ = np.linalg.lstsq(X, Y, rcond=None)
     resid = Y - X @ coef
     sigma_eta = resid.T @ resid / (n_rows - p_cols)
 

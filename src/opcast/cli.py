@@ -173,12 +173,13 @@ def cmd_evaluate(args) -> int:
     cells: dict = {}  # per model and metric, the (value, count) of its rows in report order
     for r in report.rows:
         cells.setdefault((r.model, r.metric), []).append((r.value, r.count))
-    for name in models:
+    for name in models:  # each metric pooled over the model's cells: rmse from mean squares
         line = f"{name:<16}"
-        for metric, width, digits in (("mae", 8, 4), ("rmse", 8, 4), ("covg", 6, 3)):
+        for metric, width, digits, p in (("mae", 8, 4, 1), ("rmse", 8, 4, 2), ("covg", 6, 3, 1)):
             vals = cells.get((name, metric))
-            mean = sum(v * c for v, c in vals) / sum(c for _, c in vals) if vals else 0.0
-            line += f" {mean:{width}.{digits}f}" if vals else " " + "-".rjust(width)
+            if vals:
+                pooled = (sum(v ** p * c for v, c in vals) / sum(c for _, c in vals)) ** (1 / p)
+            line += f" {pooled:{width}.{digits}f}" if vals else " " + "-".rjust(width)
         print(line)
     print(f"report written to {args.out}")
     return 0

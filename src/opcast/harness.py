@@ -32,35 +32,26 @@ from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
 from .errors import (ConditioningWarning, ConfigurationError, DegenerateDataError,
                      OpcastError, ThresholdWarning, warn)
-from .features import CovariateSpec, FeatureTable, build_features, default_feature_config
+from .features import MAX_LAGS, CovariateSpec, FeatureTable, build_features, default_feature_config
 from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
-DEFAULT_MODELS = (
-    ("persistence", "no-lags")
-    + tuple(f"iohmm-q{k}" for k in range(1, 6))
-    + tuple(f"varx-q{k}" for k in range(1, 6))
-    + tuple(f"iohmm-uni-q{k}" for k in range(1, 6))
-)
+# every model identifier and its (kind, lag order), in the report's row order
+_MODELS = {"persistence": ("persistence", None), "no-lags": ("iohmm", 0),
+           **{f"{kind}-q{q}": (kind, q) for kind in ("iohmm", "varx", "iohmm-uni")
+              for q in range(1, MAX_LAGS + 1)}}
+DEFAULT_MODELS = tuple(_MODELS)
 
 SUMMARY_MODEL = "_summary"
 CSV_HEADER = "model,fold,shift_type,response,metric,value,count"
 
 
 def parse_model_name(name: str) -> tuple[str, int | None]:
-    """Split a benchmark identifier into (kind, lag order)."""
-    if name == "persistence":
-        return "persistence", None
-    if name == "no-lags":
-        return "iohmm", 0
-    for prefix, kind in (("iohmm-uni-q", "iohmm-uni"), ("iohmm-q", "iohmm"),
-                         ("varx-q", "varx")):
-        if name.startswith(prefix):
-            tail = name[len(prefix):]
-            if tail.isdigit():
-                return kind, int(tail)
-    raise ConfigurationError(f"unknown model identifier {name!r}")
+    """The (kind, lag order) of a benchmark identifier."""
+    if name not in _MODELS:
+        raise ConfigurationError(f"unknown model identifier {name!r}")
+    return _MODELS[name]
 
 
 def week_key(date) -> str:

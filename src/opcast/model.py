@@ -298,10 +298,10 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     rows labelled per cluster model, the runs that ``_pass`` labels by moving
     centroids walked in lockstep (``walk_labels``); each labelling split into
     pattern chains, of which each model learns its rows with its own predictors.
-    All chains advance together (``_advance``); forecasts take one ``_blend`` per
-    response count. It raises exactly where ``_pass`` does: at a bad cell of its
-    model's columns (``_reads_before`` for the row before), a refused cold start
-    or update.
+    All chains advance together (``_advance``); a model's forecasts, of its rows
+    ``first..stop-1`` in record order, take one ``_blend``. It raises exactly where
+    ``_pass`` does: at a bad cell of its model's columns (``_reads_before`` for the
+    row before), a refused cold start or update.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
@@ -361,22 +361,6 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     commits, events = advanced
     for _, message in sorted(events):
         warn(message, ConditioningWarning)
-    parts = [[(np.zeros(0, int), *[np.zeros((0, m.n_responses))] * 2)] for m in models]
-    batches: dict = {}
-    for ch in chains if walking else ():
-        batches.setdefault(ch.moments[0].shape[1], []).append(ch)
-    for batch in batches.values():  # one blend per response count
-        _, means, covs = _blend(*map(np.concatenate, zip(*(ch.moments for ch in batch))))
-        ends = np.cumsum([len(ch.rows) for ch in batch])[:-1]
-        for ch, mean, var in zip(batch, np.split(means, ends),
-                                 np.split(np.diagonal(covs, 0, 1, 2), ends)):
-            at = ch.rows >= reach[ch.order][-1]  # the forecast rows, from the model's first on
-            parts[ch.order].append((ch.rows[at], mean[at], var[at]))
-    out = []
-    for mine in parts:
-        index, mean, var = (np.concatenate(column) for column in zip(*mine))
-        order = np.argsort(index)
-        out.append((index[order], mean[order], var[order]))
 
     def commit() -> None:
         for step in commits:
@@ -384,7 +368,19 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         for ch in chains:
             ch.model.params.setdefault(ch.key, ch.states)
             ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
-    return out, commit
+    if not walking:  # a learning pass builds no forecast columns
+        return [], commit
+    # per model, the u and v sides' (mean, covariance) columns of its rows first..stop-1
+    forecasts = [[np.full((max(stop - first, 0),) + (model.n_responses,) * k, np.nan)
+                  for k in (1, 2, 1, 2)] for model, (*_, stop, _, _, first) in zip(models, reach)]
+    for ch in chains:  # each of those rows lies in one chain of its model
+        first = reach[ch.order][-1]
+        cut = int(np.searchsorted(ch.rows, first))
+        for column, moment in zip(forecasts[ch.order], ch.moments):
+            column[ch.rows[cut:] - first] = moment[cut:]
+    blends = [_blend(*mine) for mine in forecasts]  # one per model
+    return [(np.arange(first, stop), mean, np.diagonal(cov, 0, 1, 2))
+            for (*_, stop, _, _, first), (_, mean, cov) in zip(reach, blends)], commit
 
 
 def _one_by_one(models, tables, spans) -> NoReturn:

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 import os
 import random
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 import opcast
 import opcast.cli
 import opcast.records
-from opcast import (IoHmmModel, ThresholdWarning, build_features, default_feature_config,
-                    fit_states, parse_dataset, week_key)
+from opcast import (IoHmmModel, ModelConfig, ThresholdWarning, build_features,
+                    default_feature_config, fit_states, parse_dataset, week_key)
 from opcast.cli import main
 
 SIM_SPEC = {
@@ -154,6 +155,15 @@ class TestFit:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "m.json")]) == 1
 
+    def test_a_config_file_holding_no_object_exits_1(self, workdir, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "m.json"
+        cfg.write_text(json.dumps([{"lags": 2}]))
+        assert main(["fit", "--data", str(workdir / "data.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "configuration error: config file must hold a JSON object")
+
     def test_regressor_repeating_the_pattern_is_rejected(self, workdir, tmp_path,
                                                          capsys):
         cfg = tmp_path / "cfg.json"
@@ -220,11 +230,14 @@ class TestRemovedKeys:
     @pytest.mark.parametrize("argv", [["fit", "--lags", "6"],
                                       ["evaluate", "--models", "iohmm-q999999999"]])
     def test_the_lag_order_stays_bounded(self, workdir, tmp_path, capsys, argv):
+        # fit checks the bound on q; no model identifier names a q above 5
+        message = {"fit": "q must be an integer in 0..5, got",
+                   "evaluate": "unknown model identifier"}[argv[0]]
         out = tmp_path / "out"
         assert main([*argv, "--data", str(workdir / "data.csv"), "--kmax", "4",
                      "--out", str(out)]) == 1
         assert not out.exists()
-        assert "q must be an integer in 0..5, got" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestEmptyResponseCells:
@@ -666,7 +679,7 @@ class TestEvaluate:
         table = capsys.readouterr().out
         assert "persistence" in table and "varx-q1" in table
 
-    def test_the_table_is_each_models_count_weighted_mean(self, workdir, tmp_path, capsys):
+    def test_the_table_pools_each_models_cells(self, workdir, tmp_path, capsys):
         out = tmp_path / "report.csv"
         models = ["persistence", "no-lags", "varx-q1", "iohmm-uni-q1"]
         with warnings.catch_warnings():
@@ -677,13 +690,16 @@ class TestEvaluate:
             rows = list(csv.DictReader(fh))
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == f"{'model':<16} {'mae':>8} {'rmse':>8} {'covg':>6}"
-        for name, line in zip(models, lines[2:]):  # a direct mean over the report rows
+        for name, line in zip(models, lines[2:]):  # pooled directly from the report rows
             want = f"{name:<16}"
             for metric, width, digits in (("mae", 8, 4), ("rmse", 8, 4), ("covg", 6, 3)):
                 vals = [(float(r["value"]), int(r["count"])) for r in rows
                         if r["model"] == name and r["metric"] == metric]
-                mean = sum(v * c for v, c in vals) / sum(c for _, c in vals) if vals else 0.0
-                want += f" {mean:{width}.{digits}f}" if vals else " " + "-".rjust(width)
+                if vals and metric == "rmse":  # the root of the count-weighted mean square
+                    pooled = math.sqrt(sum(v * v * c for v, c in vals) / sum(c for _, c in vals))
+                elif vals:  # mae and covg: the count-weighted mean
+                    pooled = sum(v * c for v, c in vals) / sum(c for _, c in vals)
+                want += f" {pooled:{width}.{digits}f}" if vals else " " + "-".rjust(width)
             assert line == want
         assert lines[2 + len(models)] == f"report written to {out}"
 
@@ -739,6 +755,14 @@ class TestInspect:
         assert "state 1:" in out
         assert "band=" in out
         assert "patterns:" in out
+
+    def test_an_unfitted_snapshot_has_no_states(self, workdir, tmp_path, capsys):
+        records = parse_dataset(workdir / "data.csv").records
+        path = tmp_path / "unfitted.json"
+        IoHmmModel(ModelConfig(features=default_feature_config(records))).save(path)
+        assert main(["inspect", "--snapshot", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "no cluster state fitted" and len(out) == 3
 
 
 class TestParsing:

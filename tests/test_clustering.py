@@ -304,6 +304,10 @@ class TestClusterModel:
         doc["counts"] = [1.0]
         with pytest.raises(DimensionError):
             ClusterModel.from_dict(doc)
+        doc = model.to_dict()
+        doc["mean"] = [0.0, 0.0]  # the centroids have one dimension
+        with pytest.raises(DimensionError, match="serialized standardizer is inconsistent"):
+            ClusterModel.from_dict(doc)
 
 
 # heavy tails: signed squares of Cauchy draws in 3-D, rounded to integers.

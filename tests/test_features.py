@@ -64,7 +64,7 @@ class TestCovariateSpec:
             CovariateSpec("@nope")
 
     @pytest.mark.parametrize("expr", ["nope", "nope==1", "shift", "shift_code",
-                                      "weekday", "date", "start"])
+                                      "weekday", "date", "start", "shift_code==", "   "])
     def test_bad_column_raises_when_parsed(self, expr):
         with pytest.raises(ConfigurationError):
             CovariateSpec(expr)
@@ -113,7 +113,9 @@ class TestFeatureConfig:
                                      dict(z_spec=("nope==1",)),
                                      dict(t_spec=("av", "shift")),
                                      dict(response_names=("OpT", "XYZ")),
-                                     dict(response_names=("shift_code",))])
+                                     dict(response_names=("shift_code",)),
+                                     dict(response_names=()), dict(z_spec=()),
+                                     dict(t_spec=())])
     def test_bad_column_or_response_raises_when_built(self, bad):
         with pytest.raises(ConfigurationError):
             _config(**bad)

@@ -56,12 +56,19 @@ class TestModelNames:
         assert parse_model_name("varx-q2") == ("varx", 2)
 
     def test_default_list_parses(self):
-        assert len(DEFAULT_MODELS) == 17
+        # the report's row order and the benchmark's model list follow this order
+        assert DEFAULT_MODELS == (
+            "persistence", "no-lags", "iohmm-q1", "iohmm-q2", "iohmm-q3", "iohmm-q4",
+            "iohmm-q5", "varx-q1", "varx-q2", "varx-q3", "varx-q4", "varx-q5",
+            "iohmm-uni-q1", "iohmm-uni-q2", "iohmm-uni-q3", "iohmm-uni-q4", "iohmm-uni-q5")
         for name in DEFAULT_MODELS:
             parse_model_name(name)
 
     def test_unknown_identifiers(self):
-        for bad in ("iohmm", "iohmm-qx", "varx-q", "arima-q1", ""):
+        # the listed names only: no lag order 0 but no-lags, no leading zero,
+        # none above 5 and no digit but ASCII ones
+        for bad in ("iohmm", "iohmm-qx", "varx-q", "arima-q1", "", "iohmm-q0", "varx-q0",
+                    "iohmm-uni-q0", "iohmm-q01", "varx-q6", "iohmm-uni-q\u0663"):
             with pytest.raises(ConfigurationError):
                 parse_model_name(bad)
 

@@ -1393,6 +1393,22 @@ class TestWalkTables:
         assert [len(walk) for walk in got[0]] == [len(records) - q - 1 for q in range(6)] * 2
         assert [m.to_json() for m in models] == before
 
+    @pytest.mark.parametrize("start, stop", [(0, None), (0, 2), (0, 3), (1, 40), (150, 150)])
+    def test_each_model_forecasts_its_records_from_first_on(self, setting, start, stop):
+        # q = 0, 1 and 2 from record 0, and one empty span: each model's index is
+        # every record from max(start, q + 1) on, in record order, and its
+        # forecasts are those of its own run_online walk
+        records, features, states = setting
+        span = range(start, len(records) if stop is None else stop)
+        models = [IoHmmModel(ModelConfig(features=features.with_lags(q), allow_cold_start=True),
+                             clusters=states) for q in range(3)]
+        tables = [build_features(records, features.with_lags(0))] * len(models)
+        walks = walk_tables(models, tables, [span] * len(models))
+        for q, (index, mean, var) in enumerate(walks):
+            np.testing.assert_array_equal(index, np.arange(max(span.start, q + 1), span.stop))
+            assert mean.shape == var.shape == (len(index), 2)
+        self._assert_as_one_by_one(models, tables, records, span)
+
     def test_empty_spans_walk_nothing(self, setting):
         # spans without records, at the start, inside and at the end, in one
         # pass with spans that forecast: no forecasts for them, as run_online
@@ -1745,6 +1761,21 @@ class TestSnapshot:
         key = next(iter(doc["params"]))
         doc["params"][key]["u"]["n_predictors"] = 99
         with pytest.raises(RestoreError):
+            IoHmmModel.restore(doc)
+
+    @pytest.mark.parametrize("side, more, message", [
+        ("u", (1, 0), "has wrong dimensions"), ("v", (0, 1), "has wrong response count")])
+    def test_restore_checks_whole_states(self, side, more, message):
+        # a self-consistent state of another shape, with the model's forgetting
+        # factor: one regressor, or one response, more than the model has
+        model, _ = self._trained()
+        doc = model.snapshot()
+        key = next(iter(doc["params"]))
+        n_predictors = model.u_dim if side == "u" else model.n_states
+        forgetting = model.config.lambda_u if side == "u" else model.config.lambda_v
+        doc["params"][key][side] = AdaptiveState(
+            n_predictors + more[0], model.n_responses + more[1], forgetting).to_dict()
+        with pytest.raises(RestoreError, match=f"pattern '{key}' {message}"):
             IoHmmModel.restore(doc)
 
     def test_corrupt_json_file(self, tmp_path):

@@ -187,6 +187,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             _spec(initial=(0.5, 0.6))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(states=2.0), "states must be a positive integer"),
+        (dict(noise_cov=np.eye(3)), "noise_cov must be 2x2"),
+        (dict(ar=(np.eye(3),)), "autoregressive matrices must be 2x2"),
+        (dict(shift_effects={"A": (0.1, 0.2, 0.3)}), "shift effect for 'A' must have length 2"),
+        (dict(days=0), "calendar must have days")],
+        ids=["float-states", "noise-cov-3x3", "ar-3x3", "shift-effect-of-3", "no-days"])
+    def test_each_field_is_checked(self, fields, message):
+        with pytest.raises(ConfigurationError, match=message):
+            _spec(**fields)
+
     def test_loss_and_speed_bounds(self):
         with pytest.raises(ConfigurationError):
             _spec(dt_max=-0.1)
