@@ -10,7 +10,8 @@ reads its responses and lags from that table, learning, and walks its test
 week in the one such table of all records: the variants of all folds learn
 in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
 learning as they walk, as in production; the regression benchmark stays
-frozen after fitting.
+frozen after fitting. Every stage runs once and the first refusal met is
+raised, so an evaluation accepts exactly what the folds one by one accept.
 
 Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
 the report splits each by shift type, per model, fold, shift type and response.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import io
 import json
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -30,8 +30,7 @@ import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
-from .errors import (ConditioningWarning, ConfigurationError, DegenerateDataError,
-                     OpcastError, ThresholdWarning, warn)
+from .errors import ConfigurationError, DegenerateDataError, warn
 from .features import MAX_LAGS, CovariateSpec, FeatureTable, build_features, default_feature_config
 from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
@@ -49,7 +48,7 @@ CSV_HEADER = "model,fold,shift_type,response,metric,value,count"
 
 def parse_model_name(name: str) -> tuple[str, int | None]:
     """The (kind, lag order) of a benchmark identifier."""
-    if name not in _MODELS:
+    if not (isinstance(name, str) and name in _MODELS):  # a list or a set cannot be hashed
         raise ConfigurationError(f"unknown model identifier {name!r}")
     return _MODELS[name]
 
@@ -159,12 +158,13 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
-    over between folds. The states of a fold are fitted once and shared by
-    its IO-HMM variants, which learn and walk before the other models, all
-    folds at once. Per-fold cells without forecasts are omitted with a
-    warning. A refusal is that of the folds one by one: one before the other
-    models replays the folds so, on the states already fitted, issuing no
-    Threshold or ConditioningWarning twice. ``states`` holds each fold's fit.
+    over between folds. Each stage runs once, in one order: every fold's
+    training weeks are featurized, then every fold's states are fitted,
+    then the IO-HMM variants of all folds learn and walk, then persistence
+    and VARX forecast fold by fold. Per-fold cells without forecasts are
+    omitted with a warning. The first refusal met is raised; an evaluation
+    accepts exactly what the folds one by one accept. ``states`` holds each
+    fold's fit.
     """
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
@@ -194,52 +194,32 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
                              ) if "persistence" in kinds else None
 
-    fitted: dict[str, ClusterModel] = {}  # each fold's states, fitted once
-
-    def learned(folds) -> tuple[list, dict]:
-        """The training tables and IO-HMM blocks of ``folds``, ``(week, test records)``."""
-        tables = [None if full is None else build_features(
-            [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
-        fitted.update((week, fit_states(table, seed=seed, threshold=threshold, k_max=k_max))
-                      for (week, _), table in zip(folds, tables) if variants and week not in fitted)
-        states = [fitted[week] for week, _ in folds if week in fitted]
-        return tables, _iohmm_blocks(variants, base, folds, states, tables, full)
-
-    def evaluated(folds, tables, blocks) -> list[ForecastBlock]:
-        """All blocks of ``folds`` in fold and model order; an empty cell warns at once."""
-        out = []
-        for (fold, test), table in zip(folds, tables):
-            for name in model_names:
-                kind, q = parse_model_name(name)
-                if kind == "persistence":  # every test record after the dataset's first
-                    index = np.arange(max(test.start, 1), test.stop)
-                    blocks[name, fold] = _blocks(name, fold, responses, index, values[index],
-                                                 persistence_forecast(values[index - 1]))
-                elif kind == "varx":
-                    blocks[name, fold] = _varx_blocks(table, full, test, name, fold, responses, q)
-                if not blocks[name, fold]:
-                    warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
-                out += blocks[name, fold]
-        return out
-
     folds = [(week, range(keys.index(week), len(keys) - keys[::-1].index(week)))
              for week in weeks]  # chronological records: each week is one run of indices
-    try:  # a later refusal is the first of the folds one by one, after their UserWarnings
-        prepared = learned(folds)
-    except OpcastError:  # raise what the folds one by one raise, no warning twice
-        with warnings.catch_warnings():
-            for category in (ThresholdWarning, ConditioningWarning):
-                warnings.simplefilter("ignore", category)
-            for fold in folds:
-                evaluated([fold], *learned([fold]))
-        raise AssertionError("the folds together refused what the folds one by one accept")
-    blocks = evaluated(folds, *prepared)
+    tables = [None if full is None else build_features(
+        [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
+    states = {week: fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
+              for (week, _), table in zip(folds, tables)} if variants else {}
+    cells = _iohmm_blocks(variants, base, folds, list(states.values()), tables, full)
+    blocks = []  # in fold and model order; an empty cell warns at once
+    for (fold, test), table in zip(folds, tables):
+        for name in model_names:
+            kind, q = parse_model_name(name)
+            if kind == "persistence":  # every test record after the dataset's first
+                index = np.arange(max(test.start, 1), test.stop)
+                cells[name, fold] = _blocks(name, fold, responses, index, values[index],
+                                            persistence_forecast(values[index - 1]))
+            elif kind == "varx":
+                cells[name, fold] = _varx_blocks(table, full, test, name, fold, responses, q)
+            if not cells[name, fold]:
+                warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
+            blocks += cells[name, fold]
 
     shifts = np.array([rec.shift_code for rec in records])
     return MetricsReport(rows=_aggregate(blocks, shifts),
                          response_summary=response_summary(records, responses),
                          folds=weeks, models=list(model_names),
-                         n_records=len(records), predictions=blocks, states=fitted)
+                         n_records=len(records), predictions=blocks, states=states)
 
 
 def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[ReportRow]:

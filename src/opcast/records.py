@@ -40,6 +40,7 @@ MANDATORY = (
 _DURATIONS = ("LT", "OpT", "NOpT", "VT")
 _INDICES = ("lo", "av", "pf", "qu", "oee")
 _OPTIONAL = ("hum", "temp")
+NEGATIVE_TOLERANCE = 0.01  # how far below zero a derived duration may fall (rounding)
 
 
 @dataclass(frozen=True)
@@ -122,18 +123,18 @@ class BoundaryFlags:
 
 
 def derive_time_variables(OT: float, SBT: float, DT: float, PLT: float,
-                          QLT: float, tol: float = 0.01) -> DerivedTimes:
+                          QLT: float) -> DerivedTimes:
     """Apply the subtraction cascade to base durations.
 
     Loading time removes scheduled breaks from the operating time, then
     downtime, performance losses and quality losses are taken out in turn.
     Small negative results (rounding in source data) are clamped to zero;
-    anything below -tol raises.
+    anything below -NEGATIVE_TOLERANCE raises.
     """
     def _step(value: float, name: str) -> float:
-        if value < -tol:
-            raise TimeConsistencyError(
-                f"derived {name} is negative ({value:.4f}) beyond tolerance {tol}")
+        if value < -NEGATIVE_TOLERANCE:
+            raise TimeConsistencyError(f"derived {name} is negative ({value:.4f}) "
+                                       f"beyond tolerance {NEGATIVE_TOLERANCE}")
         return max(value, 0.0)
 
     LT = _step(OT - SBT, "LT")

@@ -159,8 +159,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[ProductionRecord]:
                     y_hist = [means[state].copy() for _ in range(len(ar))]
                 y = means[state].copy()
                 for j, mat in enumerate(ar):
-                    if j < len(y_hist):
-                        y = y + mat @ y_hist[-(j + 1)]
+                    y = y + mat @ y_hist[-(j + 1)]
                 y = y + effects.get(code, 0.0)
                 y = y + factor @ rng.standard_normal(2)
                 y_hist.append(y.copy())

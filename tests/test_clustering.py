@@ -98,6 +98,9 @@ class TestAutoK:
         pts = np.array([[1.0, 2.0]] * 10)
         with pytest.raises(DegenerateDataError, match="cannot form 2 clusters"):
             fit_auto_k(pts)
+        # two distinct points whose standardized squares underflow to zero
+        with pytest.raises(DegenerateDataError, match="classification points have zero spread"):
+            fit_auto_k([[1e-200], [2e-200]])
 
     def test_k_cap_at_distinct_points(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0]] * 20)

@@ -66,10 +66,10 @@ class TestModelNames:
 
     def test_unknown_identifiers(self):
         # the listed names only: no lag order 0 but no-lags, no leading zero,
-        # none above 5 and no digit but ASCII ones
+        # none above 5, no digit but ASCII ones and nothing but a string
         for bad in ("iohmm", "iohmm-qx", "varx-q", "arima-q1", "", "iohmm-q0", "varx-q0",
-                    "iohmm-uni-q0", "iohmm-q01", "varx-q6", "iohmm-uni-q\u0663"):
-            with pytest.raises(ConfigurationError):
+                    "iohmm-uni-q0", "iohmm-q01", "varx-q6", "iohmm-uni-q\u0663", ["x"], {"a"}):
+            with pytest.raises(ConfigurationError, match="unknown model identifier"):
                 parse_model_name(bad)
 
 
@@ -253,15 +253,18 @@ class TestLeaveOneWeekOut:
                                                       b.mean.tolist(), b.sd.tolist())]
                 assert got and sorted(got) == sorted(expected[name, fold]), (name, fold)
 
-    @pytest.mark.parametrize("cells, error", [
-        ({"av": float("nan")}, InputError),      # t
-        ({"ics": float("inf")}, NumericError),   # w
-        ({"OpT": float("nan")}, NumericError),   # y, and a lag of the next record
-        ({"NOpT": -float("inf")}, NumericError),
+    @pytest.mark.parametrize("cells, error, message", [
+        # t: the second fold's state discovery reads week 1 before any walk
+        ({"av": float("nan")}, InputError, "classification points contain non-finite values"),
+        ({"ics": float("inf")}, NumericError, None),   # w: the first fold's walk
+        ({"OpT": float("nan")}, NumericError, None),   # y, and a lag of the next record
+        ({"NOpT": -float("inf")}, NumericError, None),
     ])
-    def test_a_bad_test_week_cell_is_refused_as_one_by_one(self, two_week_records,
-                                                           cells, error):
-        # record 20 lies in the first week, the first fold's test week
+    def test_a_bad_test_week_cell_is_refused_at_the_first_stage_it_meets(
+            self, two_week_records, cells, error, message):
+        # record 20 lies in the first week, the first fold's test week; the
+        # folds one by one refuse it in that walk, the evaluation in the first
+        # stage that reads it (a message of None: that walk's)
         records = list(two_week_records)
         records[20] = replace(records[20], **cells)
         base = ModelConfig(features=default_feature_config(records), allow_cold_start=True)
@@ -270,7 +273,7 @@ class TestLeaveOneWeekOut:
         with pytest.raises(error) as refused:
             leave_one_week_out(records, model_names=self.IOHMM_NAMES, base=base,
                                seed=0, k_max=6)
-        assert str(refused.value) == expected[1]
+        assert str(refused.value) == (message or expected[1])
 
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, two_week_records):
         # a shift type that only the first week has meets no training data
@@ -292,8 +295,9 @@ class TestLeaveOneWeekOut:
             leave_one_week_out(records, model_names=("persistence",))
 
     def test_unknown_model_rejected_upfront(self, two_week_records):
-        with pytest.raises(ConfigurationError):
-            leave_one_week_out(two_week_records, model_names=("nope",))
+        for bad in ("nope", ["x"]):
+            with pytest.raises(ConfigurationError, match="unknown model identifier"):
+                leave_one_week_out(two_week_records, model_names=(bad,))
 
     def test_repeated_model_rejected_upfront(self, two_week_records, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -466,10 +470,9 @@ class TestReportOracle:
         assert ThresholdWarning in kinds and (ConditioningWarning in kinds) == (forgetting < 0.9)
         assert kinds == sorted(kinds, key=lambda kind: kind is not ThresholdWarning)
 
-    def test_a_replay_issues_no_threshold_or_conditioning_warning(self, datasets,
-                                                                  monkeypatch):
-        # the passes refuse a wound-up update after warning; the folds are
-        # replayed one by one, with the states already fitted, only to raise
+    def test_a_refused_evaluation_runs_each_stage_once(self, datasets, monkeypatch):
+        # the passes refuse a wound-up update after warning; nothing runs
+        # again, so no warning is issued twice
         records = datasets["21 days, one speed"]
         weeks = {week_key(rec.date) for rec in records}
         fits, passes = [], []
@@ -490,8 +493,9 @@ class TestReportOracle:
                 leave_one_week_out(records, model_names=self.FAST_MODELS,
                                    base=self._base(records, 0.7), seed=0, k_max=4)
         kinds = [w.category for w in caught]
-        assert len(fits) == len(weeks) and len(passes) > 1  # one fit a fold, then a replay
-        assert ConditioningWarning in kinds[:passes[1]] and kinds[passes[1]:] == []
+        assert len(fits) == len(weeks) and len(passes) == 1  # one fit a fold, one pass
+        assert kinds[:passes[0]] == [ThresholdWarning] * len(weeks)  # one a fold's fit
+        assert set(kinds[passes[0]:]) == {ConditioningWarning}  # the one pass's only
 
     @pytest.mark.parametrize("data, models, error", [
         # the first week's fold has no forecasts, and the last one forecasts
@@ -503,8 +507,8 @@ class TestReportOracle:
         ("NaN in a test week", ("persistence", "iohmm-q1"), NumericError),  # after the fits
     ])
     def test_a_refused_evaluation_warns_no_warning_twice(self, datasets, data, models, error):
-        # a refusal of the IO-HMM passes replays the folds one by one, a later
-        # one is theirs already: either way the UserWarnings are theirs
+        # a refusal of the IO-HMM passes comes before any UserWarning, a later
+        # one after the same ones as the folds one by one: here both are theirs
         expected = self._warned(lowo_row_oracle, datasets[data], models)
         got = self._warned(leave_one_week_out, datasets[data], models)
         assert got[0] == expected[0] and got[0][0] is error

@@ -279,6 +279,8 @@ class TestLearnStep:
         table = build_features(records, _feature_config())
         with pytest.raises(ConfigurationError):
             model.learn_step(*_row(table, 1), None, 1)
+        with pytest.raises(ConfigurationError, match="no cluster model attached"):
+            model.n_states
 
 
 class TestForecastStep:

@@ -30,7 +30,10 @@ SPEC_DOC = {
 def _assert_identities_hold(rec, tol=1e-9):
     """The stored durations and indices are the ones the cascade derives from
     the base durations, and the counts are sound."""
-    derived = derive_time_variables(rec.OT, rec.SBT, rec.DT, rec.PLT, rec.QLT, tol=tol)
+    derived = derive_time_variables(rec.OT, rec.SBT, rec.DT, rec.PLT, rec.QLT)
+    # no step of the cascade is clamped: none falls below zero beyond rounding
+    assert min(rec.OT - rec.SBT, derived.LT - rec.DT, derived.OpT - rec.PLT,
+               derived.NOpT - rec.QLT) >= -tol
     for name in ("LT", "OpT", "NOpT", "VT"):
         assert getattr(rec, name) == pytest.approx(getattr(derived, name), abs=tol), name
     indices = compute_indices(rec.OT, rec.LT, rec.OpT, rec.NOpT, rec.VT)
