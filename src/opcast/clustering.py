@@ -77,8 +77,11 @@ def _check_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise DimensionError(f"points must be a 2-d array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("classification points contain non-finite values")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():  # the row is kept for a caller that names its record
+        error = InputError(f"classification point {finite.argmin()} contains non-finite values")
+        error.row = int(finite.argmin())
+        raise error
     return pts
 
 

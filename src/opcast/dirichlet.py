@@ -39,8 +39,6 @@ class DirichletTable:
         self.pattern_length = pattern_length
         self.counts: dict[str, np.ndarray] = {}
 
-    # -- helpers ---------------------------------------------------------
-
     def _rows(self, pattern, store: bool = False) -> np.ndarray:
         """The count rows of a checked ``pattern``; for a pattern never
         observed the Jeffreys prior, entered in the table only on ``store``."""
@@ -67,8 +65,6 @@ class DirichletTable:
             checked_state(state, self.n_states)
         return row
 
-    # -- counts ----------------------------------------------------------
-
     @property
     def patterns(self) -> list[str]:
         return sorted(self.counts)
@@ -84,8 +80,6 @@ class DirichletTable:
         transitions from state ``s``."""
         return self._rows(pattern).copy()
 
-    # -- posterior-mean probabilities -------------------------------------
-
     def expected_state_vector(self, pattern, prev_state: int | None = None) -> np.ndarray:
         """Probability vector over next states.
 
@@ -95,35 +89,34 @@ class DirichletTable:
         counts = self._rows(pattern)[self.check(pattern, prev_state)]
         return counts / counts.sum()
 
-    # -- serialization -----------------------------------------------------
-
     def to_dict(self) -> dict:
-        return {
-            "n_states": self.n_states,
-            "pattern_length": self.pattern_length,
-            "patterns": {
-                key: {
-                    "initial": self.counts[key][0].tolist(),
-                    "transition": self.counts[key][1:].tolist(),
-                }
-                for key in self.patterns
-            },
-        }
+        keys = self.patterns
+        return {"n_states": self.n_states, "pattern_length": self.pattern_length,
+                "keys": keys, "counts": [self.counts[key].tolist() for key in keys]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DirichletTable":
+        """The table of a ``to_dict`` document: one ``(n, n_states + 1, n_states)`` stack
+        of count rows over its ``keys``, checked once, whole; the rows are views into it."""
         table = cls(serialized(doc, "n_states", int), serialized(doc, "pattern_length", int))
-        for key, entry in doc["patterns"].items():
-            initial, transition = (np.asarray(entry[part], dtype=float)
-                                   for part in ("initial", "transition"))
-            if (initial.shape, transition.shape) != ((table.n_states,), (table.n_states,) * 2):
-                raise ConfigurationError(f"counts for pattern {key!r} have shapes "
-                                         f"{initial.shape} and {transition.shape}")
-            rows = np.vstack((initial, transition))
-            if not (np.isfinite(rows).all() and (rows >= JEFFREYS).all()):
-                # counts start at 1/2 and only grow
-                raise NumericError(
-                    f"counts for pattern {key!r} must be finite and >= {JEFFREYS}")
-            table.check(key)
-            table.counts[key] = rows
+        keys, K = doc["keys"], table.n_states
+        counts, shape = np.asarray(doc["counts"], dtype=float), (len(keys), K + 1, K)
+        if counts.shape != shape and not counts.size == 0 == len(keys):  # an empty stack is []
+            raise ConfigurationError(f"count stack has shape {counts.shape}, not {shape}")
+        counts = counts.reshape(shape)
+        ok = (np.isfinite(counts) & (counts >= JEFFREYS)).all(axis=(1, 2)).tolist()
+        if not all(ok):  # counts start at 1/2 and only grow
+            raise NumericError(f"counts for pattern {keys[ok.index(False)]!r} must be "
+                               f"finite and >= {JEFFREYS}")
+        table.counts = dict(zip(table.checked_keys(keys), counts))
         return table
+
+    def checked_keys(self, keys: list) -> list:
+        """``keys`` of a serialized stack if it is a list of distinct patterns ``check`` takes."""
+        if not isinstance(keys, list):
+            raise ConfigurationError(f"pattern keys must be a list, got {keys!r}")
+        for key in keys:
+            self.check(key)
+        if len(set(keys)) < len(keys):
+            raise ConfigurationError(f"pattern keys repeat in {keys!r}")
+        return keys

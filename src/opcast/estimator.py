@@ -14,7 +14,7 @@ positive semidefinite by construction. ``P`` stays exactly symmetric too:
 its step subtracts ``Pu_i Pu_j / denom`` from entry ``(i, j)`` and IEEE
 multiplication commutes, so a symmetric ``P`` gives a symmetric result
 with no explicit symmetrization. Both invariants are checked once, where
-a state enters from outside: ``from_dict``.
+states enter from outside: ``restore_states``, over whole stacks.
 
 ``stacked_pass`` folds many states through their own input sequences at
 once, computing bit for bit what ``AdaptiveState._update`` computes one
@@ -126,14 +126,23 @@ class AdaptiveState:
             raise ConfigurationError("predictor and response dimensions must be whole numbers >= 1")
         if not (json_number(forgetting) and 0.0 < forgetting <= 1.0):
             raise ConfigurationError(f"forgetting factor must lie in (0, 1], got {forgetting!r}")
-        self.n_predictors = int(n_predictors)
-        self.n_responses = int(n_responses)
-        self.forgetting = float(forgetting)
-        self.H = np.zeros((self.n_predictors, self.n_responses))
-        self.Sigma = np.zeros((self.n_responses, self.n_responses))
-        self.P = np.eye(self.n_predictors)
-        self.gamma = 0.0
-        self.n_updates = 0
+        vars(self).update(vars(self.prior(int(n_predictors), int(n_responses), float(forgetting))))
+
+    @classmethod
+    def trusted(cls, forgetting: float, H: np.ndarray, Sigma: np.ndarray, P: np.ndarray,
+                gamma: float = 0.0, n_updates: int = 0) -> "AdaptiveState":
+        """A state of values the caller has checked (``restore_states``) or built
+        (a zero-knowledge prior); nothing is validated again."""
+        state = cls.__new__(cls)
+        state.n_predictors, state.n_responses = H.shape
+        state.forgetting, state.H, state.Sigma, state.P = forgetting, H, Sigma, P
+        state.gamma, state.n_updates = gamma, n_updates
+        return state
+
+    @classmethod
+    def prior(cls, p: int, m: int, forgetting: float) -> "AdaptiveState":
+        """The zero-knowledge state of checked dimensions and forgetting factor."""
+        return cls.trusted(forgetting, np.zeros((p, m)), np.zeros((m, m)), np.eye(p))
 
     def update(self, u, y) -> None:
         """Fold one observation pair into the state.
@@ -173,50 +182,50 @@ class AdaptiveState:
         """Noise covariance (symmetric and PSD by construction)."""
         return self.Sigma.copy()
 
-    # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "n_predictors": self.n_predictors,
-            "n_responses": self.n_responses,
-            "forgetting": self.forgetting,
-            "gamma": self.gamma,
-            "n_updates": self.n_updates,
-            "H": self.H.tolist(),
-            "Sigma": self.Sigma.tolist(),
-            "P": self.P.tolist(),
-        }
+def state_stacks(states: Sequence[AdaptiveState]) -> dict:
+    """The states serialized as one stack per field, the layout ``restore_states`` reads."""
+    return {"H": [st.H.tolist() for st in states], "Sigma": [st.Sigma.tolist() for st in states],
+            "P": [st.P.tolist() for st in states], "gamma": [st.gamma for st in states],
+            "n_updates": [st.n_updates for st in states]}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdaptiveState":
-        """Rebuild a state, checking what ``update`` keeps true by construction.
 
-        Keys of older documents that are no longer settable
-        (``cond_check_every``, ``cond_threshold``) are ignored.
-        """
-        state = cls(serialized(doc, "n_predictors", int),
-                    serialized(doc, "n_responses", int),
-                    serialized(doc, "forgetting"))
-        H = np.asarray(doc["H"], dtype=float)
-        Sigma = np.asarray(doc["Sigma"], dtype=float)
-        P = np.asarray(doc["P"], dtype=float)
-        p, m = state.n_predictors, state.n_responses
-        if H.shape != (p, m) or Sigma.shape != (m, m) or P.shape != (p, p):
-            raise DimensionError("serialized state matrices do not match dimensions")
-        for name, arr in (("H", H), ("Sigma", Sigma), ("P", P)):
-            if not np.isfinite(arr).all():
-                raise NumericError(f"serialized {name} contains non-finite values")
-        if not np.array_equal(P, P.T):
-            raise NumericError("serialized precision proxy P is not symmetric")
-        if not np.array_equal(Sigma, Sigma.T):
-            raise NumericError("serialized noise covariance is not symmetric")
-        low = np.linalg.eigvalsh(Sigma).min()
-        if low < -EIG_FLOOR:
-            raise NumericError(f"serialized noise covariance has negative eigenvalue {low:.3e}")
-        state.H, state.Sigma, state.P = H, Sigma, P
-        state.gamma = serialized(doc, "gamma")
-        state.n_updates = serialized(doc, "n_updates", int)
-        return state
+def restore_states(doc: dict, keys: list, p: int, m: int, forgetting: float,
+                   side: str) -> list[AdaptiveState]:
+    """The ``(p, m)`` states of ``keys``, forgetting at ``forgetting``, as views into
+    their ``state_stacks``. Each stack is checked once, whole, for what ``update``
+    keeps true: shape, finite cells, exactly symmetric ``P`` and ``Sigma``, the
+    eigenvalues of ``Sigma`` (one batched ``eigvalsh``), then each ``gamma`` and
+    ``n_updates``; a refusal names the ``side`` and the first pattern at fault."""
+    n, stacks = len(keys), []
+    for name, shape in (("H", (n, p, m)), ("Sigma", (n, m, m)), ("P", (n, p, p))):
+        arr = np.asarray(doc[name], dtype=float)
+        if arr.shape != shape and not arr.size == 0 == n:  # an empty stack is []
+            raise DimensionError(f"serialized {side} {name} has shape {arr.shape}, not {shape}")
+        stacks.append(arr.reshape(shape))
+    H, Sigma, P = stacks
+    gamma, n_updates = doc["gamma"], doc["n_updates"]
+    if not (type(gamma) is type(n_updates) is list and len(gamma) == len(n_updates) == n):
+        raise DimensionError(f"serialized {side} gamma and n_updates must list {n} numbers")
+
+    def refuse(ok: list, what: str, values: Sequence = ()) -> None:
+        if not all(ok):
+            i = ok.index(False)
+            got = f", got {values[i]!r}" if len(values) else ""
+            raise NumericError(f"serialized {side} {what} for pattern {keys[i]!r}{got}")
+    for name, arr in zip(("H", "Sigma", "P"), stacks):
+        refuse(np.isfinite(arr).all(axis=(1, 2)).tolist(), f"{name} contains non-finite values")
+    for arr, name in ((P, "precision proxy P"), (Sigma, "noise covariance")):
+        refuse((arr == arr.swapaxes(1, 2)).all(axis=(1, 2)).tolist(), f"{name} is not symmetric")
+    low = np.linalg.eigvalsh(Sigma).min(axis=1, initial=0.0).tolist()
+    refuse([value >= -EIG_FLOOR for value in low], "noise covariance has negative eigenvalues",
+           low)
+    refuse([json_number(value) and value >= 0 for value in gamma],
+           "gamma must be a finite non-negative number", gamma)
+    refuse([json_number(value, whole=True) for value in n_updates],
+           "n_updates must be a finite non-negative integer", n_updates)
+    return [AdaptiveState.trusted(forgetting, *arrays, float(g), int(k))
+            for *arrays, g, k in zip(H, Sigma, P, gamma, n_updates)]
 
 
 def stacked(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
-from .errors import ConfigurationError, DegenerateDataError, warn
+from .errors import ConfigurationError, DegenerateDataError, InputError, warn
 from .features import MAX_LAGS, CovariateSpec, FeatureTable, build_features, default_feature_config
 from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
@@ -198,8 +198,15 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
              for week in weeks]  # chronological records: each week is one run of indices
     tables = [None if full is None else build_features(
         [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
-    states = {week: fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
-              for (week, _), table in zip(folds, tables)} if variants else {}
+    states = {}
+    for (week, test), table in zip(folds, tables) if variants else ():
+        try:
+            states[week] = fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
+        except InputError as exc:  # a fold's row r is record r, or r + len(test) from the week on
+            if not hasattr(exc, "row"):
+                raise
+            record = exc.row + len(test) * (exc.row >= test.start)
+            raise InputError(f"classification vector of record {record} is not finite") from exc
     cells = _iohmm_blocks(variants, base, folds, list(states.values()), tables, full)
     blocks = []  # in fold and model order; an empty cell warns at once
     for (fold, test), table in zip(folds, tables):

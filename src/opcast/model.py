@@ -39,8 +39,8 @@ from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DimensionError,
                      ForecastUnavailableError, InputError, InsufficientHistoryError,
                      NumericError, OpcastError, RestoreError, warn)
-from .estimator import (AdaptiveState, checked_vector, json_number, serialized, stacked,
-                        stacked_pass)
+from .estimator import (AdaptiveState, checked_vector, json_number, restore_states,
+                        serialized, stacked, stacked_pass, state_stacks)
 from .features import FeatureConfig, FeatureTable, build_features, pattern_key
 from .metrics import Z95
 from .records import ProductionRecord, check_chronological
@@ -48,7 +48,7 @@ from .records import ProductionRecord, check_chronological
 _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -445,8 +445,6 @@ class IoHmmModel:
         if clusters is not None:
             self.attach_clusters(clusters)
 
-    # -- dimensions --------------------------------------------------------
-
     @property
     def n_states(self) -> int:
         if self.clusters is None:
@@ -460,8 +458,6 @@ class IoHmmModel:
     @property
     def u_dim(self) -> int:
         return 1 + self.config.features.w_dim
-
-    # -- construction ------------------------------------------------------
 
     def attach_clusters(self, clusters: ClusterModel) -> None:
         """Set the state space. Resets pseudo-counts and adaptive states."""
@@ -484,20 +480,17 @@ class IoHmmModel:
         vars(self).update(vars(fitted))  # the new states only with what was learned from them
         return self
 
-    # -- pattern state access ------------------------------------------------
-
     def _prior(self) -> PatternStates:
-        """The zero-knowledge predictors of a pattern without observations."""
-        return PatternStates(
-            u=AdaptiveState(self.u_dim, self.n_responses, self.config.lambda_u),
-            v=AdaptiveState(self.n_states, self.n_responses, self.config.lambda_v))
+        """The zero-knowledge predictors of a pattern without observations (the
+        config's forgetting factors were checked when it was built)."""
+        m, config = self.n_responses, self.config
+        return PatternStates(AdaptiveState.prior(self.u_dim, m, float(config.lambda_u)),
+                             AdaptiveState.prior(self.n_states, m, float(config.lambda_v)))
 
     def _require_fitted(self) -> None:
         if self.clusters is None or self.dirichlet is None:
             raise ConfigurationError("model has no fitted cluster state; call fit "
                                      "or attach_clusters first")
-
-    # -- online operations ---------------------------------------------------
 
     def learn_step(self, z, w, y, prev_state: int | None, cur_state: int) -> None:
         """Fold one observed period (pattern, regressors, responses) into the model.
@@ -661,17 +654,17 @@ class IoHmmModel:
                 prev = cur
         return results
 
-    # -- serialization -----------------------------------------------------
-
     def snapshot(self) -> dict:
+        """The full state: per side (``u``, ``v``), a stack of each field over ``keys``."""
+        keys = sorted(self.params)
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "config": self.config.to_dict(),
             "clusters": self.clusters.to_dict() if self.clusters else None,
             "dirichlet": self.dirichlet.to_dict() if self.dirichlet else None,
-            "params": {key: {"u": st.u.to_dict(), "v": st.v.to_dict()}
-                       for key, st in sorted(self.params.items())},
+            "params": {"keys": keys, **{side: state_stacks([getattr(self.params[key], side)
+                                                            for key in keys]) for side in "uv"}},
         }
 
     def to_json(self) -> str:
@@ -683,33 +676,28 @@ class IoHmmModel:
 
     @classmethod
     def restore(cls, doc: dict) -> "IoHmmModel":
+        """The model of a ``snapshot`` of this version, each stack checked once,
+        whole; any refusal is a ``RestoreError``."""
         try:
             if doc.get("format") != SNAPSHOT_FORMAT:
                 raise RestoreError(f"unknown document format {doc.get('format')!r}")
             if doc.get("version") != SNAPSHOT_VERSION:
-                raise RestoreError(f"unsupported snapshot version {doc.get('version')!r}")
+                raise RestoreError(f"unsupported snapshot version {doc.get('version')!r}: this "
+                                   f"opcast reads version {SNAPSHOT_VERSION}; refit the model")
             model = cls(ModelConfig.from_dict(doc["config"]))
-            if doc.get("clusters") is not None:
-                model.attach_clusters(ClusterModel.from_dict(doc["clusters"]))
-                table = DirichletTable.from_dict(doc["dirichlet"])
-                if ((table.n_states, table.pattern_length)
-                        != (model.n_states, model.config.features.pattern_length)):
-                    raise RestoreError("pseudo-count tables do not match the number "
-                                       "of states and the pattern length")
-                model.dirichlet = table
-            for key, entry in doc.get("params", {}).items():
-                u = AdaptiveState.from_dict(entry["u"])
-                v = AdaptiveState.from_dict(entry["v"])
-                if u.n_predictors != model.u_dim or v.n_predictors != model.n_states:
-                    raise RestoreError(
-                        f"adaptive state for pattern {key!r} has wrong dimensions")
-                if {u.n_responses, v.n_responses} != {model.n_responses}:
-                    raise RestoreError(
-                        f"adaptive state for pattern {key!r} has wrong response count")
-                if (u.forgetting, v.forgetting) != (model.config.lambda_u, model.config.lambda_v):
-                    raise RestoreError(f"pattern {key!r} does not forget at lambda_u/lambda_v")
-                model.dirichlet.check(key)
-                model.params[key] = PatternStates(u=u, v=v)
+            params, keys = doc["params"], doc["params"]["keys"]
+            if doc["clusters"] is None and not keys:  # an unfitted model
+                return model
+            model.attach_clusters(ClusterModel.from_dict(doc["clusters"]))
+            table = DirichletTable.from_dict(doc["dirichlet"])
+            if ((table.n_states, table.pattern_length)
+                    != (model.n_states, model.config.features.pattern_length)):
+                raise RestoreError("pseudo-count tables do not match the number "
+                                   "of states and the pattern length")
+            model.dirichlet, config, m = table, model.config, model.n_responses
+            u = restore_states(params["u"], keys, model.u_dim, m, config.lambda_u, "u")
+            v = restore_states(params["v"], keys, model.n_states, m, config.lambda_v, "v")
+            model.params = dict(zip(table.checked_keys(keys), map(PatternStates, u, v)))
             return model
         except RestoreError:
             raise

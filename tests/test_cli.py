@@ -304,8 +304,8 @@ class TestForecast:
                                                  capsys, part):
         doc = json.loads((workdir / "model.json").read_text())
         side, name = part.split(".")
-        for entry in doc["params"].values():
-            entry[side][name][0][0] = float("nan")
+        for state in doc["params"][side][name]:
+            state[0][0] = float("nan")
         snap = tmp_path / "nan.json"
         snap.write_text(json.dumps(doc))
         out = tmp_path / "fc.json"
@@ -316,21 +316,21 @@ class TestForecast:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("damage", [
-        lambda doc: [entry.update(initial=[float("nan")] * len(entry["initial"]))
-                     for entry in doc["dirichlet"]["patterns"].values()],
-        lambda doc: [entry.update(transition=[[0.0] * len(row) for row in entry["transition"]])
-                     for entry in doc["dirichlet"]["patterns"].values()],
-        lambda doc: doc["dirichlet"].update(n_states=doc["clusters"]["K"] + 1, patterns={}),
-        lambda doc: doc["dirichlet"].update(pattern_length=1, patterns={}),
+        lambda doc: [rows.__setitem__(0, [float("nan")] * len(rows[0]))
+                     for rows in doc["dirichlet"]["counts"]],
+        lambda doc: [rows.__setitem__(slice(1, None), [[0.0] * len(row) for row in rows[1:]])
+                     for rows in doc["dirichlet"]["counts"]],
+        lambda doc: doc["dirichlet"].update(n_states=doc["clusters"]["K"] + 1, keys=[],
+                                            counts=[]),
+        lambda doc: doc["dirichlet"].update(pattern_length=1, keys=[], counts=[]),
         lambda doc: doc["clusters"]["centroids"][0].__setitem__(0, float("nan")),
         lambda doc: doc["clusters"]["scale"].__setitem__(0, 0.0),
         lambda doc: doc["clusters"]["scale"].__setitem__(0, float("nan")),
-        lambda doc: [entry["u"]["P"][0].__setitem__(1, entry["u"]["P"][0][1] + 0.5)
-                     for entry in doc["params"].values()],
-        lambda doc: [entry["v"].update(n_updates=-3.7) for entry in doc["params"].values()],
-        lambda doc: [entry["u"].update(forgetting=0.5) for entry in doc["params"].values()],
-        lambda doc: [entry["u"].update(n_predictors=len(entry["u"]["P"]) + 0.25)
-                     for entry in doc["params"].values()],
+        lambda doc: [P[0].__setitem__(1, P[0][1] + 0.5) for P in doc["params"]["u"]["P"]],
+        lambda doc: doc["params"]["v"].update(n_updates=[-3.7] * len(doc["params"]["keys"])),
+        lambda doc: doc["params"].update(keys=doc["params"]["keys"][:1] * len(
+            doc["params"]["keys"])),
+        lambda doc: doc["params"]["u"].update(P=[P[1:] for P in doc["params"]["u"]["P"]]),
         lambda doc: doc["config"].update(allow_cold_start="false"),
         lambda doc: doc["clusters"].update(reached_threshold="false"),
         lambda doc: doc["clusters"].update(K=doc["clusters"]["K"] + 0.5),
@@ -338,8 +338,8 @@ class TestForecast:
         lambda doc: doc["dirichlet"].update(
             pattern_length=doc["dirichlet"]["pattern_length"] + 0.5),
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "nan-centroid",
-            "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates", "forgetting",
-            "fractional-n-predictors", "string-allow-cold-start",
+            "zero-scale", "nan-scale", "asymmetric-p", "negative-n-updates",
+            "repeated-pattern-key", "short-p", "string-allow-cold-start",
             "string-reached-threshold", "fractional-k", "fractional-n-states",
             "fractional-pattern-length"])
     def test_damaged_snapshot_is_refused_at_load(self, workdir, tmp_path, capsys, damage):
@@ -353,6 +353,21 @@ class TestForecast:
                      "--shift", "Tu M", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_a_version_1_snapshot_exits_2_with_a_call_to_refit(self, workdir, tmp_path,
+                                                                capsys):
+        doc = json.loads((workdir / "model.json").read_text())
+        assert doc["version"] == 2 and len(doc["params"]["keys"]) > 1
+        doc["version"] = 1
+        snap = tmp_path / "v1.json"
+        snap.write_text(json.dumps(doc))
+        out = tmp_path / "fc.json"
+        assert main(["forecast", "--snapshot", str(snap),
+                     "--data", str(workdir / "data.csv"),
+                     "--shift", "Tu M", "--out", str(out)]) == 2
+        assert not out.exists()
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("data error: unsupported snapshot version 1:") and "refit" in last
 
     def test_back_to_back_requests_share_no_state(self, workdir, capsys):
         request = ["forecast", "--snapshot", str(workdir / "model.json"),

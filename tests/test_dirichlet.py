@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opcast import ConfigurationError, DirichletTable, StateIndexError
+from opcast import ConfigurationError, DirichletTable, NumericError, StateIndexError
 from opcast.dirichlet import JEFFREYS
 
 
@@ -182,9 +182,54 @@ class TestSerialization:
             np.testing.assert_array_equal(clone.count_rows(key), table.count_rows(key))
         assert clone.to_dict() == table.to_dict()
 
+    def test_one_stack_over_the_sorted_keys(self):
+        table = DirichletTable(n_states=2, pattern_length=1)
+        table.observe("1", None, 2)
+        table.observe("0", 2, 1)
+        doc = table.to_dict()
+        assert doc["keys"] == ["0", "1"]
+        assert doc["counts"] == [table.count_rows("0").tolist(), table.count_rows("1").tolist()]
+        clone = DirichletTable.from_dict(doc)
+        assert clone.counts["0"].base is clone.counts["1"].base is not None
+        clone.observe("0", None, 1)  # in place, in the pattern's own rows
+        assert clone.count_rows("1").tolist() == doc["counts"][1]
+
+    def test_an_empty_table_round_trips(self):
+        doc = DirichletTable(3, 2).to_dict()
+        assert (doc["keys"], doc["counts"]) == ([], [])
+        assert DirichletTable.from_dict(doc).to_dict() == doc
+
     def test_shape_mismatch_rejected(self):
         doc = DirichletTable(2, 1).to_dict()
-        doc["patterns"]["1"] = {"initial": [0.5, 0.5, 0.5],
-                                "transition": [[0.5, 0.5], [0.5, 0.5]]}
-        with pytest.raises(ConfigurationError):
+        doc.update(keys=["1"], counts=[[[0.5, 0.5, 0.5]] * 3])  # three states, not two
+        with pytest.raises(ConfigurationError, match=r"shape \(1, 3, 3\), not \(1, 3, 2\)"):
+            DirichletTable.from_dict(doc)
+
+    @pytest.mark.parametrize("counts", [
+        [[[0.5, 0.5], [0.5, 0.5]]],            # no transition row of state 2
+        [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]],  # not a stack
+        []], ids=["short", "flat", "empty"])
+    def test_a_stack_that_misses_rows_is_refused(self, counts):
+        doc = DirichletTable(2, 1).to_dict()
+        doc.update(keys=["1"], counts=counts)
+        with pytest.raises(ConfigurationError, match="count stack has shape"):
+            DirichletTable.from_dict(doc)
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), 0.0, 0.49])
+    def test_counts_below_the_prior_or_not_finite_are_refused(self, cell):
+        table = DirichletTable(2, 1)
+        for key in ("0", "1"):
+            table.observe(key, None, 1)
+        doc = table.to_dict()
+        doc["counts"][1][2][0] = cell
+        with pytest.raises(NumericError, match="counts for pattern '1' must be finite and >= 0.5"):
+            DirichletTable.from_dict(doc)
+
+    @pytest.mark.parametrize("keys, message", [
+        (["1", "1"], "repeat"), (["1", "2"], "'2' is not a string"), (["1", 0], "0 is not"),
+        ("10", "must be a list"), ({"1": 0, "0": 1}, "must be a list")])
+    def test_keys_must_be_a_list_of_distinct_patterns(self, keys, message):
+        doc = DirichletTable(2, 1).to_dict()
+        doc.update(keys=keys, counts=[np.full((3, 2), JEFFREYS).tolist()] * 2)
+        with pytest.raises(ConfigurationError, match=message):
             DirichletTable.from_dict(doc)

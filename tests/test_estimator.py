@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, InputError, NumericError)
-from opcast.estimator import COND_CHECK_EVERY, _conditioning, stacked, stacked_pass
+from opcast.estimator import (COND_CHECK_EVERY, _conditioning, restore_states, stacked,
+                              stacked_pass, state_stacks)
 
 from oracles import batch_oracle
 
@@ -15,6 +17,17 @@ def _run(state, history):
     for u, y in history:
         state.update(u, y)
     return state
+
+
+def _fields(state):
+    """A state's every field as plain values, for exact comparison."""
+    return (state.n_predictors, state.n_responses, state.forgetting, state.gamma,
+            state.n_updates, state.H.tolist(), state.Sigma.tolist(), state.P.tolist())
+
+
+def _restored(doc, p, m, forgetting=1.0):
+    """The states of a ``state_stacks`` document of ``(p, m)`` states."""
+    return restore_states(doc, [str(i) for i in range(len(doc["gamma"]))], p, m, forgetting, "u")
 
 
 def _random_history(rng, n, p, m, scale=1.0):
@@ -152,17 +165,17 @@ class TestPredictionAndCovariance:
         assert state.Sigma[0, 0] > 0.0
 
     def test_tiny_negative_eigenvalue_kept_on_restore(self):
-        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
-        doc["Sigma"] = [[1.0, 0.0], [0.0, -1e-12]]
-        state = AdaptiveState.from_dict(doc)
-        np.testing.assert_array_equal(state.covariance(), doc["Sigma"])
-        assert state.to_dict() == doc
+        doc = state_stacks([AdaptiveState(1, 2, forgetting=1.0)])
+        doc["Sigma"] = [[[1.0, 0.0], [0.0, -1e-12]]]
+        [state] = _restored(doc, 1, 2)
+        np.testing.assert_array_equal(state.covariance(), doc["Sigma"][0])
+        assert state_stacks([state]) == doc
 
     def test_clearly_negative_eigenvalue_raises(self):
-        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
-        doc["Sigma"] = [[1.0, 0.0], [0.0, -1e-6]]
-        with pytest.raises(NumericError, match="negative eigenvalue"):
-            AdaptiveState.from_dict(doc)
+        doc = state_stacks([AdaptiveState(1, 2, forgetting=1.0)] * 2)
+        doc["Sigma"][1] = [[1.0, 0.0], [0.0, -1e-6]]
+        with pytest.raises(NumericError, match="negative eigenvalues for pattern '1', got -1e-06"):
+            _restored(doc, 1, 2)
 
     def test_recovers_known_coefficients(self):
         rng = np.random.default_rng(32)
@@ -263,11 +276,14 @@ class TestValidation:
 
 
 class TestSerialization:
+    """``restore_states`` of ``state_stacks``: one stack per field, checked whole."""
+
     def test_roundtrip_preserves_behaviour(self):
         rng = np.random.default_rng(41)
         history = _random_history(rng, 40, 3, 2)
         state = _run(AdaptiveState(3, 2, forgetting=0.98), history)
-        clone = AdaptiveState.from_dict(state.to_dict())
+        [clone] = _restored(state_stacks([state]), 3, 2, 0.98)
+        assert _fields(clone) == _fields(state)
         u_next = rng.normal(size=3)
         np.testing.assert_array_equal(u_next @ clone.H, u_next @ state.H)
         y_next = rng.normal(size=2)
@@ -277,83 +293,107 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.P, state.P)
         assert clone.gamma == state.gamma
 
+    def test_the_states_are_views_into_the_stacks(self):
+        rng = np.random.default_rng(44)
+        states = [_run(AdaptiveState(2, 1, 0.9), _random_history(rng, n, 2, 1)) for n in (3, 8)]
+        restored = _restored(state_stacks(states), 2, 1, 0.9)
+        assert [_fields(st) for st in restored] == [_fields(st) for st in states]
+        assert restored[0].P.base is restored[1].P.base is not None
+        before = _fields(restored[1])
+        restored[0].update([1.0, 2.0], [0.5])  # an update replaces the arrays it changes
+        assert _fields(restored[1]) == before
+
+    def test_an_empty_stack_restores_no_state(self):
+        doc = state_stacks([])
+        assert doc == {"H": [], "Sigma": [], "P": [], "gamma": [], "n_updates": []}
+        assert restore_states(doc, [], 3, 2, 0.9, "v") == []
+
     def test_shape_check_on_restore(self):
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["H"] = [[1.0], [2.0], [3.0]]
-        with pytest.raises(DimensionError):
-            AdaptiveState.from_dict(doc)
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc["H"] = [[[1.0], [2.0], [3.0]]]
+        with pytest.raises(DimensionError, match=r"u H has shape \(1, 3, 1\), not \(1, 2, 1\)"):
+            _restored(doc, 2, 1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("H", [[[1.0], [2.0]]] * 2), ("Sigma", [[1.0]]), ("P", [[[1.0, 0.0], [0.0, 1.0]]] * 2),
+        ("P", [[1.0, 0.0], [0.0, 1.0]]), ("Sigma", []), ("H", [[[1.0, 2.0]]]),
+        ("gamma", [0.0, 0.0]), ("n_updates", [])],
+        ids=["two-H", "flat-Sigma", "two-P", "flat-P", "empty-Sigma", "wide-H",
+             "two-gamma", "no-n-updates"])
+    def test_a_stack_of_another_length_or_shape_is_refused(self, name, value):
+        # the shapes and lengths of the stacks give the dimensions and the state count
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc[name] = value
+        match = name if name in ("H", "Sigma", "P") else "list 1"
+        with pytest.raises(DimensionError, match=match):
+            restore_states(doc, ["0"], 2, 1, 1.0, "u")
 
     def test_conditioning_knobs_are_not_serialized(self):
         rng = np.random.default_rng(42)
         state = _run(AdaptiveState(3, 2, forgetting=0.98),
                      _random_history(rng, 40, 3, 2))
-        doc = state.to_dict()
-        assert "cond_check_every" not in doc and "cond_threshold" not in doc
-        assert AdaptiveState.from_dict(doc).to_dict() == doc
-        # older documents carry them; they are ignored
-        old = dict(doc, cond_check_every=0, cond_threshold=1e3)
-        assert AdaptiveState.from_dict(old).to_dict() == doc
+        doc = state_stacks([state])
+        assert sorted(doc) == ["H", "P", "Sigma", "gamma", "n_updates"]
+        assert state_stacks(_restored(doc, 3, 2, 0.98)) == doc
+        # other keys, as earlier documents' cond_check_every, are ignored
+        old = dict(doc, cond_check_every=[0], cond_threshold=[1e3])
+        assert state_stacks(_restored(old, 3, 2, 0.98)) == doc
 
     @pytest.mark.parametrize("name, cell", [
         ("H", (1, 0)), ("Sigma", (0, 0)), ("P", (0, 1))])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, name, cell, bad):
         rng = np.random.default_rng(43)
-        doc = _run(AdaptiveState(2, 1, forgetting=0.98),
-                   _random_history(rng, 10, 2, 1)).to_dict()
-        doc[name][cell[0]][cell[1]] = bad
-        with pytest.raises(NumericError, match=name):
-            AdaptiveState.from_dict(doc)
+        doc = state_stacks([_run(AdaptiveState(2, 1, forgetting=0.98),
+                                 _random_history(rng, n, 2, 1)) for n in (10, 4)])
+        doc[name][1][cell[0]][cell[1]] = bad
+        with pytest.raises(NumericError, match=f"{name} contains non-finite values for "
+                                               "pattern '1'"):
+            _restored(doc, 2, 1, 0.98)
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0, "3.5", True, None])
     def test_bad_gamma_rejected(self, gamma):
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["gamma"] = gamma
-        with pytest.raises(NumericError, match="gamma"):
-            AdaptiveState.from_dict(doc)
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)] * 3)
+        doc["gamma"][2] = gamma
+        with pytest.raises(NumericError, match="gamma .* for pattern '2'"):
+            _restored(doc, 2, 1)
 
     def test_asymmetric_sigma_rejected(self):
-        doc = AdaptiveState(1, 2, forgetting=1.0).to_dict()
-        doc["Sigma"] = [[1.0, 0.2], [0.1, 1.0]]
-        with pytest.raises(NumericError, match="symmetric"):
-            AdaptiveState.from_dict(doc)
+        doc = state_stacks([AdaptiveState(1, 2, forgetting=1.0)])
+        doc["Sigma"] = [[[1.0, 0.2], [0.1, 1.0]]]
+        with pytest.raises(NumericError, match="noise covariance is not symmetric"):
+            _restored(doc, 1, 2)
 
     def test_asymmetric_precision_proxy_rejected(self):
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["P"] = [[1.0, 0.5], [0.0, 1.0]]
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc["P"] = [[[1.0, 0.5], [0.0, 1.0]]]
         with pytest.raises(NumericError, match="precision proxy P is not symmetric"):
-            AdaptiveState.from_dict(doc)
+            _restored(doc, 2, 1)
 
     def test_symmetric_indefinite_precision_proxy_is_kept(self):
         # only symmetry is checked: a wound-up P need not pass a definiteness test
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["P"] = [[-1.0, 0.5], [0.5, -1.0]]
-        assert AdaptiveState.from_dict(doc).P.tolist() == doc["P"]
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc["P"] = [[[-1.0, 0.5], [0.5, -1.0]]]
+        assert _restored(doc, 2, 1)[0].P.tolist() == doc["P"][0]
 
     @pytest.mark.parametrize("n_updates", [-3.7, -1, 2.5, np.nan, np.inf, "7", None, True])
     def test_n_updates_must_be_a_non_negative_integer(self, n_updates):
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["n_updates"] = n_updates
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc["n_updates"] = [n_updates]
         with pytest.raises(NumericError, match="n_updates"):
-            AdaptiveState.from_dict(doc)
-
-    @pytest.mark.parametrize("name, value", [
-        ("n_predictors", 2.7), ("n_predictors", "2"), ("n_predictors", -2),
-        ("n_responses", True), ("n_responses", 1.5), ("n_responses", np.nan),
-        ("forgetting", "1.0"), ("forgetting", False)])
-    def test_dimensions_and_forgetting_must_be_numbers_of_their_kind(self, name, value):
-        # the check n_updates passes through, for the other scalars of a state
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc[name] = value
-        with pytest.raises(NumericError, match=name):
-            AdaptiveState.from_dict(doc)
+            _restored(doc, 2, 1)
 
     @pytest.mark.parametrize("n_updates", [0, 7, 7.0, np.int64(7)])
     def test_integral_n_updates_accepted(self, n_updates):
-        doc = AdaptiveState(2, 1, forgetting=1.0).to_dict()
-        doc["n_updates"] = n_updates
-        state = AdaptiveState.from_dict(doc)
+        doc = state_stacks([AdaptiveState(2, 1, forgetting=1.0)])
+        doc["n_updates"] = [n_updates]
+        [state] = _restored(doc, 2, 1)
         assert state.n_updates == int(n_updates) and type(state.n_updates) is int
+
+    def test_the_unchecked_prior_is_the_checked_constructors_state(self):
+        assert _fields(AdaptiveState.prior(3, 2, 0.9)) == _fields(AdaptiveState(3, 2, 0.9))
+        assert _fields(AdaptiveState.trusted(0.9, np.zeros((3, 2)), np.zeros((2, 2)),
+                                             np.eye(3))) == _fields(AdaptiveState(3, 2, 0.9))
 
 
 class TestPrecisionSymmetry:
@@ -370,7 +410,7 @@ def _sequential(states, inputs, responses):
     the ``(u @ H, Sigma)`` before each update that ``_update`` returns."""
     out, caught, forecasts = [], [], []
     for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
-        st = AdaptiveState.from_dict(st.to_dict())
+        st = copy.deepcopy(st)
         forecasts.append(([], []))
         for k, (u, y) in enumerate(zip(X, Y)):
             with warnings.catch_warnings(record=True) as seen:
@@ -420,16 +460,16 @@ class TestStackedPass:
         lengths = rng.integers(1, 140, size=int(rng.integers(1, 9)))
         states, inputs, responses = self._case(rng, p, m, 0.97, lengths,
                                                prior_updates=int(rng.integers(0, 60)))
-        before = [st.to_dict() for st in states]
+        before = [_fields(st) for st in states]
         expected, caught, forecasts = _sequential(states, inputs, responses)
         commit, warned, mean, cov = _one_group(states, inputs, responses)
-        assert [st.to_dict() for st in states] == before  # nothing written yet
+        assert [_fields(st) for st in states] == before  # nothing written yet
         assert sorted(warned) == caught
         for j, (means, covariances) in enumerate(forecasts):  # pre-update, bit for bit
             assert np.array_equal(mean[:len(means), j], means)
             assert np.array_equal(cov[:len(means), j], covariances)
         commit()
-        assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
+        assert [_fields(st) for st in states] == [_fields(st) for st in expected]
         for st in states:
             assert st.P.flags.c_contiguous and np.array_equal(st.P, st.P.T)
 
@@ -448,7 +488,7 @@ class TestStackedPass:
         commit, warned, *_ = _one_group(states, inputs, responses)
         assert len(caught) >= 5 and sorted(warned) == caught
         commit()
-        assert [st.to_dict() for st in states] == [st.to_dict() for st in expected]
+        assert [_fields(st) for st in states] == [_fields(st) for st in expected]
 
     def test_states_checked_at_the_same_step_warn_as_checked_one_by_one(self):
         # three states hit the schedule together (prior counts 0, 0 and 50);
@@ -467,7 +507,7 @@ class TestStackedPass:
             responses.append(rng.normal(size=(length, 2)))
         expected, due = [], {}
         for j, (st, X, Y) in enumerate(zip(states, inputs, responses)):
-            st = AdaptiveState.from_dict(st.to_dict())
+            st = copy.deepcopy(st)
             for k, (u, y) in enumerate(zip(X, Y)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ConditioningWarning)
@@ -486,12 +526,12 @@ class TestStackedPass:
         rng = np.random.default_rng(4)
         states, inputs, responses = self._case(rng, 3, 2, 0.95, [40, 30, 25])
         states[1].P = -np.eye(3)
-        before = [st.to_dict() for st in states]
+        before = [_fields(st) for st in states]
         with pytest.raises(NumericError, match="gain denominator"):
-            _run(AdaptiveState.from_dict(states[1].to_dict()),
+            _run(copy.deepcopy(states[1]),
                  zip(inputs[1], responses[1]))
         assert _one_group(states, inputs, responses) is None
-        assert [st.to_dict() for st in states] == before
+        assert [_fields(st) for st in states] == before
 
     def test_stacked_pads_and_counts_the_running_sequences(self):
         out, active = stacked([np.ones((3, 2)), 2 * np.ones((1, 2)), 3 * np.ones((1, 2))])
@@ -528,7 +568,7 @@ class TestRaggedPass:
         expected, caught, forecasts = [], [], []
         for g, group in enumerate(groups):
             done, warned, moments = _sequential(*group)
-            expected.append([st.to_dict() for st in done])
+            expected.append([_fields(st) for st in done])
             caught += [(g, j, k, message) for j, k, message in warned]
             forecasts.append(moments)
         return expected, caught, forecasts
@@ -544,17 +584,17 @@ class TestRaggedPass:
                   self._group(rng, 5, 2, [140, 99, 3]),
                   self._group(rng, 2, 3, [1]),
                   self._group(rng, 4, 1, [210, 100, 100, 51], narrow=True)]
-        before = [[st.to_dict() for st in states] for states, _, _ in groups]
+        before = [[_fields(st) for st in states] for states, _, _ in groups]
         expected, caught, forecasts = self._oracle(groups)
         commit, warned, moments = self._pass(groups)
-        assert [[st.to_dict() for st in states] for states, _, _ in groups] == before
+        assert [[_fields(st) for st in states] for states, _, _ in groups] == before
         assert len(caught) >= 5 and sorted(warned) == caught
         for (mean, cov), per_state in zip(moments, forecasts):
             for j, (means, covariances) in enumerate(per_state):
                 assert np.array_equal(mean[:len(means), j], means)
                 assert np.array_equal(cov[:len(means), j], covariances)
         commit()
-        assert [[st.to_dict() for st in states] for states, _, _ in groups] == expected
+        assert [[_fields(st) for st in states] for states, _, _ in groups] == expected
 
     def test_a_refusal_in_the_second_group_at_its_step(self):
         # zero inputs leave P = -I untouched but for 1/lam, so the state
@@ -565,13 +605,13 @@ class TestRaggedPass:
         second[0][1].P = -np.eye(3)
         second[1][1][:6] = 0.0
         second[1][1][6:] = 1.0
-        state = AdaptiveState.from_dict(second[0][1].to_dict())
+        state = copy.deepcopy(second[0][1])
         _run(state, zip(second[1][1][:6], second[2][1][:6]))
         with pytest.raises(NumericError, match="gain denominator"):
             state.update(second[1][1][6], second[2][1][6])
-        before = [[st.to_dict() for st in states] for states, _, _ in (first, second)]
+        before = [[_fields(st) for st in states] for states, _, _ in (first, second)]
         assert self._pass([first, second]) is None
-        assert [[st.to_dict() for st in states] for states, _, _ in (first, second)] == before
+        assert [[_fields(st) for st in states] for states, _, _ in (first, second)] == before
         second[1][1], second[2][1] = second[1][1][:6], second[2][1][:6]
         assert self._pass([first, second]) is not None
 
@@ -589,4 +629,4 @@ class TestRaggedPass:
             commit, warned, _ = self._pass(groups, moments=False)
         assert sorted(warned) == caught
         commit()
-        assert [[st.to_dict() for st in states] for states, _, _ in groups] == expected
+        assert [[_fields(st) for st in states] for states, _, _ in groups] == expected

@@ -255,7 +255,8 @@ class TestLeaveOneWeekOut:
 
     @pytest.mark.parametrize("cells, error, message", [
         # t: the second fold's state discovery reads week 1 before any walk
-        ({"av": float("nan")}, InputError, "classification points contain non-finite values"),
+        ({"av": float("nan")}, InputError,
+         "classification vector of record 20 is not finite"),
         ({"ics": float("inf")}, NumericError, None),   # w: the first fold's walk
         ({"OpT": float("nan")}, NumericError, None),   # y, and a lag of the next record
         ({"NOpT": -float("inf")}, NumericError, None),
@@ -274,6 +275,19 @@ class TestLeaveOneWeekOut:
             leave_one_week_out(records, model_names=self.IOHMM_NAMES, base=base,
                                seed=0, k_max=6)
         assert str(refused.value) == (message or expected[1])
+
+    def test_a_bad_classification_cell_is_named_by_its_record(self, two_week_records):
+        # a record of the second week is row i - len(first week) of the first
+        # fold's training table, whose state discovery refuses it first
+        records = list(two_week_records)
+        weeks = [week_key(rec.date) for rec in records]
+        start = weeks.index(weeks[-1])
+        records[start + 5] = replace(records[start + 5], av=float("nan"))
+        with pytest.raises(InputError, match=f"^classification vector of record {start + 5} "):
+            leave_one_week_out(records, model_names=self.IOHMM_NAMES, seed=0, k_max=6)
+        with pytest.raises(InputError, match="^classification point 5 contains non-finite"):
+            fit_states(build_features(records[start:],
+                                      default_feature_config(records).with_lags(0)))
 
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, two_week_records):
         # a shift type that only the first week has meets no training data

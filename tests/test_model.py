@@ -1,5 +1,6 @@
 import copy
 import datetime as dt
+import json
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     ThresholdWarning, classification_vector, combine,
                     default_feature_config, fit_states, generate_synthetic,
                     leave_one_week_out, pattern_key)
+from opcast.estimator import state_stacks
 from opcast.model import PatternStates, _Chain, _walk_counts, learn_tables, walk_tables
 
 from conftest import build_stream, evaluated_specs
@@ -60,6 +62,13 @@ def _w(table, i, q=1):
 def _row(table, i, q=1):
     """(z, w, y) of one record position, the learn_step inputs at lag order ``q``."""
     return table.z[i], _w(table, i, q), table.y[i]
+
+
+def _set_state(doc, key, side, **fields) -> None:
+    """Set fields of one pattern's ``side`` state in a snapshot document."""
+    i = doc["params"]["keys"].index(key)
+    for name, value in fields.items():
+        doc["params"][side][name][i] = value
 
 
 def _weights(sigma_u, sigma_v):
@@ -248,7 +257,7 @@ class TestLearnStep:
         table = build_features(records, model.config.features)
         model.learn_step(*_row(table, 1), None, 1)
         doc = model.snapshot()
-        doc["params"]["100"]["v"]["P"] = (-10.0 * np.eye(2)).tolist()
+        _set_state(doc, "100", "v", P=(-10.0 * np.eye(2)).tolist())
         model = IoHmmModel.restore(doc)
         before = model.to_json()
         with pytest.raises(NumericError, match="not positive"):
@@ -679,11 +688,10 @@ class TestRunOnline:
         model = _model(allow_cold_start=True)
         _learn(model, records[4:12])
         doc = model.snapshot()
-        v = doc["params"]["001"]["v"]
         if fault == "indefinite-p":
-            v["P"] = (-10.0 * np.eye(2)).tolist()
+            _set_state(doc, "001", "v", P=(-10.0 * np.eye(2)).tolist())
         else:  # the next update is a conditioning check, on an ill-conditioned P
-            v.update(P=np.diag([1.0, 1e-12]).tolist(), n_updates=49)
+            _set_state(doc, "001", "v", P=np.diag([1.0, 1e-12]).tolist(), n_updates=49)
         model = IoHmmModel.restore(doc)
         before = model.to_json()
         with warnings.catch_warnings():
@@ -1080,7 +1088,7 @@ class TestLearnTables:
     @staticmethod
     def _negative_definite(model, key):
         doc = model.snapshot()
-        doc["params"][key]["u"]["P"] = (-np.eye(model.u_dim)).tolist()
+        _set_state(doc, key, "u", P=(-np.eye(model.u_dim)).tolist())
         return IoHmmModel.restore(doc)
 
     @pytest.mark.parametrize("fault", ["non-finite-y", "wrong-shape", "negative-p"])
@@ -1451,9 +1459,8 @@ class TestCountsThatAreNotHalfIntegers:
             _learn(model, records[:100])
         doc = model.snapshot()
         rng = np.random.default_rng(seed)
-        for entry in doc["dirichlet"]["patterns"].values():
-            for part in ("initial", "transition"):
-                entry[part] = rng.uniform(0.5, 3.5, np.shape(entry[part])).tolist()
+        counts = doc["dirichlet"]["counts"]  # drawn in the order of the patterns' rows
+        doc["dirichlet"]["counts"] = rng.uniform(0.5, 3.5, np.shape(counts)).tolist()
         restored = IoHmmModel.restore(doc)
         assert any(np.any(rows * 2 % 1) for rows in restored.dirichlet.counts.values())
         return restored
@@ -1633,12 +1640,12 @@ class TestSnapshot:
 
     def test_json_roundtrip_is_exact(self):
         model, records = self._trained()
-        clone = IoHmmModel.restore(__import__("json").loads(model.to_json()))
+        clone = IoHmmModel.restore(json.loads(model.to_json()))
         assert clone.to_json() == model.to_json()
 
     def test_restored_model_continues_identically(self):
         model, records = self._trained()
-        clone = IoHmmModel.restore(__import__("json").loads(model.to_json()))
+        clone = IoHmmModel.restore(json.loads(model.to_json()))
         more = build_stream([{"OpT": 7.0 + 0.05 * i} for i in range(12)],
                             start=dt.datetime(2022, 10, 4, 6, 0))
         res_a = model.run_online(more)
@@ -1669,32 +1676,52 @@ class TestSnapshot:
                 np.testing.assert_array_equal(a.forecast.sigma, b.forecast.sigma)
         assert clone.to_json() == model.to_json()
 
+    @staticmethod
+    def _twice(doc):
+        """The params with every pattern's states listed twice, under the same key."""
+        params = doc["params"]
+        for part in (params["keys"], *(params[side][name] for side in "uv"
+                                       for name in ("H", "Sigma", "P", "gamma", "n_updates"))):
+            part.extend(part)
+
     @pytest.mark.parametrize("damage", [
-        lambda doc: doc["dirichlet"]["patterns"]["100"].update(initial=[np.nan, np.nan]),
-        lambda doc: doc["dirichlet"]["patterns"]["100"].update(transition=[[0.0, 0.0],
-                                                                           [0.0, 0.0]]),
-        lambda doc: doc["dirichlet"].update(n_states=3, patterns={}),
-        lambda doc: doc["dirichlet"].update(pattern_length=2, patterns={}),
-        lambda doc: doc["params"].update({"1x0": doc["params"]["100"]}),
+        lambda doc: doc["dirichlet"]["counts"][0].__setitem__(0, [np.nan, np.nan]),
+        lambda doc: doc["dirichlet"]["counts"][0].__setitem__(slice(1, None),
+                                                              [[0.0, 0.0], [0.0, 0.0]]),
+        lambda doc: doc["dirichlet"].update(n_states=3, keys=[], counts=[]),
+        lambda doc: doc["dirichlet"].update(pattern_length=2, keys=[], counts=[]),
+        lambda doc: doc["params"]["keys"].__setitem__(0, "1x0"),
         lambda doc: doc["clusters"]["centroids"][0].__setitem__(0, np.nan),
         lambda doc: doc["clusters"].update(counts=[1.0, 0.0]),
         lambda doc: doc["clusters"].update(mean=[np.inf]),
         lambda doc: doc["clusters"].update(scale=[0.0]),
         lambda doc: doc["clusters"].update(scale=[np.nan]),
-        lambda doc: doc["params"]["100"]["u"]["P"][0].__setitem__(1, 0.5),
-        lambda doc: doc["params"]["100"]["v"].update(n_updates=-3.7),
-        lambda doc: doc["params"]["100"]["u"].update(n_updates=2.5),
-        lambda doc: doc["params"]["100"]["u"].update(forgetting=0.5),
-        lambda doc: doc["params"]["100"]["v"].update(forgetting=1.0),
+        lambda doc: doc["params"]["u"]["P"][0][0].__setitem__(1, 0.5),
+        lambda doc: _set_state(doc, "100", "v", n_updates=-3.7),
+        lambda doc: _set_state(doc, "100", "u", n_updates=2.5),
+        lambda doc: TestSnapshot._twice(doc),
+        lambda doc: doc["dirichlet"].update(keys=doc["dirichlet"]["keys"] * 2,
+                                            counts=doc["dirichlet"]["counts"] * 2),
+        lambda doc: doc["params"].update(keys="100"),
+        lambda doc: doc["params"]["v"]["gamma"].append(1.0),
+        lambda doc: doc["params"]["u"].pop("Sigma"),
     ], ids=["nan-counts", "zero-counts", "n-states", "pattern-length", "params-key",
             "nan-centroid", "empty-cluster", "inf-mean", "zero-scale", "nan-scale",
             "asymmetric-p", "negative-n-updates", "fractional-n-updates",
-            "u-forgetting", "v-forgetting"])
+            "repeated-params-key", "repeated-counts-key", "params-keys-not-a-list",
+            "one-gamma-too-many", "no-sigma-stack"])
     def test_restore_rejects_damaged_states_and_counts(self, damage):
         model, _ = self._trained()
         doc = model.snapshot()
         damage(doc)
         with pytest.raises(RestoreError):
+            IoHmmModel.restore(doc)
+
+    def test_a_repeated_pattern_key_is_refused_by_name(self):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        self._twice(doc)
+        with pytest.raises(RestoreError, match=r"pattern keys repeat in \['100', '100'\]"):
             IoHmmModel.restore(doc)
 
     @pytest.mark.parametrize("section, name, value", [
@@ -1727,6 +1754,8 @@ class TestSnapshot:
         assert IoHmmModel.restore(doc).to_json() == model.to_json()
 
     def test_an_older_snapshot_with_max_lags_and_threshold_loads(self):
+        # a current document that also carries the entries earlier versions
+        # wrote: they are ignored
         model, _ = self._trained()
         doc = model.snapshot()
         assert "max_lags" not in doc["config"]["features"]
@@ -1757,27 +1786,91 @@ class TestSnapshot:
         with pytest.raises(RestoreError):
             IoHmmModel.restore(doc)
 
-    def test_restore_checks_state_dimensions(self):
+    def test_a_version_1_snapshot_is_refused_with_a_call_to_refit(self):
+        # version 1 kept one document per state; one reader reads version 2
         model, _ = self._trained()
         doc = model.snapshot()
-        key = next(iter(doc["params"]))
-        doc["params"][key]["u"]["n_predictors"] = 99
+        assert doc["version"] == 2
+        doc["version"] = 1
+        with pytest.raises(RestoreError, match="unsupported snapshot version 1: .*refit"):
+            IoHmmModel.restore(doc)
+
+    def test_the_states_and_counts_are_stacks_over_sorted_keys(self):
+        model = _model(allow_cold_start=True)
+        _learn(model, TestRunOnline()._records(25))
+        doc = model.snapshot()
+        params, keys = doc["params"], sorted(model.params)
+        assert params["keys"] == doc["dirichlet"]["keys"] == keys and len(keys) == 3
+        for side in "uv":
+            states = [getattr(model.params[key], side) for key in keys]
+            assert params[side] == {
+                **{name: [getattr(st, name).tolist() for st in states]
+                   for name in ("H", "Sigma", "P")},
+                "gamma": [st.gamma for st in states], "n_updates": [st.n_updates for st in states]}
+        assert doc["dirichlet"]["counts"] == [model.dirichlet.counts[key].tolist() for key in keys]
+
+    def test_learning_one_restored_pattern_leaves_the_others_arrays_alone(self):
+        # the restored states and count rows are views into one stack per field
+        model = _model(allow_cold_start=True)
+        records = TestRunOnline()._records(25)
+        _learn(model, records[:20])
+        doc = model.snapshot()
+        clone = IoHmmModel.restore(doc)
+        assert clone.params["010"].u.H.base is clone.params["100"].u.H.base is not None
+        table = build_features(records, model.config.features)
+        assert pattern_key(table.z[21]) == "001"
+        clone.learn_step(*_row(table, 21), 1, 2)
+        model.learn_step(*_row(table, 21), 1, 2)
+        assert clone.to_json() == model.to_json()
+        learned = clone.snapshot()
+        assert learned["params"]["u"]["gamma"] != doc["params"]["u"]["gamma"]
+        for key in ("010", "100"):
+            i = doc["params"]["keys"].index(key)
+            for side in "uv":
+                for name in ("H", "Sigma", "P", "gamma", "n_updates"):
+                    assert learned["params"][side][name][i] == doc["params"][side][name][i]
+            assert learned["dirichlet"]["counts"][i] == doc["dirichlet"]["counts"][i]
+
+    @pytest.mark.parametrize("clusters", [True, False], ids=["no-patterns", "unfitted"])
+    def test_a_model_without_patterns_round_trips(self, clusters):
+        model = _model() if clusters else IoHmmModel(ModelConfig(features=_feature_config()))
+        doc = json.loads(model.to_json())
+        empty = dict.fromkeys(("H", "Sigma", "P", "gamma", "n_updates"), [])
+        assert doc["params"] == {"keys": [], "u": empty, "v": empty}
+        assert (doc["dirichlet"] is None) is not clusters
+        clone = IoHmmModel.restore(doc)
+        assert clone.params == {} and clone.to_json() == model.to_json()
+        if clusters:
+            assert clone.dirichlet.counts == {} and clone.n_states == 2
+        else:
+            assert clone.clusters is None and clone.dirichlet is None
+
+    def test_states_without_a_cluster_model_are_refused(self):
+        model, _ = self._trained()
+        doc = model.snapshot()
+        doc["clusters"] = None
         with pytest.raises(RestoreError):
             IoHmmModel.restore(doc)
 
-    @pytest.mark.parametrize("side, more, message", [
-        ("u", (1, 0), "has wrong dimensions"), ("v", (0, 1), "has wrong response count")])
-    def test_restore_checks_whole_states(self, side, more, message):
-        # a self-consistent state of another shape, with the model's forgetting
-        # factor: one regressor, or one response, more than the model has
+    def test_restore_checks_state_dimensions(self):
+        # a regressor fewer in every u state: the stack's shape is refused
         model, _ = self._trained()
         doc = model.snapshot()
-        key = next(iter(doc["params"]))
+        doc["params"]["u"]["H"] = [H[1:] for H in doc["params"]["u"]["H"]]
+        with pytest.raises(RestoreError, match=r"u H has shape \(1, 4, 2\), not \(1, 5, 2\)"):
+            IoHmmModel.restore(doc)
+
+    @pytest.mark.parametrize("side, more, message", [
+        ("u", (1, 0), "u H has shape"), ("v", (0, 1), "v H has shape")])
+    def test_restore_checks_whole_states(self, side, more, message):
+        # a self-consistent stack of another shape: one regressor, or one
+        # response, more than the model has
+        model, _ = self._trained()
+        doc = model.snapshot()
         n_predictors = model.u_dim if side == "u" else model.n_states
-        forgetting = model.config.lambda_u if side == "u" else model.config.lambda_v
-        doc["params"][key][side] = AdaptiveState(
-            n_predictors + more[0], model.n_responses + more[1], forgetting).to_dict()
-        with pytest.raises(RestoreError, match=f"pattern '{key}' {message}"):
+        doc["params"][side] = state_stacks(
+            [AdaptiveState(n_predictors + more[0], model.n_responses + more[1], 0.9)])
+        with pytest.raises(RestoreError, match=message):
             IoHmmModel.restore(doc)
 
     def test_corrupt_json_file(self, tmp_path):
@@ -1789,9 +1882,8 @@ class TestSnapshot:
     def test_restore_rejects_a_negative_noise_covariance(self):
         model, _ = self._trained()
         doc = model.snapshot()
-        key = next(iter(doc["params"]))
-        doc["params"][key]["v"]["Sigma"] = [[1.0, 0.0], [0.0, -1e-6]]
-        with pytest.raises(RestoreError, match="negative eigenvalue"):
+        _set_state(doc, "100", "v", Sigma=[[1.0, 0.0], [0.0, -1e-6]])
+        with pytest.raises(RestoreError, match="negative eigenvalues for pattern '100'"):
             IoHmmModel.restore(doc)
 
     def test_restore_rejects_a_regressor_repeating_the_pattern(self):
