@@ -78,10 +78,8 @@ def _check_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise DimensionError(f"points must be a 2-d array, got shape {pts.shape}")
     finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():  # the row is kept for a caller that names its record
-        error = InputError(f"classification point {finite.argmin()} contains non-finite values")
-        error.row = int(finite.argmin())
-        raise error
+    if not finite.all():
+        raise InputError(f"classification point {finite.argmin()} contains non-finite values")
     return pts
 
 

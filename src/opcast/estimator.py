@@ -18,7 +18,7 @@ states enter from outside: ``restore_states``, over whole stacks.
 
 ``stacked_pass`` folds many states through their own input sequences at
 once, computing bit for bit what ``AdaptiveState._update`` computes one
-state at a time, and stops where ``_update`` would refuse. Its layout is
+state at a time, and refuses where and as ``_update`` would. Its layout is
 ragged: the states come in groups of one shape, each kind of array is one
 flat buffer of all states' blocks, and one step advances every group, the
 products per group and everything else once over the flat buffers;
@@ -44,6 +44,7 @@ EIG_FLOOR = 1e-10
 # with COND_THRESHOLD; above it a ConditioningWarning is issued.
 COND_CHECK_EVERY = 50
 COND_THRESHOLD = 1e8
+_REFUSED_GAIN = "gain denominator lam + u'Pu is {:.3e}, not positive"
 
 
 def float_cells(x, name: str) -> np.ndarray:
@@ -161,7 +162,7 @@ class AdaptiveState:
         Pu = self.P @ u
         denom = lam + u @ Pu
         if not denom > 0.0:
-            raise NumericError(f"gain denominator lam + u'Pu is {denom:.3e}, not positive")
+            raise NumericError(_REFUSED_GAIN.format(denom))
 
         self.gamma = gamma = 1.0 + lam * self.gamma
         pred, Sigma = u @ self.H, self.Sigma
@@ -239,7 +240,7 @@ def stacked(sequences: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     return out, (lengths > np.arange(lengths[0])[:, None]).sum(axis=1).tolist()
 
 
-def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None:
+def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
     """Fold many states, each through its own sequence of checked ``(u, y)``
     rows, in one ragged pass, bit for bit as ``_update`` folds them one by one.
 
@@ -262,8 +263,9 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None
     pre-update ``u'H`` laid out like its ``Y`` and ``Sigma`` (an ``(m, m)``
     matrix per entry of ``Y``): what ``_update`` returns, the moments that
     ``run_online`` and ``walk_tables`` blend into the forecast of the step's
-    row. Returns None at the first step with a gain denominator that is not
-    positive, where ``_update`` refuses.
+    row. At the first step with a gain denominator that is not positive it
+    raises ``_update``'s ``NumericError``, naming the first refused state's
+    denominator, and writes nothing.
     """
     if not groups:
         return (lambda: None), [], []
@@ -328,8 +330,8 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple | None
             np.matmul(Xr[k], Puk, out=dk)
             np.matmul(Xr[k], Hk, out=yk)
         den += lam
-        if not den.min() > 0.0:
-            return None
+        if not den.min() > 0.0:  # NaN too; the first refused state's denominator
+            raise NumericError(_REFUSED_GAIN.format(den[np.argmin(den > 0.0)]))
         if moments:
             mean[k], cov[k] = pred, S
         gamma *= lam

@@ -11,7 +11,8 @@ week in the one such table of all records: the variants of all folds learn
 in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
 learning as they walk, as in production; the regression benchmark stays
 frozen after fitting. Every stage runs once and the first refusal met is
-raised, so an evaluation accepts exactly what the folds one by one accept.
+raised, so an evaluation accepts exactly what the folds one by one accept;
+classification vectors, which some fold trains on, are checked once, by record.
 
 Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
 the report splits each by shift type, per model, fold, shift type and response.
@@ -198,15 +199,11 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
              for week in weeks]  # chronological records: each week is one run of indices
     tables = [None if full is None else build_features(
         [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
-    states = {}
-    for (week, test), table in zip(folds, tables) if variants else ():
-        try:
-            states[week] = fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
-        except InputError as exc:  # a fold's row r is record r, or r + len(test) from the week on
-            if not hasattr(exc, "row"):
-                raise
-            record = exc.row + len(test) * (exc.row >= test.start)
-            raise InputError(f"classification vector of record {record} is not finite") from exc
+    bad = np.flatnonzero(~np.isfinite(full.t).all(axis=1)) if variants else ()
+    if len(bad):  # some fold trains on each record: the folds refuse the same records
+        raise InputError(f"classification vector of record {bad[0]} is not finite")
+    states = {week: fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
+              for (week, _), table in (zip(folds, tables) if variants else ())}
     cells = _iohmm_blocks(variants, base, folds, list(states.values()), tables, full)
     blocks = []  # in fold and model order; an empty cell warns at once
     for (fold, test), table in zip(folds, tables):

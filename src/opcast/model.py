@@ -246,12 +246,12 @@ def _walk_counts(group: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
     return vectors, active
 
 
-def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | None:
+def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
     """Advance ``chains`` together: one ragged update of each side's groups
     (``stacked_pass``), the v side's inputs from one count walk per group;
     ``walking``, fill their ``moments`` (u mean and covariance, v mean and
     covariance per step). Returns the commits and the warnings keyed by where
-    each falls in a record-by-record pass, or None at the first refused update."""
+    each falls in a record-by-record pass; raises ``stacked_pass``'s refusal."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
@@ -259,14 +259,11 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list] | Non
             st = getattr(ch.states, name)
             groups.setdefault((st.n_predictors, st.n_responses), []).append(ch)
         groups = list(groups.values())
-        done = stacked_pass([(
+        commit, caught, moments = stacked_pass([(
             [getattr(ch.states, name) for ch in group],
             *(stacked([ch.u for ch in group]) if name == "u" else _walk_counts(group)),
             stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
                      for ch in group])[0]) for group in groups], walking)
-        if done is None:
-            return None
-        commit, caught, moments = done
         commits.append(commit)
         events += [((groups[g][j].order, groups[g][j].rows[k], side), message)
                    for g, j, k, message in caught]
@@ -355,10 +352,10 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
                 ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
             return _one_by_one(models, tables, spans)
         chains += mine
-    advanced = _advance(chains, walking)
-    if advanced is None:
+    try:
+        commits, events = _advance(chains, walking)
+    except NumericError:  # a refused update: which refusal a pass meets first is _pass's
         return _one_by_one(models, tables, spans)
-    commits, events = advanced
     for _, message in sorted(events):
         warn(message, ConditioningWarning)
 
@@ -698,6 +695,8 @@ class IoHmmModel:
             u = restore_states(params["u"], keys, model.u_dim, m, config.lambda_u, "u")
             v = restore_states(params["v"], keys, model.n_states, m, config.lambda_v, "v")
             model.params = dict(zip(table.checked_keys(keys), map(PatternStates, u, v)))
+            if model.params.keys() != table.counts.keys():  # learned together, kept together
+                raise RestoreError("the predictors' and the pseudo-counts' pattern keys differ")
             return model
         except RestoreError:
             raise

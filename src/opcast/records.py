@@ -296,8 +296,9 @@ def parse_tail(path, need: int, schema: dict[str, str] | None = None) -> ParseRe
     Row errors keep their file line numbers, but only the rows read are
     reported, and so is a byte of them that is not UTF-8 (a ``DataError``
     naming the file). The whole file is parsed when ``path`` is not a
-    seekable file, and when a ``"`` or a bare ``\r`` could make a row span
-    lines or a block holds no line break.
+    seekable file, and when a row could span lines or a block holds no line
+    break: a line of the header, or of the block after its cut, holds an odd
+    number of ``"``, or the header or block holds a bare ``\r``.
     """
     with open(path, "rb") as fh, _utf8(path):
         if fh.seekable():
@@ -308,9 +309,9 @@ def parse_tail(path, need: int, schema: dict[str, str] | None = None) -> ParseRe
                 fh.seek(start)
                 block = fh.read(end - start)
                 cut = block.find(b"\n") + 1 if start > len(header) else 0
-                text = header + block
-                if b'"' in text or text.count(b"\r") != text.count(b"\r\n") or (
-                        start > len(header) and not cut):
+                text, rows = header + block, header + block[cut:]
+                if text.count(b"\r") != text.count(b"\r\n") or start > len(header) and not cut or (
+                        b'"' in rows and any(line.count(b'"') % 2 for line in rows.split(b"\n"))):
                     break
                 result = parse_dataset(io.StringIO(
                     header.decode("utf-8-sig") + block[cut:].decode(), newline=""), schema)

@@ -430,10 +430,8 @@ def _stack(inputs, responses):
 
 def _one_group(states, inputs, responses):
     """``stacked_pass`` of one group, its warnings as ``(state, step, message)``."""
-    done = stacked_pass([(states, *_stack(inputs, responses))], moments=True)
-    if done is None:
-        return None
-    commit, warned, [(mean, cov)] = done
+    commit, warned, [(mean, cov)] = stacked_pass([(states, *_stack(inputs, responses))],
+                                                 moments=True)
     return commit, [(j, k, message) for _, j, k, message in warned], mean, cov
 
 
@@ -527,11 +525,28 @@ class TestStackedPass:
         states, inputs, responses = self._case(rng, 3, 2, 0.95, [40, 30, 25])
         states[1].P = -np.eye(3)
         before = [_fields(st) for st in states]
-        with pytest.raises(NumericError, match="gain denominator"):
+        with pytest.raises(NumericError, match="gain denominator") as update:
             _run(copy.deepcopy(states[1]),
                  zip(inputs[1], responses[1]))
-        assert _one_group(states, inputs, responses) is None
+        with pytest.raises(NumericError) as stacked_refusal:
+            _one_group(states, inputs, responses)
+        assert str(stacked_refusal.value) == str(update.value)
         assert [_fields(st) for st in states] == before
+
+    def test_of_several_refused_states_the_first_is_named(self):
+        # states 0 and 2 refuse at step 0 with denominators of their own;
+        # the pass names state 0's, not the lowest value (state 2's)
+        rng = np.random.default_rng(5)
+        states, inputs, responses = self._case(rng, 2, 1, 0.95, [9, 8, 7])
+        states[0].P, states[2].P = -np.eye(2), -3.0 * np.eye(2)
+        denominators = [st.forgetting + u @ st.P @ u for st, u in zip(states, (
+            inputs[0][0], inputs[1][0], inputs[2][0]))]
+        assert denominators[2] < denominators[0] <= 0.0 < denominators[1]
+        with pytest.raises(NumericError) as update:
+            copy.deepcopy(states[0]).update(inputs[0][0], responses[0][0])
+        with pytest.raises(NumericError) as stacked_refusal:
+            _one_group(states, inputs, responses)
+        assert str(stacked_refusal.value) == str(update.value)
 
     def test_stacked_pads_and_counts_the_running_sequences(self):
         out, active = stacked([np.ones((3, 2)), 2 * np.ones((1, 2)), 3 * np.ones((1, 2))])
@@ -598,8 +613,9 @@ class TestRaggedPass:
 
     def test_a_refusal_in_the_second_group_at_its_step(self):
         # zero inputs leave P = -I untouched but for 1/lam, so the state
-        # refuses its first non-zero input, at step 6: the pass returns None
-        # with all six steps before it, and runs when it ends before
+        # refuses its first non-zero input, at step 6: the pass raises the
+        # update's refusal with all six steps before it, and runs when it
+        # ends before
         rng = np.random.default_rng(6)
         first, second = self._group(rng, 2, 1, [40, 9]), self._group(rng, 3, 2, [30, 12, 5])
         second[0][1].P = -np.eye(3)
@@ -607,13 +623,15 @@ class TestRaggedPass:
         second[1][1][6:] = 1.0
         state = copy.deepcopy(second[0][1])
         _run(state, zip(second[1][1][:6], second[2][1][:6]))
-        with pytest.raises(NumericError, match="gain denominator"):
+        with pytest.raises(NumericError, match="gain denominator") as update:
             state.update(second[1][1][6], second[2][1][6])
         before = [[_fields(st) for st in states] for states, _, _ in (first, second)]
-        assert self._pass([first, second]) is None
+        with pytest.raises(NumericError) as refused:
+            self._pass([first, second])
+        assert str(refused.value) == str(update.value)
         assert [[_fields(st) for st in states] for states, _, _ in (first, second)] == before
         second[1][1], second[2][1] = second[1][1][:6], second[2][1][:6]
-        assert self._pass([first, second]) is not None
+        self._pass([first, second])
 
     @pytest.mark.parametrize("together", [True, False])
     def test_finished_states_never_overflow(self, together):

@@ -289,6 +289,22 @@ class TestLeaveOneWeekOut:
             fit_states(build_features(records[start:],
                                       default_feature_config(records).with_lags(0)))
 
+    def test_bad_classification_cells_in_two_weeks_name_the_lower_record(
+            self, two_week_records):
+        # the first fold's state discovery (training on the second week) would
+        # meet the higher record first; the one check of all records names the
+        # lower, before any state discovery warns
+        records = list(two_week_records)
+        weeks = [week_key(rec.date) for rec in records]
+        start = weeks.index(weeks[-1])
+        for i in (7, start + 3):
+            records[i] = replace(records[i], av=float("nan"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ThresholdWarning)
+            with pytest.raises(InputError, match="^classification vector of record 7 is not "
+                                                 "finite$"):
+                leave_one_week_out(records, model_names=self.IOHMM_NAMES, seed=0, k_max=6)
+
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, two_week_records):
         # a shift type that only the first week has meets no training data
         # in the first fold; with cold starts refused, its first forecast is

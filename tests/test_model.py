@@ -1724,6 +1724,21 @@ class TestSnapshot:
         with pytest.raises(RestoreError, match=r"pattern keys repeat in \['100', '100'\]"):
             IoHmmModel.restore(doc)
 
+    @pytest.mark.parametrize("side", ["dirichlet", "params"])
+    def test_restore_refuses_pattern_keys_that_differ(self, side):
+        # a pattern with predictors but no counts would restart its counts
+        # from the prior at the next pass, and one with counts but no
+        # predictors its predictors
+        model, _ = self._trained()
+        doc = model.snapshot()
+        part = doc[side]
+        for stack in ([part["keys"], part["counts"]] if side == "dirichlet" else
+                      [part["keys"], *(part[s][name] for s in "uv"
+                                       for name in ("H", "Sigma", "P", "gamma", "n_updates"))]):
+            del stack[0]
+        with pytest.raises(RestoreError, match="pattern keys differ"):
+            IoHmmModel.restore(doc)
+
     @pytest.mark.parametrize("section, name, value", [
         ("config", "allow_cold_start", "false"), ("config", "allow_cold_start", 0),
         ("clusters", "reached_threshold", "false"), ("clusters", "reached_threshold", 1),

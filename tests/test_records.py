@@ -602,6 +602,22 @@ class TestParseTail:
         assert sources == ["TextIOWrapper"]
         assert tail == parse_dataset(path) and tail.records[-1].shift == "Mo\nM"
 
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_quoted_labels_with_a_comma_read_only_the_last_block(self, tmp_path, monkeypatch,
+                                                                  ending):
+        # write_dataset quotes a shift label holding a comma and a doubled
+        # quote: each line's quotes balance, so no row spans lines
+        lines = _csv_text([make_record(n=i + 1, OpT=7.0 + 0.01 * i, shift='Mo N,"B"')
+                           for i in range(60)]).splitlines()
+        assert lines[-1].count('"') == 6
+        path = self._file(tmp_path, lines, ending)
+        sources = self._counting(monkeypatch)
+        tail, full = parse_tail(path, 3), parse_dataset(path)
+        assert sources == ["StringIO"]
+        assert 3 <= len(tail.records) < 20 and tail.errors == []
+        assert tail.records == full.records[-len(tail.records):]
+        assert tail.records[-1].shift == 'Mo N,"B"'
+
     @pytest.mark.parametrize("case", ["cr", "unbroken"])
     def test_rows_that_may_span_lines_read_the_whole_file(self, tmp_path, monkeypatch,
                                                         case):
