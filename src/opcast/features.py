@@ -8,7 +8,9 @@ responses ``y`` for a whole record list into one lag-free ``FeatureTable``
 of arrays indexed by record position; a model reads its responses' lags
 from ``y`` (``FeatureTable.regressors``). The announced period is featurized
 the same way, as a pseudo-record appended to the tail of the history. Specs
-are parsed and checked against the record columns once, in ``FeatureConfig``.
+are parsed and checked against the record columns once, in ``FeatureConfig``;
+each record's cells are checked once, in ``build_features``, the one place
+records become tables, so the passes that read its tables check none.
 
 Covariates are declared as small spec strings:
 
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientHistoryError
+from .errors import ConfigurationError, InputError, InsufficientHistoryError
 from .estimator import json_number, serialized
 from .records import BoundaryFlags, ProductionRecord, boundary_flags
 
@@ -296,15 +298,20 @@ def build_features(records: Sequence[ProductionRecord],
 
     At lag order ``q`` the first ``q`` records only supply lags. Lags run
     across sequence boundaries: the previous ``q`` records are used
-    regardless of shift or order changes.
+    regardless of shift or order changes. The first record with a non-finite
+    ``w``, ``t`` or ``y`` cell, read or not, is refused by its ``n`` and spec.
     """
     if len(records) <= config.q:
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
     flags = boundary_flags(records)
-    return FeatureTable(z=_evaluate(config.parsed_z, records, flags),
-                        w=_evaluate(config.parsed_w, records, flags),
-                        t=_evaluate(config.parsed_t, records, flags),
-                        y=_evaluate(config.parsed_y, records, flags),
+    z, w, t, y = (_evaluate(specs, records, flags) for specs in (
+        config.parsed_z, config.parsed_w, config.parsed_t, config.parsed_y))
+    bad = np.argwhere(~np.isfinite(np.hstack((w, t, y))))  # z is binary by construction
+    if len(bad):  # row-major: the lowest record, at its first bad spec
+        row, column = bad[0]
+        spec = (config.parsed_w + config.parsed_t + config.parsed_y)[column]
+        raise InputError(f"record n={records[row].n} has a non-finite {spec.expr!r}")
+    return FeatureTable(z=z, w=w, t=t, y=y,
                         begins_shift=np.array([fl.begins_shift for fl in flags]),
                         responses=config.response_names)

@@ -2,17 +2,17 @@
 
 Each ISO week of the dataset is held out once. Models are fitted from
 scratch on the remaining weeks (in chronological order, so week seams act
-as sequence starts) and evaluated on the held-out week. First, each fold's
-training weeks are featurized once, as a lag-free table of all responses
-(also the VARX input), and the fold's hidden states are discovered from
-that table's classification vectors. Every IO-HMM variant
+as sequence starts) and evaluated on the held-out week. First, all records
+are featurized once, as a lag-free table of all responses, which refuses a
+record with a non-finite cell before any fold trains; then each fold's
+training weeks (also the VARX input), whose classification vectors give the
+fold's hidden states. Every IO-HMM variant
 reads its responses and lags from that table, learning, and walks its test
 week in the one such table of all records: the variants of all folds learn
 in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
 learning as they walk, as in production; the regression benchmark stays
 frozen after fitting. Every stage runs once and the first refusal met is
-raised, so an evaluation accepts exactly what the folds one by one accept;
-classification vectors, which some fold trains on, are checked once, by record.
+raised, so an evaluation accepts exactly what the folds one by one accept.
 
 Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
 the report splits each by shift type, per model, fold, shift type and response.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
-from .errors import ConfigurationError, DegenerateDataError, InputError, warn
+from .errors import ConfigurationError, DegenerateDataError, warn
 from .features import MAX_LAGS, CovariateSpec, FeatureTable, build_features, default_feature_config
 from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
@@ -159,8 +159,9 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     """Evaluate the configured models across held-out ISO weeks.
 
     A fresh model instance is fitted per model per fold; nothing carries
-    over between folds. Each stage runs once, in one order: every fold's
-    training weeks are featurized, then every fold's states are fitted,
+    over between folds. Each stage runs once, in one order: all records are
+    featurized (persistence reads their responses there), then every fold's
+    training weeks, then every fold's states are fitted,
     then the IO-HMM variants of all folds learn and walk, then persistence
     and VARX forecast fold by fold. Per-fold cells without forecasts are
     omitted with a warning. The first refusal met is raised; an evaluation
@@ -191,17 +192,12 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
             variants += [(name, features, range(len(responses)))] if kind == "iohmm" else \
                 [(name, features.for_response(resp), [j]) for j, resp in enumerate(responses)]
     lag_free = base.features.with_lags(0)
-    full = build_features(records, lag_free) if "varx" in kinds or variants else None
-    values = np.column_stack([CovariateSpec(name).evaluate(records, ()) for name in responses]
-                             ) if "persistence" in kinds else None
+    full = build_features(records, lag_free) if model_names else None  # refuses a bad cell
 
     folds = [(week, range(keys.index(week), len(keys) - keys[::-1].index(week)))
              for week in weeks]  # chronological records: each week is one run of indices
-    tables = [None if full is None else build_features(
-        [*records[:test.start], *records[test.stop:]], lag_free) for _, test in folds]
-    bad = np.flatnonzero(~np.isfinite(full.t).all(axis=1)) if variants else ()
-    if len(bad):  # some fold trains on each record: the folds refuse the same records
-        raise InputError(f"classification vector of record {bad[0]} is not finite")
+    tables = [build_features([*records[:test.start], *records[test.stop:]], lag_free)
+              if "varx" in kinds or variants else None for _, test in folds]
     states = {week: fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
               for (week, _), table in (zip(folds, tables) if variants else ())}
     cells = _iohmm_blocks(variants, base, folds, list(states.values()), tables, full)
@@ -211,8 +207,8 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
             kind, q = parse_model_name(name)
             if kind == "persistence":  # every test record after the dataset's first
                 index = np.arange(max(test.start, 1), test.stop)
-                cells[name, fold] = _blocks(name, fold, responses, index, values[index],
-                                            persistence_forecast(values[index - 1]))
+                cells[name, fold] = _blocks(name, fold, responses, index, full.y[index],
+                                            persistence_forecast(full.y[index - 1]))
             elif kind == "varx":
                 cells[name, fold] = _varx_blocks(table, full, test, name, fold, responses, q)
             if not cells[name, fold]:

@@ -7,21 +7,21 @@ one driven by the expected-state probability vector from the pseudo-count
 tables. Their forecasts are blended per response with inverse-variance
 weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
+Every pass reads ``build_features`` tables, whose cells are checked there.
 ``run_online`` (``_pass``) is the interleaved loop over consecutive records:
 per record it absorbs the record before into its centroid, classifies the
-record once and learns its counts and predictors, checking each cell where it
-reads it and putting back what moved when it refuses. ``learn_tables`` (behind
-``fit`` and the LOWO folds) and ``walk_tables`` are one stacked pass of that
-loop over several models' tables, bit for bit. Centroid moves never depend on
-the predictors, so what reads none runs once per pass (checks, labels, chain
-splits, one count walk per v group), and each pattern's rows form a chain; all
-chains advance together, one ragged update of each side per position
-(``stacked_pass``), both sides' inputs laid out by ``stacked``.
-What ``_pass`` refuses a stacked pass replays through ``_pass`` on copies, in
-model order, only to raise. One blend, ``_blend``, makes every forecast, from
-the pre-update moments of the step that learns the record; ``forecast_step``
-reads the same moments without learning. A forecast is a ``ForecastResult``;
-the full state snapshots to a JSON document.
+record once and learns its counts and predictors, putting back what moved when
+it refuses. ``learn_tables`` (behind ``fit`` and the LOWO folds) and
+``walk_tables`` are one stacked pass of that loop over several models' tables,
+bit for bit. Centroid moves never depend on the predictors, so what reads none
+runs once per pass (labels, chain splits, one count walk per v group), and each
+pattern's rows form a chain; all chains advance together, one ragged update of
+each side per position (``stacked_pass``), both sides' inputs laid out by
+``stacked``. A cold start or update that ``_pass`` refuses a stacked pass
+replays through ``_pass`` on copies, in model order, only to raise. One blend,
+``_blend``, makes every forecast, from the pre-update moments of the step that
+learns the record; ``forecast_step`` reads the same moments without learning.
+A forecast is a ``ForecastResult``; the full state snapshots to a JSON document.
 """
 
 from __future__ import annotations
@@ -161,12 +161,6 @@ def _cold_start(states: PatternStates | None, allowed: bool, where: str = "") ->
     return cold
 
 
-def _reads_before(span: range, q: int, first: int, begins: np.ndarray) -> bool:
-    """Whether a pass over the records ``span`` classifies the one before: if it
-    forecasts the first, or learns it while ``begins[0]`` says no sequence begins there."""
-    return bool(span) and (span.start >= first or span.start >= q and not begins[0])
-
-
 def _span(indices, n: int) -> range:
     """The consecutive positions among ``n`` records that ``indices`` lists (None: all)."""
     if indices is None:
@@ -195,10 +189,6 @@ def combine(u, v, state_u: AdaptiveState, state_v: AdaptiveState,
     v = checked_vector(v, state_v.n_predictors, "v")
     return _result(_cold_start(PatternStates(state_u, state_v), allow_cold_start),
                    (u @ state_u.H, state_u.Sigma), (v @ state_v.H, state_v.Sigma))
-
-
-_BAD_T = "classification vector read at record {} contains non-finite values"
-_BAD_WY = "regressors or responses of record {} contain non-finite values"
 
 
 @dataclass
@@ -274,8 +264,9 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
 
 
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
-    """Learn each model (at most once) from every row of its table, bit for
-    bit as ``_pass`` would, in one stacked pass; a refused pass moves nothing."""
+    """Learn each model (at most once) from every row of its ``build_features``
+    table, bit for bit as ``_pass`` would, in one stacked pass; a refused pass
+    moves nothing."""
     _stacked(models, tables, [None] * len(models), False)[1]()
 
 
@@ -283,7 +274,8 @@ def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
                 spans: Sequence[range]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per model, the forecasts that ``run_online(records, indices=span)`` makes over its
     own span, bit for bit, as record order columns: records ``(n,)``, means and variances
-    ``(n, m)``; one stacked pass that moves nothing, and row ``i`` of a table is record ``i``."""
+    ``(n, m)``; one stacked pass that moves nothing over ``build_features`` tables, whose
+    row ``i`` is record ``i``."""
     return _stacked(models, tables, spans, True)[0]
 
 
@@ -291,63 +283,49 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     """The pass behind ``learn_tables`` (``spans`` all None) and ``walk_tables``
     (``walking``): per model its forecast columns, and a commit of what it learned.
 
-    Once per pass, each table's row masks are checked, sliced per model; its
-    rows labelled per cluster model, the runs that ``_pass`` labels by moving
-    centroids walked in lockstep (``walk_labels``); each labelling split into
-    pattern chains, of which each model learns its rows with its own predictors.
-    All chains advance together (``_advance``); a model's forecasts, of its rows
-    ``first..stop-1`` in record order, take one ``_blend``. It raises exactly where
-    ``_pass`` does: at a bad cell of its model's columns (``_reads_before`` for the
-    row before), a refused cold start or update.
+    The tables come from ``build_features``, so their cells are already checked.
+    Once per pass, each table's rows are labelled per cluster model, the runs
+    that ``_pass`` labels by moving centroids walked in lockstep
+    (``walk_labels``); the learned rows ``start..stop-1`` of each labelling split
+    into pattern chains, of which each model learns its rows with its own
+    predictors. All chains advance together (``_advance``); a model's forecasts,
+    of its rows ``first..stop-1`` in record order, take one ``_blend``. It raises
+    exactly where ``_pass`` does: at a refused cold start or update.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
     if not walking and len({id(model) for model in models}) < len(models):
         raise ConfigurationError("a model appears twice in one learning pass")
-    bad, fixed, walked, reach = {}, {}, {}, []
+    fixed, walked, reach = {}, {}, []
     for model, table, span in zip(models, tables, spans):
         q, columns, records, first = model._reach(table, span)
-        lo = records.start - _reads_before(records, q, first, table.begins_shift[records.start:])
         start, stop = max(records.start, q), records.stop
-        if id(table) not in bad:  # the rows holding a cell a pass refuses, once per table
-            bad[id(table)] = (~np.isin(table.z, (0, 1)).all(axis=1) | ~np.isfinite(table.w).all(
-                axis=1), ~np.isfinite(table.t).all(axis=1), ~np.isfinite(table.y))
-        zw, t, y = bad[id(table)]
-        if t[lo:stop].any() or start < stop and (
-                zw[start:stop].any() or y[start - q:stop].take(columns, axis=1).any()):
-            return _one_by_one(models, tables, spans)
         key = id(model.clusters), id(table.t)
         if key not in fixed:  # each row's state by the fitted centroids
             X = model.clusters.standardizer.transform(table.t)
             fixed[key] = X, model.clusters.nearest(X)
         X, labels = fixed[key]
-        run = key + (lo, first, stop)  # from first on, by centroids that move
+        run = key + (first, stop)  # from first on, by centroids that move
         if first < stop:
             labels = walked.setdefault(run, (model.clusters, X, labels.copy(), first, stop))[2]
-        reach.append((run, labels, lo, stop, columns, start, first))
+        reach.append((run, labels, stop, columns, start, first))
     walk_labels(walked.values())
     splits, chains = {}, []
-    for order, (model, table, (run, labels, lo, stop, columns, start, first)) in enumerate(
+    for order, (model, table, (run, labels, stop, columns, start, first)) in enumerate(
             zip(models, tables, reach)):
         if id(table.z) not in splits:  # each row's pattern id, once per table
             distinct, ids = np.unique(table.z, axis=0, return_inverse=True)
             splits[id(table.z)] = distinct, ids.reshape(-1)
         distinct, ids = splits[id(table.z)]
-        split = run + (id(table.z), id(table.begins_shift))
-        if split not in splits:  # the labelling's rows, one (id, rows, prev, cur) per pattern
-            at = np.argsort(ids[lo:stop], kind="stable") + lo
+        split = run + (start, id(table.z), id(table.begins_shift))
+        if split not in splits:  # learned rows: (row, key, rows, prev, cur) per pattern, by row
+            at = np.argsort(ids[start:stop], kind="stable") + start
             edges = [*np.flatnonzero(np.diff(ids[at], prepend=-1)).tolist(), len(at)]
             prev = np.where(table.begins_shift[at], 0, labels[at - 1])  # the count row read
-            splits[split] = [(ids[at[a]], at[a:b], prev[a:b], labels[at[a:b]])
-                             for a, b in zip(edges, edges[1:])]
-        pieces = []
-        for pattern, at, prev, cur in splits[split]:
-            cut = int(np.searchsorted(at, start))
-            if cut < len(at):  # a key only for a pattern learned: other rows go unread
-                pieces.append((int(at[cut]), pattern_key(distinct[pattern]), at[cut:],
-                               prev[cut:], cur[cut:]))
+            splits[split] = sorted((int(at[a]), pattern_key(distinct[ids[at[a]]]), at[a:b],
+                                    prev[a:b], labels[at[a:b]]) for a, b in zip(edges, edges[1:]))
         mine = [_Chain(order, model, key, model.params.get(key) or model._prior(), table,
-                       columns, *piece) for _, key, *piece in sorted(pieces, key=lambda p: p[0])]
+                       columns, *piece) for _, key, *piece in splits[split]]
         if not model.config.allow_cold_start and any(
                 ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
             return _one_by_one(models, tables, spans)
@@ -381,8 +359,8 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
 
 
 def _one_by_one(models, tables, spans) -> NoReturn:
-    """Raise what ``_pass`` raises over the records of a pass that ``_stacked``
-    refused, each model on a copy of itself, in model order."""
+    """Raise what ``_pass`` raises (a cold start or update) over the records of a
+    pass that ``_stacked`` refused, each model on a copy of itself, in model order."""
     for model, table, span in zip(models, tables, spans):
         *_, records, first = model._reach(table, span)
         copy.deepcopy(model)._pass(table, 0, records, first)
@@ -583,8 +561,9 @@ class IoHmmModel:
         records still provide lags and the previous state. Only the processed
         records and the ``max(q, 1)`` before them are featurized. Returns one
         entry per processed record; ``forecast`` is None for warm-up records.
-        The first read that the checked steps refuse decides the error; a
-        refused pass moves nothing.
+        ``build_features`` refuses a non-finite cell of those records before
+        anything moves; then the first refused cold start or update decides
+        the error, and a refused pass moves nothing.
         """
         self._require_fitted()
         fc = self.config.features
@@ -607,42 +586,35 @@ class IoHmmModel:
         Per record: from ``first`` (after ``q``) on, absorb the row before
         into the state it was classified in and check that the record can be
         forecast (a cold start); then classify the record and learn from it
-        (from ``q`` on). Each row is classified once, the row before the span
-        only where it is read (``_reads_before``). The forecast is the blend of
-        what that learning step predicted before it learned. Each read of the
-        model's cells is checked where it happens; a refused pass puts back what moved.
+        (from ``q`` on). Each row is classified once, and so is the row before
+        the span when the table holds one. The forecast is the blend of what
+        that learning step predicted before it learned. ``table`` comes from
+        ``build_features``, so its cells are already checked; a refused pass puts
+        back what moved.
         """
         q, clusters, columns = self.config.features.q, self.clusters, self._columns(table)
         keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
         w = table.regressors(np.arange(q, len(table.y)), q, columns)  # row r's at r - q
         U, Y = np.concatenate((np.ones((len(w), 1)), w), axis=1), table.y.take(columns, axis=1)
-        ok_t, ok_w, ok_y = (np.isfinite(a).all(axis=1).tolist() for a in (table.t, U, Y))
         X = clusters.standardizer.transform(table.t)  # one standardization per row
 
-        def label(r: int, i: int) -> int:  # the state of row r, read for record i
-            if not ok_t[r]:
-                raise InputError(_BAD_T.format(i))
+        def label(r: int) -> int:  # the state of row r
             return int(clusters.nearest(X[r:r + 1])[0])
 
         results: list[StepResult] = []
         with _AllOrNothing(self, set(keys) - {None}):
             r = span.start - offset
-            prev = label(r - 1, span.start) if _reads_before(
-                span, q, first, table.begins_shift[r:]) else None
+            prev = label(r - 1) if r > 0 else None
             for i, key in zip(span, keys):
                 r = i - offset
                 begins = bool(table.begins_shift[r])
                 forecast = None
                 if i >= first:
-                    if not ok_w[r - q]:
-                        raise NumericError(_BAD_WY.format(i))
                     clusters.absorb(prev, X[r - 1])
                     cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
                                        f"record {i}: ")
-                cur = label(r, i)
+                cur = label(r)
                 if i >= q:
-                    if not (ok_w[r - q] and ok_y[r]):
-                        raise NumericError(_BAD_WY.format(i))
                     learned = self._learn(key, U[r - q], Y[r], None if begins else prev, cur)
                     if i >= first:
                         forecast = _result(cold, *learned, state=prev, pattern=key,

@@ -294,7 +294,7 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
     lag_free = base.features.with_lags(0)
     use_varx = "varx" in kinds
     use_iohmm = not kinds.isdisjoint({"iohmm", "iohmm-uni"})
-    full = build_features(records, lag_free) if use_varx or use_iohmm else None
+    full = build_features(records, lag_free) if model_names else None  # refuses a bad cell
 
     predictions, fitted = [], {}
     for fold in weeks:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opcast import (ConfigurationError, CovariateSpec, FeatureConfig,
+from opcast import (ConfigurationError, CovariateSpec, FeatureConfig, InputError,
                     InsufficientHistoryError, SyntheticSpec,
                     assemble_next_features, boundary_flags, build_features,
                     classification_vector, default_feature_config,
@@ -217,6 +217,21 @@ class TestBuildFeatures:
         # w[2] is @begins_order
         assert table.w[1, 2] == 1.0 and table.w[1, 1] == 0.0
         assert table.w[2, 1] == 1.0 and table.w[2, 2] == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("spec", ["ics", "av", "NOpT"])  # a w, a t and a y spec
+    def test_a_non_finite_cell_is_refused_naming_the_lower_record(self, spec, value):
+        # two faulty records, the higher with every spec bad: the lower is
+        # named by its own n and the spec, at any lag order, read or not;
+        # a slice without it names the higher record's first spec, w first
+        records = build_stream([{"OpT": 6.0 + i % 3} for i in range(12)])
+        records[4] = replace(records[4], **{spec: value})
+        records[8] = replace(records[8], ics=value, av=value, NOpT=value)
+        for q in (0, 2):
+            with pytest.raises(InputError, match=f"^record n=5 has a non-finite {spec!r}$"):
+                build_features(records, _config(q=q))
+        with pytest.raises(InputError, match="^record n=9 has a non-finite 'ics'$"):
+            build_features(records[5:], _config())
 
     def test_too_short_history_raises(self):
         records = build_stream([{}, {}])

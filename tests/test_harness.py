@@ -13,7 +13,7 @@ import opcast.harness
 import opcast.metrics
 import opcast.model
 from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, DegenerateDataError,
-                    ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
+                    FittingError, ForecastUnavailableError, InputError, IoHmmModel, ModelConfig,
                     NumericError, OpcastError, OrderingError, SyntheticSpec,
                     ThresholdWarning, build_features, default_feature_config, emit_report,
                     fit_states, generate_synthetic, leave_one_week_out,
@@ -195,12 +195,20 @@ class TestLeaveOneWeekOut:
         def forbidden(*args, **kwargs):
             raise AssertionError("called for a model kind nobody asked for")
 
+        def counted(records, config, build=build_features):
+            built.append(len(records))
+            return build(records, config)
+
         monkeypatch.setattr(opcast.model, "fit_auto_k", forbidden)
         report = leave_one_week_out(two_week_records,
                                     model_names=("persistence", "varx-q1"))
         assert report.models == ["persistence", "varx-q1"]
-        monkeypatch.setattr(opcast.harness, "build_features", forbidden)
+        # persistence reads the responses of the table of all records, and
+        # builds no fold table
+        built = []
+        monkeypatch.setattr(opcast.harness, "build_features", counted)
         leave_one_week_out(two_week_records, model_names=("persistence",))
+        assert built == [len(two_week_records)]
 
     IOHMM_NAMES = [name for name in DEFAULT_MODELS
                    if parse_model_name(name)[0] in ("iohmm", "iohmm-uni")]
@@ -253,46 +261,42 @@ class TestLeaveOneWeekOut:
                                                       b.mean.tolist(), b.sd.tolist())]
                 assert got and sorted(got) == sorted(expected[name, fold]), (name, fold)
 
-    @pytest.mark.parametrize("cells, error, message", [
-        # t: the second fold's state discovery reads week 1 before any walk
-        ({"av": float("nan")}, InputError,
-         "classification vector of record 20 is not finite"),
-        ({"ics": float("inf")}, NumericError, None),   # w: the first fold's walk
-        ({"OpT": float("nan")}, NumericError, None),   # y, and a lag of the next record
-        ({"NOpT": -float("inf")}, NumericError, None),
-    ])
+    @pytest.mark.parametrize("cells", [  # a t, a w and two y specs
+        {"av": float("nan")}, {"ics": float("inf")}, {"OpT": float("nan")},
+        {"NOpT": -float("inf")}])
     def test_a_bad_test_week_cell_is_refused_at_the_first_stage_it_meets(
-            self, two_week_records, cells, error, message):
-        # record 20 lies in the first week, the first fold's test week; the
-        # folds one by one refuse it in that walk, the evaluation in the first
-        # stage that reads it (a message of None: that walk's)
+            self, two_week_records, cells):
+        # record 20 (n = 21) lies in the first week, the first fold's test
+        # week; the folds one by one refuse it when that walk featurizes its
+        # records, the evaluation when it featurizes all records, first
         records = list(two_week_records)
         records[20] = replace(records[20], **cells)
         base = ModelConfig(features=default_feature_config(records), allow_cold_start=True)
-        expected = self._walks_one_by_one(records, self.IOHMM_NAMES, base)
-        assert expected[0] is error and "record 20 " in expected[1]
-        with pytest.raises(error) as refused:
+        message = f"record n=21 has a non-finite {[*cells][0]!r}"
+        assert self._walks_one_by_one(records, self.IOHMM_NAMES, base) == (InputError, message)
+        with pytest.raises(InputError) as refused:
             leave_one_week_out(records, model_names=self.IOHMM_NAMES, base=base,
                                seed=0, k_max=6)
-        assert str(refused.value) == (message or expected[1])
+        assert str(refused.value) == message
 
     def test_a_bad_classification_cell_is_named_by_its_record(self, two_week_records):
         # a record of the second week is row i - len(first week) of the first
-        # fold's training table, whose state discovery refuses it first
+        # fold's training table; that table names it by its n, as the
+        # evaluation does
         records = list(two_week_records)
         weeks = [week_key(rec.date) for rec in records]
         start = weeks.index(weeks[-1])
         records[start + 5] = replace(records[start + 5], av=float("nan"))
-        with pytest.raises(InputError, match=f"^classification vector of record {start + 5} "):
+        message = f"^record n={records[start + 5].n} has a non-finite 'av'$"
+        with pytest.raises(InputError, match=message):
             leave_one_week_out(records, model_names=self.IOHMM_NAMES, seed=0, k_max=6)
-        with pytest.raises(InputError, match="^classification point 5 contains non-finite"):
-            fit_states(build_features(records[start:],
-                                      default_feature_config(records).with_lags(0)))
+        with pytest.raises(InputError, match=message):
+            build_features(records[start:], default_feature_config(records).with_lags(0))
 
     def test_bad_classification_cells_in_two_weeks_name_the_lower_record(
             self, two_week_records):
-        # the first fold's state discovery (training on the second week) would
-        # meet the higher record first; the one check of all records names the
+        # the first fold's training table (the second week) holds only the
+        # higher record; the table of all records, built first, names the
         # lower, before any state discovery warns
         records = list(two_week_records)
         weeks = [week_key(rec.date) for rec in records]
@@ -301,9 +305,32 @@ class TestLeaveOneWeekOut:
             records[i] = replace(records[i], av=float("nan"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", ThresholdWarning)
-            with pytest.raises(InputError, match="^classification vector of record 7 is not "
-                                                 "finite$"):
+            with pytest.raises(InputError, match=f"^record n={records[7].n} has a non-finite "
+                                                 "'av'$"):
                 leave_one_week_out(records, model_names=self.IOHMM_NAMES, seed=0, k_max=6)
+
+    def test_a_learning_stage_fault_names_the_record_not_the_fold_row(self, monkeypatch):
+        # 21 days of three shifts of six periods (126 records a week), a NaN
+        # NOpT in record 257 (n = 258), of the third week: it is row 131 of the
+        # first fold's training table. The evaluation names the record, before
+        # any fold table is built or any state discovered
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done for records the featurizer refuses")
+
+        records = generate_synthetic(SyntheticSpec(
+            states=3, transition=((0.80, 0.15, 0.05), (0.10, 0.80, 0.10), (0.05, 0.15, 0.80)),
+            state_means=((3.2, 2.9), (2.4, 2.0), (1.5, 1.1)),
+            noise_cov=((0.04, 0.01), (0.01, 0.04)), ar=(((0.3, 0.0), (0.0, 0.3)),),
+            shift_effects={"N": (-0.2, -0.2)}, days=21, periods_per_shift=6,
+            shift_codes=("M", "A", "N"), dt_max=0.4, qu_frac_max=0.05, seed=1))
+        weeks = [week_key(rec.date) for rec in records]
+        assert weeks.count(weeks[0]) == 126 and weeks[257] == weeks[-1] != weeks[126]
+        records[257] = replace(records[257], NOpT=float("nan"))
+        assert records[257].n == 258
+        monkeypatch.setattr(opcast.harness, "fit_states", forbidden)
+        monkeypatch.setattr(opcast.harness, "learn_tables", forbidden)
+        with pytest.raises(InputError, match="^record n=258 has a non-finite 'NOpT'$"):
+            leave_one_week_out(records)
 
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, two_week_records):
         # a shift type that only the first week has meets no training data
@@ -403,7 +430,6 @@ class TestReportOracle:
         return {"14 days": two_week_records, "28 days": generate_synthetic(spec),
                 "one-record week": _first_week_of_one_record(),
                 "NaN in a test week": _with_nan_opt(two_week_records, 20),
-                "NaN after a one-record week": _with_nan_opt(_first_week_of_one_record(), 25),
                 "21 days, one speed": generate_synthetic(replace(  # ics repeats the intercept
                     two_week_spec(), days=21, ics_levels=(1.88,))),
                 "NaN in the last record": _with_nan_opt(two_week_records,
@@ -528,13 +554,13 @@ class TestReportOracle:
         assert set(kinds[passes[0]:]) == {ConditioningWarning}  # the one pass's only
 
     @pytest.mark.parametrize("data, models, error", [
-        # the first week's fold has no forecasts, and the last one forecasts
-        # from the NaN; the first fold's VARX learns it; no states to find
-        ("NaN after a one-record week", ("persistence",), NumericError),
-        ("NaN after a one-record week", ("persistence", "varx-q1"), NumericError),
-        ("NaN after a one-record week", ("persistence", "iohmm-q1", "varx-q2"),
-         DegenerateDataError),
-        ("NaN in a test week", ("persistence", "iohmm-q1"), NumericError),  # after the fits
+        # the first week's fold has no forecasts, then its VARX on one speed
+        # is rank deficient; no states to find; a VARX refused after every
+        # fold's states are fitted; a NaN, refused before any stage runs
+        ("one-record week", ("persistence", "varx-q1"), FittingError),
+        ("one-record week", ("persistence", "iohmm-q1", "varx-q2"), DegenerateDataError),
+        ("21 days, one speed", ("persistence", "no-lags", "varx-q1"), FittingError),
+        ("NaN in a test week", ("persistence", "iohmm-q1"), InputError),
     ])
     def test_a_refused_evaluation_warns_no_warning_twice(self, datasets, data, models, error):
         # a refusal of the IO-HMM passes comes before any UserWarning, a later
