@@ -96,7 +96,7 @@ def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def walk_labels(walks) -> None:
     """Label rows ``first..stop-1`` of each walk ``(clusters, X, labels, first, stop)``
-    as ``_pass`` does, all walks in lockstep: per row, absorb the row before into a
+    as ``run_online`` does, all walks in lockstep: per row, absorb the row before into a
     copy of the centroids at its label, then label the row by ``nearest``'s distances.
     ``X`` is standardized and finite from ``first - 1`` on. Fewer states pad with
     inf centroids, nearer to no point than a real one."""

@@ -18,15 +18,17 @@ states enter from outside: ``restore_states``, over whole stacks.
 
 ``stacked_pass`` folds many states through their own input sequences at
 once, computing bit for bit what ``AdaptiveState._update`` computes one
-state at a time, and refuses where and as ``_update`` would. Its layout is
-ragged: the states come in groups of one shape, each kind of array is one
-flat buffer of all states' blocks, and one step advances every group, the
-products per group and everything else once over the flat buffers;
-``stacked`` lays the sequences out for it.
+state at a time; it reports each state's refusal where and as ``_update``
+would raise it, and ends that state. Its layout is ragged: the states come
+in groups of one shape, each kind of array is one flat buffer of all
+states' blocks, and one step advances every group, the products per group
+and everything else once over the flat buffers; ``stacked`` lays the
+sequences out for it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import sys
@@ -259,13 +261,16 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
 
     Nothing is written to the states: returns ``commit``, which writes the
     results, the ``(group, state, step, message)`` of every
-    ConditioningWarning due and, with ``moments``, per group each step's
-    pre-update ``u'H`` laid out like its ``Y`` and ``Sigma`` (an ``(m, m)``
-    matrix per entry of ``Y``): what ``_update`` returns, the moments that
-    ``run_online`` and ``walk_tables`` blend into the forecast of the step's
-    row. At the first step with a gain denominator that is not positive it
-    raises ``_update``'s ``NumericError``, naming the first refused state's
-    denominator, and writes nothing.
+    ConditioningWarning due and of every refusal and, with ``moments``, per
+    group each step's pre-update ``u'H`` laid out like its ``Y`` and
+    ``Sigma`` (an ``(m, m)`` matrix per entry of ``Y``): what ``_update``
+    returns, the moments that ``run_online`` and ``walk_tables`` blend into
+    the forecast of the step's row. A state whose gain denominator is not
+    positive at a step is reported there with the ``NumericError`` that
+    ``_update`` raises, naming its denominator, and ended: its ``P`` and ``Pu``
+    blocks are zeroed and its denominator set to ``lam``, so it refuses and
+    warns no more and its neighbours' blocks run on as alone. A pass that
+    reports a refusal is not to be committed.
     """
     if not groups:
         return (lambda: None), [], []
@@ -307,7 +312,7 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
     for buf, _, name in blocks:
         np.concatenate([getattr(st, name).ravel() for st in states], out=buf)
     gamma, lam = (np.array([getattr(st, key) for st in states]) for key in ("gamma", "forgetting"))
-    lam_P = lam.repeat(size_P)
+    lam_P, refused = lam.repeat(size_P), np.zeros(len(states), bool)
     kept = H.copy(), S.copy(), P.copy(), gamma.copy(), np.zeros(len(states), int)
     Y = np.zeros((steps, len(pred)))
     mean, cov = (np.empty((steps, len(buf))) for buf in (pred, S)) if moments else (None, None)
@@ -323,15 +328,19 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
         for k in np.flatnonzero(np.diff(active)).tolist():  # states active[k + 1].. end at k
             ends.setdefault(k, []).append((first[g] + active[k + 1], first[g] + active[k]))
         stacks.append((X[..., None], X[:, :, None], Ps[g], Pus[g], dens[g], Hs[g], preds[g]))
-    caught: list[tuple[int, int, int, str]] = []
+    caught: list[tuple[int, int, int, str | NumericError]] = []
     for k in range(steps):
         for Xc, Xr, Pk, Puk, dk, Hk, yk in [s for s in stacks if k < len(s[0])]:  # live groups
             np.matmul(Pk, Xc[k], out=Puk)
             np.matmul(Xr[k], Puk, out=dk)
             np.matmul(Xr[k], Hk, out=yk)
         den += lam
-        if not den.min() > 0.0:  # NaN too; the first refused state's denominator
-            raise NumericError(_REFUSED_GAIN.format(den[np.argmin(den > 0.0)]))
+        if not den.min() > 0.0:  # NaN too: each refused state is reported, then ended
+            for j in np.flatnonzero(~(den > 0.0)).tolist():
+                g = bisect.bisect(first, j) - 1
+                caught.append((g, j - first[g], k, NumericError(_REFUSED_GAIN.format(den[j]))))
+                P[at_P[j]:at_P[j + 1]] = Pu[at_u[j]:at_u[j + 1]] = 0.0
+                den[j], refused[j] = lam[j], True
         if moments:
             mean[k], cov[k] = pred, S
         gamma *= lam
@@ -346,7 +355,7 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
         for g, due in checks.get(k, {}).items():  # one batched cond per group
             for i, cond in zip(due, np.linalg.cond(Ps[g][due]).tolist()):
                 message = _cond_message(cond, groups[g][0][i].n_updates + k + 1)
-                if message is not None:
+                if message is not None and not refused[first[g] + i]:
                     caught.append((g, i, k, message))
         for a, b in ends.get(k, ()):  # kept, then zeroed: with zero rows they stay zero
             for now, last, at in zip((H, S, P, gamma), kept, (at_H, at_S, at_P, at_1)):

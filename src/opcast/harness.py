@@ -32,7 +32,7 @@ import numpy as np
 from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
 from .errors import ConfigurationError, DegenerateDataError, warn
-from .features import MAX_LAGS, CovariateSpec, FeatureTable, build_features, default_feature_config
+from .features import MAX_LAGS, FeatureTable, build_features, default_feature_config
 from .metrics import cell_scores, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
@@ -96,12 +96,11 @@ class MetricsReport:
     states: dict[str, ClusterModel] = field(default_factory=dict)  # per fold, if fitted
 
 
-def response_summary(records: Sequence[ProductionRecord],
-                     responses: Sequence[str]) -> dict[str, dict[str, float]]:
-    """Location statistics of each response over the whole dataset."""
+def response_summary(y: np.ndarray, responses: Sequence[str]) -> dict[str, dict[str, float]]:
+    """Location statistics of each response over the whole dataset, from the
+    ``(n, m)`` responses ``y`` whose column ``j`` holds ``responses[j]``."""
     out: dict[str, dict[str, float]] = {}
-    for name in responses:  # a numeric covariate: an empty cell is refused
-        values = np.array(CovariateSpec(name).evaluate(records, ()))
+    for name, values in zip(responses, np.asarray(y, dtype=float).T):
         qs = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
         out[name] = {
             "min": float(qs[0]), "q1": float(qs[1]), "median": float(qs[2]),
@@ -160,8 +159,9 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
 
     A fresh model instance is fitted per model per fold; nothing carries
     over between folds. Each stage runs once, in one order: all records are
-    featurized (persistence reads their responses there), then every fold's
-    training weeks, then every fold's states are fitted,
+    featurized, even for no models (persistence and the response summary read
+    their responses there), then every fold's training weeks, then every
+    fold's states are fitted,
     then the IO-HMM variants of all folds learn and walk, then persistence
     and VARX forecast fold by fold. Per-fold cells without forecasts are
     omitted with a warning. The first refusal met is raised; an evaluation
@@ -192,7 +192,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
             variants += [(name, features, range(len(responses)))] if kind == "iohmm" else \
                 [(name, features.for_response(resp), [j]) for j, resp in enumerate(responses)]
     lag_free = base.features.with_lags(0)
-    full = build_features(records, lag_free) if model_names else None  # refuses a bad cell
+    full = build_features(records, lag_free)  # refuses a bad cell
 
     folds = [(week, range(keys.index(week), len(keys) - keys[::-1].index(week)))
              for week in weeks]  # chronological records: each week is one run of indices
@@ -217,7 +217,7 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
 
     shifts = np.array([rec.shift_code for rec in records])
     return MetricsReport(rows=_aggregate(blocks, shifts),
-                         response_summary=response_summary(records, responses),
+                         response_summary=response_summary(full.y, responses),
                          folds=weeks, models=list(model_names),
                          n_records=len(records), predictions=blocks, states=states)
 

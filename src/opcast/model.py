@@ -8,17 +8,18 @@ tables. Their forecasts are blended per response with inverse-variance
 weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
 Every pass reads ``build_features`` tables, whose cells are checked there.
-``run_online`` (``_pass``) is the interleaved loop over consecutive records:
-per record it absorbs the record before into its centroid, classifies the
-record once and learns its counts and predictors, putting back what moved when
-it refuses. ``learn_tables`` (behind ``fit`` and the LOWO folds) and
-``walk_tables`` are one stacked pass of that loop over several models' tables,
-bit for bit. Centroid moves never depend on the predictors, so what reads none
-runs once per pass (labels, chain splits, one count walk per v group), and each
+``run_online`` is the interleaved loop over consecutive records: per record it
+absorbs the record before into its centroid, classifies the record once and
+learns its counts and predictors, putting back what moved when it refuses.
+``learn_tables`` (behind ``fit`` and the LOWO folds) and ``walk_tables`` are
+one stacked pass of that loop over several models' tables, bit for bit.
+Centroid moves never depend on the predictors, so what reads none runs once
+per pass (labels, chain splits, one count walk per v group), and each
 pattern's rows form a chain; all chains advance together, one ragged update of
 each side per position (``stacked_pass``), both sides' inputs laid out by
-``stacked``. A cold start or update that ``_pass`` refuses a stacked pass
-replays through ``_pass`` on copies, in model order, only to raise. One blend,
+``stacked``. A stacked pass keys each warning, refused update and refused cold
+start by where the loop would meet it, model by model, and raises the first
+refusal after the warnings before it: what the loop raises. One blend,
 ``_blend``, makes every forecast, from the pre-update moments of the step that
 learns the record; ``forecast_step`` reads the same moments without learning.
 A forecast is a ``ForecastResult``; the full state snapshots to a JSON document.
@@ -27,10 +28,9 @@ A forecast is a ``ForecastResult``; the full state snapshots to a JSON document.
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,8 @@ _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
 SNAPSHOT_FORMAT = "opcast-model"
 SNAPSHOT_VERSION = 2
+_COLD = ("{}no observations for this pattern yet; enable cold starts to forecast "
+         "from the zero-knowledge prior")
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,7 @@ def _cold_start(states: PatternStates | None, allowed: bool, where: str = "") ->
     starts cold; raises, after ``where``, when that is not ``allowed``."""
     cold = states is None or states.u.gamma == 0.0 and states.v.gamma == 0.0
     if cold and not allowed:
-        raise ForecastUnavailableError(f"{where}no observations for this pattern yet; enable "
-                                       "cold starts to forecast from the zero-knowledge prior")
+        raise ForecastUnavailableError(_COLD.format(where))
     return cold
 
 
@@ -240,8 +241,9 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
     """Advance ``chains`` together: one ragged update of each side's groups
     (``stacked_pass``), the v side's inputs from one count walk per group;
     ``walking``, fill their ``moments`` (u mean and covariance, v mean and
-    covariance per step). Returns the commits and the warnings keyed by where
-    each falls in a record-by-record pass; raises ``stacked_pass``'s refusal."""
+    covariance per step). Returns the commits and the warnings and refused
+    updates, each keyed by where it falls in a record-by-record pass:
+    ``(model order, record, side)``."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
@@ -255,8 +257,8 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
             stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
                      for ch in group])[0]) for group in groups], walking)
         commits.append(commit)
-        events += [((groups[g][j].order, groups[g][j].rows[k], side), message)
-                   for g, j, k, message in caught]
+        events += [((groups[g][j].order, groups[g][j].rows[k], side), event)
+                   for g, j, k, event in caught]
         for group, (mean, cov) in zip(groups, moments if walking else ()):
             for j, ch in enumerate(group):
                 ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
@@ -265,8 +267,8 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
 
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
     """Learn each model (at most once) from every row of its ``build_features``
-    table, bit for bit as ``_pass`` would, in one stacked pass; a refused pass
-    moves nothing."""
+    table, bit for bit as ``run_online``'s loop would, in one stacked pass; a
+    refused pass moves nothing."""
     _stacked(models, tables, [None] * len(models), False)[1]()
 
 
@@ -285,12 +287,14 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
 
     The tables come from ``build_features``, so their cells are already checked.
     Once per pass, each table's rows are labelled per cluster model, the runs
-    that ``_pass`` labels by moving centroids walked in lockstep
+    that ``run_online`` labels by moving centroids walked in lockstep
     (``walk_labels``); the learned rows ``start..stop-1`` of each labelling split
     into pattern chains, of which each model learns its rows with its own
     predictors. All chains advance together (``_advance``); a model's forecasts,
-    of its rows ``first..stop-1`` in record order, take one ``_blend``. It raises
-    exactly where ``_pass`` does: at a refused cold start or update.
+    of its rows ``first..stop-1`` in record order, take one ``_blend``. A strict
+    model's chain that starts cold from ``first`` on is refused at its first row.
+    Chains never read each other's predictors, so the pass runs whole, then
+    warns in the loop's order until the first refusal, and raises that.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
@@ -310,7 +314,7 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
             labels = walked.setdefault(run, (model.clusters, X, labels.copy(), first, stop))[2]
         reach.append((run, labels, stop, columns, start, first))
     walk_labels(walked.values())
-    splits, chains = {}, []
+    splits, chains, events = {}, [], []
     for order, (model, table, (run, labels, stop, columns, start, first)) in enumerate(
             zip(models, tables, reach)):
         if id(table.z) not in splits:  # each row's pattern id, once per table
@@ -326,16 +330,16 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
                                     prev[a:b], labels[at[a:b]]) for a, b in zip(edges, edges[1:]))
         mine = [_Chain(order, model, key, model.params.get(key) or model._prior(), table,
                        columns, *piece) for _, key, *piece in splits[split]]
-        if not model.config.allow_cold_start and any(
-                ch.rows[0] >= first and _cold_start(ch.states, True) for ch in mine):
-            return _one_by_one(models, tables, spans)
+        if not model.config.allow_cold_start:  # a cold start falls before its record's updates
+            events += [((order, ch.rows[0], -1), ForecastUnavailableError(
+                _COLD.format(f"record {ch.rows[0]}: "))) for ch in mine
+                if ch.rows[0] >= first and _cold_start(ch.states, True)]
         chains += mine
-    try:
-        commits, events = _advance(chains, walking)
-    except NumericError:  # a refused update: which refusal a pass meets first is _pass's
-        return _one_by_one(models, tables, spans)
-    for _, message in sorted(events):
-        warn(message, ConditioningWarning)
+    commits, caught = _advance(chains, walking)
+    for _, event in sorted(events + caught, key=lambda event: event[0]):
+        if isinstance(event, OpcastError):  # the first refusal, after the warnings before it
+            raise event
+        warn(event, ConditioningWarning)
 
     def commit() -> None:
         for step in commits:
@@ -356,15 +360,6 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
     blends = [_blend(*mine) for mine in forecasts]  # one per model
     return [(np.arange(first, stop), mean, np.diagonal(cov, 0, 1, 2))
             for (*_, stop, _, _, first), (_, mean, cov) in zip(reach, blends)], commit
-
-
-def _one_by_one(models, tables, spans) -> NoReturn:
-    """Raise what ``_pass`` raises (a cold start or update) over the records of a
-    pass that ``_stacked`` refused, each model on a copy of itself, in model order."""
-    for model, table, span in zip(models, tables, spans):
-        *_, records, first = model._reach(table, span)
-        copy.deepcopy(model)._pass(table, 0, records, first)
-    raise AssertionError("the stacked pass refused records that the loop accepts")
 
 
 def fit_states(table: FeatureTable, seed: int = 0, threshold: float = 0.8,
@@ -551,48 +546,32 @@ class IoHmmModel:
                    indices: Sequence[int] | None = None) -> list[StepResult]:
         """Interleave forecasting and learning over the records.
 
-        Per processed record: forecast it from the previous record (when a
-        lag history exists), classify it, learn from it. The earliest
-        forecastable position is ``q + 1``: position ``q`` is the first
-        with features and it has no featurized predecessor.
+        Per processed record: from ``q + 1`` on (position ``q``, the first with
+        features, has no featurized predecessor), absorb the record before into
+        the state it was classified in and check for a cold start; then classify
+        the record and learn from it (from ``q`` on). The forecast is the blend
+        of what that learning step predicted before it learned.
 
         ``indices`` restricts processing to one run of consecutive positions,
         a list, a range or an integer array (else ``DimensionError``); earlier
         records still provide lags and the previous state. Only the processed
-        records and the ``max(q, 1)`` before them are featurized. Returns one
-        entry per processed record; ``forecast`` is None for warm-up records.
-        ``build_features`` refuses a non-finite cell of those records before
-        anything moves; then the first refused cold start or update decides
-        the error, and a refused pass moves nothing.
+        records and the ``max(q, 1)`` before them are featurized, and each row
+        is classified once. Returns one entry per processed record; ``forecast``
+        is None for warm-up records. ``build_features`` refuses a non-finite
+        cell before anything moves; then the first refused cold start or update
+        decides the error, and a refused pass puts back what moved.
         """
         self._require_fitted()
-        fc = self.config.features
-        if len(records) <= fc.q:
-            raise InsufficientHistoryError(
-                f"need more than q={fc.q} records, got {len(records)}")
+        q, clusters = self.config.features.q, self.clusters
+        if len(records) <= q:
+            raise InsufficientHistoryError(f"need more than q={q} records, got {len(records)}")
         span = _span(indices, len(records))
         if not span:
             return []
-        # rows from `start` on: the lags and boundary flag of every position
-        start = max(0, span.start - max(fc.q, 1))
-        table = build_features(records[start:max(span.stop, fc.q + 1)], fc)
-        return self._pass(table, start, span, fc.q + 1)
-
-    def _pass(self, table: FeatureTable, offset: int, span: range,
-              first: int) -> list[StepResult]:
-        """The interleaved loop over the consecutive records ``span``; row
-        ``r`` of ``table`` is record ``offset + r``.
-
-        Per record: from ``first`` (after ``q``) on, absorb the row before
-        into the state it was classified in and check that the record can be
-        forecast (a cold start); then classify the record and learn from it
-        (from ``q`` on). Each row is classified once, and so is the row before
-        the span when the table holds one. The forecast is the blend of what
-        that learning step predicted before it learned. ``table`` comes from
-        ``build_features``, so its cells are already checked; a refused pass puts
-        back what moved.
-        """
-        q, clusters, columns = self.config.features.q, self.clusters, self._columns(table)
+        # row r is record offset + r; from `offset` on, the lags and boundary flag of each
+        offset = max(0, span.start - max(q, 1))
+        table = build_features(records[offset:max(span.stop, q + 1)], self.config.features)
+        columns = self._columns(table)
         keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
         w = table.regressors(np.arange(q, len(table.y)), q, columns)  # row r's at r - q
         U, Y = np.concatenate((np.ones((len(w), 1)), w), axis=1), table.y.take(columns, axis=1)
@@ -609,14 +588,14 @@ class IoHmmModel:
                 r = i - offset
                 begins = bool(table.begins_shift[r])
                 forecast = None
-                if i >= first:
+                if i > q:
                     clusters.absorb(prev, X[r - 1])
                     cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
                                        f"record {i}: ")
                 cur = label(r)
                 if i >= q:
                     learned = self._learn(key, U[r - q], Y[r], None if begins else prev, cur)
-                    if i >= first:
+                    if i > q:
                         forecast = _result(cold, *learned, state=prev, pattern=key,
                                            begins=begins)
                 results.append(StepResult(index=i, state=cur, y=Y[r], forecast=forecast))

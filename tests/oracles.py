@@ -367,6 +367,7 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         pairs = metrics.checked(actual, predicted, sds)
         scores = metrics.cell_scores(metrics.columns(*pairs), slice(0, len(group)))
         out += [ReportRow(*key, metric, value, len(group)) for metric, value in scores.items()]
-    return MetricsReport(rows=out, response_summary=response_summary(records, responses),
+    actual = np.array([[float(getattr(rec, name)) for name in responses] for rec in records])
+    return MetricsReport(rows=out, response_summary=response_summary(actual, responses),
                          folds=weeks, models=list(model_names), n_records=len(records),
                          predictions=predictions, states=fitted)

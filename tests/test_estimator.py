@@ -528,25 +528,28 @@ class TestStackedPass:
         with pytest.raises(NumericError, match="gain denominator") as update:
             _run(copy.deepcopy(states[1]),
                  zip(inputs[1], responses[1]))
-        with pytest.raises(NumericError) as stacked_refusal:
-            _one_group(states, inputs, responses)
-        assert str(stacked_refusal.value) == str(update.value)
+        _, reported, _ = stacked_pass([(states, *_stack(inputs, responses))])
+        assert [(g, j, k, type(refusal), str(refusal)) for g, j, k, refusal in reported] \
+            == [(0, 1, 0, NumericError, str(update.value))]
         assert [_fields(st) for st in states] == before
 
-    def test_of_several_refused_states_the_first_is_named(self):
+    def test_each_refused_state_is_reported_with_its_own_denominator(self):
         # states 0 and 2 refuse at step 0 with denominators of their own;
-        # the pass names state 0's, not the lowest value (state 2's)
+        # the pass reports each with its own, as its update refuses it
         rng = np.random.default_rng(5)
         states, inputs, responses = self._case(rng, 2, 1, 0.95, [9, 8, 7])
         states[0].P, states[2].P = -np.eye(2), -3.0 * np.eye(2)
         denominators = [st.forgetting + u @ st.P @ u for st, u in zip(states, (
             inputs[0][0], inputs[1][0], inputs[2][0]))]
         assert denominators[2] < denominators[0] <= 0.0 < denominators[1]
-        with pytest.raises(NumericError) as update:
-            copy.deepcopy(states[0]).update(inputs[0][0], responses[0][0])
-        with pytest.raises(NumericError) as stacked_refusal:
-            _one_group(states, inputs, responses)
-        assert str(stacked_refusal.value) == str(update.value)
+        expected = []
+        for j in (0, 2):
+            with pytest.raises(NumericError) as update:
+                copy.deepcopy(states[j]).update(inputs[j][0], responses[j][0])
+            expected.append((j, 0, NumericError, str(update.value)))
+        _, reported, *_ = _one_group(states, inputs, responses)
+        assert [(j, k, type(refusal), str(refusal)) for j, k, refusal in reported] == expected
+        assert expected[0][3] != expected[1][3]
 
     def test_stacked_pads_and_counts_the_running_sequences(self):
         out, active = stacked([np.ones((3, 2)), 2 * np.ones((1, 2)), 3 * np.ones((1, 2))])
@@ -613,11 +616,13 @@ class TestRaggedPass:
 
     def test_a_refusal_in_the_second_group_at_its_step(self):
         # zero inputs leave P = -I untouched but for 1/lam, so the state
-        # refuses its first non-zero input, at step 6: the pass raises the
-        # update's refusal with all six steps before it, and runs when it
-        # ends before
+        # refuses its first non-zero input, at step 6: the pass reports the
+        # update's refusal there, after all six steps before it, every other
+        # state runs on bit for bit as alone in the shared buffers (its
+        # neighbours on both sides among them), and no state refuses when
+        # it ends before
         rng = np.random.default_rng(6)
-        first, second = self._group(rng, 2, 1, [40, 9]), self._group(rng, 3, 2, [30, 12, 5])
+        first, second = self._group(rng, 2, 1, [40, 9]), self._group(rng, 3, 2, [30, 12, 9])
         second[0][1].P = -np.eye(3)
         second[1][1][:6] = 0.0
         second[1][1][6:] = 1.0
@@ -626,12 +631,19 @@ class TestRaggedPass:
         with pytest.raises(NumericError, match="gain denominator") as update:
             state.update(second[1][1][6], second[2][1][6])
         before = [[_fields(st) for st in states] for states, _, _ in (first, second)]
-        with pytest.raises(NumericError) as refused:
-            self._pass([first, second])
-        assert str(refused.value) == str(update.value)
+        _, reported, moments = self._pass([first, second])
+        refused = [event for event in reported if not isinstance(event[3], str)]
+        assert [(g, j, k, type(refusal), str(refusal)) for g, j, k, refusal in refused] \
+            == [(1, 1, 6, NumericError, str(update.value))]
         assert [[_fields(st) for st in states] for states, _, _ in (first, second)] == before
         second[1][1], second[2][1] = second[1][1][:6], second[2][1][:6]
-        self._pass([first, second])
+        _, caught, forecasts = self._oracle([first, second])  # the refused state: its 6 steps
+        assert sorted(event for event in reported if isinstance(event[3], str)) == caught
+        for (mean, cov), per_state in zip(moments, forecasts):
+            for j, (means, covariances) in enumerate(per_state):
+                assert np.array_equal(mean[:len(means), j], means)
+                assert np.array_equal(cov[:len(means), j], covariances)
+        assert all(isinstance(event[3], str) for event in self._pass([first, second])[1])
 
     @pytest.mark.parametrize("together", [True, False])
     def test_finished_states_never_overflow(self, together):

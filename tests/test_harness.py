@@ -86,9 +86,7 @@ class TestWeekKey:
 
 class TestResponseSummary:
     def test_hand_computed_quantiles(self):
-        records = build_stream([{"OpT": v} for v in
-                                [1.0, 2.0, 3.0, 4.0, 100.0]])
-        out = response_summary(records, ("OpT",))
+        out = response_summary(np.array([[1.0, 2.0, 3.0, 4.0, 100.0]]).T, ("OpT",))
         stats = out["OpT"]
         assert stats["min"] == 1.0
         assert stats["median"] == 3.0
@@ -97,10 +95,17 @@ class TestResponseSummary:
         assert stats["q1"] == pytest.approx(2.0)
         assert stats["q3"] == pytest.approx(4.0)
 
-    def test_an_empty_response_cell_is_refused_naming_the_column(self):
-        records = build_stream([{"hum": 60.0}, {"hum": None}, {"hum": 61.0}])
+    def test_with_no_models_an_empty_response_cell_is_refused_naming_the_column(
+            self, two_week_records):
+        # the summary reads the responses of the table of all records, which
+        # an evaluation builds for no models too
+        records = [replace(rec, hum=60.0 + i % 5) for i, rec in enumerate(two_week_records)]
+        base = ModelConfig(features=default_feature_config(records, responses=("OpT", "hum")))
+        report = leave_one_week_out(records, model_names=(), base=base)
+        assert report.rows == [] and report.response_summary["hum"]["max"] == 64.0
+        records[3] = replace(records[3], hum=None)
         with pytest.raises(ConfigurationError, match="'hum'"):
-            response_summary(records, ("OpT", "hum"))
+            leave_one_week_out(records, model_names=(), base=base)
 
 
 class TestLeaveOneWeekOut:

@@ -1385,6 +1385,37 @@ class TestWalkTables:
             walk_tables(models, tables, [range(50, 60)] * (len(models) - 1))
 
 
+@pytest.mark.parametrize("kind", ["learn", "walk"])
+def test_a_refused_pass_copies_no_model(setting, monkeypatch, kind):
+    # a stacked pass names its own refusals: with every deep copy of a model
+    # failing, a refused learning pass (a negative-definite P, in the last
+    # model) and a refused strict walk (an unseen pattern) raise what the
+    # models one by one raise, after the same warnings
+    records = setting[0]
+    if kind == "learn":
+        models, tables = TestLearnTables()._models(setting)
+        models[-1] = _negative_definite(models[-1], "010")
+        expected = TestLearnTables._one_by_one(models, tables)
+        assert len(expected[1]) > 10  # the earlier models warn before the refusal
+
+        def run():
+            learn_tables(models, tables)
+    else:
+        models, tables = TestWalkTables()._models(
+            setting, [rec for rec in records[:100] if rec.shift_code != "N"], cold=False)
+        span = range(100, len(records))
+        expected = _outcome(lambda: _walks_one_by_one(models, records, span))
+
+        def run():
+            walk_tables(models, tables, [span] * len(models))
+    assert expected[0][0] is (NumericError if kind == "learn" else ForecastUnavailableError)
+
+    def copied(model, memo):
+        raise AssertionError("a refused pass copied a model")
+    monkeypatch.setattr(IoHmmModel, "__deepcopy__", copied, raising=False)
+    assert _outcome(run) == expected
+
+
 class TestCountsThatAreNotHalfIntegers:
     """A restored snapshot may hold any finite count >= 1/2. The stacked passes
     still equal the loop bit for bit: counts grow one observation at a time,
