@@ -21,10 +21,10 @@ from .harness import (DEFAULT_MODELS, ForecastBlock, MetricsReport, ReportRow,
                       response_summary, week_key)
 from .model import (ForecastResult, IoHmmModel, ModelConfig, StepResult, combine,
                     fit_states)
-from .records import (BoundaryFlags, DerivedTimes, EffectivenessIndices,
-                      ParseResult, ProductionRecord, RowError, boundary_flags,
-                      check_chronological, compute_indices, derive_time_variables,
-                      parse_dataset, write_dataset)
+from .records import (DerivedTimes, EffectivenessIndices, ParseResult,
+                      ProductionRecord, RowError, check_chronological,
+                      compute_indices, derive_time_variables, parse_dataset,
+                      write_dataset)
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"

@@ -8,28 +8,31 @@ responses ``y`` for a whole record list into one lag-free ``FeatureTable``
 of arrays indexed by record position; a model reads its responses' lags
 from ``y`` (``FeatureTable.regressors``). The announced period is featurized
 the same way, as a pseudo-record appended to the tail of the history. Specs
-are parsed and checked against the record columns once, in ``FeatureConfig``;
-each record's cells are checked once, in ``build_features``, the one place
+are parsed and checked against the record columns once, in ``FeatureConfig``,
+and compiled on its first featurization into one plan, so ``build_features``
+reads each record once; it checks each record's cells once, as the one place
 records become tables, so the passes that read its tables check none.
 
 Covariates are declared as small spec strings:
 
 * ``"col"``            numeric column taken as-is (``ics``, ``rcs``, ``hum`` ...)
 * ``"col==value"``     indicator that a column equals a value (``shift_code==M``)
-* ``"@begins_shift"``  boundary flag: first record of a shift
-* ``"@begins_order"``  boundary flag: first record of a production order
+* ``"@begins_shift"``  boundary flag: the shift label differs from the record before
+* ``"@begins_order"``  boundary flag: ``pr_ord`` does; the first record begins both
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, InsufficientHistoryError
 from .estimator import json_number, serialized
-from .records import BoundaryFlags, ProductionRecord, boundary_flags
+from .records import ProductionRecord
 
 _FLAGS = ("@begins_shift", "@begins_order")
 
@@ -39,6 +42,7 @@ _COLUMNS = frozenset(f.name for f in fields(ProductionRecord)) | _TEXT_COLUMNS
 _NUMERIC_COLUMNS = _COLUMNS - _TEXT_COLUMNS
 
 MAX_LAGS = 5  # the largest lag order q: bounds the width of a model's regressors
+_SPECS = ("response_names", "z_spec", "w_spec", "t_spec")  # a config's fields besides q
 
 
 @dataclass(frozen=True)
@@ -76,18 +80,37 @@ class CovariateSpec:
     def is_binary(self) -> bool:
         return self.kind in ("flag", "indicator")
 
-    def evaluate(self, records: Sequence[ProductionRecord],
-                 flags: Sequence[BoundaryFlags]) -> list[float]:
-        """The covariate of each record, given the records' boundary flags."""
-        if self.kind == "flag":
-            return [1.0 if getattr(fl, self.column) else 0.0 for fl in flags]
-        raw = [getattr(rec, self.column) for rec in records]
-        if self.kind == "indicator":
-            return [1.0 if str(v) == self.value else 0.0 for v in raw]
-        if None in raw:  # the optional environment columns
-            raise ConfigurationError(
-                f"covariate {self.expr!r} does not evaluate to a number")
-        return list(map(float, raw))
+
+_parsed = lru_cache(maxsize=1024)(CovariateSpec)  # specs are immutable: configs share them
+_BEFORE = (object(), object())  # the shift and order before row 0: unequal to any record's
+
+
+class _Plan:
+    """A config's specs compiled once: ``read`` gets a record's numeric
+    columns that the specs read, its indicator columns, ``shift`` and
+    ``pr_ord``, and ``z`` to ``y`` place each spec group in its ``cells``."""
+
+    def __init__(self, config: "FeatureConfig"):
+        groups = (config.parsed_z, config.parsed_w, config.parsed_t, config.parsed_y)
+        specs = [spec for group in groups for spec in group]
+        numeric = list(dict.fromkeys(s.column for s in specs if s.kind == "numeric"))
+        indicators = list(dict.fromkeys((s.column, s.value) for s in specs if s.kind == "indicator"))
+        read = [*numeric, *dict.fromkeys(column for column, _ in indicators)]
+        self.read, self.numeric = attrgetter(*read, "shift", "pr_ord"), len(numeric)
+        self.indicators = tuple((read.index(column), value) for column, value in indicators)
+        held = [*numeric, *indicators, "begins_shift", "begins_order"]  # by each cell
+        self.z, self.w, self.t, self.y = (np.array(
+            [held.index((s.column, s.value) if s.kind == "indicator" else s.column) for s in group],
+            dtype=np.intp) for group in groups)
+
+    def cells(self, records: Sequence[ProductionRecord]) -> np.ndarray:
+        """One row per record: its numbers, each indicator's cell and its
+        begins-shift and begins-order flags; an absent (``None``) number reads NaN."""
+        k, indicators = self.numeric, self.indicators
+        rows = list(map(self.read, records))
+        return np.array([(*v[:k], *[str(v[i]) == value for i, value in indicators],
+                          v[-2] != u[-2], v[-1] != u[-1])
+                         for u, v in zip([_BEFORE, *rows], rows)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -113,14 +136,13 @@ class FeatureConfig:
         for name in ("z", "w", "t"):
             exprs = tuple(s.strip() for s in getattr(self, f"{name}_spec"))
             object.__setattr__(self, f"{name}_spec", exprs)
-            object.__setattr__(self, f"parsed_{name}",
-                               tuple(CovariateSpec(s) for s in exprs))
+            object.__setattr__(self, f"parsed_{name}", tuple(map(_parsed, exprs)))
         if not self.response_names:
             raise ConfigurationError("at least one response is required")
         for name in self.response_names:
             if name not in _NUMERIC_COLUMNS:
                 raise ConfigurationError(f"unknown response column {name!r}")
-        object.__setattr__(self, "parsed_y", tuple(map(CovariateSpec, self.response_names)))
+        object.__setattr__(self, "parsed_y", tuple(map(_parsed, self.response_names)))
         if isinstance(self.q, bool) or not isinstance(self.q, int) or not 0 <= self.q <= MAX_LAGS:
             raise ConfigurationError(f"q must be an integer in 0..{MAX_LAGS}, got {self.q!r}")
         if not self.z_spec:
@@ -144,6 +166,10 @@ class FeatureConfig:
                 raise ConfigurationError(
                     f"classification entries must be numeric columns, got {spec.expr!r}")
 
+    @cached_property  # compiled on the first featurization, not by every restore
+    def _plan(self) -> _Plan:
+        return _Plan(self)
+
     @property
     def n_responses(self) -> int:
         return len(self.response_names)
@@ -165,22 +191,12 @@ class FeatureConfig:
         return replace(self, response_names=(name,))
 
     def to_dict(self) -> dict:
-        return {
-            "response_names": list(self.response_names),
-            "z_spec": list(self.z_spec),
-            "w_spec": list(self.w_spec),
-            "t_spec": list(self.t_spec),
-            "q": self.q,
-        }
+        return {**{name: list(getattr(self, name)) for name in _SPECS}, "q": self.q}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureConfig":
         """The config of a ``to_dict`` document; an older one's ``max_lags`` is ignored."""
-        return cls(response_names=tuple(doc["response_names"]),
-                   z_spec=tuple(doc["z_spec"]),
-                   w_spec=tuple(doc["w_spec"]),
-                   t_spec=tuple(doc["t_spec"]),
-                   q=serialized(doc, "q", int))
+        return cls(**{name: tuple(doc[name]) for name in _SPECS}, q=serialized(doc, "q", int))
 
 
 @dataclass(frozen=True)
@@ -239,7 +255,10 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
 
 def classification_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
     """The record's classification vector, the row ``build_features`` gives it in ``t``."""
-    return _evaluate(config.parsed_t, [record], ())[0]  # numeric specs read no flags
+    t = config._plan.cells([record])[0].take(config._plan.t)
+    if not np.isfinite(t).all():
+        _refuse_missing(config.parsed_t, [record])
+    return t
 
 
 def assemble_next_features(records: Sequence[ProductionRecord],
@@ -284,12 +303,10 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     return table.z[-1], w[0], bool(table.begins_shift[-1])
 
 
-def _evaluate(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord],
-              flags: Sequence[BoundaryFlags]) -> np.ndarray:
-    out = np.empty((len(records), len(specs)))
-    for j, spec in enumerate(specs):
-        out[:, j] = spec.evaluate(records, flags)
-    return out
+def _refuse_missing(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord]) -> None:
+    for spec in specs:  # the first numeric spec that reads an absent cell of any record
+        if spec.kind == "numeric" and any(getattr(rec, spec.column) is None for rec in records):
+            raise ConfigurationError(f"covariate {spec.expr!r} does not evaluate to a number")
 
 
 def build_features(records: Sequence[ProductionRecord],
@@ -298,20 +315,20 @@ def build_features(records: Sequence[ProductionRecord],
 
     At lag order ``q`` the first ``q`` records only supply lags. Lags run
     across sequence boundaries: the previous ``q`` records are used
-    regardless of shift or order changes. The first record with a non-finite
+    regardless of shift or order changes. A numeric spec reading an absent
+    cell is a ``ConfigurationError``; then the first record with a non-finite
     ``w``, ``t`` or ``y`` cell, read or not, is refused by its ``n`` and spec.
     """
     if len(records) <= config.q:
         raise InsufficientHistoryError(
             f"need more than q={config.q} records, got {len(records)}")
-    flags = boundary_flags(records)
-    z, w, t, y = (_evaluate(specs, records, flags) for specs in (
-        config.parsed_z, config.parsed_w, config.parsed_t, config.parsed_y))
-    bad = np.argwhere(~np.isfinite(np.hstack((w, t, y))))  # z is binary by construction
-    if len(bad):  # row-major: the lowest record, at its first bad spec
-        row, column = bad[0]
-        spec = (config.parsed_w + config.parsed_t + config.parsed_y)[column]
-        raise InputError(f"record n={records[row].n} has a non-finite {spec.expr!r}")
-    return FeatureTable(z=z, w=w, t=t, y=y,
-                        begins_shift=np.array([fl.begins_shift for fl in flags]),
+    plan = config._plan
+    cells = plan.cells(records)
+    z, w, t, y = (cells.take(columns, axis=1) for columns in (plan.z, plan.w, plan.t, plan.y))
+    if not np.isfinite(cells).all():  # z and the flags are binary by construction
+        specs = config.parsed_w + config.parsed_t + config.parsed_y
+        _refuse_missing(specs, records)
+        row, column = np.argwhere(~np.isfinite(np.hstack((w, t, y))))[0]  # the lowest record
+        raise InputError(f"record n={records[row].n} has a non-finite {specs[column].expr!r}")
+    return FeatureTable(z=z, w=w, t=t, y=y, begins_shift=cells[:, -2] != 0,
                         responses=config.response_names)

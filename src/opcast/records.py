@@ -1,4 +1,4 @@
-"""Production records: parsing, time-loss accounting and shift boundary flags.
+"""Production records: parsing, time-loss accounting and the chronological-order check.
 
 A record describes one observation period of a production process. Base
 durations (operating time, scheduled breaks, downtime, performance and
@@ -114,12 +114,6 @@ class RowError:
 class ParseResult:
     records: list[ProductionRecord]
     errors: list[RowError]
-
-
-@dataclass(frozen=True)
-class BoundaryFlags:
-    begins_shift: bool
-    begins_order: bool
 
 
 def derive_time_variables(OT: float, SBT: float, DT: float, PLT: float,
@@ -356,15 +350,3 @@ def check_chronological(records: Sequence[ProductionRecord]) -> None:
             raise OrderingError(
                 f"records out of order at position {i}: {cur} before {prev}")
 
-
-def boundary_flags(records: Sequence[ProductionRecord]) -> list[BoundaryFlags]:
-    """Begins-shift / begins-order flag for every record.
-
-    The first record carries both flags. A shift begins whenever the shift
-    label changes from the previous record, an order begins whenever the
-    production-order number changes.
-    """
-    return [BoundaryFlags(True, True) if i == 0 else
-            BoundaryFlags(rec.shift != records[i - 1].shift,
-                          rec.pr_ord != records[i - 1].pr_ord)
-            for i, rec in enumerate(records)]

@@ -57,15 +57,16 @@ def build_stream(steps, start=dt.datetime(2022, 10, 3, 6, 0),
     return records
 
 
-def evaluated_specs(monkeypatch) -> list[tuple[str, ...]]:
-    """The spec strings of every ``opcast.features._evaluate`` call from now
-    on, one tuple per call: a spy that lets each call through."""
+def featurizing_reads(monkeypatch) -> list[int]:
+    """The record count of every read of records into cells (behind
+    ``build_features`` and ``classification_vector``) from now on: a spy
+    that lets each read through."""
     calls = []
-    evaluate = opcast.features._evaluate
+    cells = opcast.features._Plan.cells
 
-    def spy(specs, records, flags):
-        calls.append(tuple(spec.expr for spec in specs))
-        return evaluate(specs, records, flags)
+    def spy(plan, records):
+        calls.append(len(records))
+        return cells(plan, records)
 
-    monkeypatch.setattr(opcast.features, "_evaluate", spy)
+    monkeypatch.setattr(opcast.features._Plan, "cells", spy)
     return calls

@@ -10,6 +10,8 @@ parser.
 time and one fold at a time: one record per forecast and response, grouped
 into cells by a dict, with the pair-form VARX fit (``fit_varx_pairs``) and
 one-row forecasts.
+``featurize_oracle`` featurizes records spec by spec, one column of one
+spec group at a time, from each spec's parsed kind, column and value.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import numpy as np
 from opcast import metrics
 from opcast.benchmarks import VarxModel, _design_columns
 from opcast.errors import (ConfigurationError, DegenerateDataError, DimensionError,
-                           FittingError, NumericError, SchemaError,
+                           FittingError, InputError, NumericError, SchemaError,
                            TimeConsistencyError)
 from opcast.estimator import checked_vector
-from opcast.features import build_features, default_feature_config
+from opcast.features import (FeatureConfig, FeatureTable, build_features,
+                             default_feature_config)
 from opcast.harness import (DEFAULT_MODELS, MetricsReport, ReportRow, parse_model_name,
                             response_summary, week_key)
 from opcast.model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
@@ -184,6 +187,35 @@ def row_parse_oracle(stream, schema: dict[str, str] | None = None) -> ParseResul
         except (ValueError, TimeConsistencyError) as exc:
             errors.append(RowError(reader.line_num, str(exc)))
     return ParseResult(records, errors)
+
+
+def featurize_oracle(records: Sequence[ProductionRecord], config: FeatureConfig) -> FeatureTable:
+    """``build_features`` one spec at a time: each column of ``z``, ``w``, ``t``
+    and ``y`` evaluated over all records, then each record's cells checked."""
+    flags = [(True, True) if i == 0 else (rec.shift != records[i - 1].shift,
+                                          rec.pr_ord != records[i - 1].pr_ord)
+             for i, rec in enumerate(records)]
+
+    def column(spec) -> list[float]:
+        if spec.kind == "flag":
+            return [1.0 if flag[spec.column == "begins_order"] else 0.0 for flag in flags]
+        raw = [getattr(rec, spec.column) for rec in records]
+        if spec.kind == "indicator":
+            return [1.0 if str(value) == spec.value else 0.0 for value in raw]
+        if any(value is None for value in raw):
+            raise ConfigurationError(f"covariate {spec.expr!r} does not evaluate to a number")
+        return [float(value) for value in raw]
+
+    groups = (config.parsed_z, config.parsed_w, config.parsed_t, config.parsed_y)
+    z, w, t, y = (np.array([column(spec) for spec in specs], dtype=float)
+                  .reshape(len(specs), len(records)).T.copy() for specs in groups)
+    checked = groups[1] + groups[2] + groups[3]
+    for rec, cells in zip(records, np.hstack((w, t, y))):
+        for spec, value in zip(checked, cells.tolist()):
+            if not math.isfinite(value):
+                raise InputError(f"record n={rec.n} has a non-finite {spec.expr!r}")
+    return FeatureTable(z=z, w=w, t=t, y=y, begins_shift=np.array([flag[0] for flag in flags]),
+                        responses=config.response_names)
 
 
 def fit_varx_pairs(train: Sequence[tuple], q: int) -> VarxModel:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from opcast import (ConfigurationError, CovariateSpec, FeatureConfig, InputError,
-                    InsufficientHistoryError, SyntheticSpec,
-                    assemble_next_features, boundary_flags, build_features,
+                    InsufficientHistoryError, ModelConfig, SyntheticSpec,
+                    assemble_next_features, build_features,
                     classification_vector, default_feature_config,
                     generate_synthetic, pattern_key)
-from opcast.records import BoundaryFlags
 
 from conftest import build_stream, make_record
+from oracles import featurize_oracle
 
 
 def _config(q=1, **kwargs):
@@ -24,42 +24,45 @@ def _config(q=1, **kwargs):
     return FeatureConfig(**base)
 
 
+def _column(records, expr):
+    """The table column of one ``w`` spec over ``records``."""
+    cfg = _config(q=0, z_spec=("weekday==Zz",), w_spec=(expr,))
+    return build_features(records, cfg).w[:, 0].tolist()
+
+
 class TestCovariateSpec:
     def test_indicator_matches_string_value(self):
         spec = CovariateSpec("shift_code==A")
-        flags = BoundaryFlags(False, False)
-        assert spec.evaluate([make_record(shift="Mo A")], [flags]) == [1.0]
-        assert spec.evaluate([make_record(shift="Mo M")], [flags]) == [0.0]
+        records = [make_record(shift="Mo A"), make_record(shift="Mo M")]
+        assert _column(records, spec.expr) == [1.0, 0.0]
         assert spec.is_binary
 
     def test_flags(self):
-        rec = make_record()
-        assert CovariateSpec("@begins_shift").evaluate(
-            [rec], [BoundaryFlags(True, False)]) == [1.0]
-        assert CovariateSpec("@begins_order").evaluate(
-            [rec], [BoundaryFlags(True, False)]) == [0.0]
+        # the first record begins both; the second a shift but not an order
+        records = [make_record(shift="Mo M"), make_record(shift="Mo A")]
+        assert _column(records, "@begins_shift") == [1.0, 1.0]
+        assert _column(records, "@begins_order") == [1.0, 0.0]
 
     def test_numeric_column(self):
         spec = CovariateSpec("ics")
         assert spec.kind == "numeric"
         assert not spec.is_binary
-        assert spec.evaluate([make_record(ics=1.61)],
-                             [BoundaryFlags(False, False)]) == [1.61]
+        assert _column([make_record(ics=1.61)], "ics") == [1.61]
 
     def test_numeric_on_text_column_raises(self):
-        with pytest.raises(ConfigurationError):
-            CovariateSpec("shift").evaluate([make_record()],
-                                            [BoundaryFlags(False, False)])
+        # refused when the config is built, before any record is read
+        with pytest.raises(ConfigurationError,
+                           match="^covariate 'shift' does not evaluate to a number$"):
+            _config(w_spec=("ics", "shift"))
 
     def test_numeric_on_missing_value_raises(self):
-        with pytest.raises(ConfigurationError):
-            CovariateSpec("hum").evaluate([make_record(hum=61.0), make_record()],
-                                          [BoundaryFlags(False, False)] * 2)
+        with pytest.raises(ConfigurationError,
+                           match="^covariate 'hum' does not evaluate to a number$"):
+            _column([make_record(hum=61.0), make_record()], "hum")
 
     def test_unknown_column_raises(self):
         with pytest.raises(ConfigurationError):
-            CovariateSpec("nope").evaluate([make_record()],
-                                           [BoundaryFlags(False, False)])
+            CovariateSpec("nope")
         with pytest.raises(ConfigurationError):
             CovariateSpec("@nope")
 
@@ -71,8 +74,7 @@ class TestCovariateSpec:
 
     def test_text_columns_serve_as_indicators(self):
         for expr in ("shift==Mo M", "weekday==Mo", "date==2022-10-10"):
-            assert CovariateSpec(expr).evaluate(
-                [make_record()], [BoundaryFlags(False, False)]) == [1.0]
+            assert _column([make_record()], expr) == [1.0]
 
 
 class TestFeatureConfig:
@@ -133,6 +135,15 @@ class TestFeatureConfig:
 
     def test_with_lags(self):
         assert _config(q=1).with_lags(4).q == 4
+
+    def test_configs_share_their_parsed_specs(self):
+        # a restore parses no spec string a config of this process has parsed
+        a, b = _config(), FeatureConfig.from_dict(_config(q=3).to_dict())
+        for name in ("parsed_z", "parsed_w", "parsed_t", "parsed_y"):
+            assert all(x is y for x, y in zip(getattr(a, name), getattr(b, name))), name
+        for _ in range(2):  # a refused spec is refused again
+            with pytest.raises(ConfigurationError, match="unknown record column 'nope'"):
+                _config(w_spec=("ics", "nope"))
 
 
 class TestPatternKey:
@@ -342,12 +353,11 @@ class TestNextFeatures:
             states=2, transition=((0.8, 0.2), (0.3, 0.7)),
             state_means=((3.0, 2.8), (2.0, 1.8)), days=2, periods_per_shift=4,
             order_every=5, dt_max=0.3, qu_frac_max=0.05, seed=3))
-        flags = boundary_flags(records)[q + 1:]
-        assert any(f.begins_shift and not f.begins_order for f in flags)
-        assert any(f.begins_order and not f.begins_shift for f in flags)
         base = default_feature_config(records, q=q)
         cfg = replace(base, w_spec=base.w_spec + ("rcs",))
         table = build_features(records, cfg)
+        flags = table.w[q + 1:, 1:3].tolist()  # @begins_shift, @begins_order
+        assert [1.0, 0.0] in flags and [0.0, 1.0] in flags
         for t in range(max(q, 1), len(records)):
             target, last = records[t], records[t - 1]
             z, w, begins = assemble_next_features(
@@ -357,3 +367,124 @@ class TestNextFeatures:
             np.testing.assert_array_equal(z, table.z[t])
             np.testing.assert_array_equal(w, _lagged_row(table, t, q))
             assert begins is bool(table.begins_shift[t])
+
+
+def _same_arrays(got, want):
+    """Two tables hold equal bytes in arrays of one dtype, shape and layout."""
+    for name in ("z", "w", "t", "y", "begins_shift"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.flags.c_contiguous and b.flags.c_contiguous, name
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.responses == want.responses
+
+
+def _synthetic():
+    """Three days from a Monday, four periods a shift, an order every five."""
+    return generate_synthetic(SyntheticSpec(
+        states=2, transition=((0.8, 0.2), (0.3, 0.7)),
+        state_means=((3.0, 2.8), (2.0, 1.8)), days=3, periods_per_shift=4,
+        order_every=5, dt_max=0.3, qu_frac_max=0.05, seed=5))
+
+
+def _rich(records, q=2):
+    """The default config with w specs it never featurizes: an indicator on a
+    numeric column at a value in the data, on the weekday and on the full
+    shift label, a numeric hum, and both flags."""
+    values = sorted({rec.TU for rec in records})
+    base = default_feature_config(records, q=q)
+    return replace(base, w_spec=("ics", f"TU=={values[len(values) // 2]}", "weekday==Mo",
+                                 f"shift=={records[5].shift}", "hum",
+                                 "@begins_shift", "@begins_order"))
+
+
+class TestAgainstTheOracle:
+    @pytest.mark.parametrize("q", range(6))
+    def test_the_default_config_and_its_single_response_configs(self, q):
+        records = _synthetic()
+        base = default_feature_config(records, q=q)
+        for cfg in (base, base.for_response("OpT"), base.for_response("NOpT")):
+            for rows in (records, records[7:7 + q + 2]):  # a table and a step's window
+                _same_arrays(build_features(rows, cfg), featurize_oracle(rows, cfg))
+
+    def test_indicators_a_numeric_hum_and_both_flags(self):
+        records = _synthetic()
+        cfg = _rich(records)
+        table = build_features(records, cfg)
+        _same_arrays(table, featurize_oracle(records, cfg))
+        for j in (1, 2, 3, 5, 6):  # each indicator and flag takes both values
+            assert set(table.w[:, j].tolist()) == {0.0, 1.0}, cfg.w_spec[j]
+
+    @pytest.mark.parametrize("rich", [False, True], ids=["default", "rich"])
+    def test_the_next_period_and_the_classification_vectors(self, rich):
+        # the announced period is a copy of the last record with the shift
+        # label, speed, order change and hum of the period that followed it
+        records = _synthetic()
+        cfg = _rich(records) if rich else default_feature_config(records, q=2)
+        for t in range(cfg.q, len(records)):
+            target, last = records[t], records[t - 1]
+            new_order = target.pr_ord != last.pr_ord
+            z, w, begins = assemble_next_features(records[:t], cfg, target.shift,
+                                                  ics=target.ics, new_order=new_order,
+                                                  overrides={"hum": target.hum})
+            announced = replace(last, shift=target.shift, ics=target.ics,
+                                pr_ord=last.pr_ord + new_order, hum=target.hum)
+            oracle = featurize_oracle([*records[:t], announced], cfg)
+            assert z.tobytes() == oracle.z[t].tobytes()
+            assert w.tobytes() == _lagged_row(oracle, t, cfg.q).tobytes()
+            assert begins is bool(oracle.begins_shift[t])
+        for rec, want in zip(records, featurize_oracle(records, cfg).t):
+            got = classification_vector(rec, cfg)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_the_plan_is_compiled_on_the_first_featurization(self):
+        # a restore builds its config without compiling it
+        features = ModelConfig.from_dict(ModelConfig(features=_config()).to_dict()).features
+        assert "_plan" not in vars(features)
+        build_features(build_stream([{}, {}]), features)
+        assert "_plan" in vars(features)
+
+
+class TestRefusalParity:
+    @pytest.mark.parametrize("lower, named", [(("NOpT", "av"), "av"), (("OpT", "ics"), "ics"),
+                                              (("rcs", "oee", "NOpT"), "oee")],
+                             ids=["t-before-y", "w-before-y", "t-in-spec-order"])
+    def test_the_lower_record_is_named_with_its_first_spec(self, lower, named):
+        records = build_stream([{"OpT": 6.0 + i % 3} for i in range(12)])
+        records[4] = replace(records[4], **dict.fromkeys(lower, float("nan")))
+        records[8] = replace(records[8], **dict.fromkeys(("ics", "av", "OpT", "NOpT"),
+                                                         float("inf")))
+        cfg = _config(q=2, response_names=("NOpT", "OpT"))
+        for featurize in (build_features, featurize_oracle):
+            with pytest.raises(InputError, match=f"^record n=5 has a non-finite {named!r}$"):
+                featurize(records, cfg)
+
+    @pytest.mark.parametrize("group", ["w_spec", "t_spec"])
+    def test_an_absent_hum_is_a_configuration_error(self, group):
+        # ahead of a non-finite cell of a lower record
+        records = build_stream([{"hum": 60.0 + i} for i in range(6)])
+        records[3] = replace(records[3], hum=None)
+        records[1] = replace(records[1], av=float("nan"))
+        cfg = _config(**{group: getattr(_config(), group) + ("hum",)})
+        message = "^covariate 'hum' does not evaluate to a number$"
+        for featurize in (build_features, featurize_oracle):
+            with pytest.raises(ConfigurationError, match=message):
+                featurize(records, cfg)
+        if group == "t_spec":
+            with pytest.raises(ConfigurationError, match=message):
+                classification_vector(records[3], cfg)
+        else:  # the vector reads no w spec
+            assert np.isfinite(classification_vector(records[3], cfg)).all()
+
+    @pytest.mark.parametrize("w_spec, t_extra, named", [
+        (("ics", "hum", "temp"), (), "hum"), (("ics", "temp", "hum"), (), "temp"),
+        (("ics", "temp"), ("hum",), "temp")])
+    def test_of_two_absent_cells_the_first_spec_in_w_t_y_order_is_named(self, w_spec, t_extra,
+                                                                          named):
+        records = build_stream([{"hum": 60.0, "temp": 20.0} for _ in range(6)])
+        records[4] = replace(records[4], hum=None)
+        records[2] = replace(records[2], temp=None)
+        cfg = _config(w_spec=w_spec, t_spec=_config().t_spec + t_extra)
+        for featurize in (build_features, featurize_oracle):
+            with pytest.raises(ConfigurationError,
+                               match=f"^covariate {named!r} does not evaluate to a number$"):
+                featurize(records, cfg)

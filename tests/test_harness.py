@@ -20,7 +20,7 @@ from opcast import (ConditioningWarning, ConfigurationError, DEFAULT_MODELS, Deg
                     parse_model_name, response_summary, week_key)
 from opcast.harness import CSV_HEADER, SUMMARY_MODEL, ReportRow
 
-from conftest import build_stream, evaluated_specs
+from conftest import build_stream, featurizing_reads
 from oracles import lowo_row_oracle
 
 
@@ -485,13 +485,13 @@ class TestReportOracle:
         # once for the table of all records and once per fold's training
         # table, from whose t the fold's states are discovered
         records = datasets["28 days"]
-        calls = evaluated_specs(monkeypatch)
+        calls = featurizing_reads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ThresholdWarning)
             report = leave_one_week_out(records, model_names=self.FAST_MODELS + ("varx-q1",),
                                         seed=0, k_max=4)
         assert len(report.folds) == len(report.states) == 4
-        assert calls.count(default_feature_config(records).t_spec) == 1 + 4
+        assert len(calls) == 1 + 4
 
     @staticmethod
     def _base(records, forgetting):

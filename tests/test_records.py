@@ -11,9 +11,9 @@ import threading
 import numpy as np
 import pytest
 
-from opcast import (OrderingError, ParseResult, ProductionRecord, SchemaError,
-                    SyntheticSpec, TimeConsistencyError,
-                    boundary_flags, check_chronological, compute_indices,
+from opcast import (FeatureConfig, OrderingError, ParseResult, ProductionRecord,
+                    SchemaError, SyntheticSpec, TimeConsistencyError,
+                    build_features, check_chronological, compute_indices,
                     derive_time_variables,
                     generate_synthetic, parse_dataset, write_dataset)
 from opcast import records as records_module
@@ -668,15 +668,22 @@ class TestByteOrderMark:
         assert len(tail.records) == 30 if need == 100 else 2 <= len(tail.records) < 30
 
 
+def _flags(records):
+    """Each record's (begins shift, begins order), read from its feature row."""
+    table = build_features(records, FeatureConfig(
+        response_names=("OpT",), z_spec=("shift_code==M",),
+        w_spec=("@begins_shift", "@begins_order"), t_spec=("av",), q=0))
+    assert table.begins_shift.tolist() == (table.w[:, 0] == 1.0).tolist()
+    return [(bool(shift), bool(order)) for shift, order in table.w.tolist()]
+
+
 class TestSegmentation:
     def test_golden_adjacent_shift_boundary(self):
         r66 = make_record(n=66, shift="Mo M", start=dt.time(13, 50, 24),
                           OT=9.6, DT=2.62, PLT=0.05, QLT=0.53)
         r67 = make_record(n=67, shift="Mo A", start=dt.time(14, 0, 0),
                           OT=9.69, DT=2.52, PLT=0.37, QLT=0.0)
-        flags = boundary_flags([r66, r67])
-        assert flags[0].begins_shift and flags[1].begins_shift
-        assert flags[0].begins_order and not flags[1].begins_order
+        assert _flags([r66, r67]) == [(True, True), (True, False)]
 
     def test_sequences_partition_the_records(self):
         rng = np.random.default_rng(7)
@@ -690,14 +697,14 @@ class TestSegmentation:
                                        start=cursor.time(), shift=label,
                                        pr_ord=300 + i // 5))
             cursor += dt.timedelta(minutes=15)
-        flags = boundary_flags(records)
+        flags = _flags(records)
         assert len(flags) == len(records)
-        for i, fl in enumerate(flags):
+        for i, (begins_shift, begins_order) in enumerate(flags):
             # a shift begins exactly where the label changes
-            assert fl.begins_shift == (i == 0 or records[i].shift
-                                       != records[i - 1].shift)
-            assert fl.begins_order == (i == 0 or records[i].pr_ord
-                                       != records[i - 1].pr_ord)
+            assert begins_shift == (i == 0 or records[i].shift
+                                    != records[i - 1].shift)
+            assert begins_order == (i == 0 or records[i].pr_ord
+                                    != records[i - 1].pr_ord)
 
     def test_unsorted_records_raise(self):
         r1 = make_record(n=1, start=dt.time(8, 0))
@@ -709,5 +716,5 @@ class TestSegmentation:
         recs = [make_record(n=1, shift="Mo M", start=dt.time(6, 0)),
                 make_record(n=2, shift="Mo A", start=dt.time(14, 0)),
                 make_record(n=3, shift="Mo M", start=dt.time(22, 0))]
-        assert [fl.begins_shift for fl in boundary_flags(recs)] == [True, True, True]
+        assert [shift for shift, _ in _flags(recs)] == [True, True, True]
 

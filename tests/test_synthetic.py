@@ -3,9 +3,9 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from opcast import (ConfigurationError, SyntheticSpec, boundary_flags,
-                    check_chronological, compute_indices, derive_time_variables,
-                    generate_synthetic)
+from opcast import (ConfigurationError, SyntheticSpec, build_features,
+                    check_chronological, compute_indices, default_feature_config,
+                    derive_time_variables, generate_synthetic)
 
 TWO_STATE = dict(
     states=2,
@@ -71,7 +71,8 @@ class TestGeneratedRecords:
 
     def test_calendar_layout(self):
         records = generate_synthetic(_spec(days=2))
-        starts = [i for i, fl in enumerate(boundary_flags(records)) if fl.begins_shift]
+        table = build_features(records, default_feature_config(records, q=0))
+        starts = np.flatnonzero(table.begins_shift).tolist()
         assert starts == list(range(0, len(records), 20))
         assert len(starts) == 2 * 3
         for i in starts:
