@@ -9,9 +9,10 @@ of arrays indexed by record position; a model reads its responses' lags
 from ``y`` (``FeatureTable.regressors``). The announced period is featurized
 the same way, as a pseudo-record appended to the tail of the history. Specs
 are parsed and checked against the record columns once, in ``FeatureConfig``,
-and compiled on its first featurization into one plan, so ``build_features``
-reads each record once; it checks each record's cells once, as the one place
-records become tables, so the passes that read its tables check none.
+and compiled on its first featurization into one plan that equal configs
+share, so ``build_features`` reads each record once; it checks each record's
+cells once, as the one place records become tables, so the passes that read
+its tables check none.
 
 Covariates are declared as small spec strings:
 
@@ -166,9 +167,8 @@ class FeatureConfig:
                 raise ConfigurationError(
                     f"classification entries must be numeric columns, got {spec.expr!r}")
 
-    @cached_property  # compiled on the first featurization, not by every restore
-    def _plan(self) -> _Plan:
-        return _Plan(self)
+    # compiled on the first featurization, once per config value: equal configs share it
+    _plan = cached_property(lru_cache(maxsize=256)(_Plan))
 
     @property
     def n_responses(self) -> int:
@@ -254,11 +254,11 @@ def default_feature_config(records: Sequence[ProductionRecord], q: int = 1,
 
 
 def classification_vector(record: ProductionRecord, config: FeatureConfig) -> np.ndarray:
-    """The record's classification vector, the row ``build_features`` gives it in ``t``."""
-    t = config._plan.cells([record])[0].take(config._plan.t)
+    """The record's classification vector: ``t`` as ``build_features`` gives or refuses it."""
+    t = config._plan.cells([record]).take(config._plan.t, axis=1)
     if not np.isfinite(t).all():
-        _refuse_missing(config.parsed_t, [record])
-    return t
+        _refuse(config.parsed_t, [record], t)
+    return t[0]
 
 
 def assemble_next_features(records: Sequence[ProductionRecord],
@@ -303,10 +303,14 @@ def assemble_next_features(records: Sequence[ProductionRecord],
     return table.z[-1], w[0], bool(table.begins_shift[-1])
 
 
-def _refuse_missing(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord]) -> None:
-    for spec in specs:  # the first numeric spec that reads an absent cell of any record
+def _refuse(specs: Sequence[CovariateSpec], records: Sequence[ProductionRecord], cells) -> None:
+    """The first numeric spec that reads an absent cell of any record, else the
+    lowest record with a non-finite one of ``cells`` (a column per spec)."""
+    for spec in specs:
         if spec.kind == "numeric" and any(getattr(rec, spec.column) is None for rec in records):
             raise ConfigurationError(f"covariate {spec.expr!r} does not evaluate to a number")
+    row, column = np.argwhere(~np.isfinite(cells))[0]
+    raise InputError(f"record n={records[row].n} has a non-finite {specs[column].expr!r}")
 
 
 def build_features(records: Sequence[ProductionRecord],
@@ -326,9 +330,6 @@ def build_features(records: Sequence[ProductionRecord],
     cells = plan.cells(records)
     z, w, t, y = (cells.take(columns, axis=1) for columns in (plan.z, plan.w, plan.t, plan.y))
     if not np.isfinite(cells).all():  # z and the flags are binary by construction
-        specs = config.parsed_w + config.parsed_t + config.parsed_y
-        _refuse_missing(specs, records)
-        row, column = np.argwhere(~np.isfinite(np.hstack((w, t, y))))[0]  # the lowest record
-        raise InputError(f"record n={records[row].n} has a non-finite {specs[column].expr!r}")
+        _refuse(config.parsed_w + config.parsed_t + config.parsed_y, records, np.hstack((w, t, y)))
     return FeatureTable(z=z, w=w, t=t, y=y, begins_shift=cells[:, -2] != 0,
                         responses=config.response_names)

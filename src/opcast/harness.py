@@ -6,16 +6,16 @@ as sequence starts) and evaluated on the held-out week. First, all records
 are featurized once, as a lag-free table of all responses, which refuses a
 record with a non-finite cell before any fold trains; then each fold's
 training weeks (also the VARX input), whose classification vectors give the
-fold's hidden states. Every IO-HMM variant
-reads its responses and lags from that table, learning, and walks its test
-week in the one such table of all records: the variants of all folds learn
-in one stacked pass (``learn_tables``) and walk in one more (``walk_tables``),
-learning as they walk, as in production; the regression benchmark stays
-frozen after fitting. Every stage runs once and the first refusal met is
-raised, so an evaluation accepts exactly what the folds one by one accept.
+fold's hidden states. Every IO-HMM variant reads its responses and lags from
+that table, learning, and walks its test week in the one such table of all
+records: the variants of all folds learn in one stacked pass (``learn_tables``)
+and walk in one more (``walk_tables``), learning as they walk, as in
+production; the regression benchmark stays frozen after fitting. Every stage
+runs once and the first refusal met is raised, so an evaluation accepts
+exactly what the folds one by one accept.
 
-Forecasts flow as arrays, one ``ForecastBlock`` per model, fold and response;
-the report splits each by shift type, per model, fold, shift type and response.
+Forecasts flow as arrays, and the report scores all of them in one pass, one
+cell per model, fold, shift type and response.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .benchmarks import fit_varx, persistence_forecast, predict_varx
 from .clustering import ClusterModel
 from .errors import ConfigurationError, DegenerateDataError, warn
 from .features import MAX_LAGS, FeatureTable, build_features, default_feature_config
-from .metrics import cell_scores, checked, columns
+from .metrics import cell_scores, cell_sums, checked, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
@@ -60,21 +60,6 @@ def week_key(date) -> str:
 
 
 @dataclass(frozen=True)
-class ForecastBlock:
-    """The forecasts of one response that one model made in one fold, in
-    record order: 1-D arrays of record ``index``, ``actual``, ``mean`` and
-    ``sd`` (None for a model without predictive spreads)."""
-
-    model: str
-    fold: str
-    response: str
-    index: np.ndarray
-    actual: np.ndarray
-    mean: np.ndarray
-    sd: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class ReportRow:
     model: str
     fold: str
@@ -92,7 +77,7 @@ class MetricsReport:
     folds: list[str]
     models: list[str]
     n_records: int
-    predictions: list[ForecastBlock] = field(default_factory=list)
+    predictions: dict[str, np.ndarray] = field(default_factory=dict)  # empty without forecasts
     states: dict[str, ClusterModel] = field(default_factory=dict)  # per fold, if fitted
 
 
@@ -109,46 +94,25 @@ def response_summary(y: np.ndarray, responses: Sequence[str]) -> dict[str, dict[
     return out
 
 
-def _blocks(name, fold, responses, index, actual, mean, sd=None) -> list[ForecastBlock]:
-    """One block per response of the ``(n, m)`` forecasts of records ``index``;
-    none without forecasts."""
-    return [ForecastBlock(name, fold, resp, index, actual[:, j], mean[:, j],
-                          None if sd is None else sd[:, j])
-            for j, resp in enumerate(responses)] if len(index) else []
-
-
-def _iohmm_blocks(variants, base: ModelConfig, folds, states, trains,
-                  full: FeatureTable) -> dict[tuple[str, str], list[ForecastBlock]]:
-    """The IO-HMM ``variants``' blocks per identifier and fold (``(week, test
-    records)``), in response order: each learns from its fold's training table
-    with its ``states`` and walks the test week in the table of all records
-    (``full``), all folds in one stacked learning pass and one stacked walk."""
+def _iohmm_forecasts(variants, base: ModelConfig, folds, states, trains,
+                     full: FeatureTable) -> dict[tuple[str, str], list[tuple]]:
+    """The IO-HMM ``variants``' forecasts per identifier and fold (``(week,
+    test records)``), as ``(response columns, index, actual, mean, var)`` of each
+    variant: each learns from its fold's training table with its ``states`` and
+    walks the test week in the table of all records (``full``), all folds in
+    one stacked learning pass and one stacked walk."""
     models = [IoHmmModel(replace(base, features=features), clusters=fitted)
               for fitted in states for _, features, _ in variants]
     learn_tables(models, [train for train in trains for _ in variants])
     walks = iter(walk_tables(models, [full] * len(models),
                              [test for _, test in folds for _ in variants]))
-    blocks: dict[tuple[str, str], list[ForecastBlock]] = {}
+    forecasts: dict[tuple[str, str], list[tuple]] = {}
     for fold, _ in folds:
-        for name, features, columns in variants:
+        for name, _, columns in variants:
             index, mean, var = next(walks)
-            blocks.setdefault((name, fold), []).extend(_blocks(
-                name, fold, features.response_names, index, full.y[np.ix_(index, columns)],
-                mean, np.sqrt(np.clip(var, 0.0, None))))
-    return blocks
-
-
-def _varx_blocks(train: FeatureTable, full: FeatureTable, test: range, name, fold,
-                 responses, q: int) -> list[ForecastBlock]:
-    """VARX(q) fitted on the training table, forecasting the test records
-    from ``q`` on out of the full one, in one call; like the IO-HMM
-    variants, the VARX takes its lags from ``y``."""
-    varx = fit_varx(train.y, train.w, q)
-    index = np.arange(max(test.start, q), test.stop)
-    y_hat, sigma = predict_varx(varx, [full.y[index - j] for j in range(1, q + 1)],
-                                full.w[index])
-    sd = np.broadcast_to(np.sqrt(np.clip(np.diagonal(sigma), 0.0, None)), y_hat.shape)
-    return _blocks(name, fold, responses, index, full.y[index], y_hat, sd)
+            forecasts.setdefault((name, fold), []).append(
+                (columns, index, full.y[np.ix_(index, columns)], mean, var))
+    return forecasts
 
 
 def leave_one_week_out(records: Sequence[ProductionRecord],
@@ -161,12 +125,11 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     over between folds. Each stage runs once, in one order: all records are
     featurized, even for no models (persistence and the response summary read
     their responses there), then every fold's training weeks, then every
-    fold's states are fitted,
-    then the IO-HMM variants of all folds learn and walk, then persistence
-    and VARX forecast fold by fold. Per-fold cells without forecasts are
-    omitted with a warning. The first refusal met is raised; an evaluation
-    accepts exactly what the folds one by one accept. ``states`` holds each
-    fold's fit.
+    fold's states are fitted, then the IO-HMM variants of all folds learn and
+    walk, then persistence and VARX forecast fold by fold, and then the report
+    scores all forecasts at once. Per-fold cells without forecasts are omitted
+    with a warning. The first refusal met is raised; an evaluation accepts
+    exactly what the folds one by one accept. ``states`` holds each fold's fit.
     """
     check_chronological(records)
     kinds = {parse_model_name(name)[0] for name in model_names}
@@ -200,51 +163,72 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
               if "varx" in kinds or variants else None for _, test in folds]
     states = {week: fit_states(table, seed=seed, threshold=threshold, k_max=k_max)
               for (week, _), table in (zip(folds, tables) if variants else ())}
-    cells = _iohmm_blocks(variants, base, folds, list(states.values()), tables, full)
-    blocks = []  # in fold and model order; an empty cell warns at once
+    forecasts = _iohmm_forecasts(variants, base, folds, list(states.values()), tables, full)
+    every, parts = range(len(responses)), []  # in fold and model order
     for (fold, test), table in zip(folds, tables):
         for name in model_names:
             kind, q = parse_model_name(name)
             if kind == "persistence":  # every test record after the dataset's first
                 index = np.arange(max(test.start, 1), test.stop)
-                cells[name, fold] = _blocks(name, fold, responses, index, full.y[index],
-                                            persistence_forecast(full.y[index - 1]))
-            elif kind == "varx":
-                cells[name, fold] = _varx_blocks(table, full, test, name, fold, responses, q)
-            if not cells[name, fold]:
+                forecasts[name, fold] = [(every, index, full.y[index],
+                                          persistence_forecast(full.y[index - 1]), None)]
+            elif kind == "varx":  # from record q on, its lags read from y as the IO-HMM's
+                varx = fit_varx(table.y, table.w, q)
+                index = np.arange(max(test.start, q), test.stop)
+                y_hat, sigma = predict_varx(varx, [full.y[index - j] for j in range(1, q + 1)],
+                                            full.w[index])
+                forecasts[name, fold] = [(every, index, full.y[index], y_hat,
+                                          np.broadcast_to(np.diagonal(sigma), y_hat.shape))]
+            made = [part for part in forecasts[name, fold] if len(part[1])]
+            if not made:  # an empty cell warns at once
                 warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
-            blocks += cells[name, fold]
+            parts += [(name, fold, *part) for part in made]
 
-    shifts = np.array([rec.shift_code for rec in records])
-    return MetricsReport(rows=_aggregate(blocks, shifts),
-                         response_summary=response_summary(full.y, responses),
+    rows, predictions = _aggregate(parts, np.array([rec.shift_code for rec in records]),
+                                   responses)
+    return MetricsReport(rows=rows, response_summary=response_summary(full.y, responses),
                          folds=weeks, models=list(model_names),
-                         n_records=len(records), predictions=blocks, states=states)
+                         n_records=len(records), predictions=predictions, states=states)
 
 
-def _aggregate(blocks: Sequence[ForecastBlock], shifts: np.ndarray) -> list[ReportRow]:
-    """Per (model, fold, shift_type, response) accuracy metrics; ``shifts``
-    holds the shift type of every record.
-
-    A cell holds its block's forecasts of one shift type, in record order: a
-    slice of the block's metric columns, after a stable sort by shift type.
-    Interval metrics are reported only for cells whose model provides
-    predictive spreads.
+def _aggregate(parts: Sequence[tuple], shifts: np.ndarray,
+               responses: Sequence[str]) -> tuple[list[ReportRow], dict[str, np.ndarray]]:
+    """The report rows and the long columns of the forecasts ``parts``, each
+    ``(model, fold, response columns, index, actual, mean, var)`` with ``(n,
+    columns)`` arrays (``var`` None without spreads); ``shifts`` holds each
+    record's shift type. A pair's key ranks its (model, fold, shift_type,
+    response) cell in sorted order, and one stable sort of the keys makes each
+    cell a run of its pairs in record order, summed as that cell alone. Interval
+    metrics are reported only for cells whose model provides predictive spreads.
     """
-    cells: dict[tuple[str, str, str, str], tuple[dict, slice]] = {}
-    for block in blocks:  # checked once, then its cells are scored unchecked
-        checked(block.actual, block.mean, block.sd)
-        order = np.argsort(shifts[block.index], kind="stable")
-        codes = shifts[block.index[order]]
-        edges = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
-        cols = columns(block.actual[order], block.mean[order],
-                       None if block.sd is None else block.sd[order])
-        for start, stop in zip(edges, edges[1:]):
-            cells[block.model, block.fold, codes[start].item(), block.response] = \
-                cols, slice(start, stop)
-    return [ReportRow(*key, metric, value, part.stop - part.start)
-            for key, (cols, part) in sorted(cells.items())
-            for metric, value in cell_scores(cols, part).items()]
+    if not parts:  # no forecasts at all
+        return [], {}
+    pairs = sorted({part[:2] for part in parts})  # (model, fold), in rank order
+    owner, resp, index, actual, mean, var = (np.concatenate(col) for col in zip(*(
+        (np.full(a.size, pairs.index((model, fold))), np.repeat(cols, len(i)),
+         np.tile(i, len(cols)), a.T.ravel(), p.T.ravel(),
+         np.full(a.size, np.nan) if s is None else s.T.ravel())
+        for model, fold, cols, i, a, p, s in parts)))
+    has = np.isin(owner, [pairs.index(part[:2]) for part in parts if part[6] is not None])
+    sd = np.sqrt(np.clip(var, 0.0, None))
+    checked(actual, mean, np.where(has, sd, 0.0))  # once, then scored unchecked
+    shift_names, shift_rank = np.unique(shifts, return_inverse=True)
+    key = (owner * len(shift_names) + shift_rank[index]) * len(responses) \
+        + np.argsort(np.argsort(responses))[resp]
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(key[order]) != 0])
+    counts = np.diff(np.r_[starts, key.size])
+    scores = cell_scores(cell_sums(columns(actual[order], mean[order], sd[order]),
+                                   starts, counts), counts)
+    first, metrics = order[starts], list(scores)
+    rows = [ReportRow(*pairs[o], shift, responses[r], metric, value, count)
+            for o, shift, r, spread, count, values in zip(
+                owner[first].tolist(), shifts[index[first]].tolist(), resp[first].tolist(),
+                has[first].tolist(), counts.tolist(), zip(*(v.tolist() for v in scores.values())))
+            for metric, value in zip(metrics if spread else metrics[:2], values)]
+    model, fold = np.array(pairs, dtype=object).T[:, owner]  # 8 bytes a label, not 4 a char
+    return rows, dict(model=model, fold=fold, response=np.array(responses, dtype=object)[resp],
+                      index=index, actual=actual, mean=mean, sd=sd)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search

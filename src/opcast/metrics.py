@@ -1,6 +1,6 @@
 """Point and interval accuracy metrics: ``checked`` turns forecasts and their
 actuals (and spreads) into arrays once, ``columns`` gives each pair's value of
-every score, and ``cell_scores`` averages those over a run of pairs."""
+every score, ``cell_sums`` sums those per cell and ``cell_scores`` averages them."""
 
 from __future__ import annotations
 
@@ -44,10 +44,22 @@ def columns(a: np.ndarray, p: np.ndarray, s: np.ndarray | None = None) -> dict[s
     return out
 
 
-def cell_scores(cols: dict[str, np.ndarray], part: slice) -> dict[str, float]:
+def cell_sums(cols: dict[str, np.ndarray], starts: np.ndarray,
+              counts: np.ndarray) -> dict[str, np.ndarray]:
+    """Each of ``columns`` summed per cell ``c``, the ``counts[c]`` pairs from ``starts[c]``:
+    the cells of one length as the rows of one array, to the bit as each cell alone."""
+    out = {name: np.empty(len(counts)) for name in cols}
+    for n in np.unique(counts).tolist():
+        cells = np.flatnonzero(counts == n)
+        rows = starts[cells, None] + np.arange(n)
+        for name, col in cols.items():
+            out[name][cells] = col[rows].sum(axis=1)
+    return out
+
+
+def cell_scores(sums: dict, counts) -> dict:
     """The ``mae`` and ``rmse``, and given spreads the ``covg``, ``piw`` and ``is95``,
-    of the pairs ``part`` of ``columns``, in that order: the mean of the same values
-    in the same order as over those pairs alone."""
-    out = {name: float(col[part].sum()) / (part.stop - part.start) for name, col in cols.items()}
-    out["rmse"] = float(np.sqrt(out["rmse"]))
+    in that order, of cells with ``sums`` of ``columns`` over ``counts`` pairs."""
+    out = {name: total / counts for name, total in sums.items()}
+    out["rmse"] = np.sqrt(out["rmse"])
     return out

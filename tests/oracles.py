@@ -396,9 +396,10 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         actual = [r.actual for r in group]
         predicted = [r.predicted for r in group]
         sds = [r.sd for r in group] if all(r.sd is not None for r in group) else None
-        pairs = metrics.checked(actual, predicted, sds)
-        scores = metrics.cell_scores(metrics.columns(*pairs), slice(0, len(group)))
-        out += [ReportRow(*key, metric, value, len(group)) for metric, value in scores.items()]
+        pairs = metrics.checked(actual, predicted, sds)  # each cell summed alone
+        sums = {name: col.sum() for name, col in metrics.columns(*pairs).items()}
+        out += [ReportRow(*key, metric, float(value), len(group))
+                for metric, value in metrics.cell_scores(sums, len(group)).items()]
     actual = np.array([[float(getattr(rec, name)) for name in responses] for rec in records])
     return MetricsReport(rows=out, response_summary=response_summary(actual, responses),
                          folds=weeks, models=list(model_names), n_records=len(records),

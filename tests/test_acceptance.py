@@ -438,7 +438,8 @@ def test_a11_metric_functions_match_single_pass():
     hits = sum(abs(a - p) <= 1.96 * s
                for a, p, s in zip(actual, predicted, sd))
 
-    scores = cell_scores(columns(*checked(actual, predicted, sd)), slice(0, n))
+    sums = {name: col.sum() for name, col in columns(*checked(actual, predicted, sd)).items()}
+    scores = cell_scores(sums, n)
     diffs = (abs(scores["mae"] - abs_sum / n),
              abs(scores["rmse"] - math.sqrt(sq_sum / n)),
              abs(scores["covg"] - hits / n))

@@ -443,6 +443,17 @@ class TestAgainstTheOracle:
         build_features(build_stream([{}, {}]), features)
         assert "_plan" in vars(features)
 
+    def test_equal_configs_share_one_plan(self):
+        # each restored config of a request reuses the plan of an equal one
+        doc = _config(q=2, w_spec=("ics", "hum", "weekday==Mo")).to_dict()
+        a, b = FeatureConfig.from_dict(doc), FeatureConfig.from_dict(doc)
+        assert a is not b and a == b
+        records = build_stream([{"hum": 60.0 + i} for i in range(6)])
+        tables = [build_features(records, cfg) for cfg in (a, b)]
+        assert a._plan is b._plan
+        assert b._plan is not _config(q=2)._plan  # another value, another plan
+        _same_arrays(*tables)
+
 
 class TestRefusalParity:
     @pytest.mark.parametrize("lower, named", [(("NOpT", "av"), "av"), (("OpT", "ics"), "ics"),
@@ -457,6 +468,18 @@ class TestRefusalParity:
         for featurize in (build_features, featurize_oracle):
             with pytest.raises(InputError, match=f"^record n=5 has a non-finite {named!r}$"):
                 featurize(records, cfg)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_a_non_finite_classification_cell_is_refused_as_the_table_refuses_it(self, value):
+        records = build_stream([{} for _ in range(6)])
+        records[3] = replace(records[3], av=value)
+        cfg = _config()
+        with pytest.raises(InputError) as table:
+            build_features(records, cfg)
+        with pytest.raises(InputError) as vector:
+            classification_vector(records[3], cfg)
+        message = f"record n={records[3].n} has a non-finite 'av'"
+        assert str(vector.value) == str(table.value) == message
 
     @pytest.mark.parametrize("group", ["w_spec", "t_spec"])
     def test_an_absent_hum_is_a_configuration_error(self, group):

@@ -41,6 +41,14 @@ def two_week_records():
 SMALL_MODELS = ("persistence", "no-lags", "iohmm-q1", "varx-q1", "iohmm-uni-q1")
 
 
+def _forecasts(report, **labels):
+    """The prediction columns of the forecasts with the given ``model``,
+    ``fold`` and ``response`` labels, in the columns' order."""
+    cols = report.predictions
+    mask = np.logical_and.reduce([cols[name] == value for name, value in labels.items()])
+    return {name: col[mask] for name, col in cols.items()}
+
+
 @pytest.fixture(scope="module")
 def small_report(two_week_records):
     return leave_one_week_out(two_week_records, model_names=SMALL_MODELS,
@@ -124,26 +132,26 @@ class TestLeaveOneWeekOut:
                                                 small_report):
         counts = {(r.model, r.fold, r.shift_type, r.response): r.count
                   for r in small_report.rows}
+        cols = small_report.predictions
+        assert {len(col) for col in cols.values()} == {len(cols["index"])}
         seen = Counter()
-        for block in small_report.predictions:
-            assert len(block.index) == len(block.actual) == len(block.mean)
-            assert np.all(np.diff(block.index) > 0)  # record order
-            for i in block.index.tolist():
-                assert week_key(two_week_records[i].date) == block.fold
-                seen[block.model, block.fold, two_week_records[i].shift_code,
-                     block.response] += 1
-        assert seen == counts  # each cell holds its block's records of that shift type
+        for model, fold, response in set(zip(cols["model"].tolist(), cols["fold"].tolist(),
+                                              cols["response"].tolist())):
+            index = _forecasts(small_report, model=model, fold=fold, response=response)["index"]
+            assert np.all(np.diff(index) > 0)  # record order
+            for i in index.tolist():
+                assert week_key(two_week_records[i].date) == fold
+                seen[model, fold, two_week_records[i].shift_code, response] += 1
+        assert seen == counts  # each cell holds its forecasts' records of that shift type
 
     def test_persistence_predicts_previous_value(self, two_week_records,
                                                  small_report):
-        blocks = [b for b in small_report.predictions
-                  if b.model == "persistence" and b.response == "OpT"]
-        assert blocks
-        for block in blocks:
-            assert block.sd is None
-            for i, actual, mean in zip(block.index.tolist(), block.actual, block.mean):
-                assert mean == two_week_records[i - 1].OpT
-                assert actual == two_week_records[i].OpT
+        got = _forecasts(small_report, model="persistence", response="OpT")
+        assert len(got["index"])
+        assert np.isnan(got["sd"]).all()  # no spreads
+        for i, actual, mean in zip(got["index"].tolist(), got["actual"], got["mean"]):
+            assert mean == two_week_records[i - 1].OpT
+            assert actual == two_week_records[i].OpT
 
     def test_interval_metrics_only_with_spreads(self, small_report):
         by_model = {}
@@ -154,28 +162,26 @@ class TestLeaveOneWeekOut:
             assert by_model[model] == {"mae", "rmse", "covg", "piw", "is95"}
 
     def test_cell_values_match_their_predictions(self, two_week_records, small_report):
-        blocks = {(b.model, b.fold, b.response): b for b in small_report.predictions}
         checked = 0
         for row in small_report.rows:
             if row.metric != "mae":
                 continue
-            block = blocks[row.model, row.fold, row.response]
-            group = [j for j, i in enumerate(block.index.tolist())
+            got = _forecasts(small_report, model=row.model, fold=row.fold, response=row.response)
+            group = [j for j, i in enumerate(got["index"].tolist())
                      if two_week_records[i].shift_code == row.shift_type]
             assert row.count == len(group)
-            pairs = opcast.metrics.checked([block.actual[j] for j in group],
-                                           [block.mean[j] for j in group])
-            expected = opcast.metrics.cell_scores(opcast.metrics.columns(*pairs),
-                                                  slice(0, len(group)))["mae"]
+            pairs = opcast.metrics.checked([got["actual"][j] for j in group],
+                                           [got["mean"][j] for j in group])
+            sums = {name: col.sum() for name, col in opcast.metrics.columns(*pairs).items()}
+            expected = opcast.metrics.cell_scores(sums, len(group))["mae"]
             assert row.value == pytest.approx(expected, rel=1e-12)
             checked += 1
         assert checked >= 40
 
     def test_varx_spread_is_frozen_within_a_fold(self, small_report):
         def spreads(model, fold):
-            return {round(sd, 12) for b in small_report.predictions
-                    if b.model == model and b.fold == fold and b.response == "OpT"
-                    for sd in b.sd.tolist()}
+            return {round(sd, 12) for sd in _forecasts(
+                small_report, model=model, fold=fold, response="OpT")["sd"].tolist()}
 
         for fold in small_report.folds:
             assert len(spreads("varx-q1", fold)) == 1
@@ -260,10 +266,9 @@ class TestLeaveOneWeekOut:
         assert len(report.folds) == 2
         for fold in report.folds:
             for name in self.IOHMM_NAMES:
-                got = [(i, b.response, actual, mean, sd)
-                       for b in report.predictions if b.model == name and b.fold == fold
-                       for i, actual, mean, sd in zip(b.index.tolist(), b.actual.tolist(),
-                                                      b.mean.tolist(), b.sd.tolist())]
+                cols = _forecasts(report, model=name, fold=fold)
+                got = list(zip(*(cols[column].tolist()
+                                 for column in ("index", "response", "actual", "mean", "sd"))))
                 assert got and sorted(got) == sorted(expected[name, fold]), (name, fold)
 
     @pytest.mark.parametrize("cells", [  # a t, a w and two y specs
@@ -461,6 +466,17 @@ class TestReportOracle:
             assert any("no forecasts" in message for message in got[2]) == warned
 
 
+    def test_cells_of_every_summation_length_keep_their_bytes(self):
+        # a week of 20-period shifts and a day of 20, 20 and 5 records: cells
+        # of 5, 20, 139 and 140 pairs, which numpy sums one by one (under 8),
+        # in one unrolled block (8 to 128) and pairwise (over 128)
+        records = generate_synthetic(replace(two_week_spec(), days=8, periods_per_shift=20,
+                                             order_every=15))[:-15]
+        models = ("persistence", "varx-q1")
+        report = leave_one_week_out(records, models)
+        assert {row.count for row in report.rows} == {5, 20, 139, 140}
+        assert emit_report(report) == emit_report(lowo_row_oracle(records, models))
+
     def test_folds_of_different_k_share_one_learning_pass_and_one_walk(self, datasets):
         # at threshold 0.6 the first fold settles on five states and the others
         # on four, so the passes hold state predictors of two shapes
@@ -542,12 +558,12 @@ class TestReportOracle:
             fits.append(len(caught))
             return fit_states(*args, **kwargs)
 
-        def learn(*args, blocks=opcast.harness._iohmm_blocks):
+        def learn(*args, forecasts=opcast.harness._iohmm_forecasts):
             passes.append(len(caught))
-            return blocks(*args)
+            return forecasts(*args)
 
         monkeypatch.setattr(opcast.harness, "fit_states", fit)
-        monkeypatch.setattr(opcast.harness, "_iohmm_blocks", learn)
+        monkeypatch.setattr(opcast.harness, "_iohmm_forecasts", learn)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NumericError, match="gain denominator"):

@@ -4,13 +4,15 @@ import pytest
 import opcast.metrics
 import opcast.model
 from opcast import DimensionError, NumericError
-from opcast.metrics import cell_scores, checked, columns
+from opcast.metrics import cell_scores, cell_sums, checked, columns
 
 
 def _scores(actual, predicted, sd=None):
     """Every score of all the pairs, as the report scores one cell."""
     arrays = checked(actual, predicted, sd)
-    return cell_scores(columns(*arrays), slice(0, len(arrays[0])))
+    one = np.array([len(arrays[0])])
+    scores = cell_scores(cell_sums(columns(*arrays), np.array([0]), one), one)
+    return {name: value.item() for name, value in scores.items()}
 
 
 class TestPointMetrics:
@@ -107,3 +109,34 @@ class TestIntervalScore:
 
     def test_only_with_spreads(self):
         assert "is95" not in _scores([1.0], [0.0], None)
+
+
+class TestCellSums:
+    def test_grouped_cells_equal_each_slice_alone_to_the_bit(self):
+        # every cell length from 1 to 300, each numpy summation regime, in a
+        # shuffled layout, against each cell's own slice summed and averaged
+        rng = np.random.default_rng(5)
+        counts = np.concatenate([np.arange(1, 301), rng.integers(1, 301, size=100)])
+        rng.shuffle(counts)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        n = int(counts.sum())
+        a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)  # order-sensitive sums
+        p = rng.normal(size=n)
+        sd = rng.uniform(0.0, 1.5, size=n)
+        cols = columns(*checked(a, p, sd))
+        got = cell_scores(cell_sums(cols, starts, counts), counts)
+        assert list(got) == ["mae", "rmse", "covg", "piw", "is95"]
+        for name, col in cols.items():
+            want = np.array([col[s:s + k].sum() / k
+                             for s, k in zip(starts.tolist(), counts.tolist())])
+            if name == "rmse":
+                want = np.sqrt(want)
+            assert got[name].tobytes() == want.tobytes(), name
+
+    def test_one_cell_is_its_column_sums_averaged(self):
+        cols = columns(*checked([1.0, 2.0, 4.0], [2.0, 2.0, 1.0], [1.0, 0.5, 1.0]))
+        sums = cell_sums(cols, np.array([0, 1]), np.array([1, 2]))
+        assert sums["mae"].tolist() == [1.0, 3.0] and sums["covg"].tolist() == [1.0, 1.0]
+        scores = cell_scores({name: col.sum() for name, col in cols.items()}, 3)
+        assert scores["mae"] == pytest.approx(4.0 / 3.0)
+        assert scores["rmse"] == pytest.approx(np.sqrt(10.0 / 3.0))
