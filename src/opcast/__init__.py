@@ -2,7 +2,7 @@
 
 import types as _types
 
-from .benchmarks import VarxModel, fit_varx, persistence_forecast, predict_varx
+from .benchmarks import VarxModel, fit_varx, predict_varx
 from .clustering import ClusterModel, OeeBand, Standardizer, fit_auto_k, oee_band
 from .dirichlet import DirichletTable
 from .errors import (ConditioningWarning, ConfigurationError, DataError,

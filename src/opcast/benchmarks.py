@@ -1,6 +1,6 @@
 """Reference models the online forecaster is compared against.
 
-* persistence: tomorrow equals today.
+* persistence: tomorrow equals today (no code here: the harness reads ``y[t-1]``).
 * VARX(q): vector autoregression with exogenous regressors, fitted once by
   per-equation least squares and then frozen.
 
@@ -17,15 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FittingError, NumericError
-
-
-def persistence_forecast(y_prev) -> np.ndarray:
-    """The previous observations, unchanged: a copy of ``y_prev``, one row
-    per forecast (a 1-D ``y_prev`` is one forecast)."""
-    y_prev = np.array(y_prev, dtype=float, ndmin=1)
-    if not np.isfinite(y_prev).all():
-        raise NumericError("previous observation contains non-finite values")
-    return y_prev
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,7 @@ def fit_varx(y, g, q: int) -> VarxModel:
     Raises when the design is rank deficient, naming the involved columns; the rank
     is the fitting ``lstsq``'s (singular values <= eps * max(X.shape) * s_max are zero).
     """
-    if not isinstance(q, int) or q < 0:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 0:
         raise ConfigurationError(f"lag order must be a non-negative integer, got {q!r}")
     y, g = np.asarray(y, dtype=float), np.asarray(g, dtype=float)
     if y.size == 0:

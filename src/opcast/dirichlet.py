@@ -33,7 +33,8 @@ class DirichletTable:
     def __init__(self, n_states: int, pattern_length: int):
         if not isinstance(n_states, int) or n_states < 2:
             raise ConfigurationError(f"need at least 2 states, got {n_states!r}")
-        if not isinstance(pattern_length, int) or pattern_length < 1:
+        if isinstance(pattern_length, bool) or not isinstance(pattern_length, int) \
+                or pattern_length < 1:
             raise ConfigurationError(f"pattern length must be >= 1, got {pattern_length!r}")
         self.n_states = n_states
         self.pattern_length = pattern_length

@@ -14,8 +14,9 @@ production; the regression benchmark stays frozen after fitting. Every stage
 runs once and the first refusal met is raised, so an evaluation accepts
 exactly what the folds one by one accept.
 
-Forecasts flow as arrays, and the report scores all of them in one pass, one
-cell per model, fold, shift type and response.
+Forecasts flow as arrays of means and variances (persistence's means are the
+table's rows ``y[t-1]``), and the report scores all of them in one pass against
+the table of all records, one cell per model, fold, shift type and response.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .benchmarks import fit_varx, persistence_forecast, predict_varx
+from .benchmarks import fit_varx, predict_varx
 from .clustering import ClusterModel
-from .errors import ConfigurationError, DegenerateDataError, warn
+from .errors import ConfigurationError, DegenerateDataError, NumericError, warn
 from .features import MAX_LAGS, FeatureTable, build_features, default_feature_config
-from .metrics import cell_scores, cell_sums, checked, columns
+from .metrics import cell_scores, cell_sums, columns
 from .model import IoHmmModel, ModelConfig, fit_states, learn_tables, walk_tables
 from .records import ProductionRecord, check_chronological
 
@@ -97,7 +98,7 @@ def response_summary(y: np.ndarray, responses: Sequence[str]) -> dict[str, dict[
 def _iohmm_forecasts(variants, base: ModelConfig, folds, states, trains,
                      full: FeatureTable) -> dict[tuple[str, str], list[tuple]]:
     """The IO-HMM ``variants``' forecasts per identifier and fold (``(week,
-    test records)``), as ``(response columns, index, actual, mean, var)`` of each
+    test records)``), as ``(response columns, index, mean, var)`` of each
     variant: each learns from its fold's training table with its ``states`` and
     walks the test week in the table of all records (``full``), all folds in
     one stacked learning pass and one stacked walk."""
@@ -109,9 +110,7 @@ def _iohmm_forecasts(variants, base: ModelConfig, folds, states, trains,
     forecasts: dict[tuple[str, str], list[tuple]] = {}
     for fold, _ in folds:
         for name, _, columns in variants:
-            index, mean, var = next(walks)
-            forecasts.setdefault((name, fold), []).append(
-                (columns, index, full.y[np.ix_(index, columns)], mean, var))
+            forecasts.setdefault((name, fold), []).append((columns, *next(walks)))
     return forecasts
 
 
@@ -168,35 +167,36 @@ def leave_one_week_out(records: Sequence[ProductionRecord],
     for (fold, test), table in zip(folds, tables):
         for name in model_names:
             kind, q = parse_model_name(name)
-            if kind == "persistence":  # every test record after the dataset's first
+            if kind == "persistence":  # every test record after the dataset's first: y[t-1]
                 index = np.arange(max(test.start, 1), test.stop)
-                forecasts[name, fold] = [(every, index, full.y[index],
-                                          persistence_forecast(full.y[index - 1]), None)]
+                forecasts[name, fold] = [(every, index, full.y[index - 1], None)]
             elif kind == "varx":  # from record q on, its lags read from y as the IO-HMM's
                 varx = fit_varx(table.y, table.w, q)
                 index = np.arange(max(test.start, q), test.stop)
                 y_hat, sigma = predict_varx(varx, [full.y[index - j] for j in range(1, q + 1)],
                                             full.w[index])
-                forecasts[name, fold] = [(every, index, full.y[index], y_hat,
+                forecasts[name, fold] = [(every, index, y_hat,
                                           np.broadcast_to(np.diagonal(sigma), y_hat.shape))]
             made = [part for part in forecasts[name, fold] if len(part[1])]
             if not made:  # an empty cell warns at once
                 warn(f"model {name!r} produced no forecasts in fold {fold}", UserWarning)
             parts += [(name, fold, *part) for part in made]
 
-    rows, predictions = _aggregate(parts, np.array([rec.shift_code for rec in records]),
+    rows, predictions = _aggregate(parts, full.y, np.array([rec.shift_code for rec in records]),
                                    responses)
     return MetricsReport(rows=rows, response_summary=response_summary(full.y, responses),
                          folds=weeks, models=list(model_names),
                          n_records=len(records), predictions=predictions, states=states)
 
 
-def _aggregate(parts: Sequence[tuple], shifts: np.ndarray,
+def _aggregate(parts: Sequence[tuple], y: np.ndarray, shifts: np.ndarray,
                responses: Sequence[str]) -> tuple[list[ReportRow], dict[str, np.ndarray]]:
     """The report rows and the long columns of the forecasts ``parts``, each
-    ``(model, fold, response columns, index, actual, mean, var)`` with ``(n,
-    columns)`` arrays (``var`` None without spreads); ``shifts`` holds each
-    record's shift type. A pair's key ranks its (model, fold, shift_type,
+    ``(model, fold, response columns, index, mean, var)`` with ``(n, columns)``
+    arrays (``var`` None without spreads), scored against the checked table's
+    responses ``y``; ``shifts`` holds each record's shift type. Only what the
+    models computed is refused: a non-finite mean, then a non-finite spread of
+    a model that has spreads. A pair's key ranks its (model, fold, shift_type,
     response) cell in sorted order, and one stable sort of the keys makes each
     cell a run of its pairs in record order, summed as that cell alone. Interval
     metrics are reported only for cells whose model provides predictive spreads.
@@ -204,14 +204,17 @@ def _aggregate(parts: Sequence[tuple], shifts: np.ndarray,
     if not parts:  # no forecasts at all
         return [], {}
     pairs = sorted({part[:2] for part in parts})  # (model, fold), in rank order
-    owner, resp, index, actual, mean, var = (np.concatenate(col) for col in zip(*(
-        (np.full(a.size, pairs.index((model, fold))), np.repeat(cols, len(i)),
-         np.tile(i, len(cols)), a.T.ravel(), p.T.ravel(),
-         np.full(a.size, np.nan) if s is None else s.T.ravel())
-        for model, fold, cols, i, a, p, s in parts)))
-    has = np.isin(owner, [pairs.index(part[:2]) for part in parts if part[6] is not None])
+    owner, resp, index, mean, var = (np.concatenate(col) for col in zip(*(
+        (np.full(p.size, pairs.index((model, fold))), np.repeat(cols, len(i)),
+         np.tile(i, len(cols)), p.T.ravel(), np.full(p.size, np.nan) if s is None else s.T.ravel())
+        for model, fold, cols, i, p, s in parts)))
+    has = np.isin(owner, [pairs.index(part[:2]) for part in parts if part[5] is not None])
     sd = np.sqrt(np.clip(var, 0.0, None))
-    checked(actual, mean, np.where(has, sd, 0.0))  # once, then scored unchecked
+    if not np.isfinite(mean).all():
+        raise NumericError("metric inputs contain non-finite values")
+    if not np.isfinite(sd[has]).all():
+        raise NumericError("standard deviations must be finite and non-negative")
+    actual = y[index, resp]
     shift_names, shift_rank = np.unique(shifts, return_inverse=True)
     key = (owner * len(shift_names) + shift_rank[index]) * len(responses) \
         + np.argsort(np.argsort(responses))[resp]

@@ -396,7 +396,8 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
         actual = [r.actual for r in group]
         predicted = [r.predicted for r in group]
         sds = [r.sd for r in group] if all(r.sd is not None for r in group) else None
-        pairs = metrics.checked(actual, predicted, sds)  # each cell summed alone
+        pairs = [np.asarray(v, dtype=float) for v in (actual, predicted, sds)
+                 if v is not None]  # each cell summed alone
         sums = {name: col.sum() for name, col in metrics.columns(*pairs).items()}
         out += [ReportRow(*key, metric, float(value), len(group))
                 for metric, value in metrics.cell_scores(sums, len(group)).items()]

@@ -31,7 +31,7 @@ from opcast import (
     leave_one_week_out,
 )
 from opcast.features import classification_vector
-from opcast.metrics import cell_scores, checked, columns
+from opcast.metrics import cell_scores, columns
 
 from oracles import batch_oracle
 
@@ -438,7 +438,8 @@ def test_a11_metric_functions_match_single_pass():
     hits = sum(abs(a - p) <= 1.96 * s
                for a, p, s in zip(actual, predicted, sd))
 
-    sums = {name: col.sum() for name, col in columns(*checked(actual, predicted, sd)).items()}
+    pairs = (np.asarray(v, dtype=float) for v in (actual, predicted, sd))
+    sums = {name: col.sum() for name, col in columns(*pairs).items()}
     scores = cell_scores(sums, n)
     diffs = (abs(scores["mae"] - abs_sum / n),
              abs(scores["rmse"] - math.sqrt(sq_sum / n)),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opcast import (ConfigurationError, DimensionError, FittingError,
-                    NumericError, fit_varx, persistence_forecast, predict_varx)
+                    fit_varx, predict_varx)
 
 from oracles import fit_varx_pairs, predict_varx_row
 
@@ -27,28 +27,6 @@ def _simulate_varx(rng, n, intercept, phi, beta, noise=0.1):
 def _arrays(pairs):
     """The ``(n, m)`` responses and ``(n, g)`` exogenous rows of ``pairs``."""
     return np.array([y for y, _ in pairs]), np.array([g for _, g in pairs])
-
-
-class TestPersistence:
-    def test_returns_copy_of_previous(self):
-        prev = np.array([1.0, 2.0])
-        out = persistence_forecast(prev)
-        np.testing.assert_array_equal(out, prev)
-        out[0] = 99.0
-        assert prev[0] == 1.0
-
-    def test_one_row_per_forecast(self):
-        prev = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = persistence_forecast(prev)
-        np.testing.assert_array_equal(out, prev)
-        assert out is not prev
-        assert persistence_forecast(2.5).shape == (1,)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            persistence_forecast([np.nan])
-        with pytest.raises(NumericError, match="previous observation"):
-            persistence_forecast([[1.0, 2.0], [np.inf, 0.0]])
 
 
 class TestVarxFit:
@@ -123,6 +101,13 @@ class TestVarxFit:
             fit_varx(np.zeros((1, 1)), np.zeros((1, 1)), q=-1)
         with pytest.raises(DimensionError):
             fit_varx(np.zeros((2, 2)), np.zeros((3, 1)), q=0)
+
+    def test_a_boolean_is_not_a_lag_order(self):
+        rng = np.random.default_rng(25)
+        y, g = rng.normal(size=(50, 2)), rng.normal(size=(50, 1))
+        with pytest.raises(ConfigurationError, match="lag order must be a non-negative "
+                                                     "integer, got True"):
+            fit_varx(y, g, True)
 
     def test_q_zero_is_regression_on_exogenous_only(self):
         rng = np.random.default_rng(24)

@@ -169,6 +169,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DirichletTable(n_states=2, pattern_length=0)
 
+    def test_a_boolean_is_not_a_pattern_length(self):
+        # refused here, as from_dict refuses the document it would save
+        with pytest.raises(ConfigurationError, match="pattern length must be >= 1, got True"):
+            DirichletTable(3, True)
+
 
 class TestSerialization:
     def test_roundtrip(self):

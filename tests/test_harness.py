@@ -170,8 +170,8 @@ class TestLeaveOneWeekOut:
             group = [j for j, i in enumerate(got["index"].tolist())
                      if two_week_records[i].shift_code == row.shift_type]
             assert row.count == len(group)
-            pairs = opcast.metrics.checked([got["actual"][j] for j in group],
-                                           [got["mean"][j] for j in group])
+            pairs = (np.asarray([got[name][j] for j in group], dtype=float)
+                     for name in ("actual", "mean"))
             sums = {name: col.sum() for name, col in opcast.metrics.columns(*pairs).items()}
             expected = opcast.metrics.cell_scores(sums, len(group))["mae"]
             assert row.value == pytest.approx(expected, rel=1e-12)
@@ -395,6 +395,50 @@ class TestLeaveOneWeekOut:
             report = leave_one_week_out(records, model_names=("persistence",))
         assert "2022-W39" in report.folds
         assert all(r.fold != "2022-W39" for r in report.rows)
+
+
+class TestAggregate:
+    """``_aggregate`` scores hand-made forecast parts against a table's
+    responses and refuses only what a model computed: its means, then the
+    spreads of the models that have them."""
+    Y = np.arange(10.0).reshape(5, 2)
+    SHIFTS = np.array(["M", "M", "A", "A", "M"])
+
+    @classmethod
+    def _aggregate(cls, *parts):
+        return opcast.harness._aggregate(
+            [(model, "2024-W01", range(2), np.arange(1, 5), np.asarray(mean, dtype=float), var)
+             for model, mean, var in parts], cls.Y, cls.SHIFTS, ["OpT", "MaT"])
+
+    def test_a_non_finite_mean_is_refused(self):
+        mean = np.ones((4, 2))
+        mean[2, 1] = np.nan
+        with pytest.raises(NumericError, match="^metric inputs contain non-finite values$"):
+            self._aggregate(("a", mean, np.ones((4, 2))))
+
+    def test_a_non_finite_spread_is_refused(self):
+        var = np.ones((4, 2))
+        var[0, 0] = np.inf
+        with pytest.raises(NumericError,
+                           match="^standard deviations must be finite and non-negative$"):
+            self._aggregate(("a", np.ones((4, 2)), var))
+
+    def test_a_bad_mean_is_named_before_a_bad_spread(self):
+        bad_var, bad_mean = np.ones((4, 2)), np.ones((4, 2))
+        bad_var[1, 0], bad_mean[3, 1] = np.nan, np.inf
+        for parts in ([("a", np.ones((4, 2)), bad_var), ("b", bad_mean, np.ones((4, 2)))],
+                      [("a", bad_mean, bad_var)]):
+            with pytest.raises(NumericError, match="^metric inputs contain non-finite"):
+                self._aggregate(*parts)
+
+    def test_a_model_without_spreads_is_scored_by_its_means(self):
+        # persistence's sd is NaN and not refused; the actuals are the
+        # table's responses of each forecast's record
+        rows, cols = self._aggregate(("persistence", self.Y[:4], None))
+        assert np.isnan(cols["sd"]).all()
+        assert cols["actual"].tolist() == self.Y[1:, 0].tolist() + self.Y[1:, 1].tolist()
+        assert {row.metric for row in rows} == {"mae", "rmse"}
+        assert all(row.value == 2.0 for row in rows)  # y[t] - y[t-1] is 2 in every column
 
 
 def _first_week_of_one_record():
