@@ -23,7 +23,8 @@ would raise it, and ends that state. Its layout is ragged: the states come
 in groups of one shape, each kind of array is one flat buffer of all
 states' blocks, and one step advances every group, the products per group
 and everything else once over the flat buffers; ``stacked`` lays the
-sequences out for it.
+sequences out for it; ``model`` passes equal v chains once. A due
+conditioning check takes an SVD only where a Cholesky factor cannot bound it.
 """
 
 from __future__ import annotations
@@ -100,7 +101,23 @@ def serialized(doc: dict, name: str, kind: type = float):
 
 def _conditioning(P: np.ndarray, n_updates: int) -> str | None:
     """The ConditioningWarning message due after update ``n_updates``, if any."""
-    return None if n_updates % COND_CHECK_EVERY else _cond_message(np.linalg.cond(P), n_updates)
+    return None if n_updates % COND_CHECK_EVERY else _cond_message(_cond(P), n_updates)
+
+
+def _cond(P: np.ndarray) -> np.ndarray:
+    """``cond`` of each matrix of the stack ``P``, or the bound ``COND_THRESHOLD / 10`` of
+    all that one Cholesky factor shows with no SVD: for ``b`` the largest absolute row sum,
+    if ``P - c I`` with ``c = 10 b / COND_THRESHOLD`` is positive definite, ``cond(P) < b /
+    c``. The factor reads the lower triangle, which stands for all of ``P``: ``P`` is exactly
+    symmetric in ``_update`` and ``stacked_pass``. A non-finite ``b`` takes the SVD."""
+    b = np.linalg.norm(P, np.inf, axis=(-2, -1), keepdims=True)  # the largest absolute row sum
+    try:
+        if np.isfinite(b).all():  # as Cholesky passes NaN
+            np.linalg.cholesky(P - b * (10 / COND_THRESHOLD) * np.eye(P.shape[-1]))
+            return np.full(P.shape[:-2], COND_THRESHOLD / 10)
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.cond(P)
 
 
 def _cond_message(cond: float, n_updates: int) -> str | None:
@@ -353,7 +370,7 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
         P -= np.divide(product(Pu, Pu, *on_P), den.repeat(size_P), out=on_P[2])
         P /= lam_P
         for g, due in checks.get(k, {}).items():  # one batched cond per group
-            for i, cond in zip(due, np.linalg.cond(Ps[g][due]).tolist()):
+            for i, cond in zip(due, _cond(Ps[g][due]).tolist()):
                 message = _cond_message(cond, groups[g][0][i].n_updates + k + 1)
                 if message is not None and not refused[first[g] + i]:
                     caught.append((g, i, k, message))

@@ -17,9 +17,10 @@ Centroid moves never depend on the predictors, so what reads none runs once
 per pass (labels, chain splits, one count walk per v group), and each
 pattern's rows form a chain; all chains advance together, one ragged update of
 each side per position (``stacked_pass``), both sides' inputs laid out by
-``stacked``. A stacked pass keys each warning, refused update and refused cold
-start by where the loop would meet it, model by model, and raises the first
-refusal after the warnings before it: what the loop raises. One blend,
+``stacked``; a v side reads no lags, so equal v chains of several models
+advance once. A stacked pass keys each warning, refused update and refused
+cold start by where the loop would meet it, model by model, and raises the
+first refusal after the warnings before it: what the loop raises. One blend,
 ``_blend``, makes every forecast, from the pre-update moments of the step that
 learns the record; ``forecast_step`` reads the same moments without learning.
 A forecast is a ``ForecastResult``; the full state snapshots to a JSON document.
@@ -207,6 +208,7 @@ class _Chain:
     cur: np.ndarray         # realized states, 1-based
     counts: np.ndarray | None = None  # count rows after the pass, set by the count walk
     moments: list = field(default_factory=list)  # per side, each step's pre-update (u'H, Sigma)
+    twins: tuple = ()  # the later chains whose v side reads as this one's
 
     @property
     def u(self) -> np.ndarray:
@@ -237,17 +239,31 @@ def _walk_counts(group: Sequence[_Chain]) -> tuple[np.ndarray, list[int]]:
     return vectors, active
 
 
+def _v_leads(chains: Sequence[_Chain]) -> list[_Chain]:
+    """The first of the chains whose v sides read the same bytes, the rest its ``twins``."""
+    leads: dict = {}
+    for ch in chains:
+        st = ch.states.v
+        key = (id(ch.table), tuple(ch.columns), st.H.shape, st.forgetting, st.gamma, st.n_updates,
+               *(a.tobytes() for a in (ch.rows, ch.prev, ch.cur, st.H, st.Sigma, st.P,
+                                       ch.model.dirichlet.count_rows(ch.key))))
+        lead = leads.setdefault(key, ch)
+        if lead is not ch:
+            lead.twins += (ch,)
+    return list(leads.values())  # the keys go: the pass does not need them
+
+
 def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
-    """Advance ``chains`` together: one ragged update of each side's groups
-    (``stacked_pass``), the v side's inputs from one count walk per group;
-    ``walking``, fill their ``moments`` (u mean and covariance, v mean and
-    covariance per step). Returns the commits and the warnings and refused
-    updates, each keyed by where it falls in a record-by-record pass:
-    ``(model order, record, side)``."""
+    """Advance ``chains`` together: one ragged update of each side's groups (``stacked_pass``),
+    the v side's inputs from one count walk per group, equal v chains once (``_v_leads``);
+    ``walking``, fill their ``moments`` (u mean and covariance, v mean and covariance per
+    step). Returns the commits and the warnings and refused updates, each keyed by where
+    it falls in a record-by-record pass: ``(model order, record, side)``."""
     commits, events = [], []
     for side, name in enumerate(("u", "v")):  # a record updates u, then v
+        leads = _v_leads(chains) if side else chains  # u reads the lags: twins only on v
         groups: dict = {}  # by predictor shape: a v side's n_predictors is its K
-        for ch in sorted(chains, key=lambda ch: -len(ch.rows)):  # stable; groups longest first
+        for ch in sorted(leads, key=lambda ch: -len(ch.rows)):  # stable; groups longest first
             st = getattr(ch.states, name)
             groups.setdefault((st.n_predictors, st.n_responses), []).append(ch)
         groups = list(groups.values())
@@ -257,12 +273,19 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
             stacked([ch.table.y.take(ch.rows, axis=0).take(ch.columns, axis=1)
                      for ch in group])[0]) for group in groups], walking)
         commits.append(commit)
-        events += [((groups[g][j].order, groups[g][j].rows[k], side), event)
-                   for g, j, k, event in caught]
+        events += [((ch.order, ch.rows[k], side), event) for g, j, k, event in caught
+                   for ch in (groups[g][j], *groups[g][j].twins)]
         for group, (mean, cov) in zip(groups, moments if walking else ()):
-            for j, ch in enumerate(group):
-                ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
-    return commits, events
+            for j, lead in enumerate(group):
+                for ch in (lead, *lead.twins):
+                    ch.moments += mean[:len(ch.rows), j], cov[:len(ch.rows), j]
+
+    def to_twins() -> None:  # after the v commit; copies, as no two models share an array
+        for lead, ch in [(lead, ch) for lead in leads for ch in lead.twins]:
+            v, learned = ch.states.v, lead.states.v
+            v.H, v.Sigma, v.P = learned.H.copy(), learned.Sigma.copy(), learned.P.copy()
+            v.gamma, v.n_updates, ch.counts = learned.gamma, learned.n_updates, lead.counts.copy()
+    return [*commits, to_twins], events
 
 
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:

@@ -73,7 +73,8 @@ def test_lowo_default_check_passes(workloads, tmp_path):
 def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days, folds):
     # the IO-HMM variants of all folds learn in one stacked pass and walk
     # their test weeks in one more, whatever the fold count, each pass one
-    # ragged update per side: no record-by-record walk or update is left
+    # ragged update per side: no record-by-record walk or update is left, and
+    # the v chains that read the same bytes advance once
     import opcast.model
     from opcast.estimator import AdaptiveState
     from opcast.model import IoHmmModel
@@ -81,7 +82,7 @@ def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days,
     def forbidden(*args, **kwargs):
         raise AssertionError("record-by-record work in a LOWO run")
 
-    passes, updates = [], []
+    passes, updates, states = [], [], []
 
     def counted(models, tables, spans, walking, stacked=opcast.model._stacked):
         passes.append("walk" if walking else "learn")
@@ -89,6 +90,7 @@ def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days,
 
     def ragged(groups, moments=False, stacked_pass=opcast.model.stacked_pass):
         updates.append(len(groups))
+        states.append(sum(len(group[0]) for group in groups))
         return stacked_pass(groups, moments)
 
     monkeypatch.setattr(AdaptiveState, "_update", forbidden)
@@ -100,5 +102,6 @@ def test_lowo_fold_training_runs_stacked(workloads, tmp_path, monkeypatch, days,
     findings, _ = _check(short(), tmp_path, units=1)
     assert findings["folds"] == folds and passes == ["learn", "walk"]
     assert len(updates) == 4 and min(updates) > 1  # 2 per pass, each of several groups
+    assert states[1] < states[0] and states[3] < states[2]  # per pass: u, then fewer v
     if days == 14:
         assert findings["report_sha256"] == SHORT_LOWO_SHA256

@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings, strategies as st
 
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, InputError, NumericError)
-from opcast.estimator import (COND_CHECK_EVERY, _conditioning, restore_states, stacked,
-                              stacked_pass, state_stacks)
+from opcast.estimator import (COND_CHECK_EVERY, COND_THRESHOLD, _cond, _cond_message,
+                              _conditioning, restore_states, stacked, stacked_pass,
+                              state_stacks)
 
 from oracles import batch_oracle
 
@@ -403,6 +404,59 @@ class TestPrecisionSymmetry:
         for u, y in _random_history(rng, 300, 6, 2, scale=3.0):
             state.update(u, y)
             assert np.array_equal(state.P, state.P.T)
+
+
+def _spd(rng, p, log_cond):
+    """An exactly symmetric positive definite ``(p, p)`` matrix of condition number
+    about ``10 ** log_cond``, at a random scale and in random directions."""
+    Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    P = (Q * np.logspace(0.0, -log_cond, p) * 10.0 ** rng.uniform(-6, 6)) @ Q.T
+    return (P + P.T) / 2.0
+
+
+class TestConditioningScreen:
+    """``_cond`` skips the SVD only where no warning is due."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 9),
+           log_conds=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=5),
+           fault=st.sampled_from([None, "nan", "inf", "indefinite", "singular"]))
+    def test_skips_only_what_the_exact_cond_passes(self, seed, p, log_conds, fault):
+        rng = np.random.default_rng(seed)
+        P = np.stack([_spd(rng, p, log_cond) for log_cond in log_conds])
+        if fault is not None:  # in one matrix of the stack
+            bad = P[rng.integers(len(P))]
+            bad[0, 0] = {"nan": np.nan, "inf": np.inf, "indefinite": -abs(bad[0, 0]) - 1.0,
+                         "singular": 0.0}[fault]
+            if fault == "singular":
+                bad[0, :] = bad[:, 0] = 0.0
+        with np.errstate(all="ignore"):  # the SVD of a non-finite matrix
+            try:
+                exact = np.linalg.cond(P)
+            except np.linalg.LinAlgError:  # the SVD of a NaN may not converge:
+                with pytest.raises(np.linalg.LinAlgError):  # then neither does _cond's
+                    _cond(P)
+                return
+            got = _cond(P)
+        assert got.shape == exact.shape == (len(P),)
+        skipped = not np.array_equal(got, exact, equal_nan=True)
+        if skipped:  # the bound, where the exact cond is below the threshold
+            assert (got == COND_THRESHOLD / 10).all() and (exact <= COND_THRESHOLD).all()
+        assert [_cond_message(c, 50) for c in got] == [_cond_message(c, 50) for c in exact]
+        if fault is not None:
+            assert not skipped
+        elif max(log_conds) <= 5.0:  # far below the threshold: the SVD is skipped
+            assert (got == COND_THRESHOLD / 10).all()
+
+    def test_a_skipped_check_warns_as_the_exact_cond(self):
+        # a P that the screen bounds gives no message; one it does not gives the
+        # exact cond's message
+        well, ill = np.eye(3), np.diag([1.0, 1.0, 1e-9])
+        assert _cond(well) == COND_THRESHOLD / 10 and _cond(ill) == np.linalg.cond(ill)
+        assert _conditioning(well, COND_CHECK_EVERY) is None
+        assert _conditioning(ill, COND_CHECK_EVERY) == (
+            f"precision proxy condition number {1e9:.3e} exceeds {COND_THRESHOLD:.1e} "
+            f"after {COND_CHECK_EVERY} updates")
 
 
 def _sequential(states, inputs, responses):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import datetime as dt
 import json
@@ -1009,6 +1010,19 @@ def setting():
     return records, features, states
 
 
+@contextlib.contextmanager
+def _states_per_pass():
+    """The number of states each ``stacked_pass`` call in the block advances."""
+    sizes, stacked_pass = [], opcast.model.stacked_pass
+
+    def counted(groups, moments=False):
+        sizes.append(sum(len(states) for states, *_ in groups))
+        return stacked_pass(groups, moments)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opcast.model, "stacked_pass", counted)
+        yield sizes
+
+
 class TestLearnTables:
     """One stacked pass against the record-by-record ``_learn`` path."""
 
@@ -1039,6 +1053,11 @@ class TestLearnTables:
         _learn(learned, records[:100])
         models.append(learned)
         tables.append(build_features(records[90:], features))
+        with _states_per_pass() as sizes, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            learn_tables(copy.deepcopy(models), tables)
+        u, v = sizes
+        assert v < u  # equal v chains advance once: their warnings' fan-out is covered
         return models, tables
 
     def test_matches_the_record_by_record_pass(self, setting):
@@ -1141,6 +1160,92 @@ class TestLearnTables:
         with pytest.raises(DimensionError):
             learn_tables(models[:2], tables[:1])
         assert models[0].to_json() == before
+
+
+class TestTwinChains:
+    """Chains whose v sides read the same bytes advance once, each as alone."""
+
+    FAST = 0.6  # winds the v side up enough to warn
+
+    def _models(self, setting, learned=()):
+        """Joint and single-response models at lag orders 1 and 2, each in two u
+        forgetting factors but of one v factor, learned from ``learned`` one by
+        one: pairs of models whose v chains read the same bytes. Every row falls
+        in state 1 of 3, so no v vector tells states 2 and 3 apart and the v
+        sides wind up and warn."""
+        records, features, _ = setting
+        features = replace(features, t_spec=("OpT",))
+        lag_free = build_features(records, features.with_lags(0))
+        models = []
+        for q in (1, 2):
+            for names in (("OpT", "NOpT"), ("OpT",)):
+                for lambda_u in (0.99, 0.9):
+                    models.append(IoHmmModel(ModelConfig(
+                        features=replace(features, q=q, response_names=names),
+                        lambda_u=lambda_u, lambda_v=self.FAST, allow_cold_start=True),
+                        clusters=_manual_clusters(((0.0,), (10.0,), (20.0,)))))
+                    if learned:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", ConditioningWarning)
+                            _learn(models[-1], learned)
+        return models, [lag_free] * len(models)
+
+    def test_a_learning_pass_learns_each_twin_as_alone(self, setting):
+        models, tables = self._models(setting)
+        alone = copy.deepcopy(models)
+        expected = [_outcome(lambda: learn_tables([model], [table]))[1]
+                    for model, table in zip(alone, tables)]
+        with _states_per_pass() as sizes:
+            got = _outcome(lambda: learn_tables(models, tables))
+        assert sizes[1] < sizes[0] and got == (None, sum(expected, [])) and got[1]
+        assert [m.to_json() for m in models] == [m.to_json() for m in alone]
+
+    def test_a_walk_forecasts_for_each_twin_as_alone(self, setting):
+        records = setting[0]
+        models, tables = self._models(setting, records[:100])
+        span = range(100, len(records))
+        expected = [_outcome(lambda: _walked([model], [table], [span])) for model, table
+                    in zip(models, tables)]
+        with _states_per_pass() as sizes:
+            got = _outcome(lambda: _walked(models, tables, [span] * len(models)))
+        assert sizes[1] < sizes[0] and got[1]
+        assert got == ([forecasts for (forecasts,), _ in expected],
+                       sum((warned for _, warned in expected), []))
+
+    def test_no_two_models_share_an_array_after_commit(self, setting):
+        models, tables = self._models(setting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            learn_tables(models, tables)
+        before = [m.to_json() for m in models]
+        first, twin = models[:2]  # one v factor, two u factors
+        assert first.params.keys() == twin.params.keys()
+        for key, states in first.params.items():
+            assert all(np.array_equal(getattr(states.v, name), getattr(twin.params[key].v, name))
+                       for name in ("H", "Sigma", "P"))
+            for arr in (states.v.H, states.v.Sigma, states.v.P, first.dirichlet.counts[key]):
+                arr += 1.0  # in place
+        assert first.to_json() != before[0]
+        assert [m.to_json() for m in models[1:]] == before[1:]
+
+    def test_a_refused_twin_chain_raises_for_the_first_twin(self, setting):
+        # models 0 and 1, twins on v, both refuse there at the same record;
+        # between them in model order one more model warns: the loop raises
+        # for the first twin before any warning of the model after it
+        records = setting[0]
+        models, tables = self._models(setting, records[:40])
+        key = sorted(models[0].params)[0]
+        models = [_negative_definite(models[0], key, "v"), models[2],
+                  _negative_definite(models[1], key, "v")]
+        tables = tables[:3]
+        before = [m.to_json() for m in models]
+        with _states_per_pass() as sizes:
+            got = _outcome(lambda: learn_tables(models, tables))
+        assert sizes[1] < sizes[0]
+        assert got == TestLearnTables._one_by_one(models, tables)
+        assert got == _outcome(lambda: learn_tables(models[:1], tables[:1]))
+        assert got[0][0] is NumericError and "gain denominator" in got[0][1]
+        assert [m.to_json() for m in models] == before
 
 
 def _outcome(run):
