@@ -202,6 +202,8 @@ class ClusterModel:
     def nearest(self, X: np.ndarray) -> np.ndarray:
         """1-based nearest centroid of each row of ``X``, standardized and
         finite: the trusted core of ``assign``, for callers that checked."""
+        if len(X) == 1:  # _sq_dists' plain form on one row's (K, D) squares: no transpose
+            return np.square(X - self.centroids).sum(axis=1).argmin(keepdims=True) + 1
         return _sq_dists(np.ascontiguousarray(X.T), self.centroids).argmin(axis=0) + 1
 
     def absorb(self, state: int, x: np.ndarray) -> None:

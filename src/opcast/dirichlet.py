@@ -5,7 +5,7 @@ n_states)`` array of counts: row 0 holds the initial-state counts, row
 ``s`` the counts of transitions from state ``s``. All counts start at the
 symmetric Jeffreys value 1/2 and grow by exactly one per observation, so
 the posterior-mean state probabilities are simple count ratios and every
-update is a constant-time increment.
+update is a constant-time increment, in the row a record reads once (``row``).
 
 State labels are 1-based throughout the public interface.
 """
@@ -40,16 +40,21 @@ class DirichletTable:
         self.pattern_length = pattern_length
         self.counts: dict[str, np.ndarray] = {}
 
-    def _rows(self, pattern, store: bool = False) -> np.ndarray:
-        """The count rows of a checked ``pattern``; for a pattern never
-        observed the Jeffreys prior, entered in the table only on ``store``."""
+    def _rows(self, pattern) -> np.ndarray:
+        """The count rows of ``pattern``; an unseen one's Jeffreys prior is not stored."""
         rows = self.counts.get(pattern) if isinstance(pattern, str) else None
         if rows is None:  # known keys were checked when they were stored
             self.check(pattern)
             rows = np.full((self.n_states + 1, self.n_states), JEFFREYS)
-            if store:
-                self.counts[pattern] = rows
         return rows
+
+    def row(self, pattern: str, prev_state: int | None) -> np.ndarray:
+        """The count row ``prev_state`` reads, a view to count into, a new pattern's prior
+        stored first; the caller checked both (``check``, or ``pattern_key`` and ``nearest``)."""
+        rows = self.counts.get(pattern)
+        if rows is None:
+            rows = self.counts[pattern] = np.full((self.n_states + 1, self.n_states), JEFFREYS)
+        return rows[0 if prev_state is None else prev_state]
 
     def check(self, pattern, prev_state: int | None = None, state: int | None = None) -> int:
         """Raise for a pattern or state the tables cannot take; creates nothing.
@@ -73,8 +78,8 @@ class DirichletTable:
     def observe(self, pattern, prev_state: int | None, state: int) -> None:
         """Count ``state`` in the row ``expected_state_vector`` reads for ``prev_state``;
         all is checked before a new pattern's counts are stored."""
-        row = self.check(pattern, prev_state, state)
-        self._rows(pattern, store=True)[row, state - 1] += 1.0
+        self.check(pattern, prev_state, state)
+        self.row(pattern, prev_state)[state - 1] += 1.0
 
     def count_rows(self, pattern) -> np.ndarray:
         """A copy of the counts: row 0 the initial counts, row ``s`` the

@@ -23,8 +23,8 @@ would raise it, and ends that state. Its layout is ragged: the states come
 in groups of one shape, each kind of array is one flat buffer of all
 states' blocks, and one step advances every group, the products per group
 and everything else once over the flat buffers; ``stacked`` lays the
-sequences out for it; ``model`` passes equal v chains once. A due
-conditioning check takes an SVD only where a Cholesky factor cannot bound it.
+sequences out for it; ``model`` passes equal v chains once. A conditioning check,
+made only when due, takes an SVD only where no Cholesky factor bounds a finite ``P``.
 """
 
 from __future__ import annotations
@@ -99,17 +99,12 @@ def serialized(doc: dict, name: str, kind: type = float):
     return kind(value)
 
 
-def _conditioning(P: np.ndarray, n_updates: int) -> str | None:
-    """The ConditioningWarning message due after update ``n_updates``, if any."""
-    return None if n_updates % COND_CHECK_EVERY else _cond_message(_cond(P), n_updates)
-
-
 def _cond(P: np.ndarray) -> np.ndarray:
     """``cond`` of each matrix of the stack ``P``, or the bound ``COND_THRESHOLD / 10`` of
     all that one Cholesky factor shows with no SVD: for ``b`` the largest absolute row sum,
     if ``P - c I`` with ``c = 10 b / COND_THRESHOLD`` is positive definite, ``cond(P) < b /
-    c``. The factor reads the lower triangle, which stands for all of ``P``: ``P`` is exactly
-    symmetric in ``_update`` and ``stacked_pass``. A non-finite ``b`` takes the SVD."""
+    c``. The factor reads the lower triangle: ``_update`` and ``stacked_pass`` keep ``P``
+    exactly symmetric. A ``P`` with a non-finite cell reads ``inf``: its SVD may not converge."""
     b = np.linalg.norm(P, np.inf, axis=(-2, -1), keepdims=True)  # the largest absolute row sum
     try:
         if np.isfinite(b).all():  # as Cholesky passes NaN
@@ -117,7 +112,9 @@ def _cond(P: np.ndarray) -> np.ndarray:
             return np.full(P.shape[:-2], COND_THRESHOLD / 10)
     except np.linalg.LinAlgError:
         pass
-    return np.linalg.cond(P)
+    finite, cond = np.isfinite(P).all(axis=(-2, -1)), np.full(P.shape[:-2], np.inf)
+    cond[finite] = np.linalg.cond(P[finite])
+    return cond
 
 
 def _cond_message(cond: float, n_updates: int) -> str | None:
@@ -177,24 +174,23 @@ class AdaptiveState:
     def _update(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``update`` of vectors the caller has checked (right length, finite);
         returns the prediction ``u'H`` and the ``Sigma`` it learned against."""
-        lam = self.forgetting
-        Pu = self.P @ u
-        denom = lam + u @ Pu
+        lam, P, H = self.forgetting, self.P, self.H
+        Pu = P @ u
+        denom = lam + float(u @ Pu)  # the scalars are Python floats: the same IEEE steps
         if not denom > 0.0:
             raise NumericError(_REFUSED_GAIN.format(denom))
 
         self.gamma = gamma = 1.0 + lam * self.gamma
-        pred, Sigma = u @ self.H, self.Sigma
+        pred, Sigma = u @ H, self.Sigma
         e = y - pred
-        self.H = self.H + Pu[:, None] * e / denom
+        self.H = H + Pu[:, None] * e / denom
         # both weights are >= 0 (gamma >= 1), so Sigma stays PSD and the
         # outer product scaled as a whole keeps it exactly symmetric
         self.Sigma = (1.0 - 1.0 / gamma) * Sigma + (e[:, None] * e) * (lam / (gamma * denom))
-        self.P = (self.P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
+        self.P = P = (P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
 
-        self.n_updates += 1
-        message = _conditioning(self.P, self.n_updates)
-        if message is not None:
+        self.n_updates = n = self.n_updates + 1
+        if not n % COND_CHECK_EVERY and (message := _cond_message(_cond(P), n)) is not None:
             warn(message, ConditioningWarning)
         return pred, Sigma
 

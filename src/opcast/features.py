@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError, InsufficientHistoryError
 from .estimator import json_number, serialized
-from .records import ProductionRecord
+from .records import ProductionRecord, filled
 
 _FLAGS = ("@begins_shift", "@begins_order")
 
@@ -331,5 +331,5 @@ def build_features(records: Sequence[ProductionRecord],
     z, w, t, y = (cells.take(columns, axis=1) for columns in (plan.z, plan.w, plan.t, plan.y))
     if not np.isfinite(cells).all():  # z and the flags are binary by construction
         _refuse(config.parsed_w + config.parsed_t + config.parsed_y, records, np.hstack((w, t, y)))
-    return FeatureTable(z=z, w=w, t=t, y=y, begins_shift=cells[:, -2] != 0,
-                        responses=config.response_names)
+    return filled(FeatureTable, z=z, w=w, t=t, y=y, begins_shift=cells[:, -2] != 0,
+                  responses=config.response_names)

@@ -9,8 +9,8 @@ weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
 Every pass reads ``build_features`` tables, whose cells are checked there.
 ``run_online`` is the interleaved loop over consecutive records: per record it
-absorbs the record before into its centroid, classifies the record once and
-learns its counts and predictors, putting back what moved when it refuses.
+absorbs the record before into its centroid, classifies the record once and learns
+its predictors and counts from one count-row read, putting back what moved on a refusal.
 ``learn_tables`` (behind ``fit`` and the LOWO folds) and ``walk_tables`` are
 one stacked pass of that loop over several models' tables, bit for bit.
 Centroid moves never depend on the predictors, so what reads none runs once
@@ -44,7 +44,7 @@ from .estimator import (AdaptiveState, checked_vector, json_number, restore_stat
                         serialized, stacked, stacked_pass, state_stacks)
 from .features import FeatureConfig, FeatureTable, build_features, pattern_key
 from .metrics import Z95
-from .records import ProductionRecord, check_chronological
+from .records import ProductionRecord, check_chronological, filled
 
 _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
 
@@ -145,13 +145,15 @@ def _blend(mu, sigma_u, mv, sigma_v) -> tuple[np.ndarray, np.ndarray, np.ndarray
                                            + rest[..., :, None] * rest[..., None, :] * sigma_v)
 
 
-def _result(cold: bool, u: tuple, v: tuple, **origin) -> ForecastResult:
+def _result(cold: bool, u: tuple, v: tuple, state: int | None = None,
+            pattern: str | None = None, begins: bool = False) -> ForecastResult:
     """The forecast blending the two predictors' ``(mean, covariance)``;
-    ``origin`` fills in where it came from."""
+    ``state``, ``pattern`` and ``begins`` tell where it came from."""
     delta, y_hat, sigma = _blend(*u, *v)
-    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))
-    return ForecastResult(y_hat=y_hat, sigma=sigma, weights=delta, cold_start=cold,
-                          intervals=np.stack((y_hat - half, y_hat + half), axis=1), **origin)
+    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))  # y - h is y + (-h), exactly
+    return filled(ForecastResult, y_hat=y_hat, sigma=sigma, weights=delta,
+                  intervals=y_hat[:, None] + half[:, None] * (-1.0, 1.0), cold_start=cold,
+                  state=state, pattern=pattern, begins=begins)
 
 
 def _cold_start(states: PatternStates | None, allowed: bool, where: str = "") -> bool:
@@ -525,14 +527,14 @@ class IoHmmModel:
 
     def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
                prev_state: int | None, cur_state: int) -> tuple[tuple, tuple]:
-        """Learn one checked record; the ``(prediction, Sigma)`` each side
-        learned against, the moments a forecast of the record blends."""
+        """Learn one checked record, reading its count row once; the ``(prediction,
+        Sigma)`` each side learned against, the moments a forecast of the record blends."""
         states = self.params.get(key)
         if states is None:
             states = self.params[key] = self._prior()
-        v = self.dirichlet.expected_state_vector(key, prev_state)
-        learned = states.u._update(u, y), states.v._update(v, y)
-        self.dirichlet.observe(key, prev_state, cur_state)
+        counts = self.dirichlet.row(key, prev_state)  # stored now, put back on a refusal
+        learned = states.u._update(u, y), states.v._update(counts / counts.sum(), y)
+        counts[cur_state - 1] += 1.0
         return learned
 
     def _columns(self, table: FeatureTable) -> list[int]:
@@ -621,7 +623,7 @@ class IoHmmModel:
                     if i > q:
                         forecast = _result(cold, *learned, state=prev, pattern=key,
                                            begins=begins)
-                results.append(StepResult(index=i, state=cur, y=Y[r], forecast=forecast))
+                results.append(filled(StepResult, index=i, state=cur, y=Y[r], forecast=forecast))
                 prev = cur
         return results
 

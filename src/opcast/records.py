@@ -206,10 +206,15 @@ def _parse_row(row: list[str], plan: tuple) -> ProductionRecord:
         computed = compute_indices(*(values[_SLOT[a]] for a in ("OT",) + _DURATIONS))
     _convert_cells(values, _GROUPS[2], cells, computed)
     _convert_cells(values, _GROUPS[3], optional(row), None)
-    # with no __post_init__, filling __dict__ is ProductionRecord(*values)
-    record = object.__new__(ProductionRecord)
-    record.__dict__.update(zip(ALIAS_TO_ATTR.values(), values))
-    return record
+    return filled(ProductionRecord, zip(ALIAS_TO_ATTR.values(), values))
+
+
+def filled(cls: type, fields=(), **named):
+    """``cls(...)`` of a dataclass with no ``__post_init__``, each field given once in the
+    pairs ``fields`` or ``named``, with no frozen ``__setattr__`` per field; it stays frozen."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields, **named)
+    return obj
 
 
 @contextmanager

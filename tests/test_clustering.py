@@ -512,10 +512,10 @@ class TestNearest:
 
     @pytest.mark.parametrize("D", [1, 5, 8, 9, 64, 128, 129, 300])
     def test_equals_the_broadcast_form_bit_for_bit(self, D):
-        # one row and a block, at D <= 8 (no pairwise block), 8 < D <= 128
-        # (pairwise blocks of eight) and D > 128 (past numpy's block size);
-        # midpoints of two centroids and repeated centroids make near and
-        # exact ties, where a sum in another order could flip the label
+        # each row alone (the one-row form) and a block, at D <= 8 (no pairwise
+        # block), 8 < D <= 128 (pairwise blocks of eight) and D > 128 (past
+        # numpy's block size); midpoints of two centroids and repeated centroids
+        # make near and exact ties, where a sum in another order could flip the label
         rng = np.random.default_rng([D, 9])
         C = np.concatenate((rng.normal(size=(6, D)), rng.normal(size=(1, D)).repeat(2, 0)))
         model = ClusterModel(K=8, centroids=C, counts=np.ones(8),
@@ -524,7 +524,7 @@ class TestNearest:
         pairs = rng.integers(0, 8, size=(30, 2))
         block = np.concatenate((rng.standard_cauchy(size=(30, D)),
                                 (C[pairs[:, 0]] + C[pairs[:, 1]]) / 2.0, C[[6, 7]]))
-        for X in (block[:1], block[30:31], block):
+        for X in (*np.split(block, len(block)), block):
             want = ((X[:, None, :] - C) ** 2).sum(axis=2).argmin(axis=1) + 1
             assert model.nearest(X).tobytes() == want.tobytes()
 

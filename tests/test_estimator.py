@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from opcast import (AdaptiveState, ConditioningWarning, ConfigurationError,
                     DimensionError, InputError, NumericError)
 from opcast.estimator import (COND_CHECK_EVERY, COND_THRESHOLD, _cond, _cond_message,
-                              _conditioning, restore_states, stacked, stacked_pass,
-                              state_stacks)
+                              restore_states, stacked, stacked_pass, state_stacks)
 
 from oracles import batch_oracle
 
@@ -430,15 +429,12 @@ class TestConditioningScreen:
                          "singular": 0.0}[fault]
             if fault == "singular":
                 bad[0, :] = bad[:, 0] = 0.0
-        with np.errstate(all="ignore"):  # the SVD of a non-finite matrix
-            try:
-                exact = np.linalg.cond(P)
-            except np.linalg.LinAlgError:  # the SVD of a NaN may not converge:
-                with pytest.raises(np.linalg.LinAlgError):  # then neither does _cond's
-                    _cond(P)
-                return
-            got = _cond(P)
-        assert got.shape == exact.shape == (len(P),)
+        faulty = ~np.isfinite(P).all(axis=(1, 2))  # whose SVD may not converge
+        with np.errstate(all="ignore"):  # the SVD of a singular matrix
+            got, exact = _cond(P), np.full(len(P), np.inf)
+            exact[~faulty] = np.linalg.cond(P[~faulty])
+        assert got.shape == (len(P),) and (got[faulty] == np.inf).all()
+        assert faulty.any() == (fault in ("nan", "inf"))
         skipped = not np.array_equal(got, exact, equal_nan=True)
         if skipped:  # the bound, where the exact cond is below the threshold
             assert (got == COND_THRESHOLD / 10).all() and (exact <= COND_THRESHOLD).all()
@@ -453,10 +449,30 @@ class TestConditioningScreen:
         # exact cond's message
         well, ill = np.eye(3), np.diag([1.0, 1.0, 1e-9])
         assert _cond(well) == COND_THRESHOLD / 10 and _cond(ill) == np.linalg.cond(ill)
-        assert _conditioning(well, COND_CHECK_EVERY) is None
-        assert _conditioning(ill, COND_CHECK_EVERY) == (
+        assert _cond_message(_cond(well), COND_CHECK_EVERY) is None
+        assert _cond_message(_cond(ill), COND_CHECK_EVERY) == (
             f"precision proxy condition number {1e9:.3e} exceeds {COND_THRESHOLD:.1e} "
             f"after {COND_CHECK_EVERY} updates")
+
+    def test_a_non_finite_p_warns_inf_in_both_paths_then_refuses(self):
+        # the 50th input's u'Pu overflows: lam + inf passes the gain test and
+        # inf / inf leaves P NaN, whose due check reads cond = inf with no SVD;
+        # the next update refuses its NaN gain denominator
+        rng = np.random.default_rng(9)
+        start = _run(AdaptiveState(2, 1, 0.9), _random_history(rng, COND_CHECK_EVERY - 1, 2, 1))
+        X, Y = np.array([[1e200, 1e200], [1.0, 0.5]]), np.array([[1.0], [2.0]])
+        message = (f"precision proxy condition number inf exceeds {COND_THRESHOLD:.1e} "
+                   f"after {COND_CHECK_EVERY} updates")
+        state = copy.deepcopy(start)
+        with np.errstate(all="ignore"):
+            with pytest.warns(ConditioningWarning) as seen:
+                state._update(X[0], Y[0])
+            assert np.isnan(state.P).any() and [str(w.message) for w in seen] == [message]
+            with pytest.raises(NumericError, match="gain denominator .* is nan") as refusal:
+                state._update(X[1], Y[1])
+            _, reported, _ = stacked_pass([([copy.deepcopy(start)], *_stack([X], [Y]))])
+        assert [(j, k, type(event), str(event)) for _, j, k, event in reported] == [
+            (0, 0, str, message), (0, 1, NumericError, str(refusal.value))]
 
 
 def _sequential(states, inputs, responses):
@@ -566,7 +582,7 @@ class TestStackedPass:
                     st._update(u, y)
                 if st.n_updates % COND_CHECK_EVERY == 0:
                     due.setdefault(k, []).append(j)
-                    message = _conditioning(st.P, st.n_updates)
+                    message = _cond_message(_cond(st.P), st.n_updates)
                     if message is not None:
                         expected.append((j, k, message))
         assert due[49] == due[99] == [0, 1, 2]

@@ -3,7 +3,7 @@ import copy
 import datetime as dt
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +19,7 @@ from opcast import (AdaptiveState, ClusterModel, ConditioningWarning,
                     default_feature_config, fit_states, generate_synthetic,
                     leave_one_week_out, pattern_key)
 from opcast.estimator import state_stacks
+from opcast.metrics import Z95
 from opcast.model import PatternStates, _Chain, _walk_counts, learn_tables, walk_tables
 
 from conftest import build_stream, featurizing_reads
@@ -299,6 +300,85 @@ class TestLearnStep:
             model.learn_step(*_row(table, 1), None, 1)
         with pytest.raises(ConfigurationError, match="no cluster model attached"):
             model.n_states
+
+
+def _learn_reading_twice(model, key, u, y, prev_state, cur_state):
+    """The record rule as ``expected_state_vector`` + ``observe``: the oracle of ``_learn``."""
+    states = model.params.get(key) or model.params.setdefault(key, model._prior())
+    v = model.dirichlet.expected_state_vector(key, prev_state)
+    learned = states.u._update(u, y), states.v._update(v, y)
+    model.dirichlet.observe(key, prev_state, cur_state)
+    return learned
+
+
+class TestRecordRule:
+    """One count read per record, and the frozen results it builds without ``__init__``."""
+
+    def _table(self, model):
+        shifts = ("Mo M", "Mo M", "Mo A", "Mo M", "Mo A", "Mo N", "Mo N", "Mo M")
+        records = build_stream([{"shift": shift, "OpT": 6.0 + 0.3 * i}
+                                for i, shift in enumerate(shifts)])
+        return build_features(records, model.config.features)
+
+    def test_one_count_read_learns_as_the_vector_and_observe(self):
+        # rows 1-7 hold patterns 100, 010, 100, 010, 001, 001, 100: sequence
+        # starts of unseen and seen patterns, transitions read after counts moved
+        model = _model(q=1)
+        oracle, table = copy.deepcopy(model), self._table(model)
+        steps = [(None, 1), (None, 2), (1, 2), (2, 1), (None, 1), (1, 1), (None, 2)]
+        for i, (prev, cur) in enumerate(steps, start=1):
+            z, w, y = _row(table, i)
+            key, u = model._inputs(z, w)
+            got = model._learn(key, u, y, prev, cur)
+            want = _learn_reading_twice(oracle, key, u, y, prev, cur)
+            assert [a.tobytes() for side in got for a in side] \
+                == [a.tobytes() for side in want for a in side]
+            assert model.to_json() == oracle.to_json()
+        assert sorted(model.dirichlet.counts) == ["001", "010", "100"]
+
+    @pytest.mark.parametrize("new", [False, True])
+    def test_a_refused_update_puts_the_counts_back(self, new, monkeypatch):
+        # the v side refuses after the count row is read (and, for a new
+        # pattern, its prior rows stored): every count is as it was
+        model = _model(q=1)
+        table = self._table(model)
+        model.learn_step(*_row(table, 1), None, 1)
+        before, counts = model.to_json(), copy.deepcopy(model.dirichlet.counts)
+        update = AdaptiveState._update
+
+        def refusing_v(state, u, y):
+            if state.n_predictors == model.n_states:
+                raise NumericError("refused")
+            return update(state, u, y)
+
+        monkeypatch.setattr(AdaptiveState, "_update", refusing_v)
+        z, w, y = _row(table, 3 if new else 2)
+        with pytest.raises(NumericError, match="refused"):
+            model.learn_step(z, w, y, None if new else 1, 2)
+        with pytest.raises(NumericError, match="refused"):
+            model.run_online(build_stream([{"shift": "Mo A"} if new else {}] * 3))
+        assert model.dirichlet.counts.keys() == counts.keys() == {"100"}
+        assert model.dirichlet.counts["100"].tobytes() == counts["100"].tobytes()
+        assert model.to_json() == before
+
+    def test_results_built_without_init_equal_constructed_ones(self):
+        model = _model(q=1, allow_cold_start=True)
+        table = self._table(model)
+        step = model.run_online(build_stream([{"OpT": 6.0 + i} for i in range(4)]))[-1]
+        su, sv = model.params["100"].u, model.params["100"].v
+        combined = combine(np.ones(su.n_predictors), [0.5, 0.5], su, sv)
+        for built in (table, step, step.forecast, combined):
+            cls = type(built)
+            twin = cls(**{name: getattr(built, name) for name in cls.__dataclass_fields__})
+            assert built == twin and repr(built) == repr(twin) and vars(built) == vars(twin)
+            assert replace(built) == built
+            with pytest.raises(FrozenInstanceError):
+                setattr(built, next(iter(cls.__dataclass_fields__)), None)
+        for fc in (step.forecast, combined):  # y -/+ half, exactly
+            half = Z95 * np.sqrt(np.maximum(fc.sigma.diagonal(), 0.0))
+            assert fc.intervals.tobytes() == np.stack(
+                (fc.y_hat - half, fc.y_hat + half), axis=1).tobytes()
+        assert (combined.state, combined.pattern, combined.begins) == (None, None, False)
 
 
 class TestForecastStep:
@@ -627,21 +707,21 @@ class TestRunOnline:
     @pytest.mark.parametrize("q", [1, 2])
     def test_a_streamed_record_reads_its_counts_once(self, q, monkeypatch):
         # a learned record's forecast is what its learning step predicted,
-        # so the forecast and the learning share one read of the counts
+        # so the forecast and the learning share one read of the count row,
+        # which the same row then counts the record into
         records = self._records(30, seed=6)
         model = _model(q=q, allow_cold_start=True)
         _learn(model, records[:15])
-        reads, read = [], DirichletTable.expected_state_vector
-
-        def counting(table, *args):
-            reads.append(args)
-            return read(table, *args)
-
-        monkeypatch.setattr(DirichletTable, "expected_state_vector", counting)
+        reads = []
+        for name in ("expected_state_vector", "row", "observe", "check"):
+            def counting(table, *args, _name=name, _read=getattr(DirichletTable, name)):
+                reads.append(_name)
+                return _read(table, *args)
+            monkeypatch.setattr(DirichletTable, name, counting)
         steps = [model.run_online(records[i - q - 1:i + 1], indices=[q + 1])[0]
                  for i in range(15, 30)]
         assert all(st.forecast is not None for st in steps)
-        assert len(reads) == len(steps)
+        assert reads == ["row"] * len(steps)
 
     def test_short_lists_raise(self):
         records = self._records(10)
