@@ -5,7 +5,7 @@ n_states)`` array of counts: row 0 holds the initial-state counts, row
 ``s`` the counts of transitions from state ``s``. All counts start at the
 symmetric Jeffreys value 1/2 and grow by exactly one per observation, so
 the posterior-mean state probabilities are simple count ratios and every
-update is a constant-time increment, in the row a record reads once (``row``).
+update is a constant-time increment, in the row a record reads once (``rows``).
 
 State labels are 1-based throughout the public interface.
 """
@@ -40,21 +40,14 @@ class DirichletTable:
         self.pattern_length = pattern_length
         self.counts: dict[str, np.ndarray] = {}
 
-    def _rows(self, pattern) -> np.ndarray:
-        """The count rows of ``pattern``; an unseen one's Jeffreys prior is not stored."""
+    def rows(self, pattern) -> np.ndarray:
+        """The count rows of ``pattern``, to read and to count into; an unseen one's Jeffreys
+        prior is checked, not stored: ``counts.setdefault`` stores it once it is counted."""
         rows = self.counts.get(pattern) if isinstance(pattern, str) else None
         if rows is None:  # known keys were checked when they were stored
             self.check(pattern)
             rows = np.full((self.n_states + 1, self.n_states), JEFFREYS)
         return rows
-
-    def row(self, pattern: str, prev_state: int | None) -> np.ndarray:
-        """The count row ``prev_state`` reads, a view to count into, a new pattern's prior
-        stored first; the caller checked both (``check``, or ``pattern_key`` and ``nearest``)."""
-        rows = self.counts.get(pattern)
-        if rows is None:
-            rows = self.counts[pattern] = np.full((self.n_states + 1, self.n_states), JEFFREYS)
-        return rows[0 if prev_state is None else prev_state]
 
     def check(self, pattern, prev_state: int | None = None, state: int | None = None) -> int:
         """Raise for a pattern or state the tables cannot take; creates nothing.
@@ -78,13 +71,13 @@ class DirichletTable:
     def observe(self, pattern, prev_state: int | None, state: int) -> None:
         """Count ``state`` in the row ``expected_state_vector`` reads for ``prev_state``;
         all is checked before a new pattern's counts are stored."""
-        self.check(pattern, prev_state, state)
-        self.row(pattern, prev_state)[state - 1] += 1.0
+        row = self.check(pattern, prev_state, state)
+        self.counts.setdefault(pattern, self.rows(pattern))[row, state - 1] += 1.0
 
     def count_rows(self, pattern) -> np.ndarray:
         """A copy of the counts: row 0 the initial counts, row ``s`` the
         transitions from state ``s``."""
-        return self._rows(pattern).copy()
+        return self.rows(pattern).copy()
 
     def expected_state_vector(self, pattern, prev_state: int | None = None) -> np.ndarray:
         """Probability vector over next states.
@@ -92,7 +85,7 @@ class DirichletTable:
         With ``prev_state=None`` (a sequence begins) the initial counts are
         used, otherwise the transition-count row of the previous state.
         """
-        counts = self._rows(pattern)[self.check(pattern, prev_state)]
+        counts = self.rows(pattern)[self.check(pattern, prev_state)]
         return counts / counts.sum()
 
     def to_dict(self) -> dict:

@@ -6,8 +6,9 @@ factor. One update is a rank-one correction (no matrix inversion); the
 precision proxy ``P`` plays the role of ``(sum of weighted outer products
 of u)^-1``.
 
-The update refuses a step whose gain denominator ``lam + u'Pu`` is not
-positive, before touching any state. Past that guard the noise covariance
+An update is formed before it is taken (``_update``), and a step whose gain
+denominator ``lam + u'Pu`` is not finite and positive is refused before
+anything is formed. Past that guard the noise covariance
 step is a convex combination of the previous covariance and the outer
 product of the innovation, so ``Sigma`` stays exactly symmetric and
 positive semidefinite by construction. ``P`` stays exactly symmetric too:
@@ -47,7 +48,7 @@ EIG_FLOOR = 1e-10
 # with COND_THRESHOLD; above it a ConditioningWarning is issued.
 COND_CHECK_EVERY = 50
 COND_THRESHOLD = 1e8
-_REFUSED_GAIN = "gain denominator lam + u'Pu is {:.3e}, not positive"
+_REFUSED_GAIN = "gain denominator lam + u'Pu is {:.3e}, not positive and finite"
 
 
 def float_cells(x, name: str) -> np.ndarray:
@@ -161,38 +162,42 @@ class AdaptiveState:
         """The zero-knowledge state of checked dimensions and forgetting factor."""
         return cls.trusted(forgetting, np.zeros((p, m)), np.zeros((m, m)), np.eye(p))
 
-    def update(self, u, y) -> None:
-        """Fold one observation pair into the state.
+    def update(self, u, y) -> tuple[np.ndarray, np.ndarray]:
+        """Fold one observation pair into the state; returns the prediction
+        ``u'H`` and the ``Sigma`` it learned against.
 
         The innovation used for the covariance update is measured against
         the coefficients from before this observation. A rejected pair
         leaves the state untouched.
         """
-        self._update(checked_vector(u, self.n_predictors, "u"),
-                     checked_vector(y, self.n_responses, "y"))
+        fields, learned = self._update(checked_vector(u, self.n_predictors, "u"),
+                                       checked_vector(y, self.n_responses, "y"))
+        vars(self).update(fields)
+        return learned
 
-    def _update(self, u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``update`` of vectors the caller has checked (right length, finite);
-        returns the prediction ``u'H`` and the ``Sigma`` it learned against."""
-        lam, P, H = self.forgetting, self.P, self.H
+    def _update(self, u: np.ndarray, y: np.ndarray) -> tuple[dict, tuple]:
+        """The update of vectors the caller has checked (right length, finite), formed and
+        not taken: the next fields, which ``vars(state).update`` commits, and the prediction
+        ``u'H`` and the ``Sigma`` it learns against. It refuses a gain denominator that is
+        not finite and positive and issues the ConditioningWarning due; neither moves it."""
+        lam, P, H, Sigma = self.forgetting, self.P, self.H, self.Sigma
         Pu = P @ u
         denom = lam + float(u @ Pu)  # the scalars are Python floats: the same IEEE steps
-        if not denom > 0.0:
+        if not 0.0 < denom < math.inf:
             raise NumericError(_REFUSED_GAIN.format(denom))
 
-        self.gamma = gamma = 1.0 + lam * self.gamma
-        pred, Sigma = u @ H, self.Sigma
+        gamma = 1.0 + lam * self.gamma
+        pred = u @ H
         e = y - pred
-        self.H = H + Pu[:, None] * e / denom
-        # both weights are >= 0 (gamma >= 1), so Sigma stays PSD and the
-        # outer product scaled as a whole keeps it exactly symmetric
-        self.Sigma = (1.0 - 1.0 / gamma) * Sigma + (e[:, None] * e) * (lam / (gamma * denom))
-        self.P = P = (P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
-
-        self.n_updates = n = self.n_updates + 1
+        P = (P - Pu[:, None] * Pu / denom) / lam  # exactly symmetric
+        n = self.n_updates + 1
         if not n % COND_CHECK_EVERY and (message := _cond_message(_cond(P), n)) is not None:
             warn(message, ConditioningWarning)
-        return pred, Sigma
+        # both weights of Sigma are >= 0 (gamma >= 1), so it stays PSD and the
+        # outer product scaled as a whole keeps it exactly symmetric
+        return ({"H": H + Pu[:, None] * e / denom, "P": P, "gamma": gamma, "n_updates": n,
+                 "Sigma": (1.0 - 1.0 / gamma) * Sigma + (e[:, None] * e) * (lam / (gamma * denom))},
+                (pred, Sigma))
 
     def covariance(self) -> np.ndarray:
         """Noise covariance (symmetric and PSD by construction)."""
@@ -279,10 +284,10 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
     ``Sigma`` (an ``(m, m)`` matrix per entry of ``Y``): what ``_update``
     returns, the moments that ``run_online`` and ``walk_tables`` blend into
     the forecast of the step's row. A state whose gain denominator is not
-    positive at a step is reported there with the ``NumericError`` that
-    ``_update`` raises, naming its denominator, and ended: its ``P`` and ``Pu``
-    blocks are zeroed and its denominator set to ``lam``, so it refuses and
-    warns no more and its neighbours' blocks run on as alone. A pass that
+    finite and positive at a step is reported there with the ``NumericError``
+    that ``_update`` raises, naming its denominator, and ended: its ``P`` and
+    ``Pu`` blocks are zeroed and its denominator set to ``lam``, so it refuses
+    and warns no more and its neighbours' blocks run on as alone. A pass that
     reports a refusal is not to be committed.
     """
     if not groups:
@@ -348,8 +353,9 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
             np.matmul(Xr[k], Puk, out=dk)
             np.matmul(Xr[k], Hk, out=yk)
         den += lam
-        if not den.min() > 0.0:  # NaN too: each refused state is reported, then ended
-            for j in np.flatnonzero(~(den > 0.0)).tolist():
+        if not (den.min() > 0.0 and den.max() < math.inf):  # NaN fails both tests
+            # each denominator that is not finite and positive is reported, then ended
+            for j in np.flatnonzero(~((den > 0.0) & (den < math.inf))).tolist():
                 g = bisect.bisect(first, j) - 1
                 caught.append((g, j - first[g], k, NumericError(_REFUSED_GAIN.format(den[j]))))
                 P[at_P[j]:at_P[j + 1]] = Pu[at_u[j]:at_u[j + 1]] = 0.0

@@ -8,9 +8,10 @@ tables. Their forecasts are blended per response with inverse-variance
 weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
 Every pass reads ``build_features`` tables, whose cells are checked there.
-``run_online`` is the interleaved loop over consecutive records: per record it
-absorbs the record before into its centroid, classifies the record once and learns
-its predictors and counts from one count-row read, putting back what moved on a refusal.
+``run_online`` is the interleaved loop over consecutive records. Its record rule
+(``_learn``) forms both predictors' updates from one count-row read and warns before it
+moves: it absorbs the record before into its centroid, classifies the record once and
+commits. So one record is checked, warned, then moved; only a span puts back what moved.
 ``learn_tables`` (behind ``fit`` and the LOWO folds) and ``walk_tables`` are
 one stacked pass of that loop over several models' tables, bit for bit.
 Centroid moves never depend on the predictors, so what reads none runs once
@@ -47,6 +48,7 @@ from .metrics import Z95
 from .records import ProductionRecord, check_chronological, filled
 
 _INTERCEPT = np.ones(1)  # leads every regressor vector u = [1, w]
+_SIDES = np.array([-1.0, 1.0])  # an interval is y_hat + half * _SIDES
 
 SNAPSHOT_FORMAT = "opcast-model"
 SNAPSHOT_VERSION = 2
@@ -139,7 +141,7 @@ def _blend(mu, sigma_u, mv, sigma_v) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The weights, mean and covariance of the inverse-variance blend of the
     two predictors' means and noise covariances, for one forecast (``(m,)``
     means, ``(m, m)`` covariances) or a stack of them (leading axes)."""
-    delta = _weights(np.diagonal(sigma_u, 0, -2, -1), np.diagonal(sigma_v, 0, -2, -1))
+    delta = _weights(sigma_u.diagonal(0, -2, -1), sigma_v.diagonal(0, -2, -1))
     rest = 1.0 - delta
     return delta, delta * mu + rest * mv, (delta[..., :, None] * delta[..., None, :] * sigma_u
                                            + rest[..., :, None] * rest[..., None, :] * sigma_v)
@@ -152,7 +154,7 @@ def _result(cold: bool, u: tuple, v: tuple, state: int | None = None,
     delta, y_hat, sigma = _blend(*u, *v)
     half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))  # y - h is y + (-h), exactly
     return filled(ForecastResult, y_hat=y_hat, sigma=sigma, weights=delta,
-                  intervals=y_hat[:, None] + half[:, None] * (-1.0, 1.0), cold_start=cold,
+                  intervals=y_hat[:, None] + half[:, None] * _SIDES, cold_start=cold,
                   state=state, pattern=pattern, begins=begins)
 
 
@@ -401,7 +403,8 @@ def fit_states(table: FeatureTable, seed: int = 0, threshold: float = 0.8,
 class _AllOrNothing(contextlib.AbstractContextManager):
     """Puts back, if the block raises, the centroids and the predictors and
     counts of patterns ``keys``: references to a predictor's arrays (an
-    update replaces them) and copies of the count rows (changed in place)."""
+    update replaces them) and copies of the count rows (changed in place).
+    Only a span of records enters it: one record is checked, warned, then moved."""
 
     def __init__(self, model: "IoHmmModel", keys):
         self.model, self.params = model, dict(model.params)
@@ -492,13 +495,13 @@ class IoHmmModel:
 
         Continuous updates happen first with the pre-observation counts;
         the pseudo-count for the realized state is incremented afterwards.
+        The record is checked, warned, then moved: a refusal moves nothing.
         """
         self._require_fitted()
         key, u = self._inputs(z, w)
         y = checked_vector(y, self.n_responses, "y")
         self.dirichlet.check(key, prev_state, cur_state)
-        with _AllOrNothing(self, (key,)):
-            self._learn(key, u, y, prev_state, cur_state)
+        self._learn(key, u, y, prev_state, lambda: cur_state)
 
     def forecast_step(self, t_prev, z_next, w_next, begins: bool) -> ForecastResult:
         """Forecast the next period from the last classified one; a pure read.
@@ -525,17 +528,24 @@ class IoHmmModel:
             raise DimensionError("a record's pattern and regressors must each be one row")
         return pattern_key(z), checked_vector(np.concatenate((_INTERCEPT, w)), self.u_dim, "u")
 
-    def _learn(self, key: str, u: np.ndarray, y: np.ndarray,
-               prev_state: int | None, cur_state: int) -> tuple[tuple, tuple]:
-        """Learn one checked record, reading its count row once; the ``(prediction,
-        Sigma)`` each side learned against, the moments a forecast of the record blends."""
-        states = self.params.get(key)
-        if states is None:
-            states = self.params[key] = self._prior()
-        counts = self.dirichlet.row(key, prev_state)  # stored now, put back on a refusal
-        learned = states.u._update(u, y), states.v._update(counts / counts.sum(), y)
-        counts[cur_state - 1] += 1.0
-        return learned
+    def _learn(self, key: str, u: np.ndarray, y: np.ndarray, prev_state: int | None,
+               label: Callable[[], int]) -> tuple[int, tuple, tuple]:
+        """The record rule: read the count row ``prev_state`` selects once and form each side's
+        update (u, then v), each issuing its due warning, before anything moves; then
+        ``label()`` gives the record's state (a stream absorbs the record before first), a new
+        pattern's prior and count rows are stored, both sides commit and the row counts the
+        state. Returns the state and the ``(prediction, Sigma)`` each side learned against."""
+        states, rows = self.params.get(key) or self._prior(), self.dirichlet.rows(key)
+        counts = rows[0 if prev_state is None else prev_state]
+        u_next, u_learned = states.u._update(u, y)  # each warns what is due, moving nothing
+        v_next, v_learned = states.v._update(counts / counts.sum(), y)
+        cur = label()
+        self.params.setdefault(key, states)
+        self.dirichlet.counts.setdefault(key, rows)
+        vars(states.u).update(u_next)
+        vars(states.v).update(v_next)
+        counts[cur - 1] += 1.0
+        return cur, u_learned, v_learned
 
     def _columns(self, table: FeatureTable) -> list[int]:
         """The columns of ``table.y`` that hold this model's responses, in its order."""
@@ -572,10 +582,11 @@ class IoHmmModel:
         """Interleave forecasting and learning over the records.
 
         Per processed record: from ``q + 1`` on (position ``q``, the first with
-        features, has no featurized predecessor), absorb the record before into
-        the state it was classified in and check for a cold start; then classify
-        the record and learn from it (from ``q`` on). The forecast is the blend
-        of what that learning step predicted before it learned.
+        features, has no featurized predecessor), check for a cold start; then
+        learn the record (from ``q`` on) by the record rule (``_learn``), whose
+        moves absorb the record before into the state it was classified in and
+        then classify the record. The forecast is the blend of what that
+        learning step predicted before it learned.
 
         ``indices`` restricts processing to one run of consecutive positions,
         a list, a range or an integer array (else ``DimensionError``); earlier
@@ -584,7 +595,9 @@ class IoHmmModel:
         is classified once. Returns one entry per processed record; ``forecast``
         is None for warm-up records. ``build_features`` refuses a non-finite
         cell before anything moves; then the first refused cold start or update
-        decides the error, and a refused pass puts back what moved.
+        decides the error. One record is checked, warned, then moved, so a
+        refusal finds nothing moved; over more records, a refusal puts back
+        what the records before it moved.
         """
         self._require_fitted()
         q, clusters = self.config.features.q, self.clusters
@@ -597,34 +610,44 @@ class IoHmmModel:
         offset = max(0, span.start - max(q, 1))
         table = build_features(records[offset:max(span.stop, q + 1)], self.config.features)
         columns = self._columns(table)
-        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
-        w = table.regressors(np.arange(q, len(table.y)), q, columns)  # row r's at r - q
-        U, Y = np.concatenate((np.ones((len(w), 1)), w), axis=1), table.y.take(columns, axis=1)
+        Y = table.y.take(columns, axis=1)
         X = clusters.standardizer.transform(table.t)  # one standardization per row
+        r = span.start - offset
+        prev = int(clusters.nearest(X[r - 1:r])[0]) if r > 0 else None
 
-        def label(r: int) -> int:  # the state of row r
-            return int(clusters.nearest(X[r:r + 1])[0])
+        def step(i: int, prev: int | None, key: str | None, u: np.ndarray | None) -> StepResult:
+            """The record rule at record ``i``, whose state before is ``prev``."""
+            r = i - offset
 
-        results: list[StepResult] = []
-        with _AllOrNothing(self, set(keys) - {None}):
-            r = span.start - offset
-            prev = label(r - 1) if r > 0 else None
-            for i, key in zip(span, keys):
-                r = i - offset
-                begins = bool(table.begins_shift[r])
-                forecast = None
+            def label() -> int:  # the state of row r, after the row before is absorbed
                 if i > q:
                     clusters.absorb(prev, X[r - 1])
-                    cold = _cold_start(self.params.get(key), self.config.allow_cold_start,
-                                       f"record {i}: ")
-                cur = label(r)
-                if i >= q:
-                    learned = self._learn(key, U[r - q], Y[r], None if begins else prev, cur)
-                    if i > q:
-                        forecast = _result(cold, *learned, state=prev, pattern=key,
-                                           begins=begins)
-                results.append(filled(StepResult, index=i, state=cur, y=Y[r], forecast=forecast))
-                prev = cur
+                return int(clusters.nearest(X[r:r + 1])[0])
+
+            if i < q:  # a warm-up record: classified, not learned
+                return filled(StepResult, index=i, state=label(), y=Y[r], forecast=None)
+            begins = bool(table.begins_shift[r])
+            cold = i > q and _cold_start(self.params.get(key), self.config.allow_cold_start,
+                                         f"record {i}: ")
+            cur, *learned = self._learn(key, u, Y[r], None if begins else prev, label)
+            forecast = _result(cold, *learned, state=prev, pattern=key, begins=begins) \
+                if i > q else None
+            return filled(StepResult, index=i, state=cur, y=Y[r], forecast=forecast)
+
+        if len(span) == 1:  # checked and warned before anything moves: nothing to put back
+            if span.start < q:
+                return [step(span.start, prev, None, None)]
+            u = np.concatenate((_INTERCEPT, table.w[r], *Y[r - q:r][::-1]))  # [1, w, lags]
+            return [step(span.start, prev, pattern_key(table.z[r]), u)]
+        first = max(q, r)  # the first learned row; its regressors are U[0]
+        w = table.regressors(np.arange(first, len(table.y)), q, columns)
+        U = np.concatenate((np.ones((len(w), 1)), w), axis=1)
+        results: list[StepResult] = []
+        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
+        with _AllOrNothing(self, set(keys) - {None}):
+            for i, key in zip(span, keys):
+                results.append(step(i, prev, key, U[i - offset - first] if i >= q else None))
+                prev = results[-1].state
         return results
 
     def snapshot(self) -> dict:

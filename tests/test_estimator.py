@@ -71,9 +71,25 @@ class TestScalarGolden:
         # before it learns, and leaves the returned Sigma as it was
         state = _run(AdaptiveState(1, 1, forgetting=1.0), [([1.0], [2.0])] * 2)
         H, Sigma = state.H.copy(), state.Sigma.copy()
-        pred, used = state._update(np.array([1.0]), np.array([2.0]))
+        pred, used = state.update([1.0], [2.0])
         assert np.array_equal(pred, np.array([1.0]) @ H)
         assert np.array_equal(used, Sigma) and not np.array_equal(state.Sigma, Sigma)
+
+    def test_an_update_is_formed_before_it_is_taken(self):
+        # _update forms the next fields and warns what is due, moving nothing;
+        # committing them is the update
+        u, y = np.array([1.0, 0.0]), np.array([1.0])
+        state = _run(AdaptiveState(2, 1, 0.6), [(u, y)] * (COND_CHECK_EVERY - 1))
+        twin, before = copy.deepcopy(state), _fields(state)
+        with pytest.warns(ConditioningWarning, match="after 50 updates") as formed:
+            fields, learned = state._update(u, y)
+        assert _fields(state) == before
+        with pytest.warns(ConditioningWarning) as seen:
+            pred, used = twin.update(u, y)
+        assert [str(w.message) for w in seen] == [str(w.message) for w in formed]
+        vars(state).update(fields)
+        assert _fields(state) == _fields(twin)
+        assert [a.tobytes() for a in learned] == [pred.tobytes(), used.tobytes()]
 
     def test_effective_sample_size_counts_observations_without_forgetting(self):
         state = AdaptiveState(1, 1, forgetting=1.0)
@@ -455,24 +471,47 @@ class TestConditioningScreen:
             f"after {COND_CHECK_EVERY} updates")
 
     def test_a_non_finite_p_warns_inf_in_both_paths_then_refuses(self):
-        # the 50th input's u'Pu overflows: lam + inf passes the gain test and
-        # inf / inf leaves P NaN, whose due check reads cond = inf with no SVD;
-        # the next update refuses its NaN gain denominator
-        rng = np.random.default_rng(9)
-        start = _run(AdaptiveState(2, 1, 0.9), _random_history(rng, COND_CHECK_EVERY - 1, 2, 1))
-        X, Y = np.array([[1e200, 1e200], [1.0, 0.5]]), np.array([[1.0], [2.0]])
+        # a finite gain denominator can still leave P non-finite: with P's cells
+        # near overflow (where ~70,000 unexcited updates at lam = 0.99 take them),
+        # Pu_i Pu_j overflows and the 50th update leaves P -inf, whose due check
+        # reads cond = inf with no SVD; the next update refuses its -inf denominator
+        start = AdaptiveState.trusted(0.9, np.zeros((2, 1)), np.zeros((1, 1)), 1e300 * np.eye(2),
+                                      n_updates=COND_CHECK_EVERY - 1)
+        X, Y = np.array([[1.0, 0.5], [1.0, 0.5]]), np.array([[1.0], [2.0]])
         message = (f"precision proxy condition number inf exceeds {COND_THRESHOLD:.1e} "
                    f"after {COND_CHECK_EVERY} updates")
         state = copy.deepcopy(start)
         with np.errstate(all="ignore"):
             with pytest.warns(ConditioningWarning) as seen:
-                state._update(X[0], Y[0])
-            assert np.isnan(state.P).any() and [str(w.message) for w in seen] == [message]
-            with pytest.raises(NumericError, match="gain denominator .* is nan") as refusal:
-                state._update(X[1], Y[1])
+                state.update(X[0], Y[0])
+            assert not np.isfinite(state.P).any() and [str(w.message) for w in seen] == [message]
+            with pytest.raises(NumericError, match="gain denominator .* is -inf") as refusal:
+                state.update(X[1], Y[1])
             _, reported, _ = stacked_pass([([copy.deepcopy(start)], *_stack([X], [Y]))])
         assert [(j, k, type(event), str(event)) for _, j, k, event in reported] == [
             (0, 0, str, message), (0, 1, NumericError, str(refusal.value))]
+
+
+class TestFiniteGain:
+    """A gain denominator that overflows to inf is refused where it arises."""
+
+    def test_an_overflowing_denominator_is_refused_at_its_own_step(self):
+        # u'Pu of u = [1e200, 1e200] against P = I overflows: the update and
+        # the stacked pass refuse that step, naming inf, and nothing moves
+        rng = np.random.default_rng(21)
+        start = _run(AdaptiveState(2, 1, 0.95), _random_history(rng, 5, 2, 1))
+        start.P = np.eye(2)
+        X, Y = np.array([[1.0, 0.5], [1e200, 1e200], [1.0, 0.5]]), np.array([[1.0], [2.0], [3.0]])
+        state = _run(copy.deepcopy(start), [(X[0], Y[0])])
+        before = _fields(state)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError) as refusal:
+                state.update(X[1], Y[1])
+            _, reported, _ = stacked_pass([([copy.deepcopy(start)], *_stack([X], [Y]))])
+        assert str(refusal.value) == "gain denominator lam + u'Pu is inf, not positive and finite"
+        assert _fields(state) == before
+        assert [(j, k, str(event)) for _, j, k, event in reported] == [
+            (0, 1, str(refusal.value))]
 
 
 def _sequential(states, inputs, responses):
@@ -485,7 +524,7 @@ def _sequential(states, inputs, responses):
         for k, (u, y) in enumerate(zip(X, Y)):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                pred, Sigma = st._update(u, y)
+                pred, Sigma = st.update(u, y)
             forecasts[-1][0].append(pred)
             forecasts[-1][1].append(Sigma)
             caught += [(j, k, str(w.message)) for w in seen
@@ -579,7 +618,7 @@ class TestStackedPass:
             for k, (u, y) in enumerate(zip(X, Y)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ConditioningWarning)
-                    st._update(u, y)
+                    st.update(u, y)
                 if st.n_updates % COND_CHECK_EVERY == 0:
                     due.setdefault(k, []).append(j)
                     message = _cond_message(_cond(st.P), st.n_updates)

@@ -306,7 +306,7 @@ def _learn_reading_twice(model, key, u, y, prev_state, cur_state):
     """The record rule as ``expected_state_vector`` + ``observe``: the oracle of ``_learn``."""
     states = model.params.get(key) or model.params.setdefault(key, model._prior())
     v = model.dirichlet.expected_state_vector(key, prev_state)
-    learned = states.u._update(u, y), states.v._update(v, y)
+    learned = states.u.update(u, y), states.v.update(v, y)
     model.dirichlet.observe(key, prev_state, cur_state)
     return learned
 
@@ -329,9 +329,9 @@ class TestRecordRule:
         for i, (prev, cur) in enumerate(steps, start=1):
             z, w, y = _row(table, i)
             key, u = model._inputs(z, w)
-            got = model._learn(key, u, y, prev, cur)
+            state, *got = model._learn(key, u, y, prev, lambda: cur)
             want = _learn_reading_twice(oracle, key, u, y, prev, cur)
-            assert [a.tobytes() for side in got for a in side] \
+            assert state == cur and [a.tobytes() for side in got for a in side] \
                 == [a.tobytes() for side in want for a in side]
             assert model.to_json() == oracle.to_json()
         assert sorted(model.dirichlet.counts) == ["001", "010", "100"]
@@ -379,6 +379,33 @@ class TestRecordRule:
             assert fc.intervals.tobytes() == np.stack(
                 (fc.y_hat - half, fc.y_hat + half), axis=1).tobytes()
         assert (combined.state, combined.pattern, combined.begins) == (None, None, False)
+
+
+class TestAnOverflowingGain:
+    """A record whose ``u'Pu`` overflows is refused at its own record, on every path."""
+
+    def test_refused_at_its_own_record_with_nothing_moved(self):
+        # record 13 (an M shift) announces ics = 1e200, so its u'Pu overflows;
+        # the gain test refuses it there, naming inf, where the pattern's P
+        # would otherwise turn NaN and its next update be refused instead
+        records = TestRunOnline()._records(20)
+        bad = _with_cells(records, {13: {"ics": 1e200}})
+        model = _model(allow_cold_start=True)
+        _learn(model, records[:12])
+        before, table = model.to_json(), build_features(bad, model.config.features)
+        after_12 = copy.deepcopy(model)
+        after_12.run_online(bad, indices=[12])
+        refused = (NumericError, "gain denominator lam + u'Pu is inf, not positive and finite")
+        one = copy.deepcopy(model)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _outcome(lambda: _one_record_calls(one, bad, range(12, 20))) == (refused, [])
+            for run in (lambda: model.run_online(bad, indices=range(12, 20)),
+                        lambda: model.run_online(bad, indices=[13]),
+                        lambda: learn_tables([model], [table]),
+                        lambda: model.learn_step(*_row(table, 13), 1, 1)):
+                assert _outcome(run) == (refused, [])
+                assert model.to_json() == before
+        assert one.to_json() == after_12.to_json()
 
 
 class TestForecastStep:
@@ -713,7 +740,7 @@ class TestRunOnline:
         model = _model(q=q, allow_cold_start=True)
         _learn(model, records[:15])
         reads = []
-        for name in ("expected_state_vector", "row", "observe", "check"):
+        for name in ("expected_state_vector", "rows", "observe", "check"):
             def counting(table, *args, _name=name, _read=getattr(DirichletTable, name)):
                 reads.append(_name)
                 return _read(table, *args)
@@ -721,7 +748,7 @@ class TestRunOnline:
         steps = [model.run_online(records[i - q - 1:i + 1], indices=[q + 1])[0]
                  for i in range(15, 30)]
         assert all(st.forecast is not None for st in steps)
-        assert reads == ["row"] * len(steps)
+        assert reads == ["rows"] * len(steps)
 
     def test_short_lists_raise(self):
         records = self._records(10)
@@ -791,10 +818,56 @@ class TestRunOnline:
                                 else ConditioningWarning)
         assert model.to_json() == before
         assert sorted(model.params) == model.dirichlet.patterns == ["001", "010"]
+        # one record at a time and through learn_step: the same refusal at the
+        # same record, and the refused call moves nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            one = copy.deepcopy(model)
+            with pytest.raises(refused.type) as again:
+                _one_record_calls(one, records, range(12, 25))
+            assert str(again.value) == str(refused.value)
+            assert _stepwise_error(copy.deepcopy(model), records, 12) is refused.type
         # the model still learns: the same pass runs once the fault is gone
         model.params["001"].v.P = np.eye(2)
         model.params["001"].v.n_updates = 0
         assert len(model.run_online(records, indices=range(12, 25))) == 13
+
+    @pytest.mark.parametrize("fault", ["u-gain", "v-gain", "cold-start"])
+    def test_a_refused_record_moves_nothing(self, fault):
+        # record 12 opens an M shift (pattern 100): its u or v update is refused
+        # on a restored indefinite P, or, unseen by a strict model, its cold
+        # start; one record gives the error of a run over it and moves nothing
+        records = self._records(20)
+        model = _model(allow_cold_start=fault != "cold-start")
+        _learn(model, records[4:12] if fault == "cold-start" else records[:12])
+        if fault != "cold-start":
+            model = _negative_definite(model, "100", fault[0])
+        before = model.to_json()
+        one, run = (_outcome(lambda: model.run_online(records, indices=span))
+                    for span in ([12], range(12, 20)))
+        assert one == run and model.to_json() == before
+        error, message = one[0]
+        assert (error, message.startswith("record 12: ")) == (
+            (ForecastUnavailableError, True) if fault == "cold-start" else (NumericError, False))
+
+    def test_only_a_run_of_records_keeps_what_to_put_back(self, monkeypatch):
+        # one record and learn_step check and warn before anything moves;
+        # only a run of several records copies what a refusal puts back
+        records = self._records(20)
+        model, entered = _model(allow_cold_start=True), []
+
+        class Spy(opcast.model._AllOrNothing):
+            def __init__(self, model, keys):
+                entered.append(sorted(keys))
+                super().__init__(model, keys)
+
+        monkeypatch.setattr(opcast.model, "_AllOrNothing", Spy)
+        for i in range(12):
+            model.run_online(records, indices=[i])
+        model.learn_step(*_row(build_features(records, model.config.features), 12), 1, 2)
+        assert entered == []
+        model.run_online(records, indices=range(13, 20))
+        assert entered == [["010", "100"]]
 
     def test_patterns_learned_earlier_in_the_pass_are_warm(self):
         # M, A and N shifts are all learned before record 12
@@ -840,12 +913,36 @@ def _with_cells(records, faults):
     return out
 
 
+def _step_bytes(steps) -> list:
+    """Each step's record, state and forecast bytes, for exact comparison."""
+    return [(st.index, st.state, st.y.tobytes()) + ((st.forecast.y_hat.tobytes(),
+            st.forecast.sigma.tobytes(), st.forecast.cold_start) if st.forecast else ())
+            for st in steps]
+
+
+def _one_record_calls(model, records, span) -> list:
+    """``run_online(records, indices=span)`` as one call per record: its steps.
+    A refused call must leave ``model`` as the calls before it left it, which a
+    copy run over those records at once shows; then it raises."""
+    start, steps = copy.deepcopy(model), []
+    for i in span:
+        try:
+            steps += model.run_online(records, indices=[i])
+        except (OpcastError, ConditioningWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                start.run_online(records, indices=range(span.start, i))
+            assert model.to_json() == start.to_json()
+            raise
+    return steps
+
+
 def _stepwise_error(model, records, start=0, forecasts=True):
     """The error of a replay through the public steps, each checking its input.
 
     It replays ``run_online(records, indices=range(start, len(records)))``
     in the order of the per-record loop; without ``forecasts``, a learning
-    pass over ``records`` (``start`` 0).
+    pass over ``records`` (``start`` 0). A refused ``learn_step`` moves nothing.
     """
     fc = model.config.features
     table = build_features(records, fc)
@@ -863,9 +960,14 @@ def _stepwise_error(model, records, start=0, forecasts=True):
             if i >= fc.q:
                 prev = None if begins else forecast.state if forecast else \
                     labels[i - 1] if i > start else model.clusters.assign(table.t[i - 1])
-                model.learn_step(*_row(table, i, fc.q), prev, cur)
+                before = model.to_json()
+                try:
+                    model.learn_step(*_row(table, i, fc.q), prev, cur)
+                except (OpcastError, ConditioningWarning):
+                    assert model.to_json() == before  # a refused step moves nothing
+                    raise
             labels[i] = cur
-    except OpcastError as exc:
+    except (OpcastError, ConditioningWarning) as exc:
         return type(exc)
     return None
 
@@ -953,6 +1055,11 @@ class TestChecksAtTheTable:
                 with pytest.raises(expected):
                     run(twin)
                 assert twin.to_json() == before
+        # one record at a time: the run's steps or error, after the same warnings
+        span, run = range(start, 20), copy.deepcopy(model)
+        assert _outcome(lambda: _step_bytes(_one_record_calls(copy.deepcopy(model), records,
+                                                              span))) == \
+            _outcome(lambda: _step_bytes(run.run_online(records, indices=span)))
 
     def test_a_bad_cell_is_refused_before_an_earlier_cold_start(self):
         # the first A shift (record 4) is a cold start; record 6's NaN is
@@ -1064,7 +1171,7 @@ def _learn_record_by_record(model, table):
         u = np.concatenate([[1.0], table.w[r]]
                            + [table.y[r - j, columns] for j in range(1, fc.q + 1)])
         prev = None if table.begins_shift[r] else labels[r - 1]
-        model._learn(pattern_key(table.z[r]), u, table.y[r, columns], prev, labels[r])
+        model._learn(pattern_key(table.z[r]), u, table.y[r, columns], prev, lambda: labels[r])
 
 
 def _conditioning_messages(run):
@@ -1340,15 +1447,17 @@ def _outcome(run):
     return result, [str(w.message) for w in caught if w.category is ConditioningWarning]
 
 
-def _walks_one_by_one(models, records, span):
+def _walks_one_by_one(models, records, span, one_record=False):
     """The oracle of ``walk_tables``: each model's own ``run_online`` walk, in
-    model order, on a copy; per model its forecasts as (record, mean bytes,
+    model order, on a copy, over ``span`` or, ``one_record``, one call per record
+    (``_one_record_calls``); per model its forecasts as (record, mean bytes,
     variance bytes)."""
     out = []
     for model in [copy.deepcopy(m) for m in models]:  # each with its own centroids
+        steps = _one_record_calls(model, records, span) if one_record \
+            else model.run_online(records, indices=span)
         out.append([(st.index, st.forecast.y_hat.tobytes(),
-                     np.diagonal(st.forecast.sigma).tobytes())
-                    for st in model.run_online(records, indices=span) if st.forecast])
+                     np.diagonal(st.forecast.sigma).tobytes()) for st in steps if st.forecast])
     return out
 
 
@@ -1423,7 +1532,9 @@ class TestWalkTables:
             if models[j].params:
                 models[j] = _negative_definite(models[j], str(rng.choice(sorted(
                     models[j].params))), str(rng.choice(["u", "v"])))
-        self._assert_as_one_by_one(models, tables, records, range(first, len(records)))
+        span = range(first, len(records))
+        got = self._assert_as_one_by_one(models, tables, records, span)
+        assert _outcome(lambda: _walks_one_by_one(models, records, span, one_record=True)) == got
 
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, setting):
         records = setting[0]
