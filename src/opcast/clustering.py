@@ -94,13 +94,14 @@ def _sq_dists(XT: np.ndarray, C: np.ndarray) -> np.ndarray:
     return d.sum(axis=0)  # along the first axis numpy adds in order
 
 
-def walk_labels(walks) -> None:
+def walk_labels(walks) -> list[tuple]:
     """Label rows ``first..stop-1`` of each walk ``(clusters, X, labels, first, stop)``
     as ``run_online`` does, all walks in lockstep: per row, absorb the row before into a
     copy of the centroids at its label, then label the row by ``nearest``'s distances.
-    ``X`` is standardized and finite from ``first - 1`` on. Fewer states pad with
-    inf centroids, nearer to no point than a real one."""
-    groups: dict = {}  # walks of one dimension, longest first
+    ``X`` is standardized and finite from ``first - 1`` on. Fewer states pad with inf
+    centroids, nearer to no point than a real one. Returns ``(walk, centroids, counts)``
+    of each walk of rows: no cluster model holds them unless the caller writes them."""
+    groups, done = {}, []  # walks of one dimension, longest first
     for walk in sorted(walks, key=lambda walk: walk[3] - walk[4]):
         if walk[3] < walk[4]:
             groups.setdefault(walk[1].shape[1], []).append(walk)
@@ -117,8 +118,10 @@ def walk_labels(walks) -> None:
             counts[moved] += 1.0
             C[moved] += (points[s, :n] - C[moved]) / counts[moved][:, None]
             prev[:n] = out[s, :n] = _sq_dists(points[s + 1, :n].T, C[:n]).argmin(axis=0)
-        for j, (_, _, labels, first, stop) in enumerate(group):
+        for j, (cl, _, labels, first, stop) in enumerate(group):
             labels[first:stop] = out[:stop - first, j] + 1
+            done.append((group[j], C[j, :cl.K].copy(), counts[j, :cl.K].copy()))
+    return done
 
 
 def _plus_plus_seed(X: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:

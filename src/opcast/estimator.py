@@ -6,16 +6,15 @@ factor. One update is a rank-one correction (no matrix inversion); the
 precision proxy ``P`` plays the role of ``(sum of weighted outer products
 of u)^-1``.
 
-An update is formed before it is taken (``_update``), and a step whose gain
-denominator ``lam + u'Pu`` is not finite and positive is refused before
-anything is formed. Past that guard the noise covariance
-step is a convex combination of the previous covariance and the outer
-product of the innovation, so ``Sigma`` stays exactly symmetric and
-positive semidefinite by construction. ``P`` stays exactly symmetric too:
-its step subtracts ``Pu_i Pu_j / denom`` from entry ``(i, j)`` and IEEE
-multiplication commutes, so a symmetric ``P`` gives a symmetric result
-with no explicit symmetrization. Both invariants are checked once, where
-states enter from outside: ``restore_states``, over whole stacks.
+An update is formed before it is taken (``_update``), and a step whose gain denominator
+``lam + u'Pu`` is not finite and positive is refused before anything is formed (numpy's
+overflow warnings are off while it is formed: what overflows there is refused). Past that
+guard the noise covariance step is a convex combination of the previous covariance and the
+outer product of the innovation, so ``Sigma`` stays exactly symmetric and positive
+semidefinite by construction. ``P`` stays exactly symmetric too: its step subtracts
+``Pu_i Pu_j / denom`` from entry ``(i, j)`` and IEEE multiplication commutes, so a
+symmetric ``P`` gives a symmetric result with no explicit symmetrization. Both invariants
+are checked once, where states enter from outside: ``restore_states``, over whole stacks.
 
 ``stacked_pass`` folds many states through their own input sequences at
 once, computing bit for bit what ``AdaptiveState._update`` computes one
@@ -181,8 +180,9 @@ class AdaptiveState:
         ``u'H`` and the ``Sigma`` it learns against. It refuses a gain denominator that is
         not finite and positive and issues the ConditioningWarning due; neither moves it."""
         lam, P, H, Sigma = self.forgetting, self.P, self.H, self.Sigma
-        Pu = P @ u
-        denom = lam + float(u @ Pu)  # the scalars are Python floats: the same IEEE steps
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows here is refused
+            Pu = P @ u
+            denom = lam + float(u @ Pu)  # the scalars are Python floats: the same IEEE steps
         if not 0.0 < denom < math.inf:
             raise NumericError(_REFUSED_GAIN.format(denom))
 
@@ -285,10 +285,10 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
     returns, the moments that ``run_online`` and ``walk_tables`` blend into
     the forecast of the step's row. A state whose gain denominator is not
     finite and positive at a step is reported there with the ``NumericError``
-    that ``_update`` raises, naming its denominator, and ended: its ``P`` and
-    ``Pu`` blocks are zeroed and its denominator set to ``lam``, so it refuses
-    and warns no more and its neighbours' blocks run on as alone. A pass that
-    reports a refusal is not to be committed.
+    that ``_update`` raises, naming its denominator, and ended: its ``H``, ``P``
+    and ``Pu`` blocks and later responses are zeroed and its denominator set to
+    ``lam``, so it refuses, warns and overflows no more and its neighbours' blocks
+    run on as alone. A pass that reports a refusal is not to be committed.
     """
     if not groups:
         return (lambda: None), [], []
@@ -348,18 +348,22 @@ def stacked_pass(groups: Sequence[tuple], moments: bool = False) -> tuple:
         stacks.append((X[..., None], X[:, :, None], Ps[g], Pus[g], dens[g], Hs[g], preds[g]))
     caught: list[tuple[int, int, int, str | NumericError]] = []
     for k in range(steps):
-        for Xc, Xr, Pk, Puk, dk, Hk, yk in [s for s in stacks if k < len(s[0])]:  # live groups
-            np.matmul(Pk, Xc[k], out=Puk)
-            np.matmul(Xr[k], Puk, out=dk)
-            np.matmul(Xr[k], Hk, out=yk)
+        live = [s for s in stacks if k < len(s[0])]
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows here is refused
+            for Xc, Xr, Pk, Puk, dk, *_ in live:
+                np.matmul(Pk, Xc[k], out=Puk)
+                np.matmul(Xr[k], Puk, out=dk)
         den += lam
         if not (den.min() > 0.0 and den.max() < math.inf):  # NaN fails both tests
             # each denominator that is not finite and positive is reported, then ended
             for j in np.flatnonzero(~((den > 0.0) & (den < math.inf))).tolist():
                 g = bisect.bisect(first, j) - 1
                 caught.append((g, j - first[g], k, NumericError(_REFUSED_GAIN.format(den[j]))))
+                H[at_H[j]:at_H[j + 1]] = Y[k:, at_y[j]:at_y[j + 1]] = 0.0
                 P[at_P[j]:at_P[j + 1]] = Pu[at_u[j]:at_u[j + 1]] = 0.0
                 den[j], refused[j] = lam[j], True
+        for _, Xr, _, _, _, Hk, yk in live:
+            np.matmul(Xr[k], Hk, out=yk)
         if moments:
             mean[k], cov[k] = pred, S
         gamma *= lam

@@ -105,8 +105,8 @@ def _iohmm_forecasts(variants, base: ModelConfig, folds, states, trains,
     models = [IoHmmModel(replace(base, features=features), clusters=fitted)
               for fitted in states for _, features, _ in variants]
     learn_tables(models, [train for train in trains for _ in variants])
-    walks = iter(walk_tables(models, [full] * len(models),
-                             [test for _, test in folds for _ in variants]))
+    walks = ((fc.index, fc.mean, np.diagonal(fc.cov, 0, 1, 2)) for fc in walk_tables(
+        models, [full] * len(models), [test for _, test in folds for _ in variants]))
     forecasts: dict[tuple[str, str], list[tuple]] = {}
     for fold, _ in folds:
         for name, _, columns in variants:

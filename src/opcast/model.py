@@ -8,28 +8,27 @@ tables. Their forecasts are blended per response with inverse-variance
 weights. Hidden states come from clustering; pseudo-counts track their dynamics.
 
 Every pass reads ``build_features`` tables, whose cells are checked there.
-``run_online`` is the interleaved loop over consecutive records. Its record rule
-(``_learn``) forms both predictors' updates from one count-row read and warns before it
-moves: it absorbs the record before into its centroid, classifies the record once and
-commits. So one record is checked, warned, then moved; only a span puts back what moved.
-``learn_tables`` (behind ``fit`` and the LOWO folds) and ``walk_tables`` are
-one stacked pass of that loop over several models' tables, bit for bit.
+``run_online`` interleaves forecasting and learning. Over one record it runs the
+record rule (``_learn``), which forms both predictors' updates from one count-row read
+and warns before it moves: it absorbs the record before into its centroid, classifies
+the record once and commits. Over a span it runs ``_stacked``, the pass behind
+``learn_tables`` (``fit``, the LOWO folds) and ``walk_tables``: that rule, record by
+record, over several models' tables, bit for bit, committed only if nothing is refused.
 Centroid moves never depend on the predictors, so what reads none runs once
 per pass (labels, chain splits, one count walk per v group), and each
 pattern's rows form a chain; all chains advance together, one ragged update of
 each side per position (``stacked_pass``), both sides' inputs laid out by
 ``stacked``; a v side reads no lags, so equal v chains of several models
-advance once. A stacked pass keys each warning, refused update and refused
-cold start by where the loop would meet it, model by model, and raises the
-first refusal after the warnings before it: what the loop raises. One blend,
+advance once. A stacked pass keys each warning, refused update and refused cold
+start by where the record rule would meet it, model by model, and raises the first
+refusal after the warnings before it: what the rule, record by record, raises. One blend,
 ``_blend``, makes every forecast, from the pre-update moments of the step that
 learns the record; ``forecast_step`` reads the same moments without learning.
-A forecast is a ``ForecastResult``; the full state snapshots to a JSON document.
+A pass's forecasts are ``Forecasts``, one a ``ForecastResult``; the state snapshots to JSON.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -129,22 +128,39 @@ class StepResult:
     forecast: ForecastResult | None
 
 
-def _weights(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """Per response, the regressor side's weight: the competing variance's
-    share of the total, so the less certain side counts less (1/2 if both vanish)."""
-    sv = np.maximum(sv, 0.0)
-    total = np.maximum(su, 0.0) + sv
-    return np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
+@dataclass(frozen=True)
+class Forecasts:
+    """Record-order columns of ``n`` forecasts of ``m`` responses from one stacked pass."""
+
+    index: np.ndarray    # (n,) record positions
+    mean: np.ndarray     # (n, m)
+    cov: np.ndarray      # (n, m, m)
+    weights: np.ndarray  # (n, m) the regressor side's
+    state: np.ndarray    # (n,) the state each forecast came from, as ForecastResult.state
+    label: np.ndarray    # (n,) each record's own state, as StepResult.state
+    cold: np.ndarray     # (n,) bool
+    begins: np.ndarray   # (n,) bool
+    pattern: np.ndarray  # (n,) the pattern keys
 
 
 def _blend(mu, sigma_u, mv, sigma_v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The weights, mean and covariance of the inverse-variance blend of the
     two predictors' means and noise covariances, for one forecast (``(m,)``
-    means, ``(m, m)`` covariances) or a stack of them (leading axes)."""
-    delta = _weights(sigma_u.diagonal(0, -2, -1), sigma_v.diagonal(0, -2, -1))
+    means, ``(m, m)`` covariances) or a stack of them (leading axes). A response's
+    regressor-side weight is the competing variance's share of the total, so the
+    less certain side counts less (1/2 if both vanish)."""
+    su, sv = (np.maximum(sigma.diagonal(0, -2, -1), 0.0) for sigma in (sigma_u, sigma_v))
+    total = su + sv
+    delta = np.divide(sv, total, out=np.full(su.shape, 0.5), where=total > 0.0)
     rest = 1.0 - delta
     return delta, delta * mu + rest * mv, (delta[..., :, None] * delta[..., None, :] * sigma_u
                                            + rest[..., :, None] * rest[..., None, :] * sigma_v)
+
+
+def _intervals(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The 95% intervals ``(..., m, 2)`` of forecasts' means and covariances."""
+    half = Z95 * np.sqrt(np.maximum(cov.diagonal(0, -2, -1), 0.0))  # y - h is y + (-h), exactly
+    return mean[..., None] + half[..., None] * _SIDES
 
 
 def _result(cold: bool, u: tuple, v: tuple, state: int | None = None,
@@ -152,9 +168,8 @@ def _result(cold: bool, u: tuple, v: tuple, state: int | None = None,
     """The forecast blending the two predictors' ``(mean, covariance)``;
     ``state``, ``pattern`` and ``begins`` tell where it came from."""
     delta, y_hat, sigma = _blend(*u, *v)
-    half = Z95 * np.sqrt(np.maximum(sigma.diagonal(), 0.0))  # y - h is y + (-h), exactly
     return filled(ForecastResult, y_hat=y_hat, sigma=sigma, weights=delta,
-                  intervals=y_hat[:, None] + half[:, None] * _SIDES, cold_start=cold,
+                  intervals=_intervals(y_hat, sigma), cold_start=cold,
                   state=state, pattern=pattern, begins=begins)
 
 
@@ -294,34 +309,34 @@ def _advance(chains: Sequence[_Chain], walking: bool) -> tuple[list, list]:
 
 def learn_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable]) -> None:
     """Learn each model (at most once) from every row of its ``build_features``
-    table, bit for bit as ``run_online``'s loop would, in one stacked pass; a
-    refused pass moves nothing."""
+    table, bit for bit as ``run_online``'s record rule would, record by record, in
+    one stacked pass; a refused pass moves nothing."""
     _stacked(models, tables, [None] * len(models), False)[1]()
 
 
 def walk_tables(models: Sequence["IoHmmModel"], tables: Sequence[FeatureTable],
-                spans: Sequence[range]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                spans: Sequence[range]) -> list[Forecasts]:
     """Per model, the forecasts that ``run_online(records, indices=span)`` makes over its
-    own span, bit for bit, as record order columns: records ``(n,)``, means and variances
-    ``(n, m)``; one stacked pass that moves nothing over ``build_features`` tables, whose
-    row ``i`` is record ``i``."""
+    own span, bit for bit, as ``Forecasts``; one stacked pass that moves nothing, not even
+    a centroid, over ``build_features`` tables, whose row ``i`` is record ``i``."""
     return _stacked(models, tables, spans, True)[0]
 
 
-def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], None]]:
-    """The pass behind ``learn_tables`` (``spans`` all None) and ``walk_tables``
-    (``walking``): per model its forecast columns, and a commit of what it learned.
+def _stacked(models, tables, spans, walking: bool, offset: int = 0) -> tuple[list, Callable]:
+    """The pass behind ``learn_tables`` (``spans`` all None), ``walk_tables`` (``walking``)
+    and a span of ``run_online`` (``walking``, table row 0 being record ``offset``): per
+    model its ``Forecasts``, and a commit of what it learned, moved centroids included.
 
     The tables come from ``build_features``, so their cells are already checked.
     Once per pass, each table's rows are labelled per cluster model, the runs
-    that ``run_online`` labels by moving centroids walked in lockstep
+    that ``run_online`` labels by moving centroids walked in lockstep on copies
     (``walk_labels``); the learned rows ``start..stop-1`` of each labelling split
     into pattern chains, of which each model learns its rows with its own
     predictors. All chains advance together (``_advance``); a model's forecasts,
     of its rows ``first..stop-1`` in record order, take one ``_blend``. A strict
-    model's chain that starts cold from ``first`` on is refused at its first row.
+    model's chain that starts cold from ``first`` on is refused at its first record.
     Chains never read each other's predictors, so the pass runs whole, then
-    warns in the loop's order until the first refusal, and raises that.
+    warns in record order until the first refusal, and raises that, uncommitted.
     """
     if not len(models) == len(tables) == len(spans):
         raise DimensionError(f"{len(models)} models, {len(tables)} tables, {len(spans)} spans")
@@ -329,7 +344,7 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         raise ConfigurationError("a model appears twice in one learning pass")
     fixed, walked, reach = {}, {}, []
     for model, table, span in zip(models, tables, spans):
-        q, columns, records, first = model._reach(table, span)
+        q, columns, records, first = model._reach(table, span, offset)
         start, stop = max(records.start, q), records.stop
         key = id(model.clusters), id(table.t)
         if key not in fixed:  # each row's state by the fitted centroids
@@ -340,8 +355,8 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         if first < stop:
             labels = walked.setdefault(run, (model.clusters, X, labels.copy(), first, stop))[2]
         reach.append((run, labels, stop, columns, start, first))
-    walk_labels(walked.values())
-    splits, chains, events = {}, [], []
+    moved = walk_labels(walked.values())
+    splits, owned, events = {}, [], []
     for order, (model, table, (run, labels, stop, columns, start, first)) in enumerate(
             zip(models, tables, reach)):
         if id(table.z) not in splits:  # each row's pattern id, once per table
@@ -359,9 +374,10 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
                        columns, *piece) for _, key, *piece in splits[split]]
         if not model.config.allow_cold_start:  # a cold start falls before its record's updates
             events += [((order, ch.rows[0], -1), ForecastUnavailableError(
-                _COLD.format(f"record {ch.rows[0]}: "))) for ch in mine
+                _COLD.format(f"record {ch.rows[0] + offset}: "))) for ch in mine
                 if ch.rows[0] >= first and _cold_start(ch.states, True)]
-        chains += mine
+        owned.append(mine)
+    chains = [ch for mine in owned for ch in mine]
     commits, caught = _advance(chains, walking)
     for _, event in sorted(events + caught, key=lambda event: event[0]):
         if isinstance(event, OpcastError):  # the first refusal, after the warnings before it
@@ -374,19 +390,28 @@ def _stacked(models, tables, spans, walking: bool) -> tuple[list, Callable[[], N
         for ch in chains:
             ch.model.params.setdefault(ch.key, ch.states)
             ch.model.dirichlet.counts[ch.key] = ch.counts  # read by _walk_counts, so checked
+        for (clusters, *_), centroids, counts in moved:
+            clusters.centroids, clusters.counts = centroids, counts
     if not walking:  # a learning pass builds no forecast columns
         return [], commit
-    # per model, the u and v sides' (mean, covariance) columns of its rows first..stop-1
-    forecasts = [[np.full((max(stop - first, 0),) + (model.n_responses,) * k, np.nan)
-                  for k in (1, 2, 1, 2)] for model, (*_, stop, _, _, first) in zip(models, reach)]
-    for ch in chains:  # each of those rows lies in one chain of its model
-        first = reach[ch.order][-1]
-        cut = int(np.searchsorted(ch.rows, first))
-        for column, moment in zip(forecasts[ch.order], ch.moments):
-            column[ch.rows[cut:] - first] = moment[cut:]
-    blends = [_blend(*mine) for mine in forecasts]  # one per model
-    return [(np.arange(first, stop), mean, np.diagonal(cov, 0, 1, 2))
-            for (*_, stop, _, _, first), (_, mean, cov) in zip(reach, blends)], commit
+    forecasts = []
+    for model, table, (_, labels, stop, _, _, first), mine in zip(models, tables, reach, owned):
+        n = max(stop - first, 0)  # rows first..stop-1, each in one of the model's chains
+        moments = [np.full((n,) + (model.n_responses,) * k, np.nan) for k in (1, 2, 1, 2)]
+        pattern, cold = np.empty(n, object), np.zeros(n, bool)
+        for ch in mine:  # its moments and key; only a pattern's first record may start cold
+            cut = int(np.searchsorted(ch.rows, first))
+            at = ch.rows[cut:] - first
+            for column, moment in zip(moments, ch.moments):
+                column[at] = moment[cut:]
+            pattern[at] = ch.key
+            cold[at[:1]] = cut == 0 and _cold_start(ch.states, True)
+        weights, mean, cov = _blend(*moments)
+        forecasts.append(Forecasts(index=np.arange(first, stop) + offset, mean=mean, cov=cov,
+                                   weights=weights, state=labels[first - 1:stop - 1],
+                                   label=labels[first:stop], cold=cold,
+                                   begins=table.begins_shift[first:stop], pattern=pattern))
+    return forecasts, commit
 
 
 def fit_states(table: FeatureTable, seed: int = 0, threshold: float = 0.8,
@@ -395,36 +420,9 @@ def fit_states(table: FeatureTable, seed: int = 0, threshold: float = 0.8,
 
     The result depends on the classification spec only, so models that
     differ in lags or responses can share one fit (``run_online`` moves the
-    centroids; the passes without it do not).
+    centroids; ``learn_tables`` and ``walk_tables`` do not).
     """
     return fit_auto_k(table.t, threshold=threshold, k_max=k_max, seed=seed)
-
-
-class _AllOrNothing(contextlib.AbstractContextManager):
-    """Puts back, if the block raises, the centroids and the predictors and
-    counts of patterns ``keys``: references to a predictor's arrays (an
-    update replaces them) and copies of the count rows (changed in place).
-    Only a span of records enters it: one record is checked, warned, then moved."""
-
-    def __init__(self, model: "IoHmmModel", keys):
-        self.model, self.params = model, dict(model.params)
-        self.counts = dict(model.dirichlet.counts)
-        self.centroids = model.clusters.centroids.copy(), model.clusters.counts.copy()
-        self.fields = []
-        for key in keys:
-            if key in self.counts:
-                self.counts[key] = self.counts[key].copy()
-            if key in self.params:
-                u, v = self.params[key].u, self.params[key].v
-                self.fields += (u, vars(u).copy()), (v, vars(v).copy())
-
-    def __exit__(self, kind, *_) -> None:
-        if kind is not None:  # put back; the exception propagates
-            model = self.model
-            model.params, model.dirichlet.counts = self.params, self.counts
-            model.clusters.centroids, model.clusters.counts = self.centroids
-            for st, values in self.fields:
-                vars(st).update(values)
 
 
 class IoHmmModel:
@@ -554,11 +552,12 @@ class IoHmmModel:
         except ValueError:
             raise DimensionError("the table lacks one of the model's responses") from None
 
-    def _reach(self, table: FeatureTable, span: range | None) -> tuple[int, list, range, int]:
-        """This model's ``q`` and ``y`` columns once ``table`` is checked as its input (more
-        than ``q`` rows shaped by its feature config, with its responses; at ``q = 0`` row 0
-        begins a shift), the records of a pass over it and the first it forecasts: every row
-        and none when ``span`` is None, else ``span`` and ``max(span.start, q + 1)``."""
+    def _reach(self, table: FeatureTable, span: range | None,
+               offset: int) -> tuple[int, list, range, int]:
+        """This model's ``q`` and ``y`` columns once ``table`` (row r: record ``offset + r``) is
+        checked as its input (more than ``q`` rows shaped by its config, with its responses;
+        at ``q = 0`` row 0 begins a shift), the rows of a pass over it and the first it
+        forecasts: all and none if ``span`` is None, else ``span`` and its first after record q."""
         self._require_fitted()
         fc, n = self.config.features, len(table.y)
         if n <= fc.q:
@@ -575,7 +574,7 @@ class IoHmmModel:
             return fc.q, columns, range(n), n
         if not isinstance(span, range) or span.step != 1 or not 0 <= span.start <= span.stop <= n:
             raise DimensionError("the records to walk are not a range of the table's rows")
-        return fc.q, columns, span, max(span.start, fc.q + 1)
+        return fc.q, columns, span, max(span.start, fc.q + 1 - offset)
 
     def run_online(self, records: Sequence[ProductionRecord],
                    indices: Sequence[int] | None = None) -> list[StepResult]:
@@ -591,13 +590,12 @@ class IoHmmModel:
         ``indices`` restricts processing to one run of consecutive positions,
         a list, a range or an integer array (else ``DimensionError``); earlier
         records still provide lags and the previous state. Only the processed
-        records and the ``max(q, 1)`` before them are featurized, and each row
-        is classified once. Returns one entry per processed record; ``forecast``
-        is None for warm-up records. ``build_features`` refuses a non-finite
-        cell before anything moves; then the first refused cold start or update
-        decides the error. One record is checked, warned, then moved, so a
-        refusal finds nothing moved; over more records, a refusal puts back
-        what the records before it moved.
+        records and the ``max(q, 1)`` before them are featurized. Returns one
+        entry per processed record; ``forecast`` is None for warm-up records.
+        ``build_features`` refuses a non-finite cell before anything moves; then
+        the first refused cold start or update decides the error. One record is
+        checked, warned, then moved by the record rule; more are one stacked
+        pass (``_stacked``), never committed if refused: a refusal moves nothing.
         """
         self._require_fitted()
         q, clusters = self.config.features.q, self.clusters
@@ -609,46 +607,38 @@ class IoHmmModel:
         # row r is record offset + r; from `offset` on, the lags and boundary flag of each
         offset = max(0, span.start - max(q, 1))
         table = build_features(records[offset:max(span.stop, q + 1)], self.config.features)
-        columns = self._columns(table)
-        Y = table.y.take(columns, axis=1)
+        Y = table.y.take(self._columns(table), axis=1)
+        if len(span) > 1:
+            warm = range(span.start, min(span.stop, q + 1))  # not forecast; only if offset is 0
+            labels = [clusters.assign(table.t[i]) for i in warm]
+            (fc,), commit = _stacked([self], [table], [range(span.start - offset,
+                                                             span.stop - offset)], True, offset)
+            commit()
+            rows = zip(fc.mean, fc.cov, fc.weights, _intervals(fc.mean, fc.cov), *(
+                column.tolist() for column in (fc.cold, fc.state, fc.pattern, fc.begins)))
+            forecasts = [None] * len(warm) + [filled(  # ForecastResult's fields, in order
+                ForecastResult, zip(ForecastResult.__dataclass_fields__, row)) for row in rows]
+            return [filled(StepResult, index=i, state=state, y=Y[i - offset], forecast=forecast)
+                    for i, state, forecast in zip(span, labels + fc.label.tolist(), forecasts)]
+        i, r = span.start, span.start - offset
         X = clusters.standardizer.transform(table.t)  # one standardization per row
-        r = span.start - offset
         prev = int(clusters.nearest(X[r - 1:r])[0]) if r > 0 else None
 
-        def step(i: int, prev: int | None, key: str | None, u: np.ndarray | None) -> StepResult:
-            """The record rule at record ``i``, whose state before is ``prev``."""
-            r = i - offset
+        def label() -> int:  # the state of row r, after the row before is absorbed
+            if i > q:
+                clusters.absorb(prev, X[r - 1])
+            return int(clusters.nearest(X[r:r + 1])[0])
 
-            def label() -> int:  # the state of row r, after the row before is absorbed
-                if i > q:
-                    clusters.absorb(prev, X[r - 1])
-                return int(clusters.nearest(X[r:r + 1])[0])
-
-            if i < q:  # a warm-up record: classified, not learned
-                return filled(StepResult, index=i, state=label(), y=Y[r], forecast=None)
-            begins = bool(table.begins_shift[r])
-            cold = i > q and _cold_start(self.params.get(key), self.config.allow_cold_start,
-                                         f"record {i}: ")
-            cur, *learned = self._learn(key, u, Y[r], None if begins else prev, label)
-            forecast = _result(cold, *learned, state=prev, pattern=key, begins=begins) \
-                if i > q else None
-            return filled(StepResult, index=i, state=cur, y=Y[r], forecast=forecast)
-
-        if len(span) == 1:  # checked and warned before anything moves: nothing to put back
-            if span.start < q:
-                return [step(span.start, prev, None, None)]
-            u = np.concatenate((_INTERCEPT, table.w[r], *Y[r - q:r][::-1]))  # [1, w, lags]
-            return [step(span.start, prev, pattern_key(table.z[r]), u)]
-        first = max(q, r)  # the first learned row; its regressors are U[0]
-        w = table.regressors(np.arange(first, len(table.y)), q, columns)
-        U = np.concatenate((np.ones((len(w), 1)), w), axis=1)
-        results: list[StepResult] = []
-        keys = [pattern_key(table.z[i - offset]) if i >= q else None for i in span]
-        with _AllOrNothing(self, set(keys) - {None}):
-            for i, key in zip(span, keys):
-                results.append(step(i, prev, key, U[i - offset - first] if i >= q else None))
-                prev = results[-1].state
-        return results
+        if i < q:  # a warm-up record: classified, not learned
+            return [filled(StepResult, index=i, state=label(), y=Y[r], forecast=None)]
+        key, begins = pattern_key(table.z[r]), bool(table.begins_shift[r])
+        cold = i > q and _cold_start(self.params.get(key), self.config.allow_cold_start,
+                                     f"record {i}: ")  # checked, then warned, then moved
+        u = np.concatenate((_INTERCEPT, table.w[r], *Y[r - q:r][::-1]))  # [1, w, lags]
+        cur, *learned = self._learn(key, u, Y[r], None if begins else prev, label)
+        forecast = _result(cold, *learned, state=prev, pattern=key, begins=begins) \
+            if i > q else None
+        return [filled(StepResult, index=i, state=cur, y=Y[r], forecast=forecast)]
 
     def snapshot(self) -> dict:
         """The full state: per side (``u``, ``v``), a stack of each field over ``keys``."""

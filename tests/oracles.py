@@ -356,9 +356,9 @@ def lowo_row_oracle(records, model_names=DEFAULT_MODELS, base: ModelConfig | Non
             walks = walk_tables(models, [full] * len(models),
                                 [range(test_idx[0], test_idx[-1] + 1)] * len(models))
             iohmm = {name: [] for name in names}
-            for name, model, columns, (index, means, variances) in zip(names, models, derived,
-                                                                       walks):
-                for i, y_hat, var in zip(index.tolist(), means, variances):
+            for name, model, columns, walk in zip(names, models, derived, walks):
+                for i, y_hat, var in zip(walk.index.tolist(), walk.mean,
+                                         np.diagonal(walk.cov, 0, 1, 2)):
                     iohmm[name] += _rows(records, name, fold, i,
                                          model.config.features.response_names,
                                          [full.y[i, j] for j in columns], y_hat, var)

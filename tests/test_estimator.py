@@ -497,17 +497,17 @@ class TestFiniteGain:
 
     def test_an_overflowing_denominator_is_refused_at_its_own_step(self):
         # u'Pu of u = [1e200, 1e200] against P = I overflows: the update and
-        # the stacked pass refuse that step, naming inf, and nothing moves
+        # the stacked pass refuse that step, naming inf, and nothing moves;
+        # that overflow is the refusal, so no RuntimeWarning comes first
         rng = np.random.default_rng(21)
         start = _run(AdaptiveState(2, 1, 0.95), _random_history(rng, 5, 2, 1))
         start.P = np.eye(2)
         X, Y = np.array([[1.0, 0.5], [1e200, 1e200], [1.0, 0.5]]), np.array([[1.0], [2.0], [3.0]])
         state = _run(copy.deepcopy(start), [(X[0], Y[0])])
         before = _fields(state)
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericError) as refusal:
-                state.update(X[1], Y[1])
-            _, reported, _ = stacked_pass([([copy.deepcopy(start)], *_stack([X], [Y]))])
+        with pytest.raises(NumericError) as refusal:
+            state.update(X[1], Y[1])
+        _, reported, _ = stacked_pass([([copy.deepcopy(start)], *_stack([X], [Y]))])
         assert str(refusal.value) == "gain denominator lam + u'Pu is inf, not positive and finite"
         assert _fields(state) == before
         assert [(j, k, str(event)) for _, j, k, event in reported] == [

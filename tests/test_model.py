@@ -356,7 +356,7 @@ class TestRecordRule:
         with pytest.raises(NumericError, match="refused"):
             model.learn_step(z, w, y, None if new else 1, 2)
         with pytest.raises(NumericError, match="refused"):
-            model.run_online(build_stream([{"shift": "Mo A"} if new else {}] * 3))
+            model.run_online(build_stream([{"shift": "Mo A"} if new else {}] * 3), indices=[1])
         assert model.dirichlet.counts.keys() == counts.keys() == {"100"}
         assert model.dirichlet.counts["100"].tobytes() == counts["100"].tobytes()
         assert model.to_json() == before
@@ -387,7 +387,8 @@ class TestAnOverflowingGain:
     def test_refused_at_its_own_record_with_nothing_moved(self):
         # record 13 (an M shift) announces ics = 1e200, so its u'Pu overflows;
         # the gain test refuses it there, naming inf, where the pattern's P
-        # would otherwise turn NaN and its next update be refused instead
+        # would otherwise turn NaN and its next update be refused instead; that
+        # overflow is the refusal, so no RuntimeWarning comes first
         records = TestRunOnline()._records(20)
         bad = _with_cells(records, {13: {"ics": 1e200}})
         model = _model(allow_cold_start=True)
@@ -397,14 +398,13 @@ class TestAnOverflowingGain:
         after_12.run_online(bad, indices=[12])
         refused = (NumericError, "gain denominator lam + u'Pu is inf, not positive and finite")
         one = copy.deepcopy(model)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _outcome(lambda: _one_record_calls(one, bad, range(12, 20))) == (refused, [])
-            for run in (lambda: model.run_online(bad, indices=range(12, 20)),
-                        lambda: model.run_online(bad, indices=[13]),
-                        lambda: learn_tables([model], [table]),
-                        lambda: model.learn_step(*_row(table, 13), 1, 1)):
-                assert _outcome(run) == (refused, [])
-                assert model.to_json() == before
+        assert _outcome(lambda: _one_record_calls(one, bad, range(12, 20))) == (refused, [])
+        for run in (lambda: model.run_online(bad, indices=range(12, 20)),
+                    lambda: model.run_online(bad, indices=[13]),
+                    lambda: learn_tables([model], [table]),
+                    lambda: model.learn_step(*_row(table, 13), 1, 1)):
+            assert _outcome(run) == (refused, [])
+            assert model.to_json() == before
         assert one.to_json() == after_12.to_json()
 
 
@@ -696,7 +696,9 @@ class TestRunOnline:
 
     def test_each_row_is_classified_once(self, monkeypatch):
         # a batch of N records classifies them and the row before the first,
-        # N + 1 rows; a streamed record classifies itself and the row before
+        # N + 1 rows, in one call by the fitted centroids (walk_labels then
+        # labels the forecast rows by the moving ones); a streamed record
+        # classifies itself and the row before
         records = self._records(30, seed=3)
         batch, stream = _model(allow_cold_start=True), _model(allow_cold_start=True)
         calls, nearest = [], ClusterModel.nearest
@@ -707,7 +709,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(ClusterModel, "nearest", counting)
         batch.run_online(records, indices=range(10, 30))
-        assert calls == [1] * 21
+        assert calls == [21]
         for i in range(10, 30):
             calls.clear()
             stream.run_online(records[i - 2:i + 1], indices=[2])
@@ -850,24 +852,49 @@ class TestRunOnline:
         assert (error, message.startswith("record 12: ")) == (
             (ForecastUnavailableError, True) if fault == "cold-start" else (NumericError, False))
 
-    def test_only_a_run_of_records_keeps_what_to_put_back(self, monkeypatch):
-        # one record and learn_step check and warn before anything moves;
-        # only a run of several records copies what a refusal puts back
+    @pytest.mark.parametrize("q", range(4))
+    def test_a_span_past_its_lags_walks_as_one_record_calls(self, q):
+        # a span's table starts max(q, 1) records before it, so its rows are not
+        # record positions: the steps and the snapshot, moved centroids included,
+        # are those of one call per record, and a strict cold start names its record
+        records = self._records(40, seed=q)
+        for start in (q + 2, 13, 25):
+            model = _model(q=q, allow_cold_start=True)
+            _learn(model, records[:start])
+            one, centroids = copy.deepcopy(model), model.clusters.centroids.copy()
+            span = range(start, len(records))
+            expected = _step_bytes(_one_record_calls(one, records, span))
+            assert _step_bytes(model.run_online(records, indices=span)) == expected
+            assert model.to_json() == one.to_json()
+            assert not np.array_equal(model.clusters.centroids, centroids)
+        strict = _model(q=q)
+        _learn(strict, records[4:12])  # the A and N shifts: record 12 opens an M shift
+        before, span = strict.to_json(), range(12, 20)
+        refused = _outcome(lambda: strict.run_online(records, indices=span))
+        assert refused == _outcome(lambda: _one_record_calls(copy.deepcopy(strict), records, span))
+        assert refused[0][0] is ForecastUnavailableError and refused[0][1].startswith("record 12: ")
+        assert strict.to_json() == before
+
+    def test_one_record_and_learn_step_copy_nothing(self):
+        # one record and learn_step check and warn before anything moves, so
+        # they keep no copy to put back: they move the model's own predictors,
+        # count rows and centroids in place
         records = self._records(20)
-        model, entered = _model(allow_cold_start=True), []
+        model = _model(allow_cold_start=True)
+        for i in range(12):  # every pattern is learned by record 12
+            model.run_online(records, indices=[i])
 
-        class Spy(opcast.model._AllOrNothing):
-            def __init__(self, model, keys):
-                entered.append(sorted(keys))
-                super().__init__(model, keys)
-
-        monkeypatch.setattr(opcast.model, "_AllOrNothing", Spy)
-        for i in range(12):
+        def held():
+            return [id(model.params), id(model.dirichlet.counts), id(model.clusters.centroids),
+                    id(model.clusters.counts), *(id(obj) for key in sorted(model.params)
+                                                 for obj in (model.params[key].u,
+                                                             model.params[key].v,
+                                                             model.dirichlet.counts[key]))]
+        before, centroids = held(), model.clusters.centroids.copy()
+        for i in range(12, 20):
             model.run_online(records, indices=[i])
         model.learn_step(*_row(build_features(records, model.config.features), 12), 1, 2)
-        assert entered == []
-        model.run_online(records, indices=range(13, 20))
-        assert entered == [["010", "100"]]
+        assert held() == before and not np.array_equal(model.clusters.centroids, centroids)
 
     def test_patterns_learned_earlier_in_the_pass_are_warm(self):
         # M, A and N shifts are all learned before record 12
@@ -914,16 +941,17 @@ def _with_cells(records, faults):
 
 
 def _step_bytes(steps) -> list:
-    """Each step's record, state and forecast bytes, for exact comparison."""
-    return [(st.index, st.state, st.y.tobytes()) + ((st.forecast.y_hat.tobytes(),
-            st.forecast.sigma.tobytes(), st.forecast.cold_start) if st.forecast else ())
-            for st in steps]
+    """Each step's record, state and forecast bytes and source, for exact comparison."""
+    return [(st.index, st.state, st.y.tobytes()) + ((
+        *(arr.tobytes() for arr in (fc.y_hat, fc.sigma, fc.weights, fc.intervals)),
+        fc.cold_start, fc.state, fc.pattern, fc.begins) if (fc := st.forecast) else ())
+        for st in steps]
 
 
 def _one_record_calls(model, records, span) -> list:
-    """``run_online(records, indices=span)`` as one call per record: its steps.
-    A refused call must leave ``model`` as the calls before it left it, which a
-    copy run over those records at once shows; then it raises."""
+    """``run_online(records, indices=span)`` as one call per record, each by the
+    record rule: its steps. A refused call must leave ``model`` as the calls
+    before it left it, which a copy replaying those calls shows; then it raises."""
     start, steps = copy.deepcopy(model), []
     for i in span:
         try:
@@ -931,7 +959,8 @@ def _one_record_calls(model, records, span) -> list:
         except (OpcastError, ConditioningWarning):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
-                start.run_online(records, indices=range(span.start, i))
+                for j in range(span.start, i):
+                    start.run_online(records, indices=[j])
             assert model.to_json() == start.to_json()
             raise
     return steps
@@ -1447,24 +1476,26 @@ def _outcome(run):
     return result, [str(w.message) for w in caught if w.category is ConditioningWarning]
 
 
-def _walks_one_by_one(models, records, span, one_record=False):
-    """The oracle of ``walk_tables``: each model's own ``run_online`` walk, in
-    model order, on a copy, over ``span`` or, ``one_record``, one call per record
-    (``_one_record_calls``); per model its forecasts as (record, mean bytes,
-    variance bytes)."""
-    out = []
-    for model in [copy.deepcopy(m) for m in models]:  # each with its own centroids
-        steps = _one_record_calls(model, records, span) if one_record \
-            else model.run_online(records, indices=span)
-        out.append([(st.index, st.forecast.y_hat.tobytes(),
-                     np.diagonal(st.forecast.sigma).tobytes()) for st in steps if st.forecast])
-    return out
+def _one_span(model, records, span) -> list:
+    """``run_online(records, indices=span)`` in one call: its steps."""
+    return model.run_online(records, indices=span)
+
+
+def _walks_one_by_one(models, records, span, steps=_one_record_calls):
+    """The oracle of ``walk_tables``: each model's own walk, in model order, on a
+    copy, over ``span``, by the record rule in one ``run_online`` call per record
+    (``_one_record_calls``) or by ``steps``; per model its forecasts as (record,
+    mean bytes, variance bytes)."""
+    return [[(st.index, st.forecast.y_hat.tobytes(), np.diagonal(st.forecast.sigma).tobytes())
+             for st in steps(model, records, span) if st.forecast]
+            for model in [copy.deepcopy(m) for m in models]]  # each with its own centroids
 
 
 def _walked(models, tables, spans):
     """``walk_tables`` with its forecasts laid out as the oracle's."""
-    return [[(i, mean.tobytes(), var.tobytes()) for i, mean, var in zip(index.tolist(), *moments)]
-            for index, *moments in walk_tables(models, tables, spans)]
+    return [[(i, mean.tobytes(), var.tobytes()) for i, mean, var in zip(
+        fc.index.tolist(), fc.mean, np.diagonal(fc.cov, 0, 1, 2))]
+        for fc in walk_tables(models, tables, spans)]
 
 
 class TestWalkTables:
@@ -1534,7 +1565,7 @@ class TestWalkTables:
                     models[j].params))), str(rng.choice(["u", "v"])))
         span = range(first, len(records))
         got = self._assert_as_one_by_one(models, tables, records, span)
-        assert _outcome(lambda: _walks_one_by_one(models, records, span, one_record=True)) == got
+        assert _outcome(lambda: _walks_one_by_one(models, records, span, _one_span)) == got
 
     def test_an_unseen_pattern_is_refused_as_one_by_one(self, setting):
         records = setting[0]
@@ -1653,9 +1684,12 @@ class TestWalkTables:
                              clusters=states) for q in range(3)]
         tables = [build_features(records, features.with_lags(0))] * len(models)
         walks = walk_tables(models, tables, [span] * len(models))
-        for q, (index, mean, var) in enumerate(walks):
-            np.testing.assert_array_equal(index, np.arange(max(span.start, q + 1), span.stop))
-            assert mean.shape == var.shape == (len(index), 2)
+        for q, fc in enumerate(walks):
+            n = len(fc.index)
+            np.testing.assert_array_equal(fc.index, np.arange(max(span.start, q + 1), span.stop))
+            assert fc.mean.shape == fc.weights.shape == (n, 2) and fc.cov.shape == (n, 2, 2)
+            assert all(len(column) == n for column in (fc.state, fc.label, fc.cold, fc.begins,
+                                                       fc.pattern))
         self._assert_as_one_by_one(models, tables, records, span)
 
     def test_empty_spans_walk_nothing(self, setting):
